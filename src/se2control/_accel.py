@@ -1,7 +1,7 @@
 """Numerical backend selection.
 
-The hot kernels (grid reachability expansion, fixed-step RK4) come in two
-flavors: numba-jitted loops and pure-numpy implementations.  The env var
+The grid reachability expansion comes in two flavors: a numba-jitted loop
+and a pure-numpy implementation.  The env var
 ``SE2CONTROL_BACKEND=numpy`` forces the fallback; anything else uses numba
 when it is importable.  Both paths execute the same floating-point operations
 in the same order, so results are identical bit for bit.
@@ -15,7 +15,7 @@ try:
     import numba
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra
     numba = None
     HAS_NUMBA = False
 
@@ -23,17 +23,6 @@ _REQUESTED = os.environ.get("SE2CONTROL_BACKEND", "numba").strip().lower()
 
 USE_NUMBA = HAS_NUMBA and _REQUESTED != "numpy"
 BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-def jit_or_python(func):
-    """Jit `func` with numba on the numba backend, else return it unchanged.
-
-    Used for scalar kernels whose pure-Python execution is an acceptable
-    fallback (identical source, identical arithmetic).
-    """
-    if USE_NUMBA:
-        return numba.njit(cache=True)(func)
-    return func
 
 
 def njit_if_available(func):

@@ -10,6 +10,7 @@ mismatch (command does not apply to the system's classification case),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -260,8 +261,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Options whose value is a comma-separated list of coordinates.
+COORDINATE_OPTIONS = ("--v0", "--x0", "--bounds")
+
+
+def _attach_coordinate_values(argv: list) -> list:
+    """Rewrite "--v0 -3,0" as "--v0=-3,0".
+
+    argparse reads a value that starts with "-" and is not a plain negative
+    number (a list such as -3,0) as an option of its own.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in COORDINATE_OPTIONS and re.match(r"-[0-9.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_coordinate_values(argv))
     try:
         return args.func(args)
     except SpecFileError as exc:

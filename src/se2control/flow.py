@@ -10,36 +10,33 @@ about the equilibrium v(u) = -u A(u)^{-1} eta whenever det A(u) != 0.  The
 single singular constant control (lam = 0, u = mu) has A(u) = 0 and flows
 along the straight line v + s u eta.
 
-The RK4 oracle integrates the same fields with classical fixed-step RK4 and
-never calls the closed-form code; it exists so every closed form can be
-cross-validated independently.
+Every flow broadcasts: times s and controls u of shape (...) and states of
+shape (..., 2) (planar) or (..., 3) (packed group states [t, v_x, v_y])
+evaluate row by row in one call, and each row equals the one-row call bit
+for bit.  The group flows also take a single GroupElement and return one.
+
+The RK4 oracle integrates the raw group field with classical fixed-step RK4,
+for a batch of samples at once, and never calls the closed-form code; it
+exists so every closed form can be cross-validated independently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import jit_or_python
-from .group import (
-    GroupElement,
-    conj_psi1,
-    conj_psi1_inv,
-    conj_psi2,
-    conj_psi2_inv,
-    conj_psi_zero,
-    conj_psi_zero_inv,
-    lambda_map,
-    perp,
-    rotation,
-    wrap_angle,
-)
+from .group import GroupElement, lambda_map, matvec, perp, rotate, rotation, wrap_angle
 from .system import ReducedSpec, SystemSpec, reduce_system
 
 DEFAULT_RK4_STEP = 1e-3
 SAMPLES_PER_SEGMENT = 64
+# RK4 steps whose angles (and their cos/sin) the oracle evaluates together.
+RK4_BLOCK = 32
+# Largest x with a finite e^x.
+_EXP_MAX_ARG = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -47,19 +44,25 @@ SAMPLES_PER_SEGMENT = 64
 # ---------------------------------------------------------------------------
 
 
-def equilibrium(rs: ReducedSpec, u: float) -> np.ndarray:
+def _equilibrium(rs: ReducedSpec, u, nu, d) -> np.ndarray:
+    # -u A(u)^{-1} eta = -u/(lam^2 + (mu-u)^2) * (lam eta - (mu-u) theta eta)
+    return (-u / d)[..., None] * (rs.lam * rs.eta - nu[..., None] * perp(rs.eta))
+
+
+def equilibrium(rs: ReducedSpec, u) -> np.ndarray:
     """Equilibrium v(u) = -u A(u)^{-1} eta of the constant-control loop.
 
-    Undefined at the singular control (lam = 0 and u = mu), where A(u) = 0
-    and the drift u eta has no rest point.
+    `u` is a float or an array of shape (...); the result has shape
+    (..., 2).  Undefined at the singular control (lam = 0 and u = mu), where
+    A(u) = 0 and the drift u eta has no rest point: a ValueError is raised
+    if any u is singular.
     """
-    u = float(u)
-    d = rs.det_a_of_u(u)
-    if d == 0.0:
-        raise ValueError("no equilibrium at the singular control u = mu (lam = 0)")
-    # -u A(u)^{-1} eta = -u/(lam^2 + (mu-u)^2) * (lam eta - (mu-u) theta eta)
+    u = np.asarray(u, dtype=float)
     nu = rs.mu - u
-    return (-u / d) * (rs.lam * rs.eta - nu * perp(rs.eta))
+    d = rs.lam**2 + nu**2
+    if np.any(d == 0.0):
+        raise ValueError("no equilibrium at the singular control u = mu (lam = 0)")
+    return _equilibrium(rs, u, nu, d)
 
 
 def equilibrium_derivative(rs: ReducedSpec, u: float) -> np.ndarray:
@@ -79,26 +82,89 @@ def equilibrium_derivative(rs: ReducedSpec, u: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def flow_r2(rs: ReducedSpec, s: float, v, u: float) -> np.ndarray:
-    """Planar closed-form flow for constant control, any real time s."""
-    s = float(s)
-    u = float(u)
-    v = np.asarray(v, dtype=float).reshape(2)
-    if s == 0.0:
-        return v.copy()
-    if rs.det_a_of_u(u) == 0.0:
+def _not_finite(s, bad) -> ValueError:
+    """Error naming the first time s whose row is flagged in `bad`."""
+    s_bad = np.broadcast_to(s, bad.shape)[bad].flat[0]
+    return ValueError(f"flow is not finite at s = {float(s_bad)}")
+
+
+def _exp(x, s) -> np.ndarray:
+    """e^x elementwise, by math.exp.
+
+    numpy's vectorised exp differs from libm's in the last bit for some
+    arguments; math.exp keeps every flow value equal to a scalar
+    evaluation, and with them every report built on flows.
+    """
+    try:
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    except OverflowError:
+        raise _not_finite(s, x > _EXP_MAX_ARG) from None
+
+
+def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
+    """Planar closed-form flow for constant control, any real time s.
+
+    Shapes: s and u are floats or arrays of shape (...), v has shape
+    (..., 2); the leading shapes broadcast and the result has shape
+    (..., 2).  Raises ValueError naming s when e^{lam s} or the flowed point
+    is not finite.
+    """
+    s = np.asarray(s, dtype=float)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    nu = rs.mu - u
+    d = rs.lam**2 + nu**2
+    singular = d == 0.0
+    vu = _equilibrium(rs, u, nu, np.where(singular, 1.0, d))
+    grow = _exp(s * rs.lam, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = grow[..., None] * rotate(s * nu, v - vu) + vu
         # Singular control: A(u) = 0, vdot = u eta.
-        return v + (s * u) * rs.eta
-    vu = equilibrium(rs, u)
-    return math.exp(s * rs.lam) * (rotation(s * (rs.mu - u)) @ (v - vu)) + vu
+        out = np.where(singular[..., None], v + (s * u)[..., None] * rs.eta, out)
+    out = np.where((s == 0.0)[..., None], v, out)
+    finite = np.isfinite(out).all(axis=-1)
+    if not finite.all():
+        raise _not_finite(s, ~finite)
+    return out
 
 
-def flow_product(rs: ReducedSpec, s: float, g: GroupElement, u: float) -> GroupElement:
-    """Lifted flow on S^1 x R^2: the angle advances linearly, t + s u."""
-    return GroupElement(g.t + float(s) * float(u), flow_r2(rs, s, g.v, u))
+def _packed(g):
+    """Packed states [t, v_x, v_y] with canonical angles, and whether g was one GroupElement."""
+    if isinstance(g, GroupElement):
+        return g.as_array(), True
+    x = np.array(g, dtype=float)
+    x[..., 0] = wrap_angle(x[..., 0])
+    return x, False
 
 
-def flow_detA0(spec: SystemSpec, s: float, g: GroupElement, u: float) -> GroupElement:
+def _group_result(t, v, element: bool):
+    """Pack (t, v) with canonical angles; a GroupElement for one row from one.
+
+    `v` carries the full broadcast shape (..., 2); `t` broadcasts to (...).
+    """
+    if element and v.ndim == 1:
+        return GroupElement(float(t), v)
+    x = np.empty(v.shape[:-1] + (3,))
+    x[..., 0] = wrap_angle(t)
+    x[..., 1:] = v
+    return x
+
+
+def flow_product(rs: ReducedSpec, s, g, u):
+    """Lifted flow on S^1 x R^2: the angle advances linearly, t + s u.
+
+    `g` is a GroupElement or packed states of shape (..., 3); s and u are
+    floats or arrays of shape (...).  The result is a GroupElement when g is
+    one and s and u are floats, else packed states of the broadcast shape
+    (..., 3).
+    """
+    x, element = _packed(g)
+    s = np.asarray(s, dtype=float)
+    u = np.asarray(u, dtype=float)
+    return _group_result(x[..., 0] + s * u, flow_r2(rs, s, x[..., 1:], u), element)
+
+
+def flow_detA0(spec: SystemSpec, s, g, u):
     """Degenerate flow for A = 0, in coordinates where the invariant field is (1, 0).
 
     The normalized dynamics are tdot = u, vdot = Lambda_t xi.  For u != 0
@@ -109,42 +175,55 @@ def flow_detA0(spec: SystemSpec, s: float, g: GroupElement, u: float) -> GroupEl
     and for u = 0 the translation drifts along the frozen direction
     Lambda_t xi.  Callers working with the raw system must first move to the
     normalized chart (conj_psi_zero) and rescale the control by alpha.
+    Shapes as for :func:`flow_product`.
     """
-    if float(np.max(np.abs(spec.A))) != 0.0:
+    if spec.A.any():
         raise ValueError("flow_detA0 requires A = 0")
-    s = float(s)
-    u = float(u)
-    xi = spec.xi
-    if u == 0.0:
-        return GroupElement(g.t, g.v + s * lambda_map(g.t, xi))
-    txi = perp(xi)
-    dv = s * txi + perp((rotation(g.t + s * u) - rotation(g.t)) @ txi) / u
-    return GroupElement(g.t + s * u, g.v + dv)
+    x, element = _packed(g)
+    s = np.asarray(s, dtype=float)
+    u = np.asarray(u, dtype=float)
+    t, v = x[..., 0], x[..., 1:]
+    moving = u != 0.0
+    u_safe = np.where(moving, u, 1.0)
+    t_end = t + s * u_safe
+    txi = perp(spec.xi)
+    rho_t = rotation(t)
+    # u != 0: s theta xi + theta (rho(t + s u) - rho(t)) theta xi / u;
+    # u == 0: s Lambda_t xi = s (theta xi - rho(t) theta xi).
+    turn = s[..., None] * txi + perp(matvec(rotation(t_end) - rho_t, txi)) / u_safe[..., None]
+    drift = s[..., None] * (txi - matvec(rho_t, txi))
+    return _group_result(
+        np.where(moving, t_end, t), v + np.where(moving[..., None], turn, drift), element
+    )
 
 
-def flow_se2(spec: SystemSpec, s: float, g: GroupElement, u: float) -> GroupElement:
+def flow_se2(spec: SystemSpec, s, g, u):
     """Exact flow of the full system on the group, any classification case.
 
     det A != 0: conjugate to the reduced system (control rescaled to
     alpha u), flow there, conjugate back.  A = 0: same scheme through the
-    degenerate chart.
+    degenerate chart.  Shapes as for :func:`flow_product`; the reduction is
+    computed once per call, not once per row.
     """
     if spec.alpha == 0.0:
         raise ValueError("exact flow requires alpha != 0")
-    ut = spec.alpha * float(u)
+    x, element = _packed(g)
+    t, v = x[..., 0], x[..., 1:]
+    ut = spec.alpha * np.asarray(u, dtype=float)
     if spec.det() == 0.0:
-        h = conj_psi_zero(spec.alpha, spec.eta1, g)
-        hf = flow_detA0(
-            SystemSpec(spec.alpha, spec.xi, np.zeros((2, 2)), np.zeros(2), spec.omega),
-            s,
-            h,
-            ut,
-        )
-        return conj_psi_zero_inv(spec.alpha, spec.eta1, hf)
+        chart = SystemSpec(spec.alpha, spec.xi, np.zeros((2, 2)), np.zeros(2), spec.omega)
+        # conj_psi_zero, the degenerate flow, then conj_psi_zero_inv.
+        h = _group_result(t, v - lambda_map(t, spec.eta1) / spec.alpha, False)
+        hf = flow_detA0(chart, s, h, ut)
+        tf = hf[..., 0]
+        return _group_result(tf, hf[..., 1:] + lambda_map(tf, spec.eta1) / spec.alpha, element)
     rs = reduce_system(spec)
-    h = conj_psi2(conj_psi1(spec.A, spec.xi, g))
+    a = np.linalg.solve(spec.A, spec.xi)
+    # conj_psi1 then conj_psi2, the product flow, then their inverses.
+    h = _group_result(t, rotate(-t, v + lambda_map(t, a)), False)
     hf = flow_product(rs, s, h, ut)
-    return conj_psi1_inv(spec.A, spec.xi, conj_psi2_inv(hf))
+    tf = hf[..., 0]
+    return _group_result(tf, rotate(tf, hf[..., 1:]) - lambda_map(tf, a), element)
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +284,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _segment_stepper(sys_obj):
-    """Return (step, pack, unpack, kind) for closed-form segment evaluation."""
-    if isinstance(sys_obj, ReducedSpec):
-        def step_planar(state, s, u):
-            return flow_r2(sys_obj, s, state, u)
-
-        return step_planar, "planar"
-    if isinstance(sys_obj, SystemSpec):
-        def step_group(state, s, u):
-            g = flow_se2(sys_obj, s, GroupElement(state[0], state[1:]), u)
-            return g.as_array()
-
-        return step_group, "group"
-    raise TypeError("expected ReducedSpec or SystemSpec")
-
-
 def flow_concat(
     sys_obj,
     control: PiecewiseControl,
@@ -230,42 +293,45 @@ def flow_concat(
     """Concatenate closed-form segment flows along a piecewise control.
 
     Every sample, including each segment endpoint, is evaluated in closed
-    form from the segment's start state; nothing is interpolated.
+    form from the segment's start state, one flow call per segment; nothing
+    is interpolated.  A ReducedSpec flows planar states (shape (2,)) with
+    :func:`flow_r2`, or a GroupElement with :func:`flow_product`; a
+    SystemSpec flows group states (a GroupElement or [t, v_x, v_y]) with
+    :func:`flow_se2`.
     """
+    if isinstance(sys_obj, SystemSpec):
+        flow, kind = flow_se2, "group"
+    elif not isinstance(sys_obj, ReducedSpec):
+        raise TypeError("expected ReducedSpec or SystemSpec")
+    elif isinstance(x0, GroupElement):
+        flow, kind = flow_product, "group"
+    else:
+        flow, kind = flow_r2, "planar"
     if isinstance(x0, GroupElement):
-        if isinstance(sys_obj, ReducedSpec):
-            def step(state, s, u):
-                g = flow_product(sys_obj, s, GroupElement(state[0], state[1:]), u)
-                return g.as_array()
-
-            kind = "group"
-        else:
-            step, kind = _segment_stepper(sys_obj)
         state = x0.as_array()
     else:
-        step, kind = _segment_stepper(sys_obj)
         state = np.asarray(x0, dtype=float).reshape(-1).copy()
 
     m = int(samples_per_segment)
     if m < 1:
         raise ValueError("samples_per_segment must be >= 1")
 
-    times = [0.0]
-    states = [state.copy()]
-    controls = [control.segments[0][1] if control.segments else 0.0]
+    steps = np.arange(1, m + 1)
+    times = [np.zeros(1)]
+    states = [state[None, :]]
+    controls = [np.array([control.segments[0][1] if control.segments else 0.0])]
     elapsed = 0.0
     for dur, u in control.segments:
-        for j in range(1, m + 1):
-            tau = dur * j / m
-            times.append(elapsed + tau)
-            states.append(step(state, tau, u))
-            controls.append(u)
-        state = states[-1].copy()
+        tau = dur * steps / m
+        times.append(elapsed + tau)
+        states.append(flow(sys_obj, tau, state, u))
+        controls.append(np.full(m, u))
+        state = states[-1][-1]
         elapsed += dur
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        controls=np.asarray(controls),
+        times=np.concatenate(times),
+        states=np.concatenate(states),
+        controls=np.concatenate(controls),
         kind=kind,
     )
 
@@ -275,181 +341,109 @@ def flow_concat(
 # ---------------------------------------------------------------------------
 
 
-def field_planar(rs: ReducedSpec):
-    """Planar field (A - u theta) v + u eta as a callable f(v, u)."""
-    lam, mu, eta = rs.lam, rs.mu, rs.eta
+def _rk4_forcing(angles, u, txi, eta1):
+    """State-independent terms of vdot = A v + theta xi - rho(t) theta xi + u rho(t) eta1.
 
-    def f(v, u):
-        nu = mu - u
-        return np.array(
-            [lam * v[0] - nu * v[1] + u * eta[0], nu * v[0] + lam * v[1] + u * eta[1]]
-        )
-
-    return f
-
-
-def field_group(rs: ReducedSpec):
-    """Lifted field on packed state [t, v_x, v_y]."""
-    fp = field_planar(rs)
-
-    def f(x, u):
-        dv = fp(x[1:], u)
-        return np.array([u, dv[0], dv[1]])
-
-    return f
-
-
-def field_degenerate(xi):
-    """Normalized degenerate field: tdot = u, vdot = Lambda_t xi."""
-    xi = np.asarray(xi, dtype=float)
-
-    def f(x, u):
-        dv = lambda_map(x[0], xi)
-        return np.array([u, dv[0], dv[1]])
-
-    return f
-
-
-def field_se2(spec: SystemSpec):
-    """Raw field on the group: tdot = u alpha, vdot = A v + Lambda_t xi + u rho(t) eta1."""
-    A = spec.A
-
-    def f(x, u):
-        dv = A @ x[1:] + lambda_map(x[0], spec.xi) + u * (rotation(x[0]) @ spec.eta1)
-        return np.array([u * spec.alpha, dv[0], dv[1]])
-
-    return f
-
-
-def _rk4_steps(s: float, step: float):
-    n = max(1, int(math.ceil(abs(s) / step - 1e-12)))
-    return n, s / n
-
-
-def _rk4_planar_kernel(vx, vy, lam, mu, ex, ey, u, h, n):
-    nu = mu - u
-    for _ in range(n):
-        k1x = lam * vx - nu * vy + u * ex
-        k1y = nu * vx + lam * vy + u * ey
-        ax = vx + 0.5 * h * k1x
-        ay = vy + 0.5 * h * k1y
-        k2x = lam * ax - nu * ay + u * ex
-        k2y = nu * ax + lam * ay + u * ey
-        bx = vx + 0.5 * h * k2x
-        by = vy + 0.5 * h * k2y
-        k3x = lam * bx - nu * by + u * ex
-        k3y = nu * bx + lam * by + u * ey
-        cx = vx + h * k3x
-        cy = vy + h * k3y
-        k4x = lam * cx - nu * cy + u * ex
-        k4y = nu * cx + lam * cy + u * ey
-        vx = vx + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        vy = vy + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return vx, vy
-
-
-def _rk4_se2_kernel(t, vx, vy, a00, a01, a10, a11, xix, xiy, e1x, e1y, alpha, u, h, n):
-    # vdot = A v + (I - rho(t)) theta xi + u rho(t) eta1, tdot = u alpha
-    txx = -xiy  # theta xi
-    txy = xix
-    td = u * alpha
-    for _ in range(n):
-        c = math.cos(t)
-        s_ = math.sin(t)
-        k1x = a00 * vx + a01 * vy + txx - (c * txx - s_ * txy) + u * (c * e1x - s_ * e1y)
-        k1y = a10 * vx + a11 * vy + txy - (s_ * txx + c * txy) + u * (s_ * e1x + c * e1y)
-        t2 = t + 0.5 * h * td
-        ax = vx + 0.5 * h * k1x
-        ay = vy + 0.5 * h * k1y
-        c = math.cos(t2)
-        s_ = math.sin(t2)
-        k2x = a00 * ax + a01 * ay + txx - (c * txx - s_ * txy) + u * (c * e1x - s_ * e1y)
-        k2y = a10 * ax + a11 * ay + txy - (s_ * txx + c * txy) + u * (s_ * e1x + c * e1y)
-        bx = vx + 0.5 * h * k2x
-        by = vy + 0.5 * h * k2y
-        k3x = a00 * bx + a01 * by + txx - (c * txx - s_ * txy) + u * (c * e1x - s_ * e1y)
-        k3y = a10 * bx + a11 * by + txy - (s_ * txx + c * txy) + u * (s_ * e1x + c * e1y)
-        t4 = t + h * td
-        cx = vx + h * k3x
-        cy = vy + h * k3y
-        c = math.cos(t4)
-        s_ = math.sin(t4)
-        k4x = a00 * cx + a01 * cy + txx - (c * txx - s_ * txy) + u * (c * e1x - s_ * e1y)
-        k4y = a10 * cx + a11 * cy + txy - (s_ * txx + c * txy) + u * (s_ * e1x + c * e1y)
-        vx = vx + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        vy = vy + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        t = t + h * td
-    return t, vx, vy
-
-
-_rk4_planar_fast = jit_or_python(_rk4_planar_kernel)
-_rk4_se2_fast = jit_or_python(_rk4_se2_kernel)
-
-
-def rk4_oracle(field, s: float, x0, u: float, step: float = DEFAULT_RK4_STEP):
-    """Classical fixed-step RK4 endpoint for xdot = field(x, u), constant u.
-
-    `field` is either a callable or a system object (ReducedSpec for the
-    planar/lifted field, SystemSpec for the raw group field), in which case a
-    compiled stepper with identical arithmetic is used.  Negative `s`
-    integrates backward.  Independent of the closed-form flow code by
-    construction.
+    `angles` has shape (steps, n) and `u` shape (n,); returns
+    (rho(t) theta xi, u rho(t) eta1), each of shape (steps, 2, n).
     """
-    s = float(s)
-    u = float(u)
-    if s == 0.0:
-        return np.asarray(x0, dtype=float).reshape(-1).copy()
-    n, h = _rk4_steps(s, step)
+    c, s = np.cos(angles), np.sin(angles)
+    txx, txy = txi
+    e1x, e1y = eta1
+    turned = np.stack([c * txx - s * txy, s * txx + c * txy], axis=-2)
+    pushed = np.stack([u * (c * e1x - s * e1y), u * (s * e1x + c * e1y)], axis=-2)
+    return turned, pushed
 
-    if isinstance(field, ReducedSpec):
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.shape[0] == 2:
-            vx, vy = _rk4_planar_fast(
-                x0[0], x0[1], field.lam, field.mu, field.eta[0], field.eta[1], u, h, n
-            )
-            return np.array([vx, vy])
-        if x0.shape[0] == 3:
-            vx, vy = _rk4_planar_fast(
-                x0[1], x0[2], field.lam, field.mu, field.eta[0], field.eta[1], u, h, n
-            )
-            return np.array([x0[0] + s * u, vx, vy])
-        raise ValueError("state must have 2 (planar) or 3 (group) components")
-    if isinstance(field, SystemSpec):
-        x0 = np.asarray(x0, dtype=float).reshape(3)
-        A = field.A
-        t, vx, vy = _rk4_se2_fast(
-            x0[0],
-            x0[1],
-            x0[2],
-            A[0, 0],
-            A[0, 1],
-            A[1, 0],
-            A[1, 1],
-            field.xi[0],
-            field.xi[1],
-            field.eta1[0],
-            field.eta1[1],
-            field.alpha,
-            u,
-            h,
-            n,
+
+def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP) -> np.ndarray:
+    """Classical fixed-step RK4 endpoints of the raw group field, one sample per row.
+
+    The field is tdot = u alpha, vdot = A v + Lambda_t xi + u rho(t) eta1
+    with constant control u.  Shapes: s and u are floats or arrays of shape
+    (n,), x0 = [t, v_x, v_y] has shape (n, 3) or (3,); the result has shape
+    (n, 3).  Sample i takes its own n_i = ceil(|s_i| / step) steps of size
+    s_i / n_i (none for s_i = 0; negative s_i integrates backward), so a
+    row's endpoint does not depend on the other rows.  Samples that have
+    taken all their steps are left alone while the others go on, and the
+    angles of up to RK4_BLOCK steps are evaluated together.  Independent of
+    the closed-form flow code by construction.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
+    shape = np.broadcast_shapes(s.shape, u.shape, x0.shape[:-1])
+    if len(shape) != 1 or x0.shape[-1] != 3:
+        raise ValueError("rk4_oracle_batch takes s, u of shape (n,) and x0 of shape (n, 3)")
+    s, u = np.broadcast_to(s, shape), np.broadcast_to(u, shape)
+    x0 = np.broadcast_to(x0, shape + (3,))
+
+    n_steps = np.where(s == 0.0, 0, np.maximum(1, np.ceil(np.abs(s) / step - 1e-12))).astype(np.int64)
+    # Longest first, so the samples still stepping are always a prefix.
+    order = np.argsort(-n_steps, kind="stable")
+    n_steps = n_steps[order]
+    h = s[order] / np.maximum(n_steps, 1)
+    u = u[order]
+    t_end = x0[order, 0].copy()
+    v_end = x0[order, 1:].T.copy()  # row 0 holds v_x, row 1 v_y
+
+    # (A v)_x = a00 v_x + a01 v_y and (A v)_y = a11 v_y + a10 v_x (the same
+    # sums, added in either order), so A v = diag * v + off * v[::-1].
+    A = spec.A
+    diag, off = np.array([[A[0, 0]], [A[1, 1]]]), np.array([[A[0, 1]], [A[1, 0]]])
+    txi = perp(spec.xi)
+    half = 0.5 * h
+    sixth = h / 6.0
+    dt = h * (u * spec.alpha)
+    dt_half = half * (u * spec.alpha)
+
+    # Step the m active samples in blocks that end before any of them is
+    # done.  Constants are laid out like the state, shape (2, m), since
+    # numpy operates faster on equal shapes than on broadcast ones.
+    m = int(np.count_nonzero(n_steps))
+    t, v = t_end[:m], v_end[:, :m].copy()
+    done = 0
+    while m:
+        block = min(RK4_BLOCK, int(n_steps[m - 1]) - done)
+        # Angles at the block's steps: t_{k+1} = t_k + h td, summed in order.
+        path = np.empty((block + 1, m))
+        path[0] = t
+        path[1:] = dt[:m]
+        path = np.add.accumulate(path, axis=0)
+        turned, pushed = _rk4_forcing(path, u[:m], txi, spec.eta1)
+        turned_mid, pushed_mid = _rk4_forcing(path[:-1] + dt_half[:m], u[:m], txi, spec.eta1)
+        diag_m, off_m, txi_m, h_m, half_m, sixth_m = (
+            np.broadcast_to(x, (2, m)).copy()
+            for x in (diag, off, txi[:, None], h[:m], half[:m], sixth[:m])
         )
-        return np.array([t, vx, vy])
+        for j in range(block):
+            k1 = diag_m * v + off_m * v[::-1] + txi_m - turned[j] + pushed[j]
+            y = v + half_m * k1
+            k2 = diag_m * y + off_m * y[::-1] + txi_m - turned_mid[j] + pushed_mid[j]
+            y = v + half_m * k2
+            k3 = diag_m * y + off_m * y[::-1] + txi_m - turned_mid[j] + pushed_mid[j]
+            y = v + h_m * k3
+            k4 = diag_m * y + off_m * y[::-1] + txi_m - turned[j + 1] + pushed[j + 1]
+            v = v + sixth_m * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        done += block
+        t = path[block]
+        active = int(np.count_nonzero(n_steps[:m] > done))
+        t_end[active:m] = t[active:]
+        v_end[:, active:m] = v[:, active:]
+        m = active
+        t, v = t[:m], v[:, :m]
 
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    for _ in range(n):
-        k1 = field(x, u)
-        k2 = field(x + (0.5 * h) * k1, u)
-        k3 = field(x + (0.5 * h) * k2, u)
-        k4 = field(x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+    out = np.empty(shape + (3,))
+    out[order, 0] = t_end
+    out[order, 1:] = v_end.T
+    return out
 
 
-def rk4_piecewise(field, control: PiecewiseControl, x0, step: float = DEFAULT_RK4_STEP):
-    """RK4 endpoint across a piecewise-constant control (segment by segment)."""
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    for dur, u in control.segments:
-        if dur > 0.0:
-            x = rk4_oracle(field, dur, x, u, step)
-    return x
+def rk4_oracle(spec: SystemSpec, s: float, x0, u: float, step: float = DEFAULT_RK4_STEP) -> np.ndarray:
+    """RK4 endpoint of the raw group field for one sample, x0 = [t, v_x, v_y].
+
+    The one-row case of :func:`rk4_oracle_batch` (same steps, same values);
+    returns shape (3,).
+    """
+    if not isinstance(spec, SystemSpec):
+        raise TypeError("rk4_oracle integrates the field of a SystemSpec")
+    return rk4_oracle_batch(spec, float(s), np.asarray(x0, dtype=float).reshape(1, 3), float(u), step)[0]

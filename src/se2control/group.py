@@ -27,8 +27,15 @@ THETA = np.array([[0.0, -1.0], [1.0, 0.0]])
 COMMUTE_TOL = 1e-12
 
 
-def wrap_angle(t: float) -> float:
-    """Reduce an angle to the canonical interval [0, 2*pi)."""
+def wrap_angle(t):
+    """Reduce an angle to the canonical interval [0, 2*pi).
+
+    A float gives a float; an array of any shape is reduced elementwise with
+    the same arithmetic.
+    """
+    if np.ndim(t):
+        t = np.remainder(t, TWO_PI)
+        return np.where(t >= TWO_PI, t - TWO_PI, t)
     t = float(t) % TWO_PI
     # Python's % can return the modulus itself after rounding (e.g. -1e-20).
     if t >= TWO_PI:
@@ -36,48 +43,95 @@ def wrap_angle(t: float) -> float:
     return t
 
 
-def angle_dist(a: float, b: float) -> float:
-    """Distance between two angles on the circle."""
+def angle_dist(a, b):
+    """Distance between two angles on the circle (elementwise for arrays)."""
     d = abs(wrap_angle(a) - wrap_angle(b))
+    if np.ndim(d):
+        return np.minimum(d, TWO_PI - d)
     return min(d, TWO_PI - d)
 
 
-def rotation(t: float) -> np.ndarray:
+def rotation(t) -> np.ndarray:
     """Rotation matrix rho(t).
 
     Parameters
     ----------
-    t : float
-        Rotation angle in radians.
+    t : float or ndarray, shape (...)
+        Rotation angle(s) in radians.
 
     Returns
     -------
-    ndarray, shape (2, 2)
+    ndarray, shape (..., 2, 2)
+        One C-contiguous matrix per angle; shape (2, 2) for a float.
     """
     c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s], [s, c]])
+    if np.ndim(c) == 0:  # the same matrix, built faster for one angle
+        return np.array([[c, -s], [s, c]])
+    out = np.empty(np.shape(c) + (2, 2))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    return out
+
+
+def matvec(m, w) -> np.ndarray:
+    """Row-wise product m @ w for m of shape (..., 2, 2) and w of shape (..., 2).
+
+    Leading dimensions broadcast.  Every row goes through the same
+    matrix-vector product as ``m[i] @ w[i]``, so a batch agrees bit for bit
+    with one-row calls.
+    """
+    return np.matmul(m, np.asarray(w, dtype=float)[..., None])[..., 0]
+
+
+def rotate(t, w) -> np.ndarray:
+    """rho(t) w for angles t of shape (...) and vectors w of shape (..., 2)."""
+    return matvec(rotation(t), w)
+
+
+def dots(a, b) -> np.ndarray:
+    """Row-wise dot products of a and b, shape (..., 2) -> (...), broadcast.
+
+    Each value equals ``a[i] @ b[i]`` bit for bit: both go through the same
+    vector dot product.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def norms(w) -> np.ndarray:
+    """Euclidean norms of the rows of w, shape (..., 2) -> (...).
+
+    Each value equals ``np.linalg.norm(w[i])`` bit for bit: both take the
+    square root of the same dot product.
+    """
+    return np.sqrt(dots(w, w))
+
+
+_PERP_SIGNS = np.array([-1.0, 1.0])
 
 
 def perp(w) -> np.ndarray:
-    """Rotate `w` by +90 degrees (theta @ w)."""
-    w = np.asarray(w, dtype=float)
-    return np.array([-w[1], w[0]])
+    """Rotate `w` by +90 degrees (theta @ w); w has shape (..., 2)."""
+    return np.asarray(w, dtype=float)[..., ::-1] * _PERP_SIGNS
 
 
-def lambda_map(t: float, w) -> np.ndarray:
+def lambda_map(t, w) -> np.ndarray:
     """Evaluate Lambda_t w = (I - rho(t)) theta w.
 
     This is the translation part of the linear drift generated by a pure
-    rotation; it vanishes iff t = 0 (mod 2*pi).
+    rotation; it vanishes iff t = 0 (mod 2*pi).  Angles t of shape (...)
+    and vectors w of shape (..., 2) broadcast.
 
     Examples
     --------
     >>> lambda_map(np.pi, [1.0, 0.0])
     array([0., 2.])
     """
-    w = np.asarray(w, dtype=float)
     tw = perp(w)
-    return tw - rotation(t) @ tw
+    return tw - rotate(t, tw)
 
 
 @dataclass

@@ -23,7 +23,7 @@ import numpy as np
 from . import _accel
 from .flow import PiecewiseControl, equilibrium, flow_detA0, flow_r2
 from .geometry import invariant_ball
-from .group import TWO_PI, GroupElement, angle_dist, lambda_map, perp
+from .group import TWO_PI, GroupElement, angle_dist, dots, lambda_map, norms, perp
 from .system import ReducedSpec, SystemSpec, larc
 
 DEFAULT_MAX_CELLS = 1_000_000
@@ -747,11 +747,14 @@ def _normalized_degenerate(spec: SystemSpec) -> tuple:
     return chart, (lo, hi)
 
 
-def _degenerate_endpoint(chart: SystemSpec, control: PiecewiseControl, g: GroupElement) -> GroupElement:
-    for dur, u in control.segments:
-        if dur > 0.0:
-            g = flow_detA0(chart, dur, g, u)
-    return g
+def _degenerate_endpoints(chart: SystemSpec, controls: list, g: GroupElement) -> np.ndarray:
+    """Packed end states of g under each control (all with as many segments)."""
+    segments = np.array([c.segments for c in controls])
+    x = np.broadcast_to(g.as_array(), (len(controls), 3))
+    for dur, u in zip(segments[:, :, 0].T, segments[:, :, 1].T):
+        # Segments of zero duration leave the state as it is.
+        x = np.where((dur > 0.0)[:, None], flow_detA0(chart, dur, x, u), x)
+    return x
 
 
 def steer_degenerate(
@@ -793,17 +796,16 @@ def steer_degenerate(
         eps_grid = np.geomspace(0.3, 3e-10, 30)
 
     g0 = GroupElement(0.0, v_from)
-    best = None
-    for eps in eps_grid:
-        s1 = eps / u_d
-        # Arcs-only rehearsal: realized dwell angles and arc displacement.
-        g = flow_detA0(chart, s1, g0, u_d)
-        t1 = g.t
-        g = flow_detA0(chart, 2.0 * s1, g, -u_d)
-        t2 = g.t
-        g = flow_detA0(chart, s1, g, u_d)
-        arc_a = float((g.v - v_from) @ xi) / n2
-        arc_b = float((g.v - v_from) @ txi) / n2
+    # Arcs-only rehearsal for every epsilon at once: realized dwell angles
+    # and arc displacement.
+    arc1 = np.asarray(eps_grid, dtype=float) / u_d
+    after1 = flow_detA0(chart, arc1, g0.as_array(), u_d)
+    after2 = flow_detA0(chart, 2.0 * arc1, after1, -u_d)
+    after3 = flow_detA0(chart, arc1, after2, u_d)
+    controls = []
+    for s1, t1, t2, v3 in zip(arc1, after1[:, 0], after2[:, 0], after3[:, 1:]):
+        arc_a = float((v3 - v_from) @ xi) / n2
+        arc_b = float((v3 - v_from) @ txi) / n2
         # Dwell rates exactly as the flow will apply them.
         rate1 = lambda_map(t1, xi)
         rate2 = lambda_map(t2, xi)
@@ -836,20 +838,24 @@ def steer_degenerate(
             elif tau2 < 0.0:
                 tau2 = 0.0
                 tau1 = a_rem / sin1 if a_rem / sin1 > 0.0 else 0.0
-        ctrl = PiecewiseControl(
-            [
-                (s1, u_d),
-                (tau1, 0.0),
-                (2.0 * s1, -u_d),
-                (tau2, 0.0),
-                (s1, u_d),
-            ]
+        controls.append(
+            PiecewiseControl(
+                [
+                    (s1, u_d),
+                    (tau1, 0.0),
+                    (2.0 * s1, -u_d),
+                    (tau2, 0.0),
+                    (s1, u_d),
+                ]
+            )
         )
-        end = _degenerate_endpoint(chart, ctrl, g0)
-        residual = float(np.linalg.norm(end.v - v_to)) + angle_dist(end.t, 0.0)
-        if best is None or residual < best[2]:
-            best = (ctrl, end, residual)
-    return best
+    if not controls:
+        return None
+    ends = _degenerate_endpoints(chart, controls, g0)
+    residuals = (norms(ends[:, 1:] - v_to) + angle_dist(ends[:, 0], 0.0)).tolist()
+    best = min(range(len(residuals)), key=residuals.__getitem__)  # the first of equals
+    end = ends[best]
+    return controls[best], GroupElement(end[0], end[1:]), residuals[best]
 
 
 @dataclass
@@ -910,21 +916,22 @@ def degenerate_structure_check(
     umin = 0.05 * min(-lo, hi)
     v0 = np.zeros(2)
 
-    # (a) strict growth of the monotone functional.
+    # (a) strict growth of the monotone functional, at 8 points per segment;
+    # the last point (fraction 1) is the segment's end state.
     min_inc = np.inf
+    fractions = np.linspace(1.0 / 8.0, 1.0, 8)
     for _ in range(int(n_samples)):
         n_seg = int(rng.integers(2, 7))
-        g = GroupElement(0.0, v0)
-        h_prev = float((g.v - v0) @ txi)
+        g = np.array([0.0, v0[0], v0[1]])
+        h_prev = float((g[1:] - v0) @ txi)
         for _ in range(n_seg):
             u = rng.uniform(umin, min(-lo, hi)) * (1.0 if rng.uniform() < 0.5 else -1.0)
             dur = rng.uniform(0.1, 1.5)
-            for frac in np.linspace(1.0 / 8.0, 1.0, 8):
-                gq = flow_detA0(chart, dur * frac, g, u)
-                h = float((gq.v - v0) @ txi)
-                min_inc = min(min_inc, h - h_prev)
-                h_prev = h
-            g = flow_detA0(chart, dur, g, u)
+            gq = flow_detA0(chart, dur * fractions, g, u)
+            h = dots(gq[:, 1:] - v0, txi)
+            min_inc = min(min_inc, float(np.min(np.diff(h, prepend=h_prev))))
+            h_prev = float(h[-1])
+            g = gq[-1]
 
     # (b) constructive mutual-reachability pairs.
     scale = max(1.0, float(np.linalg.norm(xi)))

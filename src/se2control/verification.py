@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import DEFAULT_RK4_STEP, flow_detA0, flow_r2, flow_se2, rk4_oracle
+from .flow import DEFAULT_RK4_STEP, flow_detA0, flow_r2, flow_se2, rk4_oracle_batch
 from .geometry import check_invariance, chord_ratio, chord_ratio_limit
-from .group import TWO_PI, GroupElement, angle_dist
+from .group import TWO_PI, angle_dist, norms
 from .reachability import control_grid, degenerate_structure_check
 from .system import (
     CASE_DEGENERATE,
@@ -57,9 +57,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(s.status != "failed" for s in self.suites) and any(
-            s.status == "passed" for s in self.suites
-        )
+        """No suite failed; suites skipped for the system's case do not count."""
+        return all(s.status != "failed" for s in self.suites)
 
     def to_dict(self) -> dict:
         return {
@@ -124,6 +123,17 @@ def _suite_ball_invariance(spec: SystemSpec, seed: int, n_samples: int) -> Suite
     )
 
 
+def _draw(rng, n: int, *ranges) -> np.ndarray:
+    """n rows of uniform draws, one column per (low, high) range.
+
+    The values and their order are those of n rounds of rng.uniform(low,
+    high) calls, one per column: both compute low + (high - low) * d from
+    the same stream of doubles d.
+    """
+    low, high = np.array(ranges, dtype=float).T
+    return low + (high - low) * rng.random((n, len(ranges)))
+
+
 def _suite_conjugacy(
     spec: SystemSpec, seed: int, n_samples: int = 50, tol: float = 1e-6
 ) -> SuiteResult:
@@ -131,18 +141,12 @@ def _suite_conjugacy(
     if spec.alpha == 0.0:
         return SuiteResult("conjugacy", "skipped", "alpha = 0: no reduction chart")
     rng = np.random.default_rng(seed)
-    lo, hi = spec.omega
-    max_dev = 0.0
-    for _ in range(n_samples):
-        g = GroupElement(rng.uniform(0.0, TWO_PI), rng.uniform(-2.0, 2.0, size=2))
-        u = rng.uniform(lo, hi)
-        s = rng.uniform(0.1, 2.0)
-        exact = flow_se2(spec, s, g, u)
-        approx = rk4_oracle(spec, s, g.as_array(), u, step=DEFAULT_RK4_STEP)
-        dev = angle_dist(exact.t, approx[0]) + float(
-            np.linalg.norm(exact.v - approx[1:])
-        )
-        max_dev = max(max_dev, dev)
+    draws = _draw(rng, n_samples, (0.0, TWO_PI), (-2.0, 2.0), (-2.0, 2.0), spec.omega, (0.1, 2.0))
+    x, u, s = draws[:, :3], draws[:, 3], draws[:, 4]
+    exact = flow_se2(spec, s, x, u)
+    approx = rk4_oracle_batch(spec, s, x, u, step=DEFAULT_RK4_STEP)
+    dev = angle_dist(exact[:, 0], approx[:, 0]) + norms(exact[:, 1:] - approx[:, 1:])
+    max_dev = float(np.max(dev, initial=0.0))
     status = "passed" if max_dev < tol else "failed"
     return SuiteResult(
         "conjugacy",
@@ -158,7 +162,6 @@ def _suite_semigroup(
     if spec.alpha == 0.0:
         return SuiteResult("semigroup", "skipped", "alpha = 0: no reduction chart")
     rng = np.random.default_rng(seed + 1)
-    max_dev = 0.0
     if spec.det() == 0.0:
         chart = SystemSpec(
             spec.alpha,
@@ -167,28 +170,23 @@ def _suite_semigroup(
             np.zeros(2),
             tuple(sorted((spec.alpha * spec.omega[0], spec.alpha * spec.omega[1]))),
         )
-        lo, hi = chart.omega
-        for _ in range(n_samples):
-            g = GroupElement(rng.uniform(0.0, TWO_PI), rng.uniform(-2.0, 2.0, size=2))
-            u = rng.uniform(lo, hi)
-            s, t = rng.uniform(0.0, 3.0, size=2)
-            whole = flow_detA0(chart, s + t, g, u)
-            parts = flow_detA0(chart, s, flow_detA0(chart, t, g, u), u)
-            dev = angle_dist(whole.t, parts.t) + float(np.linalg.norm(whole.v - parts.v))
-            scale = max(1.0, float(np.linalg.norm(whole.v)))
-            max_dev = max(max_dev, dev / scale)
+        draws = _draw(
+            rng, n_samples, (0.0, TWO_PI), (-2.0, 2.0), (-2.0, 2.0), chart.omega, (0.0, 3.0), (0.0, 3.0)
+        )
+        g, u, s, t = draws[:, :3], draws[:, 3], draws[:, 4], draws[:, 5]
+        whole = flow_detA0(chart, s + t, g, u)
+        parts = flow_detA0(chart, s, flow_detA0(chart, t, g, u), u)
+        dev = angle_dist(whole[:, 0], parts[:, 0]) + norms(whole[:, 1:] - parts[:, 1:])
+        scale = np.maximum(1.0, norms(whole[:, 1:]))
     else:
         rs = reduce_system(spec)
-        lo, hi = rs.omega
-        for _ in range(n_samples):
-            v = rng.uniform(-3.0, 3.0, size=2)
-            u = rng.uniform(lo, hi)
-            s, t = rng.uniform(-2.0, 2.0, size=2)
-            whole = flow_r2(rs, s + t, v, u)
-            parts = flow_r2(rs, s, flow_r2(rs, t, v, u), u)
-            dev = float(np.linalg.norm(whole - parts))
-            scale = max(1.0, float(np.linalg.norm(whole)))
-            max_dev = max(max_dev, dev / scale)
+        draws = _draw(rng, n_samples, (-3.0, 3.0), (-3.0, 3.0), rs.omega, (-2.0, 2.0), (-2.0, 2.0))
+        v, u, s, t = draws[:, :2], draws[:, 2], draws[:, 3], draws[:, 4]
+        whole = flow_r2(rs, s + t, v, u)
+        parts = flow_r2(rs, s, flow_r2(rs, t, v, u), u)
+        dev = norms(whole - parts)
+        scale = np.maximum(1.0, norms(whole))
+    max_dev = float(np.max(dev / scale, initial=0.0))
     status = "passed" if max_dev < tol else "failed"
     return SuiteResult(
         "semigroup",

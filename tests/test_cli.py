@@ -102,6 +102,28 @@ def test_simulate_piecewise_control_file(tmp_path, capsys):
     assert {"0.5", "-0.25"} <= u_col
 
 
+def test_simulate_overflow_is_invalid_input(tmp_path, capsys):
+    rc, out, err = run_main(
+        capsys,
+        ["simulate", write_spec(tmp_path, OPEN), "--u", "0.5", "--horizon", "1000"],
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: flow is not finite at s = ")
+
+
+def test_simulate_negative_x0(tmp_path, capsys):
+    rc, out, _ = run_main(
+        capsys,
+        ["simulate", write_spec(tmp_path, OPEN), "--u", "0.5", "--horizon", "1.0",
+         "--x0", "-1,2,0"],
+    )
+    assert rc == 0
+    first = out.strip().splitlines()[1].split(",")
+    assert [float(x) for x in first[1:4]] == pytest.approx([2 * 3.141592653589793 - 1, 2.0, 0.0])
+
+
 def test_simulate_control_outside_omega_is_invalid_input(tmp_path, capsys):
     rc, _, err = run_main(
         capsys,
@@ -162,6 +184,16 @@ def test_reach_cells_csv(tmp_path, capsys):
     assert len(lines) - 1 == json.loads(out.read_text())["cells"]
 
 
+def test_reach_negative_bounds(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    rc = cli.main(
+        ["reach", write_spec(tmp_path, OPEN), "--out", str(out), "--resolution", "0.05",
+         "--bounds", "-2,2,-2,2", "--control-grid", "5"]
+    )
+    assert rc == 0
+    assert json.loads(out.read_text())["grid"]["bounds"] == [-2.0, 2.0, -2.0, 2.0]
+
+
 def test_reach_rejects_degenerate_case(tmp_path, capsys):
     rc, _, err = run_main(capsys, ["reach", write_spec(tmp_path, DEGENERATE)])
     assert rc == 3
@@ -189,6 +221,18 @@ def test_plan_rejects_non_rotation_case(tmp_path, capsys):
     rc, _, err = run_main(capsys, ["plan", write_spec(tmp_path, OPEN), "--v0", "1,0"])
     assert rc == 3
     assert "OpenControlSet" in err
+
+
+def test_plan_negative_v0(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    rc = cli.main(
+        ["plan", write_spec(tmp_path, TRACE_ZERO), "--v0", "-3,0", "--rho", "0.5",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["waypoints"][0] == [-3.0, 0.0]
+    assert payload["closure_error"] < 1e-8
 
 
 def test_plan_bad_v0_is_invalid_input(tmp_path, capsys):
@@ -221,6 +265,19 @@ def test_verify_suite_selection(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(out)
     assert [s["name"] for s in payload["suites"]] == ["conjugacy", "semigroup"]
+
+
+def test_verify_all_suites_skipped_exits_zero(tmp_path, capsys):
+    rc, out, _ = run_main(
+        capsys,
+        ["verify", write_spec(tmp_path, OPEN), "--suite", "monotone_functional"],
+    )
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert [(s["name"], s["status"]) for s in payload["suites"]] == [
+        ("monotone_functional", "skipped")
+    ]
 
 
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from se2control.system import SystemSpec
-from se2control.verification import SUITE_NAMES, run_verification
+from se2control.verification import SUITE_NAMES, _draw, run_verification
 
 
 def spec_open():
@@ -70,3 +70,10 @@ def test_deterministic_given_seed():
     a = run_verification(spec_open(), seed=11, n_samples=300).to_dict()
     b = run_verification(spec_open(), seed=11, n_samples=300).to_dict()
     assert a == b
+
+
+def test_draw_repeats_sequential_uniform_calls():
+    ranges = [(0.0, 2 * np.pi), (-2.0, 2.0), (-0.5, 1.5), (0.1, 2.0)]
+    rng = np.random.default_rng(5)
+    want = [[rng.uniform(lo, hi) for lo, hi in ranges] for _ in range(7)]
+    assert np.array_equal(_draw(np.random.default_rng(5), 7, *ranges), want)
