@@ -265,15 +265,22 @@ def build_parser() -> argparse.ArgumentParser:
 COORDINATE_OPTIONS = ("--v0", "--x0", "--bounds")
 
 
+def _is_coordinate_option(arg: str) -> bool:
+    """Whether arg names a coordinate option, in full or abbreviated as argparse allows."""
+    return arg.startswith("--") and len(arg) > 2 and any(
+        opt.startswith(arg) for opt in COORDINATE_OPTIONS
+    )
+
+
 def _attach_coordinate_values(argv: list) -> list:
-    """Rewrite "--v0 -3,0" as "--v0=-3,0".
+    """Rewrite "--v0 -3,0" as "--v0=-3,0" (also for abbreviations such as "--v").
 
     argparse reads a value that starts with "-" and is not a plain negative
     number (a list such as -3,0) as an option of its own.
     """
     out = []
     for arg in argv:
-        if out and out[-1] in COORDINATE_OPTIONS and re.match(r"-[0-9.]", arg):
+        if out and _is_coordinate_option(out[-1]) and re.match(r"-[0-9.]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -28,7 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, lambda_map, matvec, perp, rotate, rotation, wrap_angle
+from .group import (
+    GroupElement,
+    as_packed,
+    conj_psi1,
+    conj_psi1_inv,
+    conj_psi2,
+    conj_psi2_inv,
+    conj_psi_zero,
+    conj_psi_zero_inv,
+    group_result,
+    matvec,
+    perp,
+    rotate,
+    rotation,
+)
 from .system import ReducedSpec, SystemSpec, reduce_system
 
 DEFAULT_RK4_STEP = 1e-3
@@ -128,28 +142,6 @@ def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
     return out
 
 
-def _packed(g):
-    """Packed states [t, v_x, v_y] with canonical angles, and whether g was one GroupElement."""
-    if isinstance(g, GroupElement):
-        return g.as_array(), True
-    x = np.array(g, dtype=float)
-    x[..., 0] = wrap_angle(x[..., 0])
-    return x, False
-
-
-def _group_result(t, v, element: bool):
-    """Pack (t, v) with canonical angles; a GroupElement for one row from one.
-
-    `v` carries the full broadcast shape (..., 2); `t` broadcasts to (...).
-    """
-    if element and v.ndim == 1:
-        return GroupElement(float(t), v)
-    x = np.empty(v.shape[:-1] + (3,))
-    x[..., 0] = wrap_angle(t)
-    x[..., 1:] = v
-    return x
-
-
 def flow_product(rs: ReducedSpec, s, g, u):
     """Lifted flow on S^1 x R^2: the angle advances linearly, t + s u.
 
@@ -158,10 +150,10 @@ def flow_product(rs: ReducedSpec, s, g, u):
     one and s and u are floats, else packed states of the broadcast shape
     (..., 3).
     """
-    x, element = _packed(g)
+    x, element = as_packed(g)
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    return _group_result(x[..., 0] + s * u, flow_r2(rs, s, x[..., 1:], u), element)
+    return group_result(x[..., 0] + s * u, flow_r2(rs, s, x[..., 1:], u), element)
 
 
 def flow_detA0(spec: SystemSpec, s, g, u):
@@ -179,7 +171,7 @@ def flow_detA0(spec: SystemSpec, s, g, u):
     """
     if spec.A.any():
         raise ValueError("flow_detA0 requires A = 0")
-    x, element = _packed(g)
+    x, element = as_packed(g)
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
     t, v = x[..., 0], x[..., 1:]
@@ -192,7 +184,7 @@ def flow_detA0(spec: SystemSpec, s, g, u):
     # u == 0: s Lambda_t xi = s (theta xi - rho(t) theta xi).
     turn = s[..., None] * txi + perp(matvec(rotation(t_end) - rho_t, txi)) / u_safe[..., None]
     drift = s[..., None] * (txi - matvec(rho_t, txi))
-    return _group_result(
+    return group_result(
         np.where(moving, t_end, t), v + np.where(moving[..., None], turn, drift), element
     )
 
@@ -207,23 +199,14 @@ def flow_se2(spec: SystemSpec, s, g, u):
     """
     if spec.alpha == 0.0:
         raise ValueError("exact flow requires alpha != 0")
-    x, element = _packed(g)
-    t, v = x[..., 0], x[..., 1:]
     ut = spec.alpha * np.asarray(u, dtype=float)
     if spec.det() == 0.0:
         chart = SystemSpec(spec.alpha, spec.xi, np.zeros((2, 2)), np.zeros(2), spec.omega)
-        # conj_psi_zero, the degenerate flow, then conj_psi_zero_inv.
-        h = _group_result(t, v - lambda_map(t, spec.eta1) / spec.alpha, False)
-        hf = flow_detA0(chart, s, h, ut)
-        tf = hf[..., 0]
-        return _group_result(tf, hf[..., 1:] + lambda_map(tf, spec.eta1) / spec.alpha, element)
+        h = conj_psi_zero(spec.alpha, spec.eta1, g)
+        return conj_psi_zero_inv(spec.alpha, spec.eta1, flow_detA0(chart, s, h, ut))
     rs = reduce_system(spec)
-    a = np.linalg.solve(spec.A, spec.xi)
-    # conj_psi1 then conj_psi2, the product flow, then their inverses.
-    h = _group_result(t, rotate(-t, v + lambda_map(t, a)), False)
-    hf = flow_product(rs, s, h, ut)
-    tf = hf[..., 0]
-    return _group_result(tf, rotate(tf, hf[..., 1:]) - lambda_map(tf, a), element)
+    h = conj_psi2(conj_psi1(spec.A, spec.xi, g))
+    return conj_psi1_inv(spec.A, spec.xi, conj_psi2_inv(flow_product(rs, s, h, ut)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +424,47 @@ def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP)
 def rk4_oracle(spec: SystemSpec, s: float, x0, u: float, step: float = DEFAULT_RK4_STEP) -> np.ndarray:
     """RK4 endpoint of the raw group field for one sample, x0 = [t, v_x, v_y].
 
-    The one-row case of :func:`rk4_oracle_batch` (same steps, same values);
-    returns shape (3,).
+    Takes the steps of :func:`rk4_oracle_batch` in scalar arithmetic, which
+    costs a few microseconds per step where the array kernel pays about 30
+    numpy calls; each value equals the batch kernel's row bit for bit.
+    Returns shape (3,).
     """
     if not isinstance(spec, SystemSpec):
         raise TypeError("rk4_oracle integrates the field of a SystemSpec")
-    return rk4_oracle_batch(spec, float(s), np.asarray(x0, dtype=float).reshape(1, 3), float(u), step)[0]
+    s, u = float(s), float(u)
+    t, vx, vy = np.asarray(x0, dtype=float).reshape(3).tolist()
+    if s == 0.0:
+        return np.array([t, vx, vy])
+    n = max(1, math.ceil(abs(s) / step - 1e-12))
+    h = s / n
+    half, sixth = 0.5 * h, h / 6.0
+    (a00, a01), (a10, a11) = spec.A.tolist()
+    txx, txy = perp(spec.xi).tolist()  # theta xi
+    e1x, e1y = spec.eta1.tolist()
+    dt, dt_half = h * (u * spec.alpha), half * (u * spec.alpha)
+
+    def forcing(t):
+        # rho(t) theta xi and u rho(t) eta1, added as the batch kernel adds them
+        c, s_ = math.cos(t), math.sin(t)
+        return c * txx - s_ * txy, s_ * txx + c * txy, u * (c * e1x - s_ * e1y), u * (s_ * e1x + c * e1y)
+
+    rx, ry, px, py = forcing(t)
+    for _ in range(n):
+        t_next = t + dt
+        mrx, mry, mpx, mpy = forcing(t + dt_half)
+        nrx, nry, npx, npy = forcing(t_next)
+        k1x = a00 * vx + a01 * vy + txx - rx + px
+        k1y = a11 * vy + a10 * vx + txy - ry + py
+        ax, ay = vx + half * k1x, vy + half * k1y
+        k2x = a00 * ax + a01 * ay + txx - mrx + mpx
+        k2y = a11 * ay + a10 * ax + txy - mry + mpy
+        ax, ay = vx + half * k2x, vy + half * k2y
+        k3x = a00 * ax + a01 * ay + txx - mrx + mpx
+        k3y = a11 * ay + a10 * ax + txy - mry + mpy
+        ax, ay = vx + h * k3x, vy + h * k3y
+        k4x = a00 * ax + a01 * ay + txx - nrx + npx
+        k4y = a11 * ay + a10 * ax + txy - nry + npy
+        vx = vx + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        vy = vy + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        t, rx, ry, px, py = t_next, nrx, nry, npx, npy
+    return np.array([t, vx, vy])

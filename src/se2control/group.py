@@ -30,25 +30,18 @@ COMMUTE_TOL = 1e-12
 def wrap_angle(t):
     """Reduce an angle to the canonical interval [0, 2*pi).
 
-    A float gives a float; an array of any shape is reduced elementwise with
-    the same arithmetic.
+    A float gives a float; an array of any shape is reduced elementwise.
     """
-    if np.ndim(t):
-        t = np.remainder(t, TWO_PI)
-        return np.where(t >= TWO_PI, t - TWO_PI, t)
-    t = float(t) % TWO_PI
-    # Python's % can return the modulus itself after rounding (e.g. -1e-20).
-    if t >= TWO_PI:
-        t -= TWO_PI
-    return t
+    w = np.remainder(t, TWO_PI)
+    # The remainder can round up to the modulus itself (e.g. for -1e-20).
+    w = np.where(w >= TWO_PI, w - TWO_PI, w)
+    return float(w) if w.ndim == 0 else w
 
 
 def angle_dist(a, b):
     """Distance between two angles on the circle (elementwise for arrays)."""
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    if np.ndim(d):
-        return np.minimum(d, TWO_PI - d)
-    return min(d, TWO_PI - d)
+    d = np.abs(wrap_angle(a) - wrap_angle(b))
+    return np.minimum(d, TWO_PI - d)
 
 
 def rotation(t) -> np.ndarray:
@@ -65,8 +58,6 @@ def rotation(t) -> np.ndarray:
         One C-contiguous matrix per angle; shape (2, 2) for a float.
     """
     c, s = np.cos(t), np.sin(t)
-    if np.ndim(c) == 0:  # the same matrix, built faster for one angle
-        return np.array([[c, -s], [s, c]])
     out = np.empty(np.shape(c) + (2, 2))
     out[..., 0, 0] = c
     out[..., 0, 1] = -s
@@ -164,6 +155,32 @@ class GroupElement:
         )
 
 
+def as_packed(g):
+    """Packed states [t, v_x, v_y] with canonical angles, and whether g was one GroupElement.
+
+    `g` is a GroupElement (giving shape (3,)) or an array of shape (..., 3);
+    the result is a new array.
+    """
+    if isinstance(g, GroupElement):
+        return g.as_array(), True
+    x = np.array(g, dtype=float)
+    x[..., 0] = wrap_angle(x[..., 0])
+    return x, False
+
+
+def group_result(t, v, element: bool):
+    """Pack (t, v) with canonical angles; a GroupElement for one row from one.
+
+    `v` carries the full broadcast shape (..., 2); `t` broadcasts to (...).
+    """
+    if element and v.ndim == 1:
+        return GroupElement(float(t), v)
+    x = np.empty(v.shape[:-1] + (3,))
+    x[..., 0] = wrap_angle(t)
+    x[..., 1:] = v
+    return x
+
+
 def group_product(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Semidirect product (t1 + t2, v1 + rho(t1) v2)."""
     return GroupElement(g1.t + g2.t, g1.v + rotation(g1.t) @ g2.v)
@@ -227,9 +244,26 @@ def invariant_field_eval(alpha: float, eta1, g: GroupElement):
 # ---------------------------------------------------------------------------
 # Coordinate changes decoupling the drift
 # ---------------------------------------------------------------------------
+#
+# Each map takes a GroupElement and returns one, or takes packed states of
+# shape (..., 3) and returns packed states of the same shape.
 
 
-def conj_psi1(A, xi, g: GroupElement) -> GroupElement:
+def _offset_by(g, w, divisor: float):
+    """(t, v + Lambda_t w / divisor) for g a GroupElement or packed states."""
+    x, element = as_packed(g)
+    t = x[..., 0]
+    return group_result(t, x[..., 1:] + lambda_map(t, w) / divisor, element)
+
+
+def _rotated_by(g, sign: float):
+    """(t, rho(sign * t) v) for g a GroupElement or packed states."""
+    x, element = as_packed(g)
+    t = x[..., 0]
+    return group_result(t, rotate(sign * t, x[..., 1:]), element)
+
+
+def conj_psi1(A, xi, g):
     """First decoupling map psi1(t, v) = (t, v + Lambda_t A^{-1} xi).
 
     Removes the Lambda_t xi drift term; requires det A != 0.
@@ -237,37 +271,37 @@ def conj_psi1(A, xi, g: GroupElement) -> GroupElement:
     A = _require_commuting(A)
     if abs(np.linalg.det(A)) == 0.0:
         raise ValueError("conj_psi1 requires det A != 0")
-    return GroupElement(g.t, g.v + lambda_map(g.t, np.linalg.solve(A, np.asarray(xi, float))))
+    return _offset_by(g, np.linalg.solve(A, np.asarray(xi, float)), 1.0)
 
 
-def conj_psi1_inv(A, xi, g: GroupElement) -> GroupElement:
+def conj_psi1_inv(A, xi, g):
     """Inverse of :func:`conj_psi1`."""
     A = _require_commuting(A)
-    return GroupElement(g.t, g.v - lambda_map(g.t, np.linalg.solve(A, np.asarray(xi, float))))
+    return _offset_by(g, np.linalg.solve(A, np.asarray(xi, float)), -1.0)
 
 
-def conj_psi2(g: GroupElement) -> GroupElement:
+def conj_psi2(g):
     """Second decoupling map psi2(t, v) = (t, rho(-t) v)."""
-    return GroupElement(g.t, rotation(-g.t) @ g.v)
+    return _rotated_by(g, -1.0)
 
 
-def conj_psi2_inv(g: GroupElement) -> GroupElement:
+def conj_psi2_inv(g):
     """Inverse of :func:`conj_psi2`."""
-    return GroupElement(g.t, rotation(g.t) @ g.v)
+    return _rotated_by(g, 1.0)
 
 
-def conj_psi_zero(alpha: float, eta1, g: GroupElement) -> GroupElement:
+def conj_psi_zero(alpha: float, eta1, g):
     """Decoupling map for the A = 0 case: (t, v - Lambda_t eta1 / alpha).
 
     Conjugates the invariant field (alpha, rho(t) eta1) to (alpha, 0).
     """
     if alpha == 0.0:
         raise ValueError("conj_psi_zero requires alpha != 0")
-    return GroupElement(g.t, g.v - lambda_map(g.t, np.asarray(eta1, float)) / alpha)
+    return _offset_by(g, np.asarray(eta1, float), -alpha)
 
 
-def conj_psi_zero_inv(alpha: float, eta1, g: GroupElement) -> GroupElement:
+def conj_psi_zero_inv(alpha: float, eta1, g):
     """Inverse of :func:`conj_psi_zero`."""
     if alpha == 0.0:
         raise ValueError("conj_psi_zero requires alpha != 0")
-    return GroupElement(g.t, g.v + lambda_map(g.t, np.asarray(eta1, float)) / alpha)
+    return _offset_by(g, np.asarray(eta1, float), alpha)

@@ -114,14 +114,15 @@ def test_simulate_overflow_is_invalid_input(tmp_path, capsys):
 
 
 def test_simulate_negative_x0(tmp_path, capsys):
-    rc, out, _ = run_main(
-        capsys,
-        ["simulate", write_spec(tmp_path, OPEN), "--u", "0.5", "--horizon", "1.0",
-         "--x0", "-1,2,0"],
-    )
-    assert rc == 0
-    first = out.strip().splitlines()[1].split(",")
-    assert [float(x) for x in first[1:4]] == pytest.approx([2 * 3.141592653589793 - 1, 2.0, 0.0])
+    for option in ("--x0", "--x"):  # in full and abbreviated
+        rc, out, _ = run_main(
+            capsys,
+            ["simulate", write_spec(tmp_path, OPEN), "--u", "0.5", "--horizon", "1.0",
+             option, "-1,2,0"],
+        )
+        assert rc == 0
+        first = out.strip().splitlines()[1].split(",")
+        assert [float(x) for x in first[1:4]] == pytest.approx([2 * 3.141592653589793 - 1, 2.0, 0.0])
 
 
 def test_simulate_control_outside_omega_is_invalid_input(tmp_path, capsys):
@@ -192,6 +193,18 @@ def test_reach_negative_bounds(tmp_path, capsys):
     )
     assert rc == 0
     assert json.loads(out.read_text())["grid"]["bounds"] == [-2.0, 2.0, -2.0, 2.0]
+    args = cli.build_parser().parse_args(
+        cli._attach_coordinate_values(["reach", "spec.json", "--bound", "-2,2,-2,2"])
+    )
+    assert args.bounds == "-2,2,-2,2"
+
+
+def test_ambiguous_coordinate_abbreviation_is_rejected(capsys):
+    # "--b" could be --bounds or --backend.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reach", "spec.json", "--b", "-2,2,-2,2"])
+    assert exc.value.code == 2
+    assert "ambiguous option" in capsys.readouterr().err
 
 
 def test_reach_rejects_degenerate_case(tmp_path, capsys):
@@ -225,14 +238,15 @@ def test_plan_rejects_non_rotation_case(tmp_path, capsys):
 
 def test_plan_negative_v0(tmp_path, capsys):
     out = tmp_path / "plan.json"
-    rc = cli.main(
-        ["plan", write_spec(tmp_path, TRACE_ZERO), "--v0", "-3,0", "--rho", "0.5",
-         "--out", str(out)]
-    )
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["waypoints"][0] == [-3.0, 0.0]
-    assert payload["closure_error"] < 1e-8
+    for option in ("--v0", "--v"):  # in full and abbreviated
+        rc = cli.main(
+            ["plan", write_spec(tmp_path, TRACE_ZERO), option, "-3,0", "--rho", "0.5",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["waypoints"][0] == [-3.0, 0.0]
+        assert payload["closure_error"] < 1e-8
 
 
 def test_plan_bad_v0_is_invalid_input(tmp_path, capsys):

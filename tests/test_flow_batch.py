@@ -6,9 +6,8 @@ Error bound against the mpmath reference, fixed before the flows broadcast:
 
 For flow_se2, v(u) is the reduced equilibrium v(alpha u), and |A^{-1} xi|
 (the offset its charts add) and the result's norm join the max; for A = 0
-the max takes 1 / |alpha u| instead of |v(u)|, since rho(t + s alpha u) -
-rho(t) cancels for small controls.  Angles are compared on the circle within
-1e-13 * max(1, |t + s alpha u|).
+there is no v(u) and it leaves the max.  Angles are compared on the circle
+within 1e-13 * max(1, |t + s alpha u|).
 """
 import math
 
@@ -187,13 +186,25 @@ def test_flow_se2_batch_matches_mpmath(rng):
             tf, vf = mp_flow_se2(spec, s[i], x[i], u[i])
             grow = max(1.0, math.exp(spec.lam * s[i]))
             ut = spec.alpha * u[i]
-            if spec.det():
-                reach = float(np.linalg.norm(equilibrium(reduce_system(spec), ut)))
-            else:
-                reach = 1.0 / abs(ut) if ut else 1.0
+            reach = float(np.linalg.norm(equilibrium(reduce_system(spec), ut))) if spec.det() else 1.0
             scale = max(1.0, float(np.linalg.norm(x[i, 1:])), float(_norm(vf)), a, reach) * grow
             assert _angle_gap(got[i, 0], tf) <= REL * max(1.0, abs(float(tf)))
             assert _gap(got[i, 1:], vf) <= REL * scale
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="flow_detA0 forms rho(t + s u) - rho(t) and then divides by u, which "
+    "cancels for small nonzero controls: relative error grows like 1e-16 / |alpha u|",
+)
+def test_flow_se2_small_controls_for_A_zero_match_mpmath():
+    spec = _full_specs(np.random.default_rng(0))[-1]
+    x = np.array([0.7, 0.3, -0.4])
+    for ut in (1e-4, -1e-5, 1e-6, -1e-8):
+        got = flow_se2(spec, 1.3, x, ut / spec.alpha)
+        tf, vf = mp_flow_se2(spec, 1.3, x, ut / spec.alpha)
+        scale = max(1.0, float(np.linalg.norm(x[1:])), float(_norm(vf)))
+        assert _gap(got[1:], vf) <= REL * scale
 
 
 # -- rows of a batch equal one-row calls ---------------------------------

@@ -144,3 +144,37 @@ def test_conjugation_round_trips(seed):
         assert angle_dist(h.t, g.t) < 1e-12 and np.max(np.abs(h.v - g.v)) < 1e-12
         h = conj_psi_zero_inv(alpha, xi, conj_psi_zero(alpha, xi, g))
         assert angle_dist(h.t, g.t) < 1e-12 and np.max(np.abs(h.v - g.v)) < 1e-10
+
+
+def test_conjugations_on_packed_states_equal_row_calls(rng):
+    xi, eta1 = rng.normal(size=2), rng.normal(size=2)
+    a_mat = np.array([[0.4, -1.3], [1.3, 0.4]])
+    alpha = -0.7
+    x = np.column_stack([rng.uniform(-1.0, 8.0, 25), rng.normal(size=(25, 2))])
+    maps = [
+        lambda g: conj_psi1(a_mat, xi, g),
+        lambda g: conj_psi1_inv(a_mat, xi, g),
+        conj_psi2,
+        conj_psi2_inv,
+        lambda g: conj_psi_zero(alpha, eta1, g),
+        lambda g: conj_psi_zero_inv(alpha, eta1, g),
+    ]
+    for chart in maps:
+        batch = chart(x)
+        assert batch.shape == (25, 3)
+        for i in range(25):
+            one = chart(GroupElement(x[i, 0], x[i, 1:]))
+            assert isinstance(one, GroupElement)
+            assert np.array_equal(batch[i], one.as_array())
+    # The packed maps keep the arithmetic of their definitions.
+    g = GroupElement(x[0, 0], x[0, 1:])
+    assert np.array_equal(conj_psi1(a_mat, xi, g).v, g.v + lambda_map(g.t, np.linalg.solve(a_mat, xi)))
+    assert np.array_equal(conj_psi_zero(alpha, eta1, g).v, g.v - lambda_map(g.t, eta1) / alpha)
+    assert np.array_equal(conj_psi2(g).v, rotation(-g.t) @ g.v)
+
+
+def test_angle_helpers_keep_float_for_float():
+    assert type(wrap_angle(-1e-20)) is float and wrap_angle(-1e-20) < TWO_PI
+    assert wrap_angle(-1.0) == -1.0 % TWO_PI
+    assert angle_dist(0.1, TWO_PI - 0.1) == pytest.approx(0.2)
+    assert np.array_equal(rotation(0.3), rotation(np.array([0.3]))[0])
