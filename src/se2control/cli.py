@@ -148,12 +148,7 @@ def cmd_reach(args) -> int:
         )
     rs = reduce_system(spec)
     cfg = _grid_from_args(rs, args)
-    est = estimate_control_set(
-        rs,
-        cfg,
-        seed_control=args.seed_control,
-        backend=args.backend,
-    )
+    est = estimate_control_set(rs, cfg, seed_control=args.seed_control)
     payload = est.to_dict()
     payload["generator_u"] = payload.get("seed_control")
     payload["lifted"] = lift_to_se2(est).to_dict()
@@ -177,7 +172,7 @@ def cmd_plan(args) -> int:
     if rs.mu == 0.0:
         raise CaseMismatch("plan requires mu != 0 (nonvanishing rotation rate)")
     v0 = np.array(_parse_floats(args.v0, 2, "--v0"))
-    plan = plan_periodic(rs, v0, tol=args.tol, rho=args.rho)
+    plan = plan_periodic(rs, v0, rho=args.rho)
     _emit_json(plan.to_dict(), args.out)
     if args.traj_csv is not None:
         with open(args.traj_csv, "w") as fh:
@@ -232,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--time-step", type=float, default=None)
     pr.add_argument("--max-cells", type=int, default=None)
     pr.add_argument("--seed-control", type=float, default=None)
-    pr.add_argument("--backend", choices=("numba", "numpy"), default=None)
     pr.add_argument("--cells-csv", default=None, help="write occupied cell centers CSV")
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=cmd_reach)
@@ -240,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("plan", help="periodic plan through v0 and the origin")
     pp.add_argument("spec")
     pp.add_argument("--v0", required=True, help="start point vx,vy in the reduced plane")
-    pp.add_argument("--tol", type=float, default=1e-8)
     pp.add_argument("--rho", type=float, default=None)
     pp.add_argument("--traj-csv", default=None)
     pp.add_argument("--out", default=None)

@@ -38,10 +38,8 @@ from .group import (
     conj_psi_zero,
     conj_psi_zero_inv,
     group_result,
-    matvec,
     perp,
     rotate,
-    rotation,
 )
 from .system import ReducedSpec, SystemSpec, reduce_system
 
@@ -165,9 +163,12 @@ def flow_detA0(spec: SystemSpec, s, g, u):
                              v + s theta xi + theta (rho(t+su) - rho(t)) theta xi / u),
 
     and for u = 0 the translation drifts along the frozen direction
-    Lambda_t xi.  Callers working with the raw system must first move to the
-    normalized chart (conj_psi_zero) and rescale the control by alpha.
-    Shapes as for :func:`flow_product`.
+    Lambda_t xi.  Since rho(t+su) - rho(t) = 2 sin(su/2) rho(t + su/2) theta,
+    both read v + s theta xi - k rho(t + su/2) theta xi with
+    k = 2 sin(su/2) / u (k = s for u = 0); this form has no difference of
+    nearly equal rotations to divide by a small u.  Callers working with the
+    raw system must first move to the normalized chart (conj_psi_zero) and
+    rescale the control by alpha.  Shapes as for :func:`flow_product`.
     """
     if spec.A.any():
         raise ValueError("flow_detA0 requires A = 0")
@@ -176,17 +177,11 @@ def flow_detA0(spec: SystemSpec, s, g, u):
     u = np.asarray(u, dtype=float)
     t, v = x[..., 0], x[..., 1:]
     moving = u != 0.0
-    u_safe = np.where(moving, u, 1.0)
-    t_end = t + s * u_safe
+    half = 0.5 * s * u
+    k = np.where(moving, 2.0 * np.sin(half) / np.where(moving, u, 1.0), s)
     txi = perp(spec.xi)
-    rho_t = rotation(t)
-    # u != 0: s theta xi + theta (rho(t + s u) - rho(t)) theta xi / u;
-    # u == 0: s Lambda_t xi = s (theta xi - rho(t) theta xi).
-    turn = s[..., None] * txi + perp(matvec(rotation(t_end) - rho_t, txi)) / u_safe[..., None]
-    drift = s[..., None] * (txi - matvec(rho_t, txi))
-    return group_result(
-        np.where(moving, t_end, t), v + np.where(moving[..., None], turn, drift), element
-    )
+    turn = s[..., None] * txi - k[..., None] * rotate(t + half, txi)
+    return group_result(np.where(moving, t + s * u, t), v + turn, element)
 
 
 def flow_se2(spec: SystemSpec, s, g, u):

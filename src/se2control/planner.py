@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import PiecewiseControl, equilibrium, flow_concat, flow_r2
+from .flow import PiecewiseControl, Trajectory, equilibrium, flow_concat, flow_r2
 from .geometry import Circle
 from .group import TWO_PI, perp
 from .system import ReducedSpec
@@ -130,7 +130,7 @@ def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL, max_iter: int = 20
     return 0.5 * (lo + hi), it
 
 
-def _final_control(rs: ReducedSpec, v_n, rho: float, tol: float) -> tuple:
+def _final_control(rs: ReducedSpec, v_n) -> tuple:
     """Control whose solution circle passes through both v_n and the origin.
 
     Root of g(u) = |v(u)| - |v_n - v(u)| on the bracket between 0 and the
@@ -165,7 +165,6 @@ def _final_control(rs: ReducedSpec, v_n, rho: float, tol: float) -> tuple:
 def plan_periodic(
     rs: ReducedSpec,
     v0,
-    tol: float = 1e-8,
     rho: float | None = None,
     max_arcs: int = 100_000,
 ) -> PlanResult:
@@ -253,7 +252,7 @@ def plan_periodic(
     final_radius = 0.0
     root_diag = {}
     if float(np.linalg.norm(w)) > 1e-15 * scale:
-        u_final, root_diag = _final_control(rs, w, rho, tol)
+        u_final, root_diag = _final_control(rs, w)
         c_fin = equilibrium(rs, u_final)
         final_radius = float(np.linalg.norm(c_fin))
         rel0 = w - c_fin

@@ -8,9 +8,9 @@ every occupied cell contains a genuinely reachable point and containment
 statements (e.g. inside the invariant ball) hold without drift artifacts.
 
 Candidates claim cells first-writer-wins in a canonical order (frontier cell
-index, then control index; frontiers kept sorted between rounds), which makes
-the result independent of expansion order and identical across the numba and
-numpy backends.
+index, then flow column; frontiers kept sorted between rounds), which makes
+the result independent of how a round is split.  One numpy kernel expands a
+round, in frontier chunks sized to stay in a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
 from .flow import PiecewiseControl, equilibrium, flow_detA0, flow_r2
 from .geometry import invariant_ball
 from .group import TWO_PI, GroupElement, angle_dist, dots, lambda_map, norms, perp
@@ -28,6 +27,11 @@ from .system import ReducedSpec, SystemSpec, larc
 
 DEFAULT_MAX_CELLS = 1_000_000
 DEFAULT_N_CONTROLS = 21
+# A reach set stores every cell densely: one occupancy byte and two float64
+# representative coordinates.  Grids that would need more than the budget are
+# rejected before anything is allocated.
+GRID_BYTES_PER_CELL = 17
+MAX_GRID_BYTES = 512 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +76,15 @@ class GridConfig:
         self.steps_per_arc = int(self.steps_per_arc)
         if self.steps_per_arc < 1:
             raise ValueError("steps_per_arc must be >= 1")
+        if not all(math.isfinite(w / self.resolution) for w in (xmax - xmin, ymax - ymin)):
+            raise ValueError("bounds over resolution give an unbounded number of cells")
+        nx, ny = self.shape
+        grid_bytes = GRID_BYTES_PER_CELL * nx * ny
+        if grid_bytes > MAX_GRID_BYTES:
+            raise ValueError(
+                f"a {nx} x {ny} grid needs {grid_bytes} bytes, over the "
+                f"{MAX_GRID_BYTES}-byte budget; use a coarser resolution or smaller bounds"
+            )
 
     @property
     def shape(self) -> tuple:
@@ -167,156 +180,83 @@ def default_grid_config(
 
 
 # ---------------------------------------------------------------------------
-# Round expansion kernels (numba and numpy, identical arithmetic)
+# Round expansion kernel
 # ---------------------------------------------------------------------------
 
-
-def _expand_round_py(
-    occ_flat,
-    nx,
-    ny,
-    x0,
-    y0,
-    res,
-    cur_ids,
-    cur_px,
-    cur_py,
-    sing,
-    vux,
-    vuy,
-    ecos,
-    esin,
-    linx,
-    liny,
-):
-    """One expansion round, vectorized.  Returns (ids, px, py) sorted by id."""
-    px = cur_px[:, None]
-    py = cur_py[:, None]
-    dx = px - vux[None, :]
-    dy = py - vuy[None, :]
-    qx = np.where(sing[None, :], px + linx[None, :], vux[None, :] + ecos[None, :] * dx - esin[None, :] * dy)
-    qy = np.where(sing[None, :], py + liny[None, :], vuy[None, :] + esin[None, :] * dx + ecos[None, :] * dy)
-    fi = np.floor((qx - x0) / res)
-    fj = np.floor((qy - y0) / res)
-    valid = (
-        np.isfinite(qx)
-        & np.isfinite(qy)
-        & (fi >= 0.0)
-        & (fj >= 0.0)
-        & (fi < nx)
-        & (fj < ny)
-    )
-    # Flatten in canonical (frontier index, control index) order.
-    qx = qx.ravel()[valid.ravel()]
-    qy = qy.ravel()[valid.ravel()]
-    ids = (
-        fi.ravel()[valid.ravel()].astype(np.int64) * ny
-        + fj.ravel()[valid.ravel()].astype(np.int64)
-    )
-    fresh = ~occ_flat[ids]
-    ids = ids[fresh]
-    qx = qx[fresh]
-    qy = qy[fresh]
-    if ids.size == 0:
-        return ids, qx, qy
-    uids, first = np.unique(ids, return_index=True)
-    occ_flat[uids] = True
-    return uids, qx[first], qy[first]
+# Candidates (frontier rows x flow columns) per kernel chunk.  At 32k
+# candidates each float64 temporary is 256 KiB, so a chunk's working set stays
+# in a core's 2 MiB L2 cache instead of streaming from DRAM.  Sweep on the
+# default open-case reach_backward (600 x 600 grid, 504 columns, 5.26 M
+# candidates; best of 5, 2-core host): 0.183 s at 8k, 0.180 s at 16k,
+# 0.182 s at 32k, 0.200 s at 64k, 0.273 s at 128k, 0.339 s at 2M.
+_CHUNK_CANDIDATES = 32_768
 
 
-def _expand_round_loop(
-    occ_flat,
-    nx,
-    ny,
-    x0,
-    y0,
-    res,
-    cur_ids,
-    cur_px,
-    cur_py,
-    sing,
-    vux,
-    vuy,
-    ecos,
-    esin,
-    linx,
-    liny,
-    out_ids,
-    out_px,
-    out_py,
-):
-    n_new = 0
-    nu = vux.size
-    for a in range(cur_px.size):
-        px = cur_px[a]
-        py = cur_py[a]
-        for m in range(nu):
-            if sing[m]:
-                qx = px + linx[m]
-                qy = py + liny[m]
-            else:
-                dx = px - vux[m]
-                dy = py - vuy[m]
-                qx = vux[m] + ecos[m] * dx - esin[m] * dy
-                qy = vuy[m] + esin[m] * dx + ecos[m] * dy
-            if not (math.isfinite(qx) and math.isfinite(qy)):
-                continue
-            fi = math.floor((qx - x0) / res)
-            fj = math.floor((qy - y0) / res)
-            if fi < 0.0 or fj < 0.0 or fi >= nx or fj >= ny:
-                continue
-            idx = np.int64(fi) * ny + np.int64(fj)
-            if not occ_flat[idx]:
-                occ_flat[idx] = True
-                out_ids[n_new] = idx
-                out_px[n_new] = qx
-                out_py[n_new] = qy
-                n_new += 1
-    return n_new
+def _expand_round(occ_flat, nx, ny, x0, y0, res, cur_px, cur_py, consts):
+    """One expansion round.  Returns the new claims (ids, px, py) sorted by id.
 
-
-_expand_round_jit = _accel.njit_if_available(_expand_round_loop)
-
-# Ceiling on candidate-array size per vectorized batch (frontier x columns).
-_PY_CANDIDATE_BUDGET = 2_000_000
-
-
-def _expand_round(backend, *args):
-    occ_flat, nx, ny, x0, y0, res, cur_ids, cur_px, cur_py, consts = args
-    n_cols = consts[1].size
-    if backend == "numba":
-        # New claims cannot exceed the number of grid cells.
-        cap = int(min(cur_px.size * n_cols, occ_flat.size))
-        out_ids = np.empty(cap, dtype=np.int64)
-        out_px = np.empty(cap)
-        out_py = np.empty(cap)
-        n_new = _expand_round_jit(
-            occ_flat, nx, ny, x0, y0, res, cur_ids, cur_px, cur_py, *consts,
-            out_ids, out_px, out_py,
-        )
-        ids = out_ids[:n_new]
-        order = np.argsort(ids)  # ids are unique within a round
-        return ids[order], out_px[:n_new][order], out_py[:n_new][order]
-    chunk = max(1, _PY_CANDIDATE_BUDGET // max(n_cols, 1))
-    if cur_px.size <= chunk:
-        return _expand_round_py(
-            occ_flat, nx, ny, x0, y0, res, cur_ids, cur_px, cur_py, *consts
-        )
-    # Chunks run in frontier order and mark occupancy as they go, so the
-    # first-writer rule is unchanged; a final sort matches the single-batch
-    # (and numba) id ordering.
-    parts = [
-        _expand_round_py(
-            occ_flat, nx, ny, x0, y0, res,
-            cur_ids[s : s + chunk], cur_px[s : s + chunk], cur_py[s : s + chunk],
-            *consts,
-        )
-        for s in range(0, cur_px.size, chunk)
-    ]
-    ids = np.concatenate([p[0] for p in parts])
-    px = np.concatenate([p[1] for p in parts])
-    py = np.concatenate([p[2] for p in parts])
-    order = np.argsort(ids)
+    The frontier is walked in chunks of whole rows, in frontier order, and
+    each chunk marks its claims in occ_flat before the next one runs, so the
+    first candidate in canonical (frontier index, column index) order wins
+    every cell, whatever the chunk size.  Each candidate is formed exactly as
+    (vux + ecos*dx) - esin*dy, (vuy + esin*dx) + ecos*dy, then
+    floor((q - x0) / res), so its cell and representative never depend on
+    the chunking.
+    """
+    sing, vux, vuy, ecos, esin, linx, liny = consts
+    n_cols = vux.size
+    sing_cols = np.flatnonzero(sing)
+    rows = max(1, min(_CHUNK_CANDIDATES // n_cols, cur_px.size))
+    bufs = np.empty((4, rows, n_cols))
+    mask = np.empty((rows, n_cols), dtype=np.bool_)
+    test = np.empty((rows, n_cols), dtype=np.bool_)
+    parts = []
+    for start in range(0, cur_px.size, rows):
+        px = cur_px[start : start + rows, None]
+        py = cur_py[start : start + rows, None]
+        n = px.shape[0]
+        dx, dy, qx, qy = bufs[:, :n]
+        m, t = mask[:n], test[:n]
+        np.subtract(px, vux, out=dx)
+        np.subtract(py, vuy, out=dy)
+        np.multiply(ecos, dx, out=qx)
+        qx += vux
+        np.multiply(esin, dx, out=qy)
+        qy += vuy
+        np.multiply(esin, dy, out=dx)
+        qx -= dx
+        np.multiply(ecos, dy, out=dy)
+        qy += dy
+        if sing_cols.size:
+            # Columns of a control with det A(u) = 0 translate instead.
+            qx[:, sing_cols] = px + linx[sing_cols]
+            qy[:, sing_cols] = py + liny[sing_cols]
+        # Cell coordinates before the floor: floor(z) >= 0 iff z >= 0 and
+        # floor(z) < n iff z < n, so the bounds are tested first and only the
+        # candidates inside are floored.  NaN and +-inf fail every bound.
+        fi, fj = dx, dy
+        np.subtract(qx, x0, out=fi)
+        fi /= res
+        np.subtract(qy, y0, out=fj)
+        fj /= res
+        np.greater_equal(fi, 0.0, out=m)
+        np.greater_equal(fj, 0.0, out=t)
+        m &= t
+        np.less(fi, nx, out=t)
+        m &= t
+        np.less(fj, ny, out=t)
+        m &= t
+        # Row-major flat positions keep the canonical order.
+        idx = np.flatnonzero(m)
+        ids = np.floor(fi.reshape(-1)[idx]).astype(np.int64) * ny
+        ids += np.floor(fj.reshape(-1)[idx]).astype(np.int64)
+        fresh = np.flatnonzero(~occ_flat[ids])
+        uids, first = np.unique(ids[fresh], return_index=True)
+        occ_flat[uids] = True
+        keep = idx[fresh[first]]
+        parts.append((uids, qx.reshape(-1)[keep], qy.reshape(-1)[keep]))
+    ids, px, py = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(ids)  # ids are unique within a round
     return ids[order], px[order], py[order]
 
 
@@ -410,14 +350,8 @@ class ReachSet:
         return bool(self.occupied[i, j])
 
 
-def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, backend=None) -> ReachSet:
+def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int) -> ReachSet:
     x0 = np.asarray(x0, dtype=float).reshape(2)
-    if backend is None:
-        backend = _accel.BACKEND
-    if backend not in ("numba", "numpy"):
-        raise ValueError("backend must be 'numba' or 'numpy'")
-    if backend == "numba" and not _accel.HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
     if not cfg.in_bounds(x0):
         raise ValueError("seed point lies outside the grid bounds")
     lo, hi = rs.omega
@@ -446,7 +380,7 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, backend=None) -
     rounds = 0
     while cur_ids.size and total < cfg.max_cells:
         cur_ids, cur_px, cur_py = _expand_round(
-            backend, occ_flat, nx, ny, xmin, ymin, res, cur_ids, cur_px, cur_py, consts
+            occ_flat, nx, ny, xmin, ymin, res, cur_px, cur_py, consts
         )
         if cur_ids.size:
             rep_x.reshape(-1)[cur_ids] = cur_px
@@ -466,18 +400,18 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, backend=None) -
     )
 
 
-def reach_forward(rs: ReducedSpec, x0, cfg: GridConfig | None = None, backend=None) -> ReachSet:
+def reach_forward(rs: ReducedSpec, x0, cfg: GridConfig | None = None) -> ReachSet:
     """Grid fixed point of one-step forward flows from x0."""
     if cfg is None:
         cfg = default_grid_config(rs)
-    return _reach(rs, x0, cfg, +1, backend)
+    return _reach(rs, x0, cfg, +1)
 
 
-def reach_backward(rs: ReducedSpec, x0, cfg: GridConfig | None = None, backend=None) -> ReachSet:
+def reach_backward(rs: ReducedSpec, x0, cfg: GridConfig | None = None) -> ReachSet:
     """Grid fixed point of one-step backward flows from x0 (points that reach x0)."""
     if cfg is None:
         cfg = default_grid_config(rs)
-    return _reach(rs, x0, cfg, -1, backend)
+    return _reach(rs, x0, cfg, -1)
 
 
 def binary_erode(occ: np.ndarray, layers: int = 1) -> np.ndarray:
@@ -635,7 +569,6 @@ def estimate_control_set(
     cfg: GridConfig | None = None,
     seed_control: float | None = None,
     coverage_radius: float | None = None,
-    backend=None,
 ) -> ControlSetEstimate:
     """Estimate the control set with nonempty interior for the planar system.
 
@@ -651,7 +584,7 @@ def estimate_control_set(
     boundary = boundary_control_sets(rs)
 
     if rs.lam == 0.0:
-        region = reach_forward(rs, np.zeros(2), cfg, backend)
+        region = reach_forward(rs, np.zeros(2), cfg)
         radius = coverage_radius if coverage_radius is not None else max(
             float(np.linalg.norm(rs.eta)), 0.25
         )
@@ -671,10 +604,10 @@ def estimate_control_set(
 
     x0 = equilibrium(rs, seed_control)
     if rs.lam < 0.0:
-        region = reach_forward(rs, x0, cfg, backend)
+        region = reach_forward(rs, x0, cfg)
         case = "closed_bounded"
     else:
-        region = reach_backward(rs, x0, cfg, backend)
+        region = reach_backward(rs, x0, cfg)
         case = "open"
     est = ControlSetEstimate(
         case=case,
@@ -712,19 +645,11 @@ class LiftedControlSet:
 
 def lift_to_se2(est: ControlSetEstimate) -> LiftedControlSet:
     """Describe the lifted control set S^1 x C from a planar estimate."""
-    if est.case == "all_plane":
-        return LiftedControlSet(
-            angular="full_circle",
-            planar_case=est.case,
-            closed=True,
-            open_=True,
-            boundary=est.boundary,
-        )
     return LiftedControlSet(
         angular="full_circle",
         planar_case=est.case,
-        closed=est.case == "closed_bounded",
-        open_=est.case == "open",
+        closed=est.case in ("all_plane", "closed_bounded"),
+        open_=est.case in ("all_plane", "open"),
         boundary=est.boundary,
     )
 

@@ -176,6 +176,6 @@ def write_cells_csv(reach, stream) -> None:
     """CSV of occupied cell centers: i,j,x,y."""
     cells = reach.occupied_cells()
     centers = reach.cell_centers()
-    stream.write("i,j,x,y\n")
-    for (i, j), (x, y) in zip(cells, centers):
-        stream.write(f"{i},{j},{format_float(x)},{format_float(y)}\n")
+    row = f"%d,%d,{FLOAT_FMT},{FLOAT_FMT}\n"
+    rows = zip(*cells.T.tolist(), *centers.T.tolist())
+    stream.write("i,j,x,y\n" + "".join([row % r for r in rows]))

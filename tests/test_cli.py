@@ -5,7 +5,6 @@ import subprocess
 import pytest
 
 from se2control import cli
-from se2control._accel import HAS_NUMBA
 
 
 OPEN = {
@@ -163,16 +162,6 @@ def test_reach_payload_and_determinism(tmp_path, capsys):
     assert payload["grid"]["resolution"] == 0.05
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="single backend available")
-def test_reach_backends_agree_bytewise(tmp_path, capsys):
-    spec = write_spec(tmp_path, OPEN)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["reach", spec] + REACH_ARGS
-    assert cli.main(args + ["--backend", "numba", "--out", str(a)]) == 0
-    assert cli.main(args + ["--backend", "numpy", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_reach_cells_csv(tmp_path, capsys):
     spec = write_spec(tmp_path, OPEN)
     out, cells = tmp_path / "r.json", tmp_path / "cells.csv"
@@ -199,12 +188,26 @@ def test_reach_negative_bounds(tmp_path, capsys):
     assert args.bounds == "-2,2,-2,2"
 
 
-def test_ambiguous_coordinate_abbreviation_is_rejected(capsys):
-    # "--b" could be --bounds or --backend.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["reach", "spec.json", "--b", "-2,2,-2,2"])
-    assert exc.value.code == 2
-    assert "ambiguous option" in capsys.readouterr().err
+def test_shortest_bounds_abbreviation_is_read_as_bounds():
+    args = cli.build_parser().parse_args(
+        cli._attach_coordinate_values(["reach", "spec.json", "--b", "-2,2,-2,2"])
+    )
+    assert args.bounds == "-2,2,-2,2"
+
+
+@pytest.mark.parametrize(
+    "grid_args, message",
+    [
+        (["--resolution", "1e-6"], "bytes, over the 536870912-byte budget"),
+        (["--resolution", "1e-310"], "unbounded number of cells"),
+        (["--bounds=-inf,inf,-1,1"], "unbounded number of cells"),
+    ],
+)
+def test_reach_rejects_oversized_grid(tmp_path, capsys, grid_args, message):
+    rc, out, err = run_main(capsys, ["reach", write_spec(tmp_path, OPEN)] + grid_args)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
 
 
 def test_reach_rejects_degenerate_case(tmp_path, capsys):

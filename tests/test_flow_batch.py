@@ -192,11 +192,6 @@ def test_flow_se2_batch_matches_mpmath(rng):
             assert _gap(got[i, 1:], vf) <= REL * scale
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="flow_detA0 forms rho(t + s u) - rho(t) and then divides by u, which "
-    "cancels for small nonzero controls: relative error grows like 1e-16 / |alpha u|",
-)
 def test_flow_se2_small_controls_for_A_zero_match_mpmath():
     spec = _full_specs(np.random.default_rng(0))[-1]
     x = np.array([0.7, 0.3, -0.4])

@@ -1,13 +1,13 @@
-"""Grid reach sets: determinism, backend agreement, containment, coverage."""
+"""Grid reach sets: determinism, chunking, containment, coverage."""
 import math
 
 import numpy as np
 import pytest
 
-from se2control import _accel
 from se2control.flow import PiecewiseControl, equilibrium, flow_r2
 from se2control.geometry import invariant_ball
 from se2control.group import GroupElement, perp
+from se2control import reachability as R
 from se2control.reachability import (
     GridConfig,
     binary_erode,
@@ -23,9 +23,6 @@ from se2control.reachability import (
     steer_degenerate,
 )
 from se2control.system import ReducedSpec, SystemSpec
-
-BACKENDS = ("numpy", "numba") if _accel.HAS_NUMBA else ("numpy",)
-
 
 def make_rs(lam=1.0, mu=2.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
     return ReducedSpec(lam=lam, mu=mu, eta=np.asarray(eta, dtype=float), omega=omega)
@@ -81,37 +78,98 @@ def test_reach_rejects_controls_outside_omega():
         reach_forward(rs, np.zeros(2), cfg)
 
 
-# -- determinism and backend agreement -----------------------------------
+# -- determinism and chunking --------------------------------------------
 
 
 def test_reach_deterministic_across_runs():
     rs = make_rs()
     cfg = small_cfg(rs)
     x0 = equilibrium(rs, 0.5)
-    a = reach_backward(rs, x0, cfg, backend="numpy")
-    b = reach_backward(rs, x0, cfg, backend="numpy")
+    a = reach_backward(rs, x0, cfg)
+    b = reach_backward(rs, x0, cfg)
     assert np.array_equal(a.occupied, b.occupied)
     assert np.array_equal(a.rep_x, b.rep_x, equal_nan=True)
     assert np.array_equal(a.rep_y, b.rep_y, equal_nan=True)
 
 
-@pytest.mark.skipif(not _accel.HAS_NUMBA, reason="numba unavailable")
-def test_reach_backends_bit_identical():
+def _reach_by_loop(rs, x0, cfg, direction):
+    """Scalar reference of the reach fixed point: one candidate at a time, in
+    canonical (frontier cell, flow column) order, first writer wins."""
+    sing, vux, vuy, ecos, esin, linx, liny = (
+        c.tolist() for c in R._control_constants(rs, cfg, direction)
+    )
+    nx, ny = cfg.shape
+    xmin, _, ymin, _ = cfg.bounds
+    res = cfg.resolution
+    occ = np.zeros(nx * ny, dtype=bool)
+    rep_x = np.full(nx * ny, np.nan)
+    rep_y = np.full(nx * ny, np.nan)
+    i0, j0 = cfg.cell_of(x0)
+    frontier = [(i0 * ny + j0, float(x0[0]), float(x0[1]))]
+    occ[frontier[0][0]] = True
+    rep_x[frontier[0][0]], rep_y[frontier[0][0]] = x0
+    rounds = 0
+    while frontier:
+        new = []
+        for _, px, py in frontier:
+            for c in range(len(vux)):
+                if sing[c]:
+                    qx, qy = px + linx[c], py + liny[c]
+                else:
+                    dx, dy = px - vux[c], py - vuy[c]
+                    qx = vux[c] + ecos[c] * dx - esin[c] * dy
+                    qy = vuy[c] + esin[c] * dx + ecos[c] * dy
+                fi, fj = math.floor((qx - xmin) / res), math.floor((qy - ymin) / res)
+                if 0 <= fi < nx and 0 <= fj < ny and not occ[fi * ny + fj]:
+                    occ[fi * ny + fj] = True
+                    new.append((fi * ny + fj, qx, qy))
+        for idx, qx, qy in new:
+            rep_x[idx], rep_y[idx] = qx, qy
+        frontier = sorted(new)
+        rounds += 1
+    return occ.reshape(nx, ny), rep_x.reshape(nx, ny), rep_y.reshape(nx, ny), rounds
+
+
+def _assert_same_reach(a, b):
+    assert np.array_equal(a.occupied, b.occupied)
+    assert np.array_equal(a.rep_x, b.rep_x, equal_nan=True)
+    assert np.array_equal(a.rep_y, b.rep_y, equal_nan=True)
+    assert (a.rounds, a.truncated) == (b.rounds, b.truncated)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 10**9])
+def test_reach_independent_of_chunk_size(monkeypatch, rows):
     rs = make_rs()
     cfg = small_cfg(rs)
     x0 = equilibrium(rs, 0.5)
-    a = reach_backward(rs, x0, cfg, backend="numpy")
-    b = reach_backward(rs, x0, cfg, backend="numba")
-    assert np.array_equal(a.occupied, b.occupied)
-    assert np.array_equal(a.rep_x, b.rep_x, equal_nan=True)
-    assert np.array_equal(a.rep_y, b.rep_y, equal_nan=True)
+    ref = reach_backward(rs, x0, cfg)
+    n_cols = cfg.controls.size * cfg.steps_per_arc
+    assert ref.cell_count > 3 * R._CHUNK_CANDIDATES // n_cols  # several default chunks
+    monkeypatch.setattr(R, "_CHUNK_CANDIDATES", rows * n_cols)
+    _assert_same_reach(reach_backward(rs, x0, cfg), ref)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_representatives_live_in_their_cells(backend):
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_reach_matches_scalar_loop_with_singular_columns(direction):
+    # Trace zero with u = mu in the control grid: det A(mu) = 0, so the
+    # columns of that control translate by s u eta instead of rotating.
+    rs = make_rs(lam=0.0, mu=0.5, omega=(-1.0, 1.0))
+    controls = [-1.0, -0.3, 0.0, 0.5, 1.0]
+    cfg = GridConfig((-1.0, 1.0, -1.0, 1.0), 0.1, controls, 0.05, steps_per_arc=6)
+    assert R._control_constants(rs, cfg, direction)[0].any()
+    x0 = np.array([0.1, -0.2])
+    got = R._reach(rs, x0, cfg, direction)
+    occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
+    assert np.array_equal(got.occupied, occ)
+    assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
+    assert np.array_equal(got.rep_y, rep_y, equal_nan=True)
+    assert got.rounds == rounds
+
+
+def test_representatives_live_in_their_cells():
     rs = make_rs()
     cfg = small_cfg(rs)
-    r = reach_backward(rs, equilibrium(rs, 0.5), cfg, backend=backend)
+    r = reach_backward(rs, equilibrium(rs, 0.5), cfg)
     cells = r.occupied_cells()
     reps = r.representatives()
     assert np.all(np.isfinite(reps))

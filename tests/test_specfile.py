@@ -132,3 +132,8 @@ def test_cells_csv_header(tmp_path):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "i,j,x,y"
     assert len(lines) == r.cell_count + 1
+    # Row by row, each value formatted on its own.
+    assert lines[1:] == [
+        f"{i},{j},{format_float(x)},{format_float(y)}"
+        for (i, j), (x, y) in zip(r.occupied_cells(), r.cell_centers())
+    ]
