@@ -256,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Options whose value is a comma-separated list of coordinates.
 COORDINATE_OPTIONS = ("--v0", "--x0", "--bounds")
+# A value that float() reads as a negative number, infinity or nan.
+_NEGATIVE_VALUE = re.compile(r"-([0-9.]|inf|nan)", re.IGNORECASE)
 
 
 def _is_coordinate_option(arg: str) -> bool:
@@ -269,11 +271,12 @@ def _attach_coordinate_values(argv: list) -> list:
     """Rewrite "--v0 -3,0" as "--v0=-3,0" (also for abbreviations such as "--v").
 
     argparse reads a value that starts with "-" and is not a plain negative
-    number (a list such as -3,0) as an option of its own.
+    number (a list such as -3,0) as an option of its own.  Values starting
+    with -inf or -nan, in any case, are attached too, as float() reads them.
     """
     out = []
     for arg in argv:
-        if out and _is_coordinate_option(out[-1]) and re.match(r"-[0-9.]", arg):
+        if out and _is_coordinate_option(out[-1]) and _NEGATIVE_VALUE.match(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -220,27 +220,6 @@ def _require_commuting(A) -> np.ndarray:
     return A
 
 
-def linear_field_eval(A, xi, g: GroupElement):
-    """Evaluate the linear drift field at g = (t, v).
-
-    The field is (0, A v + Lambda_t xi); A must commute with theta.
-
-    Returns
-    -------
-    (float, ndarray)
-        Angular rate (always 0) and planar rate.
-    """
-    A = _require_commuting(A)
-    xi = np.asarray(xi, dtype=float)
-    return 0.0, A @ g.v + lambda_map(g.t, xi)
-
-
-def invariant_field_eval(alpha: float, eta1, g: GroupElement):
-    """Evaluate the left-invariant field (alpha, rho(t) eta1) at g."""
-    eta1 = np.asarray(eta1, dtype=float)
-    return float(alpha), rotation(g.t) @ eta1
-
-
 # ---------------------------------------------------------------------------
 # Coordinate changes decoupling the drift
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ Candidates claim cells first-writer-wins in a canonical order (frontier cell
 index, then flow column; frontiers kept sorted between rounds), which makes
 the result independent of how a round is split.  One numpy kernel expands a
 round, in frontier chunks sized to stay in a core's L2 cache.
+
+For trace zero the control set is the whole plane, and the estimate only
+certifies that a test disk is covered.  Its forward rounds stop once every
+cell of the cover set is occupied: the cells whose centre lies within
+radius + cell_diagonal/2 of the disk's centre, a superset of the cells that
+meet the closed disk.  The stopped set is a round-prefix of the fixed point.
 """
 
 from __future__ import annotations
@@ -350,7 +356,13 @@ class ReachSet:
         return bool(self.occupied[i, j])
 
 
-def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int) -> ReachSet:
+def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> ReachSet:
+    """Grid fixed point of one-step flows from x0 in the given direction.
+
+    cover, if given and nonempty, holds flat cell ids: the rounds then also
+    stop as soon as every one of them is occupied.  The check runs between
+    rounds, so the result is a round-prefix of the fixed point.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(2)
     if not cfg.in_bounds(x0):
         raise ValueError("seed point lies outside the grid bounds")
@@ -378,7 +390,10 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int) -> ReachSet:
     cur_py = np.array([x0[1]])
     total = 1
     rounds = 0
+    stop = cover is not None and cover.size > 0
     while cur_ids.size and total < cfg.max_cells:
+        if stop and occ_flat[cover].all():
+            break
         cur_ids, cur_px, cur_py = _expand_round(
             occ_flat, nx, ny, xmin, ymin, res, cur_px, cur_py, consts
         )
@@ -400,11 +415,15 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int) -> ReachSet:
     )
 
 
-def reach_forward(rs: ReducedSpec, x0, cfg: GridConfig | None = None) -> ReachSet:
-    """Grid fixed point of one-step forward flows from x0."""
+def reach_forward(rs: ReducedSpec, x0, cfg: GridConfig | None = None, cover=None) -> ReachSet:
+    """Grid fixed point of one-step forward flows from x0.
+
+    cover (flat cell ids, internal) ends the rounds early once all of its
+    cells are occupied; see _reach.
+    """
     if cfg is None:
         cfg = default_grid_config(rs)
-    return _reach(rs, x0, cfg, +1)
+    return _reach(rs, x0, cfg, +1, cover)
 
 
 def reach_backward(rs: ReducedSpec, x0, cfg: GridConfig | None = None) -> ReachSet:
@@ -498,21 +517,64 @@ class ControlSetEstimate:
         return out
 
 
+def _disk_cells(cfg: GridConfig, center, radius: float) -> tuple:
+    """Flat ids and centre distances of the cells near a disk.
+
+    The cells are those of the index range of the disk's bounding box,
+    widened by one cell on every side and clipped to the grid, so they
+    include every cell whose centre lies within radius + cell_diagonal / 2
+    of the centre.  Centres use the formula bounds[0] + (i + 0.5) * res.
+    """
+    nx, ny = cfg.shape
+    xmin, _, ymin, _ = cfg.bounds
+    res = cfg.resolution
+    cx, cy = (float(c) for c in center)
+    if not radius >= 0.0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    # Clip in floats first: a huge or infinite radius spans the whole grid.
+    i_lo, i_hi, j_lo, j_hi = (
+        int(math.floor(min(max(z, 0.0), n - 1.0)))
+        for z, n in (
+            ((cx - radius - xmin) / res - 1.0, nx),
+            ((cx + radius - xmin) / res + 1.0, nx),
+            ((cy - radius - ymin) / res - 1.0, ny),
+            ((cy + radius - ymin) / res + 1.0, ny),
+        )
+    )
+    ii = np.arange(i_lo, i_hi + 1)
+    jj = np.arange(j_lo, j_hi + 1)
+    xs = xmin + (ii + 0.5) * res
+    ys = ymin + (jj + 0.5) * res
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    centers = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+    dist = np.linalg.norm(centers - np.array([cx, cy]), axis=1)
+    ids = (ii[:, None] * ny + jj[None, :]).reshape(-1)
+    return ids, dist
+
+
 def _coverage_in_disk(region: ReachSet, center, radius: float) -> float:
-    centers = _all_cell_centers(region.config)
-    inside = np.linalg.norm(centers - np.asarray(center, float), axis=1) <= radius
-    if not np.any(inside):
+    """Share of the cells with their centre in the closed disk that are occupied."""
+    ids, dist = _disk_cells(region.config, center, radius)
+    inside = ids[dist <= radius]
+    if not inside.size:
         return 0.0
     occ = region.occupied.reshape(-1)
-    return float(np.count_nonzero(occ & inside)) / float(np.count_nonzero(inside))
+    return float(np.count_nonzero(occ[inside])) / float(inside.size)
 
 
-def _all_cell_centers(cfg: GridConfig) -> np.ndarray:
-    nx, ny = cfg.shape
-    xs = cfg.bounds[0] + (np.arange(nx) + 0.5) * cfg.resolution
-    ys = cfg.bounds[2] + (np.arange(ny) + 0.5) * cfg.resolution
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+def _cover_ids(cfg: GridConfig, center, radius: float) -> np.ndarray:
+    """Flat ids of the cells whose centre lies within radius + cell_diagonal/2.
+
+    Every cell that meets the closed disk is among them, so once they are
+    all occupied, every point of the disk lies in an occupied cell.  Empty
+    when part of the disk lies off the grid: such a disk is never covered.
+    """
+    cx, cy = (float(c) for c in center)
+    extremes = ((cx - radius, cy), (cx + radius, cy), (cx, cy - radius), (cx, cy + radius))
+    if not (math.isfinite(radius) and radius >= 0.0 and all(map(cfg.in_bounds, extremes))):
+        return np.zeros(0, dtype=np.int64)
+    ids, dist = _disk_cells(cfg, center, radius)
+    return ids[dist <= radius + 0.5 * cfg.cell_diagonal]
 
 
 def _ball_containment(region: ReachSet, rs: ReducedSpec) -> dict:
@@ -573,9 +635,17 @@ def estimate_control_set(
     """Estimate the control set with nonempty interior for the planar system.
 
     trace = 0: the system is controllable; a forward reach run from the
-    origin provides a coverage certificate over a test disk.  trace < 0: the
-    set is the closure of the forward orbit of an equilibrium.  trace > 0:
-    the set is the backward orbit of an equilibrium.
+    origin provides a coverage certificate over a test disk of radius
+    coverage_radius (default max(|eta|, 0.25)).  The run stops between rounds
+    once every cell of the cover set is occupied: the cells whose centre
+    lies within radius + cell_diagonal/2 of the origin, which include every
+    cell that meets the closed disk.  So every point of the disk then lies in
+    an occupied cell, and the cells and representatives are those of the
+    same cells in the full fixed point.  If part of the disk lies off the
+    grid, or the fixed point or max_cells comes first, the run is the full
+    one.  coverage["fraction"] counts the cells whose centre is in the disk.
+    trace < 0: the set is the closure of the forward orbit of an
+    equilibrium.  trace > 0: the set is the backward orbit of an equilibrium.
     """
     if cfg is None:
         cfg = default_grid_config(rs)
@@ -584,10 +654,11 @@ def estimate_control_set(
     boundary = boundary_control_sets(rs)
 
     if rs.lam == 0.0:
-        region = reach_forward(rs, np.zeros(2), cfg)
         radius = coverage_radius if coverage_radius is not None else max(
             float(np.linalg.norm(rs.eta)), 0.25
         )
+        cover = _cover_ids(cfg, np.zeros(2), radius)
+        region = reach_forward(rs, np.zeros(2), cfg, cover=cover)
         coverage = {
             "disk_center": [0.0, 0.0],
             "disk_radius": radius,
@@ -599,7 +670,10 @@ def estimate_control_set(
             region=region,
             coverage=coverage,
             boundary=boundary,
-            diagnostics={"note": "controllable: estimate certifies disk coverage"},
+            diagnostics={
+                "note": "controllable: estimate certifies disk coverage; the forward "
+                "rounds stop once every cell meeting the disk is occupied"
+            },
         )
 
     x0 = equilibrium(rs, seed_control)

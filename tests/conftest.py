@@ -19,12 +19,12 @@ def _theta(v):
     return np.array([-v[1], v[0]])
 
 
-def reduced_field(lam, mu, eta, v, u):
-    """v' = (A - u*theta) v + u*eta with A = ((lam,-mu),(mu,lam))."""
-    nu = mu - u
-    return np.array(
-        [lam * v[0] - nu * v[1] + u * eta[0], nu * v[0] + lam * v[1] + u * eta[1]]
-    )
+def reduced_field(lam, mu, eta, u):
+    """The field v' = (A - u*theta) v + u*eta with A = ((lam,-mu),(mu,lam)),
+    as a function of (v_x, v_y) on plain floats."""
+    lam, nu = float(lam), float(mu - u)
+    ex, ey = u * float(eta[0]), u * float(eta[1])
+    return lambda x, y: (lam * x - nu * y + ex, nu * x + lam * y + ey)
 
 
 def full_field(alpha, xi, lam, mu, eta1, state, u):
@@ -38,25 +38,43 @@ def full_field(alpha, xi, lam, mu, eta1, state, u):
 
 
 def rk4(field, s, x0, step=1e-3):
-    """Classical RK4 from 0 to s (s may be negative) with fixed step size."""
-    x = np.asarray(x0, dtype=float).copy()
+    """Classical RK4 from 0 to s (s may be negative) with fixed step size.
+
+    Runs on plain floats: field takes the coordinates as separate arguments
+    and returns their rates.  Each coordinate is updated as
+    x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), with stage points x + (h/2) k,
+    the sums numpy array arithmetic would form.  Two coordinates take an
+    unrolled loop, as the planar checks run millions of steps.
+    """
+    x = [float(c) for c in x0]
     n = max(1, int(math.ceil(abs(s) / step)))
     h = s / n
+    h2, h6 = 0.5 * h, h / 6.0
+    if len(x) == 2:
+        vx, vy = x
+        for _ in range(n):
+            k1x, k1y = field(vx, vy)
+            k2x, k2y = field(vx + h2 * k1x, vy + h2 * k1y)
+            k3x, k3y = field(vx + h2 * k2x, vy + h2 * k2y)
+            k4x, k4y = field(vx + h * k3x, vy + h * k3y)
+            vx = vx + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            vy = vy + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        return np.array([vx, vy])
     for _ in range(n):
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+        k1 = field(*x)
+        k2 = field(*[a + h2 * b for a, b in zip(x, k1)])
+        k3 = field(*[a + h2 * b for a, b in zip(x, k2)])
+        k4 = field(*[a + h * b for a, b in zip(x, k3)])
+        x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    return np.array(x)
 
 
 def rk4_reduced(lam, mu, eta, s, v0, u, step=1e-3):
-    return rk4(lambda v: reduced_field(lam, mu, eta, v, u), s, v0, step)
+    return rk4(reduced_field(lam, mu, eta, u), s, v0, step)
 
 
 def rk4_full(alpha, xi, lam, mu, eta1, s, state0, u, step=1e-3):
-    return rk4(lambda x: full_field(alpha, xi, lam, mu, eta1, x, u), s, state0, step)
+    return rk4(lambda *x: full_field(alpha, xi, lam, mu, eta1, x, u), s, state0, step)
 
 
 def rk4_piecewise_reduced(lam, mu, eta, segments, v0, step=1e-3):

@@ -1,6 +1,8 @@
 """CLI end-to-end: exit codes, JSON/CSV payloads, determinism."""
 import json
+import os
 import subprocess
+import sys
 
 import pytest
 
@@ -210,6 +212,23 @@ def test_reach_rejects_oversized_grid(tmp_path, capsys, grid_args, message):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ("-inf,inf,-1,1", "unbounded number of cells"),
+        ("-INF,1,-1,1", "unbounded number of cells"),
+        ("-Infinity,1,-1,1", "unbounded number of cells"),
+        ("-nan,1,-1,1", "x_min < x_max"),
+        ("-NaN,1,-1,1", "x_min < x_max"),
+    ],
+)
+def test_reach_bounds_starting_with_minus_inf_or_nan_give_one_line(tmp_path, capsys, bounds, message):
+    rc, out, err = run_main(capsys, ["reach", write_spec(tmp_path, OPEN), "--bounds", bounds])
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_reach_rejects_degenerate_case(tmp_path, capsys):
     rc, _, err = run_main(capsys, ["reach", write_spec(tmp_path, DEGENERATE)])
     assert rc == 3
@@ -315,4 +334,16 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["case"] == "OpenControlSet"
+
+
+def test_python_m_entry_point(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "se2control", "classify", write_spec(tmp_path, OPEN)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["case"] == "OpenControlSet"

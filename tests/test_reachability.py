@@ -323,6 +323,161 @@ def test_estimate_trace_zero_case():
     assert est.coverage["fraction"] >= 0.99
 
 
+# -- trace zero: stop once the test disk is covered ----------------------
+
+TRACE_ZERO_CASES = [
+    # (reduced system, grid config)
+    (make_rs(lam=0.0, mu=1.0, omega=(-2.0, 2.0)), dict(resolution=0.05)),
+    (make_rs(lam=0.0, mu=1.0, eta=(0.6, -0.8), omega=(-0.5, 1.5)), dict(resolution=0.04)),
+    (make_rs(lam=0.0, mu=-2.0, eta=(0.1, 0.05), omega=(-1.0, 3.0)), dict(resolution=0.01)),
+]
+
+
+def _tz_cfg(rs, kwargs):
+    return default_grid_config(rs, **kwargs)
+
+
+def _coverage_whole_grid(region, center, radius):
+    """The coverage formula over every cell centre of the grid, as it stood
+    before coverage was restricted to the disk's bounding box."""
+    cfg = region.config
+    nx, ny = cfg.shape
+    xs = cfg.bounds[0] + (np.arange(nx) + 0.5) * cfg.resolution
+    ys = cfg.bounds[2] + (np.arange(ny) + 0.5) * cfg.resolution
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    centers = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+    inside = np.linalg.norm(centers - np.asarray(center, float), axis=1) <= radius
+    if not np.any(inside):
+        return 0.0
+    occ = region.occupied.reshape(-1)
+    return float(np.count_nonzero(occ & inside)) / float(np.count_nonzero(inside))
+
+
+@pytest.mark.parametrize("rs, kwargs", TRACE_ZERO_CASES)
+def test_trace_zero_stop_is_prefix_of_fixed_point(rs, kwargs):
+    cfg = _tz_cfg(rs, kwargs)
+    full = R._reach(rs, np.zeros(2), cfg, +1)
+    est = estimate_control_set(rs, cfg)
+    got = est.region
+    assert not full.truncated and not got.truncated
+    assert got.rounds < full.rounds  # the stop fired
+    assert got.cell_count < full.cell_count
+    assert not np.any(got.occupied & ~full.occupied)
+    assert np.array_equal(got.rep_x[got.occupied], full.rep_x[got.occupied])
+    assert np.array_equal(got.rep_y[got.occupied], full.rep_y[got.occupied])
+    assert np.all(np.isnan(got.rep_x[~got.occupied]))
+    radius = est.coverage["disk_radius"]
+    assert est.coverage["fraction"] == _coverage_whole_grid(full, np.zeros(2), radius) == 1.0
+    assert "stop once every cell meeting the disk is occupied" in est.diagnostics["note"]
+
+
+@pytest.mark.parametrize("rs, kwargs", TRACE_ZERO_CASES)
+def test_trace_zero_stop_covers_every_point_of_the_closed_disk(rs, kwargs):
+    cfg = _tz_cfg(rs, kwargs)
+    est = estimate_control_set(rs, cfg)
+    radius = est.coverage["disk_radius"]
+    rng = np.random.default_rng(7)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 3000)
+    rad = radius * np.sqrt(rng.uniform(0.0, 1.0, 3000))
+    rad[:1000] = radius  # points on the circle itself
+    pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+    assert all(est.region.contains(p) for p in pts)
+    # Equilibria v(u) inside the disk, as the benchmark tests them.
+    for u in control_grid(rs.omega, 41):
+        if rs.det_a_of_u(u) != 0.0:
+            vu = equilibrium(rs, u)
+            if np.hypot(*vu) <= radius:
+                assert est.region.contains(vu)
+
+
+def test_trace_zero_uncoverable_disk_gives_the_full_fixed_point():
+    rs, kwargs = TRACE_ZERO_CASES[0]
+    # Bounds that cut the disk of radius |eta| = 1: its cover set is empty.
+    cfg = default_grid_config(rs, resolution=0.05, bounds=(-0.9, 3.0, -3.0, 3.0))
+    assert R._cover_ids(cfg, np.zeros(2), 1.0).size == 0
+    est = estimate_control_set(rs, cfg)
+    full = R._reach(rs, np.zeros(2), cfg, +1)
+    _assert_same_reach(est.region, full)
+    assert est.coverage["fraction"] == _coverage_whole_grid(full, np.zeros(2), 1.0)
+    # max_cells reached before the disk is covered.
+    cfg = _tz_cfg(rs, dict(kwargs, max_cells=2000))
+    est = estimate_control_set(rs, cfg)
+    full = R._reach(rs, np.zeros(2), cfg, +1)
+    assert full.truncated
+    _assert_same_reach(est.region, full)
+    assert est.coverage["fraction"] == _coverage_whole_grid(full, np.zeros(2), 1.0) < 1.0
+
+
+def test_trace_zero_empty_cover_set_is_ignored():
+    rs, _ = TRACE_ZERO_CASES[0]
+    cfg = _tz_cfg(rs, dict(resolution=0.1))
+    full = R._reach(rs, np.zeros(2), cfg, +1)
+    _assert_same_reach(R._reach(rs, np.zeros(2), cfg, +1, np.zeros(0, dtype=np.int64)), full)
+    _assert_same_reach(reach_forward(rs, np.zeros(2), cfg, cover=np.zeros(0, dtype=np.int64)), full)
+    for radius in (-1.0, math.inf, math.nan):
+        assert R._cover_ids(cfg, np.zeros(2), radius).size == 0
+        est = estimate_control_set(rs, cfg, coverage_radius=radius)
+        _assert_same_reach(est.region, full)
+
+
+def test_cover_set_holds_every_cell_that_meets_the_disk():
+    rs = make_rs(lam=0.0, mu=1.0)
+    cfg = GridConfig((-1.3, 1.7, -2.0, 1.1), 0.07, control_grid(rs.omega), 0.05)
+    nx, ny = cfg.shape
+    for center, radius in (((0.0, 0.0), 1.0), ((0.31, -0.22), 0.4), ((0.0, 0.0), 0.0)):
+        cover = set(R._cover_ids(cfg, center, radius).tolist())
+        # A cell meets the disk iff its nearest point lies within the radius.
+        for i in range(nx):
+            for j in range(ny):
+                x0 = cfg.bounds[0] + i * cfg.resolution
+                y0 = cfg.bounds[2] + j * cfg.resolution
+                nearest = (
+                    min(max(center[0], x0), x0 + cfg.resolution),
+                    min(max(center[1], y0), y0 + cfg.resolution),
+                )
+                if math.dist(nearest, center) <= radius:
+                    assert i * ny + j in cover
+
+
+@pytest.mark.parametrize(
+    "bounds, resolution, center, radius",
+    [
+        ((-4.0, 4.0, -4.0, 4.0), 0.02, (0.0, 0.0), 1.0),
+        ((-4.0, 4.0, -4.0, 4.0), 0.07, (0.3, -1.1), 0.77),
+        ((-0.9, 3.0, -3.0, 0.5), 0.05, (0.0, 0.0), 1.0),  # bounds cut the disk
+        ((-1.0, 1.0, -1.0, 1.0), 0.1, (0.0, 0.0), 5.0),  # disk beyond the grid
+        ((-1.0, 1.0, -1.0, 1.0), 0.1, (3.0, 0.0), 0.5),  # disk off the grid
+        ((-1.0, 1.0, -1.0, 1.0), 0.1, (0.05, 0.05), 0.0),
+        ((-1.0, 1.0, -1.0, 1.0), 0.1, (0.0, 0.0), math.inf),
+    ],
+)
+def test_coverage_equals_whole_grid_formula(bounds, resolution, center, radius):
+    rs = make_rs(lam=0.0, mu=1.0, omega=(-2.0, 2.0))
+    for max_cells in (300, R.DEFAULT_MAX_CELLS):
+        cfg = GridConfig(bounds, resolution, control_grid(rs.omega, 9), 0.05, max_cells=max_cells)
+        region = R._reach(rs, np.zeros(2), cfg, +1)
+        got = R._coverage_in_disk(region, center, radius)
+        assert got == _coverage_whole_grid(region, center, radius)
+
+
+def test_trace_zero_estimate_memory_stays_near_the_grid_budget():
+    import tracemalloc
+
+    rs = make_rs(lam=0.0, mu=1.0, omega=(-2.0, 2.0))
+    cfg = default_grid_config(rs, resolution=0.004, n_controls=5, max_cells=1)
+    nx, ny = cfg.shape
+    assert (nx, ny) == (2000, 2000)
+    budget = R.GRID_BYTES_PER_CELL * nx * ny
+    tracemalloc.start()
+    try:
+        est = estimate_control_set(rs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.region.cell_count == 1
+    assert peak < 2 * budget
+
+
 @pytest.mark.parametrize(
     "mu,omega,kinds",
     [
