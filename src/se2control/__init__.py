@@ -4,165 +4,6 @@ The package models one-input linear control systems on S^1 x R^2, reduces
 them to a planar affine system, evaluates flows in closed form, analyzes the
 equilibria geometry and invariant regions, estimates control sets by grid
 reachability, and constructs periodic plans in the rotation-only case.
+Names are imported from the submodules, e.g. ``from se2control.flow import
+flow_se2``.
 """
-
-from .flow import (
-    PiecewiseControl,
-    Trajectory,
-    equilibrium,
-    equilibrium_derivative,
-    flow_concat,
-    flow_detA0,
-    flow_product,
-    flow_r2,
-    flow_se2,
-    rk4_oracle,
-)
-from .geometry import (
-    Ball,
-    Circle,
-    InvarianceReport,
-    LocusReport,
-    check_invariance,
-    circle_params,
-    equilibria_locus,
-    chord_ratio,
-    chord_ratio_limit,
-    invariant_ball,
-)
-from .group import (
-    GroupElement,
-    angle_dist,
-    commutes_with_theta,
-    conj_psi1,
-    conj_psi1_inv,
-    conj_psi2,
-    conj_psi2_inv,
-    conj_psi_zero,
-    conj_psi_zero_inv,
-    group_inverse,
-    group_product,
-    identity,
-    lambda_map,
-    rotation,
-    wrap_angle,
-)
-from .planner import PlanResult, arc_duration, circle_line_intersect, plan_periodic
-from .reachability import (
-    ControlSetEstimate,
-    DegenerateReport,
-    GridConfig,
-    LiftedControlSet,
-    ReachSet,
-    boundary_control_sets,
-    control_grid,
-    default_grid_config,
-    degenerate_structure_check,
-    estimate_control_set,
-    lift_to_se2,
-    reach_backward,
-    reach_forward,
-    steer_degenerate,
-)
-from .specfile import (
-    SpecFileError,
-    load_control,
-    load_system_spec,
-    parse_control,
-    parse_system_spec,
-)
-from .system import (
-    CASE_CLOSED,
-    CASE_DEGENERATE,
-    CASE_NOT_CLASSIFIED,
-    CASE_OPEN,
-    CASE_TRACE_ZERO,
-    ClassificationReport,
-    ReducedSpec,
-    SystemSpec,
-    classify,
-    lambda_mu,
-    larc,
-    matrix_from_lambda_mu,
-    reduce_system,
-)
-from .verification import SuiteResult, VerificationReport, run_verification
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Ball",
-    "CASE_CLOSED",
-    "CASE_DEGENERATE",
-    "CASE_NOT_CLASSIFIED",
-    "CASE_OPEN",
-    "CASE_TRACE_ZERO",
-    "Circle",
-    "ClassificationReport",
-    "ControlSetEstimate",
-    "DegenerateReport",
-    "GridConfig",
-    "GroupElement",
-    "InvarianceReport",
-    "LiftedControlSet",
-    "LocusReport",
-    "PiecewiseControl",
-    "PlanResult",
-    "ReachSet",
-    "ReducedSpec",
-    "SpecFileError",
-    "SuiteResult",
-    "SystemSpec",
-    "Trajectory",
-    "VerificationReport",
-    "angle_dist",
-    "arc_duration",
-    "boundary_control_sets",
-    "check_invariance",
-    "circle_line_intersect",
-    "circle_params",
-    "classify",
-    "commutes_with_theta",
-    "conj_psi1",
-    "conj_psi1_inv",
-    "conj_psi2",
-    "conj_psi2_inv",
-    "conj_psi_zero",
-    "conj_psi_zero_inv",
-    "control_grid",
-    "default_grid_config",
-    "degenerate_structure_check",
-    "equilibria_locus",
-    "equilibrium",
-    "equilibrium_derivative",
-    "estimate_control_set",
-    "chord_ratio",
-    "chord_ratio_limit",
-    "flow_concat",
-    "flow_detA0",
-    "flow_product",
-    "flow_r2",
-    "flow_se2",
-    "group_inverse",
-    "group_product",
-    "identity",
-    "invariant_ball",
-    "lambda_map",
-    "lambda_mu",
-    "larc",
-    "lift_to_se2",
-    "load_control",
-    "load_system_spec",
-    "matrix_from_lambda_mu",
-    "parse_control",
-    "parse_system_spec",
-    "plan_periodic",
-    "reach_backward",
-    "reach_forward",
-    "reduce_system",
-    "rk4_oracle",
-    "rotation",
-    "run_verification",
-    "steer_degenerate",
-    "wrap_angle",
-]

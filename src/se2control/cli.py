@@ -4,12 +4,14 @@ Subcommands: classify, simulate, reach, plan, verify.  All reports are
 deterministic JSON (sorted keys, 17-significant-digit floats); trajectories
 and reach sets are CSV.  Exit codes: 0 success, 2 invalid input, 3 case
 mismatch (command does not apply to the system's classification case),
-4 verification failure.
+4 verification failure.  A reader that closes stdout early (``| head``) ends
+the command quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -287,7 +289,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_attach_coordinate_values(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -41,7 +41,7 @@ from .group import (
     perp,
     rotate,
 )
-from .system import ReducedSpec, SystemSpec, reduce_system
+from .system import ReducedSpec, SystemSpec, degenerate_chart, reduce_system
 
 DEFAULT_RK4_STEP = 1e-3
 SAMPLES_PER_SEGMENT = 64
@@ -154,6 +154,17 @@ def flow_product(rs: ReducedSpec, s, g, u):
     return group_result(x[..., 0] + s * u, flow_r2(rs, s, x[..., 1:], u), element)
 
 
+def dwell_rate(t, xi) -> np.ndarray:
+    """Lambda_t xi = (I - rho(t)) theta xi, formed as 2 sin(t/2) rho(t/2) xi.
+
+    The velocity of the A = 0 chart at rest at angle t (control 0).  This
+    form has no difference of nearly equal vectors, so it keeps its
+    relative accuracy for small t.  Shapes as for :func:`group.lambda_map`.
+    """
+    half = 0.5 * np.asarray(t, dtype=float)
+    return (2.0 * np.sin(half))[..., None] * rotate(half, xi)
+
+
 def flow_detA0(spec: SystemSpec, s, g, u):
     """Degenerate flow for A = 0, in coordinates where the invariant field is (1, 0).
 
@@ -164,11 +175,13 @@ def flow_detA0(spec: SystemSpec, s, g, u):
 
     and for u = 0 the translation drifts along the frozen direction
     Lambda_t xi.  Since rho(t+su) - rho(t) = 2 sin(su/2) rho(t + su/2) theta,
-    both read v + s theta xi - k rho(t + su/2) theta xi with
-    k = 2 sin(su/2) / u (k = s for u = 0); this form has no difference of
-    nearly equal rotations to divide by a small u.  Callers working with the
-    raw system must first move to the normalized chart (conj_psi_zero) and
-    rescale the control by alpha.  Shapes as for :func:`flow_product`.
+    both read v + (s - k) theta xi + k Lambda_m xi with m = t + su/2 and
+    k = 2 sin(su/2) / u (k = s for u = 0), Lambda_m xi formed by
+    :func:`dwell_rate`.  This form divides no difference of nearly equal
+    rotations by a small u, and a long dwell at a small angle keeps its
+    relative accuracy.  Callers working with the raw system must first move
+    to the normalized chart (conj_psi_zero) and rescale the control by alpha.
+    Shapes as for :func:`flow_product`.
     """
     if spec.A.any():
         raise ValueError("flow_detA0 requires A = 0")
@@ -179,8 +192,7 @@ def flow_detA0(spec: SystemSpec, s, g, u):
     moving = u != 0.0
     half = 0.5 * s * u
     k = np.where(moving, 2.0 * np.sin(half) / np.where(moving, u, 1.0), s)
-    txi = perp(spec.xi)
-    turn = s[..., None] * txi - k[..., None] * rotate(t + half, txi)
+    turn = (s - k)[..., None] * perp(spec.xi) + k[..., None] * dwell_rate(t + half, spec.xi)
     return group_result(np.where(moving, t + s * u, t), v + turn, element)
 
 
@@ -196,9 +208,8 @@ def flow_se2(spec: SystemSpec, s, g, u):
         raise ValueError("exact flow requires alpha != 0")
     ut = spec.alpha * np.asarray(u, dtype=float)
     if spec.det() == 0.0:
-        chart = SystemSpec(spec.alpha, spec.xi, np.zeros((2, 2)), np.zeros(2), spec.omega)
         h = conj_psi_zero(spec.alpha, spec.eta1, g)
-        return conj_psi_zero_inv(spec.alpha, spec.eta1, flow_detA0(chart, s, h, ut))
+        return conj_psi_zero_inv(spec.alpha, spec.eta1, flow_detA0(degenerate_chart(spec), s, h, ut))
     rs = reduce_system(spec)
     h = conj_psi2(conj_psi1(spec.A, spec.xi, g))
     return conj_psi1_inv(spec.A, spec.xi, conj_psi2_inv(flow_product(rs, s, h, ut)))
@@ -238,10 +249,6 @@ class PiecewiseControl:
     def to_dict(self) -> dict:
         return {"segments": [{"duration": d, "u": u} for d, u in self.segments]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PiecewiseControl":
-        return cls([(seg["duration"], seg["u"]) for seg in data["segments"]])
-
 
 @dataclass
 class Trajectory:
@@ -256,10 +263,6 @@ class Trajectory:
     states: np.ndarray
     controls: np.ndarray
     kind: str  # "planar" or "group"
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def flow_concat(

@@ -50,10 +50,6 @@ class Ball:
         self.center = np.asarray(self.center, dtype=float).reshape(2)
         self.radius = float(self.radius)
 
-    def contains(self, v, margin: float = 0.0) -> bool:
-        v = np.asarray(v, dtype=float)
-        return float(np.linalg.norm(v - self.center)) <= self.radius + margin
-
     def to_dict(self) -> dict:
         return {"center": [float(c) for c in self.center], "radius": float(self.radius)}
 

@@ -148,12 +148,6 @@ class GroupElement:
         """Pack as [t, v_x, v_y]."""
         return np.array([self.t, self.v[0], self.v[1]])
 
-    def isclose(self, other: "GroupElement", tol: float = 1e-12) -> bool:
-        return (
-            angle_dist(self.t, other.t) <= tol
-            and float(np.max(np.abs(self.v - other.v))) <= tol
-        )
-
 
 def as_packed(g):
     """Packed states [t, v_x, v_y] with canonical angles, and whether g was one GroupElement.

@@ -23,6 +23,7 @@ from .group import TWO_PI, perp
 from .system import ReducedSpec
 
 BISECT_TOL = 1e-12
+BISECT_MAX_ITER = 200
 
 
 def circle_line_intersect(c: Circle, direction) -> list:
@@ -107,7 +108,7 @@ class PlanResult:
         }
 
 
-def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL, max_iter: int = 200):
+def _bisect(f, lo: float, hi: float):
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -117,7 +118,7 @@ def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL, max_iter: int = 20
     if flo * fhi > 0.0:
         raise ValueError("bisection bracket does not change sign")
     it = 0
-    while hi - lo > tol and it < max_iter:
+    while hi - lo > BISECT_TOL and it < BISECT_MAX_ITER:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -156,9 +157,7 @@ def _final_control(rs: ReducedSpec, v_n) -> tuple:
     if not flips:
         raise RuntimeError("final-control root finding failed: no sign change")
     k = flips[0]  # scan starts at 0, so the first flip is the smallest-|u| root
-    u_star, iters = _bisect(
-        g, min(scan[k], scan[k + 1]), max(scan[k], scan[k + 1]), BISECT_TOL
-    )
+    u_star, iters = _bisect(g, min(scan[k], scan[k + 1]), max(scan[k], scan[k + 1]))
     return float(u_star), {"roots_scanned": len(flips), "bisection_iterations": iters}
 
 

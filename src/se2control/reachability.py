@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import PiecewiseControl, equilibrium, flow_detA0, flow_r2
+from .flow import PiecewiseControl, dwell_rate, equilibrium, flow_detA0, flow_r2
 from .geometry import invariant_ball
-from .group import TWO_PI, GroupElement, angle_dist, dots, lambda_map, norms, perp
-from .system import ReducedSpec, SystemSpec, larc
+from .group import TWO_PI, GroupElement, angle_dist, dots, norms, perp
+from .system import ReducedSpec, SystemSpec, degenerate_chart, larc, reduced_range
 
 DEFAULT_MAX_CELLS = 1_000_000
 DEFAULT_N_CONTROLS = 21
@@ -38,6 +38,10 @@ DEFAULT_N_CONTROLS = 21
 # rejected before anything is allocated.
 GRID_BYTES_PER_CELL = 17
 MAX_GRID_BYTES = 512 * 2**20
+# Degenerate structure check: steering residual that counts as a hit, and the
+# largest theta-xi offset a mutually reachable pair may have.
+PAIR_TOL = 1e-8
+LINE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +594,7 @@ def _ball_containment(region: ReachSet, rs: ReducedSpec) -> dict:
     }
 
 
-def _boundary_growth_diagnostics(
-    region: ReachSet, rs: ReducedSpec, u0: float, n_probes: int = 8
-) -> dict:
+def _boundary_growth_diagnostics(region: ReachSet, rs: ReducedSpec, u0: float) -> dict:
     """Neutral diagnostic: growth of distance-to-center for points just
     outside the estimated set.  No claim is attached to these numbers."""
     ball = invariant_ball(rs)
@@ -601,7 +603,7 @@ def _boundary_growth_diagnostics(
     cells = np.argwhere(boundary)
     if cells.size == 0:
         return {"probes": 0}
-    idx = np.linspace(0, len(cells) - 1, min(n_probes, len(cells))).astype(int)
+    idx = np.linspace(0, len(cells) - 1, min(8, len(cells))).astype(int)
     res = region.config.resolution
     horizon = 5.0 * region.config.time_step
     rates = []
@@ -734,16 +736,11 @@ def lift_to_se2(est: ControlSetEstimate) -> LiftedControlSet:
 
 
 def _normalized_degenerate(spec: SystemSpec) -> tuple:
-    """Return (chart spec with A=0 data, rescaled omega) for the A = 0 case."""
-    if float(np.max(np.abs(spec.A))) != 0.0:
-        raise ValueError("degenerate analysis requires A = 0")
-    if spec.alpha == 0.0 or not larc(spec):
+    """Return (the A = 0 chart, the rescaled control range alpha * Omega)."""
+    chart = degenerate_chart(spec)
+    if not larc(spec):
         raise ValueError("degenerate analysis requires alpha != 0 and alpha xi != 0")
-    lo, hi = sorted((spec.alpha * spec.omega[0], spec.alpha * spec.omega[1]))
-    chart = SystemSpec(
-        spec.alpha, spec.xi, np.zeros((2, 2)), np.zeros(2), (lo, hi)
-    )
-    return chart, (lo, hi)
+    return chart, reduced_range(spec)
 
 
 def _degenerate_endpoints(chart: SystemSpec, controls: list, g: GroupElement) -> np.ndarray:
@@ -756,12 +753,7 @@ def _degenerate_endpoints(chart: SystemSpec, controls: list, g: GroupElement) ->
     return x
 
 
-def steer_degenerate(
-    spec: SystemSpec,
-    v_from,
-    v_to,
-    eps_grid=None,
-) -> tuple:
+def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
     """Best-effort steering of the normalized degenerate system.
 
     Moves (0, v_from) toward (0, v_to) with a drive/dwell/drive/dwell/drive
@@ -775,8 +767,8 @@ def steer_degenerate(
     The dwell durations are solved against the *realized* dwell angles of the
     arc segments and the dwell rates the flow itself will use, so feasible
     targets are hit to arithmetic rounding.  Returns (control, endpoint,
-    residual) with the endpoint evaluated exactly; the best epsilon over the
-    grid (by evaluated residual) wins.
+    residual) with the endpoint evaluated exactly; the best of 30 epsilons
+    from 0.3 down to 3e-10 (by evaluated residual) wins.
     """
     chart, (lo, hi) = _normalized_degenerate(spec)
     xi = chart.xi
@@ -791,23 +783,21 @@ def steer_degenerate(
     a_t = float(delta @ xi) / n2
     b_t = float(delta @ txi) / n2
     u_d = 0.9 * min(-lo, hi)
-    if eps_grid is None:
-        eps_grid = np.geomspace(0.3, 3e-10, 30)
 
     g0 = GroupElement(0.0, v_from)
     # Arcs-only rehearsal for every epsilon at once: realized dwell angles
     # and arc displacement.
-    arc1 = np.asarray(eps_grid, dtype=float) / u_d
+    arc1 = np.geomspace(0.3, 3e-10, 30) / u_d
     after1 = flow_detA0(chart, arc1, g0.as_array(), u_d)
     after2 = flow_detA0(chart, 2.0 * arc1, after1, -u_d)
     after3 = flow_detA0(chart, arc1, after2, u_d)
+    # Dwell rates exactly as the flow will apply them.
+    rates1 = dwell_rate(after1[:, 0], xi)
+    rates2 = dwell_rate(after2[:, 0], xi)
     controls = []
-    for s1, t1, t2, v3 in zip(arc1, after1[:, 0], after2[:, 0], after3[:, 1:]):
+    for s1, rate1, rate2, v3 in zip(arc1, rates1, rates2, after3[:, 1:]):
         arc_a = float((v3 - v_from) @ xi) / n2
         arc_b = float((v3 - v_from) @ txi) / n2
-        # Dwell rates exactly as the flow will apply them.
-        rate1 = lambda_map(t1, xi)
-        rate2 = lambda_map(t2, xi)
         sin1 = float(rate1 @ xi) / n2
         w1 = float(rate1 @ txi) / n2
         sin2 = float(rate2 @ xi) / n2
@@ -895,8 +885,6 @@ def degenerate_structure_check(
     n_samples: int = 100,
     seed: int = 0,
     n_pairs: int = 12,
-    line_tol: float = 1e-6,
-    pair_tol: float = 1e-8,
 ) -> DegenerateReport:
     """Verify the two structural facts of the A = 0 case numerically.
 
@@ -904,7 +892,8 @@ def degenerate_structure_check(
     trajectories whose control never vanishes.  (b) Points mutually reachable
     with (0, v0) stay on the line v0 + R xi at angle 0: steering succeeds in
     both directions only for targets with no theta-xi offset, and every
-    verified mutual pair satisfies |<v0 - v1, theta xi>| < line_tol.
+    verified mutual pair satisfies |<v0 - v1, theta xi>| < LINE_TOL.  A pair
+    is mutual when both steering residuals are below PAIR_TOL max(1, |xi|).
     Translation equivariance of the flow makes the base point v0 irrelevant;
     the check uses v0 = 0 in the normalized chart.
     """
@@ -948,12 +937,12 @@ def degenerate_structure_check(
         ctrl_f, end_f, res_f = steer_degenerate(spec, v0, target)
         p = end_f.v
         ctrl_r, end_r, res_r = steer_degenerate(spec, p, v0)
-        mutual = res_f < pair_tol * scale and res_r < pair_tol * scale
+        mutual = res_f < PAIR_TOL * scale and res_r < PAIR_TOL * scale
         functional = abs(float((p - v0) @ txi))
         angle_dev = angle_dist(end_f.t, 0.0)
         if mutual:
             n_mutual += 1
-            if functional >= line_tol or angle_dev >= 1e-9:
+            if functional >= LINE_TOL or angle_dev >= 1e-9:
                 counterexamples += 1
         elif off_line:
             irreversible += 1

@@ -78,17 +78,20 @@ def parse_system_spec(data: dict, where: str = "spec") -> SystemSpec:
         _fail(where, str(exc))
 
 
-def load_system_spec(path: str) -> SystemSpec:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
-    return parse_system_spec(data, where=path)
+
+
+def load_system_spec(path: str) -> SystemSpec:
+    return parse_system_spec(_read_json(path), where=path)
 
 
 def parse_control(data: dict, where: str = "control") -> PiecewiseControl:
@@ -110,16 +113,7 @@ def parse_control(data: dict, where: str = "control") -> PiecewiseControl:
 
 
 def load_control(path: str) -> PiecewiseControl:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
-    return parse_control(data, where=path)
+    return parse_control(_read_json(path), where=path)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import THETA, commutes_with_theta
+from .group import commutes_with_theta
 
 # Classification cases.
 CASE_DEGENERATE = "DegenerateDetZero"
@@ -28,13 +28,13 @@ CASE_OPEN = "OpenControlSet"
 CASE_NOT_CLASSIFIED = "NotClassified"
 
 
-def lambda_mu(A, tol: float = 1e-12):
+def lambda_mu(A):
     """Extract (lam, mu) from a matrix commuting with theta.
 
     Raises ValueError if A does not have the form [[lam, -mu], [mu, lam]].
     """
     A = np.asarray(A, dtype=float)
-    if A.shape != (2, 2) or not commutes_with_theta(A, tol):
+    if A.shape != (2, 2) or not commutes_with_theta(A):
         raise ValueError("A must commute with the rotation generator")
     return float(A[0, 0]), float(A[1, 0])
 
@@ -137,10 +137,6 @@ class ReducedSpec:
         if not np.all(np.isfinite(self.eta)):
             raise ValueError("eta must be finite")
 
-    @property
-    def A(self) -> np.ndarray:
-        return matrix_from_lambda_mu(self.lam, self.mu)
-
     def a_of_u(self, u: float) -> np.ndarray:
         """Closed-loop matrix A(u) = A - u theta = [[lam, -(mu-u)], [mu-u, lam]]."""
         return matrix_from_lambda_mu(self.lam, self.mu - float(u))
@@ -169,6 +165,29 @@ def larc(spec: SystemSpec) -> bool:
     return float(np.linalg.norm(w)) > 0.0
 
 
+def reduced_range(spec: SystemSpec) -> tuple:
+    """Range alpha * Omega of the rescaled control alpha u, sorted.
+
+    Raises ValueError when it is no valid range (alpha * u- or alpha * u+
+    rounds to 0 or overflows).
+    """
+    return _check_omega(sorted((spec.alpha * spec.omega[0], spec.alpha * spec.omega[1])))
+
+
+def degenerate_chart(spec: SystemSpec) -> SystemSpec:
+    """The A = 0 system after conj_psi_zero: (alpha, xi, A = 0, eta1 = 0, Omega).
+
+    Its flow is flow_detA0 with the control rescaled to alpha u, which
+    ranges over reduced_range(spec).  A = 0 is tested as det A = 0, the test
+    that classify uses.
+    """
+    if spec.det() != 0.0:
+        raise ValueError("the A = 0 chart requires A = 0")
+    if spec.alpha == 0.0:
+        raise ValueError("the A = 0 chart requires alpha != 0")
+    return SystemSpec(spec.alpha, spec.xi, np.zeros((2, 2)), np.zeros(2), spec.omega)
+
+
 def reduce_system(spec: SystemSpec) -> ReducedSpec:
     """Reduce the translation dynamics to the planar system.
 
@@ -191,8 +210,7 @@ def reduce_system(spec: SystemSpec) -> ReducedSpec:
         raise AssertionError("internal identity A eta = alpha xi + A eta1 violated")
     if larc(spec) and float(np.linalg.norm(eta)) == 0.0:
         raise AssertionError("rank condition holds but reduced eta vanished")
-    lo, hi = sorted((spec.alpha * spec.omega[0], spec.alpha * spec.omega[1]))
-    return ReducedSpec(lam=spec.lam, mu=spec.mu, eta=eta / spec.alpha, omega=(lo, hi))
+    return ReducedSpec(lam=spec.lam, mu=spec.mu, eta=eta / spec.alpha, omega=reduced_range(spec))
 
 
 @dataclass

@@ -18,13 +18,10 @@ from .flow import DEFAULT_RK4_STEP, flow_detA0, flow_r2, flow_se2, rk4_oracle_ba
 from .geometry import check_invariance, chord_ratio, chord_ratio_limit
 from .group import TWO_PI, angle_dist, norms
 from .reachability import control_grid, degenerate_structure_check
-from .system import (
-    CASE_DEGENERATE,
-    SystemSpec,
-    classify,
-    larc,
-    reduce_system,
-)
+from .system import SystemSpec, classify, degenerate_chart, larc, reduce_system, reduced_range
+
+# Samples drawn by the conjugacy and semigroup suites.
+FLOW_SAMPLES = 50
 
 SUITE_NAMES = (
     "bound_sweep",
@@ -134,14 +131,13 @@ def _draw(rng, n: int, *ranges) -> np.ndarray:
     return low + (high - low) * rng.random((n, len(ranges)))
 
 
-def _suite_conjugacy(
-    spec: SystemSpec, seed: int, n_samples: int = 50, tol: float = 1e-6
-) -> SuiteResult:
-    """Closed-form flow (through the conjugation charts) vs direct RK4."""
+def _suite_conjugacy(spec: SystemSpec, seed: int) -> SuiteResult:
+    """Closed-form flow (through the conjugation charts) vs direct RK4, to 1e-6."""
     if spec.alpha == 0.0:
         return SuiteResult("conjugacy", "skipped", "alpha = 0: no reduction chart")
+    tol = 1e-6
     rng = np.random.default_rng(seed)
-    draws = _draw(rng, n_samples, (0.0, TWO_PI), (-2.0, 2.0), (-2.0, 2.0), spec.omega, (0.1, 2.0))
+    draws = _draw(rng, FLOW_SAMPLES, (0.0, TWO_PI), (-2.0, 2.0), (-2.0, 2.0), spec.omega, (0.1, 2.0))
     x, u, s = draws[:, :3], draws[:, 3], draws[:, 4]
     exact = flow_se2(spec, s, x, u)
     approx = rk4_oracle_batch(spec, s, x, u, step=DEFAULT_RK4_STEP)
@@ -151,28 +147,20 @@ def _suite_conjugacy(
     return SuiteResult(
         "conjugacy",
         status,
-        metrics={"samples": n_samples, "max_deviation": max_dev, "tolerance": tol},
+        metrics={"samples": FLOW_SAMPLES, "max_deviation": max_dev, "tolerance": tol},
     )
 
 
-def _suite_semigroup(
-    spec: SystemSpec, seed: int, n_samples: int = 50, tol: float = 1e-9
-) -> SuiteResult:
-    """phi(s + t) = phi(s) after phi(t) for the closed-form flows."""
+def _suite_semigroup(spec: SystemSpec, seed: int) -> SuiteResult:
+    """phi(s + t) = phi(s) after phi(t) for the closed-form flows, to 1e-9."""
     if spec.alpha == 0.0:
         return SuiteResult("semigroup", "skipped", "alpha = 0: no reduction chart")
+    tol = 1e-9
     rng = np.random.default_rng(seed + 1)
     if spec.det() == 0.0:
-        chart = SystemSpec(
-            spec.alpha,
-            spec.xi,
-            np.zeros((2, 2)),
-            np.zeros(2),
-            tuple(sorted((spec.alpha * spec.omega[0], spec.alpha * spec.omega[1]))),
-        )
-        draws = _draw(
-            rng, n_samples, (0.0, TWO_PI), (-2.0, 2.0), (-2.0, 2.0), chart.omega, (0.0, 3.0), (0.0, 3.0)
-        )
+        chart = degenerate_chart(spec)
+        ranges = ((0.0, TWO_PI), (-2.0, 2.0), (-2.0, 2.0), reduced_range(spec), (0.0, 3.0), (0.0, 3.0))
+        draws = _draw(rng, FLOW_SAMPLES, *ranges)
         g, u, s, t = draws[:, :3], draws[:, 3], draws[:, 4], draws[:, 5]
         whole = flow_detA0(chart, s + t, g, u)
         parts = flow_detA0(chart, s, flow_detA0(chart, t, g, u), u)
@@ -180,7 +168,7 @@ def _suite_semigroup(
         scale = np.maximum(1.0, norms(whole[:, 1:]))
     else:
         rs = reduce_system(spec)
-        draws = _draw(rng, n_samples, (-3.0, 3.0), (-3.0, 3.0), rs.omega, (-2.0, 2.0), (-2.0, 2.0))
+        draws = _draw(rng, FLOW_SAMPLES, (-3.0, 3.0), (-3.0, 3.0), rs.omega, (-2.0, 2.0), (-2.0, 2.0))
         v, u, s, t = draws[:, :2], draws[:, 2], draws[:, 3], draws[:, 4]
         whole = flow_r2(rs, s + t, v, u)
         parts = flow_r2(rs, s, flow_r2(rs, t, v, u), u)
@@ -191,7 +179,7 @@ def _suite_semigroup(
     return SuiteResult(
         "semigroup",
         status,
-        metrics={"samples": n_samples, "max_deviation": max_dev, "tolerance": tol},
+        metrics={"samples": FLOW_SAMPLES, "max_deviation": max_dev, "tolerance": tol},
     )
 
 

@@ -24,6 +24,8 @@ from se2control.group import (
     GroupElement,
     conj_psi1,
     conj_psi2,
+    matvec,
+    norms,
 )
 from se2control.planner import plan_periodic
 from se2control.reachability import (
@@ -137,16 +139,17 @@ def test_03_equilibria_lie_on_the_predicted_circle():
         b = rng.uniform(1.0, 3.0)
         rs = ReducedSpec(lam, mu, eta, (-b, b))
         circle = circle_params(rs)
-        for u in np.linspace(-b, b, 10_000):
-            v = equilibrium(rs, u)
-            worst_circle = max(
-                worst_circle,
-                abs(float(np.linalg.norm(v - circle.center)) - circle.radius),
-            )
-            worst_alg = max(
-                worst_alg,
-                float(np.linalg.norm(rs.a_of_u(u) @ v + u * rs.eta)),
-            )
+        us = np.linspace(-b, b, 10_000)
+        # One call per config.  norms and matvec are bit-equal to the one-row
+        # np.linalg.norm and A(u) @ v; the worst residuals equal those of a
+        # loop of one-row equilibrium calls.
+        v = equilibrium(rs, us)
+        worst_circle = max(worst_circle, float(np.max(np.abs(norms(v - circle.center) - circle.radius))))
+        a_u = np.empty(us.shape + (2, 2))  # rs.a_of_u(u), stacked
+        a_u[:, 0, 0] = a_u[:, 1, 1] = rs.lam
+        a_u[:, 1, 0] = rs.mu - us
+        a_u[:, 0, 1] = -a_u[:, 1, 0]
+        worst_alg = max(worst_alg, float(np.max(norms(matvec(a_u, v) + us[:, None] * rs.eta))))
     ok = worst_circle < 1e-9 and worst_alg <= 1e-12
     report(
         "03 equilibrium curve on circle, 20 configs x 1e4 controls",

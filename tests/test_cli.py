@@ -292,6 +292,26 @@ def test_verify_passes_and_reports_suites(tmp_path, capsys):
     assert status["bound_sweep"] == "skipped"
 
 
+def test_verify_monotone_finds_mutual_pairs_after_long_dwells(tmp_path, capsys):
+    # A dwell of duration about a/eps at angle eps once lost about 1e-16 per
+    # unit of time to cancellation, so every on-line steering residual here
+    # stayed near 1e-8 and no pair counted as mutual (exit 4).
+    spec = {
+        "alpha": -1.1404607595593477,
+        "xi": [0.3560681962926982, 0.5218296584265653],
+        "A": {"lambda": 0.0, "mu": 0.0},
+        "eta1": [0.3093106294967789, -0.050392099349775066],
+        "omega": [-0.9703596606289779, 0.9703596606289779],
+    }
+    rc, out, _ = run_main(
+        capsys,
+        ["verify", write_spec(tmp_path, spec), "--seed", "675064715", "--suite", "monotone_functional"],
+    )
+    (suite,) = json.loads(out)["suites"]
+    assert rc == 0, suite
+    assert suite["metrics"]["mutual_pairs"] > 0
+
+
 def test_verify_suite_selection(tmp_path, capsys):
     rc, out, _ = run_main(
         capsys,
@@ -347,3 +367,18 @@ def test_python_m_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["case"] == "OpenControlSet"
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    argv = [sys.executable, "-m", "se2control", "simulate", write_spec(tmp_path, OPEN),
+            "--u", "0.5", "--horizon", "1", "--samples-per-segment", "200000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"s,t,v_x,v_y,u\n"
+    proc.stdout.close()  # the reader goes away, as `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -251,6 +251,18 @@ def test_flow_se2_rejects_alpha_zero():
         flow_se2(spec, 1.0, GroupElement(0.0, np.zeros(2)), 0.5)
 
 
+def test_flow_se2_takes_every_det_zero_spec_to_the_A_zero_chart():
+    # det A = lam^2 + mu^2 rounds to 0 although A != 0, and alpha * omega
+    # rounds to 0 (no valid reduced range): both still flow in the A = 0 chart.
+    specs = [
+        SystemSpec(1.0, [1.0, 0.5], [[1e-200, 0.0], [0.0, 1e-200]], [0.2, 0.1], (-1.0, 1.0)),
+        SystemSpec(1e-170, [1.0, 0.5], np.zeros((2, 2)), [0.2, 0.1], (-1e-170, 1e-170)),
+    ]
+    for spec in specs:
+        out = flow_se2(spec, 1.0, GroupElement(0.3, [0.1, 0.2]), 0.0)
+        assert np.isfinite(out.as_array()).all()
+
+
 # -- piecewise controls --------------------------------------------------
 
 
