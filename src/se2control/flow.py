@@ -15,13 +15,17 @@ shape (..., 2) (planar) or (..., 3) (packed group states [t, v_x, v_y])
 evaluate row by row in one call, and each row equals the one-row call bit
 for bit.  The group flows also take a single GroupElement and return one.
 
-The RK4 oracle integrates the raw group field with classical fixed-step RK4,
-for a batch of samples at once, and never calls the closed-form code; it
-exists so every closed form can be cross-validated independently.
+The RK4 oracle takes classical fixed-step RK4 steps of the raw group field,
+for a batch of samples at once.  The field is linear in v and its forcing
+turns at a constant rate, so in complex form each step is an affine map
+v <- p v + q_k and N steps sum in a few array expressions per chunk of
+steps.  It never calls the closed-form code; it exists so every closed form
+can be cross-validated independently.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -45,8 +49,9 @@ from .system import ReducedSpec, SystemSpec, degenerate_chart, reduce_system
 
 DEFAULT_RK4_STEP = 1e-3
 SAMPLES_PER_SEGMENT = 64
-# RK4 steps whose angles (and their cos/sin) the oracle evaluates together.
-RK4_BLOCK = 32
+# RK4 steps whose weights and angles the oracle evaluates together.  Fixed,
+# so the summation order of a row does not depend on the other rows.
+RK4_CHUNK = 256
 # Largest x with a finite e^x.
 _EXP_MAX_ARG = math.log(sys.float_info.max)
 
@@ -71,7 +76,7 @@ def equilibrium(rs: ReducedSpec, u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     nu = rs.mu - u
-    d = rs.lam**2 + nu**2
+    d = rs.lam**2 + nu * nu
     if np.any(d == 0.0):
         raise ValueError("no equilibrium at the singular control u = mu (lam = 0)")
     return _equilibrium(rs, u, nu, d)
@@ -125,7 +130,7 @@ def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu = rs.mu - u
-    d = rs.lam**2 + nu**2
+    d = rs.lam**2 + nu * nu
     singular = d == 0.0
     vu = _equilibrium(rs, u, nu, np.where(singular, 1.0, d))
     grow = _exp(s * rs.lam, s)
@@ -322,32 +327,34 @@ def flow_concat(
 # ---------------------------------------------------------------------------
 
 
-def _rk4_forcing(angles, u, txi, eta1):
-    """State-independent terms of vdot = A v + theta xi - rho(t) theta xi + u rho(t) eta1.
-
-    `angles` has shape (steps, n) and `u` shape (n,); returns
-    (rho(t) theta xi, u rho(t) eta1), each of shape (steps, 2, n).
-    """
-    c, s = np.cos(angles), np.sin(angles)
-    txx, txy = txi
-    e1x, e1y = eta1
-    turned = np.stack([c * txx - s * txy, s * txx + c * txy], axis=-2)
-    pushed = np.stack([u * (c * e1x - s * e1y), u * (s * e1x + c * e1y)], axis=-2)
-    return turned, pushed
-
-
 def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP) -> np.ndarray:
     """Classical fixed-step RK4 endpoints of the raw group field, one sample per row.
 
     The field is tdot = u alpha, vdot = A v + Lambda_t xi + u rho(t) eta1
     with constant control u.  Shapes: s and u are floats or arrays of shape
     (n,), x0 = [t, v_x, v_y] has shape (n, 3) or (3,); the result has shape
-    (n, 3).  Sample i takes its own n_i = ceil(|s_i| / step) steps of size
-    s_i / n_i (none for s_i = 0; negative s_i integrates backward), so a
-    row's endpoint does not depend on the other rows.  Samples that have
-    taken all their steps are left alone while the others go on, and the
-    angles of up to RK4_BLOCK steps are evaluated together.  Independent of
-    the closed-form flow code by construction.
+    (n, 3).  Sample i takes its own N = ceil(|s_i| / step) steps of size
+    h = s_i / N (none for s_i = 0; negative s_i integrates backward).
+
+    In complex form A is the number a = A[0,0] + i A[1,0], and the forcing is
+    F(t) = c0 + c1 e^{it} with c0 = theta xi and c1 = u eta1 - theta xi,
+    along angles t_k = t_0 + k dt, dt = h u alpha.  One RK4 step is then
+    exactly the affine map v <- p v + q0 + q1 e^{i t_k}, with z = h a,
+
+        p  = 1 + z + z^2/2 + z^3/6 + z^4/24,
+        q0 = (h/6) (b0 + bm + 1) c0,
+        q1 = (h/6) (b0 + bm e^{i dt/2} + e^{i dt}) c1,
+
+    where b0 = 1 + z + z^2/2 + z^3/4 and bm = 4 + 2z + z^2/2 collect the
+    stage weights of F at t_k and t_k + dt/2.  So the endpoint is
+    p^N v_0 + sum_k p^(N-1-k) (q0 + q1 e^{i t_k}), summed over chunks of
+    RK4_CHUNK steps with p^e = e^{e ln|p|} e^{i e arg p}, which keeps memory
+    bounded for any N; the angle is t_0 + N dt.  Each row's constants are
+    formed in Python complex arithmetic, and the chunk sums run elementwise
+    on (real, imaginary) pairs of float64 arrays and along a fixed-length
+    axis, so a row's bits do not depend on the other rows.  Uses only A,
+    xi, eta1, alpha and the RK4 tableau: independent of the closed-form
+    flow code by construction.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -355,114 +362,54 @@ def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP)
     shape = np.broadcast_shapes(s.shape, u.shape, x0.shape[:-1])
     if len(shape) != 1 or x0.shape[-1] != 3:
         raise ValueError("rk4_oracle_batch takes s, u of shape (n,) and x0 of shape (n, 3)")
-    s, u = np.broadcast_to(s, shape), np.broadcast_to(u, shape)
     x0 = np.broadcast_to(x0, shape + (3,))
 
-    n_steps = np.where(s == 0.0, 0, np.maximum(1, np.ceil(np.abs(s) / step - 1e-12))).astype(np.int64)
-    # Longest first, so the samples still stepping are always a prefix.
-    order = np.argsort(-n_steps, kind="stable")
-    n_steps = n_steps[order]
-    h = s[order] / np.maximum(n_steps, 1)
-    u = u[order]
-    t_end = x0[order, 0].copy()
-    v_end = x0[order, 1:].T.copy()  # row 0 holds v_x, row 1 v_y
+    a = complex(spec.A[0, 0], spec.A[1, 0])
+    c0 = complex(-spec.xi[1], spec.xi[0])
+    e1 = complex(*spec.eta1)
+    # Each row's step map: N, dt, ln|p|, arg p, and q0, q1 as pairs.
+    rows = []
+    for s_i, u_i in zip(np.broadcast_to(s, shape).tolist(), np.broadcast_to(u, shape).tolist()):
+        n = 0 if s_i == 0.0 else max(1, math.ceil(abs(s_i) / step - 1e-12))
+        h = s_i / max(n, 1)
+        dt = h * (u_i * spec.alpha)
+        z = h * a
+        p = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+        b0 = 1 + z * (1 + z / 2 * (1 + z / 2))
+        bm = 4 + z * (2 + z / 2)
+        q0 = h / 6 * (b0 + bm + 1) * c0
+        q1 = h / 6 * (b0 + bm * cmath.rect(1.0, 0.5 * dt) + cmath.rect(1.0, dt)) * (u_i * e1 - c0)
+        rows.append((n, dt, math.log(abs(p)), cmath.phase(p), q0.real, q0.imag, q1.real, q1.imag))
+    n_steps, dt, ln_p, arg_p, q0r, q0i, q1r, q1i = np.array(rows).reshape(-1, 8).T
 
-    # (A v)_x = a00 v_x + a01 v_y and (A v)_y = a11 v_y + a10 v_x (the same
-    # sums, added in either order), so A v = diag * v + off * v[::-1].
-    A = spec.A
-    diag, off = np.array([[A[0, 0]], [A[1, 1]]]), np.array([[A[0, 1]], [A[1, 0]]])
-    txi = perp(spec.xi)
-    half = 0.5 * h
-    sixth = h / 6.0
-    dt = h * (u * spec.alpha)
-    dt_half = half * (u * spec.alpha)
-
-    # Step the m active samples in blocks that end before any of them is
-    # done.  Constants are laid out like the state, shape (2, m), since
-    # numpy operates faster on equal shapes than on broadcast ones.
-    m = int(np.count_nonzero(n_steps))
-    t, v = t_end[:m], v_end[:, :m].copy()
-    done = 0
-    while m:
-        block = min(RK4_BLOCK, int(n_steps[m - 1]) - done)
-        # Angles at the block's steps: t_{k+1} = t_k + h td, summed in order.
-        path = np.empty((block + 1, m))
-        path[0] = t
-        path[1:] = dt[:m]
-        path = np.add.accumulate(path, axis=0)
-        turned, pushed = _rk4_forcing(path, u[:m], txi, spec.eta1)
-        turned_mid, pushed_mid = _rk4_forcing(path[:-1] + dt_half[:m], u[:m], txi, spec.eta1)
-        diag_m, off_m, txi_m, h_m, half_m, sixth_m = (
-            np.broadcast_to(x, (2, m)).copy()
-            for x in (diag, off, txi[:, None], h[:m], half[:m], sixth[:m])
+    t0, vr, vi = x0.T
+    j = np.arange(RK4_CHUNK, dtype=float)
+    for k0 in range(0, int(n_steps.max(initial=0)), RK4_CHUNK):
+        r = np.maximum(np.minimum(n_steps - k0, RK4_CHUNK), 0.0)
+        # Step k0 + j is weighted by p^e, e = r - 1 - j; steps past the row's end by 0.
+        e = (r - 1.0)[:, None] - j
+        mag = np.exp(e * ln_p[:, None], out=np.zeros(e.shape), where=e >= 0.0)
+        turn = e * arg_p[:, None]
+        angle = turn + (t0[:, None] + (k0 + j) * dt[:, None])
+        # v <- p^r v + q0 sum_j p^e + q1 sum_j p^e e^{i t_(k0+j)}
+        s0r, s0i = np.add.reduce(mag * np.cos(turn), 1), np.add.reduce(mag * np.sin(turn), 1)
+        s1r, s1i = np.add.reduce(mag * np.cos(angle), 1), np.add.reduce(mag * np.sin(angle), 1)
+        grow = np.exp(r * ln_p)
+        pr, pi = grow * np.cos(r * arg_p), grow * np.sin(r * arg_p)
+        vr, vi = (
+            pr * vr - pi * vi + q0r * s0r - q0i * s0i + q1r * s1r - q1i * s1i,
+            pr * vi + pi * vr + q0r * s0i + q0i * s0r + q1r * s1i + q1i * s1r,
         )
-        for j in range(block):
-            k1 = diag_m * v + off_m * v[::-1] + txi_m - turned[j] + pushed[j]
-            y = v + half_m * k1
-            k2 = diag_m * y + off_m * y[::-1] + txi_m - turned_mid[j] + pushed_mid[j]
-            y = v + half_m * k2
-            k3 = diag_m * y + off_m * y[::-1] + txi_m - turned_mid[j] + pushed_mid[j]
-            y = v + h_m * k3
-            k4 = diag_m * y + off_m * y[::-1] + txi_m - turned[j + 1] + pushed[j + 1]
-            v = v + sixth_m * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        done += block
-        t = path[block]
-        active = int(np.count_nonzero(n_steps[:m] > done))
-        t_end[active:m] = t[active:]
-        v_end[:, active:m] = v[:, active:]
-        m = active
-        t, v = t[:m], v[:, :m]
-
-    out = np.empty(shape + (3,))
-    out[order, 0] = t_end
-    out[order, 1:] = v_end.T
-    return out
+    return np.column_stack([t0 + n_steps * dt, vr, vi])
 
 
 def rk4_oracle(spec: SystemSpec, s: float, x0, u: float, step: float = DEFAULT_RK4_STEP) -> np.ndarray:
     """RK4 endpoint of the raw group field for one sample, x0 = [t, v_x, v_y].
 
-    Takes the steps of :func:`rk4_oracle_batch` in scalar arithmetic, which
-    costs a few microseconds per step where the array kernel pays about 30
-    numpy calls; each value equals the batch kernel's row bit for bit.
-    Returns shape (3,).
+    The one-row call of :func:`rk4_oracle_batch`: s and u are floats, and
+    the result, of shape (3,), equals that sample's row in any batch bit for
+    bit.
     """
     if not isinstance(spec, SystemSpec):
         raise TypeError("rk4_oracle integrates the field of a SystemSpec")
-    s, u = float(s), float(u)
-    t, vx, vy = np.asarray(x0, dtype=float).reshape(3).tolist()
-    if s == 0.0:
-        return np.array([t, vx, vy])
-    n = max(1, math.ceil(abs(s) / step - 1e-12))
-    h = s / n
-    half, sixth = 0.5 * h, h / 6.0
-    (a00, a01), (a10, a11) = spec.A.tolist()
-    txx, txy = perp(spec.xi).tolist()  # theta xi
-    e1x, e1y = spec.eta1.tolist()
-    dt, dt_half = h * (u * spec.alpha), half * (u * spec.alpha)
-
-    def forcing(t):
-        # rho(t) theta xi and u rho(t) eta1, added as the batch kernel adds them
-        c, s_ = math.cos(t), math.sin(t)
-        return c * txx - s_ * txy, s_ * txx + c * txy, u * (c * e1x - s_ * e1y), u * (s_ * e1x + c * e1y)
-
-    rx, ry, px, py = forcing(t)
-    for _ in range(n):
-        t_next = t + dt
-        mrx, mry, mpx, mpy = forcing(t + dt_half)
-        nrx, nry, npx, npy = forcing(t_next)
-        k1x = a00 * vx + a01 * vy + txx - rx + px
-        k1y = a11 * vy + a10 * vx + txy - ry + py
-        ax, ay = vx + half * k1x, vy + half * k1y
-        k2x = a00 * ax + a01 * ay + txx - mrx + mpx
-        k2y = a11 * ay + a10 * ax + txy - mry + mpy
-        ax, ay = vx + half * k2x, vy + half * k2y
-        k3x = a00 * ax + a01 * ay + txx - mrx + mpx
-        k3y = a11 * ay + a10 * ax + txy - mry + mpy
-        ax, ay = vx + h * k3x, vy + h * k3y
-        k4x = a00 * ax + a01 * ay + txx - nrx + npx
-        k4y = a11 * ay + a10 * ax + txy - nry + npy
-        vx = vx + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        vy = vy + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        t, rx, ry, px, py = t_next, nrx, nry, npx, npy
-    return np.array([t, vx, vy])
+    return rk4_oracle_batch(spec, float(s), np.reshape(x0, 3), float(u), step)[0]

@@ -743,10 +743,9 @@ def _normalized_degenerate(spec: SystemSpec) -> tuple:
     return chart, reduced_range(spec)
 
 
-def _degenerate_endpoints(chart: SystemSpec, controls: list, g: GroupElement) -> np.ndarray:
-    """Packed end states of g under each control (all with as many segments)."""
-    segments = np.array([c.segments for c in controls])
-    x = np.broadcast_to(g.as_array(), (len(controls), 3))
+def _degenerate_endpoints(chart: SystemSpec, segments: np.ndarray, g: GroupElement) -> np.ndarray:
+    """Packed end states of g under each control, given as rows of (duration, u) segments."""
+    x = np.broadcast_to(g.as_array(), (len(segments), 3))
     for dur, u in zip(segments[:, :, 0].T, segments[:, :, 1].T):
         # Segments of zero duration leave the state as it is.
         x = np.where((dur > 0.0)[:, None], flow_detA0(chart, dur, x, u), x)
@@ -794,7 +793,7 @@ def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
     # Dwell rates exactly as the flow will apply them.
     rates1 = dwell_rate(after1[:, 0], xi)
     rates2 = dwell_rate(after2[:, 0], xi)
-    controls = []
+    segments = []
     for s1, rate1, rate2, v3 in zip(arc1, rates1, rates2, after3[:, 1:]):
         arc_a = float((v3 - v_from) @ xi) / n2
         arc_b = float((v3 - v_from) @ txi) / n2
@@ -827,24 +826,17 @@ def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
             elif tau2 < 0.0:
                 tau2 = 0.0
                 tau1 = a_rem / sin1 if a_rem / sin1 > 0.0 else 0.0
-        controls.append(
-            PiecewiseControl(
-                [
-                    (s1, u_d),
-                    (tau1, 0.0),
-                    (2.0 * s1, -u_d),
-                    (tau2, 0.0),
-                    (s1, u_d),
-                ]
-            )
-        )
-    if not controls:
+        segments.append([(s1, u_d), (tau1, 0.0), (2.0 * s1, -u_d), (tau2, 0.0), (s1, u_d)])
+    if not segments:
         return None
-    ends = _degenerate_endpoints(chart, controls, g0)
+    segments = np.array(segments)
+    if not np.isfinite(segments).all():  # as PiecewiseControl rejects them
+        raise ValueError("segment durations must be finite and >= 0")
+    ends = _degenerate_endpoints(chart, segments, g0)
     residuals = (norms(ends[:, 1:] - v_to) + angle_dist(ends[:, 0], 0.0)).tolist()
     best = min(range(len(residuals)), key=residuals.__getitem__)  # the first of equals
     end = ends[best]
-    return controls[best], GroupElement(end[0], end[1:]), residuals[best]
+    return PiecewiseControl(segments[best].tolist()), GroupElement(end[0], end[1:]), residuals[best]
 
 
 @dataclass

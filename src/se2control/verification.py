@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import DEFAULT_RK4_STEP, flow_detA0, flow_r2, flow_se2, rk4_oracle_batch
+from .flow import flow_detA0, flow_r2, flow_se2, rk4_oracle_batch
 from .geometry import check_invariance, chord_ratio, chord_ratio_limit
 from .group import TWO_PI, angle_dist, norms
 from .reachability import control_grid, degenerate_structure_check
@@ -140,7 +140,7 @@ def _suite_conjugacy(spec: SystemSpec, seed: int) -> SuiteResult:
     draws = _draw(rng, FLOW_SAMPLES, (0.0, TWO_PI), (-2.0, 2.0), (-2.0, 2.0), spec.omega, (0.1, 2.0))
     x, u, s = draws[:, :3], draws[:, 3], draws[:, 4]
     exact = flow_se2(spec, s, x, u)
-    approx = rk4_oracle_batch(spec, s, x, u, step=DEFAULT_RK4_STEP)
+    approx = rk4_oracle_batch(spec, s, x, u)
     dev = angle_dist(exact[:, 0], approx[:, 0]) + norms(exact[:, 1:] - approx[:, 1:])
     max_dev = float(np.max(dev, initial=0.0))
     status = "passed" if max_dev < tol else "failed"

@@ -8,12 +8,19 @@ For flow_se2, v(u) is the reduced equilibrium v(alpha u), and |A^{-1} xi|
 (the offset its charts add) and the result's norm join the max; for A = 0
 there is no v(u) and it leaves the max.  Angles are compared on the circle
 within 1e-13 * max(1, |t + s alpha u|).
+
+Bound of the RK4 oracle against the stepwise RK4 of conftest.rk4_full, at
+DEFAULT_RK4_STEP and |s| <= 3: each row within 1e-11 * max(1, |v|) in the
+state and 1e-12 * max(1, |t|) in the angle, v and t the reference's endpoint.
 """
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rk4_full
 
@@ -28,9 +35,14 @@ from se2control.flow import (
 )
 from se2control.geometry import check_invariance, invariant_ball
 from se2control.group import GroupElement
-from se2control.system import ReducedSpec, SystemSpec, reduce_system
+from se2control.system import ReducedSpec, SystemSpec, matrix_from_lambda_mu, reduce_system
 
 REL = 1e-13
+RK4_V_REL = 1e-11
+RK4_T_REL = 1e-12
+# A control whose nu**2 is one bit apart when formed by pow (0-d) and by
+# a multiply (array).
+POW_SPEC, POW_U = ReducedSpec(-1.0, 2.0, (1.0, 0.0), (-1.0, 1.0)), -0.8874
 mp = mpmath.mp.clone()
 mp.dps = 50
 
@@ -220,6 +232,8 @@ def test_flow_r2_rows_equal_one_row_calls(rng):
         fan = flow_r2(rs, s, v[0], u[0])
         for i in range(40):
             assert np.array_equal(fan[i], flow_r2(rs, s[i], v[0], u[0]))
+    batch = flow_r2(POW_SPEC, [0.7, 1.3], [[0.2, -0.4], [1.0, 0.5]], [POW_U, 0.3])
+    assert np.array_equal(batch[0], flow_r2(POW_SPEC, 0.7, [0.2, -0.4], POW_U))
 
 
 def test_equilibrium_rows_equal_one_row_calls(rng):
@@ -228,6 +242,7 @@ def test_equilibrium_rows_equal_one_row_calls(rng):
         batch = equilibrium(rs, u)
         for i in range(40):
             assert np.array_equal(batch[i], equilibrium(rs, u[i]))
+    assert np.array_equal(equilibrium(POW_SPEC, [POW_U, 0.3])[0], equilibrium(POW_SPEC, POW_U))
 
 
 def test_group_flows_rows_equal_group_element_calls(rng):
@@ -246,46 +261,62 @@ def test_group_flows_rows_equal_group_element_calls(rng):
             assert np.array_equal(batch[i], one.as_array()), flow.__name__
 
 
-def _rk4_by_sample(spec, s, x0, u, step):
-    """Fixed-step RK4 of the raw group field for one sample, in scalar arithmetic."""
-    if s == 0.0:
-        return np.array(x0, dtype=float)
-    n = max(1, int(math.ceil(abs(s) / step - 1e-12)))
-    h = s / n
-    (a00, a01), (a10, a11) = spec.A
-    txx, txy = -spec.xi[1], spec.xi[0]
-    e1x, e1y = spec.eta1
-    td = u * spec.alpha
-    t, vx, vy = x0
-
-    def field(t, vx, vy):
-        c, s_ = np.cos(t), np.sin(t)
-        return (
-            a00 * vx + a01 * vy + txx - (c * txx - s_ * txy) + u * (c * e1x - s_ * e1y),
-            a10 * vx + a11 * vy + txy - (s_ * txx + c * txy) + u * (s_ * e1x + c * e1y),
-        )
-
-    for _ in range(n):
-        k1x, k1y = field(t, vx, vy)
-        k2x, k2y = field(t + 0.5 * h * td, vx + 0.5 * h * k1x, vy + 0.5 * h * k1y)
-        k3x, k3y = field(t + 0.5 * h * td, vx + 0.5 * h * k2x, vy + 0.5 * h * k2y)
-        k4x, k4y = field(t + h * td, vx + h * k3x, vy + h * k3y)
-        vx = vx + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        vy = vy + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        t = t + h * td
-    return np.array([t, vx, vy])
+def _assert_rk4_within_bound(spec, s, x, u):
+    got = rk4_oracle_batch(spec, s, x, u)
+    for i in range(len(got)):
+        want = rk4_full(spec.alpha, spec.xi, spec.lam, spec.mu, spec.eta1, s[i], x[i], u[i])
+        assert abs(got[i, 0] - want[0]) <= RK4_T_REL * max(1.0, abs(want[0]))
+        assert float(_norm(got[i, 1:] - want[1:])) <= RK4_V_REL * max(1.0, float(_norm(want[1:])))
 
 
-def test_rk4_batch_equals_scalar_loop(rng):
+def test_rk4_batch_within_bound_of_stepwise_rk4(rng):
+    # Open, closed, trace zero and A = 0; s = 0, backward, and over four chunks.
     for spec in _full_specs(rng):
-        n = 6
-        x = np.column_stack([rng.uniform(0.0, 2 * np.pi, n), rng.normal(size=(n, 2))])
-        s = rng.uniform(-0.6, 0.6, size=n)
-        u = rng.uniform(-1.5, 1.5, size=n)
-        s[1] = 0.0
-        batch = rk4_oracle_batch(spec, s, x, u, step=5e-3)
-        for i in range(n):
-            assert np.array_equal(batch[i], _rk4_by_sample(spec, s[i], x[i], u[i], 5e-3))
+        x = np.column_stack([rng.uniform(0.0, 2 * np.pi, 4), rng.normal(size=(4, 2))])
+        s = np.array([0.0, -0.9, 0.35, 0.8])
+        u = rng.uniform(-1.5, 1.5, size=4)
+        if spec.lam == 0.0 and spec.mu != 0.0:
+            u[3] = spec.mu / spec.alpha  # the reduced loop is singular
+        _assert_rk4_within_bound(spec, s, x, u)
+
+
+_coef = st.floats(1e-6, 10.0).flatmap(lambda m: st.sampled_from((0.0, m, -m)))
+
+
+@st.composite
+def _rk4_cases(draw):
+    alpha, lam, mu = draw(_coef), draw(_coef), draw(_coef)
+    u = draw(st.floats(-2.0, 2.0))
+    kind = draw(st.sampled_from(("any", "A = 0", "trace zero", "singular control")))
+    if kind != "any":
+        lam = 0.0
+    if kind == "A = 0":
+        mu = 0.0
+    if kind == "singular control" and alpha != 0.0:
+        u = mu / alpha
+    spec = SystemSpec(alpha, [draw(_coef), draw(_coef)], matrix_from_lambda_mu(lam, mu),
+                      [draw(_coef), draw(_coef)])
+    x = [draw(st.floats(0.0, 2 * np.pi)), draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))]
+    return spec, draw(st.floats(-3.0, 3.0)), x, u
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=16)
+@given(_rk4_cases())
+def test_rk4_batch_within_bound_on_generated_specs(case):
+    spec, s, x, u = case
+    _assert_rk4_within_bound(spec, [s], [x], [u])
+
+
+def test_rk4_oracle_memory_is_bounded_by_chunks():
+    spec = SystemSpec(1.2, [0.4, -0.7], matrix_from_lambda_mu(-0.5, 1.3), [0.9, 0.2])
+    tracemalloc.start()
+    try:
+        end = rk4_oracle(spec, 100.0, [0.3, 1.0, -2.0], 0.6)  # 10^5 steps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(end).all()
+    assert peak < 2 * 2**20
 
 
 def test_flow_r2_equals_scalar_formula(rng):
