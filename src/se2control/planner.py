@@ -19,7 +19,7 @@ import numpy as np
 
 from .flow import PiecewiseControl, Trajectory, equilibrium, flow_concat, flow_r2
 from .geometry import Circle
-from .group import TWO_PI, perp
+from .group import TWO_PI, norms, perp
 from .system import ReducedSpec
 
 BISECT_TOL = 1e-12
@@ -148,7 +148,8 @@ def _final_control(rs: ReducedSpec, v_n) -> tuple:
         return float(np.linalg.norm(vu)) - float(np.linalg.norm(v_n - vu))
 
     scan = np.linspace(0.0, u_eq, 257)
-    vals = np.array([g(u) for u in scan])
+    vu = equilibrium(rs, scan)
+    vals = norms(vu) - norms(v_n - vu)
     flips = [
         k
         for k in range(len(scan) - 1)

@@ -743,17 +743,16 @@ def _normalized_degenerate(spec: SystemSpec) -> tuple:
     return chart, reduced_range(spec)
 
 
-def _degenerate_endpoints(chart: SystemSpec, segments: np.ndarray, g: GroupElement) -> np.ndarray:
-    """Packed end states of g under each control, given as rows of (duration, u) segments."""
-    x = np.broadcast_to(g.as_array(), (len(segments), 3))
-    for dur, u in zip(segments[:, :, 0].T, segments[:, :, 1].T):
+def _degenerate_endpoints(chart: SystemSpec, segments: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Packed end states of the rows of x under (..., 5, 2) rows of (duration, u) segments."""
+    for dur, u in zip(np.moveaxis(segments[..., 0], -1, 0), np.moveaxis(segments[..., 1], -1, 0)):
         # Segments of zero duration leave the state as it is.
-        x = np.where((dur > 0.0)[:, None], flow_detA0(chart, dur, x, u), x)
+        x = np.where((dur > 0.0)[..., None], flow_detA0(chart, dur, x, u), x)
     return x
 
 
-def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
-    """Best-effort steering of the normalized degenerate system.
+def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
+    """Best-effort steering of the normalized degenerate system, one pair per row.
 
     Moves (0, v_from) toward (0, v_to) with a drive/dwell/drive/dwell/drive
     control built from small angle excursions +-eps: dwelling at angle t
@@ -765,78 +764,101 @@ def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
 
     The dwell durations are solved against the *realized* dwell angles of the
     arc segments and the dwell rates the flow itself will use, so feasible
-    targets are hit to arithmetic rounding.  Returns (control, endpoint,
-    residual) with the endpoint evaluated exactly; the best of 30 epsilons
-    from 0.3 down to 3e-10 (by evaluated residual) wins.
+    targets are hit to arithmetic rounding.  Every pair tries 30 epsilons
+    from 0.3 down to 3e-10, as rows of (pairs x 30) arrays, and the one of
+    least evaluated residual wins (the first of equals).
+
+    v_from and v_to have shape (n, 2) or (2,) and broadcast.  Returns
+    (segments, ends, residuals) of shapes (n, 5, 2), (n, 3) and (n,): the
+    winning (duration, u) segments, the exactly evaluated end state
+    [t, v_x, v_y] and its residual.  A pair with |v_to - v_from| = 0 keeps
+    zero durations, the end (0, v_from) and residual 0.  Each row equals its
+    one-row call bit for bit.
     """
     chart, (lo, hi) = _normalized_degenerate(spec)
     xi = chart.xi
     n2 = float(xi @ xi)
     txi = perp(xi)
-    v_from = np.asarray(v_from, dtype=float).reshape(2)
-    v_to = np.asarray(v_to, dtype=float).reshape(2)
+    v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
+    v_from, v_to = v_from.reshape(-1, 2), v_to.reshape(-1, 2)
     delta = v_to - v_from
-    if float(np.linalg.norm(delta)) == 0.0:
-        ctrl = PiecewiseControl([])
-        return ctrl, GroupElement(0.0, v_from), 0.0
-    a_t = float(delta @ xi) / n2
-    b_t = float(delta @ txi) / n2
+    a_t = (dots(delta, xi) / n2)[:, None]
+    b_t = (dots(delta, txi) / n2)[:, None]
     u_d = 0.9 * min(-lo, hi)
 
-    g0 = GroupElement(0.0, v_from)
-    # Arcs-only rehearsal for every epsilon at once: realized dwell angles
-    # and arc displacement.
+    # Arcs-only rehearsal of every epsilon: realized dwell angles and arc
+    # displacement.  The angles, and with them the dwell rates exactly as
+    # the flow will apply them, are the same for every pair.
     arc1 = np.geomspace(0.3, 3e-10, 30) / u_d
-    after1 = flow_detA0(chart, arc1, g0.as_array(), u_d)
+    g0 = np.zeros((len(v_from), 1, 3))
+    g0[..., 1:] = v_from[:, None]
+    after1 = flow_detA0(chart, arc1, g0, u_d)
     after2 = flow_detA0(chart, 2.0 * arc1, after1, -u_d)
     after3 = flow_detA0(chart, arc1, after2, u_d)
-    # Dwell rates exactly as the flow will apply them.
-    rates1 = dwell_rate(after1[:, 0], xi)
-    rates2 = dwell_rate(after2[:, 0], xi)
-    segments = []
-    for s1, rate1, rate2, v3 in zip(arc1, rates1, rates2, after3[:, 1:]):
-        arc_a = float((v3 - v_from) @ xi) / n2
-        arc_b = float((v3 - v_from) @ txi) / n2
-        sin1 = float(rate1 @ xi) / n2
-        w1 = float(rate1 @ txi) / n2
-        sin2 = float(rate2 @ xi) / n2
-        w2 = float(rate2 @ txi) / n2
-        # The dwell drift cannot point along -theta xi; tiny negative values
-        # are rounding noise from the chart arithmetic, and feeding them to
-        # the solver would fabricate huge dwells that ride the noise.
-        w1 = max(w1, 0.0)
-        w2 = max(w2, 0.0)
-        a_rem = a_t - arc_a
-        b_rem = b_t - arc_b
-        det = sin1 * w2 - sin2 * w1
-        if sin1 <= 0.0 or sin2 >= 0.0:
-            continue
-        if det == 0.0:
-            # Dwell drift underflows to exact zero at this eps; only the
-            # xi-component can move, so solve it alone (b_rem is then the
-            # honest residual).
-            tau1 = a_rem / sin1 if a_rem >= 0.0 else 0.0
-            tau2 = a_rem / sin2 if a_rem < 0.0 else 0.0
-        else:
-            tau1 = (a_rem * w2 - sin2 * b_rem) / det
-            tau2 = (sin1 * b_rem - a_rem * w1) / det
-            if tau1 < 0.0:
-                tau1 = 0.0
-                tau2 = a_rem / sin2 if a_rem / sin2 > 0.0 else 0.0
-            elif tau2 < 0.0:
-                tau2 = 0.0
-                tau1 = a_rem / sin1 if a_rem / sin1 > 0.0 else 0.0
-        segments.append([(s1, u_d), (tau1, 0.0), (2.0 * s1, -u_d), (tau2, 0.0), (s1, u_d)])
-    if not segments:
-        return None
-    segments = np.array(segments)
-    if not np.isfinite(segments).all():  # as PiecewiseControl rejects them
+    rates1 = dwell_rate(after1[0, :, 0], xi)
+    rates2 = dwell_rate(after2[0, :, 0], xi)
+    sin1 = dots(rates1, xi) / n2
+    sin2 = dots(rates2, xi) / n2
+    # The dwell drift cannot point along -theta xi; tiny negative values
+    # are rounding noise from the chart arithmetic, and feeding them to the
+    # solver would fabricate huge dwells that ride the noise.
+    w1 = dots(rates1, txi) / n2
+    w2 = dots(rates2, txi) / n2
+    w1 = np.where(w1 < 0.0, 0.0, w1)
+    w2 = np.where(w2 < 0.0, 0.0, w2)
+    usable = ~((sin1 <= 0.0) | (sin2 >= 0.0))
+    if not usable.any():
+        raise ValueError("degenerate steering has no usable dwell angle for this xi")
+    arc1, sin1, sin2, w1, w2 = arc1[usable], sin1[usable], sin2[usable], w1[usable], w2[usable]
+    arc = after3[:, usable, 1:] - v_from[:, None]
+    a_rem = a_t - dots(arc, xi) / n2
+    b_rem = b_t - dots(arc, txi) / n2
+    det = sin1 * w2 - sin2 * w1
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        along1 = a_rem / sin1
+        along2 = a_rem / sin2
+        tau1 = (a_rem * w2 - sin2 * b_rem) / det
+        tau2 = (sin1 * b_rem - a_rem * w1) / det
+    # A negative dwell is dropped, and the other one alone covers the xi-component.
+    back1 = tau1 < 0.0
+    back2 = ~back1 & (tau2 < 0.0)
+    tau1 = np.where(back2, np.where(along1 > 0.0, along1, 0.0), np.where(back1, 0.0, tau1))
+    tau2 = np.where(back1, np.where(along2 > 0.0, along2, 0.0), np.where(back2, 0.0, tau2))
+    # Where the dwell drift underflows to exact zero, only the xi-component
+    # can move, so solve it alone (b_rem is then the honest residual).
+    flat = det == 0.0
+    tau1 = np.where(flat, np.where(a_rem >= 0.0, along1, 0.0), tau1)
+    tau2 = np.where(flat, np.where(a_rem < 0.0, along2, 0.0), tau2)
+
+    segments = np.empty(tau1.shape + (5, 2))
+    segments[..., 0] = np.stack(np.broadcast_arrays(arc1, tau1, 2.0 * arc1, tau2, arc1), -1)
+    segments[..., 1] = (u_d, 0.0, -u_d, 0.0, u_d)
+    still = norms(delta) == 0.0
+    if not np.isfinite(segments[~still]).all():  # as PiecewiseControl rejects them
         raise ValueError("segment durations must be finite and >= 0")
     ends = _degenerate_endpoints(chart, segments, g0)
-    residuals = (norms(ends[:, 1:] - v_to) + angle_dist(ends[:, 0], 0.0)).tolist()
-    best = min(range(len(residuals)), key=residuals.__getitem__)  # the first of equals
-    end = ends[best]
-    return PiecewiseControl(segments[best].tolist()), GroupElement(end[0], end[1:]), residuals[best]
+    residuals = norms(ends[..., 1:] - v_to[:, None]) + angle_dist(ends[..., 0], 0.0)
+    # The first of equals wins, as min() picks it.
+    best = np.array([min(range(len(r)), key=r.__getitem__) for r in residuals.tolist()], dtype=int)
+    rows = np.arange(len(best))
+    segments, ends, residuals = segments[rows, best], ends[rows, best], residuals[rows, best]
+    segments[still] = 0.0
+    ends[still] = g0[still, 0]
+    residuals[still] = 0.0
+    return segments, ends, residuals
+
+
+def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
+    """Steer one pair: the one-row call of :func:`steer_degenerate_batch`.
+
+    Returns (control, endpoint, residual) as a PiecewiseControl, a
+    GroupElement and a float, equal to that pair's row in any batch bit for
+    bit; the control is empty when v_from == v_to.
+    """
+    segments, ends, residuals = steer_degenerate_batch(spec, np.reshape(v_from, 2), np.reshape(v_to, 2))
+    control = PiecewiseControl(segments[0].tolist() if segments[0].any() else [])
+    return control, GroupElement(ends[0, 0], ends[0, 1:]), float(residuals[0])
 
 
 @dataclass
@@ -888,6 +910,11 @@ def degenerate_structure_check(
     is mutual when both steering residuals are below PAIR_TOL max(1, |xi|).
     Translation equivariance of the flow makes the base point v0 irrelevant;
     the check uses v0 = 0 in the normalized chart.
+
+    All random draws come first, in a fixed order.  Then the trajectories of
+    (a) advance together, one segment index at a time, and the pairs of (b)
+    are steered by one batched call forward and one in reverse, so the
+    report does not depend on how the work is split.
     """
     chart, (lo, hi) = _normalized_degenerate(spec)
     rng = np.random.default_rng(seed)
@@ -895,67 +922,63 @@ def degenerate_structure_check(
     txi = perp(xi)
     umin = 0.05 * min(-lo, hi)
     v0 = np.zeros(2)
+    n_samples = int(n_samples)
 
     # (a) strict growth of the monotone functional, at 8 points per segment;
-    # the last point (fraction 1) is the segment's end state.
-    min_inc = np.inf
+    # the last point (fraction 1) is the segment's end state.  Each
+    # trajectory has 2 to 6 segments of (u, duration); a missing segment is NaN.
+    draws = np.full((max(n_samples, 0), 6, 2), np.nan)
+    for row in draws:
+        for seg in row[: int(rng.integers(2, 7))]:
+            seg[0] = rng.uniform(umin, min(-lo, hi)) * (1.0 if rng.uniform() < 0.5 else -1.0)
+            seg[1] = rng.uniform(0.1, 1.5)
     fractions = np.linspace(1.0 / 8.0, 1.0, 8)
-    for _ in range(int(n_samples)):
-        n_seg = int(rng.integers(2, 7))
-        g = np.array([0.0, v0[0], v0[1]])
-        h_prev = float((g[1:] - v0) @ txi)
-        for _ in range(n_seg):
-            u = rng.uniform(umin, min(-lo, hi)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-            dur = rng.uniform(0.1, 1.5)
-            gq = flow_detA0(chart, dur * fractions, g, u)
-            h = dots(gq[:, 1:] - v0, txi)
-            min_inc = min(min_inc, float(np.min(np.diff(h, prepend=h_prev))))
-            h_prev = float(h[-1])
-            g = gq[-1]
+    g = np.zeros((len(draws), 3))
+    g[:, 1:] = v0
+    h_prev = dots(g[:, 1:] - v0, txi)
+    seg_min = np.full(draws.shape[:2], np.nan)
+    for k in range(6):
+        live = ~np.isnan(draws[:, k, 0])
+        u, dur = draws[live, k].T
+        gq = flow_detA0(chart, dur[:, None] * fractions, g[live, None], u[:, None])
+        h = dots(gq[..., 1:] - v0, txi)
+        seg_min[live, k] = np.min(np.diff(h, prepend=h_prev[live, None]), axis=1)
+        h_prev[live] = h[:, -1]
+        g[live] = gq[:, -1]
+    # Segment by segment in trajectory order, as min() skips NaN after inf.
+    min_inc = min([np.inf] + seg_min.ravel().tolist())
 
     # (b) constructive mutual-reachability pairs.
     scale = max(1.0, float(np.linalg.norm(xi)))
-    pairs = []
-    n_mutual = 0
-    counterexamples = 0
-    irreversible = 0
     xin = xi / float(np.linalg.norm(xi))
     txin = perp(xin)
+    offsets = []
     for k in range(int(n_pairs)):
         c = rng.uniform(0.3, 1.5) * (1.0 if k % 2 == 0 else -1.0)
         off_line = k % 4 >= 2
         d = rng.uniform(0.05, 0.5) * (1.0 if rng.uniform() < 0.5 else -1.0) if off_line else 0.0
-        target = v0 + c * xin + d * txin
-        ctrl_f, end_f, res_f = steer_degenerate(spec, v0, target)
-        p = end_f.v
-        ctrl_r, end_r, res_r = steer_degenerate(spec, p, v0)
-        mutual = res_f < PAIR_TOL * scale and res_r < PAIR_TOL * scale
-        functional = abs(float((p - v0) @ txi))
-        angle_dev = angle_dist(end_f.t, 0.0)
-        if mutual:
-            n_mutual += 1
-            if functional >= LINE_TOL or angle_dev >= 1e-9:
-                counterexamples += 1
-        elif off_line:
-            irreversible += 1
-        pairs.append(
-            {
-                "target_along": c,
-                "target_offset": d,
-                "forward_residual": res_f,
-                "reverse_residual": res_r,
-                "mutual": mutual,
-                "functional": functional,
-                "angle_deviation": angle_dev,
-            }
-        )
+        offsets.append((c, d))
+    c, d = np.array(offsets, dtype=float).reshape(-1, 2).T
+    targets = v0 + c[:, None] * xin + d[:, None] * txin
+    _, end_f, res_f = steer_degenerate_batch(spec, v0, targets)
+    p = end_f[:, 1:]
+    _, _, res_r = steer_degenerate_batch(spec, p, v0)
+    mutual = (res_f < PAIR_TOL * scale) & (res_r < PAIR_TOL * scale)
+    functional = np.abs(dots(p - v0, txi))
+    angle_dev = angle_dist(end_f[:, 0], 0.0)
+    off_line = np.arange(len(c)) % 4 >= 2
+    bad = (functional >= LINE_TOL) | (angle_dev >= 1e-9)
+    keys = ("target_along", "target_offset", "forward_residual", "reverse_residual",
+            "mutual", "functional", "angle_deviation")
+    columns = (c, d, res_f, res_r, mutual, functional, angle_dev)
+    pairs = [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
 
     return DegenerateReport(
-        n_trajectories=int(n_samples),
+        n_trajectories=n_samples,
         min_functional_increment=float(min_inc),
         pairs=pairs,
-        n_mutual=n_mutual,
-        counterexamples=counterexamples,
-        irreversible_confirmed=irreversible,
+        n_mutual=int(mutual.sum()),
+        counterexamples=int((mutual & bad).sum()),
+        irreversible_confirmed=int((~mutual & off_line).sum()),
         seed=int(seed),
     )

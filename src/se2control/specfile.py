@@ -17,6 +17,7 @@ from .flow import PiecewiseControl, Trajectory
 from .system import SystemSpec, matrix_from_lambda_mu
 
 FLOAT_FMT = "%.17g"
+CSV_BLOCK_ROWS = 512
 
 
 class SpecFileError(ValueError):
@@ -150,20 +151,13 @@ def dump_json(payload: dict, stream) -> None:
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """CSV columns s,t,v_x,v_y,u; planar runs leave t empty."""
+    t_fmt = FLOAT_FMT if traj.kind == "group" else ""
+    row = f"{FLOAT_FMT},{t_fmt},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n"
+    table = np.column_stack([traj.times, traj.states, traj.controls])
     stream.write("s,t,v_x,v_y,u\n")
-    group = traj.kind == "group"
-    for k in range(len(traj.times)):
-        row = traj.states[k]
-        if group:
-            t_str = format_float(row[0])
-            vx, vy = row[1], row[2]
-        else:
-            t_str = ""
-            vx, vy = row[0], row[1]
-        stream.write(
-            f"{format_float(traj.times[k])},{t_str},"
-            f"{format_float(vx)},{format_float(vy)},{format_float(traj.controls[k])}\n"
-        )
+    # Blocks of rows keep the formatted text small next to the trajectory.
+    for k in range(0, len(table), CSV_BLOCK_ROWS):
+        stream.write("".join([row % r for r in zip(*table[k : k + CSV_BLOCK_ROWS].T.tolist())]))
 
 
 def write_cells_csv(reach, stream) -> None:

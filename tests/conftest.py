@@ -10,15 +10,6 @@ import numpy as np
 import pytest
 
 
-def _rot(t):
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s], [s, c]])
-
-
-def _theta(v):
-    return np.array([-v[1], v[0]])
-
-
 def reduced_field(lam, mu, eta, u):
     """The field v' = (A - u*theta) v + u*eta with A = ((lam,-mu),(mu,lam)),
     as a function of (v_x, v_y) on plain floats."""
@@ -27,14 +18,22 @@ def reduced_field(lam, mu, eta, u):
     return lambda x, y: (lam * x - nu * y + ex, nu * x + lam * y + ey)
 
 
-def full_field(alpha, xi, lam, mu, eta1, state, u):
-    """State (t, v): t' = alpha*u, v' = A v + (I - rho_t) theta xi + u rho_t eta1."""
-    t, v = state[0], state[1:]
-    tx = _theta(xi)
-    drift = np.array([lam * v[0] - mu * v[1], mu * v[0] + lam * v[1]])
-    drift += tx - _rot(t) @ tx
-    ctrl = u * (_rot(t) @ np.asarray(eta1, dtype=float))
-    return np.concatenate([[alpha * u], drift + ctrl])
+def full_field(alpha, xi, lam, mu, eta1, u):
+    """The field t' = alpha*u, v' = A v + (I - rho_t) theta xi + u rho_t eta1,
+    as a function of (t, v_x, v_y) on plain floats."""
+    alpha, lam, mu, u = float(alpha), float(lam), float(mu), float(u)
+    tx, ty = -float(xi[1]), float(xi[0])
+    ex, ey = float(eta1[0]), float(eta1[1])
+
+    def field(t, x, y):
+        c, s = math.cos(t), math.sin(t)
+        return (
+            alpha * u,
+            (lam * x - mu * y) + (tx - (c * tx - s * ty)) + u * (c * ex - s * ey),
+            (mu * x + lam * y) + (ty - (s * tx + c * ty)) + u * (s * ex + c * ey),
+        )
+
+    return field
 
 
 def rk4(field, s, x0, step=1e-3):
@@ -74,7 +73,7 @@ def rk4_reduced(lam, mu, eta, s, v0, u, step=1e-3):
 
 
 def rk4_full(alpha, xi, lam, mu, eta1, s, state0, u, step=1e-3):
-    return rk4(lambda *x: full_field(alpha, xi, lam, mu, eta1, x, u), s, state0, step)
+    return rk4(full_field(alpha, xi, lam, mu, eta1, u), s, state0, step)
 
 
 def rk4_piecewise_reduced(lam, mu, eta, segments, v0, step=1e-3):

@@ -300,7 +300,7 @@ def _rk4_cases(draw):
     return spec, draw(st.floats(-3.0, 3.0)), x, u
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=16)
+@settings(derandomize=True, deadline=None, database=None, max_examples=64)
 @given(_rk4_cases())
 def test_rk4_batch_within_bound_on_generated_specs(case):
     spec, s, x, u = case

@@ -8,6 +8,7 @@ from conftest import rk4_piecewise_reduced
 
 from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import Circle
+from se2control import planner as P
 from se2control.planner import (
     arc_duration,
     circle_line_intersect,
@@ -164,6 +165,31 @@ def test_plan_final_control_is_consistent():
     vu = equilibrium(rs, u_n)
     # The final circle is centered at v(u_N) and passes through both v_N and 0.
     assert abs(np.linalg.norm(vu) - np.linalg.norm(np.asarray(vn) - vu)) < 1e-9
+
+
+def test_final_control_scan_equals_one_row_calls():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        rs = make_rs(mu=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0), eta=rng.normal(size=2))
+        v_n = 2.0 * rng.normal(size=2)
+
+        def g(u):
+            vu = equilibrium(rs, u)
+            return float(np.linalg.norm(vu)) - float(np.linalg.norm(v_n - vu))
+
+        teta = np.array([-rs.eta[1], rs.eta[0]])
+        x_n = float(v_n @ teta) / float(teta @ teta)
+        scan = np.linspace(0.0, rs.mu * x_n / (1.0 + x_n), 257)
+        vals = [g(u) for u in scan]
+        flips = [k for k in range(256) if vals[k] * vals[k + 1] < 0.0 or vals[k + 1] == 0.0]
+        if not flips:
+            with pytest.raises(RuntimeError):
+                P._final_control(rs, v_n)
+            continue
+        k = flips[0]
+        u_star, iters = P._bisect(g, min(scan[k], scan[k + 1]), max(scan[k], scan[k + 1]))
+        want = (u_star, {"roots_scanned": len(flips), "bisection_iterations": iters})
+        assert P._final_control(rs, v_n) == want
 
 
 def test_plan_respects_max_arcs():

@@ -1,8 +1,12 @@
 """Grid reach sets: determinism, chunking, containment, coverage."""
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se2control.flow import PiecewiseControl, equilibrium, flow_r2
 from se2control.geometry import invariant_ball
@@ -21,6 +25,7 @@ from se2control.reachability import (
     reach_backward,
     reach_forward,
     steer_degenerate,
+    steer_degenerate_batch,
 )
 from se2control.system import ReducedSpec, SystemSpec
 
@@ -561,3 +566,85 @@ def test_degenerate_structure_check_passes():
     for pair in rep.pairs:
         if pair["mutual"]:
             assert pair["functional"] < 1e-6
+
+
+def _degenerate_specs(rng):
+    specs = [make_degenerate()]
+    for scale in (1.0, 0.05, 20.0):
+        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+        specs.append(SystemSpec(alpha, rng.normal(size=2) * scale, np.zeros((2, 2)),
+                                rng.normal(size=2), (-rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))))
+    return specs
+
+
+def _assert_rows_equal_one_row_calls(spec, v_from, v_to):
+    segments, ends, residuals = steer_degenerate_batch(spec, v_from, v_to)
+    assert segments.shape == (len(v_from), 5, 2) and ends.shape == (len(v_from), 3)
+    for i in range(len(v_from)):
+        ctrl, end, res = steer_degenerate(spec, v_from[i], v_to[i])
+        if np.array_equal(v_from[i], v_to[i]):
+            assert ctrl.segments == [] and res == 0.0
+            assert not segments[i].any()
+        else:
+            assert np.array_equal(np.array(ctrl.segments), segments[i])
+        assert np.array_equal(end.as_array(), ends[i])
+        assert res == residuals[i]
+
+
+def test_steer_degenerate_batch_rows_equal_one_row_calls(rng):
+    for spec in _degenerate_specs(rng):
+        xi = spec.xi / np.linalg.norm(spec.xi)
+        v_from = rng.normal(size=(8, 2))
+        # On-line targets, off-line targets on both sides, and v_from itself.
+        offset = np.array([0.0, 0.0, 0.3, -0.3, 0.0, 1e-3, -2.0, 0.0])
+        v_to = v_from + rng.uniform(-1.5, 1.5, size=(8, 1)) * xi + offset[:, None] * perp(xi)
+        v_to[4] = v_from[4]
+        v_to[7] = v_from[7]
+        _assert_rows_equal_one_row_calls(spec, v_from, v_to)
+        # One start point broadcast against many targets, as the check calls it.
+        _, ends, residuals = steer_degenerate_batch(spec, v_from[0], v_to)
+        one = steer_degenerate_batch(spec, np.tile(v_from[0], (8, 1)), v_to)
+        assert np.array_equal(ends, one[1]) and np.array_equal(residuals, one[2])
+
+
+_coord = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _steer_cases(draw):
+    alpha = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from((1.0, -1.0)))
+    xi = [draw(st.floats(0.05, 5.0)) * draw(st.sampled_from((1.0, -1.0))), draw(_coord)]
+    omega = (-draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0)))
+    spec = SystemSpec(alpha, xi, np.zeros((2, 2)), [draw(_coord), draw(_coord)], omega)
+    n = draw(st.integers(1, 4))
+    v_from = np.array([[draw(_coord), draw(_coord)] for _ in range(n)])
+    v_to = np.array([[draw(_coord), draw(_coord)] for _ in range(n)])
+    if draw(st.booleans()):
+        v_to[0] = v_from[0]
+    return spec, v_from, v_to
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(_steer_cases())
+def test_steer_degenerate_batch_rows_equal_one_row_calls_on_generated_specs(case):
+    _assert_rows_equal_one_row_calls(*case)
+
+
+def test_degenerate_structure_check_matches_recorded_reports():
+    # Reports recorded before the check was batched; the bytes must not move.
+    path = pathlib.Path(__file__).with_name("degenerate_reports.json")
+    for case in json.loads(path.read_text()):
+        d = case["spec"]
+        spec = SystemSpec(d["alpha"], d["xi"], np.zeros((2, 2)), d["eta1"], tuple(d["omega"]))
+        rep = degenerate_structure_check(spec, n_samples=case["n_samples"], seed=case["seed"],
+                                         n_pairs=case["n_pairs"])
+        assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(case["report"], sort_keys=True)
+
+
+def test_degenerate_structure_check_flows_in_batches(monkeypatch):
+    calls = []
+    flow = R.flow_detA0
+    monkeypatch.setattr(R, "flow_detA0", lambda *a: calls.append(1) or flow(*a))
+    degenerate_structure_check(make_degenerate(), n_samples=30, seed=1, n_pairs=6)
+    # At most 6 segment waves, then 8 flows per steering direction.
+    assert len(calls) <= 6 + 16

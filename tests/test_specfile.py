@@ -16,7 +16,7 @@ from se2control.specfile import (
     write_cells_csv,
     write_trajectory_csv,
 )
-from se2control.system import ReducedSpec
+from se2control.system import ReducedSpec, SystemSpec, reduce_system
 
 
 GOOD = {
@@ -119,6 +119,23 @@ def test_trajectory_csv_planar_and_group():
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == ""  # planar: no angle column value
     assert len(lines) >= 3
+
+
+def test_trajectory_csv_rows_format_each_value():
+    spec = SystemSpec(1.0, [0.3, 0.1], [[0.0, -2.0], [2.0, 0.0]], [1.0, 0.0], (-1.0, 1.0))
+    # 769 rows: more than one block of rows.
+    ctrl = PiecewiseControl([(0.5, 0.3), (1.0, -0.7), (0.2, 0.0)] * 4)
+    for traj in (flow_concat(spec, ctrl, [0.1, 1e-300, -2.5]),
+                 flow_concat(reduce_system(spec), ctrl, [1.0, -0.0])):
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        states = traj.states if traj.kind == "group" else np.column_stack([np.full(len(traj.times), np.nan), traj.states])
+        want = [
+            f"{format_float(s)},{'' if traj.kind == 'planar' else format_float(t)},"
+            f"{format_float(vx)},{format_float(vy)},{format_float(u)}"
+            for s, (t, vx, vy), u in zip(traj.times, states, traj.controls)
+        ]
+        assert buf.getvalue().splitlines() == ["s,t,v_x,v_y,u"] + want
 
 
 def test_cells_csv_header(tmp_path):
