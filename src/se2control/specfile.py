@@ -165,5 +165,9 @@ def write_cells_csv(reach, stream) -> None:
     cells = reach.occupied_cells()
     centers = reach.cell_centers()
     row = f"%d,%d,{FLOAT_FMT},{FLOAT_FMT}\n"
-    rows = zip(*cells.T.tolist(), *centers.T.tolist())
-    stream.write("i,j,x,y\n" + "".join([row % r for r in rows]))
+    stream.write("i,j,x,y\n")
+    # Blocks of rows keep the formatted text small next to the grid.
+    for k in range(0, len(cells), CSV_BLOCK_ROWS):
+        block = slice(k, k + CSV_BLOCK_ROWS)
+        rows = zip(*cells[block].T.tolist(), *centers[block].T.tolist())
+        stream.write("".join([row % r for r in rows]))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -227,6 +228,19 @@ def test_reach_bounds_starting_with_minus_inf_or_nan_give_one_line(tmp_path, cap
     assert rc == 2
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+def test_verify_rejects_overflowing_degenerate_functional(tmp_path, capsys):
+    # alpha = 1e180, xi = (1e160, 3), A = 0: the monotone functional overflows.
+    spec = dict(DEGENERATE, alpha=1e180, xi=[1e160, 3.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_main(capsys, ["verify", write_spec(tmp_path, spec)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_reach_rejects_degenerate_case(tmp_path, capsys):

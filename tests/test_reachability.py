@@ -2,6 +2,11 @@
 import json
 import math
 import pathlib
+import random
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -154,16 +159,225 @@ def test_reach_independent_of_chunk_size(monkeypatch, rows):
     _assert_same_reach(reach_backward(rs, x0, cfg), ref)
 
 
-@pytest.mark.parametrize("direction", [+1, -1])
-def test_reach_matches_scalar_loop_with_singular_columns(direction):
+def _singular_case():
     # Trace zero with u = mu in the control grid: det A(mu) = 0, so the
     # columns of that control translate by s u eta instead of rotating.
     rs = make_rs(lam=0.0, mu=0.5, omega=(-1.0, 1.0))
-    controls = [-1.0, -0.3, 0.0, 0.5, 1.0]
-    cfg = GridConfig((-1.0, 1.0, -1.0, 1.0), 0.1, controls, 0.05, steps_per_arc=6)
+    cfg = GridConfig((-1.0, 1.0, -1.0, 1.0), 0.1, [-1.0, -0.3, 0.0, 0.5, 1.0], 0.05, steps_per_arc=6)
+    return rs, cfg, np.array([0.1, -0.2])
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_reach_matches_scalar_loop_with_singular_columns(direction):
+    rs, cfg, x0 = _singular_case()
     assert R._control_constants(rs, cfg, direction)[0].any()
-    x0 = np.array([0.1, -0.2])
     got = R._reach(rs, x0, cfg, direction)
+    occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
+    assert np.array_equal(got.occupied, occ)
+    assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
+    assert np.array_equal(got.rep_y, rep_y, equal_nan=True)
+    assert got.rounds == rounds
+
+
+# -- the two stages of a round and the helper thread ---------------------
+
+
+def _with_helper(monkeypatch, rows, cfg):
+    """Force the helper thread into every round of two or more chunks, on any
+    host, with chunks of at most `rows` frontier rows."""
+    monkeypatch.setattr(R, "_cpus", lambda: 2)
+    monkeypatch.setattr(R._HelperGauge, "pays", lambda self: True)
+    monkeypatch.setattr(R._HelperGauge, "off_until", 0.0)
+    monkeypatch.setattr(R, "_CHUNK_CANDIDATES", rows * cfg.controls.size * cfg.steps_per_arc)
+
+
+def _record_candidate_threads(monkeypatch, before=None):
+    """Wrap the candidate stage; returns the list of thread ids it ran on."""
+    stage = R._candidates
+    threads = []
+
+    def wrapped(*args):
+        threads.append(threading.get_ident())
+        if before is not None:
+            before()
+        return stage(*args)
+
+    monkeypatch.setattr(R, "_candidates", wrapped)
+    return threads
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_threaded_reach_matches_scalar_loop(monkeypatch, direction, rows):
+    rs, cfg, x0 = _singular_case()
+    _with_helper(monkeypatch, rows, cfg)
+    threads = _record_candidate_threads(monkeypatch)
+    got = R._reach(rs, x0, cfg, direction)
+    occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
+    assert np.array_equal(got.occupied, occ)
+    assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
+    assert np.array_equal(got.rep_y, rep_y, equal_nan=True)
+    assert got.rounds == rounds
+    # The helper thread ran the candidate stage of some chunks.
+    assert set(threads) - {threading.get_ident()}
+
+
+def test_threaded_reach_independent_of_thread_timing(monkeypatch):
+    rs, cfg, x0 = _singular_case()
+    monkeypatch.setattr(R, "_cpus", lambda: 1)
+    serial = R._reach(rs, x0, cfg, -1)
+    _with_helper(monkeypatch, 2, cfg)
+    delays = random.Random(5)
+    threads = _record_candidate_threads(monkeypatch, lambda: time.sleep(delays.uniform(0.0, 5e-4)))
+    _assert_same_reach(R._reach(rs, x0, cfg, -1), serial)
+    assert set(threads) - {threading.get_ident()}
+
+
+def test_one_chunk_rounds_start_no_thread(monkeypatch):
+    rs, cfg, x0 = _singular_case()
+    monkeypatch.setattr(R, "_cpus", lambda: 2)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a round of one chunk started a thread")
+
+    monkeypatch.setattr(R.threading, "Thread", no_thread)
+    # 30 columns: every frontier fits in one chunk of 32k candidates.
+    _assert_same_reach(R._reach(rs, x0, cfg, +1), R._reach(rs, x0, cfg, +1))
+
+
+def test_helper_stops_once_it_gets_no_second_cpu(monkeypatch):
+    # Stages that sleep take wall time without CPU time, as on a host that
+    # gives the process less than one CPU: after the first round with the
+    # helper, the reach goes on without it, and the result is the same.
+    rs, cfg, x0 = _singular_case()
+    monkeypatch.setattr(R, "_cpus", lambda: 1)
+    serial = R._reach(rs, x0, cfg, +1)
+    monkeypatch.setattr(R, "_cpus", lambda: 2)
+    monkeypatch.setattr(R._HelperGauge, "off_until", 0.0)
+    monkeypatch.setattr(R, "_CHUNK_CANDIDATES", 2 * cfg.controls.size * cfg.steps_per_arc)
+    _record_candidate_threads(monkeypatch, lambda: time.sleep(2e-3))
+    helper_rounds = []
+    expand = R._expand_round
+
+    def counted(occ_flat, grid, cur_px, *args):
+        gauge = args[-1]
+        before = gauge.wall if gauge else 0.0
+        out = expand(occ_flat, grid, cur_px, *args)
+        helper_rounds.append((cur_px.size > 2, bool(gauge) and gauge.wall > before))
+        return out
+
+    monkeypatch.setattr(R, "_expand_round", counted)
+    _assert_same_reach(R._reach(rs, x0, cfg, +1), serial)
+    multi_chunk = [with_helper for several, with_helper in helper_rounds if several]
+    assert len(multi_chunk) >= 3
+    assert multi_chunk[0] and not any(multi_chunk[1:])
+    # The reaches of the next seconds skip the helper from their first round.
+    assert R._HelperGauge.off_until > time.monotonic()
+    helper_rounds.clear()
+    _assert_same_reach(R._reach(rs, x0, cfg, +1), serial)
+    assert not any(with_helper for _, with_helper in helper_rounds)
+
+
+class _StageFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fail_on", ["helper", "caller"])
+def test_failing_candidate_stage_is_raised_without_leaving_a_thread(monkeypatch, fail_on):
+    rs, cfg, x0 = _singular_case()
+    _with_helper(monkeypatch, 1, cfg)
+    raised = []
+    caller = []
+
+    def fail():
+        on_caller = threading.get_ident() == caller[0]
+        if on_caller == (fail_on == "caller") and not raised:
+            raised.append(_StageFailure(fail_on))
+            raise raised[0]
+
+    _record_candidate_threads(monkeypatch, fail)
+    before = threading.active_count()
+    outcome = []
+
+    def run():
+        caller.append(threading.get_ident())
+        try:
+            R._reach(rs, x0, cfg, +1)
+        except BaseException as exc:  # inspected below
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60.0)
+    assert not runner.is_alive(), "_reach hung after a failing candidate stage"
+    assert outcome and outcome[0] is raised[0]
+    assert threading.active_count() == before
+
+
+def test_concurrent_threaded_reaches_under_fast_switching(monkeypatch):
+    # Four callers, each with its own helper: more threads than cores, and
+    # a thread switch every microsecond.  A claim lost to a race would change
+    # the cells or representatives.
+    rs, cfg, x0 = _singular_case()
+    serial = R._reach(rs, x0, cfg, +1)
+    _with_helper(monkeypatch, 2, cfg)
+    results = []
+
+    def run():
+        results.extend(R._reach(rs, x0, cfg, +1) for _ in range(3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, daemon=True) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(results) == 12
+    for got in results:
+        _assert_same_reach(got, serial)
+
+
+@st.composite
+def _small_reach_cases(draw):
+    kind = draw(st.sampled_from(["contracting", "expanding", "trace_zero"]))
+    lo = -draw(st.floats(0.2, 1.5))
+    hi = draw(st.floats(0.2, 1.5))
+    if kind == "trace_zero":
+        lam = 0.0
+        mu = draw(st.floats(lo, hi).filter(bool))  # u = mu in the grid: singular columns
+    else:
+        lam = draw(st.floats(0.2, 2.0)) * (-1.0 if kind == "contracting" else 1.0)
+        mu = draw(st.floats(-3.0, 3.0))  # inside or outside Omega
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    rs = make_rs(lam=lam, mu=mu, eta=(math.cos(angle), math.sin(angle)), omega=(lo, hi))
+    # The default box of the system, with a coarse grid and longer steps.
+    base = default_grid_config(rs, n_controls=draw(st.integers(3, 5)))
+    xmin, xmax, ymin, ymax = base.bounds
+    controls = list(base.controls) + ([mu] if kind == "trace_zero" else [])
+    cfg = GridConfig(
+        base.bounds,
+        (xmax - xmin) / draw(st.integers(8, 24)),
+        controls,
+        base.time_step * draw(st.floats(5.0, 40.0)),
+        steps_per_arc=draw(st.integers(2, 5)),
+    )
+    fx, fy = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
+    x0 = np.array([xmin + fx * (xmax - xmin), ymin + fy * (ymax - ymin)])
+    return rs, cfg, x0, draw(st.sampled_from([+1, -1])), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_small_reach_cases())
+def test_threaded_reach_matches_scalar_loop_on_generated_grids(case):
+    rs, cfg, x0, direction, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        _with_helper(mp, rows, cfg)
+        got = R._reach(rs, x0, cfg, direction)
     occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
     assert np.array_equal(got.occupied, occ)
     assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
@@ -566,6 +780,32 @@ def test_degenerate_structure_check_passes():
     for pair in rep.pairs:
         if pair["mutual"]:
             assert pair["functional"] < 1e-6
+
+
+def _huge_xi_spec():
+    # Every increment of H(v) = <v - v0, theta xi> overflows to NaN here.
+    return SystemSpec(1e180, np.array([1e160, 3.0]), np.zeros((2, 2)), np.zeros(2), (-1.0, 1.0))
+
+
+def test_degenerate_structure_check_rejects_non_finite_increments():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and prints no RuntimeWarning
+        with pytest.raises(ValueError, match="overflows"):
+            degenerate_structure_check(_huge_xi_spec(), n_samples=30, n_pairs=6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_degenerate_structure_check_rejects_non_finite_steering(monkeypatch, bad):
+    steer = R.steer_degenerate_batch
+
+    def spoiled(spec, v_from, v_to):
+        segments, ends, residuals = steer(spec, v_from, v_to)
+        residuals[-1] = bad
+        return segments, ends, residuals
+
+    monkeypatch.setattr(R, "steer_degenerate_batch", spoiled)
+    with pytest.raises(ValueError, match="steering values are not finite"):
+        degenerate_structure_check(make_degenerate(), n_samples=5, n_pairs=4)
 
 
 def _degenerate_specs(rng):

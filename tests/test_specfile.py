@@ -7,6 +7,7 @@ import pytest
 
 from se2control.flow import PiecewiseControl, Trajectory, flow_concat
 from se2control.specfile import (
+    CSV_BLOCK_ROWS,
     SpecFileError,
     dump_json,
     format_float,
@@ -154,3 +155,17 @@ def test_cells_csv_header(tmp_path):
         f"{i},{j},{format_float(x)},{format_float(y)}"
         for (i, j), (x, y) in zip(r.occupied_cells(), r.cell_centers())
     ]
+
+
+def test_cells_csv_in_blocks_equals_one_join():
+    from se2control.reachability import GridConfig, reach_forward
+
+    rs = ReducedSpec(lam=0.0, mu=1.0, eta=np.array([1.0, 0.0]), omega=(-0.5, 0.5))
+    cfg = GridConfig((-1.0, 1.0, -1.0, 1.0), 0.04, [-0.5, 0.0, 0.5], 0.1)
+    r = reach_forward(rs, np.zeros(2), cfg)
+    assert r.cell_count > 3 * CSV_BLOCK_ROWS
+    buf = io.StringIO()
+    write_cells_csv(r, buf)
+    row = "%d,%d,%.17g,%.17g\n"
+    rows = zip(*r.occupied_cells().T.tolist(), *r.cell_centers().T.tolist())
+    assert buf.getvalue() == "i,j,x,y\n" + "".join([row % t for t in rows])
