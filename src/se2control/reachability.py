@@ -10,15 +10,7 @@ statements (e.g. inside the invariant ball) hold without drift artifacts.
 Candidates claim cells first-writer-wins in a canonical order (frontier cell
 index, then flow column; frontiers kept sorted between rounds), which makes
 the result independent of how a round is split.  One numpy kernel expands a
-round, in frontier chunks sized to stay in a core's L2 cache.  Each chunk
-has a candidate stage (images, bounds test, cell ids, and the candidates
-whose cell is still unoccupied) and a claim stage, which always runs on the
-calling thread, in chunk order.  When the process may run on two or more
-CPUs, a round of two or more chunks runs the candidate stages of its odd
-chunks on one helper thread, for as long as the host gives the process more
-than one CPU-second per second while it does (see _HelperGauge); the
-claims, and with them the result, stay those of the serial walk (see
-_expand_round).
+round, in frontier chunks sized to stay in a core's L2 cache.
 
 For trace zero the control set is the whole plane, and the estimate only
 certifies that a test disk is covered.  Its forward rounds stop once every
@@ -29,11 +21,7 @@ meet the closed disk.  The stopped set is a round-prefix of the fixed point.
 
 from __future__ import annotations
 
-import collections
 import math
-import os
-import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,223 +193,94 @@ def default_grid_config(
 # Round expansion kernel
 # ---------------------------------------------------------------------------
 
-# Candidates (frontier rows x flow columns) per kernel chunk.  At 32k
-# candidates each float64 temporary is 256 KiB, so a chunk's working set stays
-# in a core's 2 MiB L2 cache instead of streaming from DRAM.  An older sweep
-# ran one thread, on the default open-case reach_backward (600 x 600 grid,
-# 504 columns, 5.26 M candidates; best of 5): 0.183 s at 8k, 0.180 s at 16k,
+# Candidates (frontier rows x flow columns) per kernel chunk.  At 16k
+# candidates each float64 temporary is 128 KiB, so a chunk's working set stays
+# in a core's 2 MiB L2 cache instead of streaming from DRAM.  Sweep on the
+# default open-case reach_backward (600 x 600 grid, 504 columns, 5.26 M
+# candidates; best of 5, 2-core host): 0.183 s at 8k, 0.180 s at 16k,
 # 0.182 s at 32k, 0.200 s at 64k, 0.273 s at 128k, 0.339 s at 2M.  With the
-# helper thread, small chunks pay for the hand-offs between the threads.
-# Sweep over the 9 reach jobs of the benchmark's reach_mix at seed 21 (sum
-# of best-of-5 job times, in one process, 2-core host), two threads / one
-# thread: 706 / 619 ms at 8k, 511 / 556 ms at 16k, 472 / 565 ms at 24k,
-# 450 / 566 ms at 32k, 473 / 628 ms at 48k.
-_CHUNK_CANDIDATES = 32_768
-# Candidate stages the helper thread may finish before their claims.
-_HELPER_AHEAD = 2
-# Seconds that reaches skip the helper after one found that it did not pay.
-_HELPER_RETRY_S = 2.0
+# all-on-grid path, over the benchmark's 9 reach_mix jobs at seed 21 (sum of
+# best-of-7 job times, sizes alternated job by job in one process): 785 ms
+# at 8k, 726 ms at 16k, 757 ms at 24k, 722 ms at 32k, 771 ms at 48k; 16k
+# peaks 1.7 MiB lower than 32k.
+_CHUNK_CANDIDATES = 16_384
 
 
-def _cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _HelperGauge:
-    """CPU and wall time of the rounds one reach ran with a helper thread.
-
-    The helper pays only while the process gets more than one CPU-second per
-    wall-second: one thread alone would get a whole CPU, and the helper adds
-    work, it never removes any.  A shared host does not always give that.
-    With its other CPU busy, rounds with the helper got 0.84 CPU-seconds per
-    second and ran 1.2-1.4x slower than one thread (2-core host), so once
-    the rounds with the helper have used less CPU time than wall time, the
-    rest of the reach runs on the calling thread alone.
-
-    Such a state of the host lasts seconds to minutes, and finding it costs
-    each reach a round, so the reaches of the next _HELPER_RETRY_S seconds
-    skip the helper as well: off_until is shared by the whole process.
-    """
-
-    off_until = 0.0  # time.monotonic() before which reaches run on one thread
-
-    def __init__(self):
-        self.cpu = self.wall = 0.0
-
-    def pays(self) -> bool:
-        return self.cpu >= self.wall
-
-
-def _candidates(occ_flat, grid, px, py, kernel, work):
-    """Candidate stage of one frontier chunk.
-
-    Returns (ids, qx, qy) of the images whose cell lies on the grid and was
-    unoccupied when read, in canonical (frontier row, flow column) order.
-    Each image is formed exactly as (vux + ecos*dx) - esin*dy,
-    (vuy + esin*dx) + ecos*dy with (dx, dy) = p - v(u), and its cell as
-    floor((q - x0) / res), so neither depends on the chunking.  The stage
-    reads occ_flat and writes only its own work buffers.
-    """
-    nx, ny, x0, y0, res = grid
-    sing_cols, vux, vuy, ecos, esin, linx, liny = kernel
-    n = px.size
-    small, big, masks = work
-    dx, dy = small[:, :n]
-    qx, qy, tx, ty = big[:, :n]
-    m, t = masks[:, :n]
-    # p - v(u) once per (row, control): v(u) is the same for all its steps.
-    np.subtract(px[:, None, None], vux[:, :1], out=dx)
-    np.subtract(py[:, None, None], vuy[:, :1], out=dy)
-    np.multiply(ecos, dx, out=qx)
-    qx += vux
-    np.multiply(esin, dy, out=tx)
-    qx -= tx
-    np.multiply(esin, dx, out=qy)
-    qy += vuy
-    np.multiply(ecos, dy, out=ty)
-    qy += ty
-    qx, qy, fi, fj = (a.reshape(n, -1) for a in (qx, qy, tx, ty))
-    if sing_cols.size:
-        # Columns of a control with det A(u) = 0 translate instead.
-        qx[:, sing_cols] = px[:, None] + linx[sing_cols]
-        qy[:, sing_cols] = py[:, None] + liny[sing_cols]
-    # Cell coordinates, floored in place: floor(z) >= 0 iff z >= 0 and
-    # floor(z) < n iff z < n.  NaN and +-inf fail every bound.
-    np.subtract(qx, x0, out=fi)
-    fi /= res
-    np.floor(fi, out=fi)
-    np.subtract(qy, y0, out=fj)
-    fj /= res
-    np.floor(fj, out=fj)
-    np.greater_equal(fi, 0.0, out=m)
-    np.greater_equal(fj, 0.0, out=t)
-    m &= t
-    np.less(fi, nx, out=t)
-    m &= t
-    np.less(fj, ny, out=t)
-    m &= t
-    # Row-major flat positions keep the canonical order.  The ids are formed
-    # in float64, exact for integers below 2**53, and cast once.
-    idx = np.flatnonzero(m)
-    ids = fi.reshape(-1)[idx]
-    ids *= ny
-    ids += fj.reshape(-1)[idx]
-    ids = ids.astype(np.int64)
-    fresh = np.flatnonzero(~occ_flat[ids])
-    idx = idx[fresh]
-    return ids[fresh], qx.reshape(-1)[idx], qy.reshape(-1)[idx]
-
-
-def _claim(occ_flat, ids, qx, qy):
-    """Claim stage: each unoccupied cell goes to its first candidate."""
-    fresh = np.flatnonzero(~occ_flat[ids])
-    uids, first = np.unique(ids[fresh], return_index=True)
-    occ_flat[uids] = True
-    keep = fresh[first]
-    return uids, qx[keep], qy[keep]
-
-
-def _claims_with_helper(occ_flat, stage, chunks, new_work) -> list:
-    """Claims of every chunk in order; one helper thread runs the candidate
-    stages of the odd chunks, at most _HELPER_AHEAD ahead of the claims.
-
-    The calling thread runs the even chunks' stages and every claim.  An
-    exception of the helper is raised here, at its chunk's turn, and the
-    helper has ended whenever this function returns or raises.
-    """
-    done = collections.deque()  # helper results or its exception, in chunk order
-    ready = threading.Semaphore(0)
-    slots = threading.Semaphore(_HELPER_AHEAD)
-    stop = threading.Event()
-
-    def helper():
-        try:
-            work = new_work()
-            for chunk in chunks[1::2]:
-                slots.acquire()
-                if stop.is_set():
-                    return
-                done.append(stage(chunk, work))
-                ready.release()
-        except BaseException as exc:  # the calling thread raises it again
-            done.append(exc)
-            ready.release()
-
-    thread = threading.Thread(target=helper, name="se2control-reach", daemon=True)
-    thread.start()
-    try:
-        work = new_work()
-        claims = []
-        for k, chunk in enumerate(chunks):
-            if k % 2 == 0:
-                found = stage(chunk, work)
-            else:
-                ready.acquire()
-                found = done.popleft()
-                slots.release()
-                if isinstance(found, BaseException):
-                    raise found
-            claims.append(_claim(occ_flat, *found))
-        return claims
-    finally:
-        stop.set()
-        slots.release()  # wakes a helper waiting for a slot
-        thread.join()
-
-
-def _expand_round(occ_flat, grid, cur_px, cur_py, consts, n_ctrl, gauge):
+def _expand_round(occ_flat, nx, ny, x0, y0, res, cur_px, cur_py, consts):
     """One expansion round.  Returns the new claims (ids, px, py) sorted by id.
 
-    The frontier is walked in chunks of whole rows, in frontier order.  Each
-    chunk runs a candidate stage (_candidates) and then a claim stage
-    (_claim), and the claims always run on the calling thread in chunk
-    order, so the first candidate in canonical (frontier index, column
-    index) order wins every cell, whatever the chunk size.
-
-    When a round has two or more chunks and gauge (a _HelperGauge, or None
-    on one CPU) says that the helper pays, a helper thread runs the
-    candidate stages of the odd chunks while the calling thread runs the
-    even ones.  The result does not depend on thread timing: occupancy only
-    grows, and only the claim stage marks it.  A candidate stage that reads
-    occ_flat before an earlier chunk's claims are marked only lets extra
-    candidates through, and the claim stage re-checks each against the
-    current occupancy.  So the cells, representatives, rounds and truncation
-    are those of the serial walk.
+    The frontier is walked in chunks of whole rows, in frontier order, and
+    each chunk marks its claims in occ_flat before the next one runs, so the
+    first candidate in canonical (frontier index, column index) order wins
+    every cell, whatever the chunk size.  Each candidate is formed exactly as
+    (vux + ecos*dx) - esin*dy, (vuy + esin*dx) + ecos*dy, then
+    floor((q - x0) / res), so its cell and representative never depend on
+    the chunking.
     """
     sing, vux, vuy, ecos, esin, linx, liny = consts
     n_cols = vux.size
-    steps = n_cols // n_ctrl
-    # Control-major columns as (control, arc step) rows.
-    shaped = (c.reshape(n_ctrl, steps) for c in (vux, vuy, ecos, esin))
-    kernel = (np.flatnonzero(sing), *shaped, linx, liny)
-    # Chunks of equal size, so the two threads get equal shares.
-    n_chunks = -(-cur_px.size // max(1, _CHUNK_CANDIDATES // n_cols))
-    rows = -(-cur_px.size // n_chunks)
-    chunks = [slice(s, s + rows) for s in range(0, cur_px.size, rows)]
-
-    def stage(chunk, work):
-        return _candidates(occ_flat, grid, cur_px[chunk], cur_py[chunk], kernel, work)
-
-    def new_work():  # the buffers of one thread's candidate stages
-        return (
-            np.empty((2, rows, n_ctrl, 1)),
-            np.empty((4, rows, n_ctrl, steps)),
-            np.empty((2, rows, n_cols), dtype=np.bool_),
-        )
-
-    if len(chunks) >= 2 and gauge is not None and gauge.pays():
-        wall, cpu = time.perf_counter(), time.process_time()
-        parts = _claims_with_helper(occ_flat, stage, chunks, new_work)
-        gauge.wall += time.perf_counter() - wall
-        gauge.cpu += time.process_time() - cpu
-        if not gauge.pays():
-            _HelperGauge.off_until = time.monotonic() + _HELPER_RETRY_S
-    else:
-        work = new_work()
-        parts = [_claim(occ_flat, *stage(chunk, work)) for chunk in chunks]
+    sing_cols = np.flatnonzero(sing)
+    rows = max(1, min(_CHUNK_CANDIDATES // n_cols, cur_px.size))
+    bufs = np.empty((4, rows, n_cols))
+    mask = np.empty((rows, n_cols), dtype=np.bool_)
+    test = np.empty((rows, n_cols), dtype=np.bool_)
+    parts = []
+    for start in range(0, cur_px.size, rows):
+        px = cur_px[start : start + rows, None]
+        py = cur_py[start : start + rows, None]
+        n = px.shape[0]
+        dx, dy, qx, qy = bufs[:, :n]
+        m, t = mask[:n], test[:n]
+        np.subtract(px, vux, out=dx)
+        np.subtract(py, vuy, out=dy)
+        np.multiply(ecos, dx, out=qx)
+        qx += vux
+        np.multiply(esin, dx, out=qy)
+        qy += vuy
+        np.multiply(esin, dy, out=dx)
+        qx -= dx
+        np.multiply(ecos, dy, out=dy)
+        qy += dy
+        if sing_cols.size:
+            # Columns of a control with det A(u) = 0 translate instead.
+            qx[:, sing_cols] = px + linx[sing_cols]
+            qy[:, sing_cols] = py + liny[sing_cols]
+        # Cell coordinates, floored in place: floor(z) >= 0 iff z >= 0 and
+        # floor(z) < n iff z < n.  NaN and +-inf fail every bound.
+        fi, fj = dx, dy
+        np.subtract(qx, x0, out=fi)
+        fi /= res
+        np.floor(fi, out=fi)
+        np.subtract(qy, y0, out=fj)
+        fj /= res
+        np.floor(fj, out=fj)
+        # Row-major flat positions keep the canonical order.  The ids are
+        # formed in float64, exact for integers below 2**53, and cast once.
+        if fi.min() >= 0.0 and fj.min() >= 0.0 and fi.max() < nx and fj.max() < ny:
+            # Every candidate is on the grid (a NaN fails these tests), as in
+            # most chunks: the ids need no mask and no gather.
+            idx = None
+            fi *= ny
+            fi += fj
+            ids = fi.reshape(-1).astype(np.int64)
+        else:
+            np.greater_equal(fi, 0.0, out=m)
+            np.greater_equal(fj, 0.0, out=t)
+            m &= t
+            np.less(fi, nx, out=t)
+            m &= t
+            np.less(fj, ny, out=t)
+            m &= t
+            idx = np.flatnonzero(m)
+            ids = fi.reshape(-1)[idx]
+            ids *= ny
+            ids += fj.reshape(-1)[idx]
+            ids = ids.astype(np.int64)
+        fresh = np.flatnonzero(~occ_flat[ids])
+        uids, first = np.unique(ids[fresh], return_index=True)
+        occ_flat[uids] = True
+        keep = fresh[first] if idx is None else idx[fresh[first]]
+        parts.append((uids, qx.reshape(-1)[keep], qy.reshape(-1)[keep]))
     ids, px, py = (np.concatenate(p) for p in zip(*parts))
     order = np.argsort(ids)  # ids are unique within a round
     return ids[order], px[order], py[order]
@@ -544,8 +403,6 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
     rep_y[i0, j0] = x0[1]
 
     consts = _control_constants(rs, cfg, direction)
-    grid = (nx, ny, xmin, ymin, res)
-    gauge = _HelperGauge() if _cpus() >= 2 and time.monotonic() >= _HelperGauge.off_until else None
     occ_flat = occ.reshape(-1)
 
     cur_ids = np.array([np.int64(i0) * ny + j0], dtype=np.int64)
@@ -558,7 +415,7 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
         if stop and occ_flat[cover].all():
             break
         cur_ids, cur_px, cur_py = _expand_round(
-            occ_flat, grid, cur_px, cur_py, consts, cfg.controls.size, gauge
+            occ_flat, nx, ny, xmin, ymin, res, cur_px, cur_py, consts
         )
         if cur_ids.size:
             rep_x.reshape(-1)[cur_ids] = cur_px

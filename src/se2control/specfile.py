@@ -160,14 +160,21 @@ def write_trajectory_csv(traj: Trajectory, stream) -> None:
         stream.write("".join([row % r for r in zip(*table[k : k + CSV_BLOCK_ROWS].T.tolist())]))
 
 
+def _formatted_once(values: np.ndarray) -> list:
+    """FLOAT_FMT text of each value, formatting each distinct bit pattern once."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [FLOAT_FMT % v for v in bits.view(np.float64).tolist()]
+    return [text[k] for k in inverse.tolist()]
+
+
 def write_cells_csv(reach, stream) -> None:
     """CSV of occupied cell centers: i,j,x,y."""
     cells = reach.occupied_cells()
-    centers = reach.cell_centers()
-    row = f"%d,%d,{FLOAT_FMT},{FLOAT_FMT}\n"
+    # Centers repeat along the grid lines, so most values are formatted once.
+    xs, ys = (_formatted_once(c) for c in reach.cell_centers().T)
     stream.write("i,j,x,y\n")
     # Blocks of rows keep the formatted text small next to the grid.
     for k in range(0, len(cells), CSV_BLOCK_ROWS):
         block = slice(k, k + CSV_BLOCK_ROWS)
-        rows = zip(*cells[block].T.tolist(), *centers[block].T.tolist())
-        stream.write("".join([row % r for r in rows]))
+        rows = zip(*cells[block].T.tolist(), xs[block], ys[block])
+        stream.write("".join([f"{i},{j},{x},{y}\n" for i, j, x, y in rows]))

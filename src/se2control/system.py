@@ -161,8 +161,10 @@ def larc(spec: SystemSpec) -> bool:
     """
     if spec.alpha == 0.0:
         return False
-    w = spec.alpha * spec.xi + spec.A @ spec.eta1
-    return float(np.linalg.norm(w)) > 0.0
+    # A product that overflows is +-inf, nonzero as its true value is.
+    with np.errstate(over="ignore"):
+        w = spec.alpha * spec.xi + spec.A @ spec.eta1
+        return float(np.linalg.norm(w)) > 0.0
 
 
 def reduced_range(spec: SystemSpec) -> tuple:

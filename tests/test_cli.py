@@ -1,5 +1,6 @@
 """CLI end-to-end: exit codes, JSON/CSV payloads, determinism."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,21 @@ def test_verify_rejects_overflowing_degenerate_functional(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflows" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_spec_classifies_and_verifies_without_warnings(tmp_path, capsys):
+    # alpha xi overflows in the rank test, and sqrt(x**2 + y**2) of the
+    # flows' deviations would: classify still finds the rank condition, and
+    # the flow suites report finite deviations.
+    path = write_spec(tmp_path, dict(DEGENERATE, alpha=1e180, xi=[1e160, 3.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, _ = run_main(capsys, ["classify", path])
+        assert rc == 0 and json.loads(out)["larc"] is True
+        rc, out, _ = run_main(capsys, ["verify", path, "--suite", "conjugacy", "--suite", "semigroup"])
+    suites = json.loads(out)["suites"]
+    assert [s["name"] for s in suites] == ["conjugacy", "semigroup"]
+    assert all(math.isfinite(s["metrics"]["max_deviation"]) for s in suites)
 
 
 def test_reach_rejects_degenerate_case(tmp_path, capsys):

@@ -2,10 +2,6 @@
 import json
 import math
 import pathlib
-import random
-import sys
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -179,167 +175,79 @@ def test_reach_matches_scalar_loop_with_singular_columns(direction):
     assert got.rounds == rounds
 
 
-# -- the two stages of a round and the helper thread ---------------------
+# -- chunks on and off the grid -------------------------------------------
 
 
-def _with_helper(monkeypatch, rows, cfg):
-    """Force the helper thread into every round of two or more chunks, on any
-    host, with chunks of at most `rows` frontier rows."""
-    monkeypatch.setattr(R, "_cpus", lambda: 2)
-    monkeypatch.setattr(R._HelperGauge, "pays", lambda self: True)
-    monkeypatch.setattr(R._HelperGauge, "off_until", 0.0)
+def _small_chunks(monkeypatch, rows, cfg):
+    """Chunks of at most `rows` frontier rows."""
     monkeypatch.setattr(R, "_CHUNK_CANDIDATES", rows * cfg.controls.size * cfg.steps_per_arc)
-
-
-def _record_candidate_threads(monkeypatch, before=None):
-    """Wrap the candidate stage; returns the list of thread ids it ran on."""
-    stage = R._candidates
-    threads = []
-
-    def wrapped(*args):
-        threads.append(threading.get_ident())
-        if before is not None:
-            before()
-        return stage(*args)
-
-    monkeypatch.setattr(R, "_candidates", wrapped)
-    return threads
 
 
 @pytest.mark.parametrize("direction", [+1, -1])
 @pytest.mark.parametrize("rows", [1, 2, 3])
-def test_threaded_reach_matches_scalar_loop(monkeypatch, direction, rows):
+def test_reach_in_small_chunks_matches_scalar_loop(monkeypatch, direction, rows):
     rs, cfg, x0 = _singular_case()
-    _with_helper(monkeypatch, rows, cfg)
-    threads = _record_candidate_threads(monkeypatch)
+    _small_chunks(monkeypatch, rows, cfg)
     got = R._reach(rs, x0, cfg, direction)
     occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
     assert np.array_equal(got.occupied, occ)
     assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
     assert np.array_equal(got.rep_y, rep_y, equal_nan=True)
     assert got.rounds == rounds
-    # The helper thread ran the candidate stage of some chunks.
-    assert set(threads) - {threading.get_ident()}
 
 
-def test_threaded_reach_independent_of_thread_timing(monkeypatch):
-    rs, cfg, x0 = _singular_case()
-    monkeypatch.setattr(R, "_cpus", lambda: 1)
-    serial = R._reach(rs, x0, cfg, -1)
-    _with_helper(monkeypatch, 2, cfg)
-    delays = random.Random(5)
-    threads = _record_candidate_threads(monkeypatch, lambda: time.sleep(delays.uniform(0.0, 5e-4)))
-    _assert_same_reach(R._reach(rs, x0, cfg, -1), serial)
-    assert set(threads) - {threading.get_ident()}
+def _round_by_loop(occ_flat, grid, cur_px, cur_py, consts):
+    """Scalar reference of one round: (ids, px, py) sorted by id, and whether
+    every image fell on the grid.  occ_flat is not changed."""
+    nx, ny, x0, y0, res = grid
+    sing, vux, vuy, ecos, esin, linx, liny = (c.tolist() for c in consts)
+    occ = occ_flat.copy()
+    claims, on_grid = [], True
+    for px, py in zip(cur_px.tolist(), cur_py.tolist()):
+        for c in range(len(vux)):
+            if sing[c]:
+                qx, qy = px + linx[c], py + liny[c]
+            else:
+                dx, dy = px - vux[c], py - vuy[c]
+                qx = vux[c] + ecos[c] * dx - esin[c] * dy
+                qy = vuy[c] + esin[c] * dx + ecos[c] * dy
+            fi, fj = (qx - x0) / res, (qy - y0) / res
+            if not (0 <= fi < nx and 0 <= fj < ny):  # False for NaN
+                on_grid = False
+                continue
+            k = math.floor(fi) * ny + math.floor(fj)
+            if not occ[k]:
+                occ[k] = True
+                claims.append((k, qx, qy))
+    ids, px, py = (np.array(c) for c in zip(*sorted(claims)))
+    return (ids, px, py), on_grid
 
 
-def test_one_chunk_rounds_start_no_thread(monkeypatch):
-    rs, cfg, x0 = _singular_case()
-    monkeypatch.setattr(R, "_cpus", lambda: 2)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a round of one chunk started a thread")
-
-    monkeypatch.setattr(R.threading, "Thread", no_thread)
-    # 30 columns: every frontier fits in one chunk of 32k candidates.
-    _assert_same_reach(R._reach(rs, x0, cfg, +1), R._reach(rs, x0, cfg, +1))
-
-
-def test_helper_stops_once_it_gets_no_second_cpu(monkeypatch):
-    # Stages that sleep take wall time without CPU time, as on a host that
-    # gives the process less than one CPU: after the first round with the
-    # helper, the reach goes on without it, and the result is the same.
-    rs, cfg, x0 = _singular_case()
-    monkeypatch.setattr(R, "_cpus", lambda: 1)
-    serial = R._reach(rs, x0, cfg, +1)
-    monkeypatch.setattr(R, "_cpus", lambda: 2)
-    monkeypatch.setattr(R._HelperGauge, "off_until", 0.0)
-    monkeypatch.setattr(R, "_CHUNK_CANDIDATES", 2 * cfg.controls.size * cfg.steps_per_arc)
-    _record_candidate_threads(monkeypatch, lambda: time.sleep(2e-3))
-    helper_rounds = []
-    expand = R._expand_round
-
-    def counted(occ_flat, grid, cur_px, *args):
-        gauge = args[-1]
-        before = gauge.wall if gauge else 0.0
-        out = expand(occ_flat, grid, cur_px, *args)
-        helper_rounds.append((cur_px.size > 2, bool(gauge) and gauge.wall > before))
-        return out
-
-    monkeypatch.setattr(R, "_expand_round", counted)
-    _assert_same_reach(R._reach(rs, x0, cfg, +1), serial)
-    multi_chunk = [with_helper for several, with_helper in helper_rounds if several]
-    assert len(multi_chunk) >= 3
-    assert multi_chunk[0] and not any(multi_chunk[1:])
-    # The reaches of the next seconds skip the helper from their first round.
-    assert R._HelperGauge.off_until > time.monotonic()
-    helper_rounds.clear()
-    _assert_same_reach(R._reach(rs, x0, cfg, +1), serial)
-    assert not any(with_helper for _, with_helper in helper_rounds)
-
-
-class _StageFailure(Exception):
-    pass
-
-
-@pytest.mark.parametrize("fail_on", ["helper", "caller"])
-def test_failing_candidate_stage_is_raised_without_leaving_a_thread(monkeypatch, fail_on):
-    rs, cfg, x0 = _singular_case()
-    _with_helper(monkeypatch, 1, cfg)
-    raised = []
-    caller = []
-
-    def fail():
-        on_caller = threading.get_ident() == caller[0]
-        if on_caller == (fail_on == "caller") and not raised:
-            raised.append(_StageFailure(fail_on))
-            raise raised[0]
-
-    _record_candidate_threads(monkeypatch, fail)
-    before = threading.active_count()
-    outcome = []
-
-    def run():
-        caller.append(threading.get_ident())
-        try:
-            R._reach(rs, x0, cfg, +1)
-        except BaseException as exc:  # inspected below
-            outcome.append(exc)
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=60.0)
-    assert not runner.is_alive(), "_reach hung after a failing candidate stage"
-    assert outcome and outcome[0] is raised[0]
-    assert threading.active_count() == before
-
-
-def test_concurrent_threaded_reaches_under_fast_switching(monkeypatch):
-    # Four callers, each with its own helper: more threads than cores, and
-    # a thread switch every microsecond.  A claim lost to a race would change
-    # the cells or representatives.
-    rs, cfg, x0 = _singular_case()
-    serial = R._reach(rs, x0, cfg, +1)
-    _with_helper(monkeypatch, 2, cfg)
-    results = []
-
-    def run():
-        results.extend(R._reach(rs, x0, cfg, +1) for _ in range(3))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=run, daemon=True) for _ in range(4)]
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in callers)
-    assert len(results) == 12
-    for got in results:
-        _assert_same_reach(got, serial)
+@pytest.mark.parametrize("rows", [1, 2, 10**9])
+def test_round_on_and_off_the_grid_matches_scalar_loop(monkeypatch, rows):
+    # A frontier whose images all lie on the grid takes the kernel's path
+    # without a bounds mask; one with images off the grid, or NaN, takes the
+    # masked path.  Both give the scalar loop's claims, bit for bit.
+    rs, cfg, _ = _singular_case()
+    _small_chunks(monkeypatch, rows, cfg)
+    consts = R._control_constants(rs, cfg, +1)
+    nx, ny = cfg.shape
+    xmin, _, ymin, _ = cfg.bounds
+    grid = (nx, ny, xmin, ymin, cfg.resolution)
+    rng = np.random.default_rng(3)
+    occupied = rng.random(nx * ny) < 0.3
+    inner = rng.uniform(-0.4, 0.4, (2, 12))
+    edge = np.concatenate([inner, rng.uniform(0.9, 0.999, (2, 4)), [[np.nan], [0.0]]], axis=1)
+    for frontier, expect_on_grid in ((inner, True), (edge, False)):
+        ref, on_grid = _round_by_loop(occupied, grid, *frontier, consts)
+        assert on_grid == expect_on_grid
+        occ_flat = occupied.copy()
+        got = R._expand_round(occ_flat, *grid, *frontier, consts)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        expected = occupied.copy()
+        expected[ref[0]] = True
+        assert np.array_equal(occ_flat, expected)
 
 
 @st.composite
@@ -373,10 +281,10 @@ def _small_reach_cases(draw):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(_small_reach_cases())
-def test_threaded_reach_matches_scalar_loop_on_generated_grids(case):
+def test_reach_matches_scalar_loop_on_generated_grids(case):
     rs, cfg, x0, direction, rows = case
     with pytest.MonkeyPatch.context() as mp:
-        _with_helper(mp, rows, cfg)
+        _small_chunks(mp, rows, cfg)
         got = R._reach(rs, x0, cfg, direction)
     occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
     assert np.array_equal(got.occupied, occ)

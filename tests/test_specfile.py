@@ -9,6 +9,7 @@ from se2control.flow import PiecewiseControl, Trajectory, flow_concat
 from se2control.specfile import (
     CSV_BLOCK_ROWS,
     SpecFileError,
+    _formatted_once,
     dump_json,
     format_float,
     load_system_spec,
@@ -169,3 +170,11 @@ def test_cells_csv_in_blocks_equals_one_join():
     row = "%d,%d,%.17g,%.17g\n"
     rows = zip(*r.occupied_cells().T.tolist(), *r.cell_centers().T.tolist())
     assert buf.getvalue() == "i,j,x,y\n" + "".join([row % t for t in rows])
+
+
+def test_formatted_once_keeps_each_bit_pattern_apart():
+    # -0.0 == 0.0 and NaNs are merged by value comparisons; the bit patterns
+    # keep them apart, so every value prints as it would on its own.
+    values = np.array([0.0, -0.0, 0.1, np.nan, -np.nan, 0.1, np.inf, 5e-324, 0.0])
+    assert _formatted_once(values) == [format_float(v) for v in values]
+    assert _formatted_once(values[::2]) == [format_float(v) for v in values[::2]]
