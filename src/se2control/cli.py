@@ -6,11 +6,16 @@ and reach sets are CSV.  Exit codes: 0 success, 2 invalid input, 3 case
 mismatch (command does not apply to the system's classification case),
 4 verification failure.  A reader that closes stdout early (``| head``) ends
 the command quietly with exit code 0.
+
+:func:`main` can be called many times in one process.  The argument parser is
+built on the first call and reused by every later one; callers must not
+mutate it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -20,7 +25,12 @@ import numpy as np
 from .flow import PiecewiseControl, flow_concat, flow_se2, rk4_oracle
 from .group import GroupElement, angle_dist
 from .planner import plan_periodic
-from .reachability import default_grid_config, estimate_control_set, lift_to_se2
+from .reachability import (
+    MAX_GRID_BYTES,
+    default_grid_config,
+    estimate_control_set,
+    lift_to_se2,
+)
 from .specfile import (
     SpecFileError,
     dump_json,
@@ -44,6 +54,13 @@ EXIT_INVALID_INPUT = 2
 EXIT_CASE_MISMATCH = 3
 EXIT_VERIFICATION_FAILED = 4
 
+# Peak bytes that one unit of a count option costs, measured with tracemalloc
+# (numpy 2.4) and rounded up: one simulate sample (closed-form flow plus CSV
+# rows), one ball_invariance sample, and one reach control (24 arc-step
+# columns of flow constants and kernel buffers at about 100 bytes each).
+# Requests over the grid budget are rejected before anything is allocated.
+BYTES_PER_UNIT = {"--samples-per-segment": 170, "--samples": 140, "--control-grid": 2400}
+
 
 class CaseMismatch(Exception):
     """Command applied to a system outside its classification case."""
@@ -57,6 +74,16 @@ def _parse_floats(text: str, n: int, what: str) -> list:
         return [float(p) for p in parts]
     except ValueError as exc:
         raise SpecFileError(f"{what}: {exc}") from exc
+
+
+def _check_count_budget(option: str, count: int) -> None:
+    """Raise ValueError when count units of option would need over MAX_GRID_BYTES."""
+    n_bytes = count * BYTES_PER_UNIT[option]
+    if n_bytes > MAX_GRID_BYTES:
+        raise ValueError(
+            f"{option} {count} needs about {n_bytes} bytes, over the "
+            f"{MAX_GRID_BYTES}-byte budget"
+        )
 
 
 def _open_out(path):
@@ -97,6 +124,9 @@ def cmd_simulate(args) -> int:
         [0.0] + _parse_floats(args.x0, 2, "--x0")
     )
     g0 = GroupElement(vals[0], np.array(vals[1:]))
+    _check_count_budget(
+        "--samples-per-segment", len(control.segments) * args.samples_per_segment
+    )
     traj = flow_concat(spec, control, g0, samples_per_segment=args.samples_per_segment)
 
     stream, close = _open_out(args.out)
@@ -131,6 +161,7 @@ def _grid_from_args(rs, args):
     if args.resolution is not None:
         overrides["resolution"] = args.resolution
     if args.control_grid is not None:
+        _check_count_budget("--control-grid", args.control_grid)
         overrides["n_controls"] = args.control_grid
     if args.time_step is not None:
         overrides["time_step"] = args.time_step
@@ -184,6 +215,7 @@ def cmd_plan(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_system_spec(args.spec)
+    _check_count_budget("--samples", args.samples)
     report = run_verification(
         spec,
         seed=args.seed,
@@ -194,7 +226,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and reused afterwards.
+
+    Reuse is safe because parse_args does not mutate the parser; the one
+    list-valued option, --suite (action="append", default None), gets a fresh
+    list on each parse; and argparse looks up sys.stdout and sys.stderr when
+    it prints, so help and usage errors go to the streams current at that
+    call.  Callers must not mutate the parser.
+    """
     p = argparse.ArgumentParser(
         prog="se2control",
         description="Analysis of linear control systems on the planar motion group.",

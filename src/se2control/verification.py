@@ -226,6 +226,8 @@ def run_verification(
     n_samples: int = 2000,
 ) -> VerificationReport:
     """Run the requested suites (default: all) with case-aware routing."""
+    if n_samples < 1:
+        raise ValueError("samples must be >= 1")
     report = classify(spec)
     requested = tuple(suites) if suites else SUITE_NAMES
     unknown = set(requested) - set(SUITE_NAMES)

@@ -1,4 +1,6 @@
 """CLI end-to-end: exit codes, JSON/CSV payloads, determinism."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -376,6 +378,131 @@ def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_verification", lambda *a, **k: FailingReport())
     rc, _, _ = run_main(capsys, ["verify", write_spec(tmp_path, OPEN)])
     assert rc == 4
+
+
+@pytest.mark.parametrize(
+    "argv_tail, option",
+    [
+        (["simulate", "--u", "0.5", "--horizon", "1", "--samples-per-segment", "10000000000000"],
+         "--samples-per-segment"),
+        (["verify", "--samples", "10000000000000"], "--samples"),
+        (["reach", "--control-grid", "100000000000"], "--control-grid"),
+    ],
+)
+def test_oversized_count_options_are_rejected_before_allocating(tmp_path, capsys, argv_tail, option):
+    argv = argv_tail[:1] + [write_spec(tmp_path, OPEN)] + argv_tail[1:]
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+    assert "bytes, over the 536870912-byte budget" in err
+
+
+@pytest.mark.parametrize("option", sorted(cli.BYTES_PER_UNIT))
+def test_count_budget_holds_just_below_and_rejects_just_above(option):
+    largest = cli.MAX_GRID_BYTES // cli.BYTES_PER_UNIT[option]
+    cli._check_count_budget(option, largest)  # nothing is allocated either way
+    with pytest.raises(ValueError, match=f"{option} {largest + 1} needs about"):
+        cli._check_count_budget(option, largest + 1)
+
+
+@pytest.mark.parametrize(
+    "samples_args",
+    [["--samples", "0", "--suite", "ball_invariance"], ["--samples", "-5"]],
+)
+def test_verify_rejects_fewer_than_one_sample(tmp_path, capsys, samples_args):
+    rc, out, err = run_main(capsys, ["verify", write_spec(tmp_path, OPEN)] + samples_args)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: samples must be >= 1\n"
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_reused_parser_gives_identical_runs(tmp_path, capsys):
+    open_spec = write_spec(tmp_path, OPEN)
+    tz_spec = write_spec(tmp_path, TRACE_ZERO, "tz.json")
+    jobs = {
+        "classify": ["classify", open_spec, "--out", "@/c.json"],
+        "simulate": ["simulate", open_spec, "--u", "0.25", "--horizon", "1.0", "--verify",
+                     "--out", "@/s.csv"],
+        "reach": ["reach", open_spec, "--out", "@/r.json", "--cells-csv", "@/cells.csv"]
+                 + REACH_ARGS,
+        "plan": ["plan", tz_spec, "--v0", "-3,0", "--rho", "0.5", "--out", "@/p.json",
+                 "--traj-csv", "@/p.csv"],
+        "verify": ["verify", open_spec, "--samples", "100", "--out", "@/v.json"],
+    }
+    for name, argv in jobs.items():
+        runs = []
+        for k in range(2):
+            out_dir = tmp_path / f"{name}{k}"
+            out_dir.mkdir()
+            rc = cli.main([a.replace("@", str(out_dir)) for a in argv])
+            captured = capsys.readouterr()
+            files = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+            runs.append((rc, captured.out, captured.err, files))
+            if k == 0:
+                # A usage error and a help exit between the two calls.
+                assert "invalid choice: 'nosuch'" in _usage_error(capsys, ["nosuch"])
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([name, "--help"])
+                assert exc.value.code == 0
+                assert capsys.readouterr().out.startswith(f"usage: se2control {name} ")
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][3]
+
+
+def test_verify_without_suite_after_suite_runs_all(tmp_path, capsys):
+    spec = write_spec(tmp_path, OPEN)
+    rc, out, _ = run_main(capsys, ["verify", spec, "--suite", "conjugacy", "--samples", "100"])
+    assert rc == 0
+    assert [s["name"] for s in json.loads(out)["suites"]] == ["conjugacy"]
+    rc, out, _ = run_main(capsys, ["verify", spec, "--samples", "100"])
+    assert rc == 0
+    assert [s["name"] for s in json.loads(out)["suites"]] == list(cli.SUITE_NAMES)
+    assert len(cli.SUITE_NAMES) == 5
+
+
+def test_later_usage_error_goes_to_current_stderr(tmp_path, capsys):
+    argv = ["simulate", write_spec(tmp_path, OPEN), "--horizon", "one"]
+    first = _usage_error(capsys, argv)
+    assert first.startswith("usage: se2control simulate ")
+    assert "argument --horizon: invalid float value: 'one'" in first
+    for _ in range(2):
+        stream = io.StringIO()
+        with contextlib.redirect_stderr(stream), pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert stream.getvalue() == first
+        assert capsys.readouterr().err == ""
+
+
+def test_parser_is_built_once_per_process_and_not_at_import(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = f"""
+import argparse, sys
+sys.path.insert(0, {src!r})
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from se2control import cli
+print(len(built))
+for _ in range(20):
+    assert cli.main(["classify", {write_spec(tmp_path, OPEN)!r}, "--out", {str(tmp_path / "c.json")!r}]) == 0
+print(len(built))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # The top parser and its five subparsers, built on the first call only.
+    assert proc.stdout.split() == ["0", "6"]
 
 
 def test_console_script_entry_point(tmp_path):
