@@ -15,12 +15,13 @@ shape (..., 2) (planar) or (..., 3) (packed group states [t, v_x, v_y])
 evaluate row by row in one call, and each row equals the one-row call bit
 for bit.  The group flows also take a single GroupElement and return one.
 
-The RK4 oracle takes classical fixed-step RK4 steps of the raw group field,
-for a batch of samples at once.  The field is linear in v and its forcing
-turns at a constant rate, so in complex form each step is an affine map
-v <- p v + q_k and N steps sum in a few array expressions per chunk of
-steps.  It never calls the closed-form code; it exists so every closed form
-can be cross-validated independently.
+The RK4 oracle gives the endpoint of classical fixed-step RK4 on the raw
+group field, for a batch of samples at once.  The field is linear in v and
+its forcing turns at a constant rate, so in complex form each step is an
+affine map v <- p v + q0 + q1 e^{i t_k}, and N steps sum as two geometric
+series in closed form: a row costs the same whatever its step count.  It
+never calls the closed-form code; it exists so every closed form can be
+cross-validated independently.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ from .system import ReducedSpec, SystemSpec, degenerate_chart, reduce_system
 
 DEFAULT_RK4_STEP = 1e-3
 SAMPLES_PER_SEGMENT = 64
-# RK4 steps whose weights and angles the oracle evaluates together.  Fixed,
-# so the summation order of a row does not depend on the other rows.
-RK4_CHUNK = 256
 # Largest x with a finite e^x.
 _EXP_MAX_ARG = math.log(sys.float_info.max)
 
@@ -327,6 +325,20 @@ def flow_concat(
 # ---------------------------------------------------------------------------
 
 
+def _expm1(w: complex) -> complex:
+    """e^w - 1 for complex w, without cancellation when w is small."""
+    x, y = w.real, w.imag
+    re = math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2
+    return complex(re, math.exp(x) * math.sin(y))
+
+
+def _geometric_sum(log_r: complex, n: int) -> complex:
+    """sum_{k<n} r^k for r = e^log_r: expm1(n log_r) / expm1(log_r), or n for log_r = 0."""
+    if log_r == 0.0:
+        return complex(n)
+    return _expm1(n * log_r) / _expm1(log_r)
+
+
 def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP) -> np.ndarray:
     """Classical fixed-step RK4 endpoints of the raw group field, one sample per row.
 
@@ -335,6 +347,7 @@ def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP)
     (n,), x0 = [t, v_x, v_y] has shape (n, 3) or (3,); the result has shape
     (n, 3).  Sample i takes its own N = ceil(|s_i| / step) steps of size
     h = s_i / N (none for s_i = 0; negative s_i integrates backward).
+    Raises ValueError naming s when an endpoint is not finite.
 
     In complex form A is the number a = A[0,0] + i A[1,0], and the forcing is
     F(t) = c0 + c1 e^{it} with c0 = theta xi and c1 = u eta1 - theta xi,
@@ -346,15 +359,20 @@ def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP)
         q1 = (h/6) (b0 + bm e^{i dt/2} + e^{i dt}) c1,
 
     where b0 = 1 + z + z^2/2 + z^3/4 and bm = 4 + 2z + z^2/2 collect the
-    stage weights of F at t_k and t_k + dt/2.  So the endpoint is
-    p^N v_0 + sum_k p^(N-1-k) (q0 + q1 e^{i t_k}), summed over chunks of
-    RK4_CHUNK steps with p^e = e^{e ln|p|} e^{i e arg p}, which keeps memory
-    bounded for any N; the angle is t_0 + N dt.  Each row's constants are
-    formed in Python complex arithmetic, and the chunk sums run elementwise
-    on (real, imaginary) pairs of float64 arrays and along a fixed-length
-    axis, so a row's bits do not depend on the other rows.  Uses only A,
-    xi, eta1, alpha and the RK4 tableau: independent of the closed-form
-    flow code by construction.
+    stage weights of F at t_k and t_k + dt/2.  With w = e^{i dt}, N steps
+    give
+
+        p^N v_0 + q0 sum_{k<N} p^k + q1 e^{i t_0} sum_{k<N} p^(N-1-k) w^k,
+
+    and the angle t_0 + N dt.  Both sums are geometric and are summed in
+    closed form, so a row costs the same for any N: sum_{k<N} r^k =
+    expm1(N L) / expm1(L) with L = log r (N for L = 0).  log |p| is formed
+    from m = p - 1 by log1p, or by log where |p|^2 < 1/2.  The second sum
+    factors out p^(N-1) when |p| >= 1 and w^(N-1) otherwise, so its ratio
+    has modulus at most 1 and nothing overflows while the endpoint is
+    finite.  Each row is formed in Python complex arithmetic, so its bits
+    do not depend on the other rows.  Uses only A, xi, eta1, alpha and the
+    RK4 tableau: independent of the closed-form flow code by construction.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -362,45 +380,46 @@ def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP)
     shape = np.broadcast_shapes(s.shape, u.shape, x0.shape[:-1])
     if len(shape) != 1 or x0.shape[-1] != 3:
         raise ValueError("rk4_oracle_batch takes s, u of shape (n,) and x0 of shape (n, 3)")
+    s = np.broadcast_to(s, shape)
     x0 = np.broadcast_to(x0, shape + (3,))
 
     a = complex(spec.A[0, 0], spec.A[1, 0])
     c0 = complex(-spec.xi[1], spec.xi[0])
     e1 = complex(*spec.eta1)
-    # Each row's step map: N, dt, ln|p|, arg p, and q0, q1 as pairs.
     rows = []
-    for s_i, u_i in zip(np.broadcast_to(s, shape).tolist(), np.broadcast_to(u, shape).tolist()):
+    for s_i, u_i, (t0, vx, vy) in zip(s.tolist(), np.broadcast_to(u, shape).tolist(), x0.tolist()):
         n = 0 if s_i == 0.0 else max(1, math.ceil(abs(s_i) / step - 1e-12))
         h = s_i / max(n, 1)
         dt = h * (u_i * spec.alpha)
         z = h * a
-        p = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+        m = z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))  # p - 1
         b0 = 1 + z * (1 + z / 2 * (1 + z / 2))
         bm = 4 + z * (2 + z / 2)
         q0 = h / 6 * (b0 + bm + 1) * c0
         q1 = h / 6 * (b0 + bm * cmath.rect(1.0, 0.5 * dt) + cmath.rect(1.0, dt)) * (u_i * e1 - c0)
-        rows.append((n, dt, math.log(abs(p)), cmath.phase(p), q0.real, q0.imag, q1.real, q1.imag))
-    n_steps, dt, ln_p, arg_p, q0r, q0i, q1r, q1i = np.array(rows).reshape(-1, 8).T
-
-    t0, vr, vi = x0.T
-    j = np.arange(RK4_CHUNK, dtype=float)
-    for k0 in range(0, int(n_steps.max(initial=0)), RK4_CHUNK):
-        r = np.maximum(np.minimum(n_steps - k0, RK4_CHUNK), 0.0)
-        # Step k0 + j is weighted by p^e, e = r - 1 - j; steps past the row's end by 0.
-        e = (r - 1.0)[:, None] - j
-        mag = np.exp(e * ln_p[:, None], out=np.zeros(e.shape), where=e >= 0.0)
-        turn = e * arg_p[:, None]
-        angle = turn + (t0[:, None] + (k0 + j) * dt[:, None])
-        # v <- p^r v + q0 sum_j p^e + q1 sum_j p^e e^{i t_(k0+j)}
-        s0r, s0i = np.add.reduce(mag * np.cos(turn), 1), np.add.reduce(mag * np.sin(turn), 1)
-        s1r, s1i = np.add.reduce(mag * np.cos(angle), 1), np.add.reduce(mag * np.sin(angle), 1)
-        grow = np.exp(r * ln_p)
-        pr, pi = grow * np.cos(r * arg_p), grow * np.sin(r * arg_p)
-        vr, vi = (
-            pr * vr - pi * vi + q0r * s0r - q0i * s0i + q1r * s1r - q1i * s1i,
-            pr * vi + pi * vr + q0r * s0i + q0i * s0r + q1r * s1i + q1i * s1r,
-        )
-    return np.column_stack([t0 + n_steps * dt, vr, vi])
+        try:
+            d = m.real * (2.0 + m.real) + m.imag * m.imag  # |p|^2 - 1
+            log_p = complex(
+                0.5 * math.log1p(d) if d > -0.5 else math.log(abs(1 + m)),
+                math.atan2(m.imag, 1.0 + m.real),
+            )
+            if log_p.real >= 0.0:  # factor out p^(N-1)
+                lead, ratio = (n - 1) * log_p + 1j * t0, 1j * dt - log_p
+            else:  # factor out w^(N-1)
+                lead, ratio = 1j * (t0 + (n - 1) * dt), log_p - 1j * dt
+            v = (
+                cmath.exp(n * log_p) * complex(vx, vy)
+                + q0 * _geometric_sum(log_p, n)
+                + q1 * cmath.exp(lead) * _geometric_sum(ratio, n)
+            )
+        except (OverflowError, ValueError):  # math range or domain error
+            v = complex(math.nan, math.nan)
+        rows.append((t0 + n * dt, v.real, v.imag))
+    out = np.array(rows, dtype=float).reshape(-1, 3)
+    finite = np.isfinite(out).all(axis=-1)
+    if not finite.all():
+        raise _not_finite(s, ~finite)
+    return out
 
 
 def rk4_oracle(spec: SystemSpec, s: float, x0, u: float, step: float = DEFAULT_RK4_STEP) -> np.ndarray:

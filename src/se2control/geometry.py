@@ -23,7 +23,6 @@ from .flow import equilibrium, flow_r2
 from .group import norms, perp
 from .system import ReducedSpec
 
-LOCUS_CLIP_NORM = 1e6
 # Samples per flow call in check_invariance.
 FLOW_CHUNK = 2048
 
@@ -73,91 +72,6 @@ def invariant_ball(rs: ReducedSpec) -> Ball:
         np.linalg.norm(rs.eta)
     )
     return Ball(-perp(rs.eta), radius)
-
-
-@dataclass
-class LocusReport:
-    """Sampled equilibria locus, JSON-serializable."""
-
-    kind: str  # "circle_arc" | "interval_on_line" | "point"
-    u_values: np.ndarray
-    samples: np.ndarray
-    clipped: np.ndarray
-    limit_point: np.ndarray
-    circle: Circle | None = None
-    line_direction: np.ndarray | None = None
-    pole: float | None = None
-    pole_clipped: bool = False
-
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "u_values": [float(u) for u in self.u_values],
-            "samples": [list(map(float, v)) for v in self.samples],
-            "clipped": [bool(c) for c in self.clipped],
-            "limit_point": list(map(float, self.limit_point)),
-            "pole_clipped": self.pole_clipped,
-        }
-        if self.circle is not None:
-            out["circle"] = self.circle.to_dict()
-        if self.line_direction is not None:
-            out["line_direction"] = list(map(float, self.line_direction))
-        if self.pole is not None:
-            out["pole"] = self.pole
-        return out
-
-
-def equilibria_locus(rs: ReducedSpec, u_values) -> LocusReport:
-    """Sample the equilibria v(u) and describe the curve they lie on.
-
-    For lam = 0 the locus is the line R * theta eta with a pole at u = mu;
-    samples beyond norm 1e6 (and the pole itself) are clipped and flagged.
-    """
-    u_values = np.asarray(u_values, dtype=float).reshape(-1)
-    limit_point = -perp(rs.eta)
-    samples = np.zeros((u_values.size, 2))
-    clipped = np.zeros(u_values.size, dtype=bool)
-    for i, u in enumerate(u_values):
-        if rs.det_a_of_u(u) == 0.0:
-            clipped[i] = True
-            samples[i] = np.nan
-            continue
-        v = equilibrium(rs, u)
-        if float(np.linalg.norm(v)) > LOCUS_CLIP_NORM:
-            clipped[i] = True
-            v = v * (LOCUS_CLIP_NORM / float(np.linalg.norm(v)))
-        samples[i] = v
-
-    norm_eta = float(np.linalg.norm(rs.eta))
-    if norm_eta == 0.0:
-        return LocusReport(
-            kind="point",
-            u_values=u_values,
-            samples=samples,
-            clipped=clipped,
-            limit_point=limit_point,
-        )
-    if rs.lam != 0.0:
-        return LocusReport(
-            kind="circle_arc",
-            u_values=u_values,
-            samples=samples,
-            clipped=clipped,
-            limit_point=limit_point,
-            circle=circle_params(rs),
-        )
-    pole = rs.mu
-    lo, hi = float(np.min(u_values)), float(np.max(u_values))
-    return LocusReport(
-        kind="interval_on_line",
-        u_values=u_values,
-        samples=samples,
-        clipped=clipped,
-        limit_point=limit_point,
-        line_direction=perp(rs.eta) / norm_eta,
-        pole=pole,
-        pole_clipped=bool(np.any(clipped)) and lo <= pole <= hi,
-    )
 
 
 # ---------------------------------------------------------------------------

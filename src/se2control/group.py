@@ -175,27 +175,6 @@ def group_result(t, v, element: bool):
     return x
 
 
-def group_product(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """Semidirect product (t1 + t2, v1 + rho(t1) v2)."""
-    return GroupElement(g1.t + g2.t, g1.v + rotation(g1.t) @ g2.v)
-
-
-def group_inverse(g: GroupElement) -> GroupElement:
-    """Inverse (-t, -rho(-t) v).
-
-    Examples
-    --------
-    >>> g = group_inverse(GroupElement(np.pi / 2, [1.0, 0.0]))
-    >>> np.allclose([g.t, *g.v], [3 * np.pi / 2, 0.0, 1.0])
-    True
-    """
-    return GroupElement(-g.t, -(rotation(-g.t) @ g.v))
-
-
-def identity() -> GroupElement:
-    return GroupElement(0.0, np.zeros(2))
-
-
 def commutes_with_theta(A, tol: float = COMMUTE_TOL) -> bool:
     """Check A theta = theta A within `tol` (max-abs entrywise)."""
     A = np.asarray(A, dtype=float)

@@ -14,6 +14,7 @@ eta = alpha A^{-1} xi + eta1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +100,11 @@ class SystemSpec:
         return float(self.A[1, 0])
 
     def det(self) -> float:
-        return self.lam**2 + self.mu**2
+        """lam^2 + mu^2; inf when it exceeds the float range."""
+        try:
+            return self.lam**2 + self.mu**2
+        except OverflowError:
+            return math.inf
 
     def trace(self) -> float:
         return 2.0 * self.lam
@@ -204,15 +209,29 @@ def reduce_system(spec: SystemSpec) -> ReducedSpec:
     eta = spec.alpha * np.linalg.solve(spec.A, spec.xi) + spec.eta1
     # For det A != 0 the rank condition is equivalent to eta != 0 because
     # alpha xi + A eta1 = A eta; assert the identity instead of trusting it.
+    # Both sides carry rounding relative to |alpha xi| + |A| |eta1| (|A| =
+    # hypot(lam, mu), the operator norm), so the tolerance scales with it.
     residual = float(
         np.max(np.abs((spec.alpha * spec.xi + spec.A @ spec.eta1) - spec.A @ eta))
     )
-    scale = max(1.0, float(np.linalg.norm(spec.xi)), float(np.linalg.norm(spec.eta1)))
+    scale = (
+        abs(spec.alpha) * math.hypot(*spec.xi)
+        + math.hypot(spec.lam, spec.mu) * math.hypot(*spec.eta1)
+    )
     if residual > 1e-9 * scale:
         raise AssertionError("internal identity A eta = alpha xi + A eta1 violated")
     if larc(spec) and float(np.linalg.norm(eta)) == 0.0:
         raise AssertionError("rank condition holds but reduced eta vanished")
-    return ReducedSpec(lam=spec.lam, mu=spec.mu, eta=eta / spec.alpha, omega=reduced_range(spec))
+    lo, hi = reduced_range(spec)
+    # The planar flows form det A(u) = lam^2 + (mu - u)^2; a float ** raises
+    # OverflowError past the float range.
+    try:
+        finite = math.isfinite(spec.lam**2 + max(abs(spec.mu - lo), abs(spec.mu - hi)) ** 2)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("lambda^2 + (mu - alpha u)^2 overflows for u in omega")
+    return ReducedSpec(lam=spec.lam, mu=spec.mu, eta=eta / spec.alpha, omega=(lo, hi))
 
 
 @dataclass

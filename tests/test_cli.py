@@ -261,6 +261,18 @@ def test_overflowing_spec_classifies_and_verifies_without_warnings(tmp_path, cap
     assert all(math.isfinite(s["metrics"]["max_deviation"]) for s in suites)
 
 
+@pytest.mark.parametrize("command", ["classify", "verify", "reach"])
+def test_overflowing_rates_give_one_line(tmp_path, capsys, command):
+    # lambda^2 overflows: once a traceback from float ** in SystemSpec.det.
+    path = write_spec(tmp_path, dict(OPEN, xi=[0.3, -0.7], A={"lambda": 1e200, "mu": 2.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, [command, path])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: lambda^2 + (mu - alpha u)^2 overflows for u in omega\n"
+
+
 def test_reach_rejects_degenerate_case(tmp_path, capsys):
     rc, _, err = run_main(capsys, ["reach", write_spec(tmp_path, DEGENERATE)])
     assert rc == 3

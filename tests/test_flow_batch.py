@@ -12,6 +12,11 @@ within 1e-13 * max(1, |t + s alpha u|).
 Bound of the RK4 oracle against the stepwise RK4 of conftest.rk4_full, at
 DEFAULT_RK4_STEP and |s| <= 3: each row within 1e-11 * max(1, |v|) in the
 state and 1e-12 * max(1, |t|) in the angle, v and t the reference's endpoint.
+At step 0.05 and |s| <= 2000 (up to 4 * 10^4 steps) the reference's own rounding
+dominates: its angle, a running sum, drifts by up to about N eps |t|, and the
+state with it, so the state bound there is 1e-11 * max(1, |v|, |t|).  (On
+the expanding spec at s = -421.3, a 30-digit RK4 put the oracle 2.5e-13 and
+the stepwise reference 1.1e-10 from the exact RK4 endpoint.)
 """
 import math
 import tracemalloc
@@ -25,6 +30,7 @@ from hypothesis import strategies as st
 from conftest import rk4_full
 
 from se2control.flow import (
+    DEFAULT_RK4_STEP,
     equilibrium,
     flow_detA0,
     flow_product,
@@ -261,16 +267,17 @@ def test_group_flows_rows_equal_group_element_calls(rng):
             assert np.array_equal(batch[i], one.as_array()), flow.__name__
 
 
-def _assert_rk4_within_bound(spec, s, x, u):
-    got = rk4_oracle_batch(spec, s, x, u)
+def _assert_rk4_within_bound(spec, s, x, u, step=DEFAULT_RK4_STEP, long_horizon=False):
+    got = rk4_oracle_batch(spec, s, x, u, step)
     for i in range(len(got)):
-        want = rk4_full(spec.alpha, spec.xi, spec.lam, spec.mu, spec.eta1, s[i], x[i], u[i])
+        want = rk4_full(spec.alpha, spec.xi, spec.lam, spec.mu, spec.eta1, s[i], x[i], u[i], step)
         assert abs(got[i, 0] - want[0]) <= RK4_T_REL * max(1.0, abs(want[0]))
-        assert float(_norm(got[i, 1:] - want[1:])) <= RK4_V_REL * max(1.0, float(_norm(want[1:])))
+        scale = max(1.0, float(_norm(want[1:])), abs(want[0]) if long_horizon else 0.0)
+        assert float(_norm(got[i, 1:] - want[1:])) <= RK4_V_REL * scale
 
 
 def test_rk4_batch_within_bound_of_stepwise_rk4(rng):
-    # Open, closed, trace zero and A = 0; s = 0, backward, and over four chunks.
+    # Open, closed, trace zero and A = 0; s = 0, backward and forward.
     for spec in _full_specs(rng):
         x = np.column_stack([rng.uniform(0.0, 2 * np.pi, 4), rng.normal(size=(4, 2))])
         s = np.array([0.0, -0.9, 0.35, 0.8])
@@ -305,6 +312,32 @@ def _rk4_cases(draw):
 def test_rk4_batch_within_bound_on_generated_specs(case):
     spec, s, x, u = case
     _assert_rk4_within_bound(spec, [s], [x], [u])
+
+
+@pytest.mark.parametrize(
+    "lam, mu, alpha, s, u",
+    [
+        # contracting: |p| < 1, so w^(N-1) is factored out; p^(N-1) would underflow at s = 2000
+        (-0.5, 1.3, 1.2, (2000.0, -3.0, 137.3), (0.6, -0.4, 0.0)),
+        # expanding: |p| > 1, so p^(N-1) is factored out
+        (0.4, -0.9, 0.8, (500.0, -421.3, -2.5), (0.7, -1.0, 0.3)),
+        # trace zero, u alpha = mu: log(p / w) is near 0
+        (0.0, 1.2, 1.5, (500.0, -500.0, 250.0), (0.8, 0.8, 0.8)),
+        # A = 0: p = 1
+        (0.0, 0.0, 0.9, (500.0, -421.3, 77.0), (0.5, 0.0, -1.1)),
+    ],
+)
+def test_rk4_batch_within_bound_over_long_horizons(lam, mu, alpha, s, u):
+    spec = SystemSpec(alpha, [0.4, -0.7], matrix_from_lambda_mu(lam, mu), [0.9, 0.2])
+    x = np.array([[0.3, 1.0, -2.0], [5.0, -0.5, 0.25], [1.7, 2.0, 1.0]])
+    _assert_rk4_within_bound(spec, s, x, u, step=0.05, long_horizon=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rk4_overflow_names_s():
+    spec = SystemSpec(1.0, [0.3, -0.7], matrix_from_lambda_mu(1.0, 2.0), [1.0, 0.2])
+    with pytest.raises(ValueError, match=r"s = 800\.0"):
+        rk4_oracle_batch(spec, [1.0, 800.0, 900.0, -900.0], np.zeros(3), 0.5)
 
 
 def test_rk4_oracle_memory_is_bounded_by_chunks():

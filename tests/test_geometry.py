@@ -1,4 +1,4 @@
-"""Equilibria locus geometry, the invariant ball and the spiral chord bound."""
+"""Equilibria circle geometry, the invariant ball and the spiral chord bound."""
 import math
 
 import numpy as np
@@ -8,7 +8,6 @@ from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import (
     check_invariance,
     circle_params,
-    equilibria_locus,
     chord_ratio,
     chord_ratio_limit,
     invariant_ball,
@@ -84,37 +83,6 @@ def test_ball_identity_along_equilibria(rng):
             v = equilibrium(rs, u)
             lhs = float(np.sum((v + perp(eta)) ** 2)) * (lam**2 + (mu - u) ** 2)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
-
-
-# -- locus ---------------------------------------------------------------
-
-
-def test_locus_circle_kind_and_residual():
-    rs = make_rs(lam=1.0, mu=2.0, eta=(1.0, 0.0))
-    rep = equilibria_locus(rs, np.linspace(-1.0, 1.0, 201))
-    assert rep.kind == "circle_arc"
-    c = rep.circle
-    d = np.linalg.norm(rep.samples - np.asarray(c.center), axis=1)
-    assert np.max(np.abs(d - c.radius)) < 1e-9
-    assert np.allclose(rep.limit_point, [0.0, -1.0])
-
-
-def test_locus_line_kind_collinear_and_contains_origin():
-    rs = make_rs(lam=0.0, mu=1.0, eta=(1.0, 0.0), omega=(-0.5, 0.5))
-    us = np.linspace(-0.5, 0.5, 101)
-    rep = equilibria_locus(rs, us)
-    assert rep.kind == "interval_on_line"
-    cross = rep.samples[:, 0] * rep.line_direction[1] - rep.samples[:, 1] * rep.line_direction[0]
-    assert np.max(np.abs(cross)) < 1e-12
-    assert np.min(np.linalg.norm(rep.samples, axis=1)) == 0.0
-
-
-def test_locus_pole_is_clipped_and_flagged():
-    rs = make_rs(lam=0.0, mu=0.3, eta=(1.0, 0.0))
-    rep = equilibria_locus(rs, np.linspace(-1.0, 1.0, 21))
-    assert rep.pole == 0.3
-    assert rep.pole_clipped is True
-    assert np.all(np.isfinite(rep.samples[~rep.clipped]))
 
 
 # -- spiral chord bound --------------------------------------------------

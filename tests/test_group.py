@@ -1,4 +1,4 @@
-"""Group layer: products, rotations, the shear map and the conjugations."""
+"""Group layer: rotations, the shear map and the conjugations."""
 import math
 
 import numpy as np
@@ -14,8 +14,6 @@ from se2control.group import (
     conj_psi2_inv,
     conj_psi_zero,
     conj_psi_zero_inv,
-    group_inverse,
-    group_product,
     lambda_map,
     perp,
     rotation,
@@ -49,31 +47,6 @@ def test_rotation_orthogonal(rng):
 def test_perp_quarter_turn():
     assert np.allclose(perp(np.array([1.0, 0.0])), [0.0, 1.0])
     assert np.allclose(perp(np.array([0.0, 1.0])), [-1.0, 0.0])
-
-
-def test_group_product_formula():
-    g = group_product(GroupElement(0.5, np.array([1.0, 2.0])),
-                      GroupElement(0.25, np.array([3.0, -1.0])))
-    expected_v = np.array([1.0, 2.0]) + rotation(0.5) @ np.array([3.0, -1.0])
-    assert angle_dist(g.t, 0.75) < 1e-15
-    assert np.allclose(g.v, expected_v, atol=1e-14)
-
-
-def test_group_product_associative(rng):
-    for _ in range(50):
-        gs = [GroupElement(rng.uniform(0, TWO_PI), rng.normal(size=2)) for _ in range(3)]
-        a = group_product(group_product(gs[0], gs[1]), gs[2])
-        b = group_product(gs[0], group_product(gs[1], gs[2]))
-        assert angle_dist(a.t, b.t) < 1e-12
-        assert np.max(np.abs(a.v - b.v)) < 1e-12
-
-
-def test_group_inverse(rng):
-    for _ in range(20):
-        g = GroupElement(rng.uniform(0, TWO_PI), rng.normal(size=2))
-        e = group_product(g, group_inverse(g))
-        assert angle_dist(e.t, 0.0) < 1e-12
-        assert np.max(np.abs(e.v)) < 1e-12
 
 
 def test_lambda_map_positive_pairing(rng):

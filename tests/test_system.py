@@ -145,3 +145,23 @@ def test_reduced_eta_nonzero_under_larc(rng):
             continue
         rs = reduce_system(spec)
         assert np.linalg.norm(rs.eta) > 1e-12
+
+
+@pytest.mark.parametrize("k", [2.0**23] + [10.0**e for e in range(11, 154)])
+def test_reduce_time_scaled_open_spec(k):
+    # Time scaling multiplies (alpha, xi, A, eta1) by k: the reduced rates and
+    # range scale by k, and the reduced drift eta / alpha is unchanged.
+    base = make_spec(alpha=1.0, xi=(0.3, -0.7), lam=1.0, mu=2.0, eta1=(1.0, 0.2))
+    want = reduce_system(base)
+    spec = make_spec(alpha=k, xi=(0.3 * k, -0.7 * k), lam=k, mu=2.0 * k, eta1=(k, 0.2 * k))
+    rs = reduce_system(spec)
+    assert (rs.lam, rs.mu, rs.omega) == (k, 2.0 * k, (-k, k))
+    assert np.max(np.abs(rs.eta - want.eta)) <= 1e-12 * np.linalg.norm(want.eta)
+    assert classify(spec).case == CASE_OPEN
+
+
+def test_overflowing_rates_are_rejected_by_the_reduction():
+    spec = make_spec(alpha=1.0, xi=(0.3, -0.7), lam=1e200, mu=2.0, eta1=(1.0, 0.2))
+    assert spec.det() == np.inf
+    with pytest.raises(ValueError, match="overflows"):
+        reduce_system(spec)
