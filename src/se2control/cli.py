@@ -45,7 +45,7 @@ from .system import (
     CASE_OPEN,
     CASE_TRACE_ZERO,
     classify,
-    reduce_system,
+    prepare,
 )
 from .verification import SUITE_NAMES, run_verification
 
@@ -102,8 +102,7 @@ def _emit_json(payload: dict, path) -> None:
 
 
 def cmd_classify(args) -> int:
-    spec = load_system_spec(args.spec)
-    report = classify(spec)
+    report = classify(prepare(load_system_spec(args.spec)))
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK
 
@@ -127,13 +126,14 @@ def cmd_simulate(args) -> int:
     _check_count_budget(
         "--samples-per-segment", len(control.segments) * args.samples_per_segment
     )
-    traj = flow_concat(spec, control, g0, samples_per_segment=args.samples_per_segment)
+    plant = prepare(spec)
+    traj = flow_concat(plant, control, g0, samples_per_segment=args.samples_per_segment)
 
     stream, close = _open_out(args.out)
     try:
         write_trajectory_csv(traj, stream)
         if args.verify:
-            dev = _simulate_rk4_deviation(spec, control, g0)
+            dev = _simulate_rk4_deviation(plant, control, g0)
             stream.write(f"# rk4_max_deviation,{format_float(dev)}\n")
     finally:
         if close:
@@ -141,14 +141,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _simulate_rk4_deviation(spec, control: PiecewiseControl, g0: GroupElement) -> float:
+def _simulate_rk4_deviation(plant, control: PiecewiseControl, g0: GroupElement) -> float:
     """Max deviation between closed-form and RK4 states at segment boundaries."""
     exact = g0
     approx = g0.as_array()
     dev = 0.0
     for dur, u in control.segments:
-        exact = flow_se2(spec, dur, exact, u)
-        approx = rk4_oracle(spec, dur, approx, u)
+        exact = flow_se2(plant, dur, exact, u)
+        approx = rk4_oracle(plant.spec, dur, approx, u)
         dev = max(
             dev,
             angle_dist(exact.t, approx[0]) + float(np.linalg.norm(exact.v - approx[1:])),
@@ -173,13 +173,13 @@ def _grid_from_args(rs, args):
 
 
 def cmd_reach(args) -> int:
-    spec = load_system_spec(args.spec)
-    report = classify(spec)
+    plant = prepare(load_system_spec(args.spec))
+    report = classify(plant)
     if report.case not in (CASE_TRACE_ZERO, CASE_CLOSED, CASE_OPEN):
         raise CaseMismatch(
             f"reach applies to the planar reduced cases; this system is {report.case}"
         )
-    rs = reduce_system(spec)
+    rs = plant.rs
     cfg = _grid_from_args(rs, args)
     est = estimate_control_set(rs, cfg, seed_control=args.seed_control)
     payload = est.to_dict()
@@ -194,14 +194,14 @@ def cmd_reach(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    spec = load_system_spec(args.spec)
-    report = classify(spec)
+    plant = prepare(load_system_spec(args.spec))
+    report = classify(plant)
     if report.case != CASE_TRACE_ZERO:
         raise CaseMismatch(
             "plan requires the rotation-only case (trace A = 0, det A != 0); "
             f"this system is {report.case}"
         )
-    rs = reduce_system(spec)
+    rs = plant.rs
     if rs.mu == 0.0:
         raise CaseMismatch("plan requires mu != 0 (nonvanishing rotation rate)")
     v0 = np.array(_parse_floats(args.v0, 2, "--v0"))
@@ -217,7 +217,7 @@ def cmd_verify(args) -> int:
     spec = load_system_spec(args.spec)
     _check_count_budget("--samples", args.samples)
     report = run_verification(
-        spec,
+        prepare(spec),
         seed=args.seed,
         suites=args.suite or None,
         n_samples=args.samples,

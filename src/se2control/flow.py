@@ -14,6 +14,9 @@ Every flow broadcasts: times s and controls u of shape (...) and states of
 shape (..., 2) (planar) or (..., 3) (packed group states [t, v_x, v_y])
 evaluate row by row in one call, and each row equals the one-row call bit
 for bit.  The group flows also take a single GroupElement and return one.
+flow_se2 runs on a Plant, which system.prepare builds once per system: its
+decoupling charts act on packed rows, and a GroupElement is unpacked and
+rebuilt only at the edge of the call.
 
 The RK4 oracle gives the endpoint of classical fixed-step RK4 on the raw
 group field, for a batch of samples at once.  The field is linear in v and
@@ -33,20 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import (
-    GroupElement,
-    as_packed,
-    conj_psi1,
-    conj_psi1_inv,
-    conj_psi2,
-    conj_psi2_inv,
-    conj_psi_zero,
-    conj_psi_zero_inv,
-    group_result,
-    perp,
-    rotate,
-)
-from .system import ReducedSpec, SystemSpec, degenerate_chart, reduce_system
+from .group import GroupElement, as_packed, group_result, matvec, perp, rotate, rotation
+from .system import Plant, ReducedSpec, SystemSpec, as_plant
 
 DEFAULT_RK4_STEP = 1e-3
 SAMPLES_PER_SEGMENT = 64
@@ -130,31 +121,19 @@ def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
     nu = rs.mu - u
     d = rs.lam**2 + nu * nu
     singular = d == 0.0
-    vu = _equilibrium(rs, u, nu, np.where(singular, 1.0, d))
+    any_singular = singular.any()
+    vu = _equilibrium(rs, u, nu, np.where(singular, 1.0, d) if any_singular else d)
     grow = _exp(s * rs.lam, s)
     with np.errstate(over="ignore", invalid="ignore"):
         out = grow[..., None] * rotate(s * nu, v - vu) + vu
-        # Singular control: A(u) = 0, vdot = u eta.
-        out = np.where(singular[..., None], v + (s * u)[..., None] * rs.eta, out)
-    out = np.where((s == 0.0)[..., None], v, out)
-    finite = np.isfinite(out).all(axis=-1)
-    if not finite.all():
-        raise _not_finite(s, ~finite)
+        if any_singular:  # A(u) = 0, vdot = u eta
+            out = np.where(singular[..., None], v + (s * u)[..., None] * rs.eta, out)
+    at_zero = s == 0.0
+    if at_zero.any():
+        out = np.where(at_zero[..., None], v, out)
+    if not np.isfinite(out).all():
+        raise _not_finite(s, ~np.isfinite(out).all(axis=-1))
     return out
-
-
-def flow_product(rs: ReducedSpec, s, g, u):
-    """Lifted flow on S^1 x R^2: the angle advances linearly, t + s u.
-
-    `g` is a GroupElement or packed states of shape (..., 3); s and u are
-    floats or arrays of shape (...).  The result is a GroupElement when g is
-    one and s and u are floats, else packed states of the broadcast shape
-    (..., 3).
-    """
-    x, element = as_packed(g)
-    s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return group_result(x[..., 0] + s * u, flow_r2(rs, s, x[..., 1:], u), element)
 
 
 def dwell_rate(t, xi) -> np.ndarray:
@@ -162,10 +141,20 @@ def dwell_rate(t, xi) -> np.ndarray:
 
     The velocity of the A = 0 chart at rest at angle t (control 0).  This
     form has no difference of nearly equal vectors, so it keeps its
-    relative accuracy for small t.  Shapes as for :func:`group.lambda_map`.
+    relative accuracy for small t.  Angles t of shape (...) and vectors xi
+    of shape (..., 2) broadcast.
     """
     half = 0.5 * np.asarray(t, dtype=float)
     return (2.0 * np.sin(half))[..., None] * rotate(half, xi)
+
+
+def _detA0_rows(xi, s, t, v, u) -> tuple:
+    """Angles and translations of :func:`flow_detA0` for rows (t, v); s and u are arrays."""
+    moving = u != 0.0
+    half = 0.5 * s * u
+    k = np.where(moving, 2.0 * np.sin(half) / np.where(moving, u, 1.0), s)
+    turn = (s - k)[..., None] * perp(xi) + k[..., None] * dwell_rate(t + half, xi)
+    return np.where(moving, t + s * u, t), v + turn
 
 
 def flow_detA0(spec: SystemSpec, s, g, u):
@@ -183,39 +172,57 @@ def flow_detA0(spec: SystemSpec, s, g, u):
     :func:`dwell_rate`.  This form divides no difference of nearly equal
     rotations by a small u, and a long dwell at a small angle keeps its
     relative accuracy.  Callers working with the raw system must first move
-    to the normalized chart (conj_psi_zero) and rescale the control by alpha.
-    Shapes as for :func:`flow_product`.
+    to the normalized chart (see :func:`flow_se2`) and rescale the control
+    by alpha.  Shapes as for :func:`flow_se2`.
     """
     if spec.A.any():
         raise ValueError("flow_detA0 requires A = 0")
     x, element = as_packed(g)
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    t, v = x[..., 0], x[..., 1:]
-    moving = u != 0.0
-    half = 0.5 * s * u
-    k = np.where(moving, 2.0 * np.sin(half) / np.where(moving, u, 1.0), s)
-    turn = (s - k)[..., None] * perp(spec.xi) + k[..., None] * dwell_rate(t + half, spec.xi)
-    return group_result(np.where(moving, t + s * u, t), v + turn, element)
+    t, v = _detA0_rows(spec.xi, s, x[..., 0], x[..., 1:], u)
+    return group_result(t, v, element)
 
 
-def flow_se2(spec: SystemSpec, s, g, u):
+def flow_se2(system, s, g, u):
     """Exact flow of the full system on the group, any classification case.
 
-    det A != 0: conjugate to the reduced system (control rescaled to
-    alpha u), flow there, conjugate back.  A = 0: same scheme through the
-    degenerate chart.  Shapes as for :func:`flow_product`; the reduction is
-    computed once per call, not once per row.
+    `system` is a Plant, or a SystemSpec, which is prepared on entry.  The
+    charts act on packed rows [t, v_x, v_y]; with w the plant's offset and
+    Lambda(t) = w - rho(t) w:
+
+    det A != 0: psi1 then psi2 take (t, v) to (t, rho(-t) (v + Lambda(t)));
+    the reduced system flows there with control alpha u while the angle
+    advances to t' = t + s alpha u; the inverse charts return
+    (t', rho(t') v' - Lambda(t')).
+    A = 0: (t, v - Lambda(t) / alpha), the flow of :func:`flow_detA0` with
+    control alpha u, then (t', v' + Lambda(t') / alpha).
+
+    Angles are wrapped on entry and after the flow.  `g` is a GroupElement
+    or packed states of shape (..., 3); s and u are floats or arrays of
+    shape (...).  The result is a GroupElement when g is one and s and u
+    are floats, else packed states of the broadcast shape (..., 3).
     """
-    if spec.alpha == 0.0:
+    plant = as_plant(system)
+    if plant.chart == "none":
         raise ValueError("exact flow requires alpha != 0")
-    ut = spec.alpha * np.asarray(u, dtype=float)
-    if spec.det() == 0.0:
-        h = conj_psi_zero(spec.alpha, spec.eta1, g)
-        return conj_psi_zero_inv(spec.alpha, spec.eta1, flow_detA0(degenerate_chart(spec), s, h, ut))
-    rs = reduce_system(spec)
-    h = conj_psi2(conj_psi1(spec.A, spec.xi, g))
-    return conj_psi1_inv(spec.A, spec.xi, conj_psi2_inv(flow_product(rs, s, h, ut)))
+    x, element = as_packed(g)
+    s = np.asarray(s, dtype=float)
+    ut = plant.spec.alpha * np.asarray(u, dtype=float)
+    t, v, w = x[..., 0], x[..., 1:], plant.offset
+    # Each branch packs the flowed rows, which wraps their angles, and then
+    # applies the inverse chart to their translations in place.
+    if plant.chart == "zero":
+        alpha = plant.spec.alpha
+        t, v = _detA0_rows(plant.spec.xi, s, t, v - (w - rotate(t, w)) / alpha, ut)
+        out = group_result(t, v, False)
+        out[..., 1:] += (w - rotate(out[..., 0], w)) / alpha
+    else:
+        v = flow_r2(plant.rs, s, rotate(-t, v + (w - rotate(t, w))), ut)
+        out = group_result(t + s * ut, v, False)
+        turn = rotation(out[..., 0])
+        out[..., 1:] = matvec(turn, out[..., 1:]) - (w - matvec(turn, w))
+    return GroupElement(out[0], out[1:]) if element and out.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +286,15 @@ def flow_concat(
     Every sample, including each segment endpoint, is evaluated in closed
     form from the segment's start state, one flow call per segment; nothing
     is interpolated.  A ReducedSpec flows planar states (shape (2,)) with
-    :func:`flow_r2`, or a GroupElement with :func:`flow_product`; a
-    SystemSpec flows group states (a GroupElement or [t, v_x, v_y]) with
-    :func:`flow_se2`.
+    :func:`flow_r2`; a Plant flows group states (a GroupElement or [t, v_x, v_y]) with
+    :func:`flow_se2`, and a SystemSpec is prepared into one first.
     """
-    if isinstance(sys_obj, SystemSpec):
-        flow, kind = flow_se2, "group"
-    elif not isinstance(sys_obj, ReducedSpec):
-        raise TypeError("expected ReducedSpec or SystemSpec")
-    elif isinstance(x0, GroupElement):
-        flow, kind = flow_product, "group"
-    else:
+    if isinstance(sys_obj, ReducedSpec):
         flow, kind = flow_r2, "planar"
+    elif isinstance(sys_obj, (Plant, SystemSpec)):
+        sys_obj, flow, kind = as_plant(sys_obj), flow_se2, "group"
+    else:
+        raise TypeError("expected ReducedSpec, SystemSpec or Plant")
     if isinstance(x0, GroupElement):
         state = x0.as_array()
     else:

@@ -93,7 +93,9 @@ def chord_ratio(sigma, nu, s):
     1 + 4 e^{s sigma} sin(s nu / 2)^2 / expm1(s sigma)^2, which is exact
     algebraically and keeps the strict bound f < (sigma^2+nu^2)/sigma^2
     resolvable in float64 down to |s| ~ 1e-3 (the naive form loses it to
-    roundoff).  Requires sigma != 0 and s != 0.  Symmetric in nu -> -nu.
+    roundoff).  Rows where that form is not finite (e^{s sigma} or its
+    products overflow) take the equal 1 + (sin(s nu / 2) / sinh(s sigma / 2))^2.
+    Requires sigma != 0 and s != 0.  Symmetric in nu -> -nu.
     """
     sigma = np.asarray(sigma, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -102,8 +104,13 @@ def chord_ratio(sigma, nu, s):
         raise ValueError("chord_ratio requires sigma != 0")
     if np.any(s == 0.0):
         raise ValueError("chord_ratio requires s != 0")
-    em = np.expm1(s * sigma)
-    out = 1.0 + 4.0 * np.exp(s * sigma) * np.sin(0.5 * s * nu) ** 2 / em**2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        em = np.expm1(s * sigma)
+        out = 1.0 + 4.0 * np.exp(s * sigma) * np.sin(0.5 * s * nu) ** 2 / em**2
+        bad = ~np.isfinite(out)
+        if bad.any():
+            alt = 1.0 + (np.sin(0.5 * s * nu) / np.sinh(0.5 * (s * sigma))) ** 2
+            out = np.where(bad, alt, out)
     if out.ndim == 0:
         return float(out)
     return out

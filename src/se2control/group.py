@@ -7,10 +7,11 @@ translating by v; composition is the semidirect product
 
 where rho(t) is the rotation by t.  Angles are kept canonical in [0, 2*pi).
 
-The module also evaluates the two vector fields that make up a linear
-control system on this group -- a linear field (0, A v + Lambda_t xi) and a
-left-invariant field (alpha, rho(t) eta1) -- together with the coordinate
-changes that decouple them.
+Group states travel as packed rows [t, v_x, v_y] of shape (..., 3); a
+GroupElement is one row, built only at the API edge.  The coordinate changes
+that decouple a linear control system on this group act on packed rows, in
+:func:`flow.flow_se2`, with their offsets prepared once in
+:class:`system.Plant`.
 """
 
 from __future__ import annotations
@@ -109,22 +110,6 @@ def perp(w) -> np.ndarray:
     return np.asarray(w, dtype=float)[..., ::-1] * _PERP_SIGNS
 
 
-def lambda_map(t, w) -> np.ndarray:
-    """Evaluate Lambda_t w = (I - rho(t)) theta w.
-
-    This is the translation part of the linear drift generated by a pure
-    rotation; it vanishes iff t = 0 (mod 2*pi).  Angles t of shape (...)
-    and vectors w of shape (..., 2) broadcast.
-
-    Examples
-    --------
-    >>> lambda_map(np.pi, [1.0, 0.0])
-    array([0., 2.])
-    """
-    tw = perp(w)
-    return tw - rotate(t, tw)
-
-
 @dataclass
 class GroupElement:
     """Element (t, v) of the planar motion group.
@@ -179,81 +164,3 @@ def commutes_with_theta(A, tol: float = COMMUTE_TOL) -> bool:
     """Check A theta = theta A within `tol` (max-abs entrywise)."""
     A = np.asarray(A, dtype=float)
     return float(np.max(np.abs(A @ THETA - THETA @ A))) <= tol
-
-
-def _require_commuting(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.shape != (2, 2):
-        raise ValueError("A must be a 2x2 matrix")
-    if not commutes_with_theta(A):
-        raise ValueError(
-            "A must commute with the rotation generator "
-            "(form [[lam, -mu], [mu, lam]])"
-        )
-    return A
-
-
-# ---------------------------------------------------------------------------
-# Coordinate changes decoupling the drift
-# ---------------------------------------------------------------------------
-#
-# Each map takes a GroupElement and returns one, or takes packed states of
-# shape (..., 3) and returns packed states of the same shape.
-
-
-def _offset_by(g, w, divisor: float):
-    """(t, v + Lambda_t w / divisor) for g a GroupElement or packed states."""
-    x, element = as_packed(g)
-    t = x[..., 0]
-    return group_result(t, x[..., 1:] + lambda_map(t, w) / divisor, element)
-
-
-def _rotated_by(g, sign: float):
-    """(t, rho(sign * t) v) for g a GroupElement or packed states."""
-    x, element = as_packed(g)
-    t = x[..., 0]
-    return group_result(t, rotate(sign * t, x[..., 1:]), element)
-
-
-def conj_psi1(A, xi, g):
-    """First decoupling map psi1(t, v) = (t, v + Lambda_t A^{-1} xi).
-
-    Removes the Lambda_t xi drift term; requires det A != 0.
-    """
-    A = _require_commuting(A)
-    if abs(np.linalg.det(A)) == 0.0:
-        raise ValueError("conj_psi1 requires det A != 0")
-    return _offset_by(g, np.linalg.solve(A, np.asarray(xi, float)), 1.0)
-
-
-def conj_psi1_inv(A, xi, g):
-    """Inverse of :func:`conj_psi1`."""
-    A = _require_commuting(A)
-    return _offset_by(g, np.linalg.solve(A, np.asarray(xi, float)), -1.0)
-
-
-def conj_psi2(g):
-    """Second decoupling map psi2(t, v) = (t, rho(-t) v)."""
-    return _rotated_by(g, -1.0)
-
-
-def conj_psi2_inv(g):
-    """Inverse of :func:`conj_psi2`."""
-    return _rotated_by(g, 1.0)
-
-
-def conj_psi_zero(alpha: float, eta1, g):
-    """Decoupling map for the A = 0 case: (t, v - Lambda_t eta1 / alpha).
-
-    Conjugates the invariant field (alpha, rho(t) eta1) to (alpha, 0).
-    """
-    if alpha == 0.0:
-        raise ValueError("conj_psi_zero requires alpha != 0")
-    return _offset_by(g, np.asarray(eta1, float), -alpha)
-
-
-def conj_psi_zero_inv(alpha: float, eta1, g):
-    """Inverse of :func:`conj_psi_zero`."""
-    if alpha == 0.0:
-        raise ValueError("conj_psi_zero requires alpha != 0")
-    return _offset_by(g, np.asarray(eta1, float), alpha)

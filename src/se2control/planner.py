@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import PiecewiseControl, Trajectory, equilibrium, flow_concat, flow_r2
+from .flow import SAMPLES_PER_SEGMENT, PiecewiseControl, Trajectory, equilibrium, flow_concat
 from .geometry import Circle
 from .group import TWO_PI, norms, perp
 from .system import ReducedSpec
@@ -273,16 +273,11 @@ def plan_periodic(
     ]
     control = PiecewiseControl(segments + back)
 
-    # Exact closure and origin visit, evaluated with the closed-form flow.
-    p = v0.copy()
-    for dur, u in segments:
-        p = flow_r2(rs, dur, p, u)
-    origin_error = float(np.linalg.norm(p))
-    for dur, u in back:
-        p = flow_r2(rs, dur, p, u)
-    closure_error = float(np.linalg.norm(p - v0))
-
+    # Exact origin visit and closure: each segment's last sample is its end
+    # state, flowed in closed form from the segment's start (tau = dur).
     traj = flow_concat(rs, control, v0)
+    origin_error = float(np.linalg.norm(traj.states[len(segments) * SAMPLES_PER_SEGMENT]))
+    closure_error = float(np.linalg.norm(traj.states[-1] - v0))
     diagnostics = {"arcs": n_arcs, "origin_error": origin_error}
     diagnostics.update(root_diag)
     return PlanResult(

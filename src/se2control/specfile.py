@@ -152,12 +152,15 @@ def dump_json(payload: dict, stream) -> None:
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """CSV columns s,t,v_x,v_y,u; planar runs leave t empty."""
     t_fmt = FLOAT_FMT if traj.kind == "group" else ""
-    row = f"{FLOAT_FMT},{t_fmt},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n"
-    table = np.column_stack([traj.times, traj.states, traj.controls])
+    row = f"{FLOAT_FMT},{t_fmt},{FLOAT_FMT},{FLOAT_FMT},%s\n"
+    table = np.column_stack([traj.times, traj.states])
+    # A control holds for a whole segment, so each value is formatted once.
+    controls = _formatted_once(np.ascontiguousarray(traj.controls, dtype=float))
     stream.write("s,t,v_x,v_y,u\n")
     # Blocks of rows keep the formatted text small next to the trajectory.
     for k in range(0, len(table), CSV_BLOCK_ROWS):
-        stream.write("".join([row % r for r in zip(*table[k : k + CSV_BLOCK_ROWS].T.tolist())]))
+        block = slice(k, k + CSV_BLOCK_ROWS)
+        stream.write("".join([row % r for r in zip(*table[block].T.tolist(), controls[block])]))
 
 
 def _formatted_once(values: np.ndarray) -> list:

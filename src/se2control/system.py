@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .group import commutes_with_theta
+from .group import commutes_with_theta, perp
 
 # Classification cases.
 CASE_DEGENERATE = "DegenerateDetZero"
@@ -182,7 +183,7 @@ def reduced_range(spec: SystemSpec) -> tuple:
 
 
 def degenerate_chart(spec: SystemSpec) -> SystemSpec:
-    """The A = 0 system after conj_psi_zero: (alpha, xi, A = 0, eta1 = 0, Omega).
+    """The A = 0 system in its normal-form chart: (alpha, xi, A = 0, eta1 = 0, Omega).
 
     Its flow is flow_detA0 with the control rescaled to alpha u, which
     ranges over reduced_range(spec).  A = 0 is tested as det A = 0, the test
@@ -232,6 +233,52 @@ def reduce_system(spec: SystemSpec) -> ReducedSpec:
     if not finite:
         raise ValueError("lambda^2 + (mu - alpha u)^2 overflows for u in omega")
     return ReducedSpec(lam=spec.lam, mu=spec.mu, eta=eta / spec.alpha, omega=(lo, hi))
+
+
+@dataclass(frozen=True, eq=False)
+class Plant:
+    """A system prepared once for its exact flows on the group.
+
+    `chart` names the decoupling chart that applies.  "psi" (det A != 0):
+    psi1 and psi2 lead to the planar system `rs`, and `offset` is
+    theta A^{-1} xi, so that psi1(t, v) = (t, v + offset - rho(t) offset).
+    "zero" (A = 0): the chart to the normal form with invariant field
+    (alpha, 0), and `offset` is theta eta1.  "none" (alpha = 0): no chart
+    and no exact flow.  Build it with :func:`prepare`.
+    """
+
+    spec: SystemSpec
+    chart: str
+    offset: np.ndarray | None = None
+
+    @cached_property
+    def rs(self) -> ReducedSpec | None:
+        """The planar reduction for the "psi" chart, else None.
+
+        It is computed on first use and then kept, so a job reduces its
+        system at most once, and only if it needs the reduction: classify
+        reads it after the rank test, so a spec whose rank condition fails
+        is classified even when its reduction would raise.
+        """
+        return reduce_system(self.spec) if self.chart == "psi" else None
+
+
+def prepare(spec: SystemSpec) -> Plant:
+    """Prepare `spec` once: which chart applies and the chart offset.
+
+    A = 0 is tested as det A = 0, the test that classify uses.  Reading
+    `rs` raises what :func:`reduce_system` raises.
+    """
+    if spec.alpha == 0.0:
+        return Plant(spec, "none")
+    if spec.det() == 0.0:
+        return Plant(spec, "zero", perp(spec.eta1))
+    return Plant(spec, "psi", perp(np.linalg.solve(spec.A, spec.xi)))
+
+
+def as_plant(system) -> Plant:
+    """`system` if it is a Plant, else the SystemSpec `system` prepared."""
+    return system if isinstance(system, Plant) else prepare(system)
 
 
 @dataclass
@@ -286,15 +333,18 @@ def _boundary_structure(lam: float, mu: float, eta, omega) -> dict:
     }
 
 
-def classify(spec: SystemSpec) -> ClassificationReport:
+def classify(system) -> ClassificationReport:
     """Classify the control-set structure of the system.
 
     Cases: det A = 0 (infinitely many control sets with empty interior);
     trace A = 0 (controllable on the plane after reduction); trace A < 0
     (unique bounded control set, closed); trace A > 0 (unique control set
     with nonempty interior, open).  When the rank condition fails the report
-    abstains from predicting a case.
+    abstains from predicting a case.  `system` is a Plant, or a SystemSpec,
+    which is prepared on entry.
     """
+    plant = as_plant(system)
+    spec = plant.spec
     lam, mu = spec.lam, spec.mu
     rank_ok = larc(spec)
     notes = []
@@ -326,7 +376,7 @@ def classify(spec: SystemSpec) -> ClassificationReport:
             "{angle 0} x (v + R xi), all with empty interior"
         )
     else:
-        rs = reduce_system(spec)
+        rs = plant.rs
         reduced = rs.to_dict()
         if lam == 0.0:
             case = CASE_TRACE_ZERO

@@ -44,6 +44,11 @@ def rk4(field, s, x0, step=1e-3):
     x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), with stage points x + (h/2) k,
     the sums numpy array arithmetic would form.  Two coordinates take an
     unrolled loop, as the planar checks run millions of steps.
+
+    Three coordinates are a group state [t, v_x, v_y] whose angle turns at
+    the constant rate field(...)[0]: step k starts at the angle
+    t0 + k (h rate), as in the exact RK4 recurrence, rather than at a
+    running sum, whose rounding drifts over long horizons.
     """
     x = [float(c) for c in x0]
     n = max(1, int(math.ceil(abs(s) / step)))
@@ -59,12 +64,15 @@ def rk4(field, s, x0, step=1e-3):
             vx = vx + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             vy = vy + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         return np.array([vx, vy])
-    for _ in range(n):
+    t0, dt = x[0], h * field(*x)[0]
+    for k in range(n):
+        x[0] = t0 + k * dt
         k1 = field(*x)
         k2 = field(*[a + h2 * b for a, b in zip(x, k1)])
         k3 = field(*[a + h2 * b for a, b in zip(x, k2)])
         k4 = field(*[a + h * b for a, b in zip(x, k3)])
         x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    x[0] = t0 + n * dt
     return np.array(x)
 
 

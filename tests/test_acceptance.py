@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import angle_gap, rk4_full, rk4_piecewise_reduced, rk4_reduced
-from se2control.flow import equilibrium, flow_product, flow_r2
+from reference_charts import conj_psi1, conj_psi2, flow_product
+from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import (
     check_invariance,
     circle_params,
@@ -22,8 +23,6 @@ from se2control.geometry import (
 from se2control.group import (
     TWO_PI,
     GroupElement,
-    conj_psi1,
-    conj_psi2,
     matvec,
     norms,
 )

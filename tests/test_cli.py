@@ -273,6 +273,52 @@ def test_overflowing_rates_give_one_line(tmp_path, capsys, command):
     assert err == "error: lambda^2 + (mu - alpha u)^2 overflows for u in omega\n"
 
 
+@pytest.mark.parametrize("argv_tail, rc, err", [
+    (["classify"], 0, ""),
+    (["reach"], 3, "error: reach applies to the planar reduced cases; this system is NotClassified\n"),
+    (["plan", "--v0", "1,0"], 3, "error: plan requires the rotation-only case (trace A = 0, "
+                                 "det A != 0); this system is NotClassified\n"),
+    (["verify"], 2, "error: lambda^2 + (mu - alpha u)^2 overflows for u in omega\n"),
+    (["simulate", "--horizon", "1", "--u", "0.5"], 2,
+     "error: lambda^2 + (mu - alpha u)^2 overflows for u in omega\n"),
+])
+def test_an_unreducible_spec_is_classified_before_it_is_reduced(tmp_path, capsys, argv_tail, rc, err):
+    # The rank condition fails (xi = eta1 = 0), so classify reports
+    # NotClassified without reducing, and reach and plan stop there; the
+    # jobs that flow or verify hit the overflowing reduction.
+    path = write_spec(tmp_path, dict(OPEN, A={"lambda": 1e200, "mu": 2.0}, eta1=[0.0, 0.0]))
+    got = run_main(capsys, [argv_tail[0], path] + argv_tail[1:])
+    assert (got[0], got[2]) == (rc, err)
+    if rc == 0:
+        assert json.loads(got[1])["case"] == "NotClassified"
+
+
+# e^{s lambda} overflows on part of the bound sweep's s grid.
+FAST_RATES = dict(OPEN, xi=[0.3, -0.7], A={"lambda": 100.0, "mu": 2.0}, eta1=[1.0, 0.2])
+
+
+def test_bound_sweep_measures_rates_whose_exponential_overflows(tmp_path, capsys):
+    # Once four numpy warnings, then min_margin Infinity and passed.
+    path = write_spec(tmp_path, FAST_RATES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["verify", path, "--suite", "bound_sweep"])
+    assert (rc, err) == (0, "")
+    (suite,) = json.loads(out)["suites"]
+    assert suite["status"] == "passed"
+    assert 0.0 < suite["metrics"]["min_margin"] < math.inf
+
+
+def test_verify_on_huge_rates_gives_one_line(tmp_path, capsys):
+    # Once three numpy warnings from the bound sweep before the flow error.
+    path = write_spec(tmp_path, dict(FAST_RATES, A={"lambda": 1e20, "mu": 2.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["verify", path])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reach_rejects_degenerate_case(tmp_path, capsys):
     rc, _, err = run_main(capsys, ["reach", write_spec(tmp_path, DEGENERATE)])
     assert rc == 3

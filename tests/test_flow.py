@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import angle_gap, rk4_full, rk4_piecewise_reduced, rk4_reduced
+from reference_charts import flow_product
 
 from se2control.flow import (
     PiecewiseControl,
@@ -13,7 +14,6 @@ from se2control.flow import (
     equilibrium_derivative,
     flow_concat,
     flow_detA0,
-    flow_product,
     flow_r2,
     flow_se2,
 )

@@ -124,6 +124,23 @@ def test_chord_ratio_small_s_approaches_limit(rng):
         assert abs(chord_ratio(sig, nu, 1e-6) - chord_ratio_limit(sig, nu)) < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+def test_chord_ratio_is_finite_where_the_exponential_overflows():
+    # e^{s sigma} overflows past s sigma = 709.8; 4 e^{s sigma} from 708.4.
+    s = np.array([-10.0, 1e-3, 3.0, 7.084, 7.1, 10.0, 20.0])
+    vals = chord_ratio(100.0, 1.3, s)
+    assert np.all(np.isfinite(vals)) and np.all(vals < chord_ratio_limit(100.0, 1.3))
+    x = 100.0 * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = 1.0 + 4.0 * np.exp(x) * np.sin(0.5 * s * 1.3) ** 2 / np.expm1(x) ** 2
+    kept = np.isfinite(old)
+    assert kept.tolist() == [True, True, True, False, False, False, False]
+    assert vals[kept].tobytes() == old[kept].tobytes()
+    sinh_form = 1.0 + (np.sin(0.5 * s[3:5] * 1.3) / np.sinh(0.5 * x[3:5])) ** 2
+    assert vals[3:5] == pytest.approx(sinh_form, rel=1e-15)
+    assert vals[5:].tolist() == [1.0, 1.0]
+
+
 def test_chord_ratio_rejects_zero_arguments():
     with pytest.raises(ValueError):
         chord_ratio(0.0, 1.0, 1.0)

@@ -4,10 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from se2control.group import (
-    GroupElement,
-    angle_dist,
-    commutes_with_theta,
+from reference_charts import (
     conj_psi1,
     conj_psi1_inv,
     conj_psi2,
@@ -15,6 +12,12 @@ from se2control.group import (
     conj_psi_zero,
     conj_psi_zero_inv,
     lambda_map,
+)
+
+from se2control.group import (
+    GroupElement,
+    angle_dist,
+    commutes_with_theta,
     perp,
     rotation,
     wrap_angle,

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from se2control import verification as V
 from se2control.system import SystemSpec
 from se2control.verification import SUITE_NAMES, _draw, run_verification
 
@@ -36,6 +37,22 @@ def test_bound_sweep_margin_reported_positive():
     (suite,) = [s for s in rep.suites if s.name == "bound_sweep"]
     assert suite.status == "passed"
     assert suite.metrics["min_margin"] > 0.0
+
+
+def test_bound_sweep_fails_on_a_nan_margin(monkeypatch):
+    chord_ratio = V.chord_ratio
+
+    def chord_ratio_with_a_nan(sigma, nu, s):
+        vals = chord_ratio(sigma, nu, s)
+        vals[0] = np.nan
+        return vals
+
+    monkeypatch.setattr(V, "chord_ratio", chord_ratio_with_a_nan)
+    # Python's min would skip the NaN after a finite margin.
+    rep = run_verification(spec_open(), seed=0, suites=["bound_sweep"])
+    (suite,) = rep.suites
+    assert suite.status == "failed" and np.isnan(suite.metrics["min_margin"])
+    assert not rep.passed
 
 
 def test_degenerate_case_routes_to_monotone_suite():
