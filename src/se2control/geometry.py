@@ -9,8 +9,8 @@ u = mu.
 The ball B centered at -theta eta with radius |eta| sqrt(lam^2 + mu^2)/|lam|
 is invariant: flows with lam s < 0 map B strictly into its interior, and
 flows with lam s > 0 strictly increase the distance to the center outside B.
-Both facts rest on the strict bound f(sigma, nu, s) < (sigma^2+nu^2)/sigma^2
-implemented here in a cancellation-free form.
+Both facts rest on the strict bound f(sigma, nu, s) < (sigma^2+nu^2)/sigma^2,
+that is f - 1 < (nu/sigma)^2, implemented here in a cancellation-free form.
 """
 
 from __future__ import annotations
@@ -29,19 +29,8 @@ FLOW_CHUNK = 2048
 
 @dataclass
 class Circle:
-    center: np.ndarray
-    radius: float
+    """A centre and a radius: the circle of equilibria, or the invariant ball."""
 
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(2)
-        self.radius = float(self.radius)
-
-    def to_dict(self) -> dict:
-        return {"center": [float(c) for c in self.center], "radius": float(self.radius)}
-
-
-@dataclass
-class Ball:
     center: np.ndarray
     radius: float
 
@@ -64,14 +53,14 @@ def circle_params(rs: ReducedSpec) -> Circle:
     return Circle(center, radius)
 
 
-def invariant_ball(rs: ReducedSpec) -> Ball:
+def invariant_ball(rs: ReducedSpec) -> Circle:
     """Invariant ball: center -theta eta, radius |eta| sqrt(lam^2+mu^2)/|lam|."""
     if rs.lam == 0.0:
         raise ValueError("the invariant ball requires lam != 0")
     radius = np.sqrt((rs.lam**2 + rs.mu**2) / rs.lam**2) * float(
         np.linalg.norm(rs.eta)
     )
-    return Ball(-perp(rs.eta), radius)
+    return Circle(-perp(rs.eta), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -89,27 +78,36 @@ def chord_ratio_limit(sigma, nu):
 def chord_ratio(sigma, nu, s):
     """Spiral chord ratio f(sigma, nu, s) = (1 - 2 e^{s sigma} cos(s nu) + e^{2 s sigma}) / (1 - e^{s sigma})^2.
 
-    Evaluated in the cancellation-free form
-    1 + 4 e^{s sigma} sin(s nu / 2)^2 / expm1(s sigma)^2, which is exact
-    algebraically and keeps the strict bound f < (sigma^2+nu^2)/sigma^2
-    resolvable in float64 down to |s| ~ 1e-3 (the naive form loses it to
-    roundoff).  Rows where that form is not finite (e^{s sigma} or its
-    products overflow) take the equal 1 + (sin(s nu / 2) / sinh(s sigma / 2))^2.
-    Requires sigma != 0 and s != 0.  Symmetric in nu -> -nu.
+    Evaluated as 1 + :func:`chord_excess`.  Requires sigma != 0 and s != 0.
+    Symmetric in nu -> -nu.
+    """
+    return 1.0 + chord_excess(sigma, nu, s)
+
+
+def chord_excess(sigma, nu, s):
+    """Excess g = f - 1 of :func:`chord_ratio`, without rounding at 1.
+
+    Evaluated in the cancellation-free form 4 e^{s sigma} sin(s nu / 2)^2 /
+    expm1(s sigma)^2, which is exact algebraically and keeps the strict bound
+    g < (nu/sigma)^2 resolvable in float64 down to |s| ~ 1e-3 (the naive form
+    loses it to roundoff), and for any sigma / |nu| (1 + g would round to 1
+    once that ratio passes about 1e8).  Rows where that form is not finite
+    (e^{s sigma} or its products overflow) take the equal
+    (sin(s nu / 2) / sinh(s sigma / 2))^2.  Requires sigma != 0 and s != 0.
     """
     sigma = np.asarray(sigma, dtype=float)
     nu = np.asarray(nu, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(sigma == 0.0):
-        raise ValueError("chord_ratio requires sigma != 0")
+        raise ValueError("the chord ratio requires sigma != 0")
     if np.any(s == 0.0):
-        raise ValueError("chord_ratio requires s != 0")
+        raise ValueError("the chord ratio requires s != 0")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         em = np.expm1(s * sigma)
-        out = 1.0 + 4.0 * np.exp(s * sigma) * np.sin(0.5 * s * nu) ** 2 / em**2
+        out = 4.0 * np.exp(s * sigma) * np.sin(0.5 * s * nu) ** 2 / em**2
         bad = ~np.isfinite(out)
         if bad.any():
-            alt = 1.0 + (np.sin(0.5 * s * nu) / np.sinh(0.5 * (s * sigma))) ** 2
+            alt = (np.sin(0.5 * s * nu) / np.sinh(0.5 * (s * sigma))) ** 2
             out = np.where(bad, alt, out)
     if out.ndim == 0:
         return float(out)
@@ -131,7 +129,7 @@ class InvarianceReport:
     violations_outward: int
     min_margin_inward: float
     min_margin_outward: float
-    ball: Ball = field(default=None)
+    ball: Circle = field(default=None)
 
     @property
     def passed(self) -> bool:

@@ -5,9 +5,10 @@ a circle centered at the equilibrium v(u), since the flow preserves
 |v - v(u)|.  All equilibria lie on the line R * theta eta, so a plan is built
 from half-circle arcs that alternate the controls +-rho: each arc swaps the
 active center and shrinks the circle radius by the fixed center distance
-until a waypoint lands between the two centers.  One last root-found control
-u_N places v_N and the origin on a common circle, and the complementary arcs
-(same controls, remaining sweep of each circle) close the loop back to v0.
+until a waypoint lands between the two centers.  One last control u_N, in
+closed form, places v_N and the origin on a common circle, and the
+complementary arcs (same controls, remaining sweep of each circle) close the
+loop back to v0.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 
 from .flow import SAMPLES_PER_SEGMENT, PiecewiseControl, Trajectory, equilibrium, flow_concat
 from .geometry import Circle
-from .group import TWO_PI, norms, perp
+from .group import TWO_PI, perp
 from .system import ReducedSpec
 
-BISECT_TOL = 1e-12
-BISECT_MAX_ITER = 200
+# Forward arcs a plan may take before it gives up on reaching the segment.
+MAX_ARCS = 100_000
 
 
 def circle_line_intersect(c: Circle, direction) -> list:
@@ -108,80 +109,44 @@ class PlanResult:
         }
 
 
-def _bisect(f, lo: float, hi: float):
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo, 0
-    if fhi == 0.0:
-        return hi, 0
-    if flo * fhi > 0.0:
-        raise ValueError("bisection bracket does not change sign")
-    it = 0
-    while hi - lo > BISECT_TOL and it < BISECT_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, it
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        it += 1
-    return 0.5 * (lo + hi), it
-
-
-def _final_control(rs: ReducedSpec, v_n) -> tuple:
+def _final_control(rs: ReducedSpec, v_n: np.ndarray) -> float:
     """Control whose solution circle passes through both v_n and the origin.
 
-    Root of g(u) = |v(u)| - |v_n - v(u)| on the bracket between 0 and the
-    control whose equilibrium is v_n; the scan starts at 0 so the root of
-    smallest magnitude wins, and the number of sign changes is reported.
+    For lam = 0 the equilibria are v(u) = x theta eta with x = u / (mu - u), so
+    |v(u)| = |v_n - v(u)| is the linear equation 2 x <v_n, theta eta> = |v_n|^2,
+    and u = mu x / (1 + x).
     """
-    v_n = np.asarray(v_n, dtype=float)
-    teta = perp(rs.eta)
-    x_n = float(v_n @ teta) / float(teta @ teta)
-    u_eq = rs.mu * x_n / (1.0 + x_n)
-
-    def g(u):
-        vu = equilibrium(rs, u)
-        return float(np.linalg.norm(vu)) - float(np.linalg.norm(v_n - vu))
-
-    scan = np.linspace(0.0, u_eq, 257)
-    vu = equilibrium(rs, scan)
-    vals = norms(vu) - norms(v_n - vu)
-    flips = [
-        k
-        for k in range(len(scan) - 1)
-        if vals[k] * vals[k + 1] < 0.0 or vals[k + 1] == 0.0
-    ]
-    if not flips:
-        raise RuntimeError("final-control root finding failed: no sign change")
-    k = flips[0]  # scan starts at 0, so the first flip is the smallest-|u| root
-    u_star, iters = _bisect(g, min(scan[k], scan[k + 1]), max(scan[k], scan[k + 1]))
-    return float(u_star), {"roots_scanned": len(flips), "bisection_iterations": iters}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = (v_n @ v_n) / (2.0 * (v_n @ perp(rs.eta)))
+        u = float(rs.mu * x / (1.0 + x))
+    if not math.isfinite(u):
+        # <v_n, theta eta> rounds to 0 only when |theta eta| overflows or underflows.
+        raise ValueError("no finite final control: |eta| is out of range")
+    return u
 
 
 def plan_periodic(
     rs: ReducedSpec,
     v0,
     rho: float | None = None,
-    max_arcs: int = 100_000,
 ) -> PlanResult:
     """Closed piecewise-constant plan through v0 and the origin (lam = 0).
 
     Forward half: half-circle arcs alternating +-rho walk the waypoint onto
-    the segment of equilibria between v(-rho) and v(rho); a final root-found
-    control sweeps it into the origin.  Return half: the complementary arc of
-    each forward circle, in reverse order, restores v0 exactly.
+    the segment of equilibria between v(-rho) and v(rho); a final control, in
+    closed form, sweeps it into the origin.  Return half: the complementary
+    arc of each forward circle, in reverse order, restores v0 exactly.
     """
     if rs.lam != 0.0:
         raise ValueError("planner requires lam = 0")
     if rs.mu == 0.0:
         raise ValueError("planner requires mu != 0")
     v0 = np.asarray(v0, dtype=float).reshape(2).copy()
-    if not np.all(np.isfinite(v0)):
-        raise ValueError("v0 must be finite")
+    with np.errstate(over="ignore"):
+        length = float(np.linalg.norm(v0))
+    if not math.isfinite(length):
+        # An overflowing length too: inf <= 1e-15 * inf would pass v0 off as the origin.
+        raise ValueError("v0 must be finite, and short enough that its length is finite")
     if rho is None:
         rho = select_rho(rs)
     else:
@@ -196,9 +161,9 @@ def plan_periodic(
     xs = {s: float(c @ line_dir) for s, c in centers.items()}
     x_lo, x_hi = min(xs.values()), max(xs.values())
     gap = abs(xs[+1.0] - xs[-1.0])
-    scale = max(1.0, float(np.linalg.norm(v0)))
+    scale = max(1.0, length)
 
-    if float(np.linalg.norm(v0)) <= 1e-15 * scale:
+    if length <= 1e-15 * scale:
         control = PiecewiseControl([])
         return PlanResult(
             control=control,
@@ -211,9 +176,11 @@ def plan_periodic(
         )
 
     def on_segment(v):
+        # Relative to |v|: an absolute floor would put every tiny v on the line.
         off = abs(float(v[0] * line_dir[1] - v[1] * line_dir[0]))
         x = float(v @ line_dir)
-        return off <= 1e-9 * scale and x_lo - 1e-12 * scale <= x <= x_hi + 1e-12 * scale
+        on_line = off <= 1e-9 * float(np.linalg.norm(v))
+        return on_line and x_lo - 1e-12 * scale <= x <= x_hi + 1e-12 * scale
 
     # Forward half: alternating arcs until a waypoint lies between the centers.
     waypoints = [v0.copy()]
@@ -223,7 +190,7 @@ def plan_periodic(
     sign = +1.0
     n_arcs = 0
     while not on_segment(w):
-        if n_arcs >= max_arcs:
+        if n_arcs >= MAX_ARCS:
             raise RuntimeError("planner failed to reach the equilibrium segment")
         u = sign * rho
         c = centers[sign]
@@ -250,9 +217,8 @@ def plan_periodic(
     # Final arc: one control whose circle carries w into the origin.
     u_final = None
     final_radius = 0.0
-    root_diag = {}
     if float(np.linalg.norm(w)) > 1e-15 * scale:
-        u_final, root_diag = _final_control(rs, w)
+        u_final = _final_control(rs, w)
         c_fin = equilibrium(rs, u_final)
         final_radius = float(np.linalg.norm(c_fin))
         rel0 = w - c_fin
@@ -279,7 +245,6 @@ def plan_periodic(
     origin_error = float(np.linalg.norm(traj.states[len(segments) * SAMPLES_PER_SEGMENT]))
     closure_error = float(np.linalg.norm(traj.states[-1] - v0))
     diagnostics = {"arcs": n_arcs, "origin_error": origin_error}
-    diagnostics.update(root_diag)
     return PlanResult(
         control=control,
         trajectory=traj,

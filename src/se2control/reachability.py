@@ -152,7 +152,6 @@ def default_grid_config(
     time_step: float | None = None,
     bounds: tuple | None = None,
     max_cells: int = DEFAULT_MAX_CELLS,
-    steps_per_arc: int = 24,
 ) -> GridConfig:
     """Grid defaults sized from the system's own geometry.
 
@@ -185,7 +184,6 @@ def default_grid_config(
         controls=control_grid(rs.omega, n_controls),
         time_step=time_step,
         max_cells=max_cells,
-        steps_per_arc=steps_per_arc,
     )
 
 

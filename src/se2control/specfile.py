@@ -126,27 +126,14 @@ def format_float(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def dump_json(payload: dict, stream) -> None:
-    """Write a report dict as deterministic, round-trip-safe JSON."""
-    json.dump(_jsonable(payload), stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    """Write a report dict as deterministic, round-trip-safe JSON, in one write.
+
+    numpy arrays and scalars go out as their Python values; np.float64 is a
+    float, so json prints it with float.__repr__ like any other float.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
+    stream.write(text + "\n")
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import flow_detA0, flow_r2, flow_se2, rk4_oracle_batch
-from .geometry import check_invariance, chord_ratio, chord_ratio_limit
+from .geometry import check_invariance, chord_excess
 from .group import TWO_PI, angle_dist, norms
 from .reachability import control_grid, degenerate_structure_check
 from .system import Plant, SystemSpec, as_plant, classify, degenerate_chart, larc, reduced_range
@@ -80,7 +80,9 @@ def _suite_bound_sweep(spec: SystemSpec, seed: int) -> SuiteResult:
             "bound_sweep", "skipped", "every control hits the rotation-free axis"
         )
     svals = np.concatenate([np.geomspace(1e-3, 10.0, 41), -np.geomspace(1e-3, 10.0, 41)])
-    margins = [np.min(chord_ratio_limit(sigma, nu) - chord_ratio(sigma, nu, svals)) for nu in nus]
+    # (nu/sigma)^2 - (f - 1) rather than (1 + (nu/sigma)^2) - f: both of those
+    # round at 1 once sigma/|nu| passes about 1e8, and a true bound would fail.
+    margins = [np.min((nu / sigma) ** 2 - chord_excess(sigma, nu, svals)) for nu in nus]
     # np.min keeps a NaN margin, which then fails the suite.
     min_margin = float(np.min(margins))
     count = nus.size * svals.size

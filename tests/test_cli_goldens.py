@@ -1,15 +1,28 @@
-"""CLI outputs held byte for byte against goldens recorded before the plant refactor.
+"""CLI outputs held byte for byte against recorded goldens.
 
 Every job below runs `cli.main` in-process on fixed specs; its exit code,
 stdout, stderr and every file it writes must equal the bytes in
-`cli_goldens.json`, which were recorded with the per-call reduction that
-`system.Plant` replaced.  `@D@` in an argument stands for the job's
-directory, which holds the spec and control files and receives the outputs.
+`cli_goldens.json`.  Most entries were recorded with the per-call reduction
+that `system.Plant` replaced.  `plan_near` and `plan_far` were re-recorded
+when the planner's final control became closed-form, and `verify_open` when
+the bound sweep's margin stopped rounding at 1; each of those changes is
+stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
+which holds the spec and control files and receives the outputs.
+
+To re-record named entries after a stated output change, run
+
+    PYTHONPATH=src python tests/test_cli_goldens.py --record NAME...
+
+It rewrites only those entries and prints the JSON keys and CSV line ranges
+that changed.
 """
+import argparse
 import contextlib
 import io
 import json
 import pathlib
+import sys
+import tempfile
 
 import pytest
 
@@ -78,3 +91,86 @@ def run_job(argv, directory: pathlib.Path) -> dict:
 def test_cli_output_equals_recorded_bytes(name, argv, tmp_path):
     want = json.loads(GOLDENS.read_text())[name]
     assert run_job(argv, tmp_path) == want
+
+
+def _json_changes(old, new, path=""):
+    """Dotted paths of the leaves that differ between two JSON values."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            sub = f"{path}.{key}" if path else key
+            if key not in new:
+                yield f"{sub} (removed)"
+            elif key not in old:
+                yield f"{sub} (added)"
+            else:
+                yield from _json_changes(old[key], new[key], sub)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for k, (a, b) in enumerate(zip(old, new)):
+            yield from _json_changes(a, b, f"{path}[{k}]")
+    elif old != new:
+        yield path
+
+
+def _line_ranges(old: str, new: str) -> list:
+    """1-based line ranges "a-b" where two texts differ."""
+    a, b = old.splitlines(), new.splitlines()
+    differ = [k for k in range(max(len(a), len(b))) if a[k:k + 1] != b[k:k + 1]]
+    ranges = []
+    for k in differ:
+        if ranges and ranges[-1][1] == k:
+            ranges[-1][1] = k + 1
+        else:
+            ranges.append([k + 1, k + 1])
+    return [f"{lo}-{hi}" if lo != hi else f"{lo}" for lo, hi in ranges]
+
+
+def _text_changes(name: str, old: str, new: str) -> list:
+    if old == new:
+        return []
+    if name.endswith(".csv"):
+        return [f"{name}: lines {', '.join(_line_ranges(old, new))}"]
+    try:
+        keys = list(_json_changes(json.loads(old), json.loads(new)))
+    except json.JSONDecodeError:
+        return [f"{name}: lines {', '.join(_line_ranges(old, new))}"]
+    return [f"{name}: {key}" for key in keys]
+
+
+def _changes(old: dict, new: dict) -> list:
+    """What differs between two recorded jobs, one line per key or range."""
+    lines = [f"{k}: {old.get(k)!r} -> {new[k]!r}" for k in ("exit",) if old.get(k) != new[k]]
+    for stream in ("stdout", "stderr"):
+        lines += _text_changes(stream, old.get(stream, ""), new[stream])
+    old_files, new_files = old.get("files", {}), new["files"]
+    for name in sorted(set(old_files) | set(new_files)):
+        if name not in new_files:
+            lines.append(f"{name}: removed")
+        elif name not in old_files:
+            lines.append(f"{name}: added")
+        else:
+            lines += _text_changes(name, old_files[name], new_files[name])
+    return lines
+
+
+def record(names) -> None:
+    """Re-run the named jobs and rewrite only their entries in the goldens."""
+    jobs = dict(JOBS)
+    unknown = [n for n in names if n not in jobs]
+    if unknown:
+        raise SystemExit(f"unknown job(s): {', '.join(unknown)}; known: {', '.join(jobs)}")
+    goldens = json.loads(GOLDENS.read_text())
+    for name in names:
+        with tempfile.TemporaryDirectory() as directory:
+            new = run_job(jobs[name], pathlib.Path(directory))
+        changes = _changes(goldens.get(name, {}), new)
+        print(f"{name}: {len(changes)} change(s)" if changes else f"{name}: unchanged")
+        for line in changes:
+            print(f"  {line}")
+        goldens[name] = new
+    GOLDENS.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Re-record named CLI goldens.")
+    parser.add_argument("--record", nargs="+", metavar="NAME", required=True)
+    record(parser.parse_args(sys.argv[1:]).record)

@@ -1,8 +1,11 @@
 """Periodic planner for the rotation-only case and its geometric helpers."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import rk4_piecewise_reduced
 
@@ -167,35 +170,80 @@ def test_plan_final_control_is_consistent():
     assert abs(np.linalg.norm(vu) - np.linalg.norm(np.asarray(vn) - vu)) < 1e-9
 
 
-def test_final_control_scan_equals_one_row_calls():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        rs = make_rs(mu=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0), eta=rng.normal(size=2))
-        v_n = 2.0 * rng.normal(size=2)
-
-        def g(u):
-            vu = equilibrium(rs, u)
-            return float(np.linalg.norm(vu)) - float(np.linalg.norm(v_n - vu))
-
-        teta = np.array([-rs.eta[1], rs.eta[0]])
-        x_n = float(v_n @ teta) / float(teta @ teta)
-        scan = np.linspace(0.0, rs.mu * x_n / (1.0 + x_n), 257)
-        vals = [g(u) for u in scan]
-        flips = [k for k in range(256) if vals[k] * vals[k + 1] < 0.0 or vals[k + 1] == 0.0]
-        if not flips:
-            with pytest.raises(RuntimeError):
-                P._final_control(rs, v_n)
-            continue
-        k = flips[0]
-        u_star, iters = P._bisect(g, min(scan[k], scan[k + 1]), max(scan[k], scan[k + 1]))
-        want = (u_star, {"roots_scanned": len(flips), "bisection_iterations": iters})
-        assert P._final_control(rs, v_n) == want
-
-
-def test_plan_respects_max_arcs():
-    rs = make_rs()
+def test_plan_respects_max_arcs(monkeypatch):
+    monkeypatch.setattr(P, "MAX_ARCS", 3)
     with pytest.raises(RuntimeError):
-        plan_periodic(rs, np.array([300.0, 300.0]), rho=0.5, max_arcs=3)
+        plan_periodic(make_rs(), np.array([300.0, 300.0]), rho=0.5)
+
+
+@st.composite
+def trace_zero_starts(draw):
+    """(mu, eta, omega, v0) over six decades of mu, |eta| and Omega.
+
+    A generic start lies within about 20 center gaps of the origin, so the
+    walk stays short; a tiny start (1e-12 to 1e-9) is nearly perpendicular
+    to the line of equilibria.
+    """
+    decade = st.floats(-3.0, 3.0)
+    mu = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(decade)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    eta = 10.0 ** draw(decade) * np.array([math.cos(angle), math.sin(angle)])
+    omega = (-(10.0 ** draw(decade)), 10.0 ** draw(decade))
+    if draw(st.booleans()):
+        rs = make_rs(mu=mu, eta=eta, omega=omega)
+        rho = select_rho(rs)
+        gap = float(np.linalg.norm(equilibrium(rs, rho) - equilibrium(rs, -rho)))
+        length = gap * 10.0 ** draw(st.floats(-3.0, 1.3))
+        phi = draw(st.floats(0.0, 2.0 * math.pi))
+    else:
+        length = 10.0 ** draw(st.floats(-12.0, -9.0))
+        phi = angle + draw(st.floats(-1e-3, 1e-3))  # theta eta is at angle + pi/2
+    return mu, tuple(eta), omega, (length * math.cos(phi), length * math.sin(phi))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(trace_zero_starts())
+# Once "no sign change" from the final-control search: a tiny start counted
+# as on the line in any direction.
+@example((-2.3802301519934312, (-0.00013395056121477694, 0.00013843868456247705),
+          (-2.0223875535858733, 1.0091436389715749),
+          (5.114840744684519e-11, -4.6717295884165883e-11)))
+# Once an origin error of 1.35e-8 from the search's bisection tolerance.
+@example((0.06462902096028544, (264.8244579820369, 1072.2779765523637),
+          (-1.6117630599207997, 1.9202275734883731),
+          (-0.0009062647909171422, -0.005530530486334658)))
+# A start exactly perpendicular to the line and shorter than 1e-9.
+@example((1.0, (0.0, -1.0), (-2.0, 2.0), (0.0, 1e-10)))
+def test_plan_is_valid_on_trace_zero_systems(case):
+    mu, eta, omega, v0 = case
+    rs = make_rs(mu=mu, eta=eta, omega=omega)
+    v0 = np.array(v0)
+    res = plan_periodic(rs, v0)
+    scale = max(1.0, float(np.linalg.norm(v0)))
+    assert res.control.within(rs.omega)
+    assert res.origin_error <= 1e-10 * scale and res.closure_error <= 1e-10 * scale
+    if res.u_final is not None:
+        assert abs(res.u_final) <= res.rho
+        # The final circle about v(u_final) passes through v_N and the origin.
+        vu = equilibrium(rs, res.u_final)
+        gap = np.linalg.norm(vu) - np.linalg.norm(res.waypoints[-2] - vu)
+        assert abs(gap) <= 1e-12 * scale
+
+
+def test_plan_rejects_a_start_whose_length_overflows():
+    # Once an empty plan with closure error 0, after a numpy overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="length is finite"):
+            plan_periodic(make_rs(), np.array([1e155, 0.0]))
+
+
+def test_plan_stops_with_a_value_error_when_theta_eta_overflows():
+    # |theta eta| overflows, so <v_N, theta eta> rounds to 0 and the closed
+    # form has no finite solution: a ValueError (exit 2), not a division by zero.
+    rs = make_rs(eta=(1e160, 0.0))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="no finite final control"):
+        plan_periodic(rs, np.array([1e100, 0.0]))
 
 
 def test_plan_rejects_wrong_case():

@@ -1,8 +1,10 @@
 """Verification suites: routing by case, determinism and pass criteria."""
+import mpmath
 import numpy as np
 import pytest
 
 from se2control import verification as V
+from se2control.reachability import control_grid
 from se2control.system import SystemSpec
 from se2control.verification import SUITE_NAMES, _draw, run_verification
 
@@ -40,19 +42,46 @@ def test_bound_sweep_margin_reported_positive():
 
 
 def test_bound_sweep_fails_on_a_nan_margin(monkeypatch):
-    chord_ratio = V.chord_ratio
+    chord_excess = V.chord_excess
 
-    def chord_ratio_with_a_nan(sigma, nu, s):
-        vals = chord_ratio(sigma, nu, s)
+    def chord_excess_with_a_nan(sigma, nu, s):
+        vals = chord_excess(sigma, nu, s)
         vals[0] = np.nan
         return vals
 
-    monkeypatch.setattr(V, "chord_ratio", chord_ratio_with_a_nan)
+    monkeypatch.setattr(V, "chord_excess", chord_excess_with_a_nan)
     # Python's min would skip the NaN after a finite margin.
     rep = run_verification(spec_open(), seed=0, suites=["bound_sweep"])
     (suite,) = rep.suites
     assert suite.status == "failed" and np.isnan(suite.metrics["min_margin"])
     assert not rep.passed
+
+
+def _mp_min_margin(spec):
+    """The bound sweep's minimum of (nu/sigma)^2 - (f - 1), in 60-digit mpmath."""
+    sigma = abs(spec.lam)
+    nus = [nu for nu in (spec.mu - spec.alpha * control_grid(spec.omega, 21)).tolist() if nu]
+    svals = np.concatenate([np.geomspace(1e-3, 10.0, 41), -np.geomspace(1e-3, 10.0, 41)])
+    with mpmath.workdps(60):
+        sg = mpmath.mpf(sigma)
+        return min(
+            (mpmath.mpf(nu) / sg) ** 2
+            - 4 * mpmath.exp(s * sg) * mpmath.sin(s * nu / 2) ** 2 / mpmath.expm1(s * sg) ** 2
+            for nu in map(mpmath.mpf, nus)
+            for s in map(mpmath.mpf, svals.tolist())
+        )
+
+
+@pytest.mark.parametrize("lam", [1e7, 1e8, 1e9])
+def test_bound_sweep_resolves_the_bound_at_fast_rates(lam):
+    # Once failed with min_margin 0.0 from lam = 1e8 on: 1 + (nu/sigma)^2 and
+    # 1 + g both rounded to 1.
+    spec = SystemSpec(1.0, np.array([0.3, -0.7]), np.array([[lam, -2.0], [2.0, lam]]),
+                      np.array([1.0, 0.2]), (-1.0, 1.0))
+    (suite,) = run_verification(spec, seed=0, suites=["bound_sweep"]).suites
+    assert suite.status == "passed"
+    want = _mp_min_margin(spec)
+    assert abs(suite.metrics["min_margin"] - want) <= 1e-9 * want
 
 
 def test_degenerate_case_routes_to_monotone_suite():
