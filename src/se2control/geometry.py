@@ -15,6 +15,7 @@ that is f - 1 < (nu/sigma)^2, implemented here in a cancellation-free form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,25 +55,25 @@ def circle_params(rs: ReducedSpec) -> Circle:
 
 
 def invariant_ball(rs: ReducedSpec) -> Circle:
-    """Invariant ball: center -theta eta, radius |eta| sqrt(lam^2+mu^2)/|lam|."""
+    """Invariant ball: center -theta eta, radius |eta| sqrt(lam^2+mu^2)/|lam|.
+
+    Raises ValueError when lam^2 underflows or |eta|^2 overflows: the radius
+    is then not formed.
+    """
     if rs.lam == 0.0:
         raise ValueError("the invariant ball requires lam != 0")
-    radius = np.sqrt((rs.lam**2 + rs.mu**2) / rs.lam**2) * float(
-        np.linalg.norm(rs.eta)
-    )
+    lam2 = rs.lam**2
+    with np.errstate(over="ignore"):
+        length = float(np.linalg.norm(rs.eta))
+    if lam2 == 0.0 or not math.isfinite(length):
+        raise ValueError("the invariant ball is out of range: lambda^2 underflows or |eta|^2 overflows")
+    radius = np.sqrt((rs.lam**2 + rs.mu**2) / lam2) * length
     return Circle(-perp(rs.eta), radius)
 
 
 # ---------------------------------------------------------------------------
 # Strict spiral bound
 # ---------------------------------------------------------------------------
-
-
-def chord_ratio_limit(sigma, nu):
-    """Small-s limit (sigma^2 + nu^2) / sigma^2 of :func:`chord_ratio`."""
-    sigma = np.asarray(sigma, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    return 1.0 + (nu / sigma) ** 2
 
 
 def chord_ratio(sigma, nu, s):

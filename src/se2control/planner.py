@@ -25,6 +25,10 @@ from .system import ReducedSpec
 
 # Forward arcs a plan may take before it gives up on reaching the segment.
 MAX_ARCS = 100_000
+# Bound on |v0|, |theta eta| and |v(+-rho)|, and 1 / MAX_LENGTH on |theta eta|:
+# the plan squares lengths of up to a few times these, and each square then
+# stays finite and nonzero.
+MAX_LENGTH = 1e150
 
 
 def circle_line_intersect(c: Circle, direction) -> list:
@@ -114,15 +118,12 @@ def _final_control(rs: ReducedSpec, v_n: np.ndarray) -> float:
 
     For lam = 0 the equilibria are v(u) = x theta eta with x = u / (mu - u), so
     |v(u)| = |v_n - v(u)| is the linear equation 2 x <v_n, theta eta> = |v_n|^2,
-    and u = mu x / (1 + x).
+    and u = mu x / (1 + x).  v_n lies on the segment between v(-rho) and
+    v(rho), so x lies between their halves and 1 + x > 1/2; the length bounds
+    of plan_periodic keep every term finite and nonzero.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = (v_n @ v_n) / (2.0 * (v_n @ perp(rs.eta)))
-        u = float(rs.mu * x / (1.0 + x))
-    if not math.isfinite(u):
-        # <v_n, theta eta> rounds to 0 only when |theta eta| overflows or underflows.
-        raise ValueError("no finite final control: |eta| is out of range")
-    return u
+    x = (v_n @ v_n) / (2.0 * (v_n @ perp(rs.eta)))
+    return float(rs.mu * x / (1.0 + x))
 
 
 def plan_periodic(
@@ -156,8 +157,15 @@ def plan_periodic(
             raise ValueError("rho must satisfy [-rho, rho] within Omega, mu outside")
 
     teta = perp(rs.eta)
-    line_dir = teta / float(np.linalg.norm(teta))
-    centers = {+1.0: equilibrium(rs, rho), -1.0: equilibrium(rs, -rho)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = {+1.0: equilibrium(rs, rho), -1.0: equilibrium(rs, -rho)}
+        lengths = [float(np.linalg.norm(p)) for p in (teta, *centers.values())]
+    if not (1.0 / MAX_LENGTH <= lengths[0] and max(length, *lengths) <= MAX_LENGTH):
+        raise ValueError(
+            f"plan needs |theta eta| >= {1.0 / MAX_LENGTH:g}, and v0, theta eta and "
+            f"the centers v(+-rho) within {MAX_LENGTH:g} of the origin"
+        )
+    line_dir = teta / lengths[0]
     xs = {s: float(c @ line_dir) for s, c in centers.items()}
     x_lo, x_hi = min(xs.values()), max(xs.values())
     gap = abs(xs[+1.0] - xs[-1.0])

@@ -160,7 +160,10 @@ def default_grid_config(
     0.05 / max(|lam|, |mu - u-|, |mu - u+|, 1).
     """
     lo, hi = rs.omega
-    scale = float(np.linalg.norm(rs.eta))
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(rs.eta))
+    if not math.isfinite(scale):
+        raise ValueError("|eta|^2 overflows: the default grid is out of range")
     if rs.lam != 0.0:
         ball = invariant_ball(rs)
         radius = ball.radius if ball.radius > 0.0 else max(scale, 1.0)

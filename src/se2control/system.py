@@ -100,6 +100,11 @@ class SystemSpec:
     def mu(self) -> float:
         return float(self.A[1, 0])
 
+    @property
+    def a_is_zero(self) -> bool:
+        """A = 0, tested as lam = mu = 0: lam^2 + mu^2 can underflow to 0 for A != 0."""
+        return self.lam == 0.0 and self.mu == 0.0
+
     def det(self) -> float:
         """lam^2 + mu^2; inf when it exceeds the float range."""
         try:
@@ -186,10 +191,9 @@ def degenerate_chart(spec: SystemSpec) -> SystemSpec:
     """The A = 0 system in its normal-form chart: (alpha, xi, A = 0, eta1 = 0, Omega).
 
     Its flow is flow_detA0 with the control rescaled to alpha u, which
-    ranges over reduced_range(spec).  A = 0 is tested as det A = 0, the test
-    that classify uses.
+    ranges over reduced_range(spec).
     """
-    if spec.det() != 0.0:
+    if not spec.a_is_zero:
         raise ValueError("the A = 0 chart requires A = 0")
     if spec.alpha == 0.0:
         raise ValueError("the A = 0 chart requires alpha != 0")
@@ -203,11 +207,15 @@ def reduce_system(spec: SystemSpec) -> ReducedSpec:
     range is alpha * Omega (sorted) and the reduced drift vector is
     eta~ = eta / alpha with eta = alpha A^{-1} xi + eta1.
     """
-    if spec.det() == 0.0:
+    if spec.a_is_zero:
         raise ValueError("reduce_system requires det A != 0")
     if spec.alpha == 0.0:
         raise ValueError("reduce_system requires alpha != 0")
-    eta = spec.alpha * np.linalg.solve(spec.A, spec.xi) + spec.eta1
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = spec.alpha * np.linalg.solve(spec.A, spec.xi) + spec.eta1
+    if not np.all(np.isfinite(eta)):
+        # A^{-1} xi overflows where lam and mu are tiny (or alpha huge).
+        raise ValueError("eta = alpha A^{-1} xi + eta1 overflows")
     # For det A != 0 the rank condition is equivalent to eta != 0 because
     # alpha xi + A eta1 = A eta; assert the identity instead of trusting it.
     # Both sides carry rounding relative to |alpha xi| + |A| |eta1| (|A| =
@@ -221,7 +229,7 @@ def reduce_system(spec: SystemSpec) -> ReducedSpec:
     )
     if residual > 1e-9 * scale:
         raise AssertionError("internal identity A eta = alpha xi + A eta1 violated")
-    if larc(spec) and float(np.linalg.norm(eta)) == 0.0:
+    if larc(spec) and not eta.any():
         raise AssertionError("rank condition holds but reduced eta vanished")
     lo, hi = reduced_range(spec)
     # The planar flows form det A(u) = lam^2 + (mu - u)^2; a float ** raises
@@ -266,12 +274,11 @@ class Plant:
 def prepare(spec: SystemSpec) -> Plant:
     """Prepare `spec` once: which chart applies and the chart offset.
 
-    A = 0 is tested as det A = 0, the test that classify uses.  Reading
-    `rs` raises what :func:`reduce_system` raises.
+    Reading `rs` raises what :func:`reduce_system` raises.
     """
     if spec.alpha == 0.0:
         return Plant(spec, "none")
-    if spec.det() == 0.0:
+    if spec.a_is_zero:
         return Plant(spec, "zero", perp(spec.eta1))
     return Plant(spec, "psi", perp(np.linalg.solve(spec.A, spec.xi)))
 
@@ -324,7 +331,10 @@ def _boundary_structure(lam: float, mu: float, eta, omega) -> dict:
         return {"kind": "none", "reason": "mu outside the reduced control range"}
     if mu == 0.0:
         return {"kind": "continuum_of_fixed_points", "plane_point": [0.0, 0.0]}
-    point = -(mu / lam) * np.asarray(eta, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = -(mu / lam) * np.asarray(eta, float)
+    if not np.all(np.isfinite(point)):
+        raise ValueError("the one-point control set v(mu) = -(mu / lambda) eta overflows")
     return {
         "kind": "periodic_orbit",
         "control": mu,
@@ -368,7 +378,7 @@ def classify(system) -> ClassificationReport:
             reduced=reduced,
         )
 
-    if spec.det() == 0.0:
+    if spec.a_is_zero:
         case = CASE_DEGENERATE
         controllable = False
         notes.append(

@@ -91,6 +91,13 @@ def rk4_piecewise_reduced(lam, mu, eta, segments, v0, step=1e-3):
     return v
 
 
+def chord_ratio_limit(sigma, nu):
+    """Small-s limit (sigma^2 + nu^2) / sigma^2 of geometry.chord_ratio."""
+    sigma = np.asarray(sigma, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    return 1.0 + (nu / sigma) ** 2
+
+
 def angle_gap(a, b):
     d = (a - b) % (2.0 * math.pi)
     return min(d, 2.0 * math.pi - d)

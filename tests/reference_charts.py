@@ -70,7 +70,7 @@ def _rotated_by(g, sign: float):
 def conj_psi1(A, xi, g):
     """First decoupling map psi1(t, v) = (t, v + Lambda_t A^{-1} xi); requires det A != 0."""
     A = _require_commuting(A)
-    if abs(np.linalg.det(A)) == 0.0:
+    if not A.any():  # A = 0 is lam = mu = 0; det A can underflow for A != 0
         raise ValueError("conj_psi1 requires det A != 0")
     return _offset_by(g, np.linalg.solve(A, np.asarray(xi, float)), 1.0)
 
@@ -110,7 +110,7 @@ def reference_flow_se2(spec, s, g, u):
     if spec.alpha == 0.0:
         raise ValueError("exact flow requires alpha != 0")
     ut = spec.alpha * np.asarray(u, dtype=float)
-    if spec.det() == 0.0:
+    if spec.a_is_zero:
         h = conj_psi_zero(spec.alpha, spec.eta1, g)
         return conj_psi_zero_inv(spec.alpha, spec.eta1, flow_detA0(degenerate_chart(spec), s, h, ut))
     rs = reduce_system(spec)

@@ -10,14 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import angle_gap, rk4_full, rk4_piecewise_reduced, rk4_reduced
+from conftest import angle_gap, chord_ratio_limit, rk4_full, rk4_piecewise_reduced, rk4_reduced
 from reference_charts import conj_psi1, conj_psi2, flow_product
 from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import (
     check_invariance,
     circle_params,
     chord_ratio,
-    chord_ratio_limit,
     invariant_ball,
 )
 from se2control.group import (

@@ -293,6 +293,37 @@ def test_an_unreducible_spec_is_classified_before_it_is_reduced(tmp_path, capsys
         assert json.loads(got[1])["case"] == "NotClassified"
 
 
+@pytest.mark.parametrize("v0", ["1e100,0", "0,1e100"])
+def test_plan_with_an_overflowing_theta_eta_gives_one_line(tmp_path, capsys, v0):
+    # |theta eta|^2 overflows: both starts once wrote numpy's overflow warning,
+    # and "0,1e100" then exited 0 with a plan built on a zero line direction.
+    path = write_spec(tmp_path, dict(TRACE_ZERO, eta1=[1e160, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["plan", path, "--v0", v0])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: plan needs |theta eta| >= 1e-150") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv_tail, rc, err", [
+    (["classify"], 0, ""),
+    (["reach"], 2, "error: |eta|^2 overflows: the default grid is out of range\n"),
+    (["verify"], 2, "error: (mu - alpha u)^2 / lambda^2 overflows for u in omega\n"),
+])
+def test_rates_whose_squares_underflow_give_a_label_or_one_line(tmp_path, capsys, argv_tail, rc, err):
+    # lambda^2 + mu^2 underflows: the system is open, not A = 0, and its
+    # reduced eta (about 2e169) is too long for the grid and the bound sweep.
+    path = write_spec(tmp_path, dict(OPEN, xi=[0.3, -0.7], A={"lambda": 1e-170, "mu": 2e-170},
+                                     eta1=[1.0, 0.2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_main(capsys, [argv_tail[0], path] + argv_tail[1:])
+    assert (got[0], got[2]) == (rc, err)
+    if rc == 0:
+        assert json.loads(got[1])["case"] == "OpenControlSet"
+
+
 # e^{s lambda} overflows on part of the bound sweep's s grid.
 FAST_RATES = dict(OPEN, xi=[0.3, -0.7], A={"lambda": 100.0, "mu": 2.0}, eta1=[1.0, 0.2])
 

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import chord_ratio_limit
 
 from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import (
     check_invariance,
     circle_params,
     chord_ratio,
-    chord_ratio_limit,
     invariant_ball,
 )
 from se2control.group import perp

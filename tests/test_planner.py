@@ -239,11 +239,13 @@ def test_plan_rejects_a_start_whose_length_overflows():
 
 
 def test_plan_stops_with_a_value_error_when_theta_eta_overflows():
-    # |theta eta| overflows, so <v_N, theta eta> rounds to 0 and the closed
-    # form has no finite solution: a ValueError (exit 2), not a division by zero.
+    # |theta eta|^2 overflows: once a numpy overflow warning and a zero line
+    # direction, now a ValueError (exit 2) before any length is formed.
     rs = make_rs(eta=(1e160, 0.0))
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="no finite final control"):
-        plan_periodic(rs, np.array([1e100, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"within 1e\+150 of the origin"):
+            plan_periodic(rs, np.array([1e100, 0.0]))
 
 
 def test_plan_rejects_wrong_case():

@@ -54,10 +54,21 @@ def _cases(draw):
 @given(_cases())
 @example((SystemSpec(1.0, [0.3, -0.7], matrix_from_lambda_mu(0.0, 1.0), [1.0, 0.2], (-2.0, 2.0)),
           np.array([-0.7, 0.0]), np.array([[-1e-20, 0.4, -0.8], [6.5, 1.0, 2.0]]), np.array([1.0, 0.5])))
+@example((SystemSpec(1.0, [0.0, 0.0], matrix_from_lambda_mu(0.0, 2.2250738585072014e-309), [0.0, 0.0],
+                     (-1.0, 1.0)), np.zeros(1), np.zeros((1, 3)), np.zeros(1)))
 def test_plant_flow_equals_chart_composition_bit_for_bit(case):
     spec, s, x, u = case
     plant = prepare(spec)
-    assert plant.chart == ("zero" if spec.det() == 0.0 else "psi")
+    assert plant.chart == ("zero" if spec.a_is_zero else "psi")
+    try:
+        plant.rs  # the reduction, formed on first use
+    except ValueError:
+        # Rates below about 1e-308 are A != 0, but LAPACK's A^{-1} xi is not
+        # finite there: both flows stop with the reduction's ValueError.
+        for flow in (flow_se2, reference_flow_se2):
+            with pytest.raises(ValueError, match="overflows"):
+                flow(spec, s, x, u)
+        return
     _same(flow_se2(plant, s, x, u), reference_flow_se2(spec, s, x, u))
     _same(flow_se2(spec, s, x, u), reference_flow_se2(spec, s, x, u))
     # One start state under many times, as flow_concat calls it.
@@ -75,10 +86,11 @@ def test_prepare_picks_the_chart_and_reduces_once():
     w = np.linalg.solve(spec.A, spec.xi)
     assert _bits(plant.offset) == _bits([-w[1], w[0]])
     assert classify(plant).to_dict() == classify(spec).to_dict()
-    # det A underflows to 0: the A = 0 chart, the test classify uses.
+    # det A underflows to 0, yet A != 0: the psi chart, as classify sees it.
     tiny = SystemSpec(1.0, [0.3, -0.7], matrix_from_lambda_mu(1e-170, 2e-170), [1.0, 0.2])
-    assert prepare(tiny).chart == "zero" and prepare(tiny).rs is None
-    assert _bits(prepare(tiny).offset) == _bits([-0.2, 1.0])
+    assert prepare(tiny).chart == "psi" and prepare(tiny).rs is not None
+    w = np.linalg.solve(tiny.A, tiny.xi)
+    assert _bits(prepare(tiny).offset) == _bits([-w[1], w[0]])
 
 
 def test_alpha_zero_plant_has_no_chart_and_no_flow():

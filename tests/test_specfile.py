@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from se2control.flow import PiecewiseControl, Trajectory, flow_concat
 from se2control.specfile import (
     CSV_BLOCK_ROWS,
+    FLOAT_FMT,
     SpecFileError,
+    _format_values,
     _formatted_once,
     dump_json,
     format_float,
@@ -123,6 +127,16 @@ def test_trajectory_csv_planar_and_group():
     assert len(lines) >= 3
 
 
+def _csv_rows(traj):
+    """The trajectory CSV's rows, each value formatted on its own."""
+    states = traj.states if traj.kind == "group" else np.column_stack([np.full(len(traj.times), np.nan), traj.states])
+    return [
+        f"{format_float(s)},{'' if traj.kind == 'planar' else format_float(t)},"
+        f"{format_float(vx)},{format_float(vy)},{format_float(u)}"
+        for s, (t, vx, vy), u in zip(traj.times, states, traj.controls)
+    ]
+
+
 def test_trajectory_csv_rows_format_each_value():
     spec = SystemSpec(1.0, [0.3, 0.1], [[0.0, -2.0], [2.0, 0.0]], [1.0, 0.0], (-1.0, 1.0))
     # 769 rows: more than one block of rows.
@@ -131,13 +145,39 @@ def test_trajectory_csv_rows_format_each_value():
                  flow_concat(reduce_system(spec), ctrl, [1.0, -0.0])):
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
-        states = traj.states if traj.kind == "group" else np.column_stack([np.full(len(traj.times), np.nan), traj.states])
-        want = [
-            f"{format_float(s)},{'' if traj.kind == 'planar' else format_float(t)},"
-            f"{format_float(vx)},{format_float(vy)},{format_float(u)}"
-            for s, (t, vx, vy), u in zip(traj.times, states, traj.controls)
-        ]
-        assert buf.getvalue().splitlines() == ["s,t,v_x,v_y,u"] + want
+        assert buf.getvalue().splitlines() == ["s,t,v_x,v_y,u"] + _csv_rows(traj)
+
+
+# Magnitudes on both sides of each bound of the kernel's fixed range [1e-4, 1e16).
+CROSSING = [0.0, -0.0, 5e-324, 1e-5, np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+            0.1, 1.0, 123.456, np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, 2e16), 1e17,
+            1e300, np.inf, np.nan]
+
+
+@pytest.mark.parametrize("kind", ["planar", "group"])
+def test_trajectory_csv_rows_crossing_the_fixed_range(kind):
+    n = 3 * len(CROSSING)
+    rng = np.random.default_rng(7)
+    values = np.array(CROSSING * 3) * rng.choice([-1.0, 1.0], size=n)
+    states = np.column_stack([np.roll(values, k) for k in range(3 if kind == "group" else 2)])
+    traj = Trajectory(np.abs(values), states, np.roll(values, 5), kind)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    assert buf.getvalue().splitlines() == ["s,t,v_x,v_y,u"] + _csv_rows(traj)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([1000000000000000.25, 1000000000000000.75, 0.5000000000000001, 2.5e-4])  # ties, half to even
+@example([np.nextafter(1e16, 0.0), np.nextafter(1e16, 2e16), np.nextafter(1e-4, 0.0),
+          np.nextafter(1e-4, 1.0), 1e16, 1e-4])  # both neighbours of each bound
+@example([10.0**k * (1.0 - 2.0**-53) for k in range(-5, 18)])  # at and below powers of ten
+@example([float(np.nextafter(10.0**k, 0.0)) for k in range(-5, 18)])
+@example([-0.0, 0.0, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308])
+def test_kernel_writes_the_bytes_of_float_fmt(values):
+    x = np.array(values)
+    seps = np.full((1, x.size), ord("\n"), np.uint8)
+    assert _format_values(x, seps) == "".join(FLOAT_FMT % v + "\n" for v in values)
 
 
 def test_cells_csv_header(tmp_path):

@@ -1,4 +1,6 @@
 """SystemSpec validation, rank condition, classification and reduction."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from se2control.system import (
     CASE_TRACE_ZERO,
     SystemSpec,
     classify,
+    degenerate_chart,
     larc,
+    prepare,
     reduce_system,
 )
 
@@ -165,3 +169,44 @@ def test_overflowing_rates_are_rejected_by_the_reduction():
     assert spec.det() == np.inf
     with pytest.raises(ValueError, match="overflows"):
         reduce_system(spec)
+
+
+@pytest.mark.parametrize("lam, mu, case", [
+    (1e-170, 2e-170, CASE_OPEN),
+    (-1e-170, 2e-170, CASE_CLOSED),
+    (0.0, 1e-170, CASE_TRACE_ZERO),
+])
+def test_rates_whose_squares_underflow_are_not_a_zero_matrix(lam, mu, case):
+    # lam^2 + mu^2 underflows to 0: A = 0 was tested as det A = 0, which
+    # labelled these systems DegenerateDetZero.
+    spec = make_spec(alpha=1.0, xi=(0.3, -0.7), lam=lam, mu=mu, eta1=(1.0, 0.2))
+    assert spec.det() == 0.0 and not spec.a_is_zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(spec).case == case
+        assert prepare(spec).chart == "psi"
+        rs = reduce_system(spec)
+    assert (rs.lam, rs.mu) == (lam, mu)
+    with pytest.raises(ValueError, match="requires A = 0"):
+        degenerate_chart(spec)
+
+
+def test_a_reduction_whose_eta_overflows_is_rejected():
+    # lam = mu = 1e-320: A^{-1} xi overflows, so the reduction is not formed.
+    spec = make_spec(alpha=1.0, xi=(0.3, -0.7), lam=1e-320, mu=1e-320, eta1=(1.0, 0.2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            reduce_system(spec)
+        with pytest.raises(ValueError, match="overflows"):
+            classify(spec)
+
+
+def test_an_overflowing_one_point_control_set_is_rejected():
+    # lam = 1e-320, mu = -1e-170: open (A != 0, though lam^2 + mu^2 underflows),
+    # and v(mu) = -(mu / lam) eta overflows: a ValueError, with no numpy warning.
+    spec = make_spec(alpha=1.0, xi=(0.3, -0.7), lam=1e-320, mu=-1e-170, eta1=(1.0, 0.2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="v\\(mu\\) .* overflows"):
+            classify(spec)
