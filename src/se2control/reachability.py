@@ -9,8 +9,11 @@ statements (e.g. inside the invariant ball) hold without drift artifacts.
 
 Candidates claim cells first-writer-wins in a canonical order (frontier cell
 index, then flow column; frontiers kept sorted between rounds), which makes
-the result independent of how a round is split.  One numpy kernel expands a
-round, in frontier chunks sized to stay in a core's L2 cache.
+the result independent of how a round is split.  A round runs in chunks
+sized to stay in a core's L2 cache.  A chunk finds its candidates' cells by
+one matrix product per axis, kept only where a rigorous rounding-error bound
+shows them to be the cells of the exact images; otherwise it forms the exact
+images.  Only the claims' exact points are formed.
 
 For trace zero the control set is the whole plane, and the estimate only
 certifies that a test disk is covered.  Its forward rounds stop once every
@@ -72,14 +75,14 @@ class GridConfig:
             raise ValueError("bounds must satisfy x_min < x_max, y_min < y_max")
         self.bounds = (xmin, xmax, ymin, ymax)
         self.resolution = float(self.resolution)
-        if not (self.resolution > 0.0):
-            raise ValueError("resolution must be positive")
+        if not (0.0 < self.resolution < math.inf):
+            raise ValueError("resolution must be positive and finite")
         self.controls = np.unique(np.asarray(self.controls, dtype=float).reshape(-1))
         if self.controls.size < 1 or not np.all(np.isfinite(self.controls)):
             raise ValueError("controls must be a nonempty finite list")
         self.time_step = float(self.time_step)
-        if not (self.time_step > 0.0):
-            raise ValueError("time_step must be positive")
+        if not (0.0 < self.time_step < math.inf):
+            raise ValueError("time_step must be positive and finite")
         self.max_cells = int(self.max_cells)
         if self.max_cells < 1:
             raise ValueError("max_cells must be >= 1")
@@ -196,95 +199,143 @@ def default_grid_config(
 
 # Candidates (frontier rows x flow columns) per kernel chunk.  At 16k
 # candidates each float64 temporary is 128 KiB, so a chunk's working set stays
-# in a core's 2 MiB L2 cache instead of streaming from DRAM.  Sweep on the
-# default open-case reach_backward (600 x 600 grid, 504 columns, 5.26 M
-# candidates; best of 5, 2-core host): 0.183 s at 8k, 0.180 s at 16k,
-# 0.182 s at 32k, 0.200 s at 64k, 0.273 s at 128k, 0.339 s at 2M.  With the
-# all-on-grid path, over the benchmark's 9 reach_mix jobs at seed 21 (sum of
-# best-of-7 job times, sizes alternated job by job in one process): 785 ms
-# at 8k, 726 ms at 16k, 757 ms at 24k, 722 ms at 32k, 771 ms at 48k; 16k
-# peaks 1.7 MiB lower than 32k.
+# in a core's 2 MiB L2 cache.  A row's columns are split only past a chunk of
+# them (large --control-grid), which keeps the canonical order and every
+# product at most a chunk of outputs; BLAS runs such products on one thread
+# (CPU over wall time 1.00 on a 2-core host).
+# Over the benchmark's 9 reach_mix jobs at seed 21 (sum of best-of-7 job
+# times, sizes alternated job by job in one process): 434 ms at 4k, 335 at
+# 8k, 300 at 12k, 287-292 at 16k, 281 at 24k, 286-287 at 32k, 360 at 64k;
+# 16k is within noise of the best with the smallest buffers.
 _CHUNK_CANDIDATES = 16_384
+
+
+def _images(px, py, sing, vux, vuy, ecos, esin, linx, liny):
+    """Exact images of points under flow columns, elementwise and broadcasting.
+
+    (vux + ecos*dx) - esin*dy, (vuy + esin*dx) + ecos*dy with dx = px - vux,
+    dy = py - vuy; a singular column translates to (px + linx, py + liny).
+    Each element is the scalar formula's value, whatever the operand shapes.
+    """
+    dx, dy = px - vux, py - vuy
+    qx = vux + ecos * dx - esin * dy
+    qy = vuy + esin * dx + ecos * dy
+    return np.where(sing, px + linx, qx), np.where(sing, py + liny, qy)
+
+
+def _cell_maps(consts, x0, y0, res, reach):
+    """Matrices taking rows [px, py, 1] to cell units, and their error bound.
+
+    Returns (mx, my, delta), mx and my of shape (3, n_cols).  For |px|, |py|
+    <= reach, [px, py, 1] @ mx differs from fl(fl(qx - x0) / res), qx the
+    exact image of :func:`_images`, by less than delta/2, and likewise for y;
+    delta is inf where that is not shown.  As qx - x0 = ecos px - esin py +
+    (vux - ecos vux + esin vuy - x0) exactly, column c of mx is ecos/res,
+    -esin/res and (((vux - ecos*vux) + esin*vuy - x0) + linx)/res; singular
+    columns hold ecos = 1 and esin = vux = vuy = 0, the others linx = liny =
+    0, so one formula serves translations too.
+
+    Bound (Higham, Accuracy and Stability of Numerical Algorithms, 2.2, 3.1):
+    with u = 2**-53, a rounding gives (a op b)(1 + e) + t, |e| <= u, and
+    |t| <= 2**-1075 only where a product or quotient underflows.  Let E =
+    max|ecos| + max|esin|, V = max|vux| + max|vuy| + max|linx| + max|liny|
+    and M = (2E + 1)(reach + V) + |x0| + |y0|: every intermediate is at most
+    M (1 + 16u), or M/res (1 + 16u) after the division, so nothing overflows
+    when M <= 2**1020.  The exact image takes 8 roundings (dx, dy, two
+    products, two sums, - x0, / res), each at most u M/res (1 + 16u) in cell
+    units.  The matrix entries take one rounding each in the first two rows
+    (2u M/res once multiplied by px, py) and six in the third (6u M/res); an
+    inner product of length 3, in any order and with or without fused
+    multiply-adds, is off by at most gamma_3 = 3u/(1 - 3u) times the sum of
+    its terms' magnitudes, at most M/res (1 + 16u).  Underflow adds at most
+    2**-1075 (2 reach + 4/res + 6).  The total is below 20u M/res (1 + 16u) +
+    2**-1072 (1 + reach + 1/res); delta, after its own roundings, is at
+    least twice that and at least 8u.
+
+    Certification: a computed value a with floor k gives f = fl(a - k),
+    within u of a - k (exact for a >= 0).  If delta <= f <= fl(1 - delta),
+    then a - k lies in [delta - u, 1 - delta + 2u], and the exact value in
+    (k + delta/2 - u, k + 1 - delta/2 + 2u), inside [k, k + 1) as delta >= 8u.
+    """
+    _, vux, vuy, ecos, esin, linx, liny = consts
+    with np.errstate(all="ignore"):
+        mx = np.stack([ecos, -esin, (vux - ecos * vux) + esin * vuy - x0 + linx]) / res
+        my = np.stack([esin, ecos, (vuy - ecos * vuy) - esin * vux - y0 + liny]) / res
+        vx, vy, ec, es, lx, ly = np.abs(np.stack(consts[1:])).max(axis=1).tolist()
+    m = (2.0 * (ec + es) + 1.0) * (reach + vx + vy + lx + ly) + abs(x0) + abs(y0)
+    delta = 2.0**-47 * (m / res) + 2.0**-1068 * (1.0 + reach + 1.0 / res) + 2.0**-50
+    return mx, my, delta if m <= 2.0**1020 else math.inf
 
 
 def _expand_round(occ_flat, nx, ny, x0, y0, res, cur_px, cur_py, consts):
     """One expansion round.  Returns the new claims (ids, px, py) sorted by id.
 
-    The frontier is walked in chunks of whole rows, in frontier order, and
-    each chunk marks its claims in occ_flat before the next one runs, so the
-    first candidate in canonical (frontier index, column index) order wins
-    every cell, whatever the chunk size.  Each candidate is formed exactly as
-    (vux + ecos*dx) - esin*dy, (vuy + esin*dx) + ecos*dy, then
-    floor((q - x0) / res), so its cell and representative never depend on
-    the chunking.
+    The frontier is walked in chunks of whole rows (or, past a chunk of
+    columns, of one row's columns), in canonical (frontier index, column
+    index) order, and each chunk marks its claims in occ_flat before the
+    next one runs, so the first candidate in that order wins every cell,
+    whatever the chunk size.  A chunk finds its cells by one product per
+    axis with the matrices of :func:`_cell_maps`, which are the exact
+    images' cells floor((q - x0) / res) when every value lies at least delta
+    from a cell edge; otherwise it forms the exact images of all its
+    candidates.  The claims' points alone are then formed exactly by
+    :func:`_images`, so cells and representatives never depend on the
+    chunking.
     """
-    sing, vux, vuy, ecos, esin, linx, liny = consts
-    n_cols = vux.size
-    sing_cols = np.flatnonzero(sing)
-    rows = max(1, min(_CHUNK_CANDIDATES // n_cols, cur_px.size))
-    bufs = np.empty((4, rows, n_cols))
-    mask = np.empty((rows, n_cols), dtype=np.bool_)
-    test = np.empty((rows, n_cols), dtype=np.bool_)
+    n_rows, n_cols = cur_px.size, consts[0].size
+    reach = float(np.abs(cur_px).max() + np.abs(cur_py).max())
+    mx, my, delta = _cell_maps(consts, x0, y0, res, reach)
+    certify = delta < 0.25
+    pts = np.ones((n_rows, 3))
+    pts[:, 0] = cur_px
+    pts[:, 1] = cur_py
+    rows = max(1, min(_CHUNK_CANDIDATES // n_cols, n_rows))
+    width = min(n_cols, _CHUNK_CANDIDATES)
+    vals = np.empty((2, rows * width))
+    floors = np.empty((2, rows * width))
     parts = []
-    for start in range(0, cur_px.size, rows):
-        px = cur_px[start : start + rows, None]
-        py = cur_py[start : start + rows, None]
-        n = px.shape[0]
-        dx, dy, qx, qy = bufs[:, :n]
-        m, t = mask[:n], test[:n]
-        np.subtract(px, vux, out=dx)
-        np.subtract(py, vuy, out=dy)
-        np.multiply(ecos, dx, out=qx)
-        qx += vux
-        np.multiply(esin, dx, out=qy)
-        qy += vuy
-        np.multiply(esin, dy, out=dx)
-        qx -= dx
-        np.multiply(ecos, dy, out=dy)
-        qy += dy
-        if sing_cols.size:
-            # Columns of a control with det A(u) = 0 translate instead.
-            qx[:, sing_cols] = px + linx[sing_cols]
-            qy[:, sing_cols] = py + liny[sing_cols]
-        # Cell coordinates, floored in place: floor(z) >= 0 iff z >= 0 and
-        # floor(z) < n iff z < n.  NaN and +-inf fail every bound.
-        fi, fj = dx, dy
-        np.subtract(qx, x0, out=fi)
-        fi /= res
-        np.floor(fi, out=fi)
-        np.subtract(qy, y0, out=fj)
-        fj /= res
-        np.floor(fj, out=fj)
-        # Row-major flat positions keep the canonical order.  The ids are
-        # formed in float64, exact for integers below 2**53, and cast once.
-        if fi.min() >= 0.0 and fj.min() >= 0.0 and fi.max() < nx and fj.max() < ny:
-            # Every candidate is on the grid (a NaN fails these tests), as in
-            # most chunks: the ids need no mask and no gather.
-            idx = None
-            fi *= ny
-            fi += fj
-            ids = fi.reshape(-1).astype(np.int64)
-        else:
-            np.greater_equal(fi, 0.0, out=m)
-            np.greater_equal(fj, 0.0, out=t)
-            m &= t
-            np.less(fi, nx, out=t)
-            m &= t
-            np.less(fj, ny, out=t)
-            m &= t
-            idx = np.flatnonzero(m)
-            ids = fi.reshape(-1)[idx]
-            ids *= ny
-            ids += fj.reshape(-1)[idx]
-            ids = ids.astype(np.int64)
-        fresh = np.flatnonzero(~occ_flat[ids])
-        uids, first = np.unique(ids[fresh], return_index=True)
-        occ_flat[uids] = True
-        keep = fresh[first] if idx is None else idx[fresh[first]]
-        parts.append((uids, qx.reshape(-1)[keep], qy.reshape(-1)[keep]))
-    ids, px, py = (np.concatenate(p) for p in zip(*parts))
+    for r0 in range(0, n_rows, rows):
+        n = min(rows, n_rows - r0)
+        for c0 in range(0, n_cols, width):
+            w = min(width, n_cols - c0)
+            f = vals[:, : n * w].reshape(2, n, w)
+            fl = floors[:, : n * w].reshape(2, n, w)
+            np.matmul(pts[r0 : r0 + n], mx[:, c0 : c0 + w], out=f[0])
+            np.matmul(pts[r0 : r0 + n], my[:, c0 : c0 + w], out=f[1])
+            np.floor(f, out=fl)
+            f -= fl
+            fi, fj = fl
+            # The product's cells are the exact images' cells where every
+            # fraction is at least delta from a cell edge (NaN fails).
+            if not (certify and f.min() >= delta and f.max() <= 1.0 - delta):
+                qx, qy = _images(
+                    cur_px[r0 : r0 + n, None],
+                    cur_py[r0 : r0 + n, None],
+                    *(a[c0 : c0 + w] for a in consts),
+                )
+                fi, fj = np.floor((qx - x0) / res), np.floor((qy - y0) / res)
+            # Row-major flat positions keep the canonical order.  The ids are
+            # formed in float64, exact for integers below 2**53, and cast once.
+            if fi.min() >= 0.0 and fj.min() >= 0.0 and fi.max() < nx and fj.max() < ny:
+                # Every candidate is on the grid (a NaN fails these tests), as
+                # in most chunks: the ids need no mask and no gather.
+                idx = None
+                fi *= ny
+                fi += fj
+                ids = fi.reshape(-1).astype(np.int64)
+            else:
+                idx = np.flatnonzero((fi >= 0.0) & (fj >= 0.0) & (fi < nx) & (fj < ny))
+                ids = (fi.reshape(-1)[idx] * ny + fj.reshape(-1)[idx]).astype(np.int64)
+            fresh = np.flatnonzero(~occ_flat[ids])
+            uids, first = np.unique(ids[fresh], return_index=True)
+            occ_flat[uids] = True
+            keep = fresh[first] if idx is None else idx[fresh[first]]
+            parts.append((uids, r0 + keep // w, c0 + keep % w))
+    ids, r, c = (np.concatenate(p) for p in zip(*parts))
     order = np.argsort(ids)  # ids are unique within a round
-    return ids[order], px[order], py[order]
+    r, c = r[order], c[order]
+    px, py = _images(cur_px[r], cur_py[r], *(a[c] for a in consts))
+    return ids[order], px, py
 
 
 def _control_constants(rs: ReducedSpec, cfg: GridConfig, direction: int):
@@ -292,39 +343,25 @@ def _control_constants(rs: ReducedSpec, cfg: GridConfig, direction: int):
 
     Column c = m * steps_per_arc + (k - 1) maps a point to its exact image
     after k time steps under control m; the closed form makes every arc
-    sample exact rather than an iterated approximation.
+    sample exact rather than an iterated approximation.  With s = k dt, a
+    column holds e^{s lam} cos(s (mu - u)), e^{s lam} sin(s (mu - u)) and
+    v(u), or, where det A(u) = 0, ecos = 1, esin = 0 and the translation
+    (s u) eta.  e^{s lam} does not depend on u, so it is taken once per step;
+    math.exp, cos and sin keep each value that of a scalar evaluation.
     """
-    dt = direction * cfg.time_step
     us = cfg.controls
-    n_steps = cfg.steps_per_arc
-    n = us.size * n_steps
-    sing = np.zeros(n, dtype=np.bool_)
-    vux = np.zeros(n)
-    vuy = np.zeros(n)
-    ecos = np.ones(n)
-    esin = np.zeros(n)
-    linx = np.zeros(n)
-    liny = np.zeros(n)
-    c = 0
-    for u in us:
-        if rs.det_a_of_u(u) == 0.0:
-            for k in range(1, n_steps + 1):
-                s = k * dt
-                sing[c] = True
-                linx[c] = s * u * rs.eta[0]
-                liny[c] = s * u * rs.eta[1]
-                c += 1
-        else:
-            vu = equilibrium(rs, u)
-            for k in range(1, n_steps + 1):
-                s = k * dt
-                vux[c] = vu[0]
-                vuy[c] = vu[1]
-                ang = s * (rs.mu - u)
-                efac = math.exp(s * rs.lam)
-                ecos[c] = efac * math.cos(ang)
-                esin[c] = efac * math.sin(ang)
-                c += 1
+    s = np.arange(1, cfg.steps_per_arc + 1) * (direction * cfg.time_step)
+    sing_u = np.array([rs.det_a_of_u(u) == 0.0 for u in us.tolist()])
+    sing = np.repeat(sing_u, s.size)
+    vu = np.zeros((us.size, 2))
+    vu[~sing_u] = equilibrium(rs, us[~sing_u])
+    efac = np.tile([math.exp(x) for x in (s * rs.lam).tolist()], us.size)
+    ang = (s * (rs.mu - us)[:, None]).ravel().tolist()
+    ecos = np.where(sing, 1.0, efac * np.array([math.cos(a) for a in ang]))
+    esin = np.where(sing, 0.0, efac * np.array([math.sin(a) for a in ang]))
+    su = (s * us[:, None]).ravel()
+    linx, liny = (np.where(sing, su * e, 0.0) for e in rs.eta)
+    vux, vuy = (np.repeat(c, s.size) for c in vu.T)
     return sing, vux, vuy, ecos, esin, linx, liny
 
 
@@ -345,30 +382,23 @@ class ReachSet:
     direction: int  # +1 forward, -1 backward
     rounds: int
     truncated: bool
+    ids: np.ndarray  # sorted flat ids of the occupied cells
 
     @property
     def cell_count(self) -> int:
-        return int(np.count_nonzero(self.occupied))
+        return int(self.ids.size)
 
     def occupied_cells(self) -> np.ndarray:
         """Occupied cell indices, shape (k, 2), lexicographically sorted."""
-        return np.argwhere(self.occupied)
+        return np.stack(np.divmod(self.ids, self.occupied.shape[1]), axis=1)
 
     def cell_centers(self) -> np.ndarray:
-        cells = self.occupied_cells()
-        xmin, _, ymin, _ = self.config.bounds
+        """Centres (bounds[0] + (i + 0.5) res, bounds[2] + (j + 0.5) res), shape (k, 2)."""
         res = self.config.resolution
-        return np.stack(
-            [xmin + (cells[:, 0] + 0.5) * res, ymin + (cells[:, 1] + 0.5) * res],
-            axis=1,
-        )
+        return np.array(self.config.bounds[::2]) + (self.occupied_cells() + 0.5) * res
 
     def representatives(self) -> np.ndarray:
-        cells = self.occupied_cells()
-        return np.stack(
-            [self.rep_x[cells[:, 0], cells[:, 1]], self.rep_y[cells[:, 0], cells[:, 1]]],
-            axis=1,
-        )
+        return np.stack([self.rep_x.reshape(-1)[self.ids], self.rep_y.reshape(-1)[self.ids]], 1)
 
     def contains(self, v) -> bool:
         if not self.config.in_bounds(v):
@@ -409,6 +439,7 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
     cur_ids = np.array([np.int64(i0) * ny + j0], dtype=np.int64)
     cur_px = np.array([x0[0]])
     cur_py = np.array([x0[1]])
+    claimed = [cur_ids]
     total = 1
     rounds = 0
     stop = cover is not None and cover.size > 0
@@ -421,6 +452,7 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
         if cur_ids.size:
             rep_x.reshape(-1)[cur_ids] = cur_px
             rep_y.reshape(-1)[cur_ids] = cur_py
+            claimed.append(cur_ids)
             total += cur_ids.size
         rounds += 1
 
@@ -433,6 +465,7 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
         direction=direction,
         rounds=rounds,
         truncated=bool(cur_ids.size and total >= cfg.max_cells),
+        ids=np.sort(np.concatenate(claimed)),
     )
 
 
@@ -538,6 +571,17 @@ class ControlSetEstimate:
         return out
 
 
+def _distances(points: np.ndarray, center) -> np.ndarray:
+    """|points - center| by rows, as np.linalg.norm gives it; rows whose
+    squares overflow there take np.hypot, which does not overflow."""
+    with np.errstate(over="ignore"):
+        diff = points - center
+        dist = np.linalg.norm(diff, axis=1)
+    big = np.isinf(dist)
+    dist[big] = np.hypot(diff[big, 0], diff[big, 1])
+    return dist
+
+
 def _disk_cells(cfg: GridConfig, center, radius: float) -> tuple:
     """Flat ids and centre distances of the cells near a disk.
 
@@ -568,7 +612,7 @@ def _disk_cells(cfg: GridConfig, center, radius: float) -> tuple:
     ys = ymin + (jj + 0.5) * res
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     centers = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-    dist = np.linalg.norm(centers - np.array([cx, cy]), axis=1)
+    dist = _distances(centers, np.array([cx, cy]))
     ids = (ii[:, None] * ny + jj[None, :]).reshape(-1)
     return ids, dist
 
@@ -601,7 +645,7 @@ def _cover_ids(cfg: GridConfig, center, radius: float) -> np.ndarray:
 def _ball_containment(region: ReachSet, rs: ReducedSpec) -> dict:
     ball = invariant_ball(rs)
     centers = region.cell_centers()
-    d = np.linalg.norm(centers - ball.center, axis=1)
+    d = _distances(centers, ball.center)
     allowed = ball.radius + region.config.cell_diagonal
     return {
         "ball": ball.to_dict(),
@@ -627,13 +671,20 @@ def _boundary_growth_diagnostics(region: ReachSet, rs: ReducedSpec, u0: float) -
     for i, j in cells[idx]:
         p = region.config.cell_center(i, j)
         d = p - ball.center
-        nd = np.linalg.norm(d)
-        if nd == 0.0:
-            continue
-        probe = p + (2.0 * res / nd) * d
-        before = np.linalg.norm(probe - ball.center)
-        after = np.linalg.norm(flow_r2(rs, horizon, probe, u0) - ball.center)
-        rates.append((after - before) / horizon)
+        # Probes that are not finite (huge grids) are skipped.
+        with np.errstate(over="ignore", invalid="ignore"):
+            nd = np.linalg.norm(d)
+            if nd == 0.0:
+                continue
+            probe = p + (2.0 * res / nd) * d
+            before = np.linalg.norm(probe - ball.center)
+            try:
+                after = np.linalg.norm(flow_r2(rs, horizon, probe, u0) - ball.center)
+            except ValueError:  # the flowed probe is not finite
+                continue
+            rate = (after - before) / horizon
+        if math.isfinite(rate):
+            rates.append(rate)
     if not rates:
         return {"probes": 0}
     return {
@@ -665,11 +716,15 @@ def estimate_control_set(
     one.  coverage["fraction"] counts the cells whose centre is in the disk.
     trace < 0: the set is the closure of the forward orbit of an
     equilibrium.  trace > 0: the set is the backward orbit of an equilibrium.
+    A seed_control outside rs.omega (or NaN) raises ValueError.
     """
     if cfg is None:
         cfg = default_grid_config(rs)
+    lo, hi = rs.omega
     if seed_control is None:
         seed_control = default_seed_control(rs)
+    elif not lo <= seed_control <= hi:  # also NaN
+        raise ValueError(f"seed control {seed_control} lies outside the control range [{lo}, {hi}]")
     boundary = boundary_control_sets(rs)
 
     if rs.lam == 0.0:

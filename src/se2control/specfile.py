@@ -324,14 +324,30 @@ def _formatted_once(values: np.ndarray) -> list:
     return [text[k] for k in inverse.tolist()]
 
 
+def _text_rows(texts: list) -> np.ndarray:
+    """The ASCII texts as the rows of a NUL-padded uint8 matrix."""
+    rows = np.array([t.encode("ascii") for t in texts], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(texts), -1)
+
+
 def write_cells_csv(reach, stream) -> None:
     """CSV of occupied cell centers: i,j,x,y."""
     cells = reach.occupied_cells()
-    # Centers repeat along the grid lines, so most values are formatted once.
-    xs, ys = (_formatted_once(c) for c in reach.cell_centers().T)
+    centers = reach.cell_centers()
+    # A center's x depends on i alone and its y on j alone, so the texts of
+    # each distinct i and j are formed once, as NUL-padded byte rows that
+    # the CSV rows gather; one bytes.translate per block drops the padding.
+    tables, inverses = [], []
+    for axis, end in ((0, ","), (1, "\n")):
+        index, first, inverse = np.unique(cells[:, axis], return_index=True, return_inverse=True)
+        values = _formatted_once(centers[first, axis])
+        index_text = _text_rows([f"{k}," for k in index.tolist()])
+        tables.append((index_text, _text_rows([v + end for v in values])))
+        inverses.append(inverse)
+    (i_text, x_text), (j_text, y_text) = tables
     stream.write("i,j,x,y\n")
-    # Blocks of rows keep the formatted text small next to the grid.
+    # Blocks of rows keep the byte matrix small next to the grid.
     for k in range(0, len(cells), CSV_BLOCK_ROWS):
-        block = slice(k, k + CSV_BLOCK_ROWS)
-        rows = zip(*cells[block].T.tolist(), xs[block], ys[block])
-        stream.write("".join([f"{i},{j},{x},{y}\n" for i, j, x, y in rows]))
+        i, j = (inv[k : k + CSV_BLOCK_ROWS] for inv in inverses)
+        rows = np.concatenate([i_text[i], j_text[j], x_text[i], y_text[j]], axis=1)
+        stream.write(rows.tobytes().translate(None, b"\0").decode("ascii"))

@@ -350,6 +350,59 @@ def test_verify_on_huge_rates_gives_one_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "spec, option, message",
+    [
+        (OPEN, ["--seed-control", "5"], "seed control 5.0 lies outside the control range [-1.0, 1.0]"),
+        (OPEN, ["--seed-control", "nan"], "seed control nan lies outside"),
+        (OPEN, ["--seed-control", "inf"], "seed control inf lies outside"),
+        (OPEN, ["--seed-control=-inf"], "seed control -inf lies outside"),
+        (TRACE_ZERO, ["--seed-control", "2.5"], "seed control 2.5 lies outside the control range"),
+        (OPEN, ["--resolution", "inf"], "resolution must be positive and finite"),
+        (TRACE_ZERO, ["--resolution", "inf"], "resolution must be positive and finite"),
+        (OPEN, ["--time-step", "inf"], "time_step must be positive and finite"),
+        (OPEN, ["--time-step", "nan"], "time_step must be positive and finite"),
+    ],
+)
+def test_reach_rejects_invalid_values_with_one_line_and_no_warning(tmp_path, capsys, spec, option, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["reach", write_spec(tmp_path, spec)] + option)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+HUGE_GRID = ["--bounds=-1e300,1e300,-1e300,1e300", "--resolution", "1e299"]
+
+
+@pytest.mark.parametrize(
+    "lam, grid",
+    [
+        (1.0, HUGE_GRID),
+        (-1.0, HUGE_GRID),
+        (0.0, HUGE_GRID),
+        # The boundary probes flow to e^500 |probe|, past the float range.
+        (1.0, ["--bounds=-1e100,1e100,-1e100,1e100", "--resolution", "1e99", "--time-step", "100"]),
+    ],
+)
+def test_reach_on_a_grid_near_the_float_range_writes_no_warning(tmp_path, capsys, lam, grid):
+    # Squared distances of cell centres overflow there, and so do the
+    # boundary probes: the distances fall back to hypot and the probes are
+    # skipped.
+    spec = dict(OPEN, A={"lambda": lam, "mu": 2.0 if lam else 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["reach", write_spec(tmp_path, spec)] + grid)
+    assert (rc, err) == (0, "")
+    payload = json.loads(out)
+    if lam:
+        assert payload["ball_check"]["violations"] == 0
+        assert math.isfinite(payload["ball_check"]["max_center_distance"])
+    if lam > 0:
+        assert payload["diagnostics"]["boundary_growth"] == {"probes": 0}
+
+
 def test_reach_rejects_degenerate_case(tmp_path, capsys):
     rc, _, err = run_main(capsys, ["reach", write_spec(tmp_path, DEGENERATE)])
     assert rc == 3

@@ -293,6 +293,224 @@ def test_reach_matches_scalar_loop_on_generated_grids(case):
     assert got.rounds == rounds
 
 
+# -- certified cells from one product per axis ----------------------------
+
+
+def _control_constants_by_loop(rs, cfg, direction):
+    """Scalar reference of the flow constants: one column at a time."""
+    dt = direction * cfg.time_step
+    n_steps = cfg.steps_per_arc
+    out = [np.zeros(cfg.controls.size * n_steps) for _ in range(7)]
+    sing, vux, vuy, ecos, esin, linx, liny = out
+    sing = sing.astype(bool)
+    ecos[:] = 1.0
+    c = 0
+    for u in cfg.controls:
+        vu = None if rs.det_a_of_u(u) == 0.0 else equilibrium(rs, u)
+        for k in range(1, n_steps + 1):
+            s = k * dt
+            if vu is None:
+                sing[c] = True
+                linx[c] = s * u * rs.eta[0]
+                liny[c] = s * u * rs.eta[1]
+            else:
+                vux[c], vuy[c] = vu
+                ang = s * (rs.mu - u)
+                efac = math.exp(s * rs.lam)
+                ecos[c] = efac * math.cos(ang)
+                esin[c] = efac * math.sin(ang)
+            c += 1
+    return (sing,) + tuple(out[1:])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(_small_reach_cases())
+def test_control_constants_equal_the_scalar_loop_bit_for_bit(case):
+    rs, cfg, _, direction, _ = case
+    got = R._control_constants(rs, cfg, direction)
+    for a, b in zip(got, _control_constants_by_loop(rs, cfg, direction)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _cell_map_cases(draw):
+    """Flow constants with a grid origin up to 1e8 away, a resolution down to
+    1e-7 and frontier points anywhere in a box of up to 1e5 cells around it."""
+    rs, cfg, _, direction, _ = draw(_small_reach_cases())
+    consts = R._control_constants(rs, cfg, direction)
+    x0, y0 = (draw(st.floats(-1e8, 1e8)) for _ in range(2))
+    res = 10.0 ** draw(st.floats(-7.0, 1.0))
+    cells = 10.0 ** draw(st.floats(0.0, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    px = x0 + rng.uniform(-0.2, 1.2, 16) * cells * res
+    py = y0 + rng.uniform(-0.2, 1.2, 16) * cells * res
+    return consts, x0, y0, res, px, py
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_cell_map_cases())
+def test_cell_maps_bound_the_distance_to_the_exact_cell_values(case):
+    consts, x0, y0, res, px, py = case
+    reach = float(np.abs(px).max() + np.abs(py).max())
+    mx, my, delta = R._cell_maps(consts, x0, y0, res, reach)
+    pts = np.stack([px, py, np.ones_like(px)], axis=1)
+    approx = (pts @ mx, pts @ my)
+    # The exact pre-floor values, one scalar at a time as the loop forms them.
+    sing, vux, vuy, ecos, esin, linx, liny = (c.tolist() for c in consts)
+    exact = np.empty((2, px.size, len(vux)))
+    for r, (x, y) in enumerate(zip(px.tolist(), py.tolist())):
+        for c in range(len(vux)):
+            if sing[c]:
+                qx, qy = x + linx[c], y + liny[c]
+            else:
+                dx, dy = x - vux[c], y - vuy[c]
+                qx = vux[c] + ecos[c] * dx - esin[c] * dy
+                qy = vuy[c] + esin[c] * dx + ecos[c] * dy
+            exact[:, r, c] = (qx - x0) / res, (qy - y0) / res
+    assert delta > 0.0
+    for a, z in zip(approx, exact):
+        assert np.all(np.abs(a - z) < delta / 2)
+        # The certification: a value at least delta inside its cell has the
+        # exact value's floor.
+        k = np.floor(a)
+        inside = (a - k >= delta) & (a - k <= 1.0 - delta)
+        assert np.array_equal(k[inside], np.floor(z[inside]))
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0, 0.0])
+def test_cell_maps_bound_is_far_below_a_cell_on_default_grids(lam):
+    rs = make_rs(lam=lam)
+    cfg = default_grid_config(rs)
+    xmin, xmax, ymin, ymax = cfg.bounds
+    reach = max(abs(xmin), abs(xmax)) + max(abs(ymin), abs(ymax))
+    for direction in (+1, -1):
+        consts = R._control_constants(rs, cfg, direction)
+        assert R._cell_maps(consts, xmin, ymin, cfg.resolution, reach)[2] < 1e-10
+
+
+def test_cell_maps_give_no_bound_where_values_overflow():
+    rs, cfg, _ = _singular_case()
+    consts = R._control_constants(rs, cfg, +1)
+    for x0, res, reach in ((0.0, 1e-300, 1.0), (1e308, 1.0, 1e308), (0.0, 1.0, np.nan)):
+        assert not R._cell_maps(consts, x0, x0, res, reach)[2] < 0.25
+
+
+def _spy_on_exact_chunks(monkeypatch):
+    """Record the shape of every chunk that forms its candidates exactly."""
+    shapes = []
+    images = R._images
+
+    def spy(px, *args):
+        if np.ndim(px) == 2:
+            shapes.append(np.broadcast_shapes(np.shape(px), np.shape(args[1])))
+        return images(px, *args)
+
+    monkeypatch.setattr(R, "_images", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("rows", [1, 2, 10**9])
+@pytest.mark.parametrize(
+    "res, dt, steps, frontier",
+    [
+        # Binary fractions: the images lie exactly on cell edges.
+        (0.125, 0.25, 5, [[-0.5, 0.25, 0.0, -1.0], [0.25, 0.5, -0.75, 0.0]]),
+        # Decimal ones: the images round to either side of the edges.
+        (0.1, 0.2, 5, [[-0.5, 0.3, 0.0, -0.8, 0.6], [0.2, 0.5, -0.7, 0.1, -0.3]]),
+        # Products just below an edge whose exact images lie on or above it.
+        (0.1, 0.4, 1, [[-0.9, -0.7, 0.3], [0.05, 0.05, 0.05]]),
+    ],
+)
+def test_round_with_images_on_cell_edges_takes_the_exact_path(monkeypatch, rows, res, dt, steps, frontier):
+    # Translation columns move frontier points on cell edges by whole
+    # cells, so every chunk has images on (or within rounding of) a cell
+    # edge, where the product's cells are not certified: every chunk forms
+    # its images exactly and gives the scalar loop's claims bit for bit.
+    rs = make_rs(lam=0.0, mu=0.5, omega=(-1.0, 1.0))
+    cfg = GridConfig((-1.0, 1.0, -1.0, 1.0), res, [0.5], dt, steps_per_arc=steps)
+    consts = R._control_constants(rs, cfg, +1)
+    assert consts[0].all()
+    _small_chunks(monkeypatch, rows, cfg)
+    shapes = _spy_on_exact_chunks(monkeypatch)
+    nx, ny = cfg.shape
+    grid = (nx, ny, -1.0, -1.0, cfg.resolution)
+    occupied = np.zeros(nx * ny, dtype=bool)
+    occupied[::3] = True
+    frontier = np.array(frontier)
+    ref, _ = _round_by_loop(occupied, grid, *frontier, consts)
+    occ_flat = occupied.copy()
+    got = R._expand_round(occ_flat, *grid, *frontier, consts)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(occ_flat, occupied | np.isin(np.arange(nx * ny), ref[0]))
+    assert sum(math.prod(s) for s in shapes) == frontier.shape[1] * consts[0].size
+
+
+def test_round_off_the_grid_keeps_the_certified_cells(monkeypatch):
+    # Images off the grid do not force the exact path: the product's cells
+    # are certified, and the masked path drops the candidates off the grid.
+    rs, cfg, _ = _singular_case()
+    consts = R._control_constants(rs, cfg, +1)
+    shapes = _spy_on_exact_chunks(monkeypatch)
+    nx, ny = cfg.shape
+    grid = (nx, ny, cfg.bounds[0], cfg.bounds[2], cfg.resolution)
+    occupied = np.zeros(nx * ny, dtype=bool)
+    frontier = np.random.default_rng(5).uniform(0.9, 0.999, (2, 6))
+    ref, on_grid = _round_by_loop(occupied, grid, *frontier, consts)
+    assert not on_grid
+    got = R._expand_round(occupied.copy(), *grid, *frontier, consts)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert shapes == []
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("chunk", [1, 7, 29])
+def test_columns_split_past_a_chunk_match_scalar_loop(monkeypatch, direction, chunk):
+    # Under one chunk's worth of columns per row, a row's columns are split
+    # into blocks, which keeps the canonical order.
+    rs, cfg, x0 = _singular_case()
+    assert chunk < cfg.controls.size * cfg.steps_per_arc
+    monkeypatch.setattr(R, "_CHUNK_CANDIDATES", chunk)
+    got = R._reach(rs, x0, cfg, direction)
+    occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
+    assert np.array_equal(got.occupied, occ)
+    assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
+    assert np.array_equal(got.rep_y, rep_y, equal_nan=True)
+    assert got.rounds == rounds
+
+
+def test_a_large_control_grid_keeps_every_product_blocked(monkeypatch):
+    # --control-grid 2000: over 48,000 columns per frontier row.  Every product
+    # stays at most a chunk of outputs, and the reach set equals the one
+    # of unsplit rows.
+    rs = make_rs()
+    cfg = default_grid_config(rs, resolution=invariant_ball(rs).radius / 12.0, n_controls=2000)
+    x0 = equilibrium(rs, 0.5)
+    sizes = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        sizes.append(a.shape[0] * b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    got = reach_backward(rs, x0, cfg)
+    assert cfg.controls.size * cfg.steps_per_arc > 2 * R._CHUNK_CANDIDATES
+    assert sizes and max(sizes) <= R._CHUNK_CANDIDATES
+    assert got.cell_count > 10
+    monkeypatch.setattr(R, "_CHUNK_CANDIDATES", 10**6)
+    _assert_same_reach(got, reach_backward(rs, x0, cfg))
+
+
+def test_reach_keeps_the_sorted_ids_of_its_cells():
+    rs = make_rs()
+    r = reach_backward(rs, equilibrium(rs, 0.5), small_cfg(rs))
+    assert np.array_equal(r.ids, np.flatnonzero(r.occupied))
+    assert np.array_equal(r.occupied_cells(), np.argwhere(r.occupied))
+    assert r.cell_count == np.count_nonzero(r.occupied)
+
+
 def test_representatives_live_in_their_cells():
     rs = make_rs()
     cfg = small_cfg(rs)
