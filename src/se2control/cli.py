@@ -297,29 +297,41 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Options whose value is a comma-separated list of coordinates.
-COORDINATE_OPTIONS = ("--v0", "--x0", "--bounds")
 # A value that float() reads as a negative number, infinity or nan.
 _NEGATIVE_VALUE = re.compile(r"-([0-9.]|inf|nan)", re.IGNORECASE)
 
 
-def _is_coordinate_option(arg: str) -> bool:
-    """Whether arg names a coordinate option, in full or abbreviated as argparse allows."""
-    return arg.startswith("--") and len(arg) > 2 and any(
-        opt.startswith(arg) for opt in COORDINATE_OPTIONS
+@functools.cache
+def _value_options() -> tuple:
+    """The long options, of every subcommand, that take a value."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(
+        opt
+        for parser in commands.choices.values()
+        for action in parser._actions
+        if action.nargs != 0
+        for opt in action.option_strings
+        if opt.startswith("--")
     )
 
 
-def _attach_coordinate_values(argv: list) -> list:
-    """Rewrite "--v0 -3,0" as "--v0=-3,0" (also for abbreviations such as "--v").
+def _takes_value(arg: str) -> bool:
+    """Whether arg names an option that takes a value, in full or abbreviated as argparse allows."""
+    return arg.startswith("--") and len(arg) > 2 and any(opt.startswith(arg) for opt in _value_options())
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Rewrite "--v0 -3,0" as "--v0=-3,0" and "--u -inf" as "--u=-inf" (also for abbreviations).
 
     argparse reads a value that starts with "-" and is not a plain negative
-    number (a list such as -3,0) as an option of its own.  Values starting
-    with -inf or -nan, in any case, are attached too, as float() reads them.
+    number (a list such as -3,0, or -inf and -nan in any case) as an option
+    of its own.  So a value that float() would read as negative, infinite or
+    nan is attached to the option before it whenever that option takes a
+    value.
     """
     out = []
     for arg in argv:
-        if out and _is_coordinate_option(out[-1]) and _NEGATIVE_VALUE.match(arg):
+        if out and _takes_value(out[-1]) and _NEGATIVE_VALUE.match(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -328,7 +340,7 @@ def _attach_coordinate_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_coordinate_values(argv))
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

@@ -1,22 +1,25 @@
 """Closed-form flows, piecewise-constant controls, and the RK4 oracle.
 
-For the planar reduced system vdot = (A - u theta) v + u eta with constant
-control u, the closed-loop matrix A(u) = [[lam, -(mu-u)], [mu-u, lam]] is a
-scaled rotation, so the flow is the logarithmic spiral
+A planar point is a complex number inside this module.  The closed-loop
+matrix of the reduced system vdot = (A - u theta) v + u eta with constant
+control u commutes with theta, so it acts as multiplication by
+lam + i (mu - u), and the flow is the logarithmic spiral
 
-    phi(s, v, u) = e^{s lam} R(s (mu - u)) (v - v(u)) + v(u),
+    phi(s, v, u) = e^{s lam} e^{i s (mu - u)} (v - v(u)) + v(u),
 
-about the equilibrium v(u) = -u A(u)^{-1} eta whenever det A(u) != 0.  The
-single singular constant control (lam = 0, u = mu) has A(u) = 0 and flows
-along the straight line v + s u eta.
+about the equilibrium v(u) = -u eta / (lam + i (mu - u)) whenever
+det A(u) = lam^2 + (mu - u)^2 != 0.  The single singular constant control
+(lam = 0, u = mu) flows along the straight line v + s u eta.
 
-Every flow broadcasts: times s and controls u of shape (...) and states of
-shape (..., 2) (planar) or (..., 3) (packed group states [t, v_x, v_y])
+Every flow broadcasts: times s and controls u of shape (...) and states
+(planar points, or packed group states [t, v_x, v_y] of shape (..., 3))
 evaluate row by row in one call, and each row equals the one-row call bit
-for bit.  The group flows also take a single GroupElement and return one.
-flow_se2 runs on a Plant, which system.prepare builds once per system: its
-decoupling charts act on packed rows, and a GroupElement is unpacked and
-rebuilt only at the edge of the call.
+for bit.  flow_r2 takes its points as complex numbers of shape (...) or as
+real pairs of shape (..., 2) and answers in the same form.  The group flows
+also take a single GroupElement and return one.  flow_se2 runs on a Plant,
+which system.prepare builds once per system: its decoupling charts rotate
+and shift complex translations, and packed rows or a GroupElement are
+unpacked and rebuilt only at the edge of the call.
 
 The RK4 oracle gives the endpoint of classical fixed-step RK4 on the raw
 group field, for a batch of samples at once.  The field is linear in v and
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, as_packed, group_result, matvec, perp, rotate, rotation
+from .group import GroupElement, as_packed, cis, group_result, to_complex, to_pairs, wrap_angle
 from .system import Plant, ReducedSpec, SystemSpec, as_plant
 
 DEFAULT_RK4_STEP = 1e-3
@@ -51,36 +54,25 @@ _EXP_MAX_ARG = math.log(sys.float_info.max)
 
 
 def _equilibrium(rs: ReducedSpec, u, nu, d) -> np.ndarray:
-    # -u A(u)^{-1} eta = -u/(lam^2 + (mu-u)^2) * (lam eta - (mu-u) theta eta)
-    return (-u / d)[..., None] * (rs.lam * rs.eta - nu[..., None] * perp(rs.eta))
+    # -u A(u)^{-1} eta = -u/(lam^2 + (mu-u)^2) * (lam - i (mu-u)) eta
+    eta = complex(*rs.eta)
+    return (-u / d) * (rs.lam * eta - nu * (1j * eta))
 
 
 def equilibrium(rs: ReducedSpec, u) -> np.ndarray:
     """Equilibrium v(u) = -u A(u)^{-1} eta of the constant-control loop.
 
-    `u` is a float or an array of shape (...); the result has shape
-    (..., 2).  Undefined at the singular control (lam = 0 and u = mu), where
-    A(u) = 0 and the drift u eta has no rest point: a ValueError is raised
-    if any u is singular.
+    `u` is a float or an array of shape (...); the result holds real pairs
+    and has shape (..., 2).  Undefined at the singular control (lam = 0 and
+    u = mu), where A(u) = 0 and the drift u eta has no rest point: a
+    ValueError is raised if any u is singular.
     """
     u = np.asarray(u, dtype=float)
     nu = rs.mu - u
     d = rs.lam**2 + nu * nu
     if np.any(d == 0.0):
         raise ValueError("no equilibrium at the singular control u = mu (lam = 0)")
-    return _equilibrium(rs, u, nu, d)
-
-
-def equilibrium_derivative(rs: ReducedSpec, u: float) -> np.ndarray:
-    """Derivative v'(u) = -A(u)^{-1} (eta - theta v(u)); nonzero when eta != 0."""
-    u = float(u)
-    d = rs.det_a_of_u(u)
-    if d == 0.0:
-        raise ValueError("derivative undefined at the singular control")
-    w = rs.eta - perp(equilibrium(rs, u))
-    nu = rs.mu - u
-    # A(u)^{-1} = [[lam, nu], [-nu, lam]] / d
-    return -np.array([rs.lam * w[0] + nu * w[1], -nu * w[0] + rs.lam * w[1]]) / d
+    return to_pairs(_equilibrium(rs, u, nu, d))
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +102,16 @@ def _exp(x, s) -> np.ndarray:
 def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
     """Planar closed-form flow for constant control, any real time s.
 
-    Shapes: s and u are floats or arrays of shape (...), v has shape
-    (..., 2); the leading shapes broadcast and the result has shape
-    (..., 2).  Raises ValueError naming s when e^{lam s} or the flowed point
-    is not finite.
+    Shapes: s and u are floats or arrays of shape (...); v holds complex
+    points of shape (...), or real pairs of shape (..., 2).  The leading
+    shapes broadcast, and the result holds the flowed points in the form of
+    v.  Raises ValueError naming s when e^{lam s} or the flowed point is not
+    finite.
     """
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    pairs = not np.iscomplexobj(v)
+    z = to_complex(v) if pairs else np.asarray(v)
     nu = rs.mu - u
     d = rs.lam**2 + nu * nu
     singular = d == 0.0
@@ -125,49 +119,53 @@ def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
     vu = _equilibrium(rs, u, nu, np.where(singular, 1.0, d) if any_singular else d)
     grow = _exp(s * rs.lam, s)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = grow[..., None] * rotate(s * nu, v - vu) + vu
+        # The point stays the first factor: where numpy's complex product
+        # fuses a multiply into each term, this order rounds as the real
+        # 2x2 rotation did, and the reach report's boundary probes keep
+        # the bits they were recorded with.
+        out = grow * ((z - vu) * cis(s * nu)) + vu
         if any_singular:  # A(u) = 0, vdot = u eta
-            out = np.where(singular[..., None], v + (s * u)[..., None] * rs.eta, out)
+            out = np.where(singular, z + (s * u) * complex(*rs.eta), out)
     at_zero = s == 0.0
     if at_zero.any():
-        out = np.where(at_zero[..., None], v, out)
-    if not np.isfinite(out).all():
-        raise _not_finite(s, ~np.isfinite(out).all(axis=-1))
-    return out
+        out = np.where(at_zero, z, out)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise _not_finite(s, bad)
+    return to_pairs(out) if pairs else out
 
 
 def dwell_rate(t, xi) -> np.ndarray:
-    """Lambda_t xi = (I - rho(t)) theta xi, formed as 2 sin(t/2) rho(t/2) xi.
+    """Lambda_t xi = (1 - e^{it}) i xi, formed as 2 sin(t/2) e^{it/2} xi.
 
-    The velocity of the A = 0 chart at rest at angle t (control 0).  This
-    form has no difference of nearly equal vectors, so it keeps its
-    relative accuracy for small t.  Angles t of shape (...) and vectors xi
-    of shape (..., 2) broadcast.
+    The velocity of the A = 0 chart at rest at angle t (control 0), for
+    angles t of shape (...) and a complex xi.  This form has no difference
+    of nearly equal numbers, so it keeps its relative accuracy for small t.
     """
     half = 0.5 * np.asarray(t, dtype=float)
-    return (2.0 * np.sin(half))[..., None] * rotate(half, xi)
+    return 2.0 * np.sin(half) * (xi * cis(half))
 
 
-def _detA0_rows(xi, s, t, v, u) -> tuple:
-    """Angles and translations of :func:`flow_detA0` for rows (t, v); s and u are arrays."""
+def _detA0_rows(xi, s, t, z, u) -> tuple:
+    """Angles and complex translations of :func:`flow_detA0` for rows (t, z); s and u are arrays."""
     moving = u != 0.0
     half = 0.5 * s * u
     k = np.where(moving, 2.0 * np.sin(half) / np.where(moving, u, 1.0), s)
-    turn = (s - k)[..., None] * perp(xi) + k[..., None] * dwell_rate(t + half, xi)
-    return np.where(moving, t + s * u, t), v + turn
+    turn = (s - k) * (1j * xi) + k * dwell_rate(t + half, xi)
+    return np.where(moving, t + s * u, t), z + turn
 
 
 def flow_detA0(spec: SystemSpec, s, g, u):
     """Degenerate flow for A = 0, in coordinates where the invariant field is (1, 0).
 
-    The normalized dynamics are tdot = u, vdot = Lambda_t xi.  For u != 0
+    The normalized dynamics are tdot = u, vdot = Lambda_t xi, with
+    Lambda_t xi = (1 - e^{it}) i xi.  For u != 0
 
-        phi(s, (t, v), u) = (t + s u,
-                             v + s theta xi + theta (rho(t+su) - rho(t)) theta xi / u),
+        phi(s, (t, v), u) = (t + s u, v + s i xi - (e^{i(t+su)} - e^{it}) xi / u),
 
     and for u = 0 the translation drifts along the frozen direction
-    Lambda_t xi.  Since rho(t+su) - rho(t) = 2 sin(su/2) rho(t + su/2) theta,
-    both read v + (s - k) theta xi + k Lambda_m xi with m = t + su/2 and
+    Lambda_t xi.  Since e^{i(t+su)} - e^{it} = 2i sin(su/2) e^{i(t + su/2)},
+    both read v + (s - k) i xi + k Lambda_m xi with m = t + su/2 and
     k = 2 sin(su/2) / u (k = s for u = 0), Lambda_m xi formed by
     :func:`dwell_rate`.  This form divides no difference of nearly equal
     rotations by a small u, and a long dwell at a small angle keeps its
@@ -180,23 +178,22 @@ def flow_detA0(spec: SystemSpec, s, g, u):
     x, element = as_packed(g)
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    t, v = _detA0_rows(spec.xi, s, x[..., 0], x[..., 1:], u)
-    return group_result(t, v, element)
+    t, z = _detA0_rows(complex(*spec.xi), s, x[..., 0], to_complex(x[..., 1:]), u)
+    return group_result(t, z, element)
 
 
 def flow_se2(system, s, g, u):
     """Exact flow of the full system on the group, any classification case.
 
     `system` is a Plant, or a SystemSpec, which is prepared on entry.  The
-    charts act on packed rows [t, v_x, v_y]; with w the plant's offset and
-    Lambda(t) = w - rho(t) w:
+    charts act on complex translations z, with w the plant's offset:
 
-    det A != 0: psi1 then psi2 take (t, v) to (t, rho(-t) (v + Lambda(t)));
-    the reduced system flows there with control alpha u while the angle
-    advances to t' = t + s alpha u; the inverse charts return
-    (t', rho(t') v' - Lambda(t')).
-    A = 0: (t, v - Lambda(t) / alpha), the flow of :func:`flow_detA0` with
-    control alpha u, then (t', v' + Lambda(t') / alpha).
+    det A != 0: psi1 then psi2 take (t, z) to (t, e^{-it} (z + w) - w); the
+    reduced system flows there with control alpha u while the angle
+    advances to t' = t + s alpha u, and the inverse charts return
+    (t', e^{it'} (z' + w) - w).
+    A = 0: (t, z - (1 - e^{it}) w / alpha), the flow of :func:`flow_detA0`
+    with control alpha u, then (t', z' + (1 - e^{it'}) w / alpha).
 
     Angles are wrapped on entry and after the flow.  `g` is a GroupElement
     or packed states of shape (..., 3); s and u are floats or arrays of
@@ -209,20 +206,17 @@ def flow_se2(system, s, g, u):
     x, element = as_packed(g)
     s = np.asarray(s, dtype=float)
     ut = plant.spec.alpha * np.asarray(u, dtype=float)
-    t, v, w = x[..., 0], x[..., 1:], plant.offset
-    # Each branch packs the flowed rows, which wraps their angles, and then
-    # applies the inverse chart to their translations in place.
+    t, z, w = x[..., 0], to_complex(x[..., 1:]), plant.offset
     if plant.chart == "zero":
-        alpha = plant.spec.alpha
-        t, v = _detA0_rows(plant.spec.xi, s, t, v - (w - rotate(t, w)) / alpha, ut)
-        out = group_result(t, v, False)
-        out[..., 1:] += (w - rotate(out[..., 0], w)) / alpha
+        w = w / plant.spec.alpha
+        t, z = _detA0_rows(complex(*plant.spec.xi), s, t, z - (w - w * cis(t)), ut)
+        t = wrap_angle(t)
+        z = z + (w - w * cis(t))
     else:
-        v = flow_r2(plant.rs, s, rotate(-t, v + (w - rotate(t, w))), ut)
-        out = group_result(t + s * ut, v, False)
-        turn = rotation(out[..., 0])
-        out[..., 1:] = matvec(turn, out[..., 1:]) - (w - matvec(turn, w))
-    return GroupElement(out[0], out[1:]) if element and out.ndim == 1 else out
+        z = flow_r2(plant.rs, s, (z + w) * cis(-t) - w, ut)
+        t = wrap_angle(t + s * ut)
+        z = (z + w) * cis(t) - w
+    return group_result(t, z, element)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import equilibrium, flow_r2
-from .group import norms, perp
+from .group import cis, to_complex, to_pairs
 from .system import ReducedSpec
 
 # Samples per flow call in check_invariance.
@@ -47,11 +47,12 @@ def circle_params(rs: ReducedSpec) -> Circle:
     """Circle swept by the equilibria v(u), u in R (requires lam != 0)."""
     if rs.lam == 0.0:
         raise ValueError("equilibria form a line when lam = 0, not a circle")
-    center = -0.5 * ((rs.mu / rs.lam) * rs.eta + perp(rs.eta))
+    eta = complex(*rs.eta)
+    center = -0.5 * ((rs.mu / rs.lam) * eta + 1j * eta)
     radius = 0.5 * np.sqrt((rs.mu**2 + rs.lam**2) / rs.lam**2) * float(
         np.linalg.norm(rs.eta)
     )
-    return Circle(center, radius)
+    return Circle(to_pairs(center), radius)
 
 
 def invariant_ball(rs: ReducedSpec) -> Circle:
@@ -68,7 +69,7 @@ def invariant_ball(rs: ReducedSpec) -> Circle:
     if lam2 == 0.0 or not math.isfinite(length):
         raise ValueError("the invariant ball is out of range: lambda^2 underflows or |eta|^2 overflows")
     radius = np.sqrt((rs.lam**2 + rs.mu**2) / lam2) * length
-    return Circle(-perp(rs.eta), radius)
+    return Circle(to_pairs(-1j * complex(*rs.eta)), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def check_invariance(
     n = int(n_samples)
     rng = np.random.default_rng(seed)
     ball = invariant_ball(rs)
-    c, radius = ball.center, ball.radius
+    c, radius = complex(*ball.center), ball.radius
     lo, hi = rs.omega
 
     u = rng.uniform(lo, hi, size=2 * n)
@@ -185,11 +186,9 @@ def check_invariance(
 
     # Inward regime: lam * s < 0.  Outward regime: lam * s > 0, skipping
     # the measure-zero collision w = v(u).
-    w_in = c + rad_in[:, None] * np.stack([np.cos(ang[:n]), np.sin(ang[:n])], axis=1)
+    w_in = c + rad_in * cis(ang[:n])
     s_in = -np.sign(rs.lam) * smag[:n]
-    w_out = c + rad_out[:, None] * np.stack(
-        [np.cos(ang[n:]), np.sin(ang[n:])], axis=1
-    )
+    w_out = c + rad_out * cis(ang[n:])
     s_out = np.sign(rs.lam) * smag[n:]
     u_in, u_out = u[:n], u[n:]
     # FLOW_CHUNK samples per flow call bound the temporary arrays; every row
@@ -199,11 +198,11 @@ def check_invariance(
     keep = np.ones(n, dtype=bool)
     for i in range(0, n, FLOW_CHUNK):
         part = slice(i, i + FLOW_CHUNK)
-        margin_in[part] = radius - norms(flow_r2(rs, s_in[part], w_in[part], u_in[part]) - c)
+        margin_in[part] = radius - np.abs(flow_r2(rs, s_in[part], w_in[part], u_in[part]) - c)
         w, uu = w_out[part], u_out[part]
         regular = rs.lam**2 + (rs.mu - uu) ** 2 != 0.0
-        keep[part][regular] = norms(w[regular] - equilibrium(rs, uu[regular])) > 1e-9 * radius
-        margin_out[part] = norms(flow_r2(rs, s_out[part], w, uu) - c) - rad_out[part]
+        keep[part][regular] = np.abs(w[regular] - to_complex(equilibrium(rs, uu[regular]))) > 1e-9 * radius
+        margin_out[part] = np.abs(flow_r2(rs, s_out[part], w, uu) - c) - rad_out[part]
     margin_out = margin_out[keep]
     viol_in = int(np.sum(margin_in < tol))
     viol_out = int(np.sum(margin_out < tol))

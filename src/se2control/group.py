@@ -7,9 +7,14 @@ translating by v; composition is the semidirect product
 
 where rho(t) is the rotation by t.  Angles are kept canonical in [0, 2*pi).
 
-Group states travel as packed rows [t, v_x, v_y] of shape (..., 3); a
-GroupElement is one row, built only at the API edge.  The coordinate changes
-that decouple a linear control system on this group act on packed rows, in
+Inside the package a planar point is a complex number x + iy: rho(t) is
+multiplication by e^{it} (:func:`cis`), theta by i, and a matrix commuting
+with theta, [[lam, -mu], [mu, lam]], by lam + i mu.  At the API edge group
+states travel as packed rows [t, v_x, v_y] of shape (..., 3), planar points
+as real pairs of shape (..., 2), and a GroupElement is one row;
+:func:`to_complex`, :func:`to_pairs`, :func:`as_packed` and
+:func:`group_result` convert between the two.  The coordinate changes that
+decouple a linear control system on this group act in
 :func:`flow.flow_se2`, with their offsets prepared once in
 :class:`system.Plant`.
 """
@@ -45,69 +50,36 @@ def angle_dist(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
-def rotation(t) -> np.ndarray:
-    """Rotation matrix rho(t).
+def cis(t) -> np.ndarray:
+    """e^{it} for angles t of shape (...), as an array of complex numbers.
 
-    Parameters
-    ----------
-    t : float or ndarray, shape (...)
-        Rotation angle(s) in radians.
-
-    Returns
-    -------
-    ndarray, shape (..., 2, 2)
-        One C-contiguous matrix per angle; shape (2, 2) for a float.
+    Its parts are np.cos(t) and np.sin(t) exactly.  Multiplying a point z
+    by it, as ``z * cis(t)``, rotates z by t; the result is an array even
+    for a float t, so one point goes through the same complex product as
+    the rows of a batch.
     """
-    c, s = np.cos(t), np.sin(t)
-    out = np.empty(np.shape(c) + (2, 2))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
+    t = np.asarray(t, dtype=float)
+    z = np.empty(t.shape, dtype=complex)
+    z.real, z.imag = np.cos(t), np.sin(t)
+    return z
 
 
-def matvec(m, w) -> np.ndarray:
-    """Row-wise product m @ w for m of shape (..., 2, 2) and w of shape (..., 2).
+def to_complex(v) -> np.ndarray:
+    """Points given as real pairs, shape (..., 2), as complex numbers x + iy, shape (...).
 
-    Leading dimensions broadcast.  Every row goes through the same
-    matrix-vector product as ``m[i] @ w[i]``, so a batch agrees bit for bit
-    with one-row calls.
+    The result reads the same memory as v where v is already a C-contiguous
+    float array, so callers do not write into it.
     """
-    return np.matmul(m, np.asarray(w, dtype=float)[..., None])[..., 0]
+    return np.ascontiguousarray(v, dtype=float).view(complex)[..., 0]
 
 
-def rotate(t, w) -> np.ndarray:
-    """rho(t) w for angles t of shape (...) and vectors w of shape (..., 2)."""
-    return matvec(rotation(t), w)
+def to_pairs(z) -> np.ndarray:
+    """Complex points, shape (...), as real pairs [x, y], shape (..., 2).
 
-
-def dots(a, b) -> np.ndarray:
-    """Row-wise dot products of a and b, shape (..., 2) -> (...), broadcast.
-
-    Each value equals ``a[i] @ b[i]`` bit for bit: both go through the same
-    vector dot product.
+    The result reads the same memory as z where z is already a C-contiguous
+    complex array, so callers do not write into it.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def norms(w) -> np.ndarray:
-    """Euclidean norms of the rows of w, shape (..., 2) -> (...).
-
-    Each value equals ``np.linalg.norm(w[i])`` bit for bit: both take the
-    square root of the same dot product.
-    """
-    return np.sqrt(dots(w, w))
-
-
-_PERP_SIGNS = np.array([-1.0, 1.0])
-
-
-def perp(w) -> np.ndarray:
-    """Rotate `w` by +90 degrees (theta @ w); w has shape (..., 2)."""
-    return np.asarray(w, dtype=float)[..., ::-1] * _PERP_SIGNS
+    return np.asarray(z, dtype=complex, order="C")[..., None].view(float)
 
 
 @dataclass
@@ -147,11 +119,12 @@ def as_packed(g):
     return x, False
 
 
-def group_result(t, v, element: bool):
-    """Pack (t, v) with canonical angles; a GroupElement for one row from one.
+def group_result(t, z, element: bool):
+    """Pack angles t and complex translations z with canonical angles; a GroupElement for one row from one.
 
-    `v` carries the full broadcast shape (..., 2); `t` broadcasts to (...).
+    `z` carries the full broadcast shape (...); `t` broadcasts to it.
     """
+    v = to_pairs(z)
     if element and v.ndim == 1:
         return GroupElement(float(t), v)
     x = np.empty(v.shape[:-1] + (3,))

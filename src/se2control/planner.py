@@ -13,6 +13,7 @@ loop back to v0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .flow import SAMPLES_PER_SEGMENT, PiecewiseControl, Trajectory, equilibrium, flow_concat
 from .geometry import Circle
-from .group import TWO_PI, perp
+from .group import TWO_PI, to_pairs
 from .system import ReducedSpec
 
 # Forward arcs a plan may take before it gives up on reaching the segment.
@@ -34,23 +35,25 @@ MAX_LENGTH = 1e150
 def circle_line_intersect(c: Circle, direction) -> list:
     """Intersections of a circle with the line through the origin.
 
-    Returns 0, 1, or 2 points sorted by signed parameter along `direction`.
-    A vanishing discriminant yields the single tangency point.
+    Returns 0, 1, or 2 points, as real pairs, sorted by signed parameter
+    along `direction`.  A vanishing discriminant yields the single tangency
+    point.
     """
-    direction = np.asarray(direction, dtype=float).reshape(2)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
+    x, y = np.asarray(direction, dtype=float).reshape(2)
+    d = complex(x, y)
+    if d == 0.0:
         raise ValueError("direction must be nonzero")
-    d = direction / norm
-    center = np.asarray(c.center, dtype=float)
-    proj = float(d @ center)
-    disc = proj * proj - float(center @ center) + float(c.radius) ** 2
+    d /= abs(d)
+    # The centre in the line's frame: q.real along the line, q.imag across it.
+    q = complex(*c.center) * d.conjugate()
+    radius = float(c.radius)
+    disc = (radius - abs(q.imag)) * (radius + abs(q.imag))
     if disc < 0.0:
         return []
     if disc == 0.0:
-        return [proj * d]
+        return [to_pairs(q.real * d)]
     root = math.sqrt(disc)
-    return [(proj - root) * d, (proj + root) * d]
+    return [to_pairs((q.real - root) * d), to_pairs((q.real + root) * d)]
 
 
 def arc_duration(u: float, mu: float, angle: float) -> float:
@@ -113,16 +116,17 @@ class PlanResult:
         }
 
 
-def _final_control(rs: ReducedSpec, v_n: np.ndarray) -> float:
+def _final_control(rs: ReducedSpec, v_n: complex) -> float:
     """Control whose solution circle passes through both v_n and the origin.
 
-    For lam = 0 the equilibria are v(u) = x theta eta with x = u / (mu - u), so
-    |v(u)| = |v_n - v(u)| is the linear equation 2 x <v_n, theta eta> = |v_n|^2,
+    For lam = 0 the equilibria are v(u) = x i eta with x = u / (mu - u), so
+    |v(u)| = |v_n - v(u)| is the linear equation 2 x <v_n, i eta> = |v_n|^2,
     and u = mu x / (1 + x).  v_n lies on the segment between v(-rho) and
     v(rho), so x lies between their halves and 1 + x > 1/2; the length bounds
     of plan_periodic keep every term finite and nonzero.
     """
-    x = (v_n @ v_n) / (2.0 * (v_n @ perp(rs.eta)))
+    # <a, b> is the real part of a conj(b).
+    x = abs(v_n) ** 2 / (2.0 * (v_n * (1j * complex(*rs.eta)).conjugate()).real)
     return float(rs.mu * x / (1.0 + x))
 
 
@@ -156,17 +160,18 @@ def plan_periodic(
         if not (0.0 < rho <= min(-lo, hi)) or abs(rs.mu) <= rho:
             raise ValueError("rho must satisfy [-rho, rho] within Omega, mu outside")
 
-    teta = perp(rs.eta)
+    teta = 1j * complex(*rs.eta)
     with np.errstate(over="ignore", invalid="ignore"):
-        centers = {+1.0: equilibrium(rs, rho), -1.0: equilibrium(rs, -rho)}
-        lengths = [float(np.linalg.norm(p)) for p in (teta, *centers.values())]
+        centers = {sign: complex(*equilibrium(rs, sign * rho)) for sign in (+1.0, -1.0)}
+        lengths = [float(np.abs(p)) for p in (teta, *centers.values())]
     if not (1.0 / MAX_LENGTH <= lengths[0] and max(length, *lengths) <= MAX_LENGTH):
         raise ValueError(
             f"plan needs |theta eta| >= {1.0 / MAX_LENGTH:g}, and v0, theta eta and "
             f"the centers v(+-rho) within {MAX_LENGTH:g} of the origin"
         )
     line_dir = teta / lengths[0]
-    xs = {s: float(c @ line_dir) for s, c in centers.items()}
+    # A point z on the line of equilibria is (z conj(line_dir)).real line_dir.
+    xs = {s: (c * line_dir.conjugate()).real for s, c in centers.items()}
     x_lo, x_hi = min(xs.values()), max(xs.values())
     gap = abs(xs[+1.0] - xs[-1.0])
     scale = max(1.0, length)
@@ -184,17 +189,16 @@ def plan_periodic(
         )
 
     def on_segment(v):
+        q = v * line_dir.conjugate()  # along the line, and across it
         # Relative to |v|: an absolute floor would put every tiny v on the line.
-        off = abs(float(v[0] * line_dir[1] - v[1] * line_dir[0]))
-        x = float(v @ line_dir)
-        on_line = off <= 1e-9 * float(np.linalg.norm(v))
-        return on_line and x_lo - 1e-12 * scale <= x <= x_hi + 1e-12 * scale
+        on_line = abs(q.imag) <= 1e-9 * abs(v)
+        return on_line and x_lo - 1e-12 * scale <= q.real <= x_hi + 1e-12 * scale
 
     # Forward half: alternating arcs until a waypoint lies between the centers.
-    waypoints = [v0.copy()]
+    w = complex(*v0)
+    waypoints = [w]
     segments = []
     radii = []
-    w = v0.copy()
     sign = +1.0
     n_arcs = 0
     while not on_segment(w):
@@ -202,42 +206,33 @@ def plan_periodic(
             raise RuntimeError("planner failed to reach the equilibrium segment")
         u = sign * rho
         c = centers[sign]
-        radius = float(np.linalg.norm(w - c))
+        radius = abs(w - c)
         c_next = centers[-sign]
-        hits = circle_line_intersect(Circle(center=c, radius=radius), line_dir)
+        hits = circle_line_intersect(Circle(to_pairs(c), radius), to_pairs(line_dir))
         if not hits:
             raise RuntimeError("arc circle missed the equilibrium line")
-        w_next = min(hits, key=lambda p: float(np.linalg.norm(p - c_next)))
-        rel0 = w - c
-        rel1 = w_next - c
-        ang = math.atan2(
-            float(rel0[0] * rel1[1] - rel0[1] * rel1[0]), float(rel0 @ rel1)
-        )
-        dur = arc_duration(u, rs.mu, ang)
+        w_next = min((complex(*p) for p in hits), key=lambda p: abs(p - c_next))
+        # The angle swept about c from w to w_next.
+        dur = arc_duration(u, rs.mu, cmath.phase((w_next - c) / (w - c)))
         if dur > 0.0:
             segments.append((dur, u))
             radii.append(radius)
-        waypoints.append(np.asarray(w_next, dtype=float))
-        w = np.asarray(w_next, dtype=float)
+        waypoints.append(w_next)
+        w = w_next
         sign = -sign
         n_arcs += 1
 
     # Final arc: one control whose circle carries w into the origin.
     u_final = None
     final_radius = 0.0
-    if float(np.linalg.norm(w)) > 1e-15 * scale:
+    if abs(w) > 1e-15 * scale:
         u_final = _final_control(rs, w)
-        c_fin = equilibrium(rs, u_final)
-        final_radius = float(np.linalg.norm(c_fin))
-        rel0 = w - c_fin
-        rel1 = -c_fin
-        ang = math.atan2(
-            float(rel0[0] * rel1[1] - rel0[1] * rel1[0]), float(rel0 @ rel1)
-        )
-        dur = arc_duration(u_final, rs.mu, ang)
+        c_fin = complex(*equilibrium(rs, u_final))
+        final_radius = abs(c_fin)
+        dur = arc_duration(u_final, rs.mu, cmath.phase(-c_fin / (w - c_fin)))
         if dur > 0.0:
             segments.append((dur, u_final))
-    waypoints.append(np.zeros(2))
+    waypoints.append(0j)
 
     # Return half: complementary sweep of each circle, reverse order.
     back = [
@@ -256,7 +251,7 @@ def plan_periodic(
     return PlanResult(
         control=control,
         trajectory=traj,
-        waypoints=waypoints,
+        waypoints=[to_pairs(p) for p in waypoints],
         rho=rho,
         closure_error=closure_error,
         radii=radii,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .flow import PiecewiseControl, dwell_rate, equilibrium, flow_detA0, flow_r2
 from .geometry import invariant_ball
-from .group import TWO_PI, GroupElement, angle_dist, dots, norms, perp
+from .group import TWO_PI, GroupElement, angle_dist, to_complex, to_pairs
 from .system import ReducedSpec, SystemSpec, degenerate_chart, larc, reduced_range
 
 DEFAULT_MAX_CELLS = 1_000_000
@@ -848,14 +848,15 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     one-row call bit for bit.
     """
     chart, (lo, hi) = _normalized_degenerate(spec)
-    xi = chart.xi
-    n2 = float(xi @ xi)
-    txi = perp(xi)
+    n2 = float(chart.xi @ chart.xi)
+    xi = complex(*chart.xi)
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
     v_from, v_to = v_from.reshape(-1, 2), v_to.reshape(-1, 2)
-    delta = v_to - v_from
-    a_t = (dots(delta, xi) / n2)[:, None]
-    b_t = (dots(delta, txi) / n2)[:, None]
+    # conj(xi) w holds <w, xi> and <w, i xi> as its real and imaginary parts.
+    step = to_complex(v_to) - to_complex(v_from)
+    proj = xi.conjugate() * step
+    a_t = (proj.real / n2)[:, None]
+    b_t = (proj.imag / n2)[:, None]
     u_d = 0.9 * min(-lo, hi)
 
     # Arcs-only rehearsal of every epsilon: realized dwell angles and arc
@@ -867,24 +868,24 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     after1 = flow_detA0(chart, arc1, g0, u_d)
     after2 = flow_detA0(chart, 2.0 * arc1, after1, -u_d)
     after3 = flow_detA0(chart, arc1, after2, u_d)
-    rates1 = dwell_rate(after1[0, :, 0], xi)
-    rates2 = dwell_rate(after2[0, :, 0], xi)
-    sin1 = dots(rates1, xi) / n2
-    sin2 = dots(rates2, xi) / n2
-    # The dwell drift cannot point along -theta xi; tiny negative values
-    # are rounding noise from the chart arithmetic, and feeding them to the
+    rates1 = xi.conjugate() * dwell_rate(after1[0, :, 0], xi)
+    rates2 = xi.conjugate() * dwell_rate(after2[0, :, 0], xi)
+    sin1 = rates1.real / n2
+    sin2 = rates2.real / n2
+    # The dwell drift cannot point along -i xi; tiny negative values are
+    # rounding noise from the chart arithmetic, and feeding them to the
     # solver would fabricate huge dwells that ride the noise.
-    w1 = dots(rates1, txi) / n2
-    w2 = dots(rates2, txi) / n2
+    w1 = rates1.imag / n2
+    w2 = rates2.imag / n2
     w1 = np.where(w1 < 0.0, 0.0, w1)
     w2 = np.where(w2 < 0.0, 0.0, w2)
     usable = ~((sin1 <= 0.0) | (sin2 >= 0.0))
     if not usable.any():
         raise ValueError("degenerate steering has no usable dwell angle for this xi")
     arc1, sin1, sin2, w1, w2 = arc1[usable], sin1[usable], sin2[usable], w1[usable], w2[usable]
-    arc = after3[:, usable, 1:] - v_from[:, None]
-    a_rem = a_t - dots(arc, xi) / n2
-    b_rem = b_t - dots(arc, txi) / n2
+    arc = xi.conjugate() * (to_complex(after3[:, usable, 1:]) - to_complex(v_from)[:, None])
+    a_rem = a_t - arc.real / n2
+    b_rem = b_t - arc.imag / n2
     det = sin1 * w2 - sin2 * w1
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -906,11 +907,11 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     segments = np.empty(tau1.shape + (5, 2))
     segments[..., 0] = np.stack(np.broadcast_arrays(arc1, tau1, 2.0 * arc1, tau2, arc1), -1)
     segments[..., 1] = (u_d, 0.0, -u_d, 0.0, u_d)
-    still = norms(delta) == 0.0
+    still = step == 0.0
     if not np.isfinite(segments[~still]).all():  # as PiecewiseControl rejects them
         raise ValueError("segment durations must be finite and >= 0")
     ends = _degenerate_endpoints(chart, segments, g0)
-    residuals = norms(ends[..., 1:] - v_to[:, None]) + angle_dist(ends[..., 0], 0.0)
+    residuals = np.abs(to_complex(ends[..., 1:]) - to_complex(v_to)[:, None]) + angle_dist(ends[..., 0], 0.0)
     # The first of equals wins, as min() picks it.
     best = np.array([min(range(len(r)), key=r.__getitem__) for r in residuals.tolist()], dtype=int)
     rows = np.arange(len(best))
@@ -977,11 +978,11 @@ def degenerate_structure_check(
 ) -> DegenerateReport:
     """Verify the two structural facts of the A = 0 case numerically.
 
-    (a) The functional H(v) = <v - v0, theta xi> strictly increases along
+    (a) The functional H(v) = <v - v0, i xi> strictly increases along
     trajectories whose control never vanishes.  (b) Points mutually reachable
     with (0, v0) stay on the line v0 + R xi at angle 0: steering succeeds in
     both directions only for targets with no theta-xi offset, and every
-    verified mutual pair satisfies |<v0 - v1, theta xi>| < LINE_TOL.  A pair
+    verified mutual pair satisfies |<v0 - v1, i xi>| < LINE_TOL.  A pair
     is mutual when both steering residuals are below PAIR_TOL max(1, |xi|).
     Translation equivariance of the flow makes the base point v0 irrelevant;
     the check uses v0 = 0 in the normalized chart.
@@ -997,11 +998,15 @@ def degenerate_structure_check(
     """
     chart, (lo, hi) = _normalized_degenerate(spec)
     rng = np.random.default_rng(seed)
-    xi = chart.xi
-    txi = perp(xi)
+    xi = complex(*chart.xi)
     umin = 0.05 * min(-lo, hi)
     v0 = np.zeros(2)
     n_samples = int(n_samples)
+
+    def H(v):
+        # <v - v0, i xi>, the imaginary part of conj(xi) (v - v0); with
+        # conj(xi) the first factor it rounds as the real dot product did.
+        return (xi.conjugate() * (to_complex(v) - to_complex(v0))).imag
 
     # (a) strict growth of the monotone functional, at 8 points per segment;
     # the last point (fraction 1) is the segment's end state.  Each
@@ -1014,13 +1019,13 @@ def degenerate_structure_check(
     fractions = np.linspace(1.0 / 8.0, 1.0, 8)
     g = np.zeros((len(draws), 3))
     g[:, 1:] = v0
-    h_prev = dots(g[:, 1:] - v0, txi)
+    h_prev = H(g[:, 1:])
     seg_min = np.full(draws.shape[:2], np.nan)
     for k in range(6):
         live = ~np.isnan(draws[:, k, 0])
         u, dur = draws[live, k].T
         gq = flow_detA0(chart, dur[:, None] * fractions, g[live, None], u[:, None])
-        h = dots(gq[..., 1:] - v0, txi)
+        h = H(gq[..., 1:])
         inc = np.diff(h, prepend=h_prev[live, None])
         if not np.isfinite(inc).all():
             raise ValueError("degenerate check: the monotone functional overflows along a trajectory")
@@ -1031,9 +1036,8 @@ def degenerate_structure_check(
     min_inc = min([np.inf] + seg_min.ravel().tolist())
 
     # (b) constructive mutual-reachability pairs.
-    scale = max(1.0, float(np.linalg.norm(xi)))
-    xin = xi / float(np.linalg.norm(xi))
-    txin = perp(xin)
+    scale = max(1.0, float(np.linalg.norm(chart.xi)))
+    xin = complex(*(chart.xi / float(np.linalg.norm(chart.xi))))
     offsets = []
     for k in range(int(n_pairs)):
         c = rng.uniform(0.3, 1.5) * (1.0 if k % 2 == 0 else -1.0)
@@ -1041,14 +1045,14 @@ def degenerate_structure_check(
         d = rng.uniform(0.05, 0.5) * (1.0 if rng.uniform() < 0.5 else -1.0) if off_line else 0.0
         offsets.append((c, d))
     c, d = np.array(offsets, dtype=float).reshape(-1, 2).T
-    targets = v0 + c[:, None] * xin + d[:, None] * txin
+    targets = v0 + to_pairs(c * xin + d * (1j * xin))
     _, end_f, res_f = steer_degenerate_batch(spec, v0, targets)
     p = end_f[:, 1:]
     _, _, res_r = steer_degenerate_batch(spec, p, v0)
     if not (np.isfinite(end_f).all() and np.isfinite(res_f).all() and np.isfinite(res_r).all()):
         raise ValueError("degenerate check: steering values are not finite")
     mutual = (res_f < PAIR_TOL * scale) & (res_r < PAIR_TOL * scale)
-    functional = np.abs(dots(p - v0, txi))
+    functional = np.abs(H(p))
     angle_dev = angle_dist(end_f[:, 0], 0.0)
     off_line = np.arange(len(c)) % 4 >= 2
     bad = (functional >= LINE_TOL) | (angle_dev >= 1e-9)

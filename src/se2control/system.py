@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .group import commutes_with_theta, perp
+from .group import commutes_with_theta
 
 # Classification cases.
 CASE_DEGENERATE = "DegenerateDetZero"
@@ -248,16 +248,16 @@ class Plant:
     """A system prepared once for its exact flows on the group.
 
     `chart` names the decoupling chart that applies.  "psi" (det A != 0):
-    psi1 and psi2 lead to the planar system `rs`, and `offset` is
-    theta A^{-1} xi, so that psi1(t, v) = (t, v + offset - rho(t) offset).
+    psi1 and psi2 lead to the planar system `rs`, and `offset` is the
+    complex number w = i A^{-1} xi, so that psi1(t, v) = (t, v + w - e^{it} w).
     "zero" (A = 0): the chart to the normal form with invariant field
-    (alpha, 0), and `offset` is theta eta1.  "none" (alpha = 0): no chart
+    (alpha, 0), and `offset` is i eta1.  "none" (alpha = 0): no chart
     and no exact flow.  Build it with :func:`prepare`.
     """
 
     spec: SystemSpec
     chart: str
-    offset: np.ndarray | None = None
+    offset: complex | None = None
 
     @cached_property
     def rs(self) -> ReducedSpec | None:
@@ -279,8 +279,8 @@ def prepare(spec: SystemSpec) -> Plant:
     if spec.alpha == 0.0:
         return Plant(spec, "none")
     if spec.a_is_zero:
-        return Plant(spec, "zero", perp(spec.eta1))
-    return Plant(spec, "psi", perp(np.linalg.solve(spec.A, spec.xi)))
+        return Plant(spec, "zero", 1j * complex(*spec.eta1))
+    return Plant(spec, "psi", 1j * complex(*np.linalg.solve(spec.A, spec.xi)))
 
 
 def as_plant(system) -> Plant:

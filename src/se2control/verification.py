@@ -16,7 +16,7 @@ import numpy as np
 
 from .flow import flow_detA0, flow_r2, flow_se2, rk4_oracle_batch
 from .geometry import check_invariance, chord_excess
-from .group import TWO_PI, angle_dist, norms
+from .group import TWO_PI, angle_dist, to_complex
 from .reachability import control_grid, degenerate_structure_check
 from .system import Plant, SystemSpec, as_plant, classify, degenerate_chart, larc, reduced_range
 
@@ -136,20 +136,6 @@ def _draw(rng, n: int, *ranges) -> np.ndarray:
     return low + (high - low) * rng.random((n, len(ranges)))
 
 
-def _lengths(w) -> np.ndarray:
-    """Euclidean lengths of the rows of w, shape (n, 2) -> (n,).
-
-    Those of group.norms, bit for bit, except where its sqrt(x**2 + y**2)
-    overflows (a coordinate past about 1.3e154): those rows take np.hypot,
-    which is finite for every finite row.
-    """
-    with np.errstate(over="ignore"):
-        out = norms(w)
-    big = np.isinf(out)
-    out[big] = np.hypot(w[big, 0], w[big, 1])
-    return out
-
-
 def _suite_conjugacy(plant: Plant, seed: int) -> SuiteResult:
     """Closed-form flow (through the conjugation charts) vs direct RK4, to 1e-6."""
     spec = plant.spec
@@ -161,7 +147,7 @@ def _suite_conjugacy(plant: Plant, seed: int) -> SuiteResult:
     x, u, s = draws[:, :3], draws[:, 3], draws[:, 4]
     exact = flow_se2(plant, s, x, u)
     approx = rk4_oracle_batch(spec, s, x, u)
-    dev = angle_dist(exact[:, 0], approx[:, 0]) + _lengths(exact[:, 1:] - approx[:, 1:])
+    dev = angle_dist(exact[:, 0], approx[:, 0]) + np.abs(to_complex(exact[:, 1:] - approx[:, 1:]))
     max_dev = float(np.max(dev, initial=0.0))
     status = "passed" if max_dev < tol else "failed"
     return SuiteResult(
@@ -185,16 +171,17 @@ def _suite_semigroup(plant: Plant, seed: int) -> SuiteResult:
         g, u, s, t = draws[:, :3], draws[:, 3], draws[:, 4], draws[:, 5]
         whole = flow_detA0(chart, s + t, g, u)
         parts = flow_detA0(chart, s, flow_detA0(chart, t, g, u), u)
-        dev = angle_dist(whole[:, 0], parts[:, 0]) + _lengths(whole[:, 1:] - parts[:, 1:])
-        scale = np.maximum(1.0, _lengths(whole[:, 1:]))
+        turn = angle_dist(whole[:, 0], parts[:, 0])
+        whole, parts = to_complex(whole[:, 1:]), to_complex(parts[:, 1:])
     else:
         rs = plant.rs
         draws = _draw(rng, FLOW_SAMPLES, (-3.0, 3.0), (-3.0, 3.0), rs.omega, (-2.0, 2.0), (-2.0, 2.0))
-        v, u, s, t = draws[:, :2], draws[:, 2], draws[:, 3], draws[:, 4]
+        v, u, s, t = to_complex(draws[:, :2]), draws[:, 2], draws[:, 3], draws[:, 4]
         whole = flow_r2(rs, s + t, v, u)
         parts = flow_r2(rs, s, flow_r2(rs, t, v, u), u)
-        dev = _lengths(whole - parts)
-        scale = np.maximum(1.0, _lengths(whole))
+        turn = 0.0
+    dev = turn + np.abs(whole - parts)
+    scale = np.maximum(1.0, np.abs(whole))
     max_dev = float(np.max(dev / scale, initial=0.0))
     status = "passed" if max_dev < tol else "failed"
     return SuiteResult(

@@ -1,13 +1,15 @@
-"""The decoupling charts as GroupElement-level maps, and flow_se2 composed from them.
+"""The decoupling charts as GroupElement-level maps on real 2x2 rotations, and flow_se2 composed from them.
 
 The composition flows the reduced system lifted to S^1 x R^2
 (`flow_product`) between the charts.
 
 This is the composition that `flow.flow_se2` evaluated before it ran on a
-prepared `system.Plant`: every call reduced the system, and each chart map
-packed its input, wrapped its angle and built its result anew.  The plant
-keeps this arithmetic op for op, so `reference_flow_se2` must equal
-`flow_se2` bit for bit; the tests hold it to that.
+prepared `system.Plant` and before its charts moved to complex numbers:
+every call reduces the system, and each chart map packs its input, wraps
+its angle and builds its result anew, rotating with real 2x2 matrices.  It
+is the independent reference for the plant's complex charts, which reach
+the same values by fewer operations; the tests hold the two within a
+stated bound.
 
 Each map takes a GroupElement and returns one, or takes packed states of
 shape (..., 3) and returns packed states of the same shape.
@@ -15,8 +17,34 @@ shape (..., 3) and returns packed states of the same shape.
 import numpy as np
 
 from se2control.flow import flow_detA0, flow_r2
-from se2control.group import as_packed, commutes_with_theta, group_result, perp, rotate
+from se2control.group import as_packed, commutes_with_theta, group_result, to_complex
 from se2control.system import ReducedSpec, degenerate_chart, reduce_system
+
+
+def rotation(t) -> np.ndarray:
+    """Rotation matrices rho(t), shape (..., 2, 2); shape (2, 2) for a float."""
+    c, s = np.cos(t), np.sin(t)
+    out = np.empty(np.shape(c) + (2, 2))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    return out
+
+
+def rotate(t, w) -> np.ndarray:
+    """rho(t) w for angles t of shape (...) and vectors w of shape (..., 2), by matrix products."""
+    return np.matmul(rotation(t), np.asarray(w, dtype=float)[..., None])[..., 0]
+
+
+def perp(w) -> np.ndarray:
+    """theta w: w, shape (..., 2), rotated by +90 degrees."""
+    return np.asarray(w, dtype=float)[..., ::-1] * np.array([-1.0, 1.0])
+
+
+def _pack(t, v, element: bool):
+    """group_result for translations v given as real pairs."""
+    return group_result(t, to_complex(v), element)
 
 
 def flow_product(rs: ReducedSpec, s, g, u):
@@ -30,7 +58,7 @@ def flow_product(rs: ReducedSpec, s, g, u):
     x, element = as_packed(g)
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    return group_result(x[..., 0] + s * u, flow_r2(rs, s, x[..., 1:], u), element)
+    return _pack(x[..., 0] + s * u, flow_r2(rs, s, x[..., 1:], u), element)
 
 
 def lambda_map(t, w) -> np.ndarray:
@@ -57,14 +85,14 @@ def _offset_by(g, w, divisor: float):
     """(t, v + Lambda_t w / divisor) for g a GroupElement or packed states."""
     x, element = as_packed(g)
     t = x[..., 0]
-    return group_result(t, x[..., 1:] + lambda_map(t, w) / divisor, element)
+    return _pack(t, x[..., 1:] + lambda_map(t, w) / divisor, element)
 
 
 def _rotated_by(g, sign: float):
     """(t, rho(sign * t) v) for g a GroupElement or packed states."""
     x, element = as_packed(g)
     t = x[..., 0]
-    return group_result(t, rotate(sign * t, x[..., 1:]), element)
+    return _pack(t, rotate(sign * t, x[..., 1:]), element)
 
 
 def conj_psi1(A, xi, g):

@@ -19,12 +19,7 @@ from se2control.geometry import (
     chord_ratio,
     invariant_ball,
 )
-from se2control.group import (
-    TWO_PI,
-    GroupElement,
-    matvec,
-    norms,
-)
+from se2control.group import TWO_PI, GroupElement, to_complex
 from se2control.planner import plan_periodic
 from se2control.reachability import (
     binary_erode,
@@ -138,16 +133,13 @@ def test_03_equilibria_lie_on_the_predicted_circle():
         rs = ReducedSpec(lam, mu, eta, (-b, b))
         circle = circle_params(rs)
         us = np.linspace(-b, b, 10_000)
-        # One call per config.  norms and matvec are bit-equal to the one-row
-        # np.linalg.norm and A(u) @ v; the worst residuals equal those of a
-        # loop of one-row equilibrium calls.
-        v = equilibrium(rs, us)
-        worst_circle = max(worst_circle, float(np.max(np.abs(norms(v - circle.center) - circle.radius))))
-        a_u = np.empty(us.shape + (2, 2))  # rs.a_of_u(u), stacked
-        a_u[:, 0, 0] = a_u[:, 1, 1] = rs.lam
-        a_u[:, 1, 0] = rs.mu - us
-        a_u[:, 0, 1] = -a_u[:, 1, 0]
-        worst_alg = max(worst_alg, float(np.max(norms(matvec(a_u, v) + us[:, None] * rs.eta))))
+        # One call per config; the rows equal one-row equilibrium calls.
+        v = to_complex(equilibrium(rs, us))
+        gaps = np.abs(v - complex(*circle.center)) - circle.radius
+        worst_circle = max(worst_circle, float(np.max(np.abs(gaps))))
+        # A(u) = A - u theta acts as multiplication by lam + i (mu - u).
+        residual = (rs.lam + 1j * (rs.mu - us)) * v + us * complex(*rs.eta)
+        worst_alg = max(worst_alg, float(np.max(np.abs(residual))))
     ok = worst_circle < 1e-9 and worst_alg <= 1e-12
     report(
         "03 equilibrium curve on circle, 20 configs x 1e4 controls",

@@ -189,14 +189,14 @@ def test_reach_negative_bounds(tmp_path, capsys):
     assert rc == 0
     assert json.loads(out.read_text())["grid"]["bounds"] == [-2.0, 2.0, -2.0, 2.0]
     args = cli.build_parser().parse_args(
-        cli._attach_coordinate_values(["reach", "spec.json", "--bound", "-2,2,-2,2"])
+        cli._attach_negative_values(["reach", "spec.json", "--bound", "-2,2,-2,2"])
     )
     assert args.bounds == "-2,2,-2,2"
 
 
 def test_shortest_bounds_abbreviation_is_read_as_bounds():
     args = cli.build_parser().parse_args(
-        cli._attach_coordinate_values(["reach", "spec.json", "--b", "-2,2,-2,2"])
+        cli._attach_negative_values(["reach", "spec.json", "--b", "-2,2,-2,2"])
     )
     assert args.bounds == "-2,2,-2,2"
 
@@ -231,6 +231,32 @@ def test_reach_bounds_starting_with_minus_inf_or_nan_give_one_line(tmp_path, cap
     assert rc == 2
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "spec, argv, message",
+    [
+        (OPEN, ["simulate", "--u", "-inf", "--horizon", "1"], "segment controls must be finite"),
+        (OPEN, ["simulate", "--horizon", "-nan"], "segment durations must be finite"),
+        (OPEN, ["reach", "--seed-control", "-inf"], "seed control -inf lies outside"),
+        (TRACE_ZERO, ["plan", "--v0", "1,1", "--rho", "-inf"], "rho must satisfy"),
+        # An abbreviation of --horizon.
+        (OPEN, ["simulate", "--hor", "-NaN"], "segment durations must be finite"),
+    ],
+)
+def test_values_starting_with_minus_inf_or_nan_give_one_line(tmp_path, capsys, spec, argv, message):
+    # argparse would read "-inf" as an option and print its usage block.
+    rc, out, err = run_main(capsys, argv[:1] + [write_spec(tmp_path, spec)] + argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_negative_values_attach_only_to_options_that_take_one():
+    argv = ["simulate", "spec.json", "--u", "-inf", "--x0", "-1,2", "--verify", "-nan", "--samples-p", "-3"]
+    assert cli._attach_negative_values(argv) == [
+        "simulate", "spec.json", "--u=-inf", "--x0=-1,2", "--verify", "-nan", "--samples-p=-3"
+    ]
 
 
 def test_verify_rejects_overflowing_degenerate_functional(tmp_path, capsys):

@@ -13,14 +13,17 @@ To re-record named entries after a stated output change, run
 
     PYTHONPATH=src python tests/test_cli_goldens.py --record NAME...
 
-It rewrites only those entries and prints the JSON keys and CSV line ranges
-that changed.
+It rewrites only those entries.  For each output that changed it prints the
+largest change of any numeric value, relative to max(1, |old|), with where
+it is, and names every change that is not numeric: a string, a flag, a
+message word, an added or removed key or line.
 """
 import argparse
 import contextlib
 import io
 import json
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -69,6 +72,10 @@ JOBS = [
     ("classify_closed", ["classify", "@D@/closed.json"]),
     ("reach_open", ["reach", "@D@/open.json", "--resolution", "0.1", "--control-grid", "5",
                     "--cells-csv", "@D@/reach_open.csv", "--out", "@D@/reach_open.json"]),
+    # The default grid: its resolution is the invariant ball's radius / 200.
+    ("reach_closed_default", ["reach", "@D@/closed.json", "--control-grid", "5",
+                              "--cells-csv", "@D@/reach_closed_default.csv",
+                              "--out", "@D@/reach_closed_default.json"]),
 ]
 
 
@@ -93,51 +100,75 @@ def test_cli_output_equals_recorded_bytes(name, argv, tmp_path):
     assert run_job(argv, tmp_path) == want
 
 
-def _json_changes(old, new, path=""):
-    """Dotted paths of the leaves that differ between two JSON values."""
-    if isinstance(old, dict) and isinstance(new, dict):
-        for key in sorted(set(old) | set(new)):
-            sub = f"{path}.{key}" if path else key
-            if key not in new:
-                yield f"{sub} (removed)"
-            elif key not in old:
-                yield f"{sub} (added)"
-            else:
-                yield from _json_changes(old[key], new[key], sub)
-    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        for k, (a, b) in enumerate(zip(old, new)):
-            yield from _json_changes(a, b, f"{path}[{k}]")
-    elif old != new:
-        yield path
+# A decimal number in plain text (CSV fields, message values).
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
-def _line_ranges(old: str, new: str) -> list:
-    """1-based line ranges "a-b" where two texts differ."""
-    a, b = old.splitlines(), new.splitlines()
-    differ = [k for k in range(max(len(a), len(b))) if a[k:k + 1] != b[k:k + 1]]
-    ranges = []
-    for k in differ:
-        if ranges and ranges[-1][1] == k:
-            ranges[-1][1] = k + 1
-        else:
-            ranges.append([k + 1, k + 1])
-    return [f"{lo}-{hi}" if lo != hi else f"{lo}" for lo, hi in ranges]
+def _json_leaves(value, path=""):
+    """(dotted path, value) for every leaf of a JSON value."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _json_leaves(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _json_leaves(item, f"{path}[{k}]")
+    else:
+        yield path, value
+
+
+def _text_leaves(text: str):
+    """("line i token j", token) for the numbers and the text between them, line by line."""
+    for i, line in enumerate(text.splitlines(), 1):
+        for j, token in enumerate(_NUMBER.split(line)):
+            yield f"line {i} token {j}", token
+
+
+def _number(x):
+    """x as a float if it is a JSON number or a numeric token, else None."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        return None
+    try:
+        return float(x)
+    except ValueError:  # text between numbers
+        return None
 
 
 def _text_changes(name: str, old: str, new: str) -> list:
+    """The largest relative numeric change, and every other change, of one output.
+
+    A numeric value that changed counts |new - old| / max(1, |old|); a leaf
+    that is not a number on both sides, or that is present on one side
+    only, is named.
+    """
     if old == new:
         return []
-    if name.endswith(".csv"):
-        return [f"{name}: lines {', '.join(_line_ranges(old, new))}"]
     try:
-        keys = list(_json_changes(json.loads(old), json.loads(new)))
+        a, b = dict(_json_leaves(json.loads(old))), dict(_json_leaves(json.loads(new)))
     except json.JSONDecodeError:
-        return [f"{name}: lines {', '.join(_line_ranges(old, new))}"]
-    return [f"{name}: {key}" for key in keys]
+        a, b = dict(_text_leaves(old)), dict(_text_leaves(new))
+    worst, where, named = 0.0, None, []
+    for loc in list(a) + [loc for loc in b if loc not in a]:
+        if loc not in b or loc not in a:
+            named.append(f"{loc} {'removed' if loc in a else 'added'}")
+            continue
+        x, y = a[loc], b[loc]
+        if repr(x) == repr(y):
+            continue
+        fx, fy = _number(x), _number(y)
+        if fx is None or fy is None:
+            named.append(f"{loc}: {x!r} -> {y!r}")
+            continue
+        rel = abs(fy - fx) / max(1.0, abs(fx))
+        if where is None or rel > worst:
+            worst, where = rel, loc
+    lines = [f"{name}: {line}" for line in named]
+    if where is not None:
+        lines.insert(0, f"{name}: largest numeric change {worst:.3g} of max(1, |old|), at {where}")
+    return lines
 
 
 def _changes(old: dict, new: dict) -> list:
-    """What differs between two recorded jobs, one line per key or range."""
+    """What differs between two recorded jobs, one line per output and per non-numeric change."""
     lines = [f"{k}: {old.get(k)!r} -> {new[k]!r}" for k in ("exit",) if old.get(k) != new[k]]
     for stream in ("stdout", "stderr"):
         lines += _text_changes(stream, old.get(stream, ""), new[stream])

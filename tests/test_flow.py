@@ -11,7 +11,6 @@ from se2control.flow import (
     PiecewiseControl,
     Trajectory,
     equilibrium,
-    equilibrium_derivative,
     flow_concat,
     flow_detA0,
     flow_r2,
@@ -56,30 +55,6 @@ def test_equilibrium_solves_linear_system(rng):
 def test_equilibrium_singular_raises():
     with pytest.raises(ValueError):
         equilibrium(make_rs(lam=0.0, mu=1.0), 1.0)
-
-
-def test_equilibrium_derivative_pinned():
-    assert np.allclose(
-        equilibrium_derivative(make_rs(lam=1.0, mu=0.0), 0.0), [-1.0, 0.0], atol=1e-15
-    )
-
-
-def test_equilibrium_derivative_matches_finite_difference(rng):
-    h = 1e-6
-    for _ in range(20):
-        lam = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
-        mu = rng.uniform(-3, 3)
-        rs = make_rs(lam, mu, rng.normal(size=2), (-2.0, 2.0))
-        u = rng.uniform(-1.5, 1.5)
-        fd = (equilibrium(rs, u + h) - equilibrium(rs, u - h)) / (2.0 * h)
-        dv = equilibrium_derivative(rs, u)
-        assert np.max(np.abs(dv - fd)) < 1e-6 * max(1.0, np.max(np.abs(dv)))
-
-
-def test_equilibrium_derivative_nonvanishing(rng):
-    rs = make_rs(1.0, 2.0, (1.0, 0.0))
-    for u in np.linspace(-1.0, 1.0, 41):
-        assert np.linalg.norm(equilibrium_derivative(rs, u)) > 1e-9
 
 
 # -- planar flow ---------------------------------------------------------

@@ -400,6 +400,11 @@ def test_flow_overflow_names_s():
 # -- check_invariance against its one-sample-at-a-time definition --------
 
 
+def _length(w):
+    """|w| for a real pair w, as check_invariance measures it: np.abs of x + iy."""
+    return float(np.abs(complex(*w)))
+
+
 def _invariance_by_sample(rs, n, seed, horizon, margin_tol):
     """The check's sample draw, with each sample flowed by its own call."""
     rng = np.random.default_rng(seed)
@@ -414,13 +419,13 @@ def _invariance_by_sample(rs, n, seed, horizon, margin_tol):
     inward, outward = [], []
     for i in range(n):
         w = c + rad_in[i] * np.array([np.cos(ang[i]), np.sin(ang[i])])
-        d = np.linalg.norm(flow_r2(rs, -np.sign(rs.lam) * smag[i], w, u[i]) - c)
+        d = _length(flow_r2(rs, -np.sign(rs.lam) * smag[i], w, u[i]) - c)
         inward.append(radius - d)
         j = n + i
         w = c + rad_out[i] * np.array([np.cos(ang[j]), np.sin(ang[j])])
-        if rs.det_a_of_u(u[j]) != 0.0 and np.linalg.norm(w - equilibrium(rs, u[j])) <= 1e-9 * radius:
+        if rs.det_a_of_u(u[j]) != 0.0 and _length(w - equilibrium(rs, u[j])) <= 1e-9 * radius:
             continue
-        d = np.linalg.norm(flow_r2(rs, np.sign(rs.lam) * smag[j], w, u[j]) - c)
+        d = _length(flow_r2(rs, np.sign(rs.lam) * smag[j], w, u[j]) - c)
         outward.append(d - rad_out[i])
     return (sum(m < tol for m in inward), sum(m < tol for m in outward),
             min(inward), min(outward))

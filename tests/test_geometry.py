@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from conftest import chord_ratio_limit
+from reference_charts import perp
 
 from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import (
@@ -12,7 +13,6 @@ from se2control.geometry import (
     chord_ratio,
     invariant_ball,
 )
-from se2control.group import perp
 from se2control.system import ReducedSpec
 
 

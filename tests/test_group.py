@@ -12,14 +12,14 @@ from reference_charts import (
     conj_psi_zero,
     conj_psi_zero_inv,
     lambda_map,
+    perp,
+    rotation,
 )
 
 from se2control.group import (
     GroupElement,
     angle_dist,
     commutes_with_theta,
-    perp,
-    rotation,
     wrap_angle,
 )
 

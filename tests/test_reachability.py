@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_charts import perp
 
 from se2control.flow import PiecewiseControl, equilibrium, flow_r2
 from se2control.geometry import invariant_ball
-from se2control.group import GroupElement, perp
+from se2control.group import GroupElement
 from se2control import reachability as R
 from se2control.reachability import (
     GridConfig,
