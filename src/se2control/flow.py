@@ -121,8 +121,7 @@ def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         # The point stays the first factor: where numpy's complex product
         # fuses a multiply into each term, this order rounds as the real
-        # 2x2 rotation did, and the reach report's boundary probes keep
-        # the bits they were recorded with.
+        # 2x2 rotation did.
         out = grow * ((z - vu) * cis(s * nu)) + vu
         if any_singular:  # A(u) = 0, vdot = u eta
             out = np.where(singular, z + (s * u) * complex(*rs.eta), out)

@@ -1,11 +1,12 @@
 """Grid reachability, control-set estimation, and degenerate-case checks.
 
 The reach set is grown as a breadth-first fixed point on an occupancy grid:
-every occupied cell stores one exact reachable point (its representative),
-and each round flows all new representatives for one time step under every
-control in the grid.  Representatives are never snapped to cell centers, so
-every occupied cell contains a genuinely reachable point and containment
-statements (e.g. inside the invariant ball) hold without drift artifacts.
+every occupied cell has one exact reachable point (its representative),
+kept beside the cell's id rather than in a grid, and each round flows all
+new representatives for one time step under every control in the grid.
+Representatives are never snapped to cell centers, so every occupied cell
+contains a genuinely reachable point and containment statements (e.g.
+inside the invariant ball) hold without drift artifacts.
 
 Candidates claim cells first-writer-wins in a canonical order (frontier cell
 index, then flow column; frontiers kept sorted between rounds), which makes
@@ -29,16 +30,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import PiecewiseControl, dwell_rate, equilibrium, flow_detA0, flow_r2
+from .flow import PiecewiseControl, dwell_rate, equilibrium, flow_detA0
 from .geometry import invariant_ball
 from .group import TWO_PI, GroupElement, angle_dist, to_complex, to_pairs
 from .system import ReducedSpec, SystemSpec, degenerate_chart, larc, reduced_range
 
 DEFAULT_MAX_CELLS = 1_000_000
 DEFAULT_N_CONTROLS = 21
-# A reach set stores every cell densely: one occupancy byte and two float64
-# representative coordinates.  Grids that would need more than the budget are
-# rejected before anything is allocated.
+# Grids whose GRID_BYTES_PER_CELL * nx * ny exceeds the budget are rejected
+# before anything is allocated.  A reach set allocates 1 B of occupancy per
+# cell, plus 24 B per claimed cell for its id and representative.  The
+# budget still counts 17 B per cell (an occupancy byte and two float64
+# coordinates), so it admits no larger grid: nothing bounds the run time of
+# a grid 17 times the size yet.
 GRID_BYTES_PER_CELL = 17
 MAX_GRID_BYTES = 512 * 2**20
 # Degenerate structure check: steering residual that counts as a hit, and the
@@ -125,9 +129,14 @@ class GridConfig:
         )
 
     def in_bounds(self, v) -> bool:
-        i, j = self.cell_of(v)
+        """Whether v lies in a cell of the grid; False for a NaN or infinite
+        coordinate, and for one too far off to have a finite cell index."""
+        x, y = np.asarray(v, dtype=float)[:2].tolist()
         nx, ny = self.shape
-        return 0 <= i < nx and 0 <= j < ny
+        # The cell units of cell_of; their floor is in [0, n) iff they are.
+        a = (x - self.bounds[0]) / self.resolution
+        b = (y - self.bounds[2]) / self.resolution
+        return 0.0 <= a < nx and 0.0 <= b < ny
 
     def to_dict(self) -> dict:
         return {
@@ -372,17 +381,17 @@ def _control_constants(rs: ReducedSpec, cfg: GridConfig, direction: int):
 
 @dataclass
 class ReachSet:
-    """Occupancy-grid reach set with one exact reachable point per cell."""
+    """Occupancy-grid reach set with one exact reachable point per occupied cell."""
 
     config: GridConfig
     occupied: np.ndarray  # (nx, ny) bool
-    rep_x: np.ndarray
-    rep_y: np.ndarray
+    ids: np.ndarray  # sorted flat ids of the occupied cells
+    rep_x: np.ndarray  # (cell_count,) representative of cell ids[k], x
+    rep_y: np.ndarray  # (cell_count,) and y
     seed: np.ndarray
     direction: int  # +1 forward, -1 backward
     rounds: int
     truncated: bool
-    ids: np.ndarray  # sorted flat ids of the occupied cells
 
     @property
     def cell_count(self) -> int:
@@ -398,7 +407,8 @@ class ReachSet:
         return np.array(self.config.bounds[::2]) + (self.occupied_cells() + 0.5) * res
 
     def representatives(self) -> np.ndarray:
-        return np.stack([self.rep_x.reshape(-1)[self.ids], self.rep_y.reshape(-1)[self.ids]], 1)
+        """Exact reachable points, row k in cell ids[k], shape (k, 2)."""
+        return np.stack([self.rep_x, self.rep_y], 1)
 
     def contains(self, v) -> bool:
         if not self.config.in_bounds(v):
@@ -425,13 +435,8 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
     xmin, _, ymin, _ = cfg.bounds
     res = cfg.resolution
     occ = np.zeros((nx, ny), dtype=np.bool_)
-    rep_x = np.full((nx, ny), np.nan)
-    rep_y = np.full((nx, ny), np.nan)
-
     i0, j0 = cfg.cell_of(x0)
     occ[i0, j0] = True
-    rep_x[i0, j0] = x0[0]
-    rep_y[i0, j0] = x0[1]
 
     consts = _control_constants(rs, cfg, direction)
     occ_flat = occ.reshape(-1)
@@ -439,7 +444,7 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
     cur_ids = np.array([np.int64(i0) * ny + j0], dtype=np.int64)
     cur_px = np.array([x0[0]])
     cur_py = np.array([x0[1]])
-    claimed = [cur_ids]
+    claimed, xs, ys = [cur_ids], [cur_px], [cur_py]
     total = 1
     rounds = 0
     stop = cover is not None and cover.size > 0
@@ -450,22 +455,25 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
             occ_flat, nx, ny, xmin, ymin, res, cur_px, cur_py, consts
         )
         if cur_ids.size:
-            rep_x.reshape(-1)[cur_ids] = cur_px
-            rep_y.reshape(-1)[cur_ids] = cur_py
             claimed.append(cur_ids)
+            xs.append(cur_px)
+            ys.append(cur_py)
             total += cur_ids.size
         rounds += 1
 
+    # Each round's claims are sorted by id, so a stable sort merges the runs.
+    ids = np.concatenate(claimed)
+    order = np.argsort(ids, kind="stable")
     return ReachSet(
         config=cfg,
         occupied=occ,
-        rep_x=rep_x,
-        rep_y=rep_y,
+        ids=ids[order],
+        rep_x=np.concatenate(xs)[order],
+        rep_y=np.concatenate(ys)[order],
         seed=x0,
         direction=direction,
         rounds=rounds,
         truncated=bool(cur_ids.size and total >= cfg.max_cells),
-        ids=np.sort(np.concatenate(claimed)),
     )
 
 
@@ -485,22 +493,6 @@ def reach_backward(rs: ReducedSpec, x0, cfg: GridConfig | None = None) -> ReachS
     if cfg is None:
         cfg = default_grid_config(rs)
     return _reach(rs, x0, cfg, -1)
-
-
-def binary_erode(occ: np.ndarray, layers: int = 1) -> np.ndarray:
-    """Erode an occupancy mask by `layers` 8-neighborhood shells."""
-    out = occ.copy()
-    for _ in range(layers):
-        padded = np.zeros((out.shape[0] + 2, out.shape[1] + 2), dtype=bool)
-        padded[1:-1, 1:-1] = out
-        eroded = padded[1:-1, 1:-1].copy()
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                eroded &= padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
-        out = eroded
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -655,47 +647,6 @@ def _ball_containment(region: ReachSet, rs: ReducedSpec) -> dict:
     }
 
 
-def _boundary_growth_diagnostics(region: ReachSet, rs: ReducedSpec, u0: float) -> dict:
-    """Neutral diagnostic: growth of distance-to-center for points just
-    outside the estimated set.  No claim is attached to these numbers."""
-    ball = invariant_ball(rs)
-    occ = region.occupied
-    boundary = occ & ~binary_erode(occ, 1)
-    cells = np.argwhere(boundary)
-    if cells.size == 0:
-        return {"probes": 0}
-    idx = np.linspace(0, len(cells) - 1, min(8, len(cells))).astype(int)
-    res = region.config.resolution
-    horizon = 5.0 * region.config.time_step
-    rates = []
-    for i, j in cells[idx]:
-        p = region.config.cell_center(i, j)
-        d = p - ball.center
-        # Probes that are not finite (huge grids) are skipped.
-        with np.errstate(over="ignore", invalid="ignore"):
-            nd = np.linalg.norm(d)
-            if nd == 0.0:
-                continue
-            probe = p + (2.0 * res / nd) * d
-            before = np.linalg.norm(probe - ball.center)
-            try:
-                after = np.linalg.norm(flow_r2(rs, horizon, probe, u0) - ball.center)
-            except ValueError:  # the flowed probe is not finite
-                continue
-            rate = (after - before) / horizon
-        if math.isfinite(rate):
-            rates.append(rate)
-    if not rates:
-        return {"probes": 0}
-    return {
-        "probes": len(rates),
-        "offset_cells": 2.0,
-        "horizon": horizon,
-        "min_growth_rate": float(np.min(rates)),
-        "mean_growth_rate": float(np.mean(rates)),
-    }
-
-
 def estimate_control_set(
     rs: ReducedSpec,
     cfg: GridConfig | None = None,
@@ -757,18 +708,13 @@ def estimate_control_set(
     else:
         region = reach_backward(rs, x0, cfg)
         case = "open"
-    est = ControlSetEstimate(
+    return ControlSetEstimate(
         case=case,
         seed_control=float(seed_control),
         region=region,
         boundary=boundary,
         ball_check=_ball_containment(region, rs),
     )
-    if rs.lam > 0.0:
-        est.diagnostics["boundary_growth"] = _boundary_growth_diagnostics(
-            region, rs, float(seed_control)
-        )
-    return est
 
 
 @dataclass

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import angle_gap, chord_ratio_limit, rk4_full, rk4_piecewise_reduced, rk4_reduced
+from grid_masks import binary_erode
 from reference_charts import conj_psi1, conj_psi2, flow_product
 from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import (
@@ -22,7 +23,6 @@ from se2control.geometry import (
 from se2control.group import TWO_PI, GroupElement, to_complex
 from se2control.planner import plan_periodic
 from se2control.reachability import (
-    binary_erode,
     boundary_control_sets,
     default_grid_config,
     degenerate_structure_check,

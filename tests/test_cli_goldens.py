@@ -4,10 +4,13 @@ Every job below runs `cli.main` in-process on fixed specs; its exit code,
 stdout, stderr and every file it writes must equal the bytes in
 `cli_goldens.json`.  Most entries were recorded with the per-call reduction
 that `system.Plant` replaced.  `plan_near` and `plan_far` were re-recorded
-when the planner's final control became closed-form, and `verify_open` when
-the bound sweep's margin stopped rounding at 1; each of those changes is
-stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
-which holds the spec and control files and receives the outputs.
+when the planner's final control became closed-form, `verify_open` when
+the bound sweep's margin stopped rounding at 1, and `reach_open` when the
+open-case report lost `diagnostics.boundary_growth`; each of those changes
+is stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
+which holds the spec and control files and receives the outputs.  A cells
+CSV (the file of `--cells-csv`, up to 75k lines) is held as the sha256 and
+byte count of its bytes; every other output is held verbatim.
 
 To re-record named entries after a stated output change, run
 
@@ -16,10 +19,11 @@ To re-record named entries after a stated output change, run
 It rewrites only those entries.  For each output that changed it prints the
 largest change of any numeric value, relative to max(1, |old|), with where
 it is, and names every change that is not numeric: a string, a flag, a
-message word, an added or removed key or line.
+message word, an added or removed key or line, a changed cells CSV digest.
 """
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -79,8 +83,14 @@ JOBS = [
 ]
 
 
+def digest(data: bytes) -> dict:
+    """How a cells CSV is held: the sha256 and length of its bytes."""
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
 def run_job(argv, directory: pathlib.Path) -> dict:
-    """Run one job in `directory`; exit code, stdout, stderr and the files it wrote."""
+    """Run one job in `directory`; exit code, stdout, stderr and the files it
+    wrote, each cells CSV as its digest."""
     for name, data in SPECS.items():
         (directory / f"{name}.json").write_text(json.dumps(data))
     for name, segs in CONTROLS.items():
@@ -90,7 +100,11 @@ def run_job(argv, directory: pathlib.Path) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([a.replace("@D@", str(directory)) for a in argv])
-    files = {p.name: p.read_text() for p in sorted(set(directory.iterdir()) - inputs)}
+    cells = {pathlib.Path(argv[k + 1]).name for k, a in enumerate(argv) if a == "--cells-csv"}
+    files = {
+        p.name: digest(p.read_bytes()) if p.name in cells else p.read_text()
+        for p in sorted(set(directory.iterdir()) - inputs)
+    }
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
 
 
@@ -178,6 +192,9 @@ def _changes(old: dict, new: dict) -> list:
             lines.append(f"{name}: removed")
         elif name not in old_files:
             lines.append(f"{name}: added")
+        elif isinstance(new_files[name], dict):  # a cells CSV digest
+            if old_files[name] != new_files[name]:
+                lines.append(f"{name}: {old_files[name]!r} -> {new_files[name]!r}")
         else:
             lines += _text_changes(name, old_files[name], new_files[name])
     return lines

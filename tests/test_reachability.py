@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from grid_masks import binary_erode
 from reference_charts import perp
 
 from se2control.flow import PiecewiseControl, equilibrium, flow_r2
@@ -16,7 +17,6 @@ from se2control.group import GroupElement
 from se2control import reachability as R
 from se2control.reachability import (
     GridConfig,
-    binary_erode,
     boundary_control_sets,
     control_grid,
     default_grid_config,
@@ -71,6 +71,25 @@ def test_cell_mapping_round_trip():
         assert np.max(np.abs(np.asarray(v) - c)) <= cfg.resolution
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_out_of_bounds(bad):
+    rs = make_rs()
+    cfg = small_cfg(rs)
+    region = reach_backward(rs, equilibrium(rs, 0.5), cfg)
+    for v in ([bad, 0.0], [0.0, bad], [bad, bad], np.array([bad, bad])):
+        assert cfg.in_bounds(v) is False
+        assert region.contains(v) is False
+    with pytest.raises(ValueError, match="outside the grid bounds"):
+        reach_forward(rs, np.array([bad, 0.0]), cfg)
+
+
+def test_a_point_whose_cell_index_overflows_is_out_of_bounds():
+    # (1e300 - x_min) / 1e-300 is inf: no cell index exists.
+    cfg = GridConfig((-1e-298, 1e-298, -1e-298, 1e-298), 1e-300, [0.0], 0.1)
+    assert cfg.in_bounds([0.0, 0.0])
+    assert not cfg.in_bounds([1e300, 0.0]) and not cfg.in_bounds([0.0, -1e300])
+
+
 def test_reach_rejects_seed_outside_bounds():
     rs = make_rs()
     cfg = GridConfig((-0.5, 0.5, -0.5, 0.5), 0.05, control_grid(rs.omega), 0.05)
@@ -95,8 +114,7 @@ def test_reach_deterministic_across_runs():
     a = reach_backward(rs, x0, cfg)
     b = reach_backward(rs, x0, cfg)
     assert np.array_equal(a.occupied, b.occupied)
-    assert np.array_equal(a.rep_x, b.rep_x, equal_nan=True)
-    assert np.array_equal(a.rep_y, b.rep_y, equal_nan=True)
+    assert np.array_equal(a.representatives(), b.representatives())
 
 
 def _reach_by_loop(rs, x0, cfg, direction):
@@ -137,10 +155,16 @@ def _reach_by_loop(rs, x0, cfg, direction):
     return occ.reshape(nx, ny), rep_x.reshape(nx, ny), rep_y.reshape(nx, ny), rounds
 
 
+def _assert_reps_at_ids(got, rep_x, rep_y):
+    """got's representatives equal the scalar loop's grids at got's cells."""
+    assert got.rep_x.shape == got.rep_y.shape == got.ids.shape
+    want = np.stack([rep_x.reshape(-1)[got.ids], rep_y.reshape(-1)[got.ids]], 1)
+    assert np.array_equal(got.representatives(), want)
+
+
 def _assert_same_reach(a, b):
     assert np.array_equal(a.occupied, b.occupied)
-    assert np.array_equal(a.rep_x, b.rep_x, equal_nan=True)
-    assert np.array_equal(a.rep_y, b.rep_y, equal_nan=True)
+    assert np.array_equal(a.representatives(), b.representatives())
     assert (a.rounds, a.truncated) == (b.rounds, b.truncated)
 
 
@@ -171,8 +195,7 @@ def test_reach_matches_scalar_loop_with_singular_columns(direction):
     got = R._reach(rs, x0, cfg, direction)
     occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
     assert np.array_equal(got.occupied, occ)
-    assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
-    assert np.array_equal(got.rep_y, rep_y, equal_nan=True)
+    _assert_reps_at_ids(got, rep_x, rep_y)
     assert got.rounds == rounds
 
 
@@ -192,8 +215,7 @@ def test_reach_in_small_chunks_matches_scalar_loop(monkeypatch, direction, rows)
     got = R._reach(rs, x0, cfg, direction)
     occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
     assert np.array_equal(got.occupied, occ)
-    assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
-    assert np.array_equal(got.rep_y, rep_y, equal_nan=True)
+    _assert_reps_at_ids(got, rep_x, rep_y)
     assert got.rounds == rounds
 
 
@@ -289,8 +311,7 @@ def test_reach_matches_scalar_loop_on_generated_grids(case):
         got = R._reach(rs, x0, cfg, direction)
     occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
     assert np.array_equal(got.occupied, occ)
-    assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
-    assert np.array_equal(got.rep_y, rep_y, equal_nan=True)
+    _assert_reps_at_ids(got, rep_x, rep_y)
     assert got.rounds == rounds
 
 
@@ -476,8 +497,7 @@ def test_columns_split_past_a_chunk_match_scalar_loop(monkeypatch, direction, ch
     got = R._reach(rs, x0, cfg, direction)
     occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
     assert np.array_equal(got.occupied, occ)
-    assert np.array_equal(got.rep_x, rep_x, equal_nan=True)
-    assert np.array_equal(got.rep_y, rep_y, equal_nan=True)
+    _assert_reps_at_ids(got, rep_x, rep_y)
     assert got.rounds == rounds
 
 
@@ -709,9 +729,10 @@ def test_trace_zero_stop_is_prefix_of_fixed_point(rs, kwargs):
     assert got.rounds < full.rounds  # the stop fired
     assert got.cell_count < full.cell_count
     assert not np.any(got.occupied & ~full.occupied)
-    assert np.array_equal(got.rep_x[got.occupied], full.rep_x[got.occupied])
-    assert np.array_equal(got.rep_y[got.occupied], full.rep_y[got.occupied])
-    assert np.all(np.isnan(got.rep_x[~got.occupied]))
+    at = np.searchsorted(full.ids, got.ids)
+    assert np.array_equal(full.ids[at], got.ids)
+    assert np.array_equal(got.representatives(), full.representatives()[at])
+    assert got.rep_x.shape == got.rep_y.shape == got.ids.shape
     radius = est.coverage["disk_radius"]
     assert est.coverage["fraction"] == _coverage_whole_grid(full, np.zeros(2), radius) == 1.0
     assert "stop once every cell meeting the disk is occupied" in est.diagnostics["note"]
@@ -822,6 +843,26 @@ def test_trace_zero_estimate_memory_stays_near_the_grid_budget():
         tracemalloc.stop()
     assert est.region.cell_count == 1
     assert peak < 2 * budget
+
+
+def test_open_estimate_memory_stays_below_one_float64_grid():
+    # A reach set keeps one occupancy byte per grid cell and its points only
+    # for the claimed cells (0.2-3 % of a default grid), so the traced peak of
+    # a default open estimate stays below one nx x ny float64 grid.
+    import tracemalloc
+
+    rs = make_rs()
+    cfg = default_grid_config(rs)
+    nx, ny = cfg.shape
+    assert (nx, ny) == (600, 600)
+    tracemalloc.start()
+    try:
+        est = estimate_control_set(rs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.case == "open" and est.region.cell_count > 10_000
+    assert peak < 8 * nx * ny
 
 
 @pytest.mark.parametrize(
