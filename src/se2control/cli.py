@@ -25,12 +25,7 @@ import numpy as np
 from .flow import PiecewiseControl, flow_concat, flow_se2, rk4_oracle
 from .group import GroupElement, angle_dist
 from .planner import plan_periodic
-from .reachability import (
-    MAX_GRID_BYTES,
-    default_grid_config,
-    estimate_control_set,
-    lift_to_se2,
-)
+from .reachability import MAX_GRID_BYTES, default_grid_config, estimate_control_set
 from .specfile import (
     SpecFileError,
     dump_json,
@@ -122,6 +117,8 @@ def cmd_simulate(args) -> int:
     vals = _parse_floats(args.x0, 3, "--x0") if args.x0.count(",") == 2 else (
         [0.0] + _parse_floats(args.x0, 2, "--x0")
     )
+    if not np.all(np.isfinite(vals)):
+        raise SpecFileError(f"--x0: coordinates must be finite, got {args.x0}")
     g0 = GroupElement(vals[0], np.array(vals[1:]))
     _check_count_budget(
         "--samples-per-segment", len(control.segments) * args.samples_per_segment
@@ -183,8 +180,6 @@ def cmd_reach(args) -> int:
     cfg = _grid_from_args(rs, args)
     est = estimate_control_set(rs, cfg, seed_control=args.seed_control)
     payload = est.to_dict()
-    payload["generator_u"] = payload.get("seed_control")
-    payload["lifted"] = lift_to_se2(est).to_dict()
     payload["classification"] = report.to_dict()
     _emit_json(payload, args.out)
     if args.cells_csv is not None and est.region is not None:

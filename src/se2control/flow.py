@@ -241,10 +241,6 @@ class PiecewiseControl:
             segs.append((dur, u))
         self.segments = segs
 
-    @property
-    def total_duration(self) -> float:
-        return float(sum(d for d, _ in self.segments))
-
     def within(self, omega) -> bool:
         lo, hi = omega
         return all(lo <= u <= hi for _, u in self.segments)

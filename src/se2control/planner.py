@@ -247,7 +247,6 @@ def plan_periodic(
     traj = flow_concat(rs, control, v0)
     origin_error = float(np.linalg.norm(traj.states[len(segments) * SAMPLES_PER_SEGMENT]))
     closure_error = float(np.linalg.norm(traj.states[-1] - v0))
-    diagnostics = {"arcs": n_arcs, "origin_error": origin_error}
     return PlanResult(
         control=control,
         trajectory=traj,
@@ -259,5 +258,5 @@ def plan_periodic(
         u_final=u_final,
         center_gap=gap,
         origin_error=origin_error,
-        diagnostics=diagnostics,
+        diagnostics={"arcs": n_arcs},
     )

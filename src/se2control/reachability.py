@@ -32,7 +32,7 @@ import numpy as np
 
 from .flow import PiecewiseControl, dwell_rate, equilibrium, flow_detA0
 from .geometry import invariant_ball
-from .group import TWO_PI, GroupElement, angle_dist, to_complex, to_pairs
+from .group import GroupElement, angle_dist, to_complex, to_pairs
 from .system import ReducedSpec, SystemSpec, degenerate_chart, larc, reduced_range
 
 DEFAULT_MAX_CELLS = 1_000_000
@@ -119,14 +119,6 @@ class GridConfig:
         i = int(math.floor((v[0] - self.bounds[0]) / self.resolution))
         j = int(math.floor((v[1] - self.bounds[2]) / self.resolution))
         return i, j
-
-    def cell_center(self, i: int, j: int) -> np.ndarray:
-        return np.array(
-            [
-                self.bounds[0] + (i + 0.5) * self.resolution,
-                self.bounds[2] + (j + 0.5) * self.resolution,
-            ]
-        )
 
     def in_bounds(self, v) -> bool:
         """Whether v lies in a cell of the grid; False for a NaN or infinite
@@ -509,31 +501,6 @@ def default_seed_control(rs: ReducedSpec) -> float:
     return 0.5 * hi  # unreachable for a nondegenerate omega
 
 
-def boundary_control_sets(rs: ReducedSpec) -> list:
-    """One-point control sets on the boundary (open case, mu in Omega)."""
-    lo, hi = rs.omega
-    if rs.lam <= 0.0 or not (lo <= rs.mu <= hi):
-        return []
-    if rs.mu == 0.0:
-        return [
-            {
-                "kind": "continuum_of_fixed_points",
-                "plane_point": [0.0, 0.0],
-                "lifted": "every (t, 0) is a fixed point",
-            }
-        ]
-    point = equilibrium(rs, rs.mu)
-    return [
-        {
-            "kind": "singleton",
-            "control": rs.mu,
-            "plane_point": [float(point[0]), float(point[1])],
-            "lifted": "periodic_orbit",
-            "period": TWO_PI / rs.mu,
-        }
-    ]
-
-
 @dataclass
 class ControlSetEstimate:
     """Grid estimate of the unique control set with nonempty interior."""
@@ -542,7 +509,6 @@ class ControlSetEstimate:
     seed_control: float | None
     region: ReachSet | None
     coverage: dict = field(default_factory=dict)
-    boundary: list = field(default_factory=list)
     ball_check: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
@@ -551,7 +517,6 @@ class ControlSetEstimate:
             "case": self.case,
             "seed_control": self.seed_control,
             "coverage": self.coverage,
-            "boundary": self.boundary,
             "ball_check": self.ball_check,
             "diagnostics": self.diagnostics,
         }
@@ -676,7 +641,6 @@ def estimate_control_set(
         seed_control = default_seed_control(rs)
     elif not lo <= seed_control <= hi:  # also NaN
         raise ValueError(f"seed control {seed_control} lies outside the control range [{lo}, {hi}]")
-    boundary = boundary_control_sets(rs)
 
     if rs.lam == 0.0:
         radius = coverage_radius if coverage_radius is not None else max(
@@ -694,7 +658,6 @@ def estimate_control_set(
             seed_control=None,
             region=region,
             coverage=coverage,
-            boundary=boundary,
             diagnostics={
                 "note": "controllable: estimate certifies disk coverage; the forward "
                 "rounds stop once every cell meeting the disk is occupied"
@@ -712,39 +675,7 @@ def estimate_control_set(
         case=case,
         seed_control=float(seed_control),
         region=region,
-        boundary=boundary,
         ball_check=_ball_containment(region, rs),
-    )
-
-
-@dataclass
-class LiftedControlSet:
-    """The control set upstairs: full circle factor times the planar region."""
-
-    angular: str
-    planar_case: str
-    closed: bool
-    open_: bool
-    boundary: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "angular": self.angular,
-            "planar_case": self.planar_case,
-            "closed": self.closed,
-            "open": self.open_,
-            "boundary": self.boundary,
-        }
-
-
-def lift_to_se2(est: ControlSetEstimate) -> LiftedControlSet:
-    """Describe the lifted control set S^1 x C from a planar estimate."""
-    return LiftedControlSet(
-        angular="full_circle",
-        planar_case=est.case,
-        closed=est.case in ("all_plane", "closed_bounded"),
-        open_=est.case in ("all_plane", "open"),
-        boundary=est.boundary,
     )
 
 

@@ -148,10 +148,6 @@ class ReducedSpec:
         if not np.all(np.isfinite(self.eta)):
             raise ValueError("eta must be finite")
 
-    def a_of_u(self, u: float) -> np.ndarray:
-        """Closed-loop matrix A(u) = A - u theta = [[lam, -(mu-u)], [mu-u, lam]]."""
-        return matrix_from_lambda_mu(self.lam, self.mu - float(u))
-
     def det_a_of_u(self, u: float) -> float:
         return self.lam**2 + (self.mu - float(u)) ** 2
 
@@ -357,30 +353,18 @@ def classify(system) -> ClassificationReport:
     spec = plant.spec
     lam, mu = spec.lam, spec.mu
     rank_ok = larc(spec)
+    controllable = False
     notes = []
     boundary: dict = {"kind": "none"}
     reduced: dict = {}
     if not rank_ok:
+        case = CASE_NOT_CLASSIFIED
         notes.append(
             "rank condition fails (alpha = 0 or alpha xi + A eta1 = 0); "
             "no case predicted"
         )
-        return ClassificationReport(
-            case=CASE_NOT_CLASSIFIED,
-            controllable=False,
-            larc=False,
-            det=spec.det(),
-            trace=spec.trace(),
-            lam=lam,
-            mu=mu,
-            boundary_structure=boundary,
-            notes=notes,
-            reduced=reduced,
-        )
-
-    if spec.a_is_zero:
+    elif spec.a_is_zero:
         case = CASE_DEGENERATE
-        controllable = False
         notes.append(
             "A = 0: control sets are one-dimensional slices "
             "{angle 0} x (v + R xi), all with empty interior"
@@ -393,7 +377,6 @@ def classify(system) -> ClassificationReport:
             controllable = True
         elif lam < 0.0:
             case = CASE_CLOSED
-            controllable = False
             if rs.omega[0] <= mu <= rs.omega[1]:
                 notes.append(
                     "mu lies in the reduced control range: the singleton "
@@ -401,7 +384,6 @@ def classify(system) -> ClassificationReport:
                 )
         else:
             case = CASE_OPEN
-            controllable = False
             boundary = _boundary_structure(lam, mu, rs.eta, rs.omega)
 
     return ClassificationReport(

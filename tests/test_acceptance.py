@@ -23,13 +23,12 @@ from se2control.geometry import (
 from se2control.group import TWO_PI, GroupElement, to_complex
 from se2control.planner import plan_periodic
 from se2control.reachability import (
-    boundary_control_sets,
     default_grid_config,
     degenerate_structure_check,
     reach_backward,
     reach_forward,
 )
-from se2control.system import ReducedSpec, SystemSpec, larc, reduce_system
+from se2control.system import ReducedSpec, SystemSpec, classify, larc, reduce_system
 
 
 def report(label: str, ok: bool, detail: str = "") -> None:
@@ -286,13 +285,12 @@ def test_09_degenerate_monotone_functional_and_line_confinement():
 
 
 def test_10_boundary_orbit_period_and_continuum():
-    rs = ReducedSpec(1.0, 2.0, (1.0, 0.0), (-3.0, 3.0))
-    sets = [d for d in boundary_control_sets(rs) if d["kind"] == "singleton"]
-    assert len(sets) == 1
-    orbit = sets[0]
-    period_ok = (
-        orbit["lifted"] == "periodic_orbit" and orbit["period"] == math.pi
-    )
+    # A = I + 2 theta, alpha = 1, xi = 0: the reduction is lam 1, mu 2, eta (1, 0).
+    spec = SystemSpec(1.0, np.zeros(2), [[1.0, -2.0], [2.0, 1.0]], [1.0, 0.0], (-3.0, 3.0))
+    rs = reduce_system(spec)
+    assert rs.to_dict() == ReducedSpec(1.0, 2.0, (1.0, 0.0), (-3.0, 3.0)).to_dict()
+    orbit = classify(spec).boundary_structure
+    period_ok = orbit["kind"] == "periodic_orbit" and orbit["period"] == math.pi
     vmu = equilibrium(rs, 2.0)
     g0 = GroupElement(0.7, vmu)
     end = flow_product(rs, math.pi, g0, 2.0)
@@ -302,9 +300,10 @@ def test_10_boundary_orbit_period_and_continuum():
     )
     orbit_ok = ret <= 1e-10 and rk4_ret <= 1e-10
 
-    rs0 = ReducedSpec(1.0, 0.0, (1.0, 0.0), (-1.0, 1.0))
-    sets0 = boundary_control_sets(rs0)
-    continuum_ok = any(d["kind"] == "continuum_of_fixed_points" for d in sets0)
+    spec0 = SystemSpec(1.0, np.zeros(2), np.eye(2), [1.0, 0.0], (-1.0, 1.0))
+    rs0 = reduce_system(spec0)
+    assert rs0.to_dict() == ReducedSpec(1.0, 0.0, (1.0, 0.0), (-1.0, 1.0)).to_dict()
+    continuum_ok = classify(spec0).boundary_structure["kind"] == "continuum_of_fixed_points"
     g = GroupElement(1.3, np.zeros(2))
     fixed = flow_product(rs0, 2.7, g, 0.0)
     fixed_ok = fixed.t == g.t and np.array_equal(fixed.v, g.v)

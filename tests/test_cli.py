@@ -130,6 +130,23 @@ def test_simulate_negative_x0(tmp_path, capsys):
         assert [float(x) for x in first[1:4]] == pytest.approx([2 * 3.141592653589793 - 1, 2.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("size, position", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_simulate_rejects_non_finite_x0(tmp_path, capsys, bad, size, position):
+    coords = ["0.5"] * size
+    coords[position] = bad
+    x0 = ",".join(coords)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(
+            capsys,
+            ["simulate", write_spec(tmp_path, OPEN), "--u", "0.5", "--horizon", "1.0", "--x0", x0],
+        )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --x0: coordinates must be finite, got {x0}\n"
+
+
 def test_simulate_control_outside_omega_is_invalid_input(tmp_path, capsys):
     rc, _, err = run_main(
         capsys,
@@ -162,9 +179,9 @@ def test_reach_payload_and_determinism(tmp_path, capsys):
     payload = json.loads(a.read_text())
     assert payload["case"] == "open"
     assert payload["cells"] > 0
-    assert payload["generator_u"] == payload["seed_control"]
-    assert payload["lifted"]["angular"] == "full_circle"
+    assert not {"boundary", "lifted", "generator_u"} & payload.keys()
     assert payload["classification"]["case"] == "OpenControlSet"
+    assert "boundary_structure" in payload["classification"]
     assert payload["grid"]["resolution"] == 0.05
 
 

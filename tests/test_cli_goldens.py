@@ -6,8 +6,12 @@ stdout, stderr and every file it writes must equal the bytes in
 that `system.Plant` replaced.  `plan_near` and `plan_far` were re-recorded
 when the planner's final control became closed-form, `verify_open` when
 the bound sweep's margin stopped rounding at 1, and `reach_open` when the
-open-case report lost `diagnostics.boundary_growth`; each of those changes
-is stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
+open-case report lost `diagnostics.boundary_growth`.  `reach_open` and
+`reach_closed_default` were re-recorded when the reach report lost
+`boundary`, `lifted` and `generator_u` (the boundary claim is stated once,
+in `classification.boundary_structure`), and `plan_near` and `plan_far`
+when the plan report lost `diagnostics.origin_error` (a copy of the
+top-level `origin_error`); each of those changes is stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
 which holds the spec and control files and receives the outputs.  A cells
 CSV (the file of `--cells-csv`, up to 75k lines) is held as the sha256 and
 byte count of its bytes; every other output is held verbatim.
@@ -119,8 +123,11 @@ _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def _json_leaves(value, path=""):
-    """(dotted path, value) for every leaf of a JSON value."""
-    if isinstance(value, dict):
+    """(dotted path, value) for every leaf of a JSON value; an empty list or
+    object is a leaf of its own, so that its removal is named."""
+    if isinstance(value, (dict, list)) and not value:
+        yield path, value
+    elif isinstance(value, dict):
         for key in sorted(value):
             yield from _json_leaves(value[key], f"{path}.{key}" if path else key)
     elif isinstance(value, list):

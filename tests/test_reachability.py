@@ -17,19 +17,17 @@ from se2control.group import GroupElement
 from se2control import reachability as R
 from se2control.reachability import (
     GridConfig,
-    boundary_control_sets,
     control_grid,
     default_grid_config,
     default_seed_control,
     degenerate_structure_check,
     estimate_control_set,
-    lift_to_se2,
     reach_backward,
     reach_forward,
     steer_degenerate,
     steer_degenerate_batch,
 )
-from se2control.system import ReducedSpec, SystemSpec
+from se2control.system import ReducedSpec, SystemSpec, classify, reduce_system
 
 def make_rs(lam=1.0, mu=2.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
     return ReducedSpec(lam=lam, mu=mu, eta=np.asarray(eta, dtype=float), omega=omega)
@@ -67,7 +65,7 @@ def test_cell_mapping_round_trip():
     for v in ([-0.99, -1.99], [0.0, 0.0], [0.99, 1.99]):
         i, j = cfg.cell_of(v)
         assert 0 <= i < nx and 0 <= j < ny
-        c = cfg.cell_center(i, j)
+        c = np.array(cfg.bounds[::2]) + (np.array([i, j]) + 0.5) * cfg.resolution
         assert np.max(np.abs(np.asarray(v) - c)) <= cfg.resolution
 
 
@@ -657,7 +655,7 @@ def test_binary_erode_block():
     assert not binary_erode(occ, 2).any()
 
 
-# -- estimation, boundary sets, lifting ----------------------------------
+# -- estimation ----------------------------------------------------------
 
 
 def test_default_seed_control_avoids_mu():
@@ -668,17 +666,12 @@ def test_estimate_open_case():
     est = estimate_control_set(make_rs(), small_cfg(make_rs()))
     assert est.case == "open"
     assert est.ball_check["violations"] == 0
-    lifted = lift_to_se2(est)
-    assert lifted.open_ and not lifted.closed
-    assert lifted.angular == "full_circle"
 
 
 def test_estimate_closed_case():
     rs = make_rs(lam=-1.0)
     est = estimate_control_set(rs, small_cfg(rs))
     assert est.case == "closed_bounded"
-    lifted = lift_to_se2(est)
-    assert lifted.closed and not lifted.open_
 
 
 def test_estimate_trace_zero_case():
@@ -865,26 +858,20 @@ def test_open_estimate_memory_stays_below_one_float64_grid():
     assert peak < 8 * nx * ny
 
 
-@pytest.mark.parametrize(
-    "mu,omega,kinds",
-    [
-        (2.0, (-3.0, 3.0), ["singleton"]),
-        (2.0, (-1.0, 1.0), []),
-        (0.0, (-1.0, 1.0), ["continuum_of_fixed_points"]),
-    ],
-)
-def test_boundary_control_sets(mu, omega, kinds):
-    out = boundary_control_sets(make_rs(lam=1.0, mu=mu, omega=omega))
-    assert [b["kind"] for b in out] == kinds
-
-
 def test_boundary_periodic_orbit_values():
-    out = boundary_control_sets(make_rs(lam=1.0, mu=2.0, omega=(-3.0, 3.0)))
-    (b,) = out
+    """classify's one-point control set {v(mu)} is the equilibrium the reach
+    flows use, and the flow at u = mu holds it fixed for a whole period."""
+    A = np.array([[1.0, -2.0], [2.0, 1.0]])  # lam = 1, mu = 2
+    spec = SystemSpec(1.0, np.zeros(2), A, np.array([1.0, 0.0]), (-3.0, 3.0))
+    b = classify(spec).boundary_structure
+    assert b["kind"] == "periodic_orbit"
     assert b["control"] == 2.0
     assert b["period"] == math.pi
-    vmu = equilibrium(make_rs(lam=1.0, mu=2.0, omega=(-3.0, 3.0)), 2.0)
+    rs = reduce_system(spec)
+    vmu = equilibrium(rs, 2.0)
     assert np.allclose(b["plane_point"], vmu, atol=1e-15)
+    after = flow_r2(rs, b["period"], np.asarray(b["plane_point"]), b["control"])
+    assert np.allclose(after, vmu, atol=1e-12)
 
 
 def test_outside_points_never_enter_core():
@@ -904,7 +891,7 @@ def test_outside_points_never_enter_core():
         i, j = rng.integers(0, nx), rng.integers(0, ny)
         if dilated[i, j]:
             continue
-        p = cfg.cell_center(i, j)
+        p = np.array(cfg.bounds[::2]) + (np.array([i, j]) + 0.5) * cfg.resolution
         tested += 1
         for u in (-1.0, -0.4, 0.2, 0.9):
             v = p.copy()

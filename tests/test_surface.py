@@ -1,0 +1,91 @@
+"""Every public function, class and method of the package has a use in src/.
+
+A public top-level function or class, or a public method, that nothing in
+``src/se2control`` names is library surface that no claim of the CLI needs.
+The check is by name: a definition counts as used when its bare name occurs
+as an ``ast.Name`` or an ``ast.Attribute`` anywhere in the package.
+Exempt are the functions that the benchmark's tracer wraps by name
+(``perfbench/tracing.py``'s ``TARGETS``, read as
+``test_benchmark_contract.py`` reads them) and the short list below.
+"""
+import ast
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "se2control")
+
+# Public definitions that may have no use in src/, one reason each.
+ALLOWED = {
+    "circle_params": "the solution circles that the exact control-set boundary builds on",
+    "chord_ratio": "the paper's f, and the oracle of the acceptance tests",
+    "ReachSet.representatives": "the exact reachable points that the reach tests compare against",
+    "ReachSet.contains": "the membership test that the reach tests compare reference points with",
+}
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import tracing
+
+    return tracing
+
+
+def _trees() -> dict:
+    trees = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                trees[name] = ast.parse(fh.read(), name)
+    return trees
+
+
+def public_definitions(trees: dict) -> list:
+    """(file, qualified name, bare name) of every public top-level function
+    and class and of every public method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            out.append((fname, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [
+                    (fname, f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, defs[:2]) and not item.name.startswith("_")
+                ]
+    return out
+
+
+def used_names(trees: dict) -> set:
+    """Every name that occurs as an ast.Name or as an ast.Attribute's attribute."""
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_definition_has_a_use_in_src(tracing):
+    trees = _trees()
+    exempt = {name for _, name, _, _ in tracing.TARGETS} | set(ALLOWED)
+    used = used_names(trees)
+    unused = [
+        f"{fname}: {qualified}"
+        for fname, qualified, bare in public_definitions(trees)
+        if bare not in used and qualified not in exempt
+    ]
+    assert unused == []
+
+
+def test_every_exemption_names_a_public_definition(tracing):
+    defined = {qualified for _, qualified, _ in public_definitions(_trees())}
+    targets = {name for _, name, _, _ in tracing.TARGETS}
+    assert set(ALLOWED) | targets <= defined

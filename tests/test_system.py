@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from se2control.flow import equilibrium
 from se2control.system import (
     CASE_CLOSED,
     CASE_DEGENERATE,
@@ -79,10 +80,15 @@ def test_classify_closed_bounded():
 
 
 def test_classify_open_with_periodic_boundary():
-    rep = classify(make_spec(lam=1.0, mu=2.0, omega=(-3.0, 3.0)))
+    spec = make_spec(lam=1.0, mu=2.0, omega=(-3.0, 3.0))
+    rep = classify(spec)
     assert rep.case == CASE_OPEN
-    assert rep.boundary_structure["kind"] == "periodic_orbit"
-    assert rep.boundary_structure["period"] == pytest.approx(np.pi, abs=0.0)
+    b = rep.boundary_structure
+    assert b["kind"] == "periodic_orbit"
+    assert b["control"] == 2.0
+    assert b["period"] == np.pi
+    vmu = equilibrium(reduce_system(spec), 2.0)
+    assert np.allclose(b["plane_point"], vmu, atol=1e-15)
 
 
 def test_classify_open_boundary_absent_when_mu_outside():
