@@ -61,10 +61,12 @@ class CaseMismatch(Exception):
     """Command applied to a system outside its classification case."""
 
 
-def _parse_floats(text: str, n: int, what: str) -> list:
+def _parse_floats(text: str, what: str, *counts: int) -> list:
+    """The numbers of a comma-separated option value; their count must be one of `counts`."""
     parts = text.split(",")
-    if len(parts) != n:
-        raise SpecFileError(f"{what}: expected {n} comma-separated numbers")
+    if len(parts) not in counts:
+        expected = " or ".join(map(str, counts))
+        raise SpecFileError(f"{what}: expected {expected} comma-separated numbers")
     try:
         return [float(p) for p in parts]
     except ValueError as exc:
@@ -114,9 +116,9 @@ def cmd_simulate(args) -> int:
         raise SpecFileError(
             f"control values must lie within omega = [{spec.omega[0]}, {spec.omega[1]}]"
         )
-    vals = _parse_floats(args.x0, 3, "--x0") if args.x0.count(",") == 2 else (
-        [0.0] + _parse_floats(args.x0, 2, "--x0")
-    )
+    vals = _parse_floats(args.x0, "--x0", 2, 3)
+    if len(vals) == 2:
+        vals = [0.0] + vals
     if not np.all(np.isfinite(vals)):
         raise SpecFileError(f"--x0: coordinates must be finite, got {args.x0}")
     g0 = GroupElement(vals[0], np.array(vals[1:]))
@@ -163,7 +165,7 @@ def _grid_from_args(rs, args):
     if args.time_step is not None:
         overrides["time_step"] = args.time_step
     if args.bounds is not None:
-        overrides["bounds"] = tuple(_parse_floats(args.bounds, 4, "--bounds"))
+        overrides["bounds"] = tuple(_parse_floats(args.bounds, "--bounds", 4))
     if args.max_cells is not None:
         overrides["max_cells"] = args.max_cells
     return default_grid_config(rs, **overrides)
@@ -199,7 +201,7 @@ def cmd_plan(args) -> int:
     rs = plant.rs
     if rs.mu == 0.0:
         raise CaseMismatch("plan requires mu != 0 (nonvanishing rotation rate)")
-    v0 = np.array(_parse_floats(args.v0, 2, "--v0"))
+    v0 = np.array(_parse_floats(args.v0, "--v0", 2))
     plan = plan_periodic(rs, v0, rho=args.rho)
     _emit_json(plan.to_dict(), args.out)
     if args.traj_csv is not None:

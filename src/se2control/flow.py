@@ -46,6 +46,8 @@ DEFAULT_RK4_STEP = 1e-3
 SAMPLES_PER_SEGMENT = 64
 # Largest x with a finite e^x.
 _EXP_MAX_ARG = math.log(sys.float_info.max)
+# Largest x whose e^x numpy's complex exp forms as libm's exp (see _exp).
+_CEXP_MAX_ARG = 709.0
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +89,26 @@ def _not_finite(s, bad) -> ValueError:
 
 
 def _exp(x, s) -> np.ndarray:
-    """e^x elementwise, by math.exp.
+    """e^x elementwise, equal to math.exp bit for bit.
 
-    numpy's vectorised exp differs from libm's in the last bit for some
-    arguments; math.exp keeps every flow value equal to a scalar
-    evaluation, and with them every report built on flows.
+    numpy's real exp differs from libm's in the last bit for about 4.6 % of
+    arguments, so it would move flow values and every report built on them.
+    numpy's complex exp calls libm's cexp, which for a zero imaginary part
+    returns libm's exp of the real part up to x = 709 (glibc's
+    (int)(1023 ln 2)); above that it rescales by e^709 and the last bit
+    differs, so those rows take math.exp.  tests/test_flow_batch.py checks
+    the agreement bit for bit.  Raises ValueError naming s where e^x
+    overflows.
     """
-    try:
-        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    except OverflowError:
-        raise _not_finite(s, x > _EXP_MAX_ARG) from None
+    z = np.array(np.minimum(x, _CEXP_MAX_ARG), dtype=complex)
+    out = np.exp(z, out=z).real
+    big = x > _CEXP_MAX_ARG
+    if big.any():
+        try:
+            out[big] = [math.exp(v) for v in x[big].tolist()]
+        except OverflowError:
+            raise _not_finite(s, x > _EXP_MAX_ARG) from None
+    return out
 
 
 def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
@@ -197,7 +209,8 @@ def flow_se2(system, s, g, u):
     Angles are wrapped on entry and after the flow.  `g` is a GroupElement
     or packed states of shape (..., 3); s and u are floats or arrays of
     shape (...).  The result is a GroupElement when g is one and s and u
-    are floats, else packed states of the broadcast shape (..., 3).
+    are floats, else packed states of the broadcast shape (..., 3).  Raises
+    ValueError naming s where the flow or a chart value is not finite.
     """
     plant = as_plant(system)
     if plant.chart == "none":
@@ -206,15 +219,22 @@ def flow_se2(system, s, g, u):
     s = np.asarray(s, dtype=float)
     ut = plant.spec.alpha * np.asarray(u, dtype=float)
     t, z, w = x[..., 0], to_complex(x[..., 1:]), plant.offset
-    if plant.chart == "zero":
-        w = w / plant.spec.alpha
-        t, z = _detA0_rows(complex(*plant.spec.xi), s, t, z - (w - w * cis(t)), ut)
-        t = wrap_angle(t)
-        z = z + (w - w * cis(t))
-    else:
-        z = flow_r2(plant.rs, s, (z + w) * cis(-t) - w, ut)
-        t = wrap_angle(t + s * ut)
-        z = (z + w) * cis(t) - w
+    # Translations near the float limit overflow in the chart products; a
+    # value that is not finite stays so and raises below, so numpy's
+    # warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if plant.chart == "zero":
+            w = w / plant.spec.alpha
+            t, z = _detA0_rows(complex(*plant.spec.xi), s, t, z - (w - w * cis(t)), ut)
+            t = wrap_angle(t)
+            z = z + (w - w * cis(t))
+        else:
+            z = flow_r2(plant.rs, s, (z + w) * cis(-t) - w, ut)
+            t = wrap_angle(t + s * ut)
+            z = (z + w) * cis(t) - w
+    bad = ~(np.isfinite(t) & np.isfinite(z))
+    if bad.any():
+        raise _not_finite(s, bad)
     return group_result(t, z, element)
 
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import PiecewiseControl, dwell_rate, equilibrium, flow_detA0
+from .flow import PiecewiseControl, _detA0_rows, dwell_rate, equilibrium
 from .geometry import invariant_ball
-from .group import GroupElement, angle_dist, to_complex, to_pairs
+from .group import GroupElement, angle_dist, to_complex, to_pairs, wrap_angle
 from .system import ReducedSpec, SystemSpec, degenerate_chart, larc, reduced_range
 
 DEFAULT_MAX_CELLS = 1_000_000
@@ -49,6 +49,8 @@ MAX_GRID_BYTES = 512 * 2**20
 # largest theta-xi offset a mutually reachable pair may have.
 PAIR_TOL = 1e-8
 LINE_TOL = 1e-6
+# Angle excursions the degenerate steering tries, largest first.
+STEER_EPSILONS = np.geomspace(0.3, 3e-10, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -692,12 +694,25 @@ def _normalized_degenerate(spec: SystemSpec) -> tuple:
     return chart, reduced_range(spec)
 
 
-def _degenerate_endpoints(chart: SystemSpec, segments: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Packed end states of the rows of x under (..., 5, 2) rows of (duration, u) segments."""
+def _detA0_step(xi: complex, s, t, z, u) -> tuple:
+    """:func:`flow.flow_detA0` on wrapped angles t and complex translations z, unpacked.
+
+    Returns the wrapped angles and the translations, bit for bit those of
+    flow_detA0 on the packed rows [t, z], which wraps each angle on entry as
+    well: wrapping leaves a wrapped angle as it is.
+    """
+    t, z = _detA0_rows(xi, s, t, z, u)
+    return wrap_angle(t), z
+
+
+def _degenerate_endpoints(xi: complex, segments: np.ndarray, t, z) -> tuple:
+    """End angles and translations of rows (t, z) under (..., 5, 2) rows of (duration, u) segments."""
     for dur, u in zip(np.moveaxis(segments[..., 0], -1, 0), np.moveaxis(segments[..., 1], -1, 0)):
+        t_end, z_end = _detA0_step(xi, dur, t, z, u)
         # Segments of zero duration leave the state as it is.
-        x = np.where((dur > 0.0)[..., None], flow_detA0(chart, dur, x, u), x)
-    return x
+        moved = dur > 0.0
+        t, z = np.where(moved, t_end, t), np.where(moved, z_end, z)
+    return t, z
 
 
 def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
@@ -739,14 +754,13 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     # Arcs-only rehearsal of every epsilon: realized dwell angles and arc
     # displacement.  The angles, and with them the dwell rates exactly as
     # the flow will apply them, are the same for every pair.
-    arc1 = np.geomspace(0.3, 3e-10, 30) / u_d
-    g0 = np.zeros((len(v_from), 1, 3))
-    g0[..., 1:] = v_from[:, None]
-    after1 = flow_detA0(chart, arc1, g0, u_d)
-    after2 = flow_detA0(chart, 2.0 * arc1, after1, -u_d)
-    after3 = flow_detA0(chart, arc1, after2, u_d)
-    rates1 = xi.conjugate() * dwell_rate(after1[0, :, 0], xi)
-    rates2 = xi.conjugate() * dwell_rate(after2[0, :, 0], xi)
+    arc1 = STEER_EPSILONS / u_d
+    t0, z0 = np.zeros((len(v_from), 1)), to_complex(v_from)[:, None]
+    t1, z1 = _detA0_step(xi, arc1, t0, z0, u_d)
+    t2, z2 = _detA0_step(xi, 2.0 * arc1, t1, z1, -u_d)
+    _, z3 = _detA0_step(xi, arc1, t2, z2, u_d)
+    rates1 = xi.conjugate() * dwell_rate(t1[0], xi)
+    rates2 = xi.conjugate() * dwell_rate(t2[0], xi)
     sin1 = rates1.real / n2
     sin2 = rates2.real / n2
     # The dwell drift cannot point along -i xi; tiny negative values are
@@ -760,7 +774,7 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     if not usable.any():
         raise ValueError("degenerate steering has no usable dwell angle for this xi")
     arc1, sin1, sin2, w1, w2 = arc1[usable], sin1[usable], sin2[usable], w1[usable], w2[usable]
-    arc = xi.conjugate() * (to_complex(after3[:, usable, 1:]) - to_complex(v_from)[:, None])
+    arc = xi.conjugate() * (z3[:, usable] - z0)
     a_rem = a_t - arc.real / n2
     b_rem = b_t - arc.imag / n2
     det = sin1 * w2 - sin2 * w1
@@ -787,14 +801,18 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     still = step == 0.0
     if not np.isfinite(segments[~still]).all():  # as PiecewiseControl rejects them
         raise ValueError("segment durations must be finite and >= 0")
-    ends = _degenerate_endpoints(chart, segments, g0)
-    residuals = np.abs(to_complex(ends[..., 1:]) - to_complex(v_to)[:, None]) + angle_dist(ends[..., 0], 0.0)
+    t_end, z_end = _degenerate_endpoints(xi, segments, t0, z0)
+    residuals = np.abs(z_end - to_complex(v_to)[:, None]) + angle_dist(t_end, 0.0)
     # The first of equals wins, as min() picks it.
     best = np.array([min(range(len(r)), key=r.__getitem__) for r in residuals.tolist()], dtype=int)
     rows = np.arange(len(best))
-    segments, ends, residuals = segments[rows, best], ends[rows, best], residuals[rows, best]
+    segments, residuals = segments[rows, best], residuals[rows, best]
+    ends = np.empty((len(best), 3))
+    ends[:, 0] = t_end[rows, best]
+    ends[:, 1:] = to_pairs(z_end[rows, best])
     segments[still] = 0.0
-    ends[still] = g0[still, 0]
+    ends[still] = 0.0
+    ends[still, 1:] = v_from[still]
     residuals[still] = 0.0
     return segments, ends, residuals
 
@@ -844,6 +862,29 @@ class DegenerateReport:
         }
 
 
+def _monotone_draws(rng, n: int, umin: float, umax: float) -> np.ndarray:
+    """(n, 6, 2) rows of (u, duration) segments, 2 to 6 per row; a missing segment is NaN.
+
+    Each row takes one rng.integers(2, 7) for its segment count k and one
+    block of 3 k doubles d, which give u = +-(umin + (umax - umin) d0), with
+    the sign + for d1 < 0.5, and the duration 0.1 + 1.4 d2.  These are the
+    values, in stream order, of the scalar draws rng.uniform(umin, umax),
+    rng.uniform() and rng.uniform(0.1, 1.5) per segment: rng.uniform(a, b)
+    is a + (b - a) rng.random().
+    """
+    counts, blocks = [], []
+    for _ in range(n):
+        counts.append(int(rng.integers(2, 7)))
+        blocks.append(rng.random(3 * counts[-1]))
+    d = np.concatenate([np.empty(0)] + blocks).reshape(-1, 3)
+    draws = np.full((n, 6, 2), np.nan)
+    # The mask picks each row's first k segments, rows in order.
+    drawn = np.arange(6) < np.array(counts, dtype=int).reshape(-1, 1)
+    draws[drawn, 0] = (umin + (umax - umin) * d[:, 0]) * np.where(d[:, 1] < 0.5, 1.0, -1.0)
+    draws[drawn, 1] = 0.1 + (1.5 - 0.1) * d[:, 2]
+    return draws
+
+
 # Overflow shows up as a non-finite increment or steering value, which
 # raises ValueError below, so numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -880,35 +921,31 @@ def degenerate_structure_check(
     v0 = np.zeros(2)
     n_samples = int(n_samples)
 
-    def H(v):
-        # <v - v0, i xi>, the imaginary part of conj(xi) (v - v0); with
-        # conj(xi) the first factor it rounds as the real dot product did.
-        return (xi.conjugate() * (to_complex(v) - to_complex(v0))).imag
+    def H(z):
+        # <z - v0, i xi>, the imaginary part of conj(xi) (z - v0) for complex
+        # z; with conj(xi) the first factor it rounds as the real dot
+        # product did.
+        return (xi.conjugate() * (z - to_complex(v0))).imag
 
     # (a) strict growth of the monotone functional, at 8 points per segment;
-    # the last point (fraction 1) is the segment's end state.  Each
-    # trajectory has 2 to 6 segments of (u, duration); a missing segment is NaN.
-    draws = np.full((max(n_samples, 0), 6, 2), np.nan)
-    for row in draws:
-        for seg in row[: int(rng.integers(2, 7))]:
-            seg[0] = rng.uniform(umin, min(-lo, hi)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-            seg[1] = rng.uniform(0.1, 1.5)
+    # the last point (fraction 1) is the segment's end state.
+    draws = _monotone_draws(rng, max(n_samples, 0), umin, min(-lo, hi))
     fractions = np.linspace(1.0 / 8.0, 1.0, 8)
-    g = np.zeros((len(draws), 3))
-    g[:, 1:] = v0
-    h_prev = H(g[:, 1:])
+    t = np.zeros(len(draws))
+    z = np.full(len(draws), to_complex(v0))
+    h_prev = H(z)
     seg_min = np.full(draws.shape[:2], np.nan)
     for k in range(6):
         live = ~np.isnan(draws[:, k, 0])
         u, dur = draws[live, k].T
-        gq = flow_detA0(chart, dur[:, None] * fractions, g[live, None], u[:, None])
-        h = H(gq[..., 1:])
+        tq, zq = _detA0_step(xi, dur[:, None] * fractions, t[live, None], z[live, None], u[:, None])
+        h = H(zq)
         inc = np.diff(h, prepend=h_prev[live, None])
         if not np.isfinite(inc).all():
             raise ValueError("degenerate check: the monotone functional overflows along a trajectory")
         seg_min[live, k] = np.min(inc, axis=1)
         h_prev[live] = h[:, -1]
-        g[live] = gq[:, -1]
+        t[live], z[live] = tq[:, -1], zq[:, -1]
     # Segment by segment in trajectory order, as min() skips NaN after inf.
     min_inc = min([np.inf] + seg_min.ravel().tolist())
 
@@ -929,7 +966,7 @@ def degenerate_structure_check(
     if not (np.isfinite(end_f).all() and np.isfinite(res_f).all() and np.isfinite(res_r).all()):
         raise ValueError("degenerate check: steering values are not finite")
     mutual = (res_f < PAIR_TOL * scale) & (res_r < PAIR_TOL * scale)
-    functional = np.abs(H(p))
+    functional = np.abs(H(to_complex(p)))
     angle_dev = angle_dist(end_f[:, 0], 0.0)
     off_line = np.arange(len(c)) % 4 >= 2
     bad = (functional >= LINE_TOL) | (angle_dev >= 1e-9)

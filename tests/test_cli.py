@@ -147,6 +147,33 @@ def test_simulate_rejects_non_finite_x0(tmp_path, capsys, bad, size, position):
     assert err == f"error: --x0: coordinates must be finite, got {x0}\n"
 
 
+@pytest.mark.parametrize("x0", ["1e308,1e308", "0.3,1e308,-1e308"])
+def test_simulate_huge_x0_gives_one_line_and_no_warning(tmp_path, capsys, x0):
+    # The chart products of flow_se2 overflow here; they once wrote a
+    # RuntimeWarning and its source line before the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(
+            capsys,
+            ["simulate", write_spec(tmp_path, OPEN), "--horizon", "1", "--x0", x0],
+        )
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: flow is not finite at s = ")
+
+
+@pytest.mark.parametrize("x0", ["1", "1,2,3,4", "1,2,3,4,5"])
+def test_simulate_x0_count_message_names_both_forms(tmp_path, capsys, x0):
+    rc, out, err = run_main(
+        capsys,
+        ["simulate", write_spec(tmp_path, OPEN), "--u", "0.5", "--horizon", "1.0", "--x0", x0],
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --x0: expected 2 or 3 comma-separated numbers\n"
+
+
 def test_simulate_control_outside_omega_is_invalid_input(tmp_path, capsys):
     rc, _, err = run_main(
         capsys,

@@ -77,6 +77,8 @@ JOBS = [
                      "--out", "@D@/verify_open.json"]),
     ("verify_deg", ["verify", "@D@/deg.json", "--seed", "3", "--samples", "300",
                     "--out", "@D@/verify_deg.json"]),
+    ("verify_closed", ["verify", "@D@/closed.json", "--seed", "11", "--samples", "300",
+                       "--out", "@D@/verify_closed.json"]),
     ("classify_closed", ["classify", "@D@/closed.json"]),
     ("reach_open", ["reach", "@D@/open.json", "--resolution", "0.1", "--control-grid", "5",
                     "--cells-csv", "@D@/reach_open.csv", "--out", "@D@/reach_open.json"]),

@@ -19,6 +19,7 @@ at s = -421.3, -300 and -150, the relative state gap is 4.2e-16 to 1.6e-14;
 with a running-sum angle it was 1.4e-13 to 2.5e-11.)
 """
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -32,6 +33,7 @@ from reference_charts import flow_product
 
 from se2control.flow import (
     DEFAULT_RK4_STEP,
+    _exp,
     equilibrium,
     flow_detA0,
     flow_r2,
@@ -395,6 +397,66 @@ def test_flow_overflow_names_s():
     rs = ReducedSpec(1.0, 2.0, np.array([1.0, 0.0]), (-1.0, 1.0))
     with pytest.raises(ValueError, match=r"s = 800\.0"):
         flow_r2(rs, np.array([1.0, 800.0, 900.0]), np.zeros(2), 0.5)
+
+
+# -- flow._exp is libm's exp, bit for bit ----------------------------------
+#
+# _exp forms e^x by numpy's complex exp, which calls libm's cexp; it is held
+# to math.exp bit for bit, so that a platform whose cexp does not return
+# libm's exp for a zero imaginary part fails here instead of moving flow
+# values.  Above x = 709 glibc's cexp rescales by e^709, and there the last
+# bit differs for about half of the arguments (so _exp takes math.exp).
+
+
+def _assert_exp_is_libm(x):
+    x = np.asarray(x, dtype=float)
+    got = _exp(x, np.ones_like(x))
+    want = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    assert got.shape == x.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(st.floats(-746.0, 709.78), min_size=1, max_size=40))
+def test_exp_equals_math_exp_bit_for_bit(xs):
+    _assert_exp_is_libm(xs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo, hi", [
+    (-746.0, 709.78),
+    (708.9, 709.1),  # where cexp starts to rescale
+    (709.0, 709.09),
+    (709.09, 709.78),
+    (-745.2, -708.3),  # subnormal results
+])
+def test_exp_equals_math_exp_on_seeded_bands(lo, hi):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(lo, hi, size=20000)
+    x[:2] = lo, hi
+    _assert_exp_is_libm(x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_equals_math_exp_on_special_arguments():
+    big = math.log(sys.float_info.max)
+    x = [0.0, -0.0, -math.inf, math.nan, 709.0, math.nextafter(709.0, 710.0), big,
+         math.nextafter(big, 0.0), -745.1332191019411, -745.1332191019412, -746.0, -708.4, 5e-324]
+    _assert_exp_is_libm(x)
+    _assert_exp_is_libm(np.array(x).reshape(13, 1))
+    for v in x:  # 0-d arrays and numpy scalars, as flow_r2 passes them
+        _assert_exp_is_libm(np.float64(v))
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_overflow_raises_naming_s():
+    x = np.array([1.0, 709.5, 709.9, 1e300])
+    with pytest.raises(ValueError, match=r"^flow is not finite at s = 0\.25$"):
+        _exp(x, np.array([0.5, 0.125, 0.25, 0.75]))
+    with pytest.raises(ValueError, match=r"s = 3\.0"):
+        _exp(np.float64(710.0), np.float64(3.0))
 
 
 # -- check_invariance against its one-sample-at-a-time definition --------

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from grid_masks import binary_erode
 from reference_charts import perp
 
-from se2control.flow import PiecewiseControl, equilibrium, flow_r2
+from se2control.flow import PiecewiseControl, equilibrium, flow_detA0, flow_r2
 from se2control.geometry import invariant_ball
-from se2control.group import GroupElement
+from se2control.group import GroupElement, to_complex, wrap_angle
 from se2control import reachability as R
 from se2control.reachability import (
     GridConfig,
@@ -27,7 +27,7 @@ from se2control.reachability import (
     steer_degenerate,
     steer_degenerate_batch,
 )
-from se2control.system import ReducedSpec, SystemSpec, classify, reduce_system
+from se2control.system import ReducedSpec, SystemSpec, classify, degenerate_chart, reduce_system
 
 def make_rs(lam=1.0, mu=2.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
     return ReducedSpec(lam=lam, mu=mu, eta=np.asarray(eta, dtype=float), omega=omega)
@@ -1038,8 +1038,72 @@ def test_degenerate_structure_check_matches_recorded_reports():
 
 def test_degenerate_structure_check_flows_in_batches(monkeypatch):
     calls = []
-    flow = R.flow_detA0
-    monkeypatch.setattr(R, "flow_detA0", lambda *a: calls.append(1) or flow(*a))
+    step = R._detA0_step
+    monkeypatch.setattr(R, "_detA0_step", lambda *a: calls.append(1) or step(*a))
     degenerate_structure_check(make_degenerate(), n_samples=30, seed=1, n_pairs=6)
-    # At most 6 segment waves, then 8 flows per steering direction.
-    assert len(calls) <= 6 + 16
+    # At most 6 segment waves, then 8 flow steps per steering direction; every
+    # flow of the check goes through the step, so a check that stopped
+    # calling it would fail here rather than pass with no calls counted.
+    assert 0 < len(calls) <= 6 + 16
+
+
+def _scalar_monotone_draws(rng, n, umin, umax):
+    """The check's trajectory draws as scalar rng.uniform calls, one value at a time."""
+    draws = np.full((n, 6, 2), np.nan)
+    for row in draws:
+        for seg in row[: int(rng.integers(2, 7))]:
+            seg[0] = rng.uniform(umin, umax) * (1.0 if rng.uniform() < 0.5 else -1.0)
+            seg[1] = rng.uniform(0.1, 1.5)
+    return draws
+
+
+def test_monotone_draws_equal_scalar_uniform_draws():
+    for seed in range(200):
+        umax = [1.0, 0.9 * 1.7, 1e-3, 37.25][seed % 4] * (1.0 + seed / 1000.0)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = R._monotone_draws(a, 30, 0.05 * umax, umax)
+        want = _scalar_monotone_draws(b, 30, 0.05 * umax, umax)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(np.nan_to_num(got).view(np.int64), np.nan_to_num(want).view(np.int64))
+        # Both leave the stream at the same place.
+        assert a.random() == b.random() and a.integers(2, 7) == b.integers(2, 7)
+
+
+def _assert_step_equals_flow_detA0(chart, s, x, u):
+    want = flow_detA0(chart, s, x, u)
+    t, z = R._detA0_step(complex(*chart.xi), s, x[..., 0], to_complex(x[..., 1:]), u)
+    shape = want.shape[:-1]
+    assert np.array_equal(np.broadcast_to(t, shape), want[..., 0])
+    assert np.array_equal(np.broadcast_to(z, shape), to_complex(want[..., 1:]))
+
+
+def test_detA0_step_equals_flow_detA0_on_packed_rows(rng):
+    chart = degenerate_chart(make_degenerate())
+    n = 400
+    x = np.empty((n, 3))
+    x[:, 0] = wrap_angle(rng.uniform(-10.0, 10.0, n))
+    x[:5, 0] = [0.0, np.nextafter(2 * np.pi, 0.0), 1e-300, 5e-324, np.pi]
+    x[:, 1:] = rng.normal(size=(n, 2)) * rng.choice([1e-8, 1.0, 1e8], size=(n, 1))
+    u = rng.uniform(-2.0, 2.0, n)
+    u[::7] = 0.0
+    u[1::7] = rng.choice([1e-9, -1e-12, 1e-300], size=len(u[1::7]))
+    # Row by row, in segment waves of 8 points, and arcs of 30 lengths under one control.
+    _assert_step_equals_flow_detA0(chart, rng.uniform(-3.0, 3.0, n), x, u)
+    _assert_step_equals_flow_detA0(chart, rng.uniform(0.0, 50.0, (n, 8)), x[:, None], u[:, None])
+    _assert_step_equals_flow_detA0(chart, R.STEER_EPSILONS / 0.9, x[:, None], -0.9)
+
+
+def test_steering_ends_equal_the_flow_of_their_segments(rng):
+    for spec in _degenerate_specs(rng):
+        chart = degenerate_chart(spec)
+        xi = spec.xi / np.linalg.norm(spec.xi)
+        v_from = rng.normal(size=(6, 2))
+        v_to = v_from + rng.uniform(-1.5, 1.5, size=(6, 1)) * xi + rng.uniform(-0.5, 0.5, size=(6, 1)) * perp(xi)
+        v_to[5] = v_from[5]
+        segments, ends, _ = steer_degenerate_batch(spec, v_from, v_to)
+        for i in range(len(v_from)):
+            g = GroupElement(0.0, v_from[i])
+            for dur, u in segments[i]:
+                if dur > 0.0:
+                    g = flow_detA0(chart, dur, g, u)
+            assert np.array_equal(g.as_array(), ends[i])

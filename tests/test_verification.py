@@ -2,6 +2,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se2control import verification as V
 from se2control.reachability import control_grid
@@ -82,6 +84,39 @@ def test_bound_sweep_resolves_the_bound_at_fast_rates(lam):
     assert suite.status == "passed"
     want = _mp_min_margin(spec)
     assert abs(suite.metrics["min_margin"] - want) <= 1e-9 * want
+
+
+def _loop_min_margin(spec):
+    """The bound sweep's min_margin formed one chord_excess call per nu, as before the single pass."""
+    sigma = abs(spec.lam)
+    nus = np.array([spec.mu - spec.alpha * u for u in control_grid(spec.omega, 21)])
+    nus = nus[nus != 0.0]
+    svals = np.concatenate([np.geomspace(1e-3, 10.0, 41), -np.geomspace(1e-3, 10.0, 41)])
+    ratios = (nus / sigma) ** 2
+    return float(np.min([np.min(r - V.chord_excess(sigma, nu, svals)) for nu, r in zip(nus, ratios)]))
+
+
+@st.composite
+def _sweep_specs(draw):
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    mu = draw(st.floats(-5.0, 5.0))
+    alpha = draw(st.floats(0.05, 4.0)) * draw(st.sampled_from((1.0, -1.0)))
+    omega = (-draw(st.floats(0.01, 3.0)), draw(st.floats(0.01, 3.0)))
+    if draw(st.booleans()):  # lambda / nu near 1e8, where 1 + g rounds to 1
+        lam = sign * 1e8 * draw(st.floats(0.25, 4.0)) * max(abs(mu), abs(alpha) * max(-omega[0], omega[1]))
+    else:
+        lam = sign * 10.0 ** draw(st.floats(-3.0, 9.0))
+    return SystemSpec(alpha, np.array([0.3, -0.7]), np.array([[lam, -mu], [mu, lam]]),
+                      np.array([1.0, 0.2]), omega)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_sweep_specs())
+def test_bound_sweep_margin_equals_the_per_nu_loop(spec):
+    suite = V._suite_bound_sweep(spec, 0)
+    if suite.status == "skipped":
+        return
+    assert repr(suite.metrics["min_margin"]) == repr(_loop_min_margin(spec))
 
 
 def test_degenerate_case_routes_to_monotone_suite():
