@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .flow import PiecewiseControl, flow_concat, flow_se2, rk4_oracle
-from .group import GroupElement, angle_dist
+from .group import angle_dist, wrap_angle
 from .planner import plan_periodic
 from .reachability import MAX_GRID_BYTES, default_grid_config, estimate_control_set
 from .specfile import (
@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
         vals = [0.0] + vals
     if not np.all(np.isfinite(vals)):
         raise SpecFileError(f"--x0: coordinates must be finite, got {args.x0}")
-    g0 = GroupElement(vals[0], np.array(vals[1:]))
+    g0 = np.array([wrap_angle(vals[0]), vals[1], vals[2]])
     _check_count_budget(
         "--samples-per-segment", len(control.segments) * args.samples_per_segment
     )
@@ -140,17 +140,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _simulate_rk4_deviation(plant, control: PiecewiseControl, g0: GroupElement) -> float:
+def _simulate_rk4_deviation(plant, control: PiecewiseControl, g0: np.ndarray) -> float:
     """Max deviation between closed-form and RK4 states at segment boundaries."""
-    exact = g0
-    approx = g0.as_array()
+    exact = approx = g0
     dev = 0.0
     for dur, u in control.segments:
         exact = flow_se2(plant, dur, exact, u)
         approx = rk4_oracle(plant.spec, dur, approx, u)
         dev = max(
             dev,
-            angle_dist(exact.t, approx[0]) + float(np.linalg.norm(exact.v - approx[1:])),
+            angle_dist(exact[0], approx[0]) + float(np.linalg.norm(exact[1:] - approx[1:])),
         )
     return dev
 
@@ -184,7 +183,7 @@ def cmd_reach(args) -> int:
     payload = est.to_dict()
     payload["classification"] = report.to_dict()
     _emit_json(payload, args.out)
-    if args.cells_csv is not None and est.region is not None:
+    if args.cells_csv is not None:
         with open(args.cells_csv, "w") as fh:
             write_cells_csv(est.region, fh)
     return EXIT_OK

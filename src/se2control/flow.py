@@ -15,11 +15,11 @@ Every flow broadcasts: times s and controls u of shape (...) and states
 (planar points, or packed group states [t, v_x, v_y] of shape (..., 3))
 evaluate row by row in one call, and each row equals the one-row call bit
 for bit.  flow_r2 takes its points as complex numbers of shape (...) or as
-real pairs of shape (..., 2) and answers in the same form.  The group flows
-also take a single GroupElement and return one.  flow_se2 runs on a Plant,
-which system.prepare builds once per system: its decoupling charts rotate
-and shift complex translations, and packed rows or a GroupElement are
-unpacked and rebuilt only at the edge of the call.
+real pairs of shape (..., 2) and answers in the same form; one group state
+is a row of shape (3,).  flow_se2 runs on a Plant, which system.prepare
+builds once per system: its decoupling charts rotate and shift complex
+translations, and packed rows are unpacked and rebuilt only at the edge of
+the call.
 
 The RK4 oracle gives the endpoint of classical fixed-step RK4 on the raw
 group field, for a batch of samples at once.  The field is linear in v and
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, as_packed, cis, group_result, to_complex, to_pairs, wrap_angle
+from .group import as_packed, cis, group_result, to_complex, to_pairs, wrap_angle
 from .system import Plant, ReducedSpec, SystemSpec, as_plant
 
 DEFAULT_RK4_STEP = 1e-3
@@ -158,12 +158,12 @@ def dwell_rate(t, xi) -> np.ndarray:
 
 
 def _detA0_rows(xi, s, t, z, u) -> tuple:
-    """Angles and complex translations of :func:`flow_detA0` for rows (t, z); s and u are arrays."""
+    """Wrapped angles and complex translations of :func:`flow_detA0` for rows (t, z); s and u are arrays."""
     moving = u != 0.0
     half = 0.5 * s * u
     k = np.where(moving, 2.0 * np.sin(half) / np.where(moving, u, 1.0), s)
     turn = (s - k) * (1j * xi) + k * dwell_rate(t + half, xi)
-    return np.where(moving, t + s * u, t), z + turn
+    return wrap_angle(np.where(moving, t + s * u, t)), z + turn
 
 
 def flow_detA0(spec: SystemSpec, s, g, u):
@@ -180,17 +180,18 @@ def flow_detA0(spec: SystemSpec, s, g, u):
     k = 2 sin(su/2) / u (k = s for u = 0), Lambda_m xi formed by
     :func:`dwell_rate`.  This form divides no difference of nearly equal
     rotations by a small u, and a long dwell at a small angle keeps its
-    relative accuracy.  Callers working with the raw system must first move
-    to the normalized chart (see :func:`flow_se2`) and rescale the control
-    by alpha.  Shapes as for :func:`flow_se2`.
+    relative accuracy.  Of `spec` it reads only A and xi.  Callers working
+    with the raw system must first move to the normalized chart (see
+    :func:`flow_se2`) and rescale the control by alpha.  Shapes as for
+    :func:`flow_se2`.
     """
     if spec.A.any():
         raise ValueError("flow_detA0 requires A = 0")
-    x, element = as_packed(g)
+    x = as_packed(g)
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
     t, z = _detA0_rows(complex(*spec.xi), s, x[..., 0], to_complex(x[..., 1:]), u)
-    return group_result(t, z, element)
+    return group_result(t, z)
 
 
 def flow_se2(system, s, g, u):
@@ -206,16 +207,15 @@ def flow_se2(system, s, g, u):
     A = 0: (t, z - (1 - e^{it}) w / alpha), the flow of :func:`flow_detA0`
     with control alpha u, then (t', z' + (1 - e^{it'}) w / alpha).
 
-    Angles are wrapped on entry and after the flow.  `g` is a GroupElement
-    or packed states of shape (..., 3); s and u are floats or arrays of
-    shape (...).  The result is a GroupElement when g is one and s and u
-    are floats, else packed states of the broadcast shape (..., 3).  Raises
+    Angles are wrapped on entry and after the flow.  `g` holds packed
+    states of shape (..., 3); s and u are floats or arrays of shape (...).
+    The result holds packed states of the broadcast shape (..., 3).  Raises
     ValueError naming s where the flow or a chart value is not finite.
     """
     plant = as_plant(system)
     if plant.chart == "none":
         raise ValueError("exact flow requires alpha != 0")
-    x, element = as_packed(g)
+    x = as_packed(g)
     s = np.asarray(s, dtype=float)
     ut = plant.spec.alpha * np.asarray(u, dtype=float)
     t, z, w = x[..., 0], to_complex(x[..., 1:]), plant.offset
@@ -226,7 +226,6 @@ def flow_se2(system, s, g, u):
         if plant.chart == "zero":
             w = w / plant.spec.alpha
             t, z = _detA0_rows(complex(*plant.spec.xi), s, t, z - (w - w * cis(t)), ut)
-            t = wrap_angle(t)
             z = z + (w - w * cis(t))
         else:
             z = flow_r2(plant.rs, s, (z + w) * cis(-t) - w, ut)
@@ -235,7 +234,7 @@ def flow_se2(system, s, g, u):
     bad = ~(np.isfinite(t) & np.isfinite(z))
     if bad.any():
         raise _not_finite(s, bad)
-    return group_result(t, z, element)
+    return group_result(t, z)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,7 @@ def flow_concat(
     Every sample, including each segment endpoint, is evaluated in closed
     form from the segment's start state, one flow call per segment; nothing
     is interpolated.  A ReducedSpec flows planar states (shape (2,)) with
-    :func:`flow_r2`; a Plant flows group states (a GroupElement or [t, v_x, v_y]) with
+    :func:`flow_r2`; a Plant flows group states [t, v_x, v_y] with
     :func:`flow_se2`, and a SystemSpec is prepared into one first.
     """
     if isinstance(sys_obj, ReducedSpec):
@@ -304,10 +303,7 @@ def flow_concat(
         sys_obj, flow, kind = as_plant(sys_obj), flow_se2, "group"
     else:
         raise TypeError("expected ReducedSpec, SystemSpec or Plant")
-    if isinstance(x0, GroupElement):
-        state = x0.as_array()
-    else:
-        state = np.asarray(x0, dtype=float).reshape(-1).copy()
+    state = np.array(x0, dtype=float).reshape(-1)
 
     m = int(samples_per_segment)
     if m < 1:
@@ -319,7 +315,18 @@ def flow_concat(
     controls = [np.array([control.segments[0][1] if control.segments else 0.0])]
     elapsed = 0.0
     for dur, u in control.segments:
-        tau = dur * steps / m
+        if math.isfinite(dur * m):
+            tau = dur * steps / m
+        else:
+            # dur * k overflows where dur * k / m need not.  Scaling by a
+            # power of two above m is exact here, so each time rounds as the
+            # formula above would in a wider exponent range.
+            e = m.bit_length()
+            with np.errstate(over="ignore"):
+                tau = np.ldexp(math.ldexp(dur, -e) * steps / m, e)
+        # The last time is the largest, so the others are finite with it.
+        if not math.isfinite(elapsed + float(tau[-1])):
+            raise ValueError("sample times overflow: the control lasts past the float range")
         times.append(elapsed + tau)
         states.append(flow(sys_obj, tau, state, u))
         controls.append(np.full(m, u))

@@ -58,17 +58,18 @@ def circle_params(rs: ReducedSpec) -> Circle:
 def invariant_ball(rs: ReducedSpec) -> Circle:
     """Invariant ball: center -theta eta, radius |eta| sqrt(lam^2+mu^2)/|lam|.
 
-    Raises ValueError when lam^2 underflows or |eta|^2 overflows: the radius
-    is then not formed.
+    Raises ValueError when lam^2 underflows, |eta|^2 overflows or the
+    radius is not finite.
     """
     if rs.lam == 0.0:
         raise ValueError("the invariant ball requires lam != 0")
     lam2 = rs.lam**2
     with np.errstate(over="ignore"):
         length = float(np.linalg.norm(rs.eta))
-    if lam2 == 0.0 or not math.isfinite(length):
-        raise ValueError("the invariant ball is out of range: lambda^2 underflows or |eta|^2 overflows")
-    radius = np.sqrt((rs.lam**2 + rs.mu**2) / lam2) * length
+    # Python floats: a quotient or product that overflows is inf, without a warning.
+    radius = math.sqrt((lam2 + rs.mu**2) / lam2) * length if lam2 else math.inf
+    if not math.isfinite(radius):
+        raise ValueError("the invariant ball is out of range: lambda^2 underflows or the radius overflows")
     return Circle(to_pairs(-1j * complex(*rs.eta)), radius)
 
 

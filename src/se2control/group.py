@@ -10,8 +10,8 @@ where rho(t) is the rotation by t.  Angles are kept canonical in [0, 2*pi).
 Inside the package a planar point is a complex number x + iy: rho(t) is
 multiplication by e^{it} (:func:`cis`), theta by i, and a matrix commuting
 with theta, [[lam, -mu], [mu, lam]], by lam + i mu.  At the API edge group
-states travel as packed rows [t, v_x, v_y] of shape (..., 3), planar points
-as real pairs of shape (..., 2), and a GroupElement is one row;
+states travel as packed rows [t, v_x, v_y] of shape (..., 3), one state
+being a row of shape (3,), and planar points as real pairs of shape (..., 2);
 :func:`to_complex`, :func:`to_pairs`, :func:`as_packed` and
 :func:`group_result` convert between the two.  The coordinate changes that
 decouple a linear control system on this group act in
@@ -20,8 +20,6 @@ decouple a linear control system on this group act in
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,51 +80,19 @@ def to_pairs(z) -> np.ndarray:
     return np.asarray(z, dtype=complex, order="C")[..., None].view(float)
 
 
-@dataclass
-class GroupElement:
-    """Element (t, v) of the planar motion group.
-
-    Attributes
-    ----------
-    t : float
-        Angle, canonicalized to [0, 2*pi).
-    v : ndarray, shape (2,)
-        Translation part.
-    """
-
-    t: float
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.t = wrap_angle(self.t)
-        self.v = np.asarray(self.v, dtype=float).reshape(2).copy()
-
-    def as_array(self) -> np.ndarray:
-        """Pack as [t, v_x, v_y]."""
-        return np.array([self.t, self.v[0], self.v[1]])
-
-
-def as_packed(g):
-    """Packed states [t, v_x, v_y] with canonical angles, and whether g was one GroupElement.
-
-    `g` is a GroupElement (giving shape (3,)) or an array of shape (..., 3);
-    the result is a new array.
-    """
-    if isinstance(g, GroupElement):
-        return g.as_array(), True
+def as_packed(g) -> np.ndarray:
+    """Packed states [t, v_x, v_y] of shape (..., 3), as a new array with canonical angles."""
     x = np.array(g, dtype=float)
     x[..., 0] = wrap_angle(x[..., 0])
-    return x, False
+    return x
 
 
-def group_result(t, z, element: bool):
-    """Pack angles t and complex translations z with canonical angles; a GroupElement for one row from one.
+def group_result(t, z) -> np.ndarray:
+    """Pack angles t and complex translations z as rows [t, v_x, v_y] with canonical angles.
 
     `z` carries the full broadcast shape (...); `t` broadcasts to it.
     """
     v = to_pairs(z)
-    if element and v.ndim == 1:
-        return GroupElement(float(t), v)
     x = np.empty(v.shape[:-1] + (3,))
     x[..., 0] = wrap_angle(t)
     x[..., 1:] = v

@@ -32,8 +32,8 @@ import numpy as np
 
 from .flow import PiecewiseControl, _detA0_rows, dwell_rate, equilibrium
 from .geometry import invariant_ball
-from .group import GroupElement, angle_dist, to_complex, to_pairs, wrap_angle
-from .system import ReducedSpec, SystemSpec, degenerate_chart, larc, reduced_range
+from .group import angle_dist, to_complex, to_pairs
+from .system import ReducedSpec, SystemSpec, larc, reduced_range
 
 DEFAULT_MAX_CELLS = 1_000_000
 DEFAULT_N_CONTROLS = 21
@@ -471,21 +471,17 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
     )
 
 
-def reach_forward(rs: ReducedSpec, x0, cfg: GridConfig | None = None, cover=None) -> ReachSet:
+def reach_forward(rs: ReducedSpec, x0, cfg: GridConfig, cover=None) -> ReachSet:
     """Grid fixed point of one-step forward flows from x0.
 
     cover (flat cell ids, internal) ends the rounds early once all of its
     cells are occupied; see _reach.
     """
-    if cfg is None:
-        cfg = default_grid_config(rs)
     return _reach(rs, x0, cfg, +1, cover)
 
 
-def reach_backward(rs: ReducedSpec, x0, cfg: GridConfig | None = None) -> ReachSet:
+def reach_backward(rs: ReducedSpec, x0, cfg: GridConfig) -> ReachSet:
     """Grid fixed point of one-step backward flows from x0 (points that reach x0)."""
-    if cfg is None:
-        cfg = default_grid_config(rs)
     return _reach(rs, x0, cfg, -1)
 
 
@@ -509,25 +505,23 @@ class ControlSetEstimate:
 
     case: str  # "all_plane" | "closed_bounded" | "open"
     seed_control: float | None
-    region: ReachSet | None
+    region: ReachSet
     coverage: dict = field(default_factory=dict)
     ball_check: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "case": self.case,
             "seed_control": self.seed_control,
             "coverage": self.coverage,
             "ball_check": self.ball_check,
             "diagnostics": self.diagnostics,
+            "grid": self.region.config.to_dict(),
+            "cells": self.region.cell_count,
+            "truncated": self.region.truncated,
+            "direction": "forward" if self.region.direction > 0 else "backward",
         }
-        if self.region is not None:
-            out["grid"] = self.region.config.to_dict()
-            out["cells"] = self.region.cell_count
-            out["truncated"] = self.region.truncated
-            out["direction"] = "forward" if self.region.direction > 0 else "backward"
-        return out
 
 
 def _distances(points: np.ndarray, center) -> np.ndarray:
@@ -616,7 +610,7 @@ def _ball_containment(region: ReachSet, rs: ReducedSpec) -> dict:
 
 def estimate_control_set(
     rs: ReducedSpec,
-    cfg: GridConfig | None = None,
+    cfg: GridConfig,
     seed_control: float | None = None,
     coverage_radius: float | None = None,
 ) -> ControlSetEstimate:
@@ -636,8 +630,6 @@ def estimate_control_set(
     equilibrium.  trace > 0: the set is the backward orbit of an equilibrium.
     A seed_control outside rs.omega (or NaN) raises ValueError.
     """
-    if cfg is None:
-        cfg = default_grid_config(rs)
     lo, hi = rs.omega
     if seed_control is None:
         seed_control = default_seed_control(rs)
@@ -687,28 +679,22 @@ def estimate_control_set(
 
 
 def _normalized_degenerate(spec: SystemSpec) -> tuple:
-    """Return (the A = 0 chart, the rescaled control range alpha * Omega)."""
-    chart = degenerate_chart(spec)
+    """Return (xi as a complex number, the rescaled control range alpha * Omega).
+
+    These are the data of the A = 0 normal-form chart, whose flow is
+    flow_detA0 with the control rescaled to alpha u.
+    """
+    if not spec.a_is_zero:
+        raise ValueError("the A = 0 chart requires A = 0")
     if not larc(spec):
         raise ValueError("degenerate analysis requires alpha != 0 and alpha xi != 0")
-    return chart, reduced_range(spec)
-
-
-def _detA0_step(xi: complex, s, t, z, u) -> tuple:
-    """:func:`flow.flow_detA0` on wrapped angles t and complex translations z, unpacked.
-
-    Returns the wrapped angles and the translations, bit for bit those of
-    flow_detA0 on the packed rows [t, z], which wraps each angle on entry as
-    well: wrapping leaves a wrapped angle as it is.
-    """
-    t, z = _detA0_rows(xi, s, t, z, u)
-    return wrap_angle(t), z
+    return complex(*spec.xi), reduced_range(spec)
 
 
 def _degenerate_endpoints(xi: complex, segments: np.ndarray, t, z) -> tuple:
     """End angles and translations of rows (t, z) under (..., 5, 2) rows of (duration, u) segments."""
     for dur, u in zip(np.moveaxis(segments[..., 0], -1, 0), np.moveaxis(segments[..., 1], -1, 0)):
-        t_end, z_end = _detA0_step(xi, dur, t, z, u)
+        t_end, z_end = _detA0_rows(xi, dur, t, z, u)
         # Segments of zero duration leave the state as it is.
         moved = dur > 0.0
         t, z = np.where(moved, t_end, t), np.where(moved, z_end, z)
@@ -739,9 +725,8 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     zero durations, the end (0, v_from) and residual 0.  Each row equals its
     one-row call bit for bit.
     """
-    chart, (lo, hi) = _normalized_degenerate(spec)
-    n2 = float(chart.xi @ chart.xi)
-    xi = complex(*chart.xi)
+    xi, (lo, hi) = _normalized_degenerate(spec)
+    n2 = float(spec.xi @ spec.xi)
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
     v_from, v_to = v_from.reshape(-1, 2), v_to.reshape(-1, 2)
     # conj(xi) w holds <w, xi> and <w, i xi> as its real and imaginary parts.
@@ -756,9 +741,9 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     # the flow will apply them, are the same for every pair.
     arc1 = STEER_EPSILONS / u_d
     t0, z0 = np.zeros((len(v_from), 1)), to_complex(v_from)[:, None]
-    t1, z1 = _detA0_step(xi, arc1, t0, z0, u_d)
-    t2, z2 = _detA0_step(xi, 2.0 * arc1, t1, z1, -u_d)
-    _, z3 = _detA0_step(xi, arc1, t2, z2, u_d)
+    t1, z1 = _detA0_rows(xi, arc1, t0, z0, u_d)
+    t2, z2 = _detA0_rows(xi, 2.0 * arc1, t1, z1, -u_d)
+    _, z3 = _detA0_rows(xi, arc1, t2, z2, u_d)
     rates1 = xi.conjugate() * dwell_rate(t1[0], xi)
     rates2 = xi.conjugate() * dwell_rate(t2[0], xi)
     sin1 = rates1.real / n2
@@ -820,13 +805,13 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
 def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
     """Steer one pair: the one-row call of :func:`steer_degenerate_batch`.
 
-    Returns (control, endpoint, residual) as a PiecewiseControl, a
-    GroupElement and a float, equal to that pair's row in any batch bit for
-    bit; the control is empty when v_from == v_to.
+    Returns (control, endpoint, residual) as a PiecewiseControl, the end
+    row [t, v_x, v_y] and a float, equal to that pair's row in any batch bit
+    for bit; the control is empty when v_from == v_to.
     """
     segments, ends, residuals = steer_degenerate_batch(spec, np.reshape(v_from, 2), np.reshape(v_to, 2))
     control = PiecewiseControl(segments[0].tolist() if segments[0].any() else [])
-    return control, GroupElement(ends[0, 0], ends[0, 1:]), float(residuals[0])
+    return control, ends[0], float(residuals[0])
 
 
 @dataclass
@@ -914,9 +899,8 @@ def degenerate_structure_check(
     is not finite (e.g. |xi| so large that H overflows): the claims would
     then pass with nothing measured.
     """
-    chart, (lo, hi) = _normalized_degenerate(spec)
+    xi, (lo, hi) = _normalized_degenerate(spec)
     rng = np.random.default_rng(seed)
-    xi = complex(*chart.xi)
     umin = 0.05 * min(-lo, hi)
     v0 = np.zeros(2)
     n_samples = int(n_samples)
@@ -938,7 +922,7 @@ def degenerate_structure_check(
     for k in range(6):
         live = ~np.isnan(draws[:, k, 0])
         u, dur = draws[live, k].T
-        tq, zq = _detA0_step(xi, dur[:, None] * fractions, t[live, None], z[live, None], u[:, None])
+        tq, zq = _detA0_rows(xi, dur[:, None] * fractions, t[live, None], z[live, None], u[:, None])
         h = H(zq)
         inc = np.diff(h, prepend=h_prev[live, None])
         if not np.isfinite(inc).all():
@@ -950,8 +934,8 @@ def degenerate_structure_check(
     min_inc = min([np.inf] + seg_min.ravel().tolist())
 
     # (b) constructive mutual-reachability pairs.
-    scale = max(1.0, float(np.linalg.norm(chart.xi)))
-    xin = complex(*(chart.xi / float(np.linalg.norm(chart.xi))))
+    scale = max(1.0, float(np.linalg.norm(spec.xi)))
+    xin = complex(*(spec.xi / float(np.linalg.norm(spec.xi))))
     offsets = []
     for k in range(int(n_pairs)):
         c = rng.uniform(0.3, 1.5) * (1.0 if k % 2 == 0 else -1.0)

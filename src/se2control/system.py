@@ -183,19 +183,6 @@ def reduced_range(spec: SystemSpec) -> tuple:
     return _check_omega(sorted((spec.alpha * spec.omega[0], spec.alpha * spec.omega[1])))
 
 
-def degenerate_chart(spec: SystemSpec) -> SystemSpec:
-    """The A = 0 system in its normal-form chart: (alpha, xi, A = 0, eta1 = 0, Omega).
-
-    Its flow is flow_detA0 with the control rescaled to alpha u, which
-    ranges over reduced_range(spec).
-    """
-    if not spec.a_is_zero:
-        raise ValueError("the A = 0 chart requires A = 0")
-    if spec.alpha == 0.0:
-        raise ValueError("the A = 0 chart requires alpha != 0")
-    return SystemSpec(spec.alpha, spec.xi, np.zeros((2, 2)), np.zeros(2), spec.omega)
-
-
 def reduce_system(spec: SystemSpec) -> ReducedSpec:
     """Reduce the translation dynamics to the planar system.
 

@@ -18,7 +18,7 @@ from .flow import flow_detA0, flow_r2, flow_se2, rk4_oracle_batch
 from .geometry import check_invariance, chord_excess
 from .group import TWO_PI, angle_dist, to_complex
 from .reachability import control_grid, degenerate_structure_check
-from .system import Plant, SystemSpec, as_plant, classify, degenerate_chart, larc, reduced_range
+from .system import Plant, SystemSpec, as_plant, classify, larc, reduced_range
 
 # Samples drawn by the conjugacy and semigroup suites.
 FLOW_SAMPLES = 50
@@ -163,12 +163,11 @@ def _suite_semigroup(plant: Plant, seed: int) -> SuiteResult:
     tol = 1e-9
     rng = np.random.default_rng(seed + 1)
     if spec.a_is_zero:
-        chart = degenerate_chart(spec)
         ranges = ((0.0, TWO_PI), (-2.0, 2.0), (-2.0, 2.0), reduced_range(spec), (0.0, 3.0), (0.0, 3.0))
         draws = _draw(rng, FLOW_SAMPLES, *ranges)
         g, u, s, t = draws[:, :3], draws[:, 3], draws[:, 4], draws[:, 5]
-        whole = flow_detA0(chart, s + t, g, u)
-        parts = flow_detA0(chart, s, flow_detA0(chart, t, g, u), u)
+        whole = flow_detA0(spec, s + t, g, u)
+        parts = flow_detA0(spec, s, flow_detA0(spec, t, g, u), u)
         turn = angle_dist(whole[:, 0], parts[:, 0])
         whole, parts = to_complex(whole[:, 1:]), to_complex(parts[:, 1:])
     else:

@@ -1,4 +1,4 @@
-"""The decoupling charts as GroupElement-level maps on real 2x2 rotations, and flow_se2 composed from them.
+"""The decoupling charts as maps of packed group states on real 2x2 rotations, and flow_se2 composed from them.
 
 The composition flows the reduced system lifted to S^1 x R^2
 (`flow_product`) between the charts.
@@ -11,14 +11,14 @@ is the independent reference for the plant's complex charts, which reach
 the same values by fewer operations; the tests hold the two within a
 stated bound.
 
-Each map takes a GroupElement and returns one, or takes packed states of
-shape (..., 3) and returns packed states of the same shape.
+Each map takes packed states [t, v_x, v_y] of shape (..., 3), one state
+being a row of shape (3,), and returns packed states of the same shape.
 """
 import numpy as np
 
 from se2control.flow import flow_detA0, flow_r2
 from se2control.group import as_packed, commutes_with_theta, group_result, to_complex
-from se2control.system import ReducedSpec, degenerate_chart, reduce_system
+from se2control.system import ReducedSpec, reduce_system
 
 
 def rotation(t) -> np.ndarray:
@@ -42,23 +42,22 @@ def perp(w) -> np.ndarray:
     return np.asarray(w, dtype=float)[..., ::-1] * np.array([-1.0, 1.0])
 
 
-def _pack(t, v, element: bool):
+def _pack(t, v):
     """group_result for translations v given as real pairs."""
-    return group_result(t, to_complex(v), element)
+    return group_result(t, to_complex(v))
 
 
 def flow_product(rs: ReducedSpec, s, g, u):
     """Lifted flow on S^1 x R^2: the angle advances linearly, t + s u.
 
-    `g` is a GroupElement or packed states of shape (..., 3); s and u are
-    floats or arrays of shape (...).  The result is a GroupElement when g is
-    one and s and u are floats, else packed states of the broadcast shape
+    `g` holds packed states of shape (..., 3); s and u are floats or arrays
+    of shape (...).  The result holds packed states of the broadcast shape
     (..., 3).
     """
-    x, element = as_packed(g)
+    x = as_packed(g)
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    return _pack(x[..., 0] + s * u, flow_r2(rs, s, x[..., 1:], u), element)
+    return _pack(x[..., 0] + s * u, flow_r2(rs, s, x[..., 1:], u))
 
 
 def lambda_map(t, w) -> np.ndarray:
@@ -82,17 +81,17 @@ def _require_commuting(A) -> np.ndarray:
 
 
 def _offset_by(g, w, divisor: float):
-    """(t, v + Lambda_t w / divisor) for g a GroupElement or packed states."""
-    x, element = as_packed(g)
+    """(t, v + Lambda_t w / divisor) for packed states g."""
+    x = as_packed(g)
     t = x[..., 0]
-    return _pack(t, x[..., 1:] + lambda_map(t, w) / divisor, element)
+    return _pack(t, x[..., 1:] + lambda_map(t, w) / divisor)
 
 
 def _rotated_by(g, sign: float):
-    """(t, rho(sign * t) v) for g a GroupElement or packed states."""
-    x, element = as_packed(g)
+    """(t, rho(sign * t) v) for packed states g."""
+    x = as_packed(g)
     t = x[..., 0]
-    return _pack(t, rotate(sign * t, x[..., 1:]), element)
+    return _pack(t, rotate(sign * t, x[..., 1:]))
 
 
 def conj_psi1(A, xi, g):
@@ -140,7 +139,7 @@ def reference_flow_se2(spec, s, g, u):
     ut = spec.alpha * np.asarray(u, dtype=float)
     if spec.a_is_zero:
         h = conj_psi_zero(spec.alpha, spec.eta1, g)
-        return conj_psi_zero_inv(spec.alpha, spec.eta1, flow_detA0(degenerate_chart(spec), s, h, ut))
+        return conj_psi_zero_inv(spec.alpha, spec.eta1, flow_detA0(spec, s, h, ut))
     rs = reduce_system(spec)
     h = conj_psi2(conj_psi1(spec.A, spec.xi, g))
     return conj_psi1_inv(spec.A, spec.xi, conj_psi2_inv(flow_product(rs, s, h, ut)))

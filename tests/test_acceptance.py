@@ -20,7 +20,7 @@ from se2control.geometry import (
     chord_ratio,
     invariant_ball,
 )
-from se2control.group import TWO_PI, GroupElement, to_complex
+from se2control.group import TWO_PI, to_complex
 from se2control.planner import plan_periodic
 from se2control.reachability import (
     default_grid_config,
@@ -100,17 +100,16 @@ def test_02_conjugation_charts_intertwine_trajectories():
         if not larc(spec):
             continue
         rs = reduce_system(spec)
-        g0 = GroupElement(rng.uniform(0.0, TWO_PI), rng.uniform(-2.0, 2.0, size=2))
+        g0 = np.array([rng.uniform(0.0, TWO_PI), *rng.uniform(-2.0, 2.0, size=2)])
         u = rng.uniform(-1.0, 1.0)
         s = rng.uniform(0.1, 2.0)
         if lam > 0.0:
             s = min(s, 1.5 / lam)
-        end = rk4_full(alpha, xi, lam, mu, eta1, s,
-                       np.array([g0.t, g0.v[0], g0.v[1]]), u, step=1e-3)
-        mapped = conj_psi2(conj_psi1(spec.A, spec.xi, GroupElement(end[0], end[1:])))
+        end = rk4_full(alpha, xi, lam, mu, eta1, s, g0, u, step=1e-3)
+        mapped = conj_psi2(conj_psi1(spec.A, spec.xi, end))
         h0 = conj_psi2(conj_psi1(spec.A, spec.xi, g0))
         hf = flow_product(rs, s, h0, alpha * u)
-        dev = angle_gap(mapped.t, hf.t) + float(np.linalg.norm(mapped.v - hf.v))
+        dev = angle_gap(mapped[0], hf[0]) + float(np.linalg.norm(mapped[1:] - hf[1:]))
         max_dev = max(max_dev, dev)
         n += 1
     report(
@@ -292,9 +291,9 @@ def test_10_boundary_orbit_period_and_continuum():
     orbit = classify(spec).boundary_structure
     period_ok = orbit["kind"] == "periodic_orbit" and orbit["period"] == math.pi
     vmu = equilibrium(rs, 2.0)
-    g0 = GroupElement(0.7, vmu)
+    g0 = np.array([0.7, *vmu])
     end = flow_product(rs, math.pi, g0, 2.0)
-    ret = angle_gap(end.t, g0.t) + float(np.linalg.norm(end.v - vmu))
+    ret = angle_gap(end[0], g0[0]) + float(np.linalg.norm(end[1:] - vmu))
     rk4_ret = float(
         np.linalg.norm(rk4_reduced(rs.lam, rs.mu, rs.eta, math.pi, vmu, 2.0) - vmu)
     )
@@ -304,9 +303,9 @@ def test_10_boundary_orbit_period_and_continuum():
     rs0 = reduce_system(spec0)
     assert rs0.to_dict() == ReducedSpec(1.0, 0.0, (1.0, 0.0), (-1.0, 1.0)).to_dict()
     continuum_ok = classify(spec0).boundary_structure["kind"] == "continuum_of_fixed_points"
-    g = GroupElement(1.3, np.zeros(2))
+    g = np.array([1.3, 0.0, 0.0])
     fixed = flow_product(rs0, 2.7, g, 0.0)
-    fixed_ok = fixed.t == g.t and np.array_equal(fixed.v, g.v)
+    fixed_ok = np.array_equal(fixed, g)
 
     ok = period_ok and orbit_ok and continuum_ok and fixed_ok
     report(

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,51 @@ def test_simulate_huge_x0_gives_one_line_and_no_warning(tmp_path, capsys, x0):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: flow is not finite at s = ")
+
+
+def _simulate_quietly(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_main(capsys, ["simulate"] + argv)
+
+
+@pytest.mark.parametrize("spec, error", [
+    (OPEN, "flow is not finite at s = 1.5625e+306"),
+    (TRACE_ZERO, None),
+    (DEGENERATE, None),
+])
+def test_simulate_sample_times_past_the_float_range_of_dur_times_k(tmp_path, capsys, spec, error):
+    # 1e308 * k overflows for k >= 2, though every sample time 1e308 * k / 64
+    # is finite: the times once overflowed and wrote a RuntimeWarning.
+    rc, out, err = _simulate_quietly(
+        capsys, [write_spec(tmp_path, spec), "--u", "0", "--horizon", "1e308"])
+    if error:
+        # e^{lam s} overflows at the first sample, s = 1e308 / 64.
+        assert (rc, out, err) == (2, "", f"error: {error}\n")
+        return
+    assert (rc, err) == (0, "")
+    times = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+    assert times == [0.0] + [float(Fraction(1e308) * k / 64) for k in range(1, 65)]
+
+
+def test_simulate_sample_times_near_the_float_range_round_once(tmp_path, capsys):
+    rc, out, err = _simulate_quietly(
+        capsys, [write_spec(tmp_path, DEGENERATE), "--u", "0", "--horizon", "1.7e308",
+                 "--samples-per-segment", "3"])
+    assert (rc, err) == (0, "")
+    times = [float(line.split(",")[0]) for line in out.strip().splitlines()[2:]]
+    want = [Fraction(1.7e308) * k / 3 for k in (1, 2, 3)]
+    # Each time rounds 1.7e308 * k and then its quotient by 3.
+    assert len(times) == 3
+    assert all(abs(Fraction(t) - w) <= math.ulp(t) for t, w in zip(times, want))
+
+
+def test_simulate_control_past_the_float_range_gives_one_line(tmp_path, capsys):
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps({"segments": [{"duration": 1e308, "u": 0.0}] * 2}))
+    rc, out, err = _simulate_quietly(capsys, [write_spec(tmp_path, DEGENERATE), "--control", str(ctrl)])
+    assert (rc, out) == (2, "")
+    assert err == "error: sample times overflow: the control lasts past the float range\n"
 
 
 @pytest.mark.parametrize("x0", ["1", "1,2,3,4", "1,2,3,4,5"])
@@ -441,6 +487,20 @@ def test_reach_rejects_invalid_values_with_one_line_and_no_warning(tmp_path, cap
     assert rc == 2
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("grid", [[], ["--bounds=-5,5,-5,5", "--resolution", "0.1"]])
+def test_reach_rejects_an_invariant_ball_of_infinite_radius(tmp_path, capsys, grid):
+    # (lam^2 + mu^2) / lam^2 overflows at lam = 1e-160.  With a grid, reach
+    # once wrote "radius": Infinity, which is not JSON; without one, it
+    # named a --resolution the user never gave.
+    spec = dict(OPEN, xi=[0.3, -0.7], A={"lambda": 1e-160, "mu": 1.5}, eta1=[1.0, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["reach", write_spec(tmp_path, spec)] + grid)
+    assert (rc, out) == (2, "")
+    assert err == ("error: the invariant ball is out of range: lambda^2 underflows "
+                   "or the radius overflows\n")
 
 
 HUGE_GRID = ["--bounds=-1e300,1e300,-1e300,1e300", "--resolution", "1e299"]

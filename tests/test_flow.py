@@ -16,7 +16,6 @@ from se2control.flow import (
     flow_r2,
     flow_se2,
 )
-from se2control.group import GroupElement
 from se2control.system import ReducedSpec, SystemSpec
 
 
@@ -139,9 +138,9 @@ def test_flow_r2_contraction_envelope():
 
 def test_flow_product_angle_rate():
     rs = make_rs(1.0, 2.0, (1.0, 0.0))
-    g = GroupElement(0.25, np.array([0.5, -0.5]))
+    g = np.array([0.25, 0.5, -0.5])
     out = flow_product(rs, 1.5, g, 0.5)
-    assert angle_gap(out.t, 0.25 + 1.5 * 0.5) < 1e-12
+    assert angle_gap(out[0], 0.25 + 1.5 * 0.5) < 1e-12
 
 
 def test_flow_product_equivariance(rng):
@@ -151,10 +150,10 @@ def test_flow_product_equivariance(rng):
         v = rng.normal(size=2)
         u = rng.uniform(-1, 1)
         s = rng.uniform(-2, 2)
-        a = flow_product(rs, s, GroupElement(t1 + t2, v), u)
-        b = flow_product(rs, s, GroupElement(t2, v), u)
-        assert angle_gap(a.t, t1 + b.t) < 1e-12
-        assert np.max(np.abs(a.v - b.v)) < 1e-12
+        a = flow_product(rs, s, np.array([t1 + t2, *v]), u)
+        b = flow_product(rs, s, np.array([t2, *v]), u)
+        assert angle_gap(a[0], t1 + b[0]) < 1e-12
+        assert np.max(np.abs(a[1:] - b[1:])) < 1e-12
 
 
 def make_degenerate(alpha=1.0, xi=(1.0, 0.0), eta1=(0.0, 0.0), omega=(-1.0, 1.0)):
@@ -165,39 +164,39 @@ def make_degenerate(alpha=1.0, xi=(1.0, 0.0), eta1=(0.0, 0.0), omega=(-1.0, 1.0)
 def test_flow_detA0_zero_control_fixes_zero_angle_fiber(rng):
     spec = make_degenerate()
     v = rng.normal(size=2)
-    out = flow_detA0(spec, 2.5, GroupElement(0.0, v), 0.0)
-    assert out.t == 0.0
-    assert np.max(np.abs(out.v - v)) < 1e-14
+    out = flow_detA0(spec, 2.5, np.array([0.0, *v]), 0.0)
+    assert out[0] == 0.0
+    assert np.max(np.abs(out[1:] - v)) < 1e-14
 
 
 def test_flow_detA0_zero_control_at_pi():
     spec = make_degenerate(xi=(1.0, 0.0))
-    out = flow_detA0(spec, 1.0, GroupElement(math.pi, np.array([0.3, 0.4])), 0.0)
-    assert angle_gap(out.t, math.pi) < 1e-15
-    assert np.allclose(out.v, [0.3, 2.4], atol=1e-12)
+    out = flow_detA0(spec, 1.0, np.array([math.pi, 0.3, 0.4]), 0.0)
+    assert angle_gap(out[0], math.pi) < 1e-15
+    assert np.allclose(out[1:], [0.3, 2.4], atol=1e-12)
 
 
 def test_flow_detA0_translation_equivariance(rng):
     spec = make_degenerate(xi=(0.7, -0.3))
     w = rng.normal(size=2)
     for u in (-0.8, 0.0, 0.5):
-        a = flow_detA0(spec, 1.3, GroupElement(1.0, np.array([0.2, 0.9]) + w), u)
-        b = flow_detA0(spec, 1.3, GroupElement(1.0, np.array([0.2, 0.9])), u)
-        assert np.max(np.abs(a.v - (b.v + w))) < 1e-12
+        a = flow_detA0(spec, 1.3, np.array([1.0, *(np.array([0.2, 0.9]) + w)]), u)
+        b = flow_detA0(spec, 1.3, np.array([1.0, 0.2, 0.9]), u)
+        assert np.max(np.abs(a[1:] - (b[1:] + w))) < 1e-12
 
 
 def test_flow_detA0_matches_integrator(rng):
     spec = make_degenerate(xi=(0.9, -0.4))
     worst = 0.0
     for _ in range(30):
-        g = GroupElement(rng.uniform(0, 2 * math.pi), rng.normal(size=2))
+        g = np.array([rng.uniform(0, 2 * math.pi), *rng.normal(size=2)])
         u = rng.uniform(-1, 1)
         s = rng.uniform(-3, 3)
         out = flow_detA0(spec, s, g, u)
         ref = rk4_full(1.0, spec.xi, 0.0, 0.0, spec.eta1, s,
-                       np.array([g.t, g.v[0], g.v[1]]), u)
-        worst = max(worst, angle_gap(out.t, ref[0]),
-                    float(np.max(np.abs(out.v - ref[1:]))))
+                       g, u)
+        worst = max(worst, angle_gap(out[0], ref[0]),
+                    float(np.max(np.abs(out[1:] - ref[1:]))))
     assert worst < 1e-8
 
 
@@ -209,21 +208,21 @@ def test_flow_se2_matches_integrator(rng):
         spec = SystemSpec(alpha, rng.normal(size=2),
                           np.array([[lam, -mu], [mu, lam]]),
                           rng.normal(size=2), (-1.5, 1.5))
-        g = GroupElement(rng.uniform(0, 2 * math.pi), rng.normal(size=2))
+        g = np.array([rng.uniform(0, 2 * math.pi), *rng.normal(size=2)])
         u = rng.uniform(-1.5, 1.5)
         s = rng.uniform(-1.5, 1.5)
         out = flow_se2(spec, s, g, u)
         ref = rk4_full(alpha, spec.xi, lam, mu, spec.eta1, s,
-                       np.array([g.t, g.v[0], g.v[1]]), u)
-        worst = max(worst, angle_gap(out.t, ref[0]),
-                    float(np.max(np.abs(out.v - ref[1:]))))
+                       g, u)
+        worst = max(worst, angle_gap(out[0], ref[0]),
+                    float(np.max(np.abs(out[1:] - ref[1:]))))
     assert worst < 1e-8
 
 
 def test_flow_se2_rejects_alpha_zero():
     spec = SystemSpec(0.0, np.ones(2), np.eye(2), np.ones(2), (-1.0, 1.0))
     with pytest.raises(ValueError):
-        flow_se2(spec, 1.0, GroupElement(0.0, np.zeros(2)), 0.5)
+        flow_se2(spec, 1.0, np.zeros(3), 0.5)
 
 
 def test_flow_se2_takes_every_det_zero_spec_to_the_A_zero_chart():
@@ -234,8 +233,8 @@ def test_flow_se2_takes_every_det_zero_spec_to_the_A_zero_chart():
         SystemSpec(1e-170, [1.0, 0.5], np.zeros((2, 2)), [0.2, 0.1], (-1e-170, 1e-170)),
     ]
     for spec in specs:
-        out = flow_se2(spec, 1.0, GroupElement(0.3, [0.1, 0.2]), 0.0)
-        assert np.isfinite(out.as_array()).all()
+        out = flow_se2(spec, 1.0, np.array([0.3, 0.1, 0.2]), 0.0)
+        assert np.isfinite(out).all()
 
 
 # -- piecewise controls --------------------------------------------------

@@ -42,7 +42,6 @@ from se2control.flow import (
     rk4_oracle_batch,
 )
 from se2control.geometry import check_invariance, invariant_ball
-from se2control.group import GroupElement
 from se2control.system import ReducedSpec, SystemSpec, matrix_from_lambda_mu, reduce_system
 
 REL = 1e-13
@@ -253,7 +252,7 @@ def test_equilibrium_rows_equal_one_row_calls(rng):
     assert np.array_equal(equilibrium(POW_SPEC, [POW_U, 0.3])[0], equilibrium(POW_SPEC, POW_U))
 
 
-def test_group_flows_rows_equal_group_element_calls(rng):
+def test_group_flows_rows_equal_one_row_calls(rng):
     rs = ReducedSpec(0.7, -1.1, np.array([0.4, 0.9]), (-2.0, 2.0))
     chart = SystemSpec(1.0, np.array([0.8, -0.5]), np.zeros((2, 2)), np.zeros(2), (-1.0, 1.0))
     x = np.column_stack([rng.uniform(0.0, 2 * np.pi, 30), rng.normal(size=(30, 2))])
@@ -264,9 +263,8 @@ def test_group_flows_rows_equal_group_element_calls(rng):
     for flow, system in cases:
         batch = flow(system, s, x, u)
         for i in range(30):
-            one = flow(system, s[i], GroupElement(x[i, 0], x[i, 1:]), u[i])
-            assert isinstance(one, GroupElement)
-            assert np.array_equal(batch[i], one.as_array()), flow.__name__
+            one = flow(system, s[i], x[i], u[i])
+            assert np.array_equal(batch[i], one), flow.__name__
 
 
 def _assert_rk4_within_bound(spec, s, x, u, step=DEFAULT_RK4_STEP):

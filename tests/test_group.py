@@ -17,7 +17,6 @@ from reference_charts import (
 )
 
 from se2control.group import (
-    GroupElement,
     angle_dist,
     commutes_with_theta,
     wrap_angle,
@@ -81,29 +80,29 @@ def test_commutes_with_theta(mat, expected):
 
 
 def test_psi2_examples():
-    g = conj_psi2(GroupElement(0.0, np.array([0.3, -0.2])))
-    assert g.t == 0.0 and np.allclose(g.v, [0.3, -0.2])
-    g = conj_psi2(GroupElement(math.pi / 2, np.array([0.0, 1.0])))
-    assert np.allclose(g.v, [1.0, 0.0], atol=1e-15)
+    g = conj_psi2(np.array([0.0, 0.3, -0.2]))
+    assert g[0] == 0.0 and np.allclose(g[1:], [0.3, -0.2])
+    g = conj_psi2(np.array([math.pi / 2, 0.0, 1.0]))
+    assert np.allclose(g[1:], [1.0, 0.0], atol=1e-15)
 
 
 def test_psi2_isometry(rng):
     for _ in range(20):
-        g = GroupElement(rng.uniform(0, TWO_PI), rng.normal(size=2))
-        assert abs(np.linalg.norm(conj_psi2(g).v) - np.linalg.norm(g.v)) < 1e-12
+        g = np.array([rng.uniform(0, TWO_PI), *rng.normal(size=2)])
+        assert abs(np.linalg.norm(conj_psi2(g)[1:]) - np.linalg.norm(g[1:])) < 1e-12
 
 
 def test_psi_zero_examples():
     v = np.array([0.4, 0.9])
-    g = conj_psi_zero(1.0, np.array([1.0, 0.0]), GroupElement(0.0, v))
-    assert g.t == 0.0 and np.allclose(g.v, v)
-    g = conj_psi_zero(1.0, np.array([1.0, 0.0]), GroupElement(math.pi, np.zeros(2)))
-    assert np.allclose(g.v, [0.0, -2.0], atol=1e-12)
+    g = conj_psi_zero(1.0, np.array([1.0, 0.0]), np.array([0.0, *v]))
+    assert g[0] == 0.0 and np.allclose(g[1:], v)
+    g = conj_psi_zero(1.0, np.array([1.0, 0.0]), np.array([math.pi, 0.0, 0.0]))
+    assert np.allclose(g[1:], [0.0, -2.0], atol=1e-12)
 
 
 def test_psi_zero_requires_alpha():
     with pytest.raises(ValueError):
-        conj_psi_zero(0.0, np.ones(2), GroupElement(0.0, np.zeros(2)))
+        conj_psi_zero(0.0, np.ones(2), np.zeros(3))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -113,13 +112,13 @@ def test_conjugation_round_trips(seed):
     a_mat = rng.normal() * np.eye(2) + rng.normal() * np.array([[0.0, -1.0], [1.0, 0.0]])
     alpha = rng.normal() or 1.0
     for _ in range(10):
-        g = GroupElement(rng.uniform(0, TWO_PI), rng.normal(size=2))
+        g = np.array([rng.uniform(0, TWO_PI), *rng.normal(size=2)])
         h = conj_psi1_inv(a_mat, xi, conj_psi1(a_mat, xi, g))
-        assert angle_dist(h.t, g.t) < 1e-12 and np.max(np.abs(h.v - g.v)) < 1e-10
+        assert angle_dist(h[0], g[0]) < 1e-12 and np.max(np.abs(h[1:] - g[1:])) < 1e-10
         h = conj_psi2_inv(conj_psi2(g))
-        assert angle_dist(h.t, g.t) < 1e-12 and np.max(np.abs(h.v - g.v)) < 1e-12
+        assert angle_dist(h[0], g[0]) < 1e-12 and np.max(np.abs(h[1:] - g[1:])) < 1e-12
         h = conj_psi_zero_inv(alpha, xi, conj_psi_zero(alpha, xi, g))
-        assert angle_dist(h.t, g.t) < 1e-12 and np.max(np.abs(h.v - g.v)) < 1e-10
+        assert angle_dist(h[0], g[0]) < 1e-12 and np.max(np.abs(h[1:] - g[1:])) < 1e-10
 
 
 def test_conjugations_on_packed_states_equal_row_calls(rng):
@@ -139,14 +138,15 @@ def test_conjugations_on_packed_states_equal_row_calls(rng):
         batch = chart(x)
         assert batch.shape == (25, 3)
         for i in range(25):
-            one = chart(GroupElement(x[i, 0], x[i, 1:]))
-            assert isinstance(one, GroupElement)
-            assert np.array_equal(batch[i], one.as_array())
+            one = chart(x[i])
+            assert one.shape == (3,)
+            assert np.array_equal(batch[i], one)
     # The packed maps keep the arithmetic of their definitions.
-    g = GroupElement(x[0, 0], x[0, 1:])
-    assert np.array_equal(conj_psi1(a_mat, xi, g).v, g.v + lambda_map(g.t, np.linalg.solve(a_mat, xi)))
-    assert np.array_equal(conj_psi_zero(alpha, eta1, g).v, g.v - lambda_map(g.t, eta1) / alpha)
-    assert np.array_equal(conj_psi2(g).v, rotation(-g.t) @ g.v)
+    g = np.array([wrap_angle(x[0, 0]), *x[0, 1:]])
+    t, v = g[0], g[1:]
+    assert np.array_equal(conj_psi1(a_mat, xi, g)[1:], v + lambda_map(t, np.linalg.solve(a_mat, xi)))
+    assert np.array_equal(conj_psi_zero(alpha, eta1, g)[1:], v - lambda_map(t, eta1) / alpha)
+    assert np.array_equal(conj_psi2(g)[1:], rotation(-t) @ v)
 
 
 def test_angle_helpers_keep_float_for_float():

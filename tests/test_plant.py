@@ -1,11 +1,11 @@
 """The prepared plant: its charts, and its flows against the chart composition.
 
-`reference_charts.reference_flow_se2` composes the GroupElement-level chart
-maps on real 2x2 rotations and reduces the system on every call, as
+`reference_charts.reference_flow_se2` composes the chart maps of packed
+states on real 2x2 rotations and reduces the system on every call, as
 flow_se2 did before it ran on a Plant.  The plant's charts rotate complex
 translations instead, by fewer operations.  Bound, fixed before the charts
-moved to complex numbers, for every row (packed batches, one-row
-GroupElement calls, angles outside [0, 2 pi), negative times, both charts):
+moved to complex numbers, for every row (packed batches, one-row calls on
+a state of shape (3,), angles outside [0, 2 pi), negative times, both charts):
 the angles are equal bit for bit, and the translations differ by at most
 
     1e-13 * max(1, |v|, |w|, |v(alpha u)|, |reference|) * max(1, e^{lam s}),
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from reference_charts import reference_flow_se2
 
 from se2control.flow import equilibrium, flow_concat, flow_se2, PiecewiseControl
-from se2control.group import GroupElement
 from se2control.system import SystemSpec, classify, matrix_from_lambda_mu, prepare, reduce_system
 
 
@@ -31,13 +30,9 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _rows(x):
-    return x.as_array() if isinstance(x, GroupElement) else x
-
-
 def _same(a, b):
-    assert isinstance(a, GroupElement) == isinstance(b, GroupElement)
-    assert _bits(_rows(a)) == _bits(_rows(b))
+    assert np.shape(a) == np.shape(b)
+    assert _bits(a) == _bits(b)
 
 
 REL = 1e-13
@@ -45,8 +40,7 @@ REL = 1e-13
 
 def _within_bound(plant, s, x, u, got, want):
     """Angles bit for bit, translations within the bound of the module docstring."""
-    assert isinstance(got, GroupElement) == isinstance(want, GroupElement)
-    got, want = _rows(got), _rows(want)
+    assert got.shape == want.shape
     assert _bits(got[..., 0]) == _bits(want[..., 0])
     spec = plant.spec
     s, u = np.broadcast_arrays(s, u)
@@ -111,11 +105,10 @@ def test_plant_flow_is_within_bound_of_chart_composition(case):
     fan = flow_se2(plant, s, x[0], u[0])
     _within_bound(plant, s, x[0], u[0], fan, reference_flow_se2(spec, s, x[0], u[0]))
     for i in range(len(s)):
-        g = GroupElement(x[i, 0], x[i, 1:])
-        one = flow_se2(plant, s[i], g, u[i])
-        _within_bound(plant, s[i], x[i], u[i], one, reference_flow_se2(spec, s[i], g, u[i]))
+        one = flow_se2(plant, s[i], x[i], u[i])
+        _within_bound(plant, s[i], x[i], u[i], one, reference_flow_se2(spec, s[i], x[i], u[i]))
         # Rows of a batch equal their one-row calls, on both charts.
-        _same(batch[i], one.as_array())
+        _same(batch[i], one)
         _same(fan[i], flow_se2(plant, s[i], x[0], u[0]))
 
 
@@ -140,7 +133,7 @@ def test_alpha_zero_plant_has_no_chart_and_no_flow():
     assert plant.chart == "none" and plant.rs is None
     assert classify(plant).case == "NotClassified"
     with pytest.raises(ValueError, match="exact flow requires alpha != 0"):
-        flow_se2(plant, 1.0, GroupElement(0.0, [0.0, 0.0]), 0.5)
+        flow_se2(plant, 1.0, np.zeros(3), 0.5)
 
 
 def test_flow_concat_takes_a_plant_or_a_spec_alike():

@@ -13,7 +13,7 @@ from reference_charts import perp
 
 from se2control.flow import PiecewiseControl, equilibrium, flow_detA0, flow_r2
 from se2control.geometry import invariant_ball
-from se2control.group import GroupElement, to_complex, wrap_angle
+from se2control.group import to_complex, wrap_angle
 from se2control import reachability as R
 from se2control.reachability import (
     GridConfig,
@@ -27,7 +27,7 @@ from se2control.reachability import (
     steer_degenerate,
     steer_degenerate_batch,
 )
-from se2control.system import ReducedSpec, SystemSpec, classify, degenerate_chart, reduce_system
+from se2control.system import ReducedSpec, SystemSpec, classify, reduce_system
 
 def make_rs(lam=1.0, mu=2.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
     return ReducedSpec(lam=lam, mu=mu, eta=np.asarray(eta, dtype=float), omega=omega)
@@ -982,7 +982,7 @@ def _assert_rows_equal_one_row_calls(spec, v_from, v_to):
             assert not segments[i].any()
         else:
             assert np.array_equal(np.array(ctrl.segments), segments[i])
-        assert np.array_equal(end.as_array(), ends[i])
+        assert np.array_equal(end, ends[i])
         assert res == residuals[i]
 
 
@@ -1038,8 +1038,8 @@ def test_degenerate_structure_check_matches_recorded_reports():
 
 def test_degenerate_structure_check_flows_in_batches(monkeypatch):
     calls = []
-    step = R._detA0_step
-    monkeypatch.setattr(R, "_detA0_step", lambda *a: calls.append(1) or step(*a))
+    step = R._detA0_rows
+    monkeypatch.setattr(R, "_detA0_rows", lambda *a: calls.append(1) or step(*a))
     degenerate_structure_check(make_degenerate(), n_samples=30, seed=1, n_pairs=6)
     # At most 6 segment waves, then 8 flow steps per steering direction; every
     # flow of the check goes through the step, so a check that stopped
@@ -1069,16 +1069,16 @@ def test_monotone_draws_equal_scalar_uniform_draws():
         assert a.random() == b.random() and a.integers(2, 7) == b.integers(2, 7)
 
 
-def _assert_step_equals_flow_detA0(chart, s, x, u):
-    want = flow_detA0(chart, s, x, u)
-    t, z = R._detA0_step(complex(*chart.xi), s, x[..., 0], to_complex(x[..., 1:]), u)
+def _assert_rows_equal_flow_detA0(spec, s, x, u):
+    want = flow_detA0(spec, s, x, u)
+    t, z = R._detA0_rows(complex(*spec.xi), s, x[..., 0], to_complex(x[..., 1:]), u)
     shape = want.shape[:-1]
     assert np.array_equal(np.broadcast_to(t, shape), want[..., 0])
     assert np.array_equal(np.broadcast_to(z, shape), to_complex(want[..., 1:]))
 
 
-def test_detA0_step_equals_flow_detA0_on_packed_rows(rng):
-    chart = degenerate_chart(make_degenerate())
+def test_detA0_rows_equal_flow_detA0_on_packed_rows(rng):
+    spec = make_degenerate()
     n = 400
     x = np.empty((n, 3))
     x[:, 0] = wrap_angle(rng.uniform(-10.0, 10.0, n))
@@ -1088,22 +1088,21 @@ def test_detA0_step_equals_flow_detA0_on_packed_rows(rng):
     u[::7] = 0.0
     u[1::7] = rng.choice([1e-9, -1e-12, 1e-300], size=len(u[1::7]))
     # Row by row, in segment waves of 8 points, and arcs of 30 lengths under one control.
-    _assert_step_equals_flow_detA0(chart, rng.uniform(-3.0, 3.0, n), x, u)
-    _assert_step_equals_flow_detA0(chart, rng.uniform(0.0, 50.0, (n, 8)), x[:, None], u[:, None])
-    _assert_step_equals_flow_detA0(chart, R.STEER_EPSILONS / 0.9, x[:, None], -0.9)
+    _assert_rows_equal_flow_detA0(spec, rng.uniform(-3.0, 3.0, n), x, u)
+    _assert_rows_equal_flow_detA0(spec, rng.uniform(0.0, 50.0, (n, 8)), x[:, None], u[:, None])
+    _assert_rows_equal_flow_detA0(spec, R.STEER_EPSILONS / 0.9, x[:, None], -0.9)
 
 
 def test_steering_ends_equal_the_flow_of_their_segments(rng):
     for spec in _degenerate_specs(rng):
-        chart = degenerate_chart(spec)
         xi = spec.xi / np.linalg.norm(spec.xi)
         v_from = rng.normal(size=(6, 2))
         v_to = v_from + rng.uniform(-1.5, 1.5, size=(6, 1)) * xi + rng.uniform(-0.5, 0.5, size=(6, 1)) * perp(xi)
         v_to[5] = v_from[5]
         segments, ends, _ = steer_degenerate_batch(spec, v_from, v_to)
         for i in range(len(v_from)):
-            g = GroupElement(0.0, v_from[i])
+            g = np.array([0.0, *v_from[i]])
             for dur, u in segments[i]:
                 if dur > 0.0:
-                    g = flow_detA0(chart, dur, g, u)
-            assert np.array_equal(g.as_array(), ends[i])
+                    g = flow_detA0(spec, dur, g, u)
+            assert np.array_equal(g, ends[i])

@@ -1,4 +1,5 @@
-"""Every public function, class and method of the package has a use in src/.
+"""Every public function, class and method of the package has a use in src/,
+and every name that a module imports is used in that module.
 
 A public top-level function or class, or a public method, that nothing in
 ``src/se2control`` names is library surface that no claim of the CLI needs.
@@ -7,6 +8,9 @@ as an ``ast.Name`` or an ``ast.Attribute`` anywhere in the package.
 Exempt are the functions that the benchmark's tracer wraps by name
 (``perfbench/tracing.py``'s ``TARGETS``, read as
 ``test_benchmark_contract.py`` reads them) and the short list below.
+
+An imported name counts as used when it occurs as an ``ast.Name`` in its
+module, the unused-import rule of pyflakes (F401).
 """
 import ast
 import os
@@ -89,3 +93,22 @@ def test_every_exemption_names_a_public_definition(tracing):
     defined = {qualified for _, qualified, _ in public_definitions(_trees())}
     targets = {name for _, name, _, _ in tracing.TARGETS}
     assert set(ALLOWED) | targets <= defined
+
+
+def imported_names(tree) -> list:
+    """(line, bound name) of every import in a module, except those from __future__."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, (alias.asname or alias.name).split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    return out
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for fname, tree in _trees().items():
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{fname}:{line}: {name}" for line, name in imported_names(tree) if name not in loaded]
+    assert unused == []

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from se2control.flow import equilibrium
+from se2control.flow import equilibrium, flow_detA0
+from se2control.reachability import degenerate_structure_check
 from se2control.system import (
     CASE_CLOSED,
     CASE_DEGENERATE,
@@ -13,7 +14,6 @@ from se2control.system import (
     CASE_TRACE_ZERO,
     SystemSpec,
     classify,
-    degenerate_chart,
     larc,
     prepare,
     reduce_system,
@@ -193,8 +193,11 @@ def test_rates_whose_squares_underflow_are_not_a_zero_matrix(lam, mu, case):
         assert prepare(spec).chart == "psi"
         rs = reduce_system(spec)
     assert (rs.lam, rs.mu) == (lam, mu)
+    # Nor does the A = 0 analysis take them.
     with pytest.raises(ValueError, match="requires A = 0"):
-        degenerate_chart(spec)
+        flow_detA0(spec, 1.0, np.zeros(3), 0.0)
+    with pytest.raises(ValueError, match="requires A = 0"):
+        degenerate_structure_check(spec)
 
 
 def test_a_reduction_whose_eta_overflows_is_rejected():
