@@ -7,6 +7,11 @@ mismatch (command does not apply to the system's classification case),
 4 verification failure.  A reader that closes stdout early (``| head``) ends
 the command quietly with exit code 0.
 
+Input is normalised here and only here: argparse reads the argv once,
+option values included that start with "-" (``--v0 -3,0``, ``--u -inf``),
+and a job that needs the system prepares its spec once into the one
+:class:`~se2control.system.Plant` that the library entry points take.
+
 :func:`main` can be called many times in one process.  The argument parser is
 built on the first call and reused by every later one; callers must not
 mutate it.
@@ -55,6 +60,10 @@ EXIT_VERIFICATION_FAILED = 4
 # columns of flow constants and kernel buffers at about 100 bytes each).
 # Requests over the grid budget are rejected before anything is allocated.
 BYTES_PER_UNIT = {"--samples-per-segment": 170, "--samples": 140, "--control-grid": 2400}
+
+
+# A value that float() reads as a negative number, infinity or nan.
+_NEGATIVE_VALUE = re.compile(r"-([0-9.]|inf|nan)", re.IGNORECASE)
 
 
 class CaseMismatch(Exception):
@@ -290,53 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_verify)
+
+    # argparse reads an argument that starts with "-" as an option unless its
+    # negative-number pattern matches, and that pattern takes only plain
+    # numbers such as -3 or -.5.  Widened to every value that float() reads
+    # as negative, infinite or nan, it lets "--v0 -3,0", "--u -inf" and
+    # "--b -2,2,-2,2" give the option its value; no option of this CLI
+    # looks like such a value.
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = _NEGATIVE_VALUE
     return p
 
 
-# A value that float() reads as a negative number, infinity or nan.
-_NEGATIVE_VALUE = re.compile(r"-([0-9.]|inf|nan)", re.IGNORECASE)
-
-
-@functools.cache
-def _value_options() -> tuple:
-    """The long options, of every subcommand, that take a value."""
-    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return tuple(
-        opt
-        for parser in commands.choices.values()
-        for action in parser._actions
-        if action.nargs != 0
-        for opt in action.option_strings
-        if opt.startswith("--")
-    )
-
-
-def _takes_value(arg: str) -> bool:
-    """Whether arg names an option that takes a value, in full or abbreviated as argparse allows."""
-    return arg.startswith("--") and len(arg) > 2 and any(opt.startswith(arg) for opt in _value_options())
-
-
-def _attach_negative_values(argv: list) -> list:
-    """Rewrite "--v0 -3,0" as "--v0=-3,0" and "--u -inf" as "--u=-inf" (also for abbreviations).
-
-    argparse reads a value that starts with "-" and is not a plain negative
-    number (a list such as -3,0, or -inf and -nan in any case) as an option
-    of its own.  So a value that float() would read as negative, infinite or
-    nan is attached to the option before it whenever that option takes a
-    value.
-    """
-    out = []
-    for arg in argv:
-        if out and _takes_value(out[-1]) and _NEGATIVE_VALUE.match(arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
@@ -345,9 +321,6 @@ def main(argv=None) -> int:
         # Point stdout at devnull, so that the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except CaseMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CASE_MISMATCH

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import as_packed, cis, group_result, to_complex, to_pairs, wrap_angle
-from .system import Plant, ReducedSpec, SystemSpec, as_plant
+from .system import Plant, ReducedSpec, SystemSpec
 
 DEFAULT_RK4_STEP = 1e-3
 SAMPLES_PER_SEGMENT = 64
@@ -129,8 +129,8 @@ def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
     singular = d == 0.0
     any_singular = singular.any()
     vu = _equilibrium(rs, u, nu, np.where(singular, 1.0, d) if any_singular else d)
-    grow = _exp(s * rs.lam, s)
     with np.errstate(over="ignore", invalid="ignore"):
+        grow = _exp(s * rs.lam, s)
         # The point stays the first factor: where numpy's complex product
         # fuses a multiply into each term, this order rounds as the real
         # 2x2 rotation did.
@@ -194,11 +194,10 @@ def flow_detA0(spec: SystemSpec, s, g, u):
     return group_result(t, z)
 
 
-def flow_se2(system, s, g, u):
+def flow_se2(plant: Plant, s, g, u):
     """Exact flow of the full system on the group, any classification case.
 
-    `system` is a Plant, or a SystemSpec, which is prepared on entry.  The
-    charts act on complex translations z, with w the plant's offset:
+    The charts act on complex translations z, with w the plant's offset:
 
     det A != 0: psi1 then psi2 take (t, z) to (t, e^{-it} (z + w) - w); the
     reduced system flows there with control alpha u while the angle
@@ -212,7 +211,6 @@ def flow_se2(system, s, g, u):
     The result holds packed states of the broadcast shape (..., 3).  Raises
     ValueError naming s where the flow or a chart value is not finite.
     """
-    plant = as_plant(system)
     if plant.chart == "none":
         raise ValueError("exact flow requires alpha != 0")
     x = as_packed(g)
@@ -284,7 +282,7 @@ class Trajectory:
 
 
 def flow_concat(
-    sys_obj,
+    system: ReducedSpec | Plant,
     control: PiecewiseControl,
     x0,
     samples_per_segment: int = SAMPLES_PER_SEGMENT,
@@ -295,14 +293,14 @@ def flow_concat(
     form from the segment's start state, one flow call per segment; nothing
     is interpolated.  A ReducedSpec flows planar states (shape (2,)) with
     :func:`flow_r2`; a Plant flows group states [t, v_x, v_y] with
-    :func:`flow_se2`, and a SystemSpec is prepared into one first.
+    :func:`flow_se2`.
     """
-    if isinstance(sys_obj, ReducedSpec):
+    if isinstance(system, ReducedSpec):
         flow, kind = flow_r2, "planar"
-    elif isinstance(sys_obj, (Plant, SystemSpec)):
-        sys_obj, flow, kind = as_plant(sys_obj), flow_se2, "group"
+    elif isinstance(system, Plant):
+        flow, kind = flow_se2, "group"
     else:
-        raise TypeError("expected ReducedSpec, SystemSpec or Plant")
+        raise TypeError("expected ReducedSpec or Plant")
     state = np.array(x0, dtype=float).reshape(-1)
 
     m = int(samples_per_segment)
@@ -328,7 +326,7 @@ def flow_concat(
         if not math.isfinite(elapsed + float(tau[-1])):
             raise ValueError("sample times overflow: the control lasts past the float range")
         times.append(elapsed + tau)
-        states.append(flow(sys_obj, tau, state, u))
+        states.append(flow(system, tau, state, u))
         controls.append(np.full(m, u))
         state = states[-1][-1]
         elapsed += dur
@@ -367,7 +365,7 @@ def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP)
     (n,), x0 = [t, v_x, v_y] has shape (n, 3) or (3,); the result has shape
     (n, 3).  Sample i takes its own N = ceil(|s_i| / step) steps of size
     h = s_i / N (none for s_i = 0; negative s_i integrates backward).
-    Raises ValueError naming s when an endpoint is not finite.
+    Raises ValueError naming s when N or an endpoint is not finite.
 
     In complex form A is the number a = A[0,0] + i A[1,0], and the forcing is
     F(t) = c0 + c1 e^{it} with c0 = theta xi and c1 = u eta1 - theta xi,
@@ -408,7 +406,10 @@ def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP)
     e1 = complex(*spec.eta1)
     rows = []
     for s_i, u_i, (t0, vx, vy) in zip(s.tolist(), np.broadcast_to(u, shape).tolist(), x0.tolist()):
-        n = 0 if s_i == 0.0 else max(1, math.ceil(abs(s_i) / step - 1e-12))
+        try:
+            n = 0 if s_i == 0.0 else max(1, math.ceil(abs(s_i) / step - 1e-12))
+        except OverflowError:  # |s| / step is inf
+            raise ValueError(f"the RK4 step count |s| / step overflows at s = {s_i}") from None
         h = s_i / max(n, 1)
         dt = h * (u_i * spec.alpha)
         z = h * a

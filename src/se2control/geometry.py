@@ -16,7 +16,7 @@ that is f - 1 < (nu/sigma)^2, implemented here in a cancellation-free form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,28 +127,14 @@ class InvarianceReport:
     """Result of :func:`check_invariance`; margins are distances to failure."""
 
     n_samples: int
-    seed: int
     violations_inward: int
     violations_outward: int
     min_margin_inward: float
     min_margin_outward: float
-    ball: Circle = field(default=None)
 
     @property
     def passed(self) -> bool:
         return self.violations_inward == 0 and self.violations_outward == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "violations_inward": self.violations_inward,
-            "violations_outward": self.violations_outward,
-            "min_margin_inward": self.min_margin_inward,
-            "min_margin_outward": self.min_margin_outward,
-            "passed": self.passed,
-            "ball": self.ball.to_dict() if self.ball is not None else None,
-        }
 
 
 def check_invariance(
@@ -210,10 +196,8 @@ def check_invariance(
 
     return InvarianceReport(
         n_samples=n,
-        seed=int(seed),
         violations_inward=viol_in,
         violations_outward=viol_out,
         min_margin_inward=float(np.min(margin_in)) if n else np.inf,
         min_margin_outward=float(np.min(margin_out)) if np.any(keep) else np.inf,
-        ball=ball,
     )

@@ -382,7 +382,6 @@ class ReachSet:
     ids: np.ndarray  # sorted flat ids of the occupied cells
     rep_x: np.ndarray  # (cell_count,) representative of cell ids[k], x
     rep_y: np.ndarray  # (cell_count,) and y
-    seed: np.ndarray
     direction: int  # +1 forward, -1 backward
     rounds: int
     truncated: bool
@@ -464,7 +463,6 @@ def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> 
         ids=ids[order],
         rep_x=np.concatenate(xs)[order],
         rep_y=np.concatenate(ys)[order],
-        seed=x0,
         direction=direction,
         rounds=rounds,
         truncated=bool(cur_ids.size and total >= cfg.max_cells),

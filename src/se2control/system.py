@@ -266,11 +266,6 @@ def prepare(spec: SystemSpec) -> Plant:
     return Plant(spec, "psi", 1j * complex(*np.linalg.solve(spec.A, spec.xi)))
 
 
-def as_plant(system) -> Plant:
-    """`system` if it is a Plant, else the SystemSpec `system` prepared."""
-    return system if isinstance(system, Plant) else prepare(system)
-
-
 @dataclass
 class ClassificationReport:
     """Outcome of :func:`classify`, JSON-serializable via :meth:`to_dict`."""
@@ -326,17 +321,15 @@ def _boundary_structure(lam: float, mu: float, eta, omega) -> dict:
     }
 
 
-def classify(system) -> ClassificationReport:
+def classify(plant: Plant) -> ClassificationReport:
     """Classify the control-set structure of the system.
 
     Cases: det A = 0 (infinitely many control sets with empty interior);
     trace A = 0 (controllable on the plane after reduction); trace A < 0
     (unique bounded control set, closed); trace A > 0 (unique control set
     with nonempty interior, open).  When the rank condition fails the report
-    abstains from predicting a case.  `system` is a Plant, or a SystemSpec,
-    which is prepared on entry.
+    abstains from predicting a case.
     """
-    plant = as_plant(system)
     spec = plant.spec
     lam, mu = spec.lam, spec.mu
     rank_ok = larc(spec)

@@ -18,18 +18,10 @@ from .flow import flow_detA0, flow_r2, flow_se2, rk4_oracle_batch
 from .geometry import check_invariance, chord_excess
 from .group import TWO_PI, angle_dist, to_complex
 from .reachability import control_grid, degenerate_structure_check
-from .system import Plant, SystemSpec, as_plant, classify, larc, reduced_range
+from .system import Plant, classify, larc, reduced_range
 
 # Samples drawn by the conjugacy and semigroup suites.
 FLOW_SAMPLES = 50
-
-SUITE_NAMES = (
-    "bound_sweep",
-    "ball_invariance",
-    "conjugacy",
-    "semigroup",
-    "monotone_functional",
-)
 
 
 @dataclass
@@ -66,8 +58,9 @@ class VerificationReport:
         }
 
 
-def _suite_bound_sweep(spec: SystemSpec, seed: int) -> SuiteResult:
+def _suite_bound_sweep(plant: Plant, seed: int, n_samples: int) -> SuiteResult:
     """Strict inequality of the spectral bound on its whole (nu, s) sweep."""
+    spec = plant.spec
     if spec.lam == 0.0:
         return SuiteResult("bound_sweep", "skipped", "requires trace A != 0")
     sigma = abs(spec.lam)
@@ -134,7 +127,7 @@ def _draw(rng, n: int, *ranges) -> np.ndarray:
     return low + (high - low) * rng.random((n, len(ranges)))
 
 
-def _suite_conjugacy(plant: Plant, seed: int) -> SuiteResult:
+def _suite_conjugacy(plant: Plant, seed: int, n_samples: int) -> SuiteResult:
     """Closed-form flow (through the conjugation charts) vs direct RK4, to 1e-6."""
     spec = plant.spec
     if spec.alpha == 0.0:
@@ -155,7 +148,7 @@ def _suite_conjugacy(plant: Plant, seed: int) -> SuiteResult:
     )
 
 
-def _suite_semigroup(plant: Plant, seed: int) -> SuiteResult:
+def _suite_semigroup(plant: Plant, seed: int, n_samples: int) -> SuiteResult:
     """phi(s + t) = phi(s) after phi(t) for the closed-form flows, to 1e-9."""
     spec = plant.spec
     if spec.alpha == 0.0:
@@ -188,7 +181,8 @@ def _suite_semigroup(plant: Plant, seed: int) -> SuiteResult:
     )
 
 
-def _suite_monotone(spec: SystemSpec, seed: int) -> SuiteResult:
+def _suite_monotone(plant: Plant, seed: int, n_samples: int) -> SuiteResult:
+    spec = plant.spec
     if not spec.a_is_zero:
         return SuiteResult("monotone_functional", "skipped", "requires A = 0")
     if not larc(spec):
@@ -210,37 +204,31 @@ def _suite_monotone(spec: SystemSpec, seed: int) -> SuiteResult:
     )
 
 
+# Each suite takes (plant, seed, n_samples) and runs in this order; only
+# ball_invariance draws n_samples, the others a fixed count of their own.
+_SUITES = {
+    "bound_sweep": _suite_bound_sweep,
+    "ball_invariance": _suite_ball_invariance,
+    "conjugacy": _suite_conjugacy,
+    "semigroup": _suite_semigroup,
+    "monotone_functional": _suite_monotone,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_verification(
-    system,
+    plant: Plant,
     seed: int = 0,
     suites=None,
     n_samples: int = 2000,
 ) -> VerificationReport:
-    """Run the requested suites (default: all) with case-aware routing.
-
-    `system` is a Plant, or a SystemSpec, which is prepared once here.
-    """
+    """Run the requested suites (default: all) with case-aware routing."""
     if n_samples < 1:
         raise ValueError("samples must be >= 1")
-    plant = as_plant(system)
-    spec = plant.spec
     report = classify(plant)
     requested = tuple(suites) if suites else SUITE_NAMES
     unknown = set(requested) - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    results = []
-    for name in SUITE_NAMES:
-        if name not in requested:
-            continue
-        if name == "bound_sweep":
-            results.append(_suite_bound_sweep(spec, seed))
-        elif name == "ball_invariance":
-            results.append(_suite_ball_invariance(plant, seed, n_samples))
-        elif name == "conjugacy":
-            results.append(_suite_conjugacy(plant, seed))
-        elif name == "semigroup":
-            results.append(_suite_semigroup(plant, seed))
-        elif name == "monotone_functional":
-            results.append(_suite_monotone(spec, seed))
+    results = [_SUITES[name](plant, seed, n_samples) for name in SUITE_NAMES if name in requested]
     return VerificationReport(case=report.case, seed=seed, suites=results)

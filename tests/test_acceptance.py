@@ -28,7 +28,7 @@ from se2control.reachability import (
     reach_backward,
     reach_forward,
 )
-from se2control.system import ReducedSpec, SystemSpec, classify, larc, reduce_system
+from se2control.system import ReducedSpec, SystemSpec, classify, larc, prepare, reduce_system
 
 
 def report(label: str, ok: bool, detail: str = "") -> None:
@@ -288,7 +288,7 @@ def test_10_boundary_orbit_period_and_continuum():
     spec = SystemSpec(1.0, np.zeros(2), [[1.0, -2.0], [2.0, 1.0]], [1.0, 0.0], (-3.0, 3.0))
     rs = reduce_system(spec)
     assert rs.to_dict() == ReducedSpec(1.0, 2.0, (1.0, 0.0), (-3.0, 3.0)).to_dict()
-    orbit = classify(spec).boundary_structure
+    orbit = classify(prepare(spec)).boundary_structure
     period_ok = orbit["kind"] == "periodic_orbit" and orbit["period"] == math.pi
     vmu = equilibrium(rs, 2.0)
     g0 = np.array([0.7, *vmu])
@@ -302,7 +302,7 @@ def test_10_boundary_orbit_period_and_continuum():
     spec0 = SystemSpec(1.0, np.zeros(2), np.eye(2), [1.0, 0.0], (-1.0, 1.0))
     rs0 = reduce_system(spec0)
     assert rs0.to_dict() == ReducedSpec(1.0, 0.0, (1.0, 0.0), (-1.0, 1.0)).to_dict()
-    continuum_ok = classify(spec0).boundary_structure["kind"] == "continuum_of_fixed_points"
+    continuum_ok = classify(prepare(spec0)).boundary_structure["kind"] == "continuum_of_fixed_points"
     g = np.array([1.3, 0.0, 0.0])
     fixed = flow_product(rs0, 2.7, g, 0.0)
     fixed_ok = np.array_equal(fixed, g)

@@ -1,4 +1,5 @@
 """CLI end-to-end: exit codes, JSON/CSV payloads, determinism."""
+import argparse
 import contextlib
 import io
 import json
@@ -209,6 +210,17 @@ def test_simulate_control_past_the_float_range_gives_one_line(tmp_path, capsys):
     assert err == "error: sample times overflow: the control lasts past the float range\n"
 
 
+@pytest.mark.parametrize("horizon", ["1e306", "1e308"])
+def test_simulate_verify_past_the_rk4_step_range_gives_one_line(tmp_path, capsys, horizon):
+    # |s| / step overflows, so the RK4 step count is no integer: the oracle
+    # once raised OverflowError out of main, after the trajectory rows.
+    rc, out, err = _simulate_quietly(
+        capsys, [write_spec(tmp_path, DEGENERATE), "--u", "0", "--horizon", horizon, "--verify"])
+    assert rc == 2
+    assert len(out.splitlines()) == 66 and "rk4_max_deviation" not in out
+    assert err == f"error: the RK4 step count |s| / step overflows at s = {float(horizon)}\n"
+
+
 @pytest.mark.parametrize("x0", ["1", "1,2,3,4", "1,2,3,4,5"])
 def test_simulate_x0_count_message_names_both_forms(tmp_path, capsys, x0):
     rc, out, err = run_main(
@@ -278,16 +290,12 @@ def test_reach_negative_bounds(tmp_path, capsys):
     )
     assert rc == 0
     assert json.loads(out.read_text())["grid"]["bounds"] == [-2.0, 2.0, -2.0, 2.0]
-    args = cli.build_parser().parse_args(
-        cli._attach_negative_values(["reach", "spec.json", "--bound", "-2,2,-2,2"])
-    )
+    args = cli.build_parser().parse_args(["reach", "spec.json", "--bound", "-2,2,-2,2"])
     assert args.bounds == "-2,2,-2,2"
 
 
 def test_shortest_bounds_abbreviation_is_read_as_bounds():
-    args = cli.build_parser().parse_args(
-        cli._attach_negative_values(["reach", "spec.json", "--b", "-2,2,-2,2"])
-    )
+    args = cli.build_parser().parse_args(["reach", "spec.json", "--b", "-2,2,-2,2"])
     assert args.bounds == "-2,2,-2,2"
 
 
@@ -342,11 +350,48 @@ def test_values_starting_with_minus_inf_or_nan_give_one_line(tmp_path, capsys, s
     assert err.count("\n") == 1 and message in err
 
 
-def test_negative_values_attach_only_to_options_that_take_one():
-    argv = ["simulate", "spec.json", "--u", "-inf", "--x0", "-1,2", "--verify", "-nan", "--samples-p", "-3"]
-    assert cli._attach_negative_values(argv) == [
-        "simulate", "spec.json", "--u=-inf", "--x0=-1,2", "--verify", "-nan", "--samples-p=-3"
+def test_negative_values_attach_only_to_options_that_take_one(capsys):
+    argv = ["simulate", "spec.json", "--u", "-inf", "--x0", "-1,2", "--verify", "--samples-p", "-3"]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.u, args.x0, args.verify, args.samples_per_segment) == (-math.inf, "-1,2", True, -3)
+    # --verify takes no value, so "-nan" after it is no value of an option.
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv[:7] + ["-nan"] + argv[7:])
+    assert "unrecognized arguments: -nan" in capsys.readouterr().err
+
+
+def _value_options() -> list:
+    """One param (command, option, action) per option, of every subcommand, that takes a value."""
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        pytest.param(command, opt, action, id=f"{command} {opt}")
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.nargs != 0
+        for opt in action.option_strings
     ]
+
+
+@pytest.mark.parametrize("value", ["-1", "-inf", "-nan", "-3,0"])
+@pytest.mark.parametrize("command, option, action", _value_options())
+def test_every_value_option_reads_a_value_that_starts_with_minus(capsys, command, option, action, value):
+    # argparse itself reads only plain numbers such as -1 as values; the CLI
+    # widens its negative-number pattern to -inf, -nan and lists.  Should
+    # argparse stop consulting that pattern, this fails for every option.
+    required = ["--v0", "1,1"] if command == "plan" else []
+    argv = [command, "spec.json", *required, option, value]
+    try:
+        want = (action.type or str)(value)
+    except ValueError:
+        want = None
+    if want is not None and (action.choices is None or want in action.choices):
+        assert repr(getattr(cli.build_parser().parse_args(argv), action.dest)) == repr(want)
+        return
+    # The value reaches the option's own type or choices check.
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid" in err and f"'{value}'" in err
 
 
 def test_verify_rejects_overflowing_degenerate_functional(tmp_path, capsys):

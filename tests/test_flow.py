@@ -16,7 +16,7 @@ from se2control.flow import (
     flow_r2,
     flow_se2,
 )
-from se2control.system import ReducedSpec, SystemSpec
+from se2control.system import ReducedSpec, SystemSpec, prepare
 
 
 def make_rs(lam=1.0, mu=0.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
@@ -211,7 +211,7 @@ def test_flow_se2_matches_integrator(rng):
         g = np.array([rng.uniform(0, 2 * math.pi), *rng.normal(size=2)])
         u = rng.uniform(-1.5, 1.5)
         s = rng.uniform(-1.5, 1.5)
-        out = flow_se2(spec, s, g, u)
+        out = flow_se2(prepare(spec), s, g, u)
         ref = rk4_full(alpha, spec.xi, lam, mu, spec.eta1, s,
                        g, u)
         worst = max(worst, angle_gap(out[0], ref[0]),
@@ -222,7 +222,7 @@ def test_flow_se2_matches_integrator(rng):
 def test_flow_se2_rejects_alpha_zero():
     spec = SystemSpec(0.0, np.ones(2), np.eye(2), np.ones(2), (-1.0, 1.0))
     with pytest.raises(ValueError):
-        flow_se2(spec, 1.0, np.zeros(3), 0.5)
+        flow_se2(prepare(spec), 1.0, np.zeros(3), 0.5)
 
 
 def test_flow_se2_takes_every_det_zero_spec_to_the_A_zero_chart():
@@ -233,7 +233,7 @@ def test_flow_se2_takes_every_det_zero_spec_to_the_A_zero_chart():
         SystemSpec(1e-170, [1.0, 0.5], np.zeros((2, 2)), [0.2, 0.1], (-1e-170, 1e-170)),
     ]
     for spec in specs:
-        out = flow_se2(spec, 1.0, np.array([0.3, 0.1, 0.2]), 0.0)
+        out = flow_se2(prepare(spec), 1.0, np.array([0.3, 0.1, 0.2]), 0.0)
         assert np.isfinite(out).all()
 
 
@@ -284,7 +284,7 @@ def test_flow_concat_group_state_for_full_spec(rng):
                       np.array([[-0.4, -1.1], [1.1, -0.4]]),
                       np.array([0.2, 0.7]), (-1.0, 1.5))
     segs = [(0.6, 0.8), (0.9, -0.5)]
-    traj = flow_concat(spec, PiecewiseControl(segs), np.array([1.1, 0.4, -0.8]))
+    traj = flow_concat(prepare(spec), PiecewiseControl(segs), np.array([1.1, 0.4, -0.8]))
     assert traj.kind == "group"
     state = np.array([1.1, 0.4, -0.8])
     for dur, u in segs:

@@ -42,7 +42,7 @@ from se2control.flow import (
     rk4_oracle_batch,
 )
 from se2control.geometry import check_invariance, invariant_ball
-from se2control.system import ReducedSpec, SystemSpec, matrix_from_lambda_mu, reduce_system
+from se2control.system import ReducedSpec, SystemSpec, matrix_from_lambda_mu, prepare, reduce_system
 
 REL = 1e-13
 RK4_V_REL = 1e-11
@@ -198,7 +198,7 @@ def test_flow_se2_batch_matches_mpmath(rng):
         s = rng.uniform(-2.0, 2.0, size=n)
         u = rng.uniform(-1.5, 1.5, size=n)
         u[0] = 0.0
-        got = flow_se2(spec, s, x, u)
+        got = flow_se2(prepare(spec), s, x, u)
         assert got.shape == (n, 3)
         a = np.linalg.norm(np.linalg.solve(spec.A, spec.xi)) if spec.det() else 0.0
         for i in range(n):
@@ -215,7 +215,7 @@ def test_flow_se2_small_controls_for_A_zero_match_mpmath():
     spec = _full_specs(np.random.default_rng(0))[-1]
     x = np.array([0.7, 0.3, -0.4])
     for ut in (1e-4, -1e-5, 1e-6, -1e-8):
-        got = flow_se2(spec, 1.3, x, ut / spec.alpha)
+        got = flow_se2(prepare(spec), 1.3, x, ut / spec.alpha)
         tf, vf = mp_flow_se2(spec, 1.3, x, ut / spec.alpha)
         scale = max(1.0, float(np.linalg.norm(x[1:])), float(_norm(vf)))
         assert _gap(got[1:], vf) <= REL * scale
@@ -259,7 +259,7 @@ def test_group_flows_rows_equal_one_row_calls(rng):
     s = rng.uniform(-2.0, 2.0, size=30)
     u = rng.uniform(-1.0, 1.0, size=30)
     u[:4] = 0.0
-    cases = [(flow_product, rs)] + [(flow_detA0, chart)] + [(flow_se2, spec) for spec in _full_specs(rng)]
+    cases = [(flow_product, rs)] + [(flow_detA0, chart)] + [(flow_se2, prepare(spec)) for spec in _full_specs(rng)]
     for flow, system in cases:
         batch = flow(system, s, x, u)
         for i in range(30):
@@ -339,6 +339,14 @@ def test_rk4_overflow_names_s():
         rk4_oracle_batch(spec, [1.0, 800.0, 900.0, -900.0], np.zeros(3), 0.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_rk4_step_count_past_the_float_range_names_s():
+    # |s| / step = 1e309 is inf, which math.ceil cannot make an integer.
+    spec = SystemSpec(1.0, [1.0, 0.0], np.zeros((2, 2)), [0.3, 0.2])
+    with pytest.raises(ValueError, match=r"^the RK4 step count \|s\| / step overflows at s = -1e\+306$"):
+        rk4_oracle_batch(spec, [1.0, -1e306], np.zeros(3), 0.0)
+
+
 def test_rk4_oracle_memory_is_bounded_by_chunks():
     spec = SystemSpec(1.2, [0.4, -0.7], matrix_from_lambda_mu(-0.5, 1.3), [0.9, 0.2])
     tracemalloc.start()
@@ -395,6 +403,14 @@ def test_flow_overflow_names_s():
     rs = ReducedSpec(1.0, 2.0, np.array([1.0, 0.0]), (-1.0, 1.0))
     with pytest.raises(ValueError, match=r"s = 800\.0"):
         flow_r2(rs, np.array([1.0, 800.0, 900.0]), np.zeros(2), 0.5)
+
+
+def test_flow_whose_s_times_lambda_overflows_names_s_without_a_warning():
+    # s * lam = 1e309 is inf: the product once sat outside flow_r2's
+    # np.errstate and wrote an overflow RuntimeWarning, an error here.
+    rs = ReducedSpec(100.0, 2.0, np.array([1.0, 0.0]), (-1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^flow is not finite at s = 1e\+307$"):
+        flow_r2(rs, np.array([1.0, 1e307]), np.zeros(2), 0.0)
 
 
 # -- flow._exp is libm's exp, bit for bit ----------------------------------

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_charts import reference_flow_se2
 
-from se2control.flow import equilibrium, flow_concat, flow_se2, PiecewiseControl
+from se2control.flow import equilibrium, flow_se2
 from se2control.system import SystemSpec, classify, matrix_from_lambda_mu, prepare, reduce_system
 
 
@@ -94,13 +94,13 @@ def test_plant_flow_is_within_bound_of_chart_composition(case):
     except ValueError:
         # Rates below about 1e-308 are A != 0, but LAPACK's A^{-1} xi is not
         # finite there: both flows stop with the reduction's ValueError.
-        for flow in (flow_se2, reference_flow_se2):
-            with pytest.raises(ValueError, match="overflows"):
-                flow(spec, s, x, u)
+        with pytest.raises(ValueError, match="overflows"):
+            flow_se2(plant, s, x, u)
+        with pytest.raises(ValueError, match="overflows"):
+            reference_flow_se2(spec, s, x, u)
         return
     batch = flow_se2(plant, s, x, u)
     _within_bound(plant, s, x, u, batch, reference_flow_se2(spec, s, x, u))
-    _same(flow_se2(spec, s, x, u), batch)
     # One start state under many times, as flow_concat calls it.
     fan = flow_se2(plant, s, x[0], u[0])
     _within_bound(plant, s, x[0], u[0], fan, reference_flow_se2(spec, s, x[0], u[0]))
@@ -119,7 +119,7 @@ def test_prepare_picks_the_chart_and_reduces_once():
     assert plant.rs.to_dict() == reduce_system(spec).to_dict()
     w = np.linalg.solve(spec.A, spec.xi)
     assert plant.offset == complex(-w[1], w[0])
-    assert classify(plant).to_dict() == classify(spec).to_dict()
+    assert classify(plant).reduced == plant.rs.to_dict()
     # det A underflows to 0, yet A != 0: the psi chart, as classify sees it.
     tiny = SystemSpec(1.0, [0.3, -0.7], matrix_from_lambda_mu(1e-170, 2e-170), [1.0, 0.2])
     assert prepare(tiny).chart == "psi" and prepare(tiny).rs is not None
@@ -134,11 +134,3 @@ def test_alpha_zero_plant_has_no_chart_and_no_flow():
     assert classify(plant).case == "NotClassified"
     with pytest.raises(ValueError, match="exact flow requires alpha != 0"):
         flow_se2(plant, 1.0, np.zeros(3), 0.5)
-
-
-def test_flow_concat_takes_a_plant_or_a_spec_alike():
-    spec = SystemSpec(1.3, [-0.4, 0.9], matrix_from_lambda_mu(-0.5, 1.1), [0.2, -0.6], (-1.0, 2.0))
-    control = PiecewiseControl([(1.25, 1.7), (0.6, -0.3), (0.0, 0.4)])
-    a = flow_concat(prepare(spec), control, [7.5, 1.5, -2.0], samples_per_segment=8)
-    b = flow_concat(spec, control, [7.5, 1.5, -2.0], samples_per_segment=8)
-    assert _bits(a.states) == _bits(b.states) and a.kind == b.kind == "group"

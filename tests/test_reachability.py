@@ -27,7 +27,7 @@ from se2control.reachability import (
     steer_degenerate,
     steer_degenerate_batch,
 )
-from se2control.system import ReducedSpec, SystemSpec, classify, reduce_system
+from se2control.system import ReducedSpec, SystemSpec, classify, prepare, reduce_system
 
 def make_rs(lam=1.0, mu=2.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
     return ReducedSpec(lam=lam, mu=mu, eta=np.asarray(eta, dtype=float), omega=omega)
@@ -863,7 +863,7 @@ def test_boundary_periodic_orbit_values():
     flows use, and the flow at u = mu holds it fixed for a whole period."""
     A = np.array([[1.0, -2.0], [2.0, 1.0]])  # lam = 1, mu = 2
     spec = SystemSpec(1.0, np.zeros(2), A, np.array([1.0, 0.0]), (-3.0, 3.0))
-    b = classify(spec).boundary_structure
+    b = classify(prepare(spec)).boundary_structure
     assert b["kind"] == "periodic_orbit"
     assert b["control"] == 2.0
     assert b["period"] == math.pi

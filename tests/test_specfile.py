@@ -22,7 +22,7 @@ from se2control.specfile import (
     write_cells_csv,
     write_trajectory_csv,
 )
-from se2control.system import ReducedSpec, SystemSpec, reduce_system
+from se2control.system import ReducedSpec, SystemSpec, prepare, reduce_system
 
 
 GOOD = {
@@ -141,7 +141,7 @@ def test_trajectory_csv_rows_format_each_value():
     spec = SystemSpec(1.0, [0.3, 0.1], [[0.0, -2.0], [2.0, 0.0]], [1.0, 0.0], (-1.0, 1.0))
     # 769 rows: more than one block of rows.
     ctrl = PiecewiseControl([(0.5, 0.3), (1.0, -0.7), (0.2, 0.0)] * 4)
-    for traj in (flow_concat(spec, ctrl, [0.1, 1e-300, -2.5]),
+    for traj in (flow_concat(prepare(spec), ctrl, [0.1, 1e-300, -2.5]),
                  flow_concat(reduce_system(spec), ctrl, [1.0, -0.0])):
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)

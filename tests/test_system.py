@@ -62,26 +62,26 @@ def test_larc_cases(alpha, xi, eta1, expected):
 def test_classify_degenerate():
     spec = SystemSpec(1.0, np.array([1.0, 0.0]), np.zeros((2, 2)),
                       np.array([0.0, 0.5]), (-1.0, 1.0))
-    rep = classify(spec)
+    rep = classify(prepare(spec))
     assert rep.case == CASE_DEGENERATE
     assert rep.det == 0.0 and rep.trace == 0.0
 
 
 def test_classify_trace_zero():
-    rep = classify(make_spec(lam=0.0, mu=1.0))
+    rep = classify(prepare(make_spec(lam=0.0, mu=1.0)))
     assert rep.case == CASE_TRACE_ZERO
     assert rep.controllable is True
 
 
 def test_classify_closed_bounded():
-    rep = classify(make_spec(lam=-0.5, mu=1.0))
+    rep = classify(prepare(make_spec(lam=-0.5, mu=1.0)))
     assert rep.case == CASE_CLOSED
     assert rep.trace < 0.0
 
 
 def test_classify_open_with_periodic_boundary():
     spec = make_spec(lam=1.0, mu=2.0, omega=(-3.0, 3.0))
-    rep = classify(spec)
+    rep = classify(prepare(spec))
     assert rep.case == CASE_OPEN
     b = rep.boundary_structure
     assert b["kind"] == "periodic_orbit"
@@ -92,27 +92,27 @@ def test_classify_open_with_periodic_boundary():
 
 
 def test_classify_open_boundary_absent_when_mu_outside():
-    rep = classify(make_spec(lam=1.0, mu=2.0, omega=(-1.0, 1.0)))
+    rep = classify(prepare(make_spec(lam=1.0, mu=2.0, omega=(-1.0, 1.0))))
     assert rep.case == CASE_OPEN
     assert rep.boundary_structure["kind"] == "none"
 
 
 def test_classify_mu_zero_continuum():
-    rep = classify(make_spec(lam=1.0, mu=0.0, omega=(-1.0, 1.0)))
+    rep = classify(prepare(make_spec(lam=1.0, mu=0.0, omega=(-1.0, 1.0))))
     assert rep.case == CASE_OPEN
     assert rep.boundary_structure["kind"] == "continuum_of_fixed_points"
 
 
 def test_classify_abstains_without_larc():
-    rep = classify(make_spec(alpha=0.0))
+    rep = classify(prepare(make_spec(alpha=0.0)))
     assert rep.larc is False
     assert rep.case == CASE_NOT_CLASSIFIED
 
 
 def test_classify_case_depends_only_on_matrix(rng):
     for scale in (0.5, 2.0, 7.5):
-        a = classify(make_spec(lam=1.0, mu=2.0, eta1=(1.0, 0.0)))
-        b = classify(make_spec(lam=1.0, mu=2.0, eta1=(scale, 0.0)))
+        a = classify(prepare(make_spec(lam=1.0, mu=2.0, eta1=(1.0, 0.0))))
+        b = classify(prepare(make_spec(lam=1.0, mu=2.0, eta1=(scale, 0.0))))
         assert (a.det, a.trace, a.case) == (b.det, b.trace, b.case)
 
 
@@ -167,7 +167,7 @@ def test_reduce_time_scaled_open_spec(k):
     rs = reduce_system(spec)
     assert (rs.lam, rs.mu, rs.omega) == (k, 2.0 * k, (-k, k))
     assert np.max(np.abs(rs.eta - want.eta)) <= 1e-12 * np.linalg.norm(want.eta)
-    assert classify(spec).case == CASE_OPEN
+    assert classify(prepare(spec)).case == CASE_OPEN
 
 
 def test_overflowing_rates_are_rejected_by_the_reduction():
@@ -189,7 +189,7 @@ def test_rates_whose_squares_underflow_are_not_a_zero_matrix(lam, mu, case):
     assert spec.det() == 0.0 and not spec.a_is_zero
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert classify(spec).case == case
+        assert classify(prepare(spec)).case == case
         assert prepare(spec).chart == "psi"
         rs = reduce_system(spec)
     assert (rs.lam, rs.mu) == (lam, mu)
@@ -208,7 +208,7 @@ def test_a_reduction_whose_eta_overflows_is_rejected():
         with pytest.raises(ValueError, match="overflows"):
             reduce_system(spec)
         with pytest.raises(ValueError, match="overflows"):
-            classify(spec)
+            classify(prepare(spec))
 
 
 def test_an_overflowing_one_point_control_set_is_rejected():
@@ -218,4 +218,4 @@ def test_an_overflowing_one_point_control_set_is_rejected():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="v\\(mu\\) .* overflows"):
-            classify(spec)
+            classify(prepare(spec))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from se2control import verification as V
 from se2control.reachability import control_grid
-from se2control.system import SystemSpec
+from se2control.system import SystemSpec, prepare
 from se2control.verification import SUITE_NAMES, _draw, run_verification
 
 
@@ -27,7 +27,7 @@ def spec_trace_zero():
 
 
 def test_open_case_all_numeric_suites_pass():
-    rep = run_verification(spec_open(), seed=0, n_samples=500)
+    rep = run_verification(prepare(spec_open()), seed=0, n_samples=500)
     by_name = {s.name: s for s in rep.suites}
     assert set(by_name) == set(SUITE_NAMES)
     for name in ("bound_sweep", "ball_invariance", "conjugacy", "semigroup"):
@@ -37,7 +37,7 @@ def test_open_case_all_numeric_suites_pass():
 
 
 def test_bound_sweep_margin_reported_positive():
-    rep = run_verification(spec_open(), seed=0, suites=["bound_sweep"])
+    rep = run_verification(prepare(spec_open()), seed=0, suites=["bound_sweep"])
     (suite,) = [s for s in rep.suites if s.name == "bound_sweep"]
     assert suite.status == "passed"
     assert suite.metrics["min_margin"] > 0.0
@@ -53,7 +53,7 @@ def test_bound_sweep_fails_on_a_nan_margin(monkeypatch):
 
     monkeypatch.setattr(V, "chord_excess", chord_excess_with_a_nan)
     # Python's min would skip the NaN after a finite margin.
-    rep = run_verification(spec_open(), seed=0, suites=["bound_sweep"])
+    rep = run_verification(prepare(spec_open()), seed=0, suites=["bound_sweep"])
     (suite,) = rep.suites
     assert suite.status == "failed" and np.isnan(suite.metrics["min_margin"])
     assert not rep.passed
@@ -80,7 +80,7 @@ def test_bound_sweep_resolves_the_bound_at_fast_rates(lam):
     # 1 + g both rounded to 1.
     spec = SystemSpec(1.0, np.array([0.3, -0.7]), np.array([[lam, -2.0], [2.0, lam]]),
                       np.array([1.0, 0.2]), (-1.0, 1.0))
-    (suite,) = run_verification(spec, seed=0, suites=["bound_sweep"]).suites
+    (suite,) = run_verification(prepare(spec), seed=0, suites=["bound_sweep"]).suites
     assert suite.status == "passed"
     want = _mp_min_margin(spec)
     assert abs(suite.metrics["min_margin"] - want) <= 1e-9 * want
@@ -113,14 +113,14 @@ def _sweep_specs(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(_sweep_specs())
 def test_bound_sweep_margin_equals_the_per_nu_loop(spec):
-    suite = V._suite_bound_sweep(spec, 0)
+    suite = V._suite_bound_sweep(prepare(spec), 0, 1)
     if suite.status == "skipped":
         return
     assert repr(suite.metrics["min_margin"]) == repr(_loop_min_margin(spec))
 
 
 def test_degenerate_case_routes_to_monotone_suite():
-    rep = run_verification(spec_degenerate(), seed=0, n_samples=200)
+    rep = run_verification(prepare(spec_degenerate()), seed=0, n_samples=200)
     by_name = {s.name: s for s in rep.suites}
     assert by_name["monotone_functional"].status == "passed"
     assert by_name["bound_sweep"].status == "skipped"
@@ -129,7 +129,7 @@ def test_degenerate_case_routes_to_monotone_suite():
 
 
 def test_trace_zero_case_skips_ball():
-    rep = run_verification(spec_trace_zero(), seed=0, n_samples=300)
+    rep = run_verification(prepare(spec_trace_zero()), seed=0, n_samples=300)
     by_name = {s.name: s for s in rep.suites}
     assert by_name["ball_invariance"].status == "skipped"
     assert by_name["bound_sweep"].status == "skipped"
@@ -138,18 +138,18 @@ def test_trace_zero_case_skips_ball():
 
 
 def test_suite_selection():
-    rep = run_verification(spec_open(), suites=["conjugacy", "semigroup"])
+    rep = run_verification(prepare(spec_open()), suites=["conjugacy", "semigroup"])
     assert {s.name for s in rep.suites} == {"conjugacy", "semigroup"}
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
-        run_verification(spec_open(), suites=["nonsense"])
+        run_verification(prepare(spec_open()), suites=["nonsense"])
 
 
 def test_deterministic_given_seed():
-    a = run_verification(spec_open(), seed=11, n_samples=300).to_dict()
-    b = run_verification(spec_open(), seed=11, n_samples=300).to_dict()
+    a = run_verification(prepare(spec_open()), seed=11, n_samples=300).to_dict()
+    b = run_verification(prepare(spec_open()), seed=11, n_samples=300).to_dict()
     assert a == b
 
 
