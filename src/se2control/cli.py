@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: classify, simulate, reach, plan, verify.  All reports are
-deterministic JSON (sorted keys, 17-significant-digit floats); trajectories
-and reach sets are CSV.  Exit codes: 0 success, 2 invalid input, 3 case
-mismatch (command does not apply to the system's classification case),
-4 verification failure.  A reader that closes stdout early (``| head``) ends
+deterministic JSON (sorted keys, each float as its shortest round-trip
+repr); trajectories and reach sets are CSV.  Exit codes: 0 success,
+2 invalid input, 3 case mismatch (command does not apply to the system's
+classification case), 4 verification failure.  A reader that closes stdout early (``| head``) ends
 the command quietly with exit code 0.
 
 Input is normalised here and only here: argparse reads the argv once,
@@ -136,12 +136,13 @@ def cmd_simulate(args) -> int:
     )
     plant = prepare(spec)
     traj = flow_concat(plant, control, g0, samples_per_segment=args.samples_per_segment)
+    # The check runs before the output opens, so a failing one leaves none.
+    dev = _simulate_rk4_deviation(plant, control, g0) if args.verify else None
 
     stream, close = _open_out(args.out)
     try:
         write_trajectory_csv(traj, stream)
-        if args.verify:
-            dev = _simulate_rk4_deviation(plant, control, g0)
+        if dev is not None:
             stream.write(f"# rk4_max_deviation,{format_float(dev)}\n")
     finally:
         if close:

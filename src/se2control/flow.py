@@ -70,11 +70,10 @@ def equilibrium(rs: ReducedSpec, u) -> np.ndarray:
     ValueError is raised if any u is singular.
     """
     u = np.asarray(u, dtype=float)
-    nu = rs.mu - u
-    d = rs.lam**2 + nu * nu
+    d = rs.det_a_of_u(u)
     if np.any(d == 0.0):
         raise ValueError("no equilibrium at the singular control u = mu (lam = 0)")
-    return to_pairs(_equilibrium(rs, u, nu, d))
+    return to_pairs(_equilibrium(rs, u, rs.mu - u, d))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +123,7 @@ def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     pairs = not np.iscomplexobj(v)
     z = to_complex(v) if pairs else np.asarray(v)
-    nu = rs.mu - u
-    d = rs.lam**2 + nu * nu
+    nu, d = rs.mu - u, rs.det_a_of_u(u)
     singular = d == 0.0
     any_singular = singular.any()
     vu = _equilibrium(rs, u, nu, np.where(singular, 1.0, d) if any_singular else d)

@@ -1,76 +1,25 @@
-"""Equilibria geometry, the invariant ball, and the strict spiral bound.
+"""The strict spiral bound, and the Monte Carlo check of the invariant ball.
 
-For lam != 0 the equilibria v(u) = -u A(u)^{-1} eta, u in R, sweep a circle
-with center -((mu/lam) eta + theta eta)/2 and radius
-|eta| sqrt(mu^2 + lam^2) / (2 |lam|); as u -> +-infinity they approach
--theta eta.  For lam = 0 they sweep the line R * theta eta with a pole at
-u = mu.
-
-The ball B centered at -theta eta with radius |eta| sqrt(lam^2 + mu^2)/|lam|
-is invariant: flows with lam s < 0 map B strictly into its interior, and
-flows with lam s > 0 strictly increase the distance to the center outside B.
+The ball B = :attr:`system.ReducedSpec.ball`, centered at -theta eta with
+radius |eta| sqrt(lam^2 + mu^2)/|lam|, is invariant: flows with lam s < 0
+map B strictly into its interior, and flows with lam s > 0 strictly
+increase the distance to the center outside B.
 Both facts rest on the strict bound f(sigma, nu, s) < (sigma^2+nu^2)/sigma^2,
 that is f - 1 < (nu/sigma)^2, implemented here in a cancellation-free form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .flow import equilibrium, flow_r2
-from .group import cis, to_complex, to_pairs
+from .group import cis, to_complex
 from .system import ReducedSpec
 
 # Samples per flow call in check_invariance.
 FLOW_CHUNK = 2048
-
-
-@dataclass
-class Circle:
-    """A centre and a radius: the circle of equilibria, or the invariant ball."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(2)
-        self.radius = float(self.radius)
-
-    def to_dict(self) -> dict:
-        return {"center": [float(c) for c in self.center], "radius": float(self.radius)}
-
-
-def circle_params(rs: ReducedSpec) -> Circle:
-    """Circle swept by the equilibria v(u), u in R (requires lam != 0)."""
-    if rs.lam == 0.0:
-        raise ValueError("equilibria form a line when lam = 0, not a circle")
-    eta = complex(*rs.eta)
-    center = -0.5 * ((rs.mu / rs.lam) * eta + 1j * eta)
-    radius = 0.5 * np.sqrt((rs.mu**2 + rs.lam**2) / rs.lam**2) * float(
-        np.linalg.norm(rs.eta)
-    )
-    return Circle(to_pairs(center), radius)
-
-
-def invariant_ball(rs: ReducedSpec) -> Circle:
-    """Invariant ball: center -theta eta, radius |eta| sqrt(lam^2+mu^2)/|lam|.
-
-    Raises ValueError when lam^2 underflows, |eta|^2 overflows or the
-    radius is not finite.
-    """
-    if rs.lam == 0.0:
-        raise ValueError("the invariant ball requires lam != 0")
-    lam2 = rs.lam**2
-    with np.errstate(over="ignore"):
-        length = float(np.linalg.norm(rs.eta))
-    # Python floats: a quotient or product that overflows is inf, without a warning.
-    radius = math.sqrt((lam2 + rs.mu**2) / lam2) * length if lam2 else math.inf
-    if not math.isfinite(radius):
-        raise ValueError("the invariant ball is out of range: lambda^2 underflows or the radius overflows")
-    return Circle(to_pairs(-1j * complex(*rs.eta)), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +103,11 @@ def check_invariance(
     own one-row flow gives.
     Margins approach zero near u = mu with w near the boundary tangency
     point; the strict bound still holds everywhere except at w = v(u) itself.
+    Raises what reading ``rs.ball`` raises, lam = 0 included.
     """
-    if rs.lam == 0.0:
-        raise ValueError("check_invariance requires lam != 0")
     n = int(n_samples)
     rng = np.random.default_rng(seed)
-    ball = invariant_ball(rs)
-    c, radius = complex(*ball.center), ball.radius
+    c, radius = complex(*rs.ball.center), rs.ball.radius
     lo, hi = rs.omega
 
     u = rng.uniform(lo, hi, size=2 * n)
@@ -187,7 +134,7 @@ def check_invariance(
         part = slice(i, i + FLOW_CHUNK)
         margin_in[part] = radius - np.abs(flow_r2(rs, s_in[part], w_in[part], u_in[part]) - c)
         w, uu = w_out[part], u_out[part]
-        regular = rs.lam**2 + (rs.mu - uu) ** 2 != 0.0
+        regular = rs.det_a_of_u(uu) != 0.0
         keep[part][regular] = np.abs(w[regular] - to_complex(equilibrium(rs, uu[regular]))) > 1e-9 * radius
         margin_out[part] = np.abs(flow_r2(rs, s_out[part], w, uu) - c) - rad_out[part]
     margin_out = margin_out[keep]

@@ -25,11 +25,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Rotation generator: theta @ w rotates w by +90 degrees.
-THETA = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-COMMUTE_TOL = 1e-12
-
 
 def wrap_angle(t):
     """Reduce an angle to the canonical interval [0, 2*pi).
@@ -97,9 +92,3 @@ def group_result(t, z) -> np.ndarray:
     x[..., 0] = wrap_angle(t)
     x[..., 1:] = v
     return x
-
-
-def commutes_with_theta(A, tol: float = COMMUTE_TOL) -> bool:
-    """Check A theta = theta A within `tol` (max-abs entrywise)."""
-    A = np.asarray(A, dtype=float)
-    return float(np.max(np.abs(A @ THETA - THETA @ A))) <= tol

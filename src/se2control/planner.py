@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import SAMPLES_PER_SEGMENT, PiecewiseControl, Trajectory, equilibrium, flow_concat
-from .geometry import Circle
 from .group import TWO_PI, to_pairs
-from .system import ReducedSpec
+from .system import Circle, ReducedSpec
 
 # Forward arcs a plan may take before it gives up on reaching the segment.
 MAX_ARCS = 100_000

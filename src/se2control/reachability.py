@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import PiecewiseControl, _detA0_rows, dwell_rate, equilibrium
-from .geometry import invariant_ball
-from .group import angle_dist, to_complex, to_pairs
+from .flow import PiecewiseControl, _detA0_rows, _exp, dwell_rate, equilibrium
+from .group import angle_dist, cis, to_complex, to_pairs
 from .system import ReducedSpec, SystemSpec, larc, reduced_range
 
 DEFAULT_MAX_CELLS = 1_000_000
@@ -166,12 +165,9 @@ def default_grid_config(
     0.05 / max(|lam|, |mu - u-|, |mu - u+|, 1).
     """
     lo, hi = rs.omega
-    with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(rs.eta))
-    if not math.isfinite(scale):
-        raise ValueError("|eta|^2 overflows: the default grid is out of range")
+    scale = rs.length
     if rs.lam != 0.0:
-        ball = invariant_ball(rs)
+        ball = rs.ball
         radius = ball.radius if ball.radius > 0.0 else max(scale, 1.0)
         cx, cy = ball.center
         half = 1.5 * radius
@@ -350,18 +346,19 @@ def _control_constants(rs: ReducedSpec, cfg: GridConfig, direction: int):
     column holds e^{s lam} cos(s (mu - u)), e^{s lam} sin(s (mu - u)) and
     v(u), or, where det A(u) = 0, ecos = 1, esin = 0 and the translation
     (s u) eta.  e^{s lam} does not depend on u, so it is taken once per step;
-    math.exp, cos and sin keep each value that of a scalar evaluation.
+    it and e^{i s (mu - u)} come from the flow layer's _exp and cis, whose
+    values are libm's exp, cos and sin, as a scalar evaluation gives them.
     """
     us = cfg.controls
     s = np.arange(1, cfg.steps_per_arc + 1) * (direction * cfg.time_step)
-    sing_u = np.array([rs.det_a_of_u(u) == 0.0 for u in us.tolist()])
+    sing_u = rs.det_a_of_u(us) == 0.0
     sing = np.repeat(sing_u, s.size)
     vu = np.zeros((us.size, 2))
     vu[~sing_u] = equilibrium(rs, us[~sing_u])
-    efac = np.tile([math.exp(x) for x in (s * rs.lam).tolist()], us.size)
-    ang = (s * (rs.mu - us)[:, None]).ravel().tolist()
-    ecos = np.where(sing, 1.0, efac * np.array([math.cos(a) for a in ang]))
-    esin = np.where(sing, 0.0, efac * np.array([math.sin(a) for a in ang]))
+    efac = np.tile(_exp(s * rs.lam, s), us.size)
+    turn = cis(s * (rs.mu - us)[:, None]).ravel()
+    ecos = np.where(sing, 1.0, efac * turn.real)
+    esin = np.where(sing, 0.0, efac * turn.imag)
     su = (s * us[:, None]).ravel()
     linx, liny = (np.where(sing, su * e, 0.0) for e in rs.eta)
     vux, vuy = (np.repeat(c, s.size) for c in vu.T)
@@ -594,7 +591,7 @@ def _cover_ids(cfg: GridConfig, center, radius: float) -> np.ndarray:
 
 
 def _ball_containment(region: ReachSet, rs: ReducedSpec) -> dict:
-    ball = invariant_ball(rs)
+    ball = rs.ball
     centers = region.cell_centers()
     d = _distances(centers, ball.center)
     allowed = ball.radius + region.config.cell_diagonal
@@ -635,9 +632,7 @@ def estimate_control_set(
         raise ValueError(f"seed control {seed_control} lies outside the control range [{lo}, {hi}]")
 
     if rs.lam == 0.0:
-        radius = coverage_radius if coverage_radius is not None else max(
-            float(np.linalg.norm(rs.eta)), 0.25
-        )
+        radius = coverage_radius if coverage_radius is not None else max(rs.length, 0.25)
         cover = _cover_ids(cfg, np.zeros(2), radius)
         region = reach_forward(rs, np.zeros(2), cfg, cover=cover)
         coverage = {

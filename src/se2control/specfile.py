@@ -3,7 +3,8 @@
 A system spec is a JSON object with keys alpha, xi, A, eta1, omega; A is
 either {"lambda": ..., "mu": ...} or a full 2x2 matrix (validated for the
 rotation-commuting form).  Controls are {"segments": [{"duration", "u"}]}.
-All numbers are written back with 17 significant digits so values round-trip
+JSON reports write each float as Python's shortest repr that reads back
+to the same value (``json.dumps(0.1)`` is ``0.1``), so values round-trip
 exactly.
 
 Every number in a CSV is the bytes of Python's ``'%.17g' % x``.  The

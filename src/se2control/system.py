@@ -20,7 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .group import commutes_with_theta
+from .group import to_pairs
+
+# Tolerance of the commuting form, relative to max(|lam|, |mu|).
+COMMUTE_TOL = 1e-12
 
 # Classification cases.
 CASE_DEGENERATE = "DegenerateDetZero"
@@ -28,17 +31,6 @@ CASE_TRACE_ZERO = "ControllableTraceZero"
 CASE_CLOSED = "ClosedBoundedControlSet"
 CASE_OPEN = "OpenControlSet"
 CASE_NOT_CLASSIFIED = "NotClassified"
-
-
-def lambda_mu(A):
-    """Extract (lam, mu) from a matrix commuting with theta.
-
-    Raises ValueError if A does not have the form [[lam, -mu], [mu, lam]].
-    """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (2, 2) or not commutes_with_theta(A):
-        raise ValueError("A must commute with the rotation generator")
-    return float(A[0, 0]), float(A[1, 0])
 
 
 def matrix_from_lambda_mu(lam: float, mu: float) -> np.ndarray:
@@ -64,7 +56,9 @@ class SystemSpec:
     xi : ndarray, shape (2,)
         Drift translation data.
     A : ndarray, shape (2, 2)
-        Linear part; must commute with the rotation generator.
+        Linear part [[lam, -mu], [mu, lam]], with lam = A[0, 0] and mu =
+        A[1, 0] of the matrix given.  The matrix given must commute with the
+        rotation generator to COMMUTE_TOL relative to max(|lam|, |mu|).
     eta1 : ndarray, shape (2,)
         Invariant field translation data.
     omega : (float, float)
@@ -81,8 +75,11 @@ class SystemSpec:
         self.alpha = float(self.alpha)
         self.xi = np.asarray(self.xi, dtype=float).reshape(2).copy()
         self.eta1 = np.asarray(self.eta1, dtype=float).reshape(2).copy()
-        self.A = np.asarray(self.A, dtype=float).reshape(2, 2).copy()
-        lambda_mu(self.A)  # validates the commuting form
+        a, b, c, d = np.asarray(self.A, dtype=float).reshape(4).tolist()
+        # A theta - theta A has the entries +-(b + c) and +-(d - a); a NaN fails.
+        if not np.max(np.abs([b + c, d - a])) <= COMMUTE_TOL * max(abs(a), abs(c)):
+            raise ValueError("A must commute with the rotation generator")
+        self.A = matrix_from_lambda_mu(a, c)
         self.omega = _check_omega(self.omega)
         if not (
             np.isfinite(self.alpha)
@@ -115,22 +112,32 @@ class SystemSpec:
     def trace(self) -> float:
         return 2.0 * self.lam
 
+
+@dataclass(frozen=True, eq=False)
+class Circle:
+    """Immutable centre and radius: the circle of equilibria, or the invariant ball."""
+
+    center: np.ndarray
+    radius: float
+
+    def __post_init__(self):
+        center = np.array(self.center, dtype=float).reshape(2)
+        center.flags.writeable = False
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", float(self.radius))
+
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "xi": list(self.xi),
-            "A": {"lambda": self.lam, "mu": self.mu},
-            "eta1": list(self.eta1),
-            "omega": list(self.omega),
-        }
+        return {"center": [float(c) for c in self.center], "radius": float(self.radius)}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReducedSpec:
     """Planar reduced system vdot = (A - u theta) v + u eta.
 
     The control u ranges over `omega` (already alpha-rescaled when the spec
-    comes from :func:`reduce_system`).
+    comes from :func:`reduce_system`).  Frozen, with a read-only `eta`, it
+    computes its geometry (`length`, `ball`, `circle`) on first use and
+    keeps it.  For lam = 0 the equilibria sweep the line R * theta eta.
     """
 
     lam: float
@@ -139,17 +146,69 @@ class ReducedSpec:
     omega: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
-        self.lam = float(self.lam)
-        self.mu = float(self.mu)
-        self.eta = np.asarray(self.eta, dtype=float).reshape(2).copy()
-        if self.lam == 0.0 and self.mu == 0.0:
+        lam, mu = float(self.lam), float(self.mu)
+        eta = np.array(self.eta, dtype=float).reshape(2)
+        eta.flags.writeable = False
+        if lam == 0.0 and mu == 0.0:
             raise ValueError("reduced system requires det A != 0")
-        self.omega = _check_omega(self.omega)
-        if not np.all(np.isfinite(self.eta)):
+        omega = _check_omega(self.omega)
+        # det A(u) = lam^2 + (mu - u)^2 stays finite for u in omega (the
+        # rescaled controls alpha u); a float ** raises OverflowError past it.
+        try:
+            finite = math.isfinite(lam**2 + max(abs(mu - omega[0]), abs(mu - omega[1])) ** 2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("lambda^2 + (mu - alpha u)^2 overflows for u in omega")
+        if not np.all(np.isfinite(eta)):
             raise ValueError("eta must be finite")
+        for name, value in (("lam", lam), ("mu", mu), ("eta", eta), ("omega", omega)):
+            object.__setattr__(self, name, value)
 
-    def det_a_of_u(self, u: float) -> float:
-        return self.lam**2 + (self.mu - float(u)) ** 2
+    def det_a_of_u(self, u):
+        """det A(u) = lam^2 + (mu - u)^2 for controls u of shape (...)."""
+        nu = self.mu - np.asarray(u, dtype=float)
+        return self.lam**2 + nu * nu
+
+    @cached_property
+    def length(self) -> float:
+        """|eta| as np.linalg.norm forms it.  Raises ValueError when |eta|^2 overflows."""
+        with np.errstate(over="ignore"):
+            length = float(np.linalg.norm(self.eta))
+        if not math.isfinite(length):
+            raise ValueError("|eta|^2 overflows: the reduced system's geometry is out of range")
+        return length
+
+    @cached_property
+    def ball(self) -> Circle:
+        """Invariant ball: center -theta eta, radius |eta| sqrt(lam^2+mu^2)/|lam|.
+
+        Raises ValueError when lam = 0, lam^2 underflows, |eta|^2 overflows
+        or the radius is not finite.
+        """
+        if self.lam == 0.0:
+            raise ValueError("the invariant ball requires lam != 0")
+        lam2 = self.lam**2
+        # Python floats: a quotient or product that overflows is inf, without a warning.
+        radius = math.sqrt((lam2 + self.mu**2) / lam2) * self.length if lam2 else math.inf
+        if not math.isfinite(radius):
+            raise ValueError("the invariant ball is out of range: lambda^2 underflows or the radius overflows")
+        return Circle(to_pairs(-1j * complex(*self.eta)), radius)
+
+    @cached_property
+    def circle(self) -> Circle:
+        """Circle swept by the equilibria v(u) = -u A(u)^{-1} eta, u in R (requires lam != 0).
+
+        Its center is -((mu/lam) eta + theta eta)/2 and its radius half the
+        ball's, |eta| sqrt(mu^2 + lam^2) / (2 |lam|); as u -> +-infinity the
+        equilibria approach -theta eta, the ball's center.  Raises what
+        reading `ball` raises.
+        """
+        if self.lam == 0.0:
+            raise ValueError("equilibria form a line when lam = 0, not a circle")
+        radius = 0.5 * self.ball.radius
+        eta = complex(*self.eta)
+        return Circle(to_pairs(-0.5 * ((self.mu / self.lam) * eta + 1j * eta)), radius)
 
     def to_dict(self) -> dict:
         return {
@@ -214,16 +273,7 @@ def reduce_system(spec: SystemSpec) -> ReducedSpec:
         raise AssertionError("internal identity A eta = alpha xi + A eta1 violated")
     if larc(spec) and not eta.any():
         raise AssertionError("rank condition holds but reduced eta vanished")
-    lo, hi = reduced_range(spec)
-    # The planar flows form det A(u) = lam^2 + (mu - u)^2; a float ** raises
-    # OverflowError past the float range.
-    try:
-        finite = math.isfinite(spec.lam**2 + max(abs(spec.mu - lo), abs(spec.mu - hi)) ** 2)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError("lambda^2 + (mu - alpha u)^2 overflows for u in omega")
-    return ReducedSpec(lam=spec.lam, mu=spec.mu, eta=eta / spec.alpha, omega=(lo, hi))
+    return ReducedSpec(lam=spec.lam, mu=spec.mu, eta=eta / spec.alpha, omega=reduced_range(spec))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,11 @@ being a row of shape (3,), and returns packed states of the same shape.
 import numpy as np
 
 from se2control.flow import flow_detA0, flow_r2
-from se2control.group import as_packed, commutes_with_theta, group_result, to_complex
+from se2control.group import as_packed, group_result, to_complex
 from se2control.system import ReducedSpec, reduce_system
+
+# Rotation generator: THETA @ w rotates w by +90 degrees.
+THETA = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def rotation(t) -> np.ndarray:
@@ -75,7 +78,7 @@ def _require_commuting(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2):
         raise ValueError("A must be a 2x2 matrix")
-    if not commutes_with_theta(A):
+    if np.max(np.abs(A @ THETA - THETA @ A)) > 1e-12:
         raise ValueError("A must commute with the rotation generator")
     return A
 

@@ -14,12 +14,7 @@ from conftest import angle_gap, chord_ratio_limit, rk4_full, rk4_piecewise_reduc
 from grid_masks import binary_erode
 from reference_charts import conj_psi1, conj_psi2, flow_product
 from se2control.flow import equilibrium, flow_r2
-from se2control.geometry import (
-    check_invariance,
-    circle_params,
-    chord_ratio,
-    invariant_ball,
-)
+from se2control.geometry import check_invariance, chord_ratio
 from se2control.group import TWO_PI, to_complex
 from se2control.planner import plan_periodic
 from se2control.reachability import (
@@ -129,7 +124,7 @@ def test_03_equilibria_lie_on_the_predicted_circle():
         eta = rng.uniform(0.3, 2.0) * unit(rng)
         b = rng.uniform(1.0, 3.0)
         rs = ReducedSpec(lam, mu, eta, (-b, b))
-        circle = circle_params(rs)
+        circle = rs.circle
         us = np.linspace(-b, b, 10_000)
         # One call per config; the rows equal one-row equilibrium calls.
         v = to_complex(equilibrium(rs, us))
@@ -194,7 +189,7 @@ def test_06_backward_reach_consistent_across_seed_equilibria():
     core = binary_erode(occ_a, 2) | binary_erode(occ_b, 2)
     layer_ok = not bool(np.any(sym & core))
 
-    ball = invariant_ball(rs)
+    ball = rs.ball
     diag = cfg.resolution * math.sqrt(2.0)
     ball_ok = all(
         float(np.max(np.linalg.norm(r.cell_centers() - ball.center, axis=1)))

@@ -1,6 +1,7 @@
 """CLI end-to-end: exit codes, JSON/CSV payloads, determinism."""
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from se2control import cli
+from se2control.system import ReducedSpec
 
 
 OPEN = {
@@ -213,12 +215,14 @@ def test_simulate_control_past_the_float_range_gives_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("horizon", ["1e306", "1e308"])
 def test_simulate_verify_past_the_rk4_step_range_gives_one_line(tmp_path, capsys, horizon):
     # |s| / step overflows, so the RK4 step count is no integer: the oracle
-    # once raised OverflowError out of main, after the trajectory rows.
-    rc, out, err = _simulate_quietly(
-        capsys, [write_spec(tmp_path, DEGENERATE), "--u", "0", "--horizon", horizon, "--verify"])
-    assert rc == 2
-    assert len(out.splitlines()) == 66 and "rk4_max_deviation" not in out
-    assert err == f"error: the RK4 step count |s| / step overflows at s = {float(horizon)}\n"
+    # once raised OverflowError out of main, after the trajectory rows.  The
+    # check runs before the output opens, so neither stdout nor --out gets a row.
+    spec, out_file = write_spec(tmp_path, DEGENERATE), tmp_path / "traj.csv"
+    argv = [spec, "--u", "0", "--horizon", horizon, "--verify"]
+    message = f"error: the RK4 step count |s| / step overflows at s = {float(horizon)}\n"
+    assert _simulate_quietly(capsys, argv) == (2, "", message)
+    assert _simulate_quietly(capsys, argv + ["--out", str(out_file)]) == (2, "", message)
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("x0", ["1", "1,2,3,4", "1,2,3,4,5"])
@@ -469,7 +473,7 @@ def test_plan_with_an_overflowing_theta_eta_gives_one_line(tmp_path, capsys, v0)
 
 @pytest.mark.parametrize("argv_tail, rc, err", [
     (["classify"], 0, ""),
-    (["reach"], 2, "error: |eta|^2 overflows: the default grid is out of range\n"),
+    (["reach"], 2, "error: |eta|^2 overflows: the reduced system's geometry is out of range\n"),
     (["verify"], 2, "error: (mu - alpha u)^2 / lambda^2 overflows for u in omega\n"),
 ])
 def test_rates_whose_squares_underflow_give_a_label_or_one_line(tmp_path, capsys, argv_tail, rc, err):
@@ -546,6 +550,32 @@ def test_reach_rejects_an_invariant_ball_of_infinite_radius(tmp_path, capsys, gr
     assert (rc, out) == (2, "")
     assert err == ("error: the invariant ball is out of range: lambda^2 underflows "
                    "or the radius overflows\n")
+
+
+def test_a_reach_job_computes_its_invariant_ball_once(tmp_path, capsys, monkeypatch):
+    # The default grid and the containment check both read plant.rs.ball.
+    calls = []
+
+    def counted(rs):
+        calls.append(rs)
+        return body(rs)
+
+    body = ReducedSpec.ball.func
+    ball = functools.cached_property(counted)
+    ball.__set_name__(ReducedSpec, "ball")
+    monkeypatch.setattr(ReducedSpec, "ball", ball)
+    rc, out, _ = run_main(capsys, ["reach", write_spec(tmp_path, OPEN), "--control-grid", "5"])
+    assert rc == 0 and "ball_check" in json.loads(out)
+    assert len(calls) == 1
+
+
+def test_classify_rejects_a_saddle_whose_entries_are_small(tmp_path, capsys):
+    # Trace 0 and det < 0: an absolute commuting tolerance of 1e-12 once
+    # passed this A and reported OpenControlSet.
+    path = write_spec(tmp_path, dict(OPEN, A=[[1e-13, 0.0], [0.0, -1e-13]]))
+    rc, out, err = run_main(capsys, ["classify", path])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: A must commute with the rotation generator\n"
 
 
 HUGE_GRID = ["--bounds=-1e300,1e300,-1e300,1e300", "--resolution", "1e299"]

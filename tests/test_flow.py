@@ -225,15 +225,18 @@ def test_flow_se2_rejects_alpha_zero():
         flow_se2(prepare(spec), 1.0, np.zeros(3), 0.5)
 
 
-def test_flow_se2_takes_every_det_zero_spec_to_the_A_zero_chart():
-    # det A = lam^2 + mu^2 rounds to 0 although A != 0, and alpha * omega
-    # rounds to 0 (no valid reduced range): both still flow in the A = 0 chart.
-    specs = [
-        SystemSpec(1.0, [1.0, 0.5], [[1e-200, 0.0], [0.0, 1e-200]], [0.2, 0.1], (-1.0, 1.0)),
-        SystemSpec(1e-170, [1.0, 0.5], np.zeros((2, 2)), [0.2, 0.1], (-1e-170, 1e-170)),
-    ]
-    for spec in specs:
-        out = flow_se2(prepare(spec), 1.0, np.array([0.3, 0.1, 0.2]), 0.0)
+def test_flow_se2_is_finite_where_det_A_or_the_reduced_range_underflows():
+    # det A = lam^2 + mu^2 rounds to 0 although A != 0: A = 0 is tested as
+    # lam = mu = 0, so that spec keeps the "psi" chart.  A = 0 with alpha *
+    # omega rounding to 0 (no valid reduced range) takes the A = 0 chart.
+    specs = {
+        "psi": SystemSpec(1.0, [1.0, 0.5], [[1e-200, 0.0], [0.0, 1e-200]], [0.2, 0.1], (-1.0, 1.0)),
+        "zero": SystemSpec(1e-170, [1.0, 0.5], np.zeros((2, 2)), [0.2, 0.1], (-1e-170, 1e-170)),
+    }
+    for chart, spec in specs.items():
+        plant = prepare(spec)
+        assert plant.chart == chart
+        out = flow_se2(plant, 1.0, np.array([0.3, 0.1, 0.2]), 0.0)
         assert np.isfinite(out).all()
 
 

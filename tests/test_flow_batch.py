@@ -41,7 +41,7 @@ from se2control.flow import (
     rk4_oracle,
     rk4_oracle_batch,
 )
-from se2control.geometry import check_invariance, invariant_ball
+from se2control.geometry import check_invariance
 from se2control.system import ReducedSpec, SystemSpec, matrix_from_lambda_mu, prepare, reduce_system
 
 REL = 1e-13
@@ -484,7 +484,7 @@ def _length(w):
 def _invariance_by_sample(rs, n, seed, horizon, margin_tol):
     """The check's sample draw, with each sample flowed by its own call."""
     rng = np.random.default_rng(seed)
-    ball = invariant_ball(rs)
+    ball = rs.ball
     c, radius = ball.center, ball.radius
     u = rng.uniform(*rs.omega, size=2 * n)
     smag = rng.uniform(1e-3, horizon, size=2 * n)

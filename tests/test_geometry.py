@@ -1,5 +1,6 @@
 """Equilibria circle geometry, the invariant ball and the spiral chord bound."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,8 @@ from conftest import chord_ratio_limit
 from reference_charts import perp
 
 from se2control.flow import equilibrium, flow_r2
-from se2control.geometry import (
-    check_invariance,
-    circle_params,
-    chord_ratio,
-    invariant_ball,
-)
+from se2control.geometry import check_invariance, chord_ratio
+from se2control.reachability import GridConfig, estimate_control_set
 from se2control.system import ReducedSpec
 
 
@@ -31,42 +28,74 @@ def make_rs(lam=1.0, mu=0.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
     ],
 )
 def test_circle_params_pinned(lam, mu, center, radius):
-    c = circle_params(make_rs(lam=lam, mu=mu))
+    c = make_rs(lam=lam, mu=mu).circle
     assert np.allclose(c.center, center, atol=1e-15)
     assert c.radius == pytest.approx(radius, abs=1e-15)
 
 
 def test_circle_params_rejects_lam_zero():
     with pytest.raises(ValueError):
-        circle_params(make_rs(lam=0.0, mu=1.0))
+        make_rs(lam=0.0, mu=1.0).circle
+
+
+@pytest.mark.parametrize("lam", [1e-160, 1e-170])
+def test_circle_out_of_range_raises_what_the_ball_raises(lam):
+    # (mu^2 + lam^2) / lam^2 overflows, or lam^2 underflows to 0: the circle
+    # once had an infinite radius, or raised ZeroDivisionError.
+    with pytest.raises(ValueError, match="^the invariant ball is out of range"):
+        make_rs(lam=lam, mu=1.5).circle
 
 
 def test_limit_point_on_circle(rng):
     for _ in range(20):
         lam = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
         rs = make_rs(lam=lam, mu=rng.uniform(-3, 3), eta=rng.normal(size=2))
-        c = circle_params(rs)
+        c = rs.circle
         assert abs(np.linalg.norm(-perp(rs.eta) - c.center) - c.radius) < 1e-12
 
 
 def test_invariant_ball_pinned():
-    b = invariant_ball(make_rs(lam=1.0, mu=0.0, eta=(1.0, 0.0)))
+    b = make_rs(lam=1.0, mu=0.0, eta=(1.0, 0.0)).ball
     assert np.allclose(b.center, [0.0, -1.0]) and b.radius == pytest.approx(1.0)
+
+
+def test_geometry_is_computed_once_and_eta_is_read_only():
+    rs = make_rs(lam=1.0, mu=2.0, eta=(0.6, -0.8))
+    assert rs.length == 1.0 and rs.ball is rs.ball and rs.circle is rs.circle
+    with pytest.raises(ValueError):
+        rs.eta[0] = 2.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_an_overflowing_eta_raises_one_error_without_a_warning(lam):
+    # |eta|^2 overflows: numpy once warned "overflow encountered in dot", and
+    # the trace-zero estimate reported a disk radius of Infinity.
+    rs = make_rs(lam=lam, mu=1.0, eta=(1e200, 0.0))
+    cfg = GridConfig((-1.0, 1.0, -1.0, 1.0), 0.1, [-1.0, 0.0, 1.0], 0.05)
+    if lam:
+        reads = [lambda: rs.length, lambda: rs.ball, lambda: rs.circle]
+    else:
+        reads = [lambda: rs.length, lambda: estimate_control_set(rs, cfg)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in reads:
+            with pytest.raises(ValueError, match=r"^\|eta\|\^2 overflows"):
+                read()
 
 
 def test_ball_contains_pinned_equilibrium():
     rs = make_rs(lam=1.0, mu=0.0, eta=(1.0, 0.0))
     v = equilibrium(rs, 1.0)
     assert np.allclose(v, [-0.5, -0.5])
-    assert np.sum((v - invariant_ball(rs).center) ** 2) <= 1.0
+    assert np.sum((v - rs.ball.center) ** 2) <= 1.0
 
 
 def test_equilibria_circle_internally_tangent_to_ball(rng):
     for _ in range(20):
         lam = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
         rs = make_rs(lam=lam, mu=rng.uniform(-3, 3), eta=rng.normal(size=2))
-        c = circle_params(rs)
-        b = invariant_ball(rs)
+        c = rs.circle
+        b = rs.ball
         gap = np.linalg.norm(np.asarray(c.center) - np.asarray(b.center))
         assert abs(gap + c.radius - b.radius) < 1e-9
 
@@ -166,7 +195,7 @@ def test_invariance_mirror_negative_lam():
 def test_invariance_outward_growth_explicit(rng):
     """Outside the ball, |flow - center| grows strictly when lam*s > 0."""
     rs = make_rs(lam=1.0, mu=1.5, eta=(0.8, -0.6), omega=(-2.0, 2.0))
-    b = invariant_ball(rs)
+    b = rs.ball
     for _ in range(50):
         w = b.center + (b.radius * rng.uniform(1.01, 2.0)) * _unit(rng)
         u = rng.uniform(-2.0, 2.0)

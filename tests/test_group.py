@@ -16,11 +16,8 @@ from reference_charts import (
     rotation,
 )
 
-from se2control.group import (
-    angle_dist,
-    commutes_with_theta,
-    wrap_angle,
-)
+from se2control.group import angle_dist, wrap_angle
+from se2control.system import SystemSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,10 +70,22 @@ def test_lambda_map_at_pi():
         (np.array([[1.0, 0.0], [0.0, 1.0]]), True),
         (np.array([[1.0, 2.0], [2.0, 1.0]]), False),
         (np.array([[1.0, -2.0], [2.0, 1.5]]), False),
+        # A saddle (trace 0, det < 0) at the scale 1e-13: the tolerance is
+        # relative to max(|lam|, |mu|), and an absolute 1e-12 once let it through.
+        (np.array([[1e-13, 0.0], [0.0, -1e-13]]), False),
+        (np.array([[1.0, -2.0], [2.0, 1.0000000000005]]), True),
     ],
 )
 def test_commutes_with_theta(mat, expected):
-    assert commutes_with_theta(mat) is expected
+    # SystemSpec accepts A exactly when it commutes with the rotation generator.
+    try:
+        SystemSpec(1.0, [0.3, -0.7], mat, [1.0, 0.2])
+    except ValueError as exc:
+        assert str(exc) == "A must commute with the rotation generator"
+        accepted = False
+    else:
+        accepted = True
+    assert accepted is expected
 
 
 def test_psi2_examples():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import rk4_piecewise_reduced
 
 from se2control.flow import equilibrium, flow_r2
-from se2control.geometry import Circle
 from se2control import planner as P
 from se2control.planner import (
     arc_duration,
@@ -18,7 +17,7 @@ from se2control.planner import (
     plan_periodic,
     select_rho,
 )
-from se2control.system import ReducedSpec
+from se2control.system import Circle, ReducedSpec
 
 
 def make_rs(mu=1.0, eta=(1.0, 0.0), omega=(-2.0, 2.0)):

@@ -12,7 +12,6 @@ from grid_masks import binary_erode
 from reference_charts import perp
 
 from se2control.flow import PiecewiseControl, equilibrium, flow_detA0, flow_r2
-from se2control.geometry import invariant_ball
 from se2control.group import to_complex, wrap_angle
 from se2control import reachability as R
 from se2control.reachability import (
@@ -34,7 +33,7 @@ def make_rs(lam=1.0, mu=2.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
 
 
 def small_cfg(rs, divisor=60.0):
-    ball = invariant_ball(rs)
+    ball = rs.ball
     return default_grid_config(rs, resolution=ball.radius / divisor)
 
 
@@ -343,13 +342,35 @@ def _control_constants_by_loop(rs, cfg, direction):
     return (sing,) + tuple(out[1:])
 
 
+def _control_constants_by_math_lists(rs, cfg, direction):
+    """Scalar reference of the flow constants: per-element math.exp, cos and
+    sin lists and a per-control singular test, independent of the flow
+    layer's _exp and cis that the kernel's columns come from."""
+    us = cfg.controls
+    s = np.arange(1, cfg.steps_per_arc + 1) * (direction * cfg.time_step)
+    sing_u = np.array([rs.det_a_of_u(u) == 0.0 for u in us.tolist()])
+    sing = np.repeat(sing_u, s.size)
+    vu = np.zeros((us.size, 2))
+    vu[~sing_u] = equilibrium(rs, us[~sing_u])
+    efac = np.tile([math.exp(x) for x in (s * rs.lam).tolist()], us.size)
+    ang = (s * (rs.mu - us)[:, None]).ravel().tolist()
+    ecos = np.where(sing, 1.0, efac * np.array([math.cos(a) for a in ang]))
+    esin = np.where(sing, 0.0, efac * np.array([math.sin(a) for a in ang]))
+    su = (s * us[:, None]).ravel()
+    linx, liny = (np.where(sing, su * e, 0.0) for e in rs.eta)
+    vux, vuy = (np.repeat(c, s.size) for c in vu.T)
+    return sing, vux, vuy, ecos, esin, linx, liny
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
 @given(_small_reach_cases())
 def test_control_constants_equal_the_scalar_loop_bit_for_bit(case):
+    # The trace-zero cases put u = mu in the grid: a singular column.
     rs, cfg, _, direction, _ = case
     got = R._control_constants(rs, cfg, direction)
-    for a, b in zip(got, _control_constants_by_loop(rs, cfg, direction)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for reference in (_control_constants_by_loop, _control_constants_by_math_lists):
+        for a, b in zip(got, reference(rs, cfg, direction), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @st.composite
@@ -504,7 +525,7 @@ def test_a_large_control_grid_keeps_every_product_blocked(monkeypatch):
     # stays at most a chunk of outputs, and the reach set equals the one
     # of unsplit rows.
     rs = make_rs()
-    cfg = default_grid_config(rs, resolution=invariant_ball(rs).radius / 12.0, n_controls=2000)
+    cfg = default_grid_config(rs, resolution=rs.ball.radius / 12.0, n_controls=2000)
     x0 = equilibrium(rs, 0.5)
     sizes = []
     matmul = np.matmul
@@ -556,7 +577,7 @@ def test_seed_cell_always_occupied():
 
 def test_backward_reach_inside_invariant_ball():
     rs = make_rs()
-    ball = invariant_ball(rs)
+    ball = rs.ball
     cfg = small_cfg(rs)
     r = reach_backward(rs, equilibrium(rs, 0.5), cfg)
     centers = r.cell_centers()
@@ -569,7 +590,7 @@ def test_backward_reach_inside_invariant_ball():
 
 def test_forward_reach_mirror_case_inside_ball():
     rs = make_rs(lam=-1.0, mu=2.0)
-    ball = invariant_ball(rs)
+    ball = rs.ball
     cfg = small_cfg(rs)
     r = reach_forward(rs, equilibrium(rs, 0.5), cfg)
     reps = r.representatives()
@@ -579,7 +600,7 @@ def test_forward_reach_mirror_case_inside_ball():
 
 def test_forward_reach_expanding_case_escapes_any_disk():
     rs = make_rs()
-    ball = invariant_ball(rs)
+    ball = rs.ball
     cfg = small_cfg(rs)
     r = reach_forward(rs, equilibrium(rs, 0.5), cfg)
     centers = r.cell_centers()
@@ -622,7 +643,7 @@ def _grid_centers(cfg):
 
 def test_equilibria_coverage_survives_refinement():
     rs = make_rs()
-    ball = invariant_ball(rs)
+    ball = rs.ball
     coarse = default_grid_config(rs, resolution=ball.radius / 50.0)
     fine = default_grid_config(rs, resolution=ball.radius / 100.0)
     x0 = equilibrium(rs, 0.5)

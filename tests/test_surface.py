@@ -1,5 +1,6 @@
 """Every public function, class and method of the package has a use in src/,
-and every name that a module imports is used in that module.
+every public module-level constant is read in src/, and every name that a
+module imports is used in that module.
 
 A public top-level function or class, or a public method, that nothing in
 ``src/se2control`` names is library surface that no claim of the CLI needs.
@@ -8,6 +9,11 @@ as an ``ast.Name`` or an ``ast.Attribute`` anywhere in the package.
 Exempt are the functions that the benchmark's tracer wraps by name
 (``perfbench/tracing.py``'s ``TARGETS``, read as
 ``test_benchmark_contract.py`` reads them) and the short list below.
+
+A public module-level constant is a top-level assignment to a public name.
+It counts as read when its name occurs as an ``ast.Name`` that is loaded, or
+as an ``ast.Attribute``'s attribute, anywhere in the package: its own
+assignment does not count.
 
 An imported name counts as used when it occurs as an ``ast.Name`` in its
 module, the unused-import rule of pyflakes (F401).
@@ -22,7 +28,7 @@ PACKAGE = os.path.join(ROOT, "src", "se2control")
 
 # Public definitions that may have no use in src/, one reason each.
 ALLOWED = {
-    "circle_params": "the solution circles that the exact control-set boundary builds on",
+    "ReducedSpec.circle": "the solution circles that the exact control-set boundary builds on",
     "chord_ratio": "the paper's f, and the oracle of the acceptance tests",
     "ReachSet.representatives": "the exact reachable points that the reach tests compare against",
     "ReachSet.contains": "the membership test that the reach tests compare reference points with",
@@ -93,6 +99,31 @@ def test_every_exemption_names_a_public_definition(tracing):
     defined = {qualified for _, qualified, _ in public_definitions(_trees())}
     targets = {name for _, name, _, _ in tracing.TARGETS}
     assert set(ALLOWED) | targets <= defined
+
+
+def public_constants(trees: dict) -> list:
+    """(file, name) of every top-level assignment to a public name."""
+    return [
+        (fname, t.id)
+        for fname, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and not t.id.startswith("_")
+    ]
+
+
+def test_every_public_constant_is_read_in_src():
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{fname}: {name}" for fname, name in public_constants(trees) if name not in read]
+    assert unread == []
 
 
 def imported_names(tree) -> list:

@@ -12,6 +12,7 @@ from se2control.system import (
     CASE_NOT_CLASSIFIED,
     CASE_OPEN,
     CASE_TRACE_ZERO,
+    ReducedSpec,
     SystemSpec,
     classify,
     larc,
@@ -37,6 +38,15 @@ def test_spec_rejects_noncommuting_matrix():
     with pytest.raises(ValueError):
         SystemSpec(1.0, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
                    np.ones(2), (-1.0, 1.0))
+
+
+def test_spec_stores_the_commuting_matrix_that_its_flows_read():
+    # A[1, 1] is off by 5e-13, within the tolerance.  The chart offset was
+    # once solved from the matrix as given while the flows read lam = 1, mu = 2.
+    spec = SystemSpec(1.0, [0.3, -0.7], [[1.0, -2.0], [2.0, 1.0000000000005]], [1.0, 0.2])
+    assert spec.A.tolist() == [[1.0, -2.0], [2.0, 1.0]]
+    assert prepare(spec).offset == prepare(make_spec(xi=(0.3, -0.7), lam=1.0, mu=2.0)).offset
+    assert abs(prepare(spec).offset - (0.26 - 0.22j)) < 1e-15
 
 
 def test_spec_rejects_bad_omega():
@@ -175,6 +185,11 @@ def test_overflowing_rates_are_rejected_by_the_reduction():
     assert spec.det() == np.inf
     with pytest.raises(ValueError, match="overflows"):
         reduce_system(spec)
+    # The check belongs to the reduced system: built directly, its ball and
+    # circle once raised OverflowError from a float **.
+    for lam, mu in ((1e200, 2.0), (1.0, 1e200)):
+        with pytest.raises(ValueError, match=r"^lambda\^2 \+ \(mu - alpha u\)\^2 overflows"):
+            ReducedSpec(lam, mu, (1.0, 0.0), (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("lam, mu, case", [
