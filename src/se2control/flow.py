@@ -355,14 +355,14 @@ def _geometric_sum(log_r: complex, n: int) -> complex:
     return _expm1(n * log_r) / _expm1(log_r)
 
 
-def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP) -> np.ndarray:
+def rk4_oracle_batch(spec: SystemSpec, s, x0, u) -> np.ndarray:
     """Classical fixed-step RK4 endpoints of the raw group field, one sample per row.
 
     The field is tdot = u alpha, vdot = A v + Lambda_t xi + u rho(t) eta1
     with constant control u.  Shapes: s and u are floats or arrays of shape
     (n,), x0 = [t, v_x, v_y] has shape (n, 3) or (3,); the result has shape
-    (n, 3).  Sample i takes its own N = ceil(|s_i| / step) steps of size
-    h = s_i / N (none for s_i = 0; negative s_i integrates backward).
+    (n, 3).  Sample i takes its own N = ceil(|s_i| / DEFAULT_RK4_STEP) steps
+    of size h = s_i / N (none for s_i = 0; negative s_i integrates backward).
     Raises ValueError naming s when N or an endpoint is not finite.
 
     In complex form A is the number a = A[0,0] + i A[1,0], and the forcing is
@@ -405,7 +405,7 @@ def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP)
     rows = []
     for s_i, u_i, (t0, vx, vy) in zip(s.tolist(), np.broadcast_to(u, shape).tolist(), x0.tolist()):
         try:
-            n = 0 if s_i == 0.0 else max(1, math.ceil(abs(s_i) / step - 1e-12))
+            n = 0 if s_i == 0.0 else max(1, math.ceil(abs(s_i) / DEFAULT_RK4_STEP - 1e-12))
         except OverflowError:  # |s| / step is inf
             raise ValueError(f"the RK4 step count |s| / step overflows at s = {s_i}") from None
         h = s_i / max(n, 1)
@@ -441,7 +441,7 @@ def rk4_oracle_batch(spec: SystemSpec, s, x0, u, step: float = DEFAULT_RK4_STEP)
     return out
 
 
-def rk4_oracle(spec: SystemSpec, s: float, x0, u: float, step: float = DEFAULT_RK4_STEP) -> np.ndarray:
+def rk4_oracle(spec: SystemSpec, s: float, x0, u: float) -> np.ndarray:
     """RK4 endpoint of the raw group field for one sample, x0 = [t, v_x, v_y].
 
     The one-row call of :func:`rk4_oracle_batch`: s and u are floats, and
@@ -450,4 +450,4 @@ def rk4_oracle(spec: SystemSpec, s: float, x0, u: float, step: float = DEFAULT_R
     """
     if not isinstance(spec, SystemSpec):
         raise TypeError("rk4_oracle integrates the field of a SystemSpec")
-    return rk4_oracle_batch(spec, float(s), np.reshape(x0, 3), float(u), step)[0]
+    return rk4_oracle_batch(spec, float(s), np.reshape(x0, 3), float(u))[0]

@@ -18,8 +18,11 @@ from .flow import equilibrium, flow_r2
 from .group import cis, to_complex
 from .system import ReducedSpec
 
-# Samples per flow call in check_invariance.
+# Samples per flow call in check_invariance, the longest |s| it flows, and
+# the margin, relative to max(radius, 1), below which a sample fails.
 FLOW_CHUNK = 2048
+INVARIANCE_HORIZON = 2.0
+MARGIN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +89,7 @@ class InvarianceReport:
         return self.violations_inward == 0 and self.violations_outward == 0
 
 
-def check_invariance(
-    rs: ReducedSpec,
-    n_samples: int = 10_000,
-    seed: int = 0,
-    horizon: float = 2.0,
-    margin_tol: float = 1e-12,
-) -> InvarianceReport:
+def check_invariance(rs: ReducedSpec, n_samples: int, seed: int = 0) -> InvarianceReport:
     """Monte Carlo check of the two strict invariance properties of the ball.
 
     Inward: w in B, lam*s < 0  =>  flow stays in the interior of B.
@@ -111,12 +108,12 @@ def check_invariance(
     lo, hi = rs.omega
 
     u = rng.uniform(lo, hi, size=2 * n)
-    smag = rng.uniform(1e-3, horizon, size=2 * n)
+    smag = rng.uniform(1e-3, INVARIANCE_HORIZON, size=2 * n)
     ang = rng.uniform(0.0, 2.0 * np.pi, size=2 * n)
     rad_in = radius * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     rad_out = radius * (1.0 + rng.uniform(1e-6, 1.0, size=n))
 
-    tol = margin_tol * max(radius, 1.0)
+    tol = MARGIN_TOL * max(radius, 1.0)
 
     # Inward regime: lam * s < 0.  Outward regime: lam * s > 0, skipping
     # the measure-zero collision w = v(u).

@@ -21,7 +21,7 @@ import numpy as np
 
 from .flow import SAMPLES_PER_SEGMENT, PiecewiseControl, Trajectory, equilibrium, flow_concat
 from .group import TWO_PI, to_pairs
-from .system import Circle, ReducedSpec
+from .system import ReducedSpec
 
 # Forward arcs a plan may take before it gives up on reaching the segment.
 MAX_ARCS = 100_000
@@ -31,28 +31,22 @@ MAX_ARCS = 100_000
 MAX_LENGTH = 1e150
 
 
-def circle_line_intersect(c: Circle, direction) -> list:
-    """Intersections of a circle with the line through the origin.
+def _circle_line_hits(center: complex, radius: float, d: complex) -> list:
+    """Points where the circle meets the line through the origin along d != 0.
 
-    Returns 0, 1, or 2 points, as real pairs, sorted by signed parameter
-    along `direction`.  A vanishing discriminant yields the single tangency
-    point.
+    Returns 0, 1, or 2 complex points, sorted by signed parameter along d.
+    A vanishing discriminant yields the single tangency point.
     """
-    x, y = np.asarray(direction, dtype=float).reshape(2)
-    d = complex(x, y)
-    if d == 0.0:
-        raise ValueError("direction must be nonzero")
     d /= abs(d)
     # The centre in the line's frame: q.real along the line, q.imag across it.
-    q = complex(*c.center) * d.conjugate()
-    radius = float(c.radius)
+    q = center * d.conjugate()
     disc = (radius - abs(q.imag)) * (radius + abs(q.imag))
     if disc < 0.0:
         return []
     if disc == 0.0:
-        return [to_pairs(q.real * d)]
+        return [q.real * d]
     root = math.sqrt(disc)
-    return [to_pairs((q.real - root) * d), to_pairs((q.real + root) * d)]
+    return [(q.real - root) * d, (q.real + root) * d]
 
 
 def arc_duration(u: float, mu: float, angle: float) -> float:
@@ -159,16 +153,16 @@ def plan_periodic(
         if not (0.0 < rho <= min(-lo, hi)) or abs(rs.mu) <= rho:
             raise ValueError("rho must satisfy [-rho, rho] within Omega, mu outside")
 
-    teta = 1j * complex(*rs.eta)
+    eta_length = rs.length
     with np.errstate(over="ignore", invalid="ignore"):
         centers = {sign: complex(*equilibrium(rs, sign * rho)) for sign in (+1.0, -1.0)}
-        lengths = [float(np.abs(p)) for p in (teta, *centers.values())]
-    if not (1.0 / MAX_LENGTH <= lengths[0] and max(length, *lengths) <= MAX_LENGTH):
+        lengths = [float(np.abs(p)) for p in centers.values()]
+    if not (1.0 / MAX_LENGTH <= eta_length and max(length, eta_length, *lengths) <= MAX_LENGTH):
         raise ValueError(
             f"plan needs |theta eta| >= {1.0 / MAX_LENGTH:g}, and v0, theta eta and "
             f"the centers v(+-rho) within {MAX_LENGTH:g} of the origin"
         )
-    line_dir = teta / lengths[0]
+    line_dir = 1j * complex(*rs.eta) / eta_length
     # A point z on the line of equilibria is (z conj(line_dir)).real line_dir.
     xs = {s: (c * line_dir.conjugate()).real for s, c in centers.items()}
     x_lo, x_hi = min(xs.values()), max(xs.values())
@@ -207,10 +201,10 @@ def plan_periodic(
         c = centers[sign]
         radius = abs(w - c)
         c_next = centers[-sign]
-        hits = circle_line_intersect(Circle(to_pairs(c), radius), to_pairs(line_dir))
+        hits = _circle_line_hits(c, radius, line_dir)
         if not hits:
             raise RuntimeError("arc circle missed the equilibrium line")
-        w_next = min((complex(*p) for p in hits), key=lambda p: abs(p - c_next))
+        w_next = min(hits, key=lambda p: abs(p - c_next))
         # The angle swept about c from w to w_next.
         dur = arc_duration(u, rs.mu, cmath.phase((w_next - c) / (w - c)))
         if dur > 0.0:

@@ -50,6 +50,11 @@ PAIR_TOL = 1e-8
 LINE_TOL = 1e-6
 # Angle excursions the degenerate steering tries, largest first.
 STEER_EPSILONS = np.geomspace(0.3, 3e-10, 30)
+# Trajectories and steered pairs of the degenerate structure check.
+DEGENERATE_TRAJECTORIES = 30
+DEGENERATE_PAIRS = 6
+# Least radius of the trace-zero test disk and of its default grid's scale.
+MIN_DISK_RADIUS = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +158,17 @@ def control_grid(omega, n: int = DEFAULT_N_CONTROLS) -> np.ndarray:
 def default_grid_config(
     rs: ReducedSpec,
     resolution: float | None = None,
-    n_controls: int = DEFAULT_N_CONTROLS,
+    n_controls: int | None = None,
     time_step: float | None = None,
     bounds: tuple | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
+    max_cells: int | None = None,
 ) -> GridConfig:
-    """Grid defaults sized from the system's own geometry.
+    """Grid defaults sized from the system's own geometry; None takes the default.
 
     lam != 0: box = invariant-ball center +- 1.5 * radius, cell = radius/200.
-    lam == 0: box = +-4 |eta|, cell = |eta|/50.  Time step
-    0.05 / max(|lam|, |mu - u-|, |mu - u+|, 1).
+    lam == 0: box = +-4 r, cell = r/50, for the test disk's radius r.  Time step
+    0.05 / max(|lam|, |mu - u-|, |mu - u+|, 1), DEFAULT_N_CONTROLS controls and
+    at most DEFAULT_MAX_CELLS cells.
     """
     lo, hi = rs.omega
     scale = rs.length
@@ -176,19 +182,19 @@ def default_grid_config(
         if resolution is None:
             resolution = radius / 200.0
     else:
-        extent = 4.0 * max(scale, 0.25)
+        radius = _disk_radius(rs)
         if bounds is None:
-            bounds = (-extent, extent, -extent, extent)
+            bounds = (-4.0 * radius, 4.0 * radius, -4.0 * radius, 4.0 * radius)
         if resolution is None:
-            resolution = max(scale, 0.25) / 50.0
+            resolution = radius / 50.0
     if time_step is None:
         time_step = 0.05 / max(abs(rs.lam), abs(rs.mu - lo), abs(rs.mu - hi), 1.0)
     return GridConfig(
         bounds=bounds,
         resolution=resolution,
-        controls=control_grid(rs.omega, n_controls),
+        controls=control_grid(rs.omega, DEFAULT_N_CONTROLS if n_controls is None else n_controls),
         time_step=time_step,
-        max_cells=max_cells,
+        max_cells=DEFAULT_MAX_CELLS if max_cells is None else max_cells,
     )
 
 
@@ -519,6 +525,11 @@ class ControlSetEstimate:
         }
 
 
+def _disk_radius(rs: ReducedSpec) -> float:
+    """Radius of the trace-zero test disk, max(|eta|, MIN_DISK_RADIUS)."""
+    return max(rs.length, MIN_DISK_RADIUS)
+
+
 def _distances(points: np.ndarray, center) -> np.ndarray:
     """|points - center| by rows, as np.linalg.norm gives it; rows whose
     squares overflow there take np.hypot, which does not overflow."""
@@ -542,9 +553,7 @@ def _disk_cells(cfg: GridConfig, center, radius: float) -> tuple:
     xmin, _, ymin, _ = cfg.bounds
     res = cfg.resolution
     cx, cy = (float(c) for c in center)
-    if not radius >= 0.0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    # Clip in floats first: a huge or infinite radius spans the whole grid.
+    # Clip in floats first: a huge radius spans the whole grid.
     i_lo, i_hi, j_lo, j_hi = (
         int(math.floor(min(max(z, 0.0), n - 1.0)))
         for z, n in (
@@ -584,7 +593,7 @@ def _cover_ids(cfg: GridConfig, center, radius: float) -> np.ndarray:
     """
     cx, cy = (float(c) for c in center)
     extremes = ((cx - radius, cy), (cx + radius, cy), (cx, cy - radius), (cx, cy + radius))
-    if not (math.isfinite(radius) and radius >= 0.0 and all(map(cfg.in_bounds, extremes))):
+    if not all(map(cfg.in_bounds, extremes)):
         return np.zeros(0, dtype=np.int64)
     ids, dist = _disk_cells(cfg, center, radius)
     return ids[dist <= radius + 0.5 * cfg.cell_diagonal]
@@ -607,13 +616,12 @@ def estimate_control_set(
     rs: ReducedSpec,
     cfg: GridConfig,
     seed_control: float | None = None,
-    coverage_radius: float | None = None,
 ) -> ControlSetEstimate:
     """Estimate the control set with nonempty interior for the planar system.
 
     trace = 0: the system is controllable; a forward reach run from the
     origin provides a coverage certificate over a test disk of radius
-    coverage_radius (default max(|eta|, 0.25)).  The run stops between rounds
+    max(|eta|, MIN_DISK_RADIUS).  The run stops between rounds
     once every cell of the cover set is occupied: the cells whose centre
     lies within radius + cell_diagonal/2 of the origin, which include every
     cell that meets the closed disk.  So every point of the disk then lies in
@@ -632,7 +640,7 @@ def estimate_control_set(
         raise ValueError(f"seed control {seed_control} lies outside the control range [{lo}, {hi}]")
 
     if rs.lam == 0.0:
-        radius = coverage_radius if coverage_radius is not None else max(rs.length, 0.25)
+        radius = _disk_radius(rs)
         cover = _cover_ids(cfg, np.zeros(2), radius)
         region = reach_forward(rs, np.zeros(2), cfg, cover=cover)
         coverage = {
@@ -866,19 +874,15 @@ def _monotone_draws(rng, n: int, umin: float, umax: float) -> np.ndarray:
 # Overflow shows up as a non-finite increment or steering value, which
 # raises ValueError below, so numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def degenerate_structure_check(
-    spec: SystemSpec,
-    n_samples: int = 100,
-    seed: int = 0,
-    n_pairs: int = 12,
-) -> DegenerateReport:
+def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateReport:
     """Verify the two structural facts of the A = 0 case numerically.
 
     (a) The functional H(v) = <v - v0, i xi> strictly increases along
-    trajectories whose control never vanishes.  (b) Points mutually reachable
-    with (0, v0) stay on the line v0 + R xi at angle 0: steering succeeds in
-    both directions only for targets with no theta-xi offset, and every
-    verified mutual pair satisfies |<v0 - v1, i xi>| < LINE_TOL.  A pair
+    DEGENERATE_TRAJECTORIES trajectories whose control never vanishes.
+    (b) Points mutually reachable with (0, v0) stay on the line v0 + R xi at
+    angle 0: of DEGENERATE_PAIRS targets, steering succeeds in both
+    directions only for those with no theta-xi offset, and every verified
+    mutual pair satisfies |<v0 - v1, i xi>| < LINE_TOL.  A pair
     is mutual when both steering residuals are below PAIR_TOL max(1, |xi|).
     Translation equivariance of the flow makes the base point v0 irrelevant;
     the check uses v0 = 0 in the normalized chart.
@@ -896,7 +900,6 @@ def degenerate_structure_check(
     rng = np.random.default_rng(seed)
     umin = 0.05 * min(-lo, hi)
     v0 = np.zeros(2)
-    n_samples = int(n_samples)
 
     def H(z):
         # <z - v0, i xi>, the imaginary part of conj(xi) (z - v0) for complex
@@ -906,7 +909,7 @@ def degenerate_structure_check(
 
     # (a) strict growth of the monotone functional, at 8 points per segment;
     # the last point (fraction 1) is the segment's end state.
-    draws = _monotone_draws(rng, max(n_samples, 0), umin, min(-lo, hi))
+    draws = _monotone_draws(rng, DEGENERATE_TRAJECTORIES, umin, min(-lo, hi))
     fractions = np.linspace(1.0 / 8.0, 1.0, 8)
     t = np.zeros(len(draws))
     z = np.full(len(draws), to_complex(v0))
@@ -930,7 +933,7 @@ def degenerate_structure_check(
     scale = max(1.0, float(np.linalg.norm(spec.xi)))
     xin = complex(*(spec.xi / float(np.linalg.norm(spec.xi))))
     offsets = []
-    for k in range(int(n_pairs)):
+    for k in range(DEGENERATE_PAIRS):
         c = rng.uniform(0.3, 1.5) * (1.0 if k % 2 == 0 else -1.0)
         off_line = k % 4 >= 2
         d = rng.uniform(0.05, 0.5) * (1.0 if rng.uniform() < 0.5 else -1.0) if off_line else 0.0
@@ -953,7 +956,7 @@ def degenerate_structure_check(
     pairs = [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
 
     return DegenerateReport(
-        n_trajectories=n_samples,
+        n_trajectories=DEGENERATE_TRAJECTORIES,
         min_functional_increment=float(min_inc),
         pairs=pairs,
         n_mutual=int(mutual.sum()),

@@ -20,8 +20,10 @@ from .group import TWO_PI, angle_dist, to_complex
 from .reachability import control_grid, degenerate_structure_check
 from .system import Plant, classify, larc, reduced_range
 
-# Samples drawn by the conjugacy and semigroup suites.
+# Samples drawn by the conjugacy and semigroup suites, and by default by the
+# ball_invariance suite (the CLI's --samples).
 FLOW_SAMPLES = 50
+DEFAULT_SAMPLES = 2000
 
 
 @dataclass
@@ -187,7 +189,7 @@ def _suite_monotone(plant: Plant, seed: int, n_samples: int) -> SuiteResult:
         return SuiteResult(
             "monotone_functional", "skipped", "rank condition fails (alpha xi = 0)"
         )
-    rep = degenerate_structure_check(spec, n_samples=30, n_pairs=6, seed=seed)
+    rep = degenerate_structure_check(spec, seed=seed)
     status = "passed" if rep.passed else "failed"
     return SuiteResult(
         "monotone_functional",
@@ -218,7 +220,7 @@ def run_verification(
     plant: Plant,
     seed: int = 0,
     suites=None,
-    n_samples: int = 2000,
+    n_samples: int = DEFAULT_SAMPLES,
 ) -> VerificationReport:
     """Run the requested suites (default: all) with case-aware routing."""
     if n_samples < 1:

@@ -13,6 +13,7 @@ import pytest
 from conftest import angle_gap, chord_ratio_limit, rk4_full, rk4_piecewise_reduced, rk4_reduced
 from grid_masks import binary_erode
 from reference_charts import conj_psi1, conj_psi2, flow_product
+from se2control import reachability as R
 from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import check_invariance, chord_ratio
 from se2control.group import TWO_PI, to_complex
@@ -169,7 +170,7 @@ def test_05_invariant_ball_zero_violations():
     results = []
     for lam in (1.0, -1.0):
         rs = ReducedSpec(lam, 1.5, (1.0, 0.5), (-1.0, 1.0))
-        rep = check_invariance(rs, n_samples=10_000, seed=505, horizon=2.0)
+        rep = check_invariance(rs, n_samples=10_000, seed=505)
         results.append((lam, rep.violations_inward + rep.violations_outward))
     ok = all(v == 0 for _, v in results)
     report(
@@ -258,10 +259,12 @@ def test_08_planner_closes_loops_through_origin():
     )
 
 
-def test_09_degenerate_monotone_functional_and_line_confinement():
+def test_09_degenerate_monotone_functional_and_line_confinement(monkeypatch):
+    monkeypatch.setattr(R, "DEGENERATE_TRAJECTORIES", 100)
+    monkeypatch.setattr(R, "DEGENERATE_PAIRS", 12)
     spec = SystemSpec(1.0, np.array([0.8, -0.4]), np.zeros((2, 2)),
                       np.array([0.3, 0.2]), (-1.0, 1.0))
-    rep = degenerate_structure_check(spec, n_samples=100, seed=909, n_pairs=12)
+    rep = degenerate_structure_check(spec, seed=909)
     mutual_funcs = [p["functional"] for p in rep.pairs if p["mutual"]]
     ok = (
         rep.min_functional_increment > 0.0

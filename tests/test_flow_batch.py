@@ -31,6 +31,8 @@ from hypothesis import strategies as st
 from conftest import rk4_full
 from reference_charts import flow_product
 
+from se2control import flow as F
+from se2control import geometry as G
 from se2control.flow import (
     DEFAULT_RK4_STEP,
     _exp,
@@ -268,7 +270,9 @@ def test_group_flows_rows_equal_one_row_calls(rng):
 
 
 def _assert_rk4_within_bound(spec, s, x, u, step=DEFAULT_RK4_STEP):
-    got = rk4_oracle_batch(spec, s, x, u, step)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "DEFAULT_RK4_STEP", step)
+        got = rk4_oracle_batch(spec, s, x, u)
     for i in range(len(got)):
         want = rk4_full(spec.alpha, spec.xi, spec.lam, spec.mu, spec.eta1, s[i], x[i], u[i], step)
         assert abs(got[i, 0] - want[0]) <= RK4_T_REL * max(1.0, abs(want[0]))
@@ -375,16 +379,17 @@ def test_flow_r2_equals_scalar_formula(rng):
             assert np.array_equal(batch[i], want)
 
 
-def test_rk4_batch_rows_equal_one_sample_calls(rng):
+def test_rk4_batch_rows_equal_one_sample_calls(rng, monkeypatch):
+    monkeypatch.setattr(F, "DEFAULT_RK4_STEP", 1e-2)
     for spec in _full_specs(rng):
         n = 12
         x = np.column_stack([rng.uniform(0.0, 2 * np.pi, n), rng.normal(size=(n, 2))])
         s = rng.uniform(-1.0, 1.0, size=n)
         u = rng.uniform(-1.5, 1.5, size=n)
         s[2] = 0.0
-        batch = rk4_oracle_batch(spec, s, x, u, step=1e-2)
+        batch = rk4_oracle_batch(spec, s, x, u)
         for i in range(n):
-            assert np.array_equal(batch[i], rk4_oracle(spec, s[i], x[i], u[i], step=1e-2))
+            assert np.array_equal(batch[i], rk4_oracle(spec, s[i], x[i], u[i]))
         assert np.array_equal(batch[2], x[2])
 
 
@@ -514,9 +519,11 @@ def _invariance_by_sample(rs, n, seed, horizon, margin_tol):
     (-1.3, -0.6, (-0.2, 1.1)),
 ])
 @pytest.mark.parametrize("margin_tol", [1e-12, 0.05])
-def test_invariance_counts_equal_sample_by_sample(lam, mu, eta, margin_tol):
+def test_invariance_counts_equal_sample_by_sample(lam, mu, eta, margin_tol, monkeypatch):
+    monkeypatch.setattr(G, "INVARIANCE_HORIZON", 3.0)
+    monkeypatch.setattr(G, "MARGIN_TOL", margin_tol)
     rs = ReducedSpec(lam, mu, np.array(eta), (-1.0, 1.0))
-    rep = check_invariance(rs, n_samples=400, seed=3, horizon=3.0, margin_tol=margin_tol)
+    rep = check_invariance(rs, n_samples=400, seed=3)
     v_in, v_out, m_in, m_out = _invariance_by_sample(rs, 400, 3, 3.0, margin_tol)
     assert (rep.violations_inward, rep.violations_outward) == (v_in, v_out)
     assert (rep.min_margin_inward, rep.min_margin_outward) == (m_in, m_out)

@@ -7,6 +7,7 @@ import pytest
 from conftest import chord_ratio_limit
 from reference_charts import perp
 
+from se2control import geometry as G
 from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import check_invariance, chord_ratio
 from se2control.reachability import GridConfig, estimate_control_set
@@ -180,15 +181,17 @@ def test_chord_ratio_rejects_zero_arguments():
 # -- invariance ----------------------------------------------------------
 
 
-def test_invariance_pinned_run():
-    rep = check_invariance(make_rs(lam=1.0, mu=0.0), n_samples=1000, seed=7, horizon=3.0)
+def test_invariance_pinned_run(monkeypatch):
+    monkeypatch.setattr(G, "INVARIANCE_HORIZON", 3.0)
+    rep = check_invariance(make_rs(lam=1.0, mu=0.0), n_samples=1000, seed=7)
     assert rep.violations_inward == 0
     assert rep.violations_outward == 0
     assert rep.passed
 
 
-def test_invariance_mirror_negative_lam():
-    rep = check_invariance(make_rs(lam=-1.0, mu=0.4), n_samples=1000, seed=7, horizon=3.0)
+def test_invariance_mirror_negative_lam(monkeypatch):
+    monkeypatch.setattr(G, "INVARIANCE_HORIZON", 3.0)
+    rep = check_invariance(make_rs(lam=-1.0, mu=0.4), n_samples=1000, seed=7)
     assert rep.violations_inward == 0 and rep.violations_outward == 0
 
 

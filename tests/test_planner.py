@@ -11,13 +11,8 @@ from conftest import rk4_piecewise_reduced
 
 from se2control.flow import equilibrium, flow_r2
 from se2control import planner as P
-from se2control.planner import (
-    arc_duration,
-    circle_line_intersect,
-    plan_periodic,
-    select_rho,
-)
-from se2control.system import Circle, ReducedSpec
+from se2control.planner import arc_duration, plan_periodic, select_rho
+from se2control.system import ReducedSpec
 
 
 def make_rs(mu=1.0, eta=(1.0, 0.0), omega=(-2.0, 2.0)):
@@ -28,36 +23,37 @@ def make_rs(mu=1.0, eta=(1.0, 0.0), omega=(-2.0, 2.0)):
 
 
 def test_circle_line_intersect_symmetric_pair():
-    pts = circle_line_intersect(Circle(np.array([0.0, 2.0]), 1.5), [0.0, 1.0])
+    pts = P._circle_line_hits(2j, 1.5, 1j)
     assert len(pts) == 2
-    assert np.allclose(pts[0], [0.0, 0.5]) and np.allclose(pts[1], [0.0, 3.5])
+    assert np.allclose(pts[0], 0.5j) and np.allclose(pts[1], 3.5j)
 
 
 def test_circle_line_intersect_tangency():
-    pts = circle_line_intersect(Circle(np.array([1.0, 0.0]), 1.0), [0.0, 1.0])
+    pts = P._circle_line_hits(1.0 + 0j, 1.0, 1j)
     assert len(pts) == 1
-    assert np.allclose(pts[0], [0.0, 0.0], atol=1e-12)
+    assert np.allclose(pts[0], 0.0, atol=1e-12)
 
 
 def test_circle_line_intersect_miss():
-    assert circle_line_intersect(Circle(np.array([2.0, 0.0]), 1.0), [0.0, 1.0]) == []
+    assert P._circle_line_hits(2.0 + 0j, 1.0, 1j) == []
 
 
 def test_circle_line_intersect_matches_brute_force(rng):
     for _ in range(50):
-        c = Circle(rng.normal(size=2) * 2.0, rng.uniform(0.1, 3.0))
+        center, radius = complex(*(rng.normal(size=2) * 2.0)), rng.uniform(0.1, 3.0)
         d = rng.normal(size=2)
         if np.linalg.norm(d) < 1e-6:
             continue
-        pts = circle_line_intersect(c, d)
+        pts = [np.array([p.real, p.imag]) for p in P._circle_line_hits(center, radius, complex(*d))]
+        c = np.array([center.real, center.imag])
         ts = np.linspace(-20.0, 20.0, 400001)
         line = ts[:, None] * (d / np.linalg.norm(d))[None, :]
-        dist = np.abs(np.linalg.norm(line - np.asarray(c.center), axis=1) - c.radius)
+        dist = np.abs(np.linalg.norm(line - c, axis=1) - radius)
         brute_hits = int(np.sum((dist[1:-1] < dist[:-2]) & (dist[1:-1] < dist[2:])
                                 & (dist[1:-1] < 5e-4)))
         assert len(pts) in (brute_hits, 2) or brute_hits == 0 and len(pts) == 0
         for p in pts:
-            assert abs(np.linalg.norm(p - np.asarray(c.center)) - c.radius) < 1e-9
+            assert abs(np.linalg.norm(p - c) - radius) < 1e-9
             cross = p[0] * d[1] - p[1] * d[0]
             assert abs(cross) < 1e-9 * max(1.0, np.linalg.norm(p) * np.linalg.norm(d))
 
@@ -239,11 +235,11 @@ def test_plan_rejects_a_start_whose_length_overflows():
 
 def test_plan_stops_with_a_value_error_when_theta_eta_overflows():
     # |theta eta|^2 overflows: once a numpy overflow warning and a zero line
-    # direction, now a ValueError (exit 2) before any length is formed.
+    # direction, now rs.length's ValueError (exit 2) before any length is formed.
     rs = make_rs(eta=(1e160, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"within 1e\+150 of the origin"):
+        with pytest.raises(ValueError, match=r"^\|eta\|\^2 overflows: the reduced system's geometry is out of range$"):
             plan_periodic(rs, np.array([1e100, 0.0]))
 
 

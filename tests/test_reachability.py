@@ -795,10 +795,6 @@ def test_trace_zero_empty_cover_set_is_ignored():
     full = R._reach(rs, np.zeros(2), cfg, +1)
     _assert_same_reach(R._reach(rs, np.zeros(2), cfg, +1, np.zeros(0, dtype=np.int64)), full)
     _assert_same_reach(reach_forward(rs, np.zeros(2), cfg, cover=np.zeros(0, dtype=np.int64)), full)
-    for radius in (-1.0, math.inf, math.nan):
-        assert R._cover_ids(cfg, np.zeros(2), radius).size == 0
-        est = estimate_control_set(rs, cfg, coverage_radius=radius)
-        _assert_same_reach(est.region, full)
 
 
 def test_cover_set_holds_every_cell_that_meets_the_disk():
@@ -946,8 +942,14 @@ def test_steer_degenerate_offline_target_keeps_residual():
     assert res > 1e-4
 
 
-def test_degenerate_structure_check_passes():
-    rep = degenerate_structure_check(make_degenerate(), n_samples=40, seed=3, n_pairs=8)
+def _size_degenerate_check(monkeypatch, trajectories, pairs):
+    monkeypatch.setattr(R, "DEGENERATE_TRAJECTORIES", trajectories)
+    monkeypatch.setattr(R, "DEGENERATE_PAIRS", pairs)
+
+
+def test_degenerate_structure_check_passes(monkeypatch):
+    _size_degenerate_check(monkeypatch, 40, 8)
+    rep = degenerate_structure_check(make_degenerate(), seed=3)
     assert rep.passed
     assert rep.min_functional_increment > 0.0
     assert rep.counterexamples == 0
@@ -967,7 +969,7 @@ def test_degenerate_structure_check_rejects_non_finite_increments():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and prints no RuntimeWarning
         with pytest.raises(ValueError, match="overflows"):
-            degenerate_structure_check(_huge_xi_spec(), n_samples=30, n_pairs=6)
+            degenerate_structure_check(_huge_xi_spec())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -980,8 +982,9 @@ def test_degenerate_structure_check_rejects_non_finite_steering(monkeypatch, bad
         return segments, ends, residuals
 
     monkeypatch.setattr(R, "steer_degenerate_batch", spoiled)
+    _size_degenerate_check(monkeypatch, 5, 4)
     with pytest.raises(ValueError, match="steering values are not finite"):
-        degenerate_structure_check(make_degenerate(), n_samples=5, n_pairs=4)
+        degenerate_structure_check(make_degenerate())
 
 
 def _degenerate_specs(rng):
@@ -1046,14 +1049,15 @@ def test_steer_degenerate_batch_rows_equal_one_row_calls_on_generated_specs(case
     _assert_rows_equal_one_row_calls(*case)
 
 
-def test_degenerate_structure_check_matches_recorded_reports():
+def test_degenerate_structure_check_matches_recorded_reports(monkeypatch):
     # Reports recorded before the check was batched; the bytes must not move.
+    # Half the cases were recorded at 100 trajectories and 12 pairs.
     path = pathlib.Path(__file__).with_name("degenerate_reports.json")
     for case in json.loads(path.read_text()):
         d = case["spec"]
         spec = SystemSpec(d["alpha"], d["xi"], np.zeros((2, 2)), d["eta1"], tuple(d["omega"]))
-        rep = degenerate_structure_check(spec, n_samples=case["n_samples"], seed=case["seed"],
-                                         n_pairs=case["n_pairs"])
+        _size_degenerate_check(monkeypatch, case["n_samples"], case["n_pairs"])
+        rep = degenerate_structure_check(spec, seed=case["seed"])
         assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(case["report"], sort_keys=True)
 
 
@@ -1061,7 +1065,7 @@ def test_degenerate_structure_check_flows_in_batches(monkeypatch):
     calls = []
     step = R._detA0_rows
     monkeypatch.setattr(R, "_detA0_rows", lambda *a: calls.append(1) or step(*a))
-    degenerate_structure_check(make_degenerate(), n_samples=30, seed=1, n_pairs=6)
+    degenerate_structure_check(make_degenerate(), seed=1)
     # At most 6 segment waves, then 8 flow steps per steering direction; every
     # flow of the check goes through the step, so a check that stopped
     # calling it would fail here rather than pass with no calls counted.

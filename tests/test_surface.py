@@ -17,6 +17,12 @@ assignment does not count.
 
 An imported name counts as used when it occurs as an ``ast.Name`` in its
 module, the unused-import rule of pyflakes (F401).
+
+A parameter with a default, of a public function or method, is passed by
+at least one call in the package: a call by the function's bare name with
+that parameter's position among its arguments, or with it by keyword.  A
+``**`` argument does not count.  A parameter that only tests set is a
+second configuration that no job runs; it belongs in a module constant.
 """
 import ast
 import os
@@ -32,6 +38,13 @@ ALLOWED = {
     "chord_ratio": "the paper's f, and the oracle of the acceptance tests",
     "ReachSet.representatives": "the exact reachable points that the reach tests compare against",
     "ReachSet.contains": "the membership test that the reach tests compare reference points with",
+}
+
+
+# Parameters with a default that no call in src/ passes, one reason each.
+UNPASSED_ALLOWED = {
+    "main.argv": "the entry point: the console script and python -m call main() and "
+    "argparse reads sys.argv, while the benchmark and the tests pass their own argv",
 }
 
 
@@ -143,3 +156,77 @@ def test_every_import_is_used_in_its_module():
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{fname}:{line}: {name}" for line, name in imported_names(tree) if name not in loaded]
     assert unused == []
+
+
+def defaulted_parameters(trees: dict) -> list:
+    """(file, qualified name, bare function name, parameter, position) of every
+    parameter with a default of a public function or method.
+
+    The position counts the arguments that a call passes, so a method's self
+    is not counted (the package has no static or class methods); a
+    keyword-only parameter has position None.
+    """
+    funcs = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                funcs.append((fname, node.name, node, 0))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                funcs += [
+                    (fname, f"{node.name}.{item.name}", item, 1)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+    out = []
+    for fname, qualified, func, bound in funcs:
+        if func.name.startswith("_"):
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [
+            (fname, f"{qualified}.{a.arg}", func.name, a.arg, i - bound)
+            for i, a in enumerate(positional)
+            if i >= first
+        ]
+        out += [
+            (fname, f"{qualified}.{a.arg}", func.name, a.arg, None)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None
+        ]
+    return out
+
+
+def passed_arguments(trees: dict) -> dict:
+    """Bare callee name -> (most positional arguments of one call, keywords passed)."""
+    passed = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            n_pos, keywords = passed.get(name, (0, set()))
+            plain = len([a for a in node.args if not isinstance(a, ast.Starred)])
+            keywords |= {k.arg for k in node.keywords if k.arg is not None}  # None is **
+            passed[name] = (max(n_pos, plain), keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    trees = _trees()
+    passed = passed_arguments(trees)
+    unpassed = []
+    for fname, qualified, func, param, position in defaulted_parameters(trees):
+        n_pos, keywords = passed.get(func, (0, set()))
+        by_position = position is not None and position < n_pos
+        if not (by_position or param in keywords or qualified in UNPASSED_ALLOWED):
+            unpassed.append(f"{fname}: {qualified}")
+    assert unpassed == []
+
+
+def test_every_unpassed_exemption_names_a_defaulted_parameter():
+    names = {qualified for _, qualified, _, _, _ in defaulted_parameters(_trees())}
+    assert set(UNPASSED_ALLOWED) <= names

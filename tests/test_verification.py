@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from se2control import verification as V
-from se2control.reachability import control_grid
+from se2control.geometry import check_invariance
+from se2control.reachability import control_grid, degenerate_structure_check
 from se2control.system import SystemSpec, prepare
 from se2control.verification import SUITE_NAMES, _draw, run_verification
 
@@ -135,6 +136,31 @@ def test_trace_zero_case_skips_ball():
     assert by_name["bound_sweep"].status == "skipped"
     assert by_name["conjugacy"].status == "passed"
     assert rep.passed
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_suite_metrics_equal_the_library_checks_at_the_same_seed(seed):
+    # Each check has one configuration, so verify reports what a direct call gives.
+    plant = prepare(spec_open())
+    (ball,) = run_verification(plant, seed=seed, suites=["ball_invariance"]).suites
+    inv = check_invariance(plant.rs, V.DEFAULT_SAMPLES, seed)
+    assert ball.metrics == {
+        "samples": inv.n_samples,
+        "violations_inward": inv.violations_inward,
+        "violations_outward": inv.violations_outward,
+        "min_margin_inward": inv.min_margin_inward,
+        "min_margin_outward": inv.min_margin_outward,
+    }
+    spec = spec_degenerate()
+    (mono,) = run_verification(prepare(spec), seed=seed, suites=["monotone_functional"]).suites
+    deg = degenerate_structure_check(spec, seed)
+    assert mono.metrics == {
+        "trajectories": deg.n_trajectories,
+        "min_increment": deg.min_functional_increment,
+        "mutual_pairs": deg.n_mutual,
+        "counterexamples": deg.counterexamples,
+        "irreversible_confirmed": deg.irreversible_confirmed,
+    }
 
 
 def test_suite_selection():
