@@ -155,13 +155,34 @@ def dwell_rate(t, xi) -> np.ndarray:
     return 2.0 * np.sin(half) * (xi * cis(half))
 
 
-def _detA0_rows(xi, s, t, z, u) -> tuple:
-    """Wrapped angles and complex translations of :func:`flow_detA0` for rows (t, z); s and u are arrays."""
+def _detA0_angle(s, t, u) -> np.ndarray:
+    """Wrapped end angles of :func:`flow_detA0` from angles t; s and u are arrays."""
+    return wrap_angle(np.where(u != 0.0, t + s * u, t))
+
+
+def _detA0_increments(xi, s, t, u) -> tuple:
+    """Wrapped end angles and translation increments of :func:`flow_detA0` from angles t; s and u are arrays.
+
+    The increment does not depend on the start translation: a row (t, z)
+    flows to (angle, z + increment).  So a flow from fixed angles, such as
+    a steering arc, is formed once and its increment added to any number
+    of translations.
+    """
     moving = u != 0.0
     half = 0.5 * s * u
     k = np.where(moving, 2.0 * np.sin(half) / np.where(moving, u, 1.0), s)
     turn = (s - k) * (1j * xi) + k * dwell_rate(t + half, xi)
-    return wrap_angle(np.where(moving, t + s * u, t)), z + turn
+    return _detA0_angle(s, t, u), turn
+
+
+def _detA0_rows(xi, s, t, z, u) -> tuple:
+    """Wrapped angles and complex translations of :func:`flow_detA0` for rows (t, z); s and u are arrays.
+
+    The angles and the increments added to z are those of
+    :func:`_detA0_increments`.
+    """
+    angle, turn = _detA0_increments(xi, s, t, u)
+    return angle, z + turn
 
 
 def flow_detA0(spec: SystemSpec, s, g, u):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import PiecewiseControl, _detA0_rows, _exp, dwell_rate, equilibrium
+from .flow import PiecewiseControl, _detA0_angle, _detA0_increments, _exp, dwell_rate, equilibrium
 from .group import angle_dist, cis, to_complex, to_pairs
 from .system import ReducedSpec, SystemSpec, larc, reduced_range
 
@@ -147,7 +147,7 @@ class GridConfig:
         }
 
 
-def control_grid(omega, n: int = DEFAULT_N_CONTROLS) -> np.ndarray:
+def control_grid(omega, n: int) -> np.ndarray:
     """Evenly spaced controls over omega, always including u-, 0 and u+."""
     if n < 3:
         raise ValueError("control grid needs at least 3 values")
@@ -692,42 +692,84 @@ def _normalized_degenerate(spec: SystemSpec) -> tuple:
     return complex(*spec.xi), reduced_range(spec)
 
 
-def _degenerate_endpoints(xi: complex, segments: np.ndarray, t, z) -> tuple:
-    """End angles and translations of rows (t, z) under (..., 5, 2) rows of (duration, u) segments."""
-    for dur, u in zip(np.moveaxis(segments[..., 0], -1, 0), np.moveaxis(segments[..., 1], -1, 0)):
-        t_end, z_end = _detA0_rows(xi, dur, t, z, u)
-        # Segments of zero duration leave the state as it is.
-        moved = dur > 0.0
-        t, z = np.where(moved, t_end, t), np.where(moved, z_end, z)
-    return t, z
+@dataclass(frozen=True, eq=False)
+class _Steering:
+    """What a steering leg needs that does not depend on the pair, formed once per system.
+
+    Every pair's arcs start at angle 0, so the arcs' end angles and
+    translation increments, the dwell rates at the two dwell angles and the
+    dwell solver's coefficients depend only on the epsilons.  The arrays
+    hold the usable epsilons (those whose first dwell pushes along +xi and
+    whose second pushes along -xi), in order.
+    """
+
+    xi: complex
+    n2: float  # |xi|^2, as spec.xi @ spec.xi forms it
+    u_max: float  # min(-lo, hi) of the rescaled control range [lo, hi]
+    arc1: np.ndarray  # duration of the first and last arc; the middle one lasts twice as long
+    turns: tuple  # translation increments of the three arcs
+    rates: tuple  # dwell rates Lambda_t xi at the angles the first and second arcs end at
+    # (sin1, sin2, w1, w2, det): <rate, xi> / |xi|^2 and <rate, i xi> / |xi|^2
+    # (negative values cleared) of each dwell, and sin1 w2 - sin2 w1.
+    solver: tuple
+    end_angle: np.ndarray  # the angle every leg ends at
+    end_dist: np.ndarray  # its distance to angle 0
 
 
-def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
-    """Best-effort steering of the normalized degenerate system, one pair per row.
+def _prepare_steering(spec: SystemSpec) -> _Steering:
+    """The pair-independent steering data of `spec` (see :class:`_Steering`).
 
-    Moves (0, v_from) toward (0, v_to) with a drive/dwell/drive/dwell/drive
-    control built from small angle excursions +-eps: dwelling at angle t
-    pushes v at the fixed rate sin(t) xi + (1 - cos t) theta xi, so shrinking
-    eps trades time for precision along +-xi while the unavoidable drift
-    (along +theta xi) vanishes like eps.  Motion along -theta xi is
-    impossible, so targets with a negative theta-xi component keep an
-    irreducible residual.
-
-    The dwell durations are solved against the *realized* dwell angles of the
-    arc segments and the dwell rates the flow itself will use, so feasible
-    targets are hit to arithmetic rounding.  Every pair tries 30 epsilons
-    from 0.3 down to 3e-10, as rows of (pairs x 30) arrays, and the one of
-    least evaluated residual wins (the first of equals).
-
-    v_from and v_to have shape (n, 2) or (2,) and broadcast.  Returns
-    (segments, ends, residuals) of shapes (n, 5, 2), (n, 3) and (n,): the
-    winning (duration, u) segments, the exactly evaluated end state
-    [t, v_x, v_y] and its residual.  A pair with |v_to - v_from| = 0 keeps
-    zero durations, the end (0, v_from) and residual 0.  Each row equals its
-    one-row call bit for bit.
+    Raises what :func:`_normalized_degenerate` raises.  A system with no
+    usable epsilon gets empty arrays, and its legs raise.
     """
     xi, (lo, hi) = _normalized_degenerate(spec)
     n2 = float(spec.xi @ spec.xi)
+    u_max = min(-lo, hi)
+    u_d = 0.9 * u_max
+    arc1 = STEER_EPSILONS / u_d
+    t1, turn1 = _detA0_increments(xi, arc1, 0.0, u_d)
+    t2, turn2 = _detA0_increments(xi, 2.0 * arc1, t1, -u_d)
+    t3, turn3 = _detA0_increments(xi, arc1, t2, u_d)
+    # The dwell rates exactly as the flow applies them at the realized angles.
+    rate1, rate2 = dwell_rate(t1, xi), dwell_rate(t2, xi)
+    proj1 = xi.conjugate() * rate1
+    proj2 = xi.conjugate() * rate2
+    sin1 = proj1.real / n2
+    sin2 = proj2.real / n2
+    # The dwell drift cannot point along -i xi; tiny negative values are
+    # rounding noise from the chart arithmetic, and feeding them to the
+    # solver would fabricate huge dwells that ride the noise.
+    w1 = proj1.imag / n2
+    w2 = proj2.imag / n2
+    w1 = np.where(w1 < 0.0, 0.0, w1)
+    w2 = np.where(w2 < 0.0, 0.0, w2)
+    use = ~((sin1 <= 0.0) | (sin2 >= 0.0))
+    sin1, sin2, w1, w2 = sin1[use], sin2[use], w1[use], w2[use]
+    return _Steering(
+        xi=xi,
+        n2=n2,
+        u_max=u_max,
+        arc1=arc1[use],
+        turns=(turn1[use], turn2[use], turn3[use]),
+        rates=(rate1[use], rate2[use]),
+        solver=(sin1, sin2, w1, w2, sin1 * w2 - sin2 * w1),
+        end_angle=t3[use],
+        end_dist=angle_dist(t3[use], 0.0),
+    )
+
+
+def _dwell(xi: complex, z, tau, rate) -> np.ndarray:
+    """Translations z after dwelling for tau at control 0 with the dwell rate `rate`.
+
+    The increment is the one :func:`flow._detA0_increments` forms for
+    control 0; a dwell of tau <= 0 (or NaN) leaves z as it is.
+    """
+    return np.where(tau > 0.0, z + ((tau - tau) * (1j * xi) + tau * rate), z)
+
+
+def _steer_leg(steering: _Steering, v_from, v_to) -> tuple:
+    """:func:`steer_degenerate_batch` on the prepared data of its system."""
+    xi, n2 = steering.xi, steering.n2
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
     v_from, v_to = v_from.reshape(-1, 2), v_to.reshape(-1, 2)
     # conj(xi) w holds <w, xi> and <w, i xi> as its real and imaginary parts.
@@ -735,35 +777,19 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     proj = xi.conjugate() * step
     a_t = (proj.real / n2)[:, None]
     b_t = (proj.imag / n2)[:, None]
-    u_d = 0.9 * min(-lo, hi)
-
-    # Arcs-only rehearsal of every epsilon: realized dwell angles and arc
-    # displacement.  The angles, and with them the dwell rates exactly as
-    # the flow will apply them, are the same for every pair.
-    arc1 = STEER_EPSILONS / u_d
-    t0, z0 = np.zeros((len(v_from), 1)), to_complex(v_from)[:, None]
-    t1, z1 = _detA0_rows(xi, arc1, t0, z0, u_d)
-    t2, z2 = _detA0_rows(xi, 2.0 * arc1, t1, z1, -u_d)
-    _, z3 = _detA0_rows(xi, arc1, t2, z2, u_d)
-    rates1 = xi.conjugate() * dwell_rate(t1[0], xi)
-    rates2 = xi.conjugate() * dwell_rate(t2[0], xi)
-    sin1 = rates1.real / n2
-    sin2 = rates2.real / n2
-    # The dwell drift cannot point along -i xi; tiny negative values are
-    # rounding noise from the chart arithmetic, and feeding them to the
-    # solver would fabricate huge dwells that ride the noise.
-    w1 = rates1.imag / n2
-    w2 = rates2.imag / n2
-    w1 = np.where(w1 < 0.0, 0.0, w1)
-    w2 = np.where(w2 < 0.0, 0.0, w2)
-    usable = ~((sin1 <= 0.0) | (sin2 >= 0.0))
-    if not usable.any():
+    u_d = 0.9 * steering.u_max
+    if not len(steering.arc1):
         raise ValueError("degenerate steering has no usable dwell angle for this xi")
-    arc1, sin1, sin2, w1, w2 = arc1[usable], sin1[usable], sin2[usable], w1[usable], w2[usable]
-    arc = xi.conjugate() * (z3[:, usable] - z0)
+
+    # The arcs add their prepared increments to each pair's translation;
+    # their durations eps / u_d are positive, so every arc moves.
+    arc1, (turn1, turn2, turn3), (rate1, rate2) = steering.arc1, steering.turns, steering.rates
+    z0 = to_complex(v_from)[:, None]
+    z1 = z0 + turn1
+    arc = xi.conjugate() * (((z1 + turn2) + turn3) - z0)
     a_rem = a_t - arc.real / n2
     b_rem = b_t - arc.imag / n2
-    det = sin1 * w2 - sin2 * w1
+    sin1, sin2, w1, w2, det = steering.solver
 
     with np.errstate(divide="ignore", invalid="ignore"):
         along1 = a_rem / sin1
@@ -787,20 +813,54 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     still = step == 0.0
     if not np.isfinite(segments[~still]).all():  # as PiecewiseControl rejects them
         raise ValueError("segment durations must be finite and >= 0")
-    t_end, z_end = _degenerate_endpoints(xi, segments, t0, z0)
-    residuals = np.abs(z_end - to_complex(v_to)[:, None]) + angle_dist(t_end, 0.0)
+    # The five segments in flow order: each arc adds its increment, each
+    # dwell its own, and every leg ends at the arcs' end angle.
+    z_end = _dwell(xi, _dwell(xi, z1, tau1, rate1) + turn2, tau2, rate2) + turn3
+    residuals = np.abs(z_end - to_complex(v_to)[:, None]) + steering.end_dist
     # The first of equals wins, as min() picks it.
     best = np.array([min(range(len(r)), key=r.__getitem__) for r in residuals.tolist()], dtype=int)
     rows = np.arange(len(best))
     segments, residuals = segments[rows, best], residuals[rows, best]
     ends = np.empty((len(best), 3))
-    ends[:, 0] = t_end[rows, best]
+    ends[:, 0] = steering.end_angle[best]
     ends[:, 1:] = to_pairs(z_end[rows, best])
     segments[still] = 0.0
     ends[still] = 0.0
     ends[still, 1:] = v_from[still]
     residuals[still] = 0.0
     return segments, ends, residuals
+
+
+def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
+    """Best-effort steering of the normalized degenerate system, one pair per row.
+
+    Moves (0, v_from) toward (0, v_to) with a drive/dwell/drive/dwell/drive
+    control built from small angle excursions +-eps: dwelling at angle t
+    pushes v at the fixed rate sin(t) xi + (1 - cos t) theta xi, so shrinking
+    eps trades time for precision along +-xi while the unavoidable drift
+    (along +theta xi) vanishes like eps.  Motion along -theta xi is
+    impossible, so targets with a negative theta-xi component keep an
+    irreducible residual.
+
+    The dwell durations are solved against the *realized* dwell angles of the
+    arc segments and the dwell rates the flow itself will use, so feasible
+    targets are hit to arithmetic rounding.  Every pair tries 30 epsilons
+    from 0.3 down to 3e-10, as rows of (pairs x 30) arrays, and the one of
+    least evaluated residual wins (the first of equals).  The arcs start at
+    angle 0 whatever the pair, so their angles and translation increments,
+    the dwell rates and the solver's coefficients are formed once per call
+    (:func:`_prepare_steering`); each pair adds the increments to its own
+    translation, in flow order, and evaluates its end exactly as the flow
+    of its five segments would.
+
+    v_from and v_to have shape (n, 2) or (2,) and broadcast.  Returns
+    (segments, ends, residuals) of shapes (n, 5, 2), (n, 3) and (n,): the
+    winning (duration, u) segments, the exactly evaluated end state
+    [t, v_x, v_y] and its residual.  A pair with |v_to - v_from| = 0 keeps
+    zero durations, the end (0, v_from) and residual 0.  Each row equals its
+    one-row call bit for bit.
+    """
+    return _steer_leg(_prepare_steering(spec), v_from, v_to)
 
 
 def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
@@ -887,18 +947,21 @@ def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateRep
     Translation equivariance of the flow makes the base point v0 irrelevant;
     the check uses v0 = 0 in the normalized chart.
 
-    All random draws come first, in a fixed order.  Then the trajectories of
-    (a) advance together, one segment index at a time, and the pairs of (b)
-    are steered by one batched call forward and one in reverse, so the
-    report does not depend on how the work is split.
+    All random draws come first, in a fixed order.  Then a 6-step loop finds
+    where each segment of (a) starts in angle, one pass flows every sample of
+    every segment from there, and the segments' start translations are
+    summed in segment order.  The pairs of (b) are steered on data prepared
+    once (:func:`_prepare_steering`), in one batched leg forward and one in
+    reverse, so the report does not depend on how the work is split.
 
     Raises ValueError when an increment of the functional or a steering value
     is not finite (e.g. |xi| so large that H overflows): the claims would
     then pass with nothing measured.
     """
-    xi, (lo, hi) = _normalized_degenerate(spec)
+    steering = _prepare_steering(spec)
+    xi, u_max = steering.xi, steering.u_max
     rng = np.random.default_rng(seed)
-    umin = 0.05 * min(-lo, hi)
+    umin = 0.05 * u_max
     v0 = np.zeros(2)
 
     def H(z):
@@ -908,24 +971,25 @@ def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateRep
         return (xi.conjugate() * (z - to_complex(v0))).imag
 
     # (a) strict growth of the monotone functional, at 8 points per segment;
-    # the last point (fraction 1) is the segment's end state.
-    draws = _monotone_draws(rng, DEGENERATE_TRAJECTORIES, umin, min(-lo, hi))
+    # the last point (fraction 1) is the segment's end state.  A trajectory
+    # draws 2 to 6 segments; the rest are NaN, and so is all that flows
+    # from them.
+    draws = _monotone_draws(rng, DEGENERATE_TRAJECTORIES, umin, u_max)
+    u, dur = draws[..., 0], draws[..., 1]
     fractions = np.linspace(1.0 / 8.0, 1.0, 8)
-    t = np.zeros(len(draws))
-    z = np.full(len(draws), to_complex(v0))
-    h_prev = H(z)
-    seg_min = np.full(draws.shape[:2], np.nan)
-    for k in range(6):
-        live = ~np.isnan(draws[:, k, 0])
-        u, dur = draws[live, k].T
-        tq, zq = _detA0_rows(xi, dur[:, None] * fractions, t[live, None], z[live, None], u[:, None])
-        h = H(zq)
-        inc = np.diff(h, prepend=h_prev[live, None])
-        if not np.isfinite(inc).all():
-            raise ValueError("degenerate check: the monotone functional overflows along a trajectory")
-        seg_min[live, k] = np.min(inc, axis=1)
-        h_prev[live] = h[:, -1]
-        t[live], z[live] = tq[:, -1], zq[:, -1]
+    t_start = np.zeros(u.shape)
+    for k in range(1, 6):
+        t_start[:, k] = _detA0_angle(dur[:, k - 1], t_start[:, k - 1], u[:, k - 1])
+    _, turns = _detA0_increments(xi, dur[..., None] * fractions, t_start[..., None], u[..., None])
+    # Each segment starts where the one before ended: v0 plus the end
+    # increments of the segments before it, summed in order.
+    z_start = np.concatenate([np.full((len(draws), 1), to_complex(v0)), turns[:, :-1, -1]], axis=1)
+    z_start = np.cumsum(z_start, axis=1)
+    inc = np.diff(H(z_start[..., None] + turns), prepend=H(z_start)[..., None])
+    live = ~np.isnan(u)
+    if not np.isfinite(inc[live]).all():
+        raise ValueError("degenerate check: the monotone functional overflows along a trajectory")
+    seg_min = np.where(live, np.min(inc, axis=-1), np.nan)
     # Segment by segment in trajectory order, as min() skips NaN after inf.
     min_inc = min([np.inf] + seg_min.ravel().tolist())
 
@@ -940,9 +1004,9 @@ def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateRep
         offsets.append((c, d))
     c, d = np.array(offsets, dtype=float).reshape(-1, 2).T
     targets = v0 + to_pairs(c * xin + d * (1j * xin))
-    _, end_f, res_f = steer_degenerate_batch(spec, v0, targets)
+    _, end_f, res_f = _steer_leg(steering, v0, targets)
     p = end_f[:, 1:]
-    _, _, res_r = steer_degenerate_batch(spec, p, v0)
+    _, _, res_r = _steer_leg(steering, p, v0)
     if not (np.isfinite(end_f).all() and np.isfinite(res_f).all() and np.isfinite(res_r).all()):
         raise ValueError("degenerate check: steering values are not finite")
     mutual = (res_f < PAIR_TOL * scale) & (res_r < PAIR_TOL * scale)

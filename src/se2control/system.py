@@ -223,14 +223,20 @@ def larc(spec: SystemSpec) -> bool:
     """Rank condition: alpha != 0 and alpha xi + A eta1 != 0.
 
     When it fails the system is not controllable on any neighborhood and the
-    classification is unreliable.
+    classification is unreliable.  The sum is formed on the rates (alpha,
+    A) and the lengths (xi, eta1), each group scaled by the power of two
+    that brings its largest magnitude into [0.5, 1), and tested for a
+    nonzero component.  Powers of two scale exactly while neither group
+    spans more than about 2^1000, so the answer is that of the unscaled sum
+    wherever that sum neither underflows nor overflows, and power-of-two
+    time and translation scalings of a system leave it unchanged.
     """
     if spec.alpha == 0.0:
         return False
-    # A product that overflows is +-inf, nonzero as its true value is.
-    with np.errstate(over="ignore"):
-        w = spec.alpha * spec.xi + spec.A @ spec.eta1
-        return float(np.linalg.norm(w)) > 0.0
+    rates = -math.frexp(max(abs(spec.alpha), abs(spec.lam), abs(spec.mu)))[1]
+    lengths = -math.frexp(max(map(abs, spec.xi.tolist() + spec.eta1.tolist())))[1]
+    xi, eta1 = np.ldexp(spec.xi, lengths), np.ldexp(spec.eta1, lengths)
+    return bool((math.ldexp(spec.alpha, rates) * xi + np.ldexp(spec.A, rates) @ eta1).any())
 
 
 def reduced_range(spec: SystemSpec) -> tuple:

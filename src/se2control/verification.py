@@ -17,7 +17,7 @@ import numpy as np
 from .flow import flow_detA0, flow_r2, flow_se2, rk4_oracle_batch
 from .geometry import check_invariance, chord_excess
 from .group import TWO_PI, angle_dist, to_complex
-from .reachability import control_grid, degenerate_structure_check
+from .reachability import DEFAULT_N_CONTROLS, control_grid, degenerate_structure_check
 from .system import Plant, classify, larc, reduced_range
 
 # Samples drawn by the conjugacy and semigroup suites, and by default by the
@@ -66,7 +66,7 @@ def _suite_bound_sweep(plant: Plant, seed: int, n_samples: int) -> SuiteResult:
     if spec.lam == 0.0:
         return SuiteResult("bound_sweep", "skipped", "requires trace A != 0")
     sigma = abs(spec.lam)
-    nus = spec.mu - spec.alpha * control_grid(spec.omega, 21)
+    nus = spec.mu - spec.alpha * control_grid(spec.omega, DEFAULT_N_CONTROLS)
     nus = nus[nus != 0.0]
     if nus.size == 0:
         return SuiteResult(

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from grid_masks import binary_erode
 from reference_charts import perp
+from reference_degenerate import reference_check, reference_steer_batch
 
-from se2control.flow import PiecewiseControl, equilibrium, flow_detA0, flow_r2
+from se2control.flow import PiecewiseControl, _detA0_rows, equilibrium, flow_detA0, flow_r2
 from se2control.group import to_complex, wrap_angle
 from se2control import reachability as R
 from se2control.reachability import (
@@ -89,7 +90,7 @@ def test_a_point_whose_cell_index_overflows_is_out_of_bounds():
 
 def test_reach_rejects_seed_outside_bounds():
     rs = make_rs()
-    cfg = GridConfig((-0.5, 0.5, -0.5, 0.5), 0.05, control_grid(rs.omega), 0.05)
+    cfg = GridConfig((-0.5, 0.5, -0.5, 0.5), 0.05, control_grid(rs.omega, R.DEFAULT_N_CONTROLS), 0.05)
     with pytest.raises(ValueError):
         reach_forward(rs, np.array([2.0, 2.0]), cfg)
 
@@ -623,7 +624,7 @@ def test_backward_of_forward_contains_seed():
 
 def test_trace_zero_forward_covers_disk():
     rs = make_rs(lam=0.0, mu=1.0, omega=(-0.5, 0.5))
-    cfg = GridConfig((-1.6, 1.6, -1.6, 1.6), 0.04, control_grid(rs.omega), 0.05)
+    cfg = GridConfig((-1.6, 1.6, -1.6, 1.6), 0.04, control_grid(rs.omega, R.DEFAULT_N_CONTROLS), 0.05)
     r = reach_forward(rs, np.zeros(2), cfg)
     centers = _grid_centers(cfg)
     disk = np.linalg.norm(centers, axis=2) <= 1.0
@@ -697,7 +698,7 @@ def test_estimate_closed_case():
 
 def test_estimate_trace_zero_case():
     rs = make_rs(lam=0.0, mu=1.0, omega=(-0.5, 0.5))
-    cfg = GridConfig((-1.6, 1.6, -1.6, 1.6), 0.04, control_grid(rs.omega), 0.05)
+    cfg = GridConfig((-1.6, 1.6, -1.6, 1.6), 0.04, control_grid(rs.omega, R.DEFAULT_N_CONTROLS), 0.05)
     est = estimate_control_set(rs, cfg)
     assert est.case == "all_plane"
     assert est.coverage["fraction"] >= 0.99
@@ -799,7 +800,7 @@ def test_trace_zero_empty_cover_set_is_ignored():
 
 def test_cover_set_holds_every_cell_that_meets_the_disk():
     rs = make_rs(lam=0.0, mu=1.0)
-    cfg = GridConfig((-1.3, 1.7, -2.0, 1.1), 0.07, control_grid(rs.omega), 0.05)
+    cfg = GridConfig((-1.3, 1.7, -2.0, 1.1), 0.07, control_grid(rs.omega, R.DEFAULT_N_CONTROLS), 0.05)
     nx, ny = cfg.shape
     for center, radius in (((0.0, 0.0), 1.0), ((0.31, -0.22), 0.4), ((0.0, 0.0), 0.0)):
         cover = set(R._cover_ids(cfg, center, radius).tolist())
@@ -974,14 +975,14 @@ def test_degenerate_structure_check_rejects_non_finite_increments():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_degenerate_structure_check_rejects_non_finite_steering(monkeypatch, bad):
-    steer = R.steer_degenerate_batch
+    leg = R._steer_leg
 
-    def spoiled(spec, v_from, v_to):
-        segments, ends, residuals = steer(spec, v_from, v_to)
+    def spoiled(steering, v_from, v_to):
+        segments, ends, residuals = leg(steering, v_from, v_to)
         residuals[-1] = bad
         return segments, ends, residuals
 
-    monkeypatch.setattr(R, "steer_degenerate_batch", spoiled)
+    monkeypatch.setattr(R, "_steer_leg", spoiled)
     _size_degenerate_check(monkeypatch, 5, 4)
     with pytest.raises(ValueError, match="steering values are not finite"):
         degenerate_structure_check(make_degenerate())
@@ -1061,15 +1062,61 @@ def test_degenerate_structure_check_matches_recorded_reports(monkeypatch):
         assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(case["report"], sort_keys=True)
 
 
+def _outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+_magnitude = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _degenerate_check_cases(draw):
+    sign = st.sampled_from((1.0, -1.0))
+    alpha = draw(sign) * draw(_magnitude)
+    scale = draw(_magnitude)
+    xi = [draw(st.floats(-3.0, 3.0)) * scale, draw(st.floats(-3.0, 3.0)) * scale]
+    omega = (-draw(_magnitude), draw(_magnitude))
+    spec = SystemSpec(alpha, xi, np.zeros((2, 2)), [draw(_coord), draw(_coord)], omega)
+    return spec, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_degenerate_check_cases())
+def test_degenerate_structure_check_equals_the_stepwise_reference(case):
+    spec, seed = case
+    want = _outcome(lambda: json.dumps(reference_check(spec, seed).to_dict(), sort_keys=True))
+    assert _outcome(lambda: json.dumps(degenerate_structure_check(spec, seed).to_dict(), sort_keys=True)) == want
+    # The legs on their own, with a pair at rest.  Unlike the check, they
+    # leave numpy's warnings on, and at extreme |xi| the two warn in
+    # different places; only their values are compared.
+    rng = np.random.default_rng(seed)
+    v_from = rng.normal(size=(5, 2)) * float(np.abs(spec.xi).max())
+    v_to = v_from + rng.normal(size=(5, 2)) * float(np.abs(spec.xi).max())
+    v_to[0] = v_from[0]
+    with np.errstate(all="ignore"):
+        want = _outcome(reference_steer_batch, spec, v_from, v_to)
+        got = _outcome(steer_degenerate_batch, spec, v_from, v_to)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_degenerate_structure_check_flows_in_batches(monkeypatch):
     calls = []
-    step = R._detA0_rows
-    monkeypatch.setattr(R, "_detA0_rows", lambda *a: calls.append(1) or step(*a))
+    step = R._detA0_increments
+    monkeypatch.setattr(R, "_detA0_increments", lambda *a: calls.append(1) or step(*a))
     degenerate_structure_check(make_degenerate(), seed=1)
-    # At most 6 segment waves, then 8 flow steps per steering direction; every
-    # flow of the check goes through the step, so a check that stopped
-    # calling it would fail here rather than pass with no calls counted.
-    assert 0 < len(calls) <= 6 + 16
+    # One pass for every trajectory sample, then the three steering arcs once
+    # for both directions; every flow of the check goes through this step,
+    # so a check that stopped calling it would fail here rather than pass
+    # with no calls counted.
+    assert 0 < len(calls) <= 1 + 3
 
 
 def _scalar_monotone_draws(rng, n, umin, umax):
@@ -1096,7 +1143,7 @@ def test_monotone_draws_equal_scalar_uniform_draws():
 
 def _assert_rows_equal_flow_detA0(spec, s, x, u):
     want = flow_detA0(spec, s, x, u)
-    t, z = R._detA0_rows(complex(*spec.xi), s, x[..., 0], to_complex(x[..., 1:]), u)
+    t, z = _detA0_rows(complex(*spec.xi), s, x[..., 0], to_complex(x[..., 1:]), u)
     shape = want.shape[:-1]
     assert np.array_equal(np.broadcast_to(t, shape), want[..., 0])
     assert np.array_equal(np.broadcast_to(z, shape), to_complex(want[..., 1:]))

@@ -1,8 +1,11 @@
 """SystemSpec validation, rank condition, classification and reduction."""
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from se2control.flow import equilibrium, flow_detA0
 from se2control.reachability import degenerate_structure_check
@@ -234,3 +237,59 @@ def test_an_overflowing_one_point_control_set_is_rejected():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="v\\(mu\\) .* overflows"):
             classify(prepare(spec))
+
+
+def test_larc_holds_when_alpha_xi_squared_underflows():
+    # |alpha xi|^2 = 1e-340 rounds to 0, so np.linalg.norm read alpha xi + A eta1
+    # as zero and labelled the system NotClassified.
+    spec = SystemSpec(1.0, np.array([1e-170, 0.0]), np.zeros((2, 2)), np.array([0.3, 0.2]), (-1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = classify(prepare(spec))
+    assert larc(spec) and report.larc
+    assert report.case == CASE_DEGENERATE
+
+
+def test_larc_holds_on_the_open_spec_time_scaled_by_1e_170():
+    # Every product alpha xi and A eta1 (about 1e-340) underflowed to 0.
+    k = 1e-170
+    spec = make_spec(alpha=k, xi=(0.3 * k, -0.7 * k), lam=k, mu=2.0 * k, eta1=(k, 0.2 * k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = classify(prepare(spec))
+    assert larc(spec) and report.larc
+    assert report.case == CASE_OPEN
+
+
+_signed = st.sampled_from((-1.0, 1.0))
+
+
+def _component(zero_allowed):
+    signs = (-1.0, 0.0, 1.0) if zero_allowed else (-1.0, 1.0)
+    return st.tuples(st.sampled_from(signs), st.floats(0.1, 3.0)).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def _scaled_spec_pairs(draw):
+    """A spec with O(1) data, and the same spec time-scaled by 2^k and translation-scaled by 2^j."""
+    alpha, lam, mu = draw(_component(True)), draw(_component(True)), draw(_component(True))
+    xi = np.array([draw(_component(True)), draw(_component(True))])
+    eta1 = np.array([draw(_component(True)), draw(_component(True))])
+    omega = (-draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)))
+    k, j = draw(st.integers(-300, 300)), draw(st.integers(-300, 300))
+    base = make_spec(alpha=alpha, xi=xi, lam=lam, mu=mu, eta1=eta1, omega=omega)
+    scaled = make_spec(alpha=math.ldexp(alpha, k), xi=np.ldexp(xi, k + j), lam=math.ldexp(lam, k),
+                       mu=math.ldexp(mu, k), eta1=np.ldexp(eta1, k + j), omega=omega)
+    return base, scaled
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_scaled_spec_pairs())
+def test_the_case_label_is_invariant_under_power_of_two_scalings(pair):
+    # Time scaling multiplies (alpha, A, xi, eta1) by 2^k and translation
+    # scaling (xi, eta1) by 2^j, both exactly; neither changes the case.
+    base, scaled = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want, got = classify(prepare(base)), classify(prepare(scaled))
+    assert (got.case, got.larc) == (want.case, want.larc)
