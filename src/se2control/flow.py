@@ -175,16 +175,6 @@ def _detA0_increments(xi, s, t, u) -> tuple:
     return _detA0_angle(s, t, u), turn
 
 
-def _detA0_rows(xi, s, t, z, u) -> tuple:
-    """Wrapped angles and complex translations of :func:`flow_detA0` for rows (t, z); s and u are arrays.
-
-    The angles and the increments added to z are those of
-    :func:`_detA0_increments`.
-    """
-    angle, turn = _detA0_increments(xi, s, t, u)
-    return angle, z + turn
-
-
 def flow_detA0(spec: SystemSpec, s, g, u):
     """Degenerate flow for A = 0, in coordinates where the invariant field is (1, 0).
 
@@ -209,8 +199,8 @@ def flow_detA0(spec: SystemSpec, s, g, u):
     x = as_packed(g)
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    t, z = _detA0_rows(complex(*spec.xi), s, x[..., 0], to_complex(x[..., 1:]), u)
-    return group_result(t, z)
+    t, turn = _detA0_increments(complex(*spec.xi), s, x[..., 0], u)
+    return group_result(t, to_complex(x[..., 1:]) + turn)
 
 
 def flow_se2(plant: Plant, s, g, u):
@@ -242,8 +232,9 @@ def flow_se2(plant: Plant, s, g, u):
     with np.errstate(over="ignore", invalid="ignore"):
         if plant.chart == "zero":
             w = w / plant.spec.alpha
-            t, z = _detA0_rows(complex(*plant.spec.xi), s, t, z - (w - w * cis(t)), ut)
-            z = z + (w - w * cis(t))
+            z = z - (w - w * cis(t))
+            t, turn = _detA0_increments(complex(*plant.spec.xi), s, t, ut)
+            z = (z + turn) + (w - w * cis(t))
         else:
             z = flow_r2(plant.rs, s, (z + w) * cis(-t) - w, ut)
             t = wrap_angle(t + s * ut)

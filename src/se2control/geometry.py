@@ -30,17 +30,11 @@ MARGIN_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def chord_ratio(sigma, nu, s):
-    """Spiral chord ratio f(sigma, nu, s) = (1 - 2 e^{s sigma} cos(s nu) + e^{2 s sigma}) / (1 - e^{s sigma})^2.
-
-    Evaluated as 1 + :func:`chord_excess`.  Requires sigma != 0 and s != 0.
-    Symmetric in nu -> -nu.
-    """
-    return 1.0 + chord_excess(sigma, nu, s)
-
-
 def chord_excess(sigma, nu, s):
-    """Excess g = f - 1 of :func:`chord_ratio`, without rounding at 1.
+    """Excess g = f - 1 of the spiral chord ratio, without rounding at 1.
+
+    The ratio is f(sigma, nu, s) = (1 - 2 e^{s sigma} cos(s nu) +
+    e^{2 s sigma}) / (1 - e^{s sigma})^2, symmetric in nu -> -nu.
 
     Evaluated in the cancellation-free form 4 e^{s sigma} sin(s nu / 2)^2 /
     expm1(s sigma)^2, which is exact algebraically and keeps the strict bound

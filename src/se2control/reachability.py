@@ -30,12 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import PiecewiseControl, _detA0_angle, _detA0_increments, _exp, dwell_rate, equilibrium
+from .flow import _detA0_angle, _detA0_increments, _exp, dwell_rate, equilibrium
 from .group import angle_dist, cis, to_complex, to_pairs
 from .system import ReducedSpec, SystemSpec, larc, reduced_range
 
 DEFAULT_MAX_CELLS = 1_000_000
 DEFAULT_N_CONTROLS = 21
+# Time steps per constant-control arc of a reach round.
+STEPS_PER_ARC = 24
 # Grids whose GRID_BYTES_PER_CELL * nx * ny exceeds the budget are rejected
 # before anything is allocated.  A reach set allocates 1 B of occupancy per
 # cell, plus 24 B per claimed cell for its id and representative.  The
@@ -77,7 +79,6 @@ class GridConfig:
     controls: np.ndarray
     time_step: float
     max_cells: int = DEFAULT_MAX_CELLS
-    steps_per_arc: int = 24
 
     def __post_init__(self):
         xmin, xmax, ymin, ymax = (float(b) for b in self.bounds)
@@ -96,9 +97,6 @@ class GridConfig:
         self.max_cells = int(self.max_cells)
         if self.max_cells < 1:
             raise ValueError("max_cells must be >= 1")
-        self.steps_per_arc = int(self.steps_per_arc)
-        if self.steps_per_arc < 1:
-            raise ValueError("steps_per_arc must be >= 1")
         if not all(math.isfinite(w / self.resolution) for w in (xmax - xmin, ymax - ymin)):
             raise ValueError("bounds over resolution give an unbounded number of cells")
         nx, ny = self.shape
@@ -115,6 +113,10 @@ class GridConfig:
         nx = int(math.ceil((xmax - xmin) / self.resolution - 1e-9))
         ny = int(math.ceil((ymax - ymin) / self.resolution - 1e-9))
         return max(nx, 1), max(ny, 1)
+
+    @property
+    def steps_per_arc(self) -> int:
+        return STEPS_PER_ARC
 
     @property
     def cell_diagonal(self) -> float:
@@ -354,19 +356,26 @@ def _control_constants(rs: ReducedSpec, cfg: GridConfig, direction: int):
     (s u) eta.  e^{s lam} does not depend on u, so it is taken once per step;
     it and e^{i s (mu - u)} come from the flow layer's _exp and cis, whose
     values are libm's exp, cos and sin, as a scalar evaluation gives them.
+    Raises ValueError naming time_step where an angle or a translation is not finite.
     """
     us = cfg.controls
-    s = np.arange(1, cfg.steps_per_arc + 1) * (direction * cfg.time_step)
     sing_u = rs.det_a_of_u(us) == 0.0
-    sing = np.repeat(sing_u, s.size)
+    sing = np.repeat(sing_u, cfg.steps_per_arc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.arange(1, cfg.steps_per_arc + 1) * (direction * cfg.time_step)
+        angles = s * (rs.mu - us)[:, None]
+        su = (s * us[:, None]).ravel()
+        linx, liny = (np.where(sing, su * e, 0.0) for e in rs.eta)
+    # An arc time s that is not finite gives an angle that is not finite.
+    if not all(np.isfinite(a).all() for a in (angles, linx, liny)):
+        raise ValueError(f"time_step {cfg.time_step!r} is out of range: an arc's "
+                         "angle s (mu - u) or translation (s u) eta is not finite")
     vu = np.zeros((us.size, 2))
     vu[~sing_u] = equilibrium(rs, us[~sing_u])
     efac = np.tile(_exp(s * rs.lam, s), us.size)
-    turn = cis(s * (rs.mu - us)[:, None]).ravel()
+    turn = cis(angles).ravel()
     ecos = np.where(sing, 1.0, efac * turn.real)
     esin = np.where(sing, 0.0, efac * turn.imag)
-    su = (s * us[:, None]).ravel()
-    linx, liny = (np.where(sing, su * e, 0.0) for e in rs.eta)
     vux, vuy = (np.repeat(c, s.size) for c in vu.T)
     return sing, vux, vuy, ecos, esin, linx, liny
 
@@ -401,16 +410,6 @@ class ReachSet:
         """Centres (bounds[0] + (i + 0.5) res, bounds[2] + (j + 0.5) res), shape (k, 2)."""
         res = self.config.resolution
         return np.array(self.config.bounds[::2]) + (self.occupied_cells() + 0.5) * res
-
-    def representatives(self) -> np.ndarray:
-        """Exact reachable points, row k in cell ids[k], shape (k, 2)."""
-        return np.stack([self.rep_x, self.rep_y], 1)
-
-    def contains(self, v) -> bool:
-        if not self.config.in_bounds(v):
-            return False
-        i, j = self.config.cell_of(v)
-        return bool(self.occupied[i, j])
 
 
 def _reach(rs: ReducedSpec, x0, cfg: GridConfig, direction: int, cover=None) -> ReachSet:
@@ -542,12 +541,14 @@ def _distances(points: np.ndarray, center) -> np.ndarray:
 
 
 def _disk_cells(cfg: GridConfig, center, radius: float) -> tuple:
-    """Flat ids and centre distances of the cells near a disk.
+    """(cover, inside): flat ids of the cells whose centre lies within radius +
+    cell_diagonal/2 of a closed disk's centre, and of those whose centre lies in it.
 
-    The cells are those of the index range of the disk's bounding box,
-    widened by one cell on every side and clipped to the grid, so they
-    include every cell whose centre lies within radius + cell_diagonal / 2
-    of the centre.  Centres use the formula bounds[0] + (i + 0.5) * res.
+    The cover holds every cell that meets the disk, so once it is occupied,
+    so is every point of the disk; it is empty when part of the disk lies off
+    the grid, as such a disk is never covered.  Both come from one pass over
+    the disk's bounding box of cells, widened by one cell on every side and
+    clipped to the grid, with centres bounds[0] + (i + 0.5) * res.
     """
     nx, ny = cfg.shape
     xmin, _, ymin, _ = cfg.bounds
@@ -571,32 +572,16 @@ def _disk_cells(cfg: GridConfig, center, radius: float) -> tuple:
     centers = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
     dist = _distances(centers, np.array([cx, cy]))
     ids = (ii[:, None] * ny + jj[None, :]).reshape(-1)
-    return ids, dist
-
-
-def _coverage_in_disk(region: ReachSet, center, radius: float) -> float:
-    """Share of the cells with their centre in the closed disk that are occupied."""
-    ids, dist = _disk_cells(region.config, center, radius)
     inside = ids[dist <= radius]
-    if not inside.size:
-        return 0.0
-    occ = region.occupied.reshape(-1)
-    return float(np.count_nonzero(occ[inside])) / float(inside.size)
-
-
-def _cover_ids(cfg: GridConfig, center, radius: float) -> np.ndarray:
-    """Flat ids of the cells whose centre lies within radius + cell_diagonal/2.
-
-    Every cell that meets the closed disk is among them, so once they are
-    all occupied, every point of the disk lies in an occupied cell.  Empty
-    when part of the disk lies off the grid: such a disk is never covered.
-    """
-    cx, cy = (float(c) for c in center)
     extremes = ((cx - radius, cy), (cx + radius, cy), (cx, cy - radius), (cx, cy + radius))
     if not all(map(cfg.in_bounds, extremes)):
-        return np.zeros(0, dtype=np.int64)
-    ids, dist = _disk_cells(cfg, center, radius)
-    return ids[dist <= radius + 0.5 * cfg.cell_diagonal]
+        return np.zeros(0, dtype=np.int64), inside
+    return ids[dist <= radius + 0.5 * cfg.cell_diagonal], inside
+
+
+def _occupied_share(region: ReachSet, ids: np.ndarray) -> float:
+    """Share of the cells `ids` that are occupied, 0 for no cells."""
+    return float(np.count_nonzero(region.occupied.reshape(-1)[ids])) / ids.size if ids.size else 0.0
 
 
 def _ball_containment(region: ReachSet, rs: ReducedSpec) -> dict:
@@ -641,12 +626,12 @@ def estimate_control_set(
 
     if rs.lam == 0.0:
         radius = _disk_radius(rs)
-        cover = _cover_ids(cfg, np.zeros(2), radius)
+        cover, inside = _disk_cells(cfg, np.zeros(2), radius)
         region = reach_forward(rs, np.zeros(2), cfg, cover=cover)
         coverage = {
             "disk_center": [0.0, 0.0],
             "disk_radius": radius,
-            "fraction": _coverage_in_disk(region, np.zeros(2), radius),
+            "fraction": _occupied_share(region, inside),
         }
         return ControlSetEstimate(
             case="all_plane",
@@ -679,19 +664,6 @@ def estimate_control_set(
 # ---------------------------------------------------------------------------
 
 
-def _normalized_degenerate(spec: SystemSpec) -> tuple:
-    """Return (xi as a complex number, the rescaled control range alpha * Omega).
-
-    These are the data of the A = 0 normal-form chart, whose flow is
-    flow_detA0 with the control rescaled to alpha u.
-    """
-    if not spec.a_is_zero:
-        raise ValueError("the A = 0 chart requires A = 0")
-    if not larc(spec):
-        raise ValueError("degenerate analysis requires alpha != 0 and alpha xi != 0")
-    return complex(*spec.xi), reduced_range(spec)
-
-
 @dataclass(frozen=True, eq=False)
 class _Steering:
     """What a steering leg needs that does not depend on the pair, formed once per system.
@@ -719,11 +691,21 @@ class _Steering:
 def _prepare_steering(spec: SystemSpec) -> _Steering:
     """The pair-independent steering data of `spec` (see :class:`_Steering`).
 
-    Raises what :func:`_normalized_degenerate` raises.  A system with no
-    usable epsilon gets empty arrays, and its legs raise.
+    It works in the A = 0 normal-form chart: flow_detA0 with the control
+    rescaled to alpha u, over alpha * Omega.  Raises ValueError unless A = 0
+    and the rank condition holds, or when |xi|^2 underflows to 0.  A system
+    with no usable epsilon gets empty arrays, and its legs raise.
     """
-    xi, (lo, hi) = _normalized_degenerate(spec)
+    if not spec.a_is_zero:
+        raise ValueError("the A = 0 chart requires A = 0")
+    if not larc(spec):
+        raise ValueError("degenerate analysis requires alpha != 0 and alpha xi != 0")
+    xi = complex(*spec.xi)
+    lo, hi = reduced_range(spec)
     n2 = float(spec.xi @ spec.xi)
+    if n2 == 0.0:
+        raise ValueError(f"|xi| = {abs(xi):.3g} is out of range for the A = 0 steering: |xi|^2 "
+                         f"underflows to 0 below |xi| = {math.sqrt(math.ulp(0.0)) / math.sqrt(2.0):.2g}")
     u_max = min(-lo, hi)
     u_d = 0.9 * u_max
     arc1 = STEER_EPSILONS / u_d
@@ -768,7 +750,7 @@ def _dwell(xi: complex, z, tau, rate) -> np.ndarray:
 
 
 def _steer_leg(steering: _Steering, v_from, v_to) -> tuple:
-    """:func:`steer_degenerate_batch` on the prepared data of its system."""
+    """:func:`steer_degenerate` on the prepared data of its system."""
     xi, n2 = steering.xi, steering.n2
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
     v_from, v_to = v_from.reshape(-1, 2), v_to.reshape(-1, 2)
@@ -831,7 +813,7 @@ def _steer_leg(steering: _Steering, v_from, v_to) -> tuple:
     return segments, ends, residuals
 
 
-def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
+def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
     """Best-effort steering of the normalized degenerate system, one pair per row.
 
     Moves (0, v_from) toward (0, v_to) with a drive/dwell/drive/dwell/drive
@@ -863,18 +845,6 @@ def steer_degenerate_batch(spec: SystemSpec, v_from, v_to) -> tuple:
     return _steer_leg(_prepare_steering(spec), v_from, v_to)
 
 
-def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
-    """Steer one pair: the one-row call of :func:`steer_degenerate_batch`.
-
-    Returns (control, endpoint, residual) as a PiecewiseControl, the end
-    row [t, v_x, v_y] and a float, equal to that pair's row in any batch bit
-    for bit; the control is empty when v_from == v_to.
-    """
-    segments, ends, residuals = steer_degenerate_batch(spec, np.reshape(v_from, 2), np.reshape(v_to, 2))
-    control = PiecewiseControl(segments[0].tolist() if segments[0].any() else [])
-    return control, ends[0], float(residuals[0])
-
-
 @dataclass
 class DegenerateReport:
     """Structure verification for the A = 0 case."""
@@ -894,18 +864,6 @@ class DegenerateReport:
             and self.counterexamples == 0
             and self.n_mutual > 0
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trajectories": self.n_trajectories,
-            "min_functional_increment": self.min_functional_increment,
-            "pairs": self.pairs,
-            "n_mutual": self.n_mutual,
-            "counterexamples": self.counterexamples,
-            "irreversible_confirmed": self.irreversible_confirmed,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
 
 
 def _monotone_draws(rng, n: int, umin: float, umax: float) -> np.ndarray:

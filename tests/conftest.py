@@ -92,7 +92,7 @@ def rk4_piecewise_reduced(lam, mu, eta, segments, v0, step=1e-3):
 
 
 def chord_ratio_limit(sigma, nu):
-    """Small-s limit (sigma^2 + nu^2) / sigma^2 of geometry.chord_ratio."""
+    """Small-s limit (sigma^2 + nu^2) / sigma^2 of the spiral chord ratio f = 1 + geometry.chord_excess."""
     sigma = np.asarray(sigma, dtype=float)
     nu = np.asarray(nu, dtype=float)
     return 1.0 + (nu / sigma) ** 2

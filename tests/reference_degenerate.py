@@ -1,7 +1,7 @@
 """The A = 0 structure check and steering as they ran before their pair-independent data was prepared once.
 
 `reference_steer_batch` flows every pair's three rehearsal arcs, and then
-its five segments one `flow._detA0_rows` pass each; `reference_check`
+its five segments one `detA0_rows` pass each; `reference_check`
 advances its trajectories one segment wave at a time and steers each
 direction with a full `reference_steer_batch` call.  The library reaches
 the same values by fewer passes: it forms the arcs' end angles and
@@ -17,22 +17,37 @@ them sizes both sides alike.
 import numpy as np
 
 from se2control import reachability as R
-from se2control.flow import _detA0_rows, dwell_rate
+from se2control.flow import _detA0_increments, dwell_rate
 from se2control.group import angle_dist, to_complex, to_pairs
+from se2control.system import reduced_range
+
+
+def detA0_rows(xi, s, t, z, u) -> tuple:
+    """Wrapped angles and complex translations of `flow.flow_detA0` for rows (t, z); s and u are arrays."""
+    angle, turn = _detA0_increments(xi, s, t, u)
+    return angle, z + turn
+
+
+def _chart(spec) -> tuple:
+    """xi as a complex number and min(-lo, hi) of the rescaled control range
+    [lo, hi]; `reachability._prepare_steering` runs only to raise its errors."""
+    R._prepare_steering(spec)
+    lo, hi = reduced_range(spec)
+    return complex(*spec.xi), min(-lo, hi)
 
 
 def _endpoints(xi, segments, t, z):
     """End angles and translations of rows (t, z) under (..., 5, 2) rows of (duration, u) segments."""
     for dur, u in zip(np.moveaxis(segments[..., 0], -1, 0), np.moveaxis(segments[..., 1], -1, 0)):
-        t_end, z_end = _detA0_rows(xi, dur, t, z, u)
+        t_end, z_end = detA0_rows(xi, dur, t, z, u)
         moved = dur > 0.0
         t, z = np.where(moved, t_end, t), np.where(moved, z_end, z)
     return t, z
 
 
 def reference_steer_batch(spec, v_from, v_to) -> tuple:
-    """(segments, ends, residuals) of `reachability.steer_degenerate_batch`, every pair flowed in full."""
-    xi, (lo, hi) = R._normalized_degenerate(spec)
+    """(segments, ends, residuals) of `reachability.steer_degenerate`, every pair flowed in full."""
+    xi, u_max = _chart(spec)
     n2 = float(spec.xi @ spec.xi)
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
     v_from, v_to = v_from.reshape(-1, 2), v_to.reshape(-1, 2)
@@ -40,13 +55,13 @@ def reference_steer_batch(spec, v_from, v_to) -> tuple:
     proj = xi.conjugate() * step
     a_t = (proj.real / n2)[:, None]
     b_t = (proj.imag / n2)[:, None]
-    u_d = 0.9 * min(-lo, hi)
+    u_d = 0.9 * u_max
 
     arc1 = R.STEER_EPSILONS / u_d
     t0, z0 = np.zeros((len(v_from), 1)), to_complex(v_from)[:, None]
-    t1, z1 = _detA0_rows(xi, arc1, t0, z0, u_d)
-    t2, z2 = _detA0_rows(xi, 2.0 * arc1, t1, z1, -u_d)
-    _, z3 = _detA0_rows(xi, arc1, t2, z2, u_d)
+    t1, z1 = detA0_rows(xi, arc1, t0, z0, u_d)
+    t2, z2 = detA0_rows(xi, 2.0 * arc1, t1, z1, -u_d)
+    _, z3 = detA0_rows(xi, arc1, t2, z2, u_d)
     rates1 = xi.conjugate() * dwell_rate(t1[0], xi)
     rates2 = xi.conjugate() * dwell_rate(t2[0], xi)
     sin1 = rates1.real / n2
@@ -101,15 +116,15 @@ def reference_steer_batch(spec, v_from, v_to) -> tuple:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def reference_check(spec, seed: int = 0) -> R.DegenerateReport:
     """`reachability.degenerate_structure_check` with one flow pass per segment wave and per steering segment."""
-    xi, (lo, hi) = R._normalized_degenerate(spec)
+    xi, u_max = _chart(spec)
     rng = np.random.default_rng(seed)
-    umin = 0.05 * min(-lo, hi)
+    umin = 0.05 * u_max
     v0 = np.zeros(2)
 
     def H(z):
         return (xi.conjugate() * (z - to_complex(v0))).imag
 
-    draws = R._monotone_draws(rng, R.DEGENERATE_TRAJECTORIES, umin, min(-lo, hi))
+    draws = R._monotone_draws(rng, R.DEGENERATE_TRAJECTORIES, umin, u_max)
     fractions = np.linspace(1.0 / 8.0, 1.0, 8)
     t = np.zeros(len(draws))
     z = np.full(len(draws), to_complex(v0))
@@ -118,7 +133,7 @@ def reference_check(spec, seed: int = 0) -> R.DegenerateReport:
     for k in range(6):
         live = ~np.isnan(draws[:, k, 0])
         u, dur = draws[live, k].T
-        tq, zq = _detA0_rows(xi, dur[:, None] * fractions, t[live, None], z[live, None], u[:, None])
+        tq, zq = detA0_rows(xi, dur[:, None] * fractions, t[live, None], z[live, None], u[:, None])
         h = H(zq)
         inc = np.diff(h, prepend=h_prev[live, None])
         if not np.isfinite(inc).all():

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import angle_gap, chord_ratio_limit, rk4_full, rk4_piecewise_reduced, rk4_reduced
-from grid_masks import binary_erode
+from grid_masks import binary_erode, contains
 from reference_charts import conj_psi1, conj_psi2, flow_product
 from se2control import reachability as R
 from se2control.flow import equilibrium, flow_r2
-from se2control.geometry import check_invariance, chord_ratio
+from se2control.geometry import check_invariance, chord_excess
 from se2control.group import TWO_PI, to_complex
 from se2control.planner import plan_periodic
 from se2control.reachability import (
@@ -151,12 +151,12 @@ def test_04_spiral_chord_bound_strict_on_dense_grid():
     lim = chord_ratio_limit(sg, ng)
     margin = np.inf
     for sign in (1.0, -1.0):
-        margin = min(margin, float(np.min(lim - chord_ratio(sg, ng, sign * tg))))
+        margin = min(margin, float(np.min(lim - (1.0 + chord_excess(sg, ng, sign * tg)))))
     small_dev = 0.0
     sg2, ng2 = np.meshgrid(sigmas, nus, indexing="ij")
     for s in (1e-6, -1e-6):
         small_dev = max(
-            small_dev, float(np.max(np.abs(chord_ratio(sg2, ng2, s) - chord_ratio_limit(sg2, ng2))))
+            small_dev, float(np.max(np.abs(1.0 + chord_excess(sg2, ng2, s) - chord_ratio_limit(sg2, ng2))))
         )
     ok = margin > 0.0 and small_dev < 1e-6
     report(
@@ -199,7 +199,7 @@ def test_06_backward_reach_consistent_across_seed_equilibria():
     )
 
     interior = np.linspace(rs.omega[0], rs.omega[1], 21)[1:-1]
-    eq_ok = all(r.contains(equilibrium(rs, u)) for r in sets for u in interior)
+    eq_ok = all(contains(r, equilibrium(rs, u)) for r in sets for u in interior)
 
     ok = layer_ok and ball_ok and eq_ok
     report(

@@ -578,6 +578,37 @@ def test_reach_rejects_an_invariant_ball_of_infinite_radius(tmp_path, capsys, gr
                    "or the radius overflows\n")
 
 
+@pytest.mark.parametrize("time_step", ["1e308", "3e306"])
+def test_reach_rejects_a_time_step_whose_arcs_overflow(tmp_path, capsys, time_step):
+    # 24 steps of 1e308 overflow the arc times s; at 3e306 only the angles
+    # s (mu - u) overflow.  Both once wrote numpy RuntimeWarnings and exited
+    # 0 with a report built from NaN flow columns.
+    spec = dict(OPEN, xi=[0.3, -0.7], eta1=[1.0, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["reach", write_spec(tmp_path, spec), "--time-step", time_step])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: time_step {float(time_step)!r} is out of range: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_names_the_range_where_xi_squared_underflows(tmp_path, capsys):
+    # |xi|^2 underflows to 0 at xi = (1e-170, 0).  The steering once divided
+    # by it and verify exited 2 with "segment durations must be finite and
+    # >= 0", a symptom rather than the range.
+    spec = dict(DEGENERATE, xi=[1e-170, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["verify", write_spec(tmp_path, spec)])
+    assert (rc, out) == (2, "")
+    # The square root of half the least subnormal, which is not itself a float.
+    bound = math.sqrt(math.ulp(0.0)) / math.sqrt(2.0)
+    assert err == ("error: |xi| = 1e-170 is out of range for the A = 0 steering: "
+                   f"|xi|^2 underflows to 0 below |xi| = {bound:.2g}\n")
+    # The bound is where the square of |xi| rounds to 0.
+    assert (0.999 * bound) ** 2 == 0.0 < (1.001 * bound) ** 2
+
+
 def test_a_reach_job_computes_its_invariant_ball_once(tmp_path, capsys, monkeypatch):
     # The default grid and the containment check both read plant.rs.ball.
     calls = []

@@ -87,6 +87,9 @@ JOBS = [
     ("reach_closed_default", ["reach", "@D@/closed.json", "--control-grid", "5",
                               "--cells-csv", "@D@/reach_closed_default.csv",
                               "--out", "@D@/reach_closed_default.json"]),
+    # Trace zero: the forward rounds stop once the test disk's cover set is occupied.
+    ("reach_tz", ["reach", "@D@/tz.json", "--control-grid", "5",
+                  "--cells-csv", "@D@/reach_tz.csv", "--out", "@D@/reach_tz.json"]),
 ]
 
 

@@ -9,7 +9,7 @@ from reference_charts import perp
 
 from se2control import geometry as G
 from se2control.flow import equilibrium, flow_r2
-from se2control.geometry import check_invariance, chord_ratio
+from se2control.geometry import check_invariance, chord_excess
 from se2control.reachability import GridConfig, estimate_control_set
 from se2control.system import ReducedSpec
 
@@ -116,6 +116,11 @@ def test_ball_identity_along_equilibria(rng):
 
 
 # -- spiral chord bound --------------------------------------------------
+
+
+def chord_ratio(sigma, nu, s):
+    """The spiral chord ratio f = 1 + g, the excess g of chord_excess."""
+    return 1.0 + chord_excess(sigma, nu, s)
 
 
 def test_chord_ratio_pinned_value():

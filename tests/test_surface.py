@@ -1,11 +1,16 @@
-"""Every public function, class and method of the package has a use in src/,
-every public module-level constant is read in src/, and every name that a
-module imports is used in that module.
+"""Every public function, method and property of the package runs in a CLI job, every
+public module-level constant is read in src/, and every name that a module
+imports is used in that module.
 
-A public top-level function or class, or a public method, that nothing in
-``src/se2control`` names is library surface that no claim of the CLI needs.
-The check is by name: a definition counts as used when its bare name occurs
-as an ``ast.Name`` or an ``ast.Attribute`` anywhere in the package.
+A public top-level function or class, or a public method or property of a
+public class, that no CLI job runs is library surface that no claim of the
+CLI needs.  The check runs every job of ``test_cli_goldens.JOBS`` in-process
+under ``sys.setprofile`` and collects the code objects that are called; a
+member counts as run when its code is among them.  A class counts as run
+when the ``__init__`` it defines itself (a dataclass's generated one too)
+runs, that is, when a job constructs it.  A class with no ``__init__`` of
+its own, such as an exception subclass, counts as used when its name occurs
+as an ``ast.Name`` or as an ``ast.Attribute``'s attribute in the package.
 Exempt are the functions that the benchmark's tracer wraps by name
 (``perfbench/tracing.py``'s ``TARGETS``, read as
 ``test_benchmark_contract.py`` reads them) and the short list below.
@@ -25,19 +30,25 @@ that parameter's position among its arguments, or with it by keyword.  A
 second configuration that no job runs; it belongs in a module constant.
 """
 import ast
+import functools
+import importlib
+import inspect
 import os
+import pathlib
+import sys
 
 import pytest
+from test_cli_goldens import JOBS, run_job
+
+import se2control
+from se2control import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "se2control")
 
-# Public definitions that may have no use in src/, one reason each.
+# Public members that may run in no CLI job, one reason each.
 ALLOWED = {
-    "ReducedSpec.circle": "the solution circles that the exact control-set boundary builds on",
-    "chord_ratio": "the paper's f, and the oracle of the acceptance tests",
-    "ReachSet.representatives": "the exact reachable points that the reach tests compare against",
-    "ReachSet.contains": "the membership test that the reach tests compare reference points with",
+    "system.ReducedSpec.circle": "the solution circles that the exact control-set boundary builds on",
 }
 
 
@@ -65,23 +76,40 @@ def _trees() -> dict:
     return trees
 
 
-def public_definitions(trees: dict) -> list:
-    """(file, qualified name, bare name) of every public top-level function
-    and class and of every public method."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    out = []
-    for fname, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, defs) or node.name.startswith("_"):
+def _code(member):
+    """The code object that runs when a function, method or property is used."""
+    if isinstance(member, property):
+        member = member.fget
+    elif isinstance(member, functools.cached_property):
+        member = member.func
+    return getattr(inspect.unwrap(member), "__code__", None)
+
+
+def public_members() -> tuple:
+    """(members, bare classes) of the imported package.  `members` maps
+    "module.name", "module.Class" and "module.Class.name" to the code of every
+    public top-level function, of the own ``__init__`` of every public class
+    that defines one, and of every public method or property of a public
+    class; `bare classes` lists the public classes with no ``__init__`` of
+    their own as "module.Class"."""
+    members, bare = {}, []
+    for path in sorted(pathlib.Path(se2control.__path__[0]).glob("*.py")):
+        mod = importlib.import_module(f"se2control.{path.stem}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
-            out.append((fname, node.name, node.name))
-            if isinstance(node, ast.ClassDef):
-                out += [
-                    (fname, f"{node.name}.{item.name}", item.name)
-                    for item in node.body
-                    if isinstance(item, defs[:2]) and not item.name.startswith("_")
-                ]
-    return out
+            if inspect.isclass(obj):
+                if "__init__" in vars(obj):
+                    members[f"{path.stem}.{name}"] = _code(vars(obj)["__init__"])
+                else:
+                    bare.append(f"{path.stem}.{name}")
+                for attr, item in vars(obj).items():
+                    code = None if attr.startswith("_") else _code(item)
+                    if code is not None:
+                        members[f"{path.stem}.{name}.{attr}"] = code
+            elif inspect.isfunction(inspect.unwrap(obj)):  # also through a decorator
+                members[f"{path.stem}.{name}"] = _code(obj)
+    return members, bare
 
 
 def used_names(trees: dict) -> set:
@@ -96,22 +124,46 @@ def used_names(trees: dict) -> set:
     return names
 
 
-def test_every_public_definition_has_a_use_in_src(tracing):
-    trees = _trees()
-    exempt = {name for _, name, _, _ in tracing.TARGETS} | set(ALLOWED)
-    used = used_names(trees)
-    unused = [
-        f"{fname}: {qualified}"
-        for fname, qualified, bare in public_definitions(trees)
-        if bare not in used and qualified not in exempt
-    ]
-    assert unused == []
+def codes_run_by_the_cli_jobs(directory: pathlib.Path) -> dict:
+    """Every code object called while the goldens' jobs run, each in its own
+    directory, keyed by id: dataclasses with the same fields get equal but
+    distinct ``__init__`` codes."""
+    seen = {}
+    # As in a fresh process, the first job builds the parser.
+    cli.build_parser.cache_clear()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen[id(frame.f_code)] = frame.f_code
+
+    sys.setprofile(profile)
+    try:
+        for name, argv in JOBS:
+            (directory / name).mkdir()
+            run_job(argv, directory / name)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def exempt_members(tracing) -> set:
+    return {f"{module}.{name}" for module, name, _, _ in tracing.TARGETS} | set(ALLOWED)
+
+
+def test_every_public_definition_has_a_use_in_src(tracing, tmp_path):
+    """Every public member runs in a CLI job, unless it is exempt."""
+    members, bare = public_members()
+    exempt = exempt_members(tracing)
+    run = codes_run_by_the_cli_jobs(tmp_path)
+    used = used_names(_trees())
+    unrun = [name for name, code in members.items() if id(code) not in run]
+    unused = [name for name in bare if name.rsplit(".", 1)[1] not in used]
+    assert sorted(set(unrun + unused) - exempt) == []
 
 
 def test_every_exemption_names_a_public_definition(tracing):
-    defined = {qualified for _, qualified, _ in public_definitions(_trees())}
-    targets = {name for _, name, _, _ in tracing.TARGETS}
-    assert set(ALLOWED) | targets <= defined
+    members, bare = public_members()
+    assert sorted(exempt_members(tracing) - set(members) - set(bare)) == []
 
 
 def public_constants(trees: dict) -> list:
