@@ -56,9 +56,13 @@ _CEXP_MAX_ARG = 709.0
 
 
 def _equilibrium(rs: ReducedSpec, u, nu, d) -> np.ndarray:
-    # -u A(u)^{-1} eta = -u/(lam^2 + (mu-u)^2) * (lam - i (mu-u)) eta
+    # -u A(u)^{-1} eta = -u/(lam^2 + (mu-u)^2) * (lam - i (mu-u)) eta, the real
+    # factor times each part: a complex product adds 0 * the other part.
     eta = complex(*rs.eta)
-    return (-u / d) * (rs.lam * eta - nu * (1j * eta))
+    r, c = -u / d, rs.lam * eta - nu * (1j * eta)
+    out = np.empty(np.broadcast(r, c).shape, dtype=complex)
+    out.real, out.imag = r * c.real, r * c.imag
+    return out
 
 
 def equilibrium(rs: ReducedSpec, u) -> np.ndarray:

@@ -46,8 +46,8 @@ STEPS_PER_ARC = 24
 # a grid 17 times the size yet.
 GRID_BYTES_PER_CELL = 17
 MAX_GRID_BYTES = 512 * 2**20
-# Degenerate structure check: steering residual that counts as a hit, and the
-# largest theta-xi offset a mutually reachable pair may have.
+# Degenerate structure check, run in units of xi, so relative to |xi|: steering
+# residual that counts as a hit, and the largest <v, i xi> of a mutual pair.
 PAIR_TOL = 1e-8
 LINE_TOL = 1e-6
 # Angle excursions the degenerate steering tries, largest first.
@@ -675,8 +675,9 @@ class _Steering:
     whose second pushes along -xi), in order.
     """
 
-    xi: complex
-    n2: float  # |xi|^2, as spec.xi @ spec.xi forms it
+    exponent: int  # 2**exponent puts xi's largest component in [1, 2)
+    xi: complex  # the spec's xi times 2**exponent: translations are in these units
+    n2: float  # |xi|^2, in [1, 8)
     u_max: float  # min(-lo, hi) of the rescaled control range [lo, hi]
     arc1: np.ndarray  # duration of the first and last arc; the middle one lasts twice as long
     turns: tuple  # translation increments of the three arcs
@@ -692,20 +693,21 @@ def _prepare_steering(spec: SystemSpec) -> _Steering:
     """The pair-independent steering data of `spec` (see :class:`_Steering`).
 
     It works in the A = 0 normal-form chart: flow_detA0 with the control
-    rescaled to alpha u, over alpha * Omega.  Raises ValueError unless A = 0
-    and the rank condition holds, or when |xi|^2 underflows to 0.  A system
-    with no usable epsilon gets empty arrays, and its legs raise.
+    rescaled to alpha u, over alpha * Omega, in units of xi: xi times the
+    power of two that puts its largest component in [1, 2), exactly, as in
+    :func:`system.larc`.  There each dwell drift w is about 2 sin^2(t/2) >=
+    4e-20, far above rounding, so det > 0.  Raises ValueError unless A = 0
+    and the rank condition holds.  A system with no usable epsilon gets
+    empty arrays, and its legs raise.
     """
     if not spec.a_is_zero:
         raise ValueError("the A = 0 chart requires A = 0")
     if not larc(spec):
         raise ValueError("degenerate analysis requires alpha != 0 and alpha xi != 0")
-    xi = complex(*spec.xi)
+    exponent = 1 - math.frexp(float(np.abs(spec.xi).max()))[1]
+    xi_pair = np.ldexp(spec.xi, exponent)
+    xi, n2 = complex(*xi_pair), float(xi_pair @ xi_pair)
     lo, hi = reduced_range(spec)
-    n2 = float(spec.xi @ spec.xi)
-    if n2 == 0.0:
-        raise ValueError(f"|xi| = {abs(xi):.3g} is out of range for the A = 0 steering: |xi|^2 "
-                         f"underflows to 0 below |xi| = {math.sqrt(math.ulp(0.0)) / math.sqrt(2.0):.2g}")
     u_max = min(-lo, hi)
     u_d = 0.9 * u_max
     arc1 = STEER_EPSILONS / u_d
@@ -728,6 +730,7 @@ def _prepare_steering(spec: SystemSpec) -> _Steering:
     use = ~((sin1 <= 0.0) | (sin2 >= 0.0))
     sin1, sin2, w1, w2 = sin1[use], sin2[use], w1[use], w2[use]
     return _Steering(
+        exponent=exponent,
         xi=xi,
         n2=n2,
         u_max=u_max,
@@ -750,7 +753,7 @@ def _dwell(xi: complex, z, tau, rate) -> np.ndarray:
 
 
 def _steer_leg(steering: _Steering, v_from, v_to) -> tuple:
-    """:func:`steer_degenerate` on the prepared data of its system."""
+    """:func:`steer_degenerate` on the prepared data of its system, in its units of xi."""
     xi, n2 = steering.xi, steering.n2
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
     v_from, v_to = v_from.reshape(-1, 2), v_to.reshape(-1, 2)
@@ -783,11 +786,6 @@ def _steer_leg(steering: _Steering, v_from, v_to) -> tuple:
     back2 = ~back1 & (tau2 < 0.0)
     tau1 = np.where(back2, np.where(along1 > 0.0, along1, 0.0), np.where(back1, 0.0, tau1))
     tau2 = np.where(back1, np.where(along2 > 0.0, along2, 0.0), np.where(back2, 0.0, tau2))
-    # Where the dwell drift underflows to exact zero, only the xi-component
-    # can move, so solve it alone (b_rem is then the honest residual).
-    flat = det == 0.0
-    tau1 = np.where(flat, np.where(a_rem >= 0.0, along1, 0.0), tau1)
-    tau2 = np.where(flat, np.where(a_rem < 0.0, along2, 0.0), tau2)
 
     segments = np.empty(tau1.shape + (5, 2))
     segments[..., 0] = np.stack(np.broadcast_arrays(arc1, tau1, 2.0 * arc1, tau2, arc1), -1)
@@ -838,11 +836,50 @@ def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
     v_from and v_to have shape (n, 2) or (2,) and broadcast.  Returns
     (segments, ends, residuals) of shapes (n, 5, 2), (n, 3) and (n,): the
     winning (duration, u) segments, the exactly evaluated end state
-    [t, v_x, v_y] and its residual.  A pair with |v_to - v_from| = 0 keeps
-    zero durations, the end (0, v_from) and residual 0.  Each row equals its
-    one-row call bit for bit.
+    [t, v_x, v_y] and its residual |v_end - v_to| + |t_end|.  A pair with
+    |v_to - v_from| = 0 keeps zero durations, the end (0, v_from) and
+    residual 0.  Each row equals its one-row call bit for bit.  The leg runs
+    in the units of xi of :func:`_prepare_steering`, 2**k times the spec's,
+    which move no segment: v_from and v_to are scaled in, the end
+    translations and residuals (so |t_end| counts 2**-k per radian) back out.
     """
-    return _steer_leg(_prepare_steering(spec), v_from, v_to)
+    steering = _prepare_steering(spec)
+    k = steering.exponent
+    segments, ends, residuals = _steer_leg(steering, np.ldexp(v_from, k), np.ldexp(v_to, k))
+    ends[:, 1:] = np.ldexp(ends[:, 1:], -k)
+    return segments, ends, np.ldexp(residuals, -k)
+
+
+def _monotone_draws(rng, umin: float, umax: float) -> tuple:
+    """(u, duration) of DEGENERATE_TRAJECTORIES trajectories of 6 segments, each (n, 6).
+
+    One rng.random block gives each segment, in order, doubles d: u = +-(umin
+    + (umax - umin) d0), + for d1 < 0.5, and duration 0.1 + 1.4 d2, the
+    values of scalar draws rng.uniform(umin, umax), rng.uniform() and
+    rng.uniform(0.1, 1.5), as rng.uniform(a, b) is a + (b - a) rng.random().
+    """
+    d = rng.random((DEGENERATE_TRAJECTORIES, 6, 3))
+    u = (umin + (umax - umin) * d[..., 0]) * np.where(d[..., 1] < 0.5, 1.0, -1.0)
+    return u, 0.1 + (1.5 - 0.1) * d[..., 2]
+
+
+def _functional_increments(u, dur) -> np.ndarray:
+    """Growth over |xi|^2 of H(v) = <v - v0, i xi> on 8 equal sub-arcs per segment, shape (..., n, 8).
+
+    u (none 0) and dur, of shape (..., n), are n segments flowed in order
+    from angle 0.  As dH/dt = Im(conj(xi) Lambda_t xi) = |xi|^2 (1 - cos t),
+    a sub-arc of length h at control u from angle t adds |xi|^2 (h - k cos m)
+    with x = u h / 2, k = 2 sin(x) / u and m = t + x.  It is formed as
+    (2/u) ((x - sin x) + 2 sin x sin^2(m/2)), terms of one sign, so it is
+    positive wherever sin^2(m/2) does not underflow.
+    """
+    t = np.zeros(u.shape)
+    for j in range(1, u.shape[-1]):
+        t[..., j] = _detA0_angle(dur[..., j - 1], t[..., j - 1], u[..., j - 1])
+    u, hu = u[..., None], (dur / 8.0 * u)[..., None]
+    x, m = 0.5 * hu, t[..., None] + (np.arange(8) + 0.5) * hu
+    sin_x = np.sin(x)
+    return 2.0 * ((x - sin_x) + 2.0 * sin_x * np.sin(0.5 * m) ** 2) / u
 
 
 @dataclass
@@ -866,94 +903,38 @@ class DegenerateReport:
         )
 
 
-def _monotone_draws(rng, n: int, umin: float, umax: float) -> np.ndarray:
-    """(n, 6, 2) rows of (u, duration) segments, 2 to 6 per row; a missing segment is NaN.
-
-    Each row takes one rng.integers(2, 7) for its segment count k and one
-    block of 3 k doubles d, which give u = +-(umin + (umax - umin) d0), with
-    the sign + for d1 < 0.5, and the duration 0.1 + 1.4 d2.  These are the
-    values, in stream order, of the scalar draws rng.uniform(umin, umax),
-    rng.uniform() and rng.uniform(0.1, 1.5) per segment: rng.uniform(a, b)
-    is a + (b - a) rng.random().
-    """
-    counts, blocks = [], []
-    for _ in range(n):
-        counts.append(int(rng.integers(2, 7)))
-        blocks.append(rng.random(3 * counts[-1]))
-    d = np.concatenate([np.empty(0)] + blocks).reshape(-1, 3)
-    draws = np.full((n, 6, 2), np.nan)
-    # The mask picks each row's first k segments, rows in order.
-    drawn = np.arange(6) < np.array(counts, dtype=int).reshape(-1, 1)
-    draws[drawn, 0] = (umin + (umax - umin) * d[:, 0]) * np.where(d[:, 1] < 0.5, 1.0, -1.0)
-    draws[drawn, 1] = 0.1 + (1.5 - 0.1) * d[:, 2]
-    return draws
-
-
-# Overflow shows up as a non-finite increment or steering value, which
-# raises ValueError below, so numpy's warnings would only repeat it.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateReport:
-    """Verify the two structural facts of the A = 0 case numerically.
+    """Verify the two structural facts of the A = 0 case numerically, in units of xi.
 
     (a) The functional H(v) = <v - v0, i xi> strictly increases along
-    DEGENERATE_TRAJECTORIES trajectories whose control never vanishes.
+    DEGENERATE_TRAJECTORIES trajectories of 6 segments (which hold every
+    shorter one as a prefix) whose control never vanishes: the report holds
+    the least growth over |xi|^2 on a sub-arc, in closed form
+    (:func:`_functional_increments`), which does not depend on xi.
     (b) Points mutually reachable with (0, v0) stay on the line v0 + R xi at
     angle 0: of DEGENERATE_PAIRS targets, steering succeeds in both
     directions only for those with no theta-xi offset, and every verified
-    mutual pair satisfies |<v0 - v1, i xi>| < LINE_TOL.  A pair
-    is mutual when both steering residuals are below PAIR_TOL max(1, |xi|).
-    Translation equivariance of the flow makes the base point v0 irrelevant;
-    the check uses v0 = 0 in the normalized chart.
+    mutual pair satisfies |<v0 - v1, i xi>| < LINE_TOL.  A pair is mutual
+    when both steering residuals are below PAIR_TOL.  Translation
+    equivariance makes v0 irrelevant; the check uses v0 = 0.  The pairs run
+    in the steering's units of xi (:func:`_prepare_steering`), |xi| in
+    [1, 2 sqrt 2), with targets 0.3 to 1.5 along xi / |xi| and up to 0.5
+    across it, so a power-of-two scaling of xi leaves the report unchanged.
 
-    All random draws come first, in a fixed order.  Then a 6-step loop finds
-    where each segment of (a) starts in angle, one pass flows every sample of
-    every segment from there, and the segments' start translations are
-    summed in segment order.  The pairs of (b) are steered on data prepared
-    once (:func:`_prepare_steering`), in one batched leg forward and one in
-    reverse, so the report does not depend on how the work is split.
-
-    Raises ValueError when an increment of the functional or a steering value
-    is not finite (e.g. |xi| so large that H overflows): the claims would
-    then pass with nothing measured.
+    All random draws come first, in a fixed order, and the pairs are
+    steered in one batched leg forward and one in reverse.  Raises
+    ValueError when a steering value is not finite.
     """
     steering = _prepare_steering(spec)
     xi, u_max = steering.xi, steering.u_max
     rng = np.random.default_rng(seed)
-    umin = 0.05 * u_max
-    v0 = np.zeros(2)
 
-    def H(z):
-        # <z - v0, i xi>, the imaginary part of conj(xi) (z - v0) for complex
-        # z; with conj(xi) the first factor it rounds as the real dot
-        # product did.
-        return (xi.conjugate() * (z - to_complex(v0))).imag
-
-    # (a) strict growth of the monotone functional, at 8 points per segment;
-    # the last point (fraction 1) is the segment's end state.  A trajectory
-    # draws 2 to 6 segments; the rest are NaN, and so is all that flows
-    # from them.
-    draws = _monotone_draws(rng, DEGENERATE_TRAJECTORIES, umin, u_max)
-    u, dur = draws[..., 0], draws[..., 1]
-    fractions = np.linspace(1.0 / 8.0, 1.0, 8)
-    t_start = np.zeros(u.shape)
-    for k in range(1, 6):
-        t_start[:, k] = _detA0_angle(dur[:, k - 1], t_start[:, k - 1], u[:, k - 1])
-    _, turns = _detA0_increments(xi, dur[..., None] * fractions, t_start[..., None], u[..., None])
-    # Each segment starts where the one before ended: v0 plus the end
-    # increments of the segments before it, summed in order.
-    z_start = np.concatenate([np.full((len(draws), 1), to_complex(v0)), turns[:, :-1, -1]], axis=1)
-    z_start = np.cumsum(z_start, axis=1)
-    inc = np.diff(H(z_start[..., None] + turns), prepend=H(z_start)[..., None])
-    live = ~np.isnan(u)
-    if not np.isfinite(inc[live]).all():
-        raise ValueError("degenerate check: the monotone functional overflows along a trajectory")
-    seg_min = np.where(live, np.min(inc, axis=-1), np.nan)
-    # Segment by segment in trajectory order, as min() skips NaN after inf.
-    min_inc = min([np.inf] + seg_min.ravel().tolist())
+    # (a) strict growth of the monotone functional.
+    u, dur = _monotone_draws(rng, 0.05 * u_max, u_max)
+    min_inc = float(_functional_increments(u, dur).min())
 
     # (b) constructive mutual-reachability pairs.
-    scale = max(1.0, float(np.linalg.norm(spec.xi)))
-    xin = complex(*(spec.xi / float(np.linalg.norm(spec.xi))))
+    xin = xi / abs(xi)
     offsets = []
     for k in range(DEGENERATE_PAIRS):
         c = rng.uniform(0.3, 1.5) * (1.0 if k % 2 == 0 else -1.0)
@@ -961,14 +942,13 @@ def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateRep
         d = rng.uniform(0.05, 0.5) * (1.0 if rng.uniform() < 0.5 else -1.0) if off_line else 0.0
         offsets.append((c, d))
     c, d = np.array(offsets, dtype=float).reshape(-1, 2).T
-    targets = v0 + to_pairs(c * xin + d * (1j * xin))
-    _, end_f, res_f = _steer_leg(steering, v0, targets)
+    _, end_f, res_f = _steer_leg(steering, np.zeros(2), to_pairs(c * xin + d * (1j * xin)))
     p = end_f[:, 1:]
-    _, _, res_r = _steer_leg(steering, p, v0)
+    _, _, res_r = _steer_leg(steering, p, np.zeros(2))
     if not (np.isfinite(end_f).all() and np.isfinite(res_f).all() and np.isfinite(res_r).all()):
         raise ValueError("degenerate check: steering values are not finite")
-    mutual = (res_f < PAIR_TOL * scale) & (res_r < PAIR_TOL * scale)
-    functional = np.abs(H(to_complex(p)))
+    mutual = (res_f < PAIR_TOL) & (res_r < PAIR_TOL)
+    functional = np.abs((xi.conjugate() * to_complex(p)).imag)
     angle_dev = angle_dist(end_f[:, 0], 0.0)
     off_line = np.arange(len(c)) % 4 >= 2
     bad = (functional >= LINE_TOL) | (angle_dev >= 1e-9)
@@ -979,7 +959,7 @@ def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateRep
 
     return DegenerateReport(
         n_trajectories=DEGENERATE_TRAJECTORIES,
-        min_functional_increment=float(min_inc),
+        min_functional_increment=min_inc,
         pairs=pairs,
         n_mutual=int(mutual.sum()),
         counterexamples=int((mutual & bad).sum()),

@@ -1,25 +1,39 @@
-"""The A = 0 structure check and steering as they ran before their pair-independent data was prepared once.
+"""The A = 0 structure check and steering, flowed step by step in the spec's own units.
 
 `reference_steer_batch` flows every pair's three rehearsal arcs, and then
-its five segments one `detA0_rows` pass each; `reference_check`
-advances its trajectories one segment wave at a time and steers each
-direction with a full `reference_steer_batch` call.  The library reaches
-the same values by fewer passes: it forms the arcs' end angles and
-translation increments, the dwell rates and the solver coefficients once
-per check, and flows all trajectory samples in one pass.  Every value keeps
-its expression and operand order, so the tests hold the two equal bit for
-bit.
+its five segments one `detA0_rows` pass each.  `reference_check` draws its
+trajectories with scalar `rng.uniform` calls, flows every sample of every
+segment with `detA0_rows`, takes the growth of H(v) = <v, i xi> between
+samples over |xi|^2, and steers each direction with a full
+`reference_steer_batch` call.
+
+The library works in units of xi: xi times the power of two that puts its
+largest component in [1, 2) (`unit_spec`).  It forms the growth of H in
+closed form, and forms the steering's pair-independent data once per check.
+Run on `unit_spec(spec)`, the reference's pairs keep every expression and
+operand order of the library's, so the tests hold the two equal bit for
+bit; its growths differ from the closed form by rounding alone.
 
 Both read the sizes `DEGENERATE_TRAJECTORIES` and `DEGENERATE_PAIRS` and
 the tolerances from `reachability` at call time, so a test that patches
 them sizes both sides alike.
 """
+import dataclasses
+import math
+
 import numpy as np
 
 from se2control import reachability as R
 from se2control.flow import _detA0_increments, dwell_rate
 from se2control.group import angle_dist, to_complex, to_pairs
 from se2control.system import reduced_range
+
+
+def unit_spec(spec) -> tuple:
+    """(spec with xi times 2**k, k), for the k that puts xi's largest component
+    in [1, 2); eta1, which the A = 0 check does not read, stays."""
+    k = 1 - math.frexp(float(np.abs(spec.xi).max()))[1]
+    return dataclasses.replace(spec, xi=np.ldexp(spec.xi, k)), k
 
 
 def detA0_rows(xi, s, t, z, u) -> tuple:
@@ -46,7 +60,8 @@ def _endpoints(xi, segments, t, z):
 
 
 def reference_steer_batch(spec, v_from, v_to) -> tuple:
-    """(segments, ends, residuals) of `reachability.steer_degenerate`, every pair flowed in full."""
+    """(segments, ends, residuals) of `reachability.steer_degenerate` on a spec whose
+    xi is in its own units, every pair flowed in full."""
     xi, u_max = _chart(spec)
     n2 = float(spec.xi @ spec.xi)
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
@@ -88,9 +103,6 @@ def reference_steer_batch(spec, v_from, v_to) -> tuple:
     back2 = ~back1 & (tau2 < 0.0)
     tau1 = np.where(back2, np.where(along1 > 0.0, along1, 0.0), np.where(back1, 0.0, tau1))
     tau2 = np.where(back1, np.where(along2 > 0.0, along2, 0.0), np.where(back2, 0.0, tau2))
-    flat = det == 0.0
-    tau1 = np.where(flat, np.where(a_rem >= 0.0, along1, 0.0), tau1)
-    tau2 = np.where(flat, np.where(a_rem < 0.0, along2, 0.0), tau2)
 
     segments = np.empty(tau1.shape + (5, 2))
     segments[..., 0] = np.stack(np.broadcast_arrays(arc1, tau1, 2.0 * arc1, tau2, arc1), -1)
@@ -113,38 +125,39 @@ def reference_steer_batch(spec, v_from, v_to) -> tuple:
     return segments, ends, residuals
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def reference_check(spec, seed: int = 0) -> R.DegenerateReport:
-    """`reachability.degenerate_structure_check` with one flow pass per segment wave and per steering segment."""
+def reference_draws(rng, umin, umax) -> tuple:
+    """(u, duration) of the check's trajectories, one scalar rng.uniform call at a time."""
+    u = np.empty((R.DEGENERATE_TRAJECTORIES, 6))
+    dur = np.empty_like(u)
+    for row in range(len(u)):
+        for k in range(6):
+            u[row, k] = rng.uniform(umin, umax) * (1.0 if rng.uniform() < 0.5 else -1.0)
+            dur[row, k] = rng.uniform(0.1, 1.5)
+    return u, dur
+
+
+def reference_check(spec, seed: int = 0) -> tuple:
+    """(report, u, dur, growth) of `reachability.degenerate_structure_check`, step by step.
+
+    growth[row, k, j] is the growth of H over |xi|^2 from sample j - 1 to j
+    of segment k (sample -1 is the segment's start), each sample flowed
+    from the segment's start with `detA0_rows`; the report's
+    min_functional_increment is its least value.
+    """
     xi, u_max = _chart(spec)
+    n2 = float(spec.xi @ spec.xi)
     rng = np.random.default_rng(seed)
-    umin = 0.05 * u_max
-    v0 = np.zeros(2)
-
-    def H(z):
-        return (xi.conjugate() * (z - to_complex(v0))).imag
-
-    draws = R._monotone_draws(rng, R.DEGENERATE_TRAJECTORIES, umin, u_max)
+    u, dur = reference_draws(rng, 0.05 * u_max, u_max)
     fractions = np.linspace(1.0 / 8.0, 1.0, 8)
-    t = np.zeros(len(draws))
-    z = np.full(len(draws), to_complex(v0))
-    h_prev = H(z)
-    seg_min = np.full(draws.shape[:2], np.nan)
-    for k in range(6):
-        live = ~np.isnan(draws[:, k, 0])
-        u, dur = draws[live, k].T
-        tq, zq = detA0_rows(xi, dur[:, None] * fractions, t[live, None], z[live, None], u[:, None])
-        h = H(zq)
-        inc = np.diff(h, prepend=h_prev[live, None])
-        if not np.isfinite(inc).all():
-            raise ValueError("degenerate check: the monotone functional overflows along a trajectory")
-        seg_min[live, k] = np.min(inc, axis=1)
-        h_prev[live] = h[:, -1]
-        t[live], z[live] = tq[:, -1], zq[:, -1]
-    min_inc = min([np.inf] + seg_min.ravel().tolist())
+    t, z, h_prev = np.zeros(len(u)), np.zeros(len(u), dtype=complex), np.zeros(len(u))
+    growth = np.empty(u.shape + (8,))
+    for k in range(u.shape[1]):
+        tq, zq = detA0_rows(xi, dur[:, k, None] * fractions, t[:, None], z[:, None], u[:, k, None])
+        h = (xi.conjugate() * zq).imag
+        growth[:, k] = np.diff(h, prepend=h_prev[:, None]) / n2
+        h_prev, t, z = h[:, -1], tq[:, -1], zq[:, -1]
 
-    scale = max(1.0, float(np.linalg.norm(spec.xi)))
-    xin = complex(*(spec.xi / float(np.linalg.norm(spec.xi))))
+    xin = xi / abs(xi)
     offsets = []
     for k in range(R.DEGENERATE_PAIRS):
         c = rng.uniform(0.3, 1.5) * (1.0 if k % 2 == 0 else -1.0)
@@ -152,14 +165,14 @@ def reference_check(spec, seed: int = 0) -> R.DegenerateReport:
         d = rng.uniform(0.05, 0.5) * (1.0 if rng.uniform() < 0.5 else -1.0) if off_line else 0.0
         offsets.append((c, d))
     c, d = np.array(offsets, dtype=float).reshape(-1, 2).T
-    targets = v0 + to_pairs(c * xin + d * (1j * xin))
-    _, end_f, res_f = reference_steer_batch(spec, v0, targets)
+    v0 = np.zeros(2)
+    _, end_f, res_f = reference_steer_batch(spec, v0, to_pairs(c * xin + d * (1j * xin)))
     p = end_f[:, 1:]
     _, _, res_r = reference_steer_batch(spec, p, v0)
     if not (np.isfinite(end_f).all() and np.isfinite(res_f).all() and np.isfinite(res_r).all()):
         raise ValueError("degenerate check: steering values are not finite")
-    mutual = (res_f < R.PAIR_TOL * scale) & (res_r < R.PAIR_TOL * scale)
-    functional = np.abs(H(to_complex(p)))
+    mutual = (res_f < R.PAIR_TOL) & (res_r < R.PAIR_TOL)
+    functional = np.abs((xi.conjugate() * to_complex(p)).imag)
     angle_dev = angle_dist(end_f[:, 0], 0.0)
     off_line = np.arange(len(c)) % 4 >= 2
     bad = (functional >= R.LINE_TOL) | (angle_dev >= 1e-9)
@@ -168,12 +181,13 @@ def reference_check(spec, seed: int = 0) -> R.DegenerateReport:
     columns = (c, d, res_f, res_r, mutual, functional, angle_dev)
     pairs = [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
 
-    return R.DegenerateReport(
+    report = R.DegenerateReport(
         n_trajectories=R.DEGENERATE_TRAJECTORIES,
-        min_functional_increment=float(min_inc),
+        min_functional_increment=float(growth.min()),
         pairs=pairs,
         n_mutual=int(mutual.sum()),
         counterexamples=int((mutual & bad).sum()),
         irreversible_confirmed=int((~mutual & off_line).sum()),
         seed=int(seed),
     )
+    return report, u, dur, growth

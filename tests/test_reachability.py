@@ -6,13 +6,14 @@ import math
 import pathlib
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from grid_masks import binary_erode, contains, representatives
 from reference_charts import perp
-from reference_degenerate import detA0_rows, reference_check, reference_steer_batch
+from reference_degenerate import detA0_rows, reference_check, reference_draws, reference_steer_batch, unit_spec
 
 from se2control.flow import PiecewiseControl, equilibrium, flow_detA0, flow_r2
 from se2control.group import to_complex, wrap_angle
@@ -371,6 +372,9 @@ def _control_constants_by_math_lists(rs, cfg, direction):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
 @given(_small_reach_cases())
+# v(1/6) = (-1e-324, 0.2) rounds to (-0, 0.2): once +0 for a 0-d u and -0 in an array.
+@example((make_rs(lam=0.0, mu=1.0, eta=(1.0, 5e-324)),
+          GridConfig((-1.0, 1.0, -1.0, 1.0), 0.1, [-1.0, 1.0 / 6.0, 1.0], 0.05), np.zeros(2), 1, 1, 3))
 def test_control_constants_equal_the_scalar_loop_bit_for_bit(case):
     # The trace-zero cases put u = mu in the grid: a singular column.
     rs, cfg, _, direction, _, steps = case
@@ -981,16 +985,14 @@ def test_degenerate_structure_check_passes(monkeypatch):
             assert pair["functional"] < 1e-6
 
 
-def _huge_xi_spec():
-    # Every increment of H(v) = <v - v0, theta xi> overflows to NaN here.
-    return SystemSpec(1e180, np.array([1e160, 3.0]), np.zeros((2, 2)), np.zeros(2), (-1.0, 1.0))
-
-
-def test_degenerate_structure_check_rejects_non_finite_increments():
+def test_degenerate_structure_check_passes_where_the_functional_overflowed():
+    # Every increment of H(v) = <v - v0, theta xi> overflowed to NaN here in
+    # the spec's units, and the check raised; in units of xi it is finite.
+    spec = SystemSpec(1e180, np.array([1e160, 3.0]), np.zeros((2, 2)), np.zeros(2), (-1.0, 1.0))
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # and prints no RuntimeWarning
-        with pytest.raises(ValueError, match="overflows"):
-            degenerate_structure_check(_huge_xi_spec())
+        warnings.simplefilter("error")
+        rep = degenerate_structure_check(spec)
+    assert rep.passed and 0.0 < rep.min_functional_increment < math.inf
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1108,27 +1110,60 @@ def _degenerate_check_cases(draw):
     return spec, draw(st.integers(0, 2**32 - 1))
 
 
+def _growth_bound(u, dur, growth):
+    """Bound on |closed form - stepwise growth| over |xi|^2, stated before either was run.
+
+    Both take the same segment start angles.  The stepwise growth is a
+    difference of H values flowed from each segment's start translation,
+    which carries the rounding of every segment before it, so it is off by
+    a few roundings eps = 2**-53 of (T + |H| / |xi|^2), T the trajectory's
+    duration; a sample's angle is off by a few roundings of (1 + A), A the
+    angle it has swept, and the growth moves by at most h per radian.  The
+    bound is 2**-45 (1 + A) (T + (|H_prev| + |H|) / |xi|^2), 256 eps times
+    both, with H / |xi|^2 summed from the stepwise growth.
+    """
+    h = np.cumsum(growth.reshape(len(growth), -1), axis=1).reshape(growth.shape)
+    h_prev = np.concatenate([np.zeros((len(h), 1)), h.reshape(len(h), -1)[:, :-1]], axis=1).reshape(h.shape)
+    sweep = np.sum(np.abs(u) * dur, axis=1)[:, None, None]
+    total = np.sum(dur, axis=1)[:, None, None]
+    return 2.0**-45 * (1.0 + sweep) * (total + np.abs(h_prev) + np.abs(h))
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(_degenerate_check_cases())
 def test_degenerate_structure_check_equals_the_stepwise_reference(case):
+    # The reference runs in the units of xi the library takes: there the
+    # pairs of (b) must equal it bit for bit, and every closed-form growth of
+    # (a) must lie within _growth_bound of the stepwise one.
     spec, seed = case
-    want = _outcome(lambda: json.dumps(_report(reference_check(spec, seed)), sort_keys=True))
-    assert _outcome(lambda: json.dumps(_report(degenerate_structure_check(spec, seed)), sort_keys=True)) == want
-    # The legs on their own, with a pair at rest.  Unlike the check, they
-    # leave numpy's warnings on, and at extreme |xi| the two warn in
-    # different places; only their values are compared.
+    unit, k = unit_spec(spec)
+    want = _outcome(reference_check, unit, seed)
+    got = _outcome(degenerate_structure_check, spec, seed)
+    if isinstance(want, str):
+        assert got == want
+        return
+    want, u, dur, growth = want
+    closed = R._functional_increments(u, dur)
+    assert got.min_functional_increment == closed.min()
+    assert np.all(np.abs(closed - growth) <= _growth_bound(u, dur, growth))
+    # The verdict is left out: where u h is tiny, rounding leaves the
+    # stepwise growth 0 or below while the closed form stays positive.
+    pairs_only = [{**_report(rep), "min_functional_increment": None, "passed": None} for rep in (got, want)]
+    assert json.dumps(pairs_only[0], sort_keys=True) == json.dumps(pairs_only[1], sort_keys=True)
+    # The legs on their own, with a pair at rest: the library's rows are the
+    # reference's on the unit spec, scaled back by 2**-k.
     rng = np.random.default_rng(seed)
     v_from = rng.normal(size=(5, 2)) * float(np.abs(spec.xi).max())
     v_to = v_from + rng.normal(size=(5, 2)) * float(np.abs(spec.xi).max())
     v_to[0] = v_from[0]
-    with np.errstate(all="ignore"):
-        want = _outcome(reference_steer_batch, spec, v_from, v_to)
-        got = _outcome(steer_degenerate, spec, v_from, v_to)
+    want = _outcome(reference_steer_batch, unit, np.ldexp(v_from, k), np.ldexp(v_to, k))
+    got = _outcome(steer_degenerate, spec, v_from, v_to)
     if isinstance(want, str):
         assert got == want
-    else:
-        for a, b in zip(got, want):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        return
+    want[1][:, 1:] = np.ldexp(want[1][:, 1:], -k)
+    for a, b in zip(got, (want[0], want[1], np.ldexp(want[2], -k))):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_degenerate_structure_check_flows_in_batches(monkeypatch):
@@ -1136,33 +1171,122 @@ def test_degenerate_structure_check_flows_in_batches(monkeypatch):
     step = R._detA0_increments
     monkeypatch.setattr(R, "_detA0_increments", lambda *a: calls.append(1) or step(*a))
     degenerate_structure_check(make_degenerate(), seed=1)
-    # One pass for every trajectory sample, then the three steering arcs once
-    # for both directions; every flow of the check goes through this step,
-    # so a check that stopped calling it would fail here rather than pass
-    # with no calls counted.
-    assert 0 < len(calls) <= 1 + 3
-
-
-def _scalar_monotone_draws(rng, n, umin, umax):
-    """The check's trajectory draws as scalar rng.uniform calls, one value at a time."""
-    draws = np.full((n, 6, 2), np.nan)
-    for row in draws:
-        for seg in row[: int(rng.integers(2, 7))]:
-            seg[0] = rng.uniform(umin, umax) * (1.0 if rng.uniform() < 0.5 else -1.0)
-            seg[1] = rng.uniform(0.1, 1.5)
-    return draws
+    # The three steering arcs once for both directions; (a) is in closed
+    # form and flows nothing.  A check that stopped calling the flow step
+    # would fail here rather than pass with no calls counted.
+    assert len(calls) == 3
 
 
 def test_monotone_draws_equal_scalar_uniform_draws():
     for seed in range(200):
         umax = [1.0, 0.9 * 1.7, 1e-3, 37.25][seed % 4] * (1.0 + seed / 1000.0)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = R._monotone_draws(a, 30, 0.05 * umax, umax)
-        want = _scalar_monotone_draws(b, 30, 0.05 * umax, umax)
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.array_equal(np.nan_to_num(got).view(np.int64), np.nan_to_num(want).view(np.int64))
+        got = R._monotone_draws(a, 0.05 * umax, umax)
+        want = reference_draws(b, 0.05 * umax, umax)
+        for x, y in zip(got, want, strict=True):
+            assert x.shape == (R.DEGENERATE_TRAJECTORIES, 6)
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
         # Both leave the stream at the same place.
-        assert a.random() == b.random() and a.integers(2, 7) == b.integers(2, 7)
+        assert a.random() == b.random()
+
+
+def test_functional_increments_are_the_closed_form(rng):
+    # h - k cos m on every sub-arc, against 30-digit quadrature of dH/dt over
+    # |xi|^2 = 1 - cos t along the sub-arc's angles, to 1e-12 relative to h:
+    # the exact growth, formed without the flow.
+    u = rng.uniform(0.05, 2.0, (3, 6)) * rng.choice([-1.0, 1.0], (3, 6))
+    dur = rng.uniform(0.1, 1.5, (3, 6))
+    got = R._functional_increments(u, dur)
+    with mpmath.workdps(30):
+        for row in range(3):
+            t = mpmath.mpf(0)
+            for k in range(6):
+                uk, h = mpmath.mpf(u[row, k]), mpmath.mpf(dur[row, k]) / 8
+                for j in range(8):
+                    t0 = t + j * h * uk
+                    want = mpmath.quad(lambda s: 1 - mpmath.cos(t0 + uk * s), [0, h])
+                    assert abs(got[row, k, j] - want) <= 1e-12 * h
+                t += mpmath.mpf(dur[row, k]) * uk
+
+
+def test_functional_increments_stay_positive_where_u_h_is_tiny(rng):
+    # h - k cos m formed as written rounds to 0 or below once (u h)^2 is
+    # under the rounding of h; the one-sign sum keeps every growth positive.
+    u = 10.0 ** rng.uniform(-20.0, -6.0, (30, 6)) * rng.choice([-1.0, 1.0], (30, 6))
+    assert np.all(R._functional_increments(u, rng.uniform(0.1, 1.5, (30, 6))) > 0.0)
+
+
+@st.composite
+def _specs_at_every_magnitude(draw):
+    """A = 0 specs with |xi| from 1e-300 to 1e300, alpha and the ends of Omega
+    from 1e-12 to 1e12, and xi along an axis or in any direction."""
+    sign = st.sampled_from((1.0, -1.0))
+    axes = st.sampled_from(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
+    phi = st.floats(-math.pi, math.pi).map(lambda a: (math.cos(a), math.sin(a)))
+    direction = draw(st.one_of(axes, phi))
+    size = 10.0 ** draw(st.floats(-300.0, 300.0))
+    xi = [size * direction[0], size * direction[1]]
+    omega = (-draw(_magnitude), draw(_magnitude))
+    return SystemSpec(draw(sign) * draw(_magnitude), xi, np.zeros((2, 2)), [0.3, 0.2], omega)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_specs_at_every_magnitude())
+def test_steering_determinant_is_positive_at_every_magnitude(spec):
+    # In units of xi each dwell drift is about 2 sin^2(t/2) >= 4e-20, so the
+    # dwell solver never meets det = 0 (at |xi| = 1e-160 it once did).
+    steering = R._prepare_steering(spec)
+    assert steering.arc1.size and np.all(steering.solver[-1] > 0.0)
+
+
+@pytest.mark.parametrize("xi", [(1e200, 1e199), (1e-200, 0.0)])
+def test_steer_degenerate_is_finite_and_covariant_at_extreme_xi(rng, xi):
+    # In the spec's units the first wrote numpy warnings and raised "segment
+    # durations must be finite and >= 0"; the second raised on |xi|^2 = 0.
+    spec = SystemSpec(1.0, np.array(xi), np.zeros((2, 2)), np.zeros(2), (-1.0, 1.0))
+    unit = spec.xi / np.abs(spec.xi).max()
+    v_from = rng.normal(size=(6, 2)) * np.abs(spec.xi).max()
+    v_to = v_from + rng.uniform(-1.5, 1.5, (6, 1)) * unit + rng.uniform(-0.5, 0.5, (6, 1)) * perp(unit) * np.abs(spec.xi).max()
+    v_to[5] = v_from[5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = steer_degenerate(spec, v_from, v_to)
+        assert all(np.isfinite(a).all() for a in rows)
+        for j in (-3, 1, 600 if xi[0] < 1.0 else -600):
+            scaled = dataclasses.replace(spec, xi=np.ldexp(spec.xi, j))
+            segments, ends, residuals = steer_degenerate(scaled, np.ldexp(v_from, j), np.ldexp(v_to, j))
+            assert np.array_equal(segments, rows[0]) and np.array_equal(ends[:, 0], rows[1][:, 0])
+            assert np.array_equal(np.ldexp(ends[:, 1:], -j), rows[1][:, 1:])
+            assert np.array_equal(np.ldexp(residuals, -j), rows[2])
+
+
+@st.composite
+def _scaled_check_cases(draw):
+    """An A = 0 spec whose xi components are 0 or at least 0.05 |xi|, a seed,
+    a power of two 2**j with |j| <= 1000 and a factor c > 0."""
+    sign = st.sampled_from((1.0, -1.0))
+    part = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+    xi = [draw(part) * draw(sign), draw(st.floats(0.05, 3.0)) * draw(sign)]
+    if draw(st.booleans()):
+        xi.reverse()
+    omega = (-draw(_magnitude), draw(_magnitude))
+    spec = SystemSpec(draw(sign) * draw(_magnitude), xi, np.zeros((2, 2)), [draw(_coord), draw(_coord)], omega)
+    return spec, draw(st.integers(0, 2**32 - 1)), draw(st.integers(-1000, 1000)), 10.0 ** draw(st.floats(-100.0, 100.0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_scaled_check_cases())
+def test_degenerate_structure_check_is_covariant_under_translation_scaling(case):
+    # (xi, eta1) -> c (xi, eta1) scales every translation of the flow by c.
+    # For c = 2**j the check's units of xi are the same, so the report is
+    # bit for bit the same; for any c > 0 the verdict and the pair counts are.
+    spec, seed, j, c = case
+    report = _report(degenerate_structure_check(spec, seed))
+    by_power = dataclasses.replace(spec, xi=np.ldexp(spec.xi, j), eta1=np.ldexp(spec.eta1, j))
+    assert json.dumps(_report(degenerate_structure_check(by_power, seed))) == json.dumps(report)
+    scaled = _report(degenerate_structure_check(dataclasses.replace(spec, xi=c * spec.xi, eta1=c * spec.eta1), seed))
+    for key in ("passed", "n_mutual", "counterexamples", "irreversible_confirmed"):
+        assert scaled[key] == report[key], key
 
 
 def _assert_rows_equal_flow_detA0(spec, s, x, u):
