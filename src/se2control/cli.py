@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .flow import SAMPLES_PER_SEGMENT, PiecewiseControl, flow_concat, rk4_oracle
+from .flow import BYTES_PER_SAMPLE, SAMPLES_PER_SEGMENT, PiecewiseControl, flow_concat, rk4_oracle
 from .group import angle_dist, wrap_angle
 from .planner import plan_periodic
 from .reachability import MAX_GRID_BYTES, default_grid_config, estimate_control_set
@@ -55,11 +55,11 @@ EXIT_CASE_MISMATCH = 3
 EXIT_VERIFICATION_FAILED = 4
 
 # Peak bytes that one unit of a count option costs, measured with tracemalloc
-# (numpy 2.4) and rounded up: one simulate sample (closed-form flow plus CSV
-# rows), one ball_invariance sample, and one reach control (24 arc-step
-# columns of flow constants and kernel buffers at about 100 bytes each).
-# Requests over the grid budget are rejected before anything is allocated.
-BYTES_PER_UNIT = {"--samples-per-segment": 170, "--samples": 140, "--control-grid": 2400}
+# (numpy 2.4) and rounded up: one simulate sample (flow.BYTES_PER_SAMPLE), one
+# ball_invariance sample, and one reach control (24 arc-step columns of flow
+# constants and kernel buffers at about 100 bytes each).  Requests over the
+# grid budget are rejected before anything is allocated.
+BYTES_PER_UNIT = {"--samples-per-segment": BYTES_PER_SAMPLE, "--samples": 140, "--control-grid": 2400}
 
 
 # A value that float() reads as a negative number, infinity or nan.
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     except CaseMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CASE_MISMATCH
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -44,6 +44,9 @@ from .system import Plant, ReducedSpec, SystemSpec
 
 DEFAULT_RK4_STEP = 1e-3
 SAMPLES_PER_SEGMENT = 64
+# Peak bytes of one trajectory sample (closed-form flow plus CSV row), measured
+# with tracemalloc (numpy 2.4) and rounded up: what simulate and plan budget.
+BYTES_PER_SAMPLE = 170
 # Largest x with a finite e^x.
 _EXP_MAX_ARG = math.log(sys.float_info.max)
 # Largest x whose e^x numpy's complex exp forms as libm's exp (see _exp).

@@ -3,10 +3,11 @@
 With trace A = 0 (lam = 0, mu != 0) every constant-control solution moves on
 a circle centered at the equilibrium v(u), since the flow preserves
 |v - v(u)|.  All equilibria lie on the line R * theta eta, so a plan is built
-from half-circle arcs that alternate the controls +-rho: each arc swaps the
-active center and shrinks the circle radius by the fixed center distance
-until a waypoint lands between the two centers.  One last control u_N, in
-closed form, places v_N and the origin on a common circle, and the
+from arcs that alternate the controls +-rho: the first carries v0 onto that
+line, and each later one is a half turn about the other center, shrinking
+the radius by the fixed center distance, until a waypoint lands between the
+two centers.  So the arc count is known before any flow.  One last control
+u_N, in closed form, places v_N and the origin on a common circle, and the
 complementary arcs (same controls, remaining sweep of each circle) close the
 loop back to v0.
 """
@@ -19,34 +20,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import SAMPLES_PER_SEGMENT, PiecewiseControl, Trajectory, equilibrium, flow_concat
+from .flow import BYTES_PER_SAMPLE, SAMPLES_PER_SEGMENT, PiecewiseControl, Trajectory, equilibrium, flow_concat
 from .group import TWO_PI, to_pairs
+from .reachability import MAX_GRID_BYTES
 from .system import ReducedSpec
 
-# Forward arcs a plan may take before it gives up on reaching the segment.
-MAX_ARCS = 100_000
 # Bound on |v0|, |theta eta| and |v(+-rho)|, and 1 / MAX_LENGTH on |theta eta|:
 # the plan squares lengths of up to a few times these, and each square then
 # stays finite and nonzero.
 MAX_LENGTH = 1e150
 
 
-def _circle_line_hits(center: complex, radius: float, d: complex) -> list:
-    """Points where the circle meets the line through the origin along d != 0.
+def _arc_count(r0: float, gap: float, limit: float) -> float:
+    """1 + the first k >= 0 with r0 - k gap <= limit, inf if there is none.
 
-    Returns 0, 1, or 2 complex points, sorted by signed parameter along d.
-    A vanishing discriminant yields the single tangency point.
+    The quotient (r0 - limit) / gap may round to a neighbour of that k, which
+    the radii settle; past 2**53, beyond any budget, the quotient is the count.
     """
-    d /= abs(d)
-    # The centre in the line's frame: q.real along the line, q.imag across it.
-    q = center * d.conjugate()
-    disc = (radius - abs(q.imag)) * (radius + abs(q.imag))
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
-        return [q.real * d]
-    root = math.sqrt(disc)
-    return [(q.real - root) * d, (q.real + root) * d]
+    if r0 <= limit:
+        return 1.0
+    q = (r0 - limit) / gap if gap > 0.0 else math.inf
+    if not q < 2.0**53:
+        return q + 1.0
+    k = max(0, math.ceil(q) - 2)
+    while r0 - k * gap > limit:
+        k += 1
+    return k + 1.0
 
 
 def arc_duration(u: float, mu: float, angle: float) -> float:
@@ -130,10 +129,12 @@ def plan_periodic(
 ) -> PlanResult:
     """Closed piecewise-constant plan through v0 and the origin (lam = 0).
 
-    Forward half: half-circle arcs alternating +-rho walk the waypoint onto
-    the segment of equilibria between v(-rho) and v(rho); a final control, in
-    closed form, sweeps it into the origin.  Return half: the complementary
-    arc of each forward circle, in reverse order, restores v0 exactly.
+    Forward half: arcs alternating +-rho, all but the first half turns, walk
+    the waypoint onto the segment of equilibria between v(-rho) and v(rho); a
+    final control, in closed form, sweeps it into the origin.  Return half:
+    the complementary arc of each forward circle, in reverse order, restores
+    v0 exactly.  A plan whose trajectory would need over MAX_GRID_BYTES
+    raises ValueError before any flow.
     """
     if rs.lam != 0.0:
         raise ValueError("planner requires lam = 0")
@@ -165,55 +166,43 @@ def plan_periodic(
     line_dir = 1j * complex(*rs.eta) / eta_length
     # A point z on the line of equilibria is (z conj(line_dir)).real line_dir.
     xs = {s: (c * line_dir.conjugate()).real for s, c in centers.items()}
-    x_lo, x_hi = min(xs.values()), max(xs.values())
     gap = abs(xs[+1.0] - xs[-1.0])
     scale = max(1.0, length)
 
-    if length <= 1e-15 * scale:
-        control = PiecewiseControl([])
-        return PlanResult(
-            control=control,
-            trajectory=flow_concat(rs, control, v0),
-            waypoints=[v0.copy(), np.zeros(2)],
-            rho=rho,
-            closure_error=0.0,
-            center_gap=gap,
-            diagnostics={"arcs": 0},
+    # Forward half: arc k (from 0) runs about v((-1)^k rho) with radius
+    # r0 - k gap, to the point of the line past that center, toward the
+    # other one.  A v0 at the origin or between the centers takes no arc.
+    w0 = complex(*v0)
+    q0 = w0 * line_dir.conjugate()  # along the line, and across it
+    tol = 1e-12 * scale
+    # Relative to |v0|: an absolute floor would put every tiny v0 on the line.
+    between = abs(q0.imag) <= 1e-9 * abs(w0) and min(xs.values()) - tol <= q0.real <= max(xs.values()) + tol
+    r0 = abs(w0 - centers[+1.0])
+    n = _arc_count(r0, gap, gap + tol) if abs(w0) > 1e-15 * scale and not between else 0.0
+    # Each arc and the final one give at most two segments: the arc itself
+    # and its complement on the way back.
+    n_bytes = ((2.0 * n + 2.0) * SAMPLES_PER_SEGMENT + 1.0) * BYTES_PER_SAMPLE
+    if n_bytes > MAX_GRID_BYTES:
+        raise ValueError(
+            f"plan from v0 = ({w0.real!r}, {w0.imag!r}) takes {n:g} arcs, whose trajectory "
+            f"needs about {n_bytes:.3g} bytes, over the {MAX_GRID_BYTES}-byte budget"
         )
-
-    def on_segment(v):
-        q = v * line_dir.conjugate()  # along the line, and across it
-        # Relative to |v|: an absolute floor would put every tiny v on the line.
-        on_line = abs(q.imag) <= 1e-9 * abs(v)
-        return on_line and x_lo - 1e-12 * scale <= q.real <= x_hi + 1e-12 * scale
-
-    # Forward half: alternating arcs until a waypoint lies between the centers.
-    w = complex(*v0)
-    waypoints = [w]
-    segments = []
-    radii = []
-    sign = +1.0
-    n_arcs = 0
-    while not on_segment(w):
-        if n_arcs >= MAX_ARCS:
-            raise RuntimeError("planner failed to reach the equilibrium segment")
-        u = sign * rho
-        c = centers[sign]
-        radius = abs(w - c)
-        c_next = centers[-sign]
-        hits = _circle_line_hits(c, radius, line_dir)
-        if not hits:
-            raise RuntimeError("arc circle missed the equilibrium line")
-        w_next = min(hits, key=lambda p: abs(p - c_next))
-        # The angle swept about c from w to w_next.
-        dur = arc_duration(u, rs.mu, cmath.phase((w_next - c) / (w - c)))
+    n = int(n)
+    radii = [r0 - k * gap for k in range(n)]
+    sigma = math.copysign(1.0, xs[-1.0] - xs[+1.0])  # from v(rho) toward v(-rho)
+    ends = [(xs[+1.0] + sigma * r if k % 2 == 0 else xs[-1.0] - sigma * r) * line_dir
+            for k, r in enumerate(radii)]
+    w = ends[-1] if n else w0
+    half_turns = [(arc_duration(u, rs.mu, math.pi), u) for u in (-rho, rho)]
+    segments = (half_turns * n)[: n - 1]
+    if n:
+        # The angle swept about v(rho) from v0 to the first arc's end.
+        c = centers[+1.0]
+        dur = arc_duration(rho, rs.mu, cmath.phase((ends[0] - c) / (w0 - c)))
         if dur > 0.0:
-            segments.append((dur, u))
-            radii.append(radius)
-        waypoints.append(w_next)
-        w = w_next
-        sign = -sign
-        n_arcs += 1
+            segments.insert(0, (dur, rho))
+        else:
+            del radii[0]  # a first arc of no sweep is left out
 
     # Final arc: one control whose circle carries w into the origin.
     u_final = None
@@ -225,7 +214,6 @@ def plan_periodic(
         dur = arc_duration(u_final, rs.mu, cmath.phase(-c_fin / (w - c_fin)))
         if dur > 0.0:
             segments.append((dur, u_final))
-    waypoints.append(0j)
 
     # Return half: complementary sweep of each circle, reverse order.
     back = [
@@ -243,7 +231,7 @@ def plan_periodic(
     return PlanResult(
         control=control,
         trajectory=traj,
-        waypoints=[to_pairs(p) for p in waypoints],
+        waypoints=list(to_pairs([w0, *ends, 0j])),
         rho=rho,
         closure_error=closure_error,
         radii=radii,
@@ -251,5 +239,5 @@ def plan_periodic(
         u_final=u_final,
         center_gap=gap,
         origin_error=origin_error,
-        diagnostics={"arcs": n_arcs},
+        diagnostics={"arcs": n},
     )

@@ -217,17 +217,15 @@ def default_grid_config(
 _CHUNK_CANDIDATES = 16_384
 
 
-def _images(px, py, sing, vux, vuy, ecos, esin, linx, liny):
+def _images(px, py, vux, vuy, ecos, esin, linx, liny):
     """Exact images of points under flow columns, elementwise and broadcasting.
 
-    (vux + ecos*dx) - esin*dy, (vuy + esin*dx) + ecos*dy with dx = px - vux,
-    dy = py - vuy; a singular column translates to (px + linx, py + liny).
-    Each element is the scalar formula's value, whatever the operand shapes.
+    ((vux + ecos*dx) - esin*dy) + linx, ((vuy + esin*dx) + ecos*dy) + liny with
+    dx = px - vux, dy = py - vuy, for rotations and translations alike (see
+    :func:`_cell_maps`).  Each element is the scalar formula's value, whatever the operand shapes.
     """
     dx, dy = px - vux, py - vuy
-    qx = vux + ecos * dx - esin * dy
-    qy = vuy + esin * dx + ecos * dy
-    return np.where(sing, px + linx, qx), np.where(sing, py + liny, qy)
+    return vux + ecos * dx - esin * dy + linx, vuy + esin * dx + ecos * dy + liny
 
 
 def _cell_maps(consts, x0, y0, res, reach):
@@ -264,11 +262,11 @@ def _cell_maps(consts, x0, y0, res, reach):
     then a - k lies in [delta - u, 1 - delta + 2u], and the exact value in
     (k + delta/2 - u, k + 1 - delta/2 + 2u), inside [k, k + 1) as delta >= 8u.
     """
-    _, vux, vuy, ecos, esin, linx, liny = consts
+    vux, vuy, ecos, esin, linx, liny = consts
     with np.errstate(all="ignore"):
         mx = np.stack([ecos, -esin, (vux - ecos * vux) + esin * vuy - x0 + linx]) / res
         my = np.stack([esin, ecos, (vuy - ecos * vuy) - esin * vux - y0 + liny]) / res
-        vx, vy, ec, es, lx, ly = np.abs(np.stack(consts[1:])).max(axis=1).tolist()
+        vx, vy, ec, es, lx, ly = np.abs(np.stack(consts)).max(axis=1).tolist()
     m = (2.0 * (ec + es) + 1.0) * (reach + vx + vy + lx + ly) + abs(x0) + abs(y0)
     delta = 2.0**-47 * (m / res) + 2.0**-1068 * (1.0 + reach + 1.0 / res) + 2.0**-50
     return mx, my, delta if m <= 2.0**1020 else math.inf
@@ -377,7 +375,7 @@ def _control_constants(rs: ReducedSpec, cfg: GridConfig, direction: int):
     ecos = np.where(sing, 1.0, efac * turn.real)
     esin = np.where(sing, 0.0, efac * turn.imag)
     vux, vuy = (np.repeat(c, s.size) for c in vu.T)
-    return sing, vux, vuy, ecos, esin, linx, liny
+    return vux, vuy, ecos, esin, linx, liny
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +491,12 @@ def reach_backward(rs: ReducedSpec, x0, cfg: GridConfig) -> ReachSet:
 def default_seed_control(rs: ReducedSpec) -> float:
     """An interior control away from mu to seed the estimate from."""
     lo, hi = rs.omega
-    for u in (0.5 * hi, 0.5 * lo, 0.25 * hi, 0.25 * lo, 0.75 * hi, 0.75 * lo):
+    candidates = (0.5 * hi, 0.5 * lo, 0.25 * hi, 0.25 * lo, 0.75 * hi, 0.75 * lo)
+    for u in candidates:
         if abs(u - rs.mu) > 0.05 * max(1.0, abs(rs.mu)):
             return float(u)
-    return 0.5 * hi  # unreachable for a nondegenerate omega
+    # 0.75 lo and 0.75 hi have opposite signs: the farthest candidate is not mu.
+    return float(max(candidates, key=lambda u: abs(u - rs.mu)))
 
 
 @dataclass

@@ -517,6 +517,17 @@ def test_plan_with_an_overflowing_theta_eta_gives_one_line(tmp_path, capsys, v0)
     assert err == "error: |eta|^2 overflows: the reduced system's geometry is out of range\n"
 
 
+def test_plan_over_the_byte_budget_gives_one_line(tmp_path, capsys):
+    # 39,328 arcs: once about 5 M trajectory rows, past the 512 MiB budget.
+    tz = {"alpha": 1.1, "xi": [0.5, 0.2], "A": {"lambda": 0.0, "mu": 1.4},
+          "eta1": [0.7, -0.1], "omega": [-1.0, 1.0]}
+    rc, out, err = run_main(capsys, ["plan", write_spec(tmp_path, tz), "--v0", "1e5,0"])
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: plan from v0 = (100000.0, 0.0) takes 39328 arcs, whose trajectory "
+                   "needs about 8.56e+08 bytes, over the 536870912-byte budget\n")
+
+
 @pytest.mark.parametrize("argv_tail, rc, err", [
     (["classify"], 0, ""),
     (["reach"], 2, "error: |eta|^2 overflows: the reduced system's geometry is out of range\n"),

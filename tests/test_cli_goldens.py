@@ -11,8 +11,9 @@ open-case report lost `diagnostics.boundary_growth`.  `reach_open` and
 `boundary`, `lifted` and `generator_u` (the boundary claim is stated once,
 in `classification.boundary_structure`), and `plan_near` and `plan_far`
 when the plan report lost `diagnostics.origin_error` (a copy of the
-top-level `origin_error`), and again when the planner took |theta eta| from
-`ReducedSpec.length`; each of those changes is stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
+top-level `origin_error`), again when the planner took |theta eta| from
+`ReducedSpec.length`, and again when its forward arcs became closed forms
+(only `plan_far` moved); each of those changes is stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
 which holds the spec and control files and receives the outputs.  A cells
 CSV (the file of `--cells-csv`, up to 75k lines) is held as the sha256 and
 byte count of its bytes; every other output is held verbatim.

@@ -22,42 +22,6 @@ def make_rs(mu=1.0, eta=(1.0, 0.0), omega=(-2.0, 2.0)):
 # -- helpers --------------------------------------------------------------
 
 
-def test_circle_line_intersect_symmetric_pair():
-    pts = P._circle_line_hits(2j, 1.5, 1j)
-    assert len(pts) == 2
-    assert np.allclose(pts[0], 0.5j) and np.allclose(pts[1], 3.5j)
-
-
-def test_circle_line_intersect_tangency():
-    pts = P._circle_line_hits(1.0 + 0j, 1.0, 1j)
-    assert len(pts) == 1
-    assert np.allclose(pts[0], 0.0, atol=1e-12)
-
-
-def test_circle_line_intersect_miss():
-    assert P._circle_line_hits(2.0 + 0j, 1.0, 1j) == []
-
-
-def test_circle_line_intersect_matches_brute_force(rng):
-    for _ in range(50):
-        center, radius = complex(*(rng.normal(size=2) * 2.0)), rng.uniform(0.1, 3.0)
-        d = rng.normal(size=2)
-        if np.linalg.norm(d) < 1e-6:
-            continue
-        pts = [np.array([p.real, p.imag]) for p in P._circle_line_hits(center, radius, complex(*d))]
-        c = np.array([center.real, center.imag])
-        ts = np.linspace(-20.0, 20.0, 400001)
-        line = ts[:, None] * (d / np.linalg.norm(d))[None, :]
-        dist = np.abs(np.linalg.norm(line - c, axis=1) - radius)
-        brute_hits = int(np.sum((dist[1:-1] < dist[:-2]) & (dist[1:-1] < dist[2:])
-                                & (dist[1:-1] < 5e-4)))
-        assert len(pts) in (brute_hits, 2) or brute_hits == 0 and len(pts) == 0
-        for p in pts:
-            assert abs(np.linalg.norm(p - c) - radius) < 1e-9
-            cross = p[0] * d[1] - p[1] * d[0]
-            assert abs(cross) < 1e-9 * max(1.0, np.linalg.norm(p) * np.linalg.norm(d))
-
-
 @pytest.mark.parametrize(
     "u,mu,angle,expected",
     [
@@ -165,10 +129,63 @@ def test_plan_final_control_is_consistent():
     assert abs(np.linalg.norm(vu) - np.linalg.norm(np.asarray(vn) - vu)) < 1e-9
 
 
-def test_plan_respects_max_arcs(monkeypatch):
-    monkeypatch.setattr(P, "MAX_ARCS", 3)
-    with pytest.raises(RuntimeError):
-        plan_periodic(make_rs(), np.array([300.0, 300.0]), rho=0.5)
+def _largest_arc_count_in_budget():
+    """Largest n whose plan, at most 2 n + 2 segments, fits MAX_GRID_BYTES."""
+    rows = P.MAX_GRID_BYTES // P.BYTES_PER_SAMPLE
+    return ((rows - 1) // P.SAMPLES_PER_SEGMENT - 2) // 2
+
+
+class _Flowed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_plan_checks_its_byte_budget_before_any_flow(monkeypatch, extra):
+    def refuse(rs, control, v0):
+        raise _Flowed(len(control.segments))
+
+    monkeypatch.setattr(P, "flow_concat", refuse)
+    n = _largest_arc_count_in_budget() + extra
+    rs = make_rs()  # rho = 0.5: centers v(0.5) = (0, 1) and v(-0.5) = (0, -1/3), gap 4/3
+    gap = 4.0 / 3.0
+    # Across the line from v(rho) at r0 = (n - 1/2) gap: arc n - 1 is the
+    # first of radius r0 - k gap at most gap.
+    v0 = equilibrium(rs, 0.5) + np.array([(n - 0.5) * gap, 0.0])
+    if extra:
+        with pytest.raises(ValueError, match=f"^plan from v0 = .* takes {n} arcs, .* over the 536870912-byte budget$"):
+            plan_periodic(rs, v0, rho=0.5)
+    else:
+        with pytest.raises(_Flowed) as flowed:
+            plan_periodic(rs, v0, rho=0.5)
+        segments = flowed.value.args[0]
+        assert segments == 2 * n + 2
+        assert (segments * P.SAMPLES_PER_SEGMENT + 1) * P.BYTES_PER_SAMPLE <= P.MAX_GRID_BYTES
+
+
+def test_plan_whose_centers_coincide_is_over_the_budget():
+    # v(+-rho) = +-9e-451 (0, 1) underflow to 0: no arc shrinks the radius.
+    # Once a RuntimeError after 100,000 arcs (0.4 s), now no arc is taken.
+    rs = make_rs(eta=(1e-150, 0.0), omega=(-1e-300, 1e-300))
+    with pytest.raises(ValueError, match=r"^plan from v0 = \(1.0, 0.0\) takes inf arcs, "):
+        plan_periodic(rs, np.array([1.0, 0.0]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.floats(1e-6, 1e6), st.floats(0.0, 2000.0), st.floats(0.0, 1.0), st.booleans())
+def test_arc_count_is_one_past_the_first_radius_within_the_limit(gap, steps, frac, on_a_step):
+    # r0 lands on limit + steps gap exactly (up to rounding) when on_a_step,
+    # where the quotient rounds either way; the count equals a walk over the radii.
+    limit = gap * (1.0 + frac)
+    r0 = limit + (round(steps) if on_a_step else steps) * gap
+    k = 0
+    while r0 - k * gap > limit:
+        k += 1
+    assert P._arc_count(r0, gap, limit) == k + 1
+
+
+def test_arc_count_without_a_gap():
+    assert P._arc_count(1.0, 0.0, 1.0) == 1.0
+    assert P._arc_count(1.0 + 2**-52, 0.0, 1.0) == math.inf
 
 
 @st.composite
@@ -223,6 +240,24 @@ def test_plan_is_valid_on_trace_zero_systems(case):
         vu = equilibrium(rs, res.u_final)
         gap = np.linalg.norm(vu) - np.linalg.norm(res.waypoints[-2] - vu)
         assert abs(gap) <= 1e-12 * scale
+    # The closed form, checked segment by segment.  Bounds: each forward
+    # segment flows its waypoint to the next within 1e-12 of the largest of
+    # |v0| and |v(+-rho)|; every arc after the first lasts pi / |mu - u|
+    # exactly; consecutive radii differ from center_gap by at most 2^-48
+    # (radii[0] + center_gap).
+    n = res.diagnostics["arcs"]
+    skipped = n - len(res.radii)  # a first arc of no sweep has no segment
+    assert skipped in (0, 1)
+    reach = max(np.linalg.norm(v0), *(np.linalg.norm(equilibrium(rs, u)) for u in (res.rho, -res.rho)))
+    forward = len(res.radii) + (res.u_final is not None)
+    for j, (dur, u) in enumerate(res.control.segments[:forward]):
+        start, end = res.waypoints[skipped + j], res.waypoints[skipped + j + 1]
+        assert np.linalg.norm(flow_r2(rs, dur, start, u) - end) <= 1e-12 * reach
+        if 0 < skipped + j < n:
+            assert dur == math.pi / abs(rs.mu - u)
+    if res.radii:
+        steps = -np.diff(res.radii)
+        assert np.all(np.abs(steps - res.center_gap) <= 2.0**-48 * (res.radii[0] + res.center_gap))
 
 
 def test_plan_rejects_a_start_whose_length_overflows():

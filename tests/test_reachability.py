@@ -118,7 +118,7 @@ def test_reach_deterministic_across_runs():
 def _reach_by_loop(rs, x0, cfg, direction):
     """Scalar reference of the reach fixed point: one candidate at a time, in
     canonical (frontier cell, flow column) order, first writer wins."""
-    sing, vux, vuy, ecos, esin, linx, liny = (
+    vux, vuy, ecos, esin, linx, liny = (
         c.tolist() for c in R._control_constants(rs, cfg, direction)
     )
     nx, ny = cfg.shape
@@ -136,12 +136,9 @@ def _reach_by_loop(rs, x0, cfg, direction):
         new = []
         for _, px, py in frontier:
             for c in range(len(vux)):
-                if sing[c]:
-                    qx, qy = px + linx[c], py + liny[c]
-                else:
-                    dx, dy = px - vux[c], py - vuy[c]
-                    qx = vux[c] + ecos[c] * dx - esin[c] * dy
-                    qy = vuy[c] + esin[c] * dx + ecos[c] * dy
+                dx, dy = px - vux[c], py - vuy[c]
+                qx = vux[c] + ecos[c] * dx - esin[c] * dy + linx[c]
+                qy = vuy[c] + esin[c] * dx + ecos[c] * dy + liny[c]
                 fi, fj = math.floor((qx - xmin) / res), math.floor((qy - ymin) / res)
                 if 0 <= fi < nx and 0 <= fj < ny and not occ[fi * ny + fj]:
                     occ[fi * ny + fj] = True
@@ -198,7 +195,7 @@ def _singular_case(monkeypatch):
 @pytest.mark.parametrize("direction", [+1, -1])
 def test_reach_matches_scalar_loop_with_singular_columns(monkeypatch, direction):
     rs, cfg, x0 = _singular_case(monkeypatch)
-    assert R._control_constants(rs, cfg, direction)[0].any()
+    assert R._control_constants(rs, cfg, direction)[4].any()  # a translation column
     got = R._reach(rs, x0, cfg, direction)
     occ, rep_x, rep_y, rounds = _reach_by_loop(rs, x0, cfg, direction)
     assert np.array_equal(got.occupied, occ)
@@ -230,17 +227,14 @@ def _round_by_loop(occ_flat, grid, cur_px, cur_py, consts):
     """Scalar reference of one round: (ids, px, py) sorted by id, and whether
     every image fell on the grid.  occ_flat is not changed."""
     nx, ny, x0, y0, res = grid
-    sing, vux, vuy, ecos, esin, linx, liny = (c.tolist() for c in consts)
+    vux, vuy, ecos, esin, linx, liny = (c.tolist() for c in consts)
     occ = occ_flat.copy()
     claims, on_grid = [], True
     for px, py in zip(cur_px.tolist(), cur_py.tolist()):
         for c in range(len(vux)):
-            if sing[c]:
-                qx, qy = px + linx[c], py + liny[c]
-            else:
-                dx, dy = px - vux[c], py - vuy[c]
-                qx = vux[c] + ecos[c] * dx - esin[c] * dy
-                qy = vuy[c] + esin[c] * dx + ecos[c] * dy
+            dx, dy = px - vux[c], py - vuy[c]
+            qx = vux[c] + ecos[c] * dx - esin[c] * dy + linx[c]
+            qy = vuy[c] + esin[c] * dx + ecos[c] * dy + liny[c]
             fi, fj = (qx - x0) / res, (qy - y0) / res
             if not (0 <= fi < nx and 0 <= fj < ny):  # False for NaN
                 on_grid = False
@@ -327,9 +321,8 @@ def _control_constants_by_loop(rs, cfg, direction):
     """Scalar reference of the flow constants: one column at a time."""
     dt = direction * cfg.time_step
     n_steps = cfg.steps_per_arc
-    out = [np.zeros(cfg.controls.size * n_steps) for _ in range(7)]
-    sing, vux, vuy, ecos, esin, linx, liny = out
-    sing = sing.astype(bool)
+    out = [np.zeros(cfg.controls.size * n_steps) for _ in range(6)]
+    vux, vuy, ecos, esin, linx, liny = out
     ecos[:] = 1.0
     c = 0
     for u in cfg.controls:
@@ -337,7 +330,6 @@ def _control_constants_by_loop(rs, cfg, direction):
         for k in range(1, n_steps + 1):
             s = k * dt
             if vu is None:
-                sing[c] = True
                 linx[c] = s * u * rs.eta[0]
                 liny[c] = s * u * rs.eta[1]
             else:
@@ -347,7 +339,7 @@ def _control_constants_by_loop(rs, cfg, direction):
                 ecos[c] = efac * math.cos(ang)
                 esin[c] = efac * math.sin(ang)
             c += 1
-    return (sing,) + tuple(out[1:])
+    return tuple(out)
 
 
 def _control_constants_by_math_lists(rs, cfg, direction):
@@ -367,7 +359,7 @@ def _control_constants_by_math_lists(rs, cfg, direction):
     su = (s * us[:, None]).ravel()
     linx, liny = (np.where(sing, su * e, 0.0) for e in rs.eta)
     vux, vuy = (np.repeat(c, s.size) for c in vu.T)
-    return sing, vux, vuy, ecos, esin, linx, liny
+    return vux, vuy, ecos, esin, linx, liny
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -410,16 +402,13 @@ def test_cell_maps_bound_the_distance_to_the_exact_cell_values(case):
     pts = np.stack([px, py, np.ones_like(px)], axis=1)
     approx = (pts @ mx, pts @ my)
     # The exact pre-floor values, one scalar at a time as the loop forms them.
-    sing, vux, vuy, ecos, esin, linx, liny = (c.tolist() for c in consts)
+    vux, vuy, ecos, esin, linx, liny = (c.tolist() for c in consts)
     exact = np.empty((2, px.size, len(vux)))
     for r, (x, y) in enumerate(zip(px.tolist(), py.tolist())):
         for c in range(len(vux)):
-            if sing[c]:
-                qx, qy = x + linx[c], y + liny[c]
-            else:
-                dx, dy = x - vux[c], y - vuy[c]
-                qx = vux[c] + ecos[c] * dx - esin[c] * dy
-                qy = vuy[c] + esin[c] * dx + ecos[c] * dy
+            dx, dy = x - vux[c], y - vuy[c]
+            qx = vux[c] + ecos[c] * dx - esin[c] * dy + linx[c]
+            qy = vuy[c] + esin[c] * dx + ecos[c] * dy + liny[c]
             exact[:, r, c] = (qx - x0) / res, (qy - y0) / res
     assert delta > 0.0
     for a, z in zip(approx, exact):
@@ -495,7 +484,7 @@ def test_round_with_images_on_cell_edges_takes_the_exact_path(monkeypatch, rows,
     monkeypatch.setattr(R, "STEPS_PER_ARC", steps)
     cfg = GridConfig((-1.0, 1.0, -1.0, 1.0), res, [0.5], dt)
     consts = R._control_constants(rs, cfg, +1)
-    assert consts[0].all()
+    assert np.array_equal(consts[2:4], [[1.0] * steps, [0.0] * steps])
     _small_chunks(monkeypatch, rows, cfg)
     shapes = _spy_on_exact_chunks(monkeypatch)
     nx, ny = cfg.shape
@@ -706,6 +695,12 @@ def test_binary_erode_block():
 
 def test_default_seed_control_avoids_mu():
     assert default_seed_control(make_rs(lam=1.0, mu=0.5)) != 0.5
+
+
+def test_default_seed_control_in_a_narrow_omega_about_mu_is_not_mu():
+    # No candidate lies 0.05 from mu = 0.01 in [-0.02, 0.02]; the fallback
+    # was once 0.5 hi = mu, a seed at the one-point control set v(mu).
+    assert default_seed_control(make_rs(lam=-1.0, mu=0.01, omega=(-0.02, 0.02))) == -0.015
 
 
 def test_estimate_open_case():
