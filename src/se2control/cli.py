@@ -55,10 +55,12 @@ EXIT_CASE_MISMATCH = 3
 EXIT_VERIFICATION_FAILED = 4
 
 # Peak bytes that one unit of a count option costs, measured with tracemalloc
-# (numpy 2.4) and rounded up: one simulate sample (flow.BYTES_PER_SAMPLE), one
-# ball_invariance sample, and one reach control (24 arc-step columns of flow
-# constants and kernel buffers at about 100 bytes each).  Requests over the
-# grid budget are rejected before anything is allocated.
+# (numpy 2.4) and rounded up: one simulate sample (flow.BYTES_PER_SAMPLE) and
+# one reach control (24 arc-step columns of flow constants and kernel buffers
+# at about 100 bytes each).  Requests over the grid budget are rejected before
+# anything is allocated.  The ball_invariance cross-check runs in blocks, so
+# its peak stays near 530 kB at any --samples; its entry caps the work
+# instead: 140 bytes a sample admits 3,834,792 samples.
 BYTES_PER_UNIT = {"--samples-per-segment": BYTES_PER_SAMPLE, "--samples": 140, "--control-grid": 2400}
 
 
@@ -282,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run numerical verification suites")
     pv.add_argument("spec")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    pv.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                    help="sphere points, and as many outside, in the ball_invariance cross-check")
     pv.add_argument(
         "--suite",
         action="append",

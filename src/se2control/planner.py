@@ -196,9 +196,13 @@ def plan_periodic(
     half_turns = [(arc_duration(u, rs.mu, math.pi), u) for u in (-rho, rho)]
     segments = (half_turns * n)[: n - 1]
     if n:
-        # The angle swept about v(rho) from v0 to the first arc's end.
+        # The angle swept about v(rho) from v0 to the first arc's end; a v0
+        # on the line beyond v(-rho) is that end up to rounding, and sweeps
+        # none (a phase of +-1e-16 would cost a full turn there or back).
         c = centers[+1.0]
-        dur = arc_duration(rho, rs.mu, cmath.phase((ends[0] - c) / (w0 - c)))
+        dur = 0.0
+        if abs(ends[0] - w0) > tol:
+            dur = arc_duration(rho, rs.mu, cmath.phase((ends[0] - c) / (w0 - c)))
         if dur > 0.0:
             segments.insert(0, (dur, rho))
         else:

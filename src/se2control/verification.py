@@ -1,8 +1,9 @@
 """Numerical verification suites for a given system.
 
-Each suite re-checks one structural fact on the concrete system with seeded
-random sampling: the strict spectral-bound inequality behind the invariant
-ball, ball invariance itself, conjugacy of the closed-form flow against an
+Each suite re-checks one structural fact on the concrete system: the strict
+spectral-bound inequality behind the invariant ball, on a sweep; the ball's
+invariance certificate, with a seeded cross-check and flow probes; and, with
+seeded random sampling, conjugacy of the closed-form flow against an
 independent RK4 integration, the semigroup property of the flow, and strict
 growth of the monotone functional in the degenerate case.  Suites that do not
 apply to the system's case are reported as skipped with the reason.
@@ -20,8 +21,8 @@ from .group import TWO_PI, angle_dist, to_complex
 from .reachability import DEFAULT_N_CONTROLS, control_grid, degenerate_structure_check
 from .system import Plant, classify, larc, reduced_range
 
-# Samples drawn by the conjugacy and semigroup suites, and by default by the
-# ball_invariance suite (the CLI's --samples).
+# Samples drawn by the conjugacy and semigroup suites, and by default the
+# points of each kind in the ball_invariance cross-check (the CLI's --samples).
 FLOW_SAMPLES = 50
 DEFAULT_SAMPLES = 2000
 
@@ -92,6 +93,7 @@ def _suite_bound_sweep(plant: Plant, seed: int, n_samples: int) -> SuiteResult:
 
 
 def _suite_ball_invariance(plant: Plant, seed: int, n_samples: int) -> SuiteResult:
+    """The ball's certificate, cross-checked at n_samples points of each kind and probed by flows."""
     if plant.spec.lam == 0.0:
         return SuiteResult("ball_invariance", "skipped", "requires trace A != 0")
     if plant.chart != "psi":
@@ -108,10 +110,13 @@ def _suite_ball_invariance(plant: Plant, seed: int, n_samples: int) -> SuiteResu
         status,
         metrics={
             "samples": rep.n_samples,
+            "max_inward_velocity": rep.max_inward_velocity,
+            "touching_point": list(rep.touching_point),
+            "mu_in_omega": rep.mu_in_omega,
             "violations_inward": rep.violations_inward,
             "violations_outward": rep.violations_outward,
-            "min_margin_inward": rep.min_margin_inward,
-            "min_margin_outward": rep.min_margin_outward,
+            "probe_violations": rep.probe_violations,
+            "tolerance": rep.tolerance,
         },
     )
 

@@ -13,6 +13,7 @@ import pytest
 from conftest import angle_gap, chord_ratio_limit, rk4_full, rk4_piecewise_reduced, rk4_reduced
 from grid_masks import binary_erode, contains
 from reference_charts import conj_psi1, conj_psi2, flow_product
+from reference_invariance import invariance_by_sample
 from se2control import reachability as R
 from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import check_invariance, chord_excess
@@ -167,16 +168,21 @@ def test_04_spiral_chord_bound_strict_on_dense_grid():
 
 
 def test_05_invariant_ball_zero_violations():
+    # The certificate with its 1e4-point cross-check and flow probes, and the
+    # Monte Carlo oracle flowing 2e3 constant-control samples one by one.
     results = []
     for lam in (1.0, -1.0):
         rs = ReducedSpec(lam, 1.5, (1.0, 0.5), (-1.0, 1.0))
         rep = check_invariance(rs, n_samples=10_000, seed=505)
-        results.append((lam, rep.violations_inward + rep.violations_outward))
-    ok = all(v == 0 for _, v in results)
+        v_in, v_out, _, _ = invariance_by_sample(rs, 1000, 505)
+        results.append((lam, rep.passed, rep.violations_inward + rep.violations_outward
+                        + rep.probe_violations, v_in + v_out))
+    ok = all(passed and v == 0 and o == 0 for _, passed, v, o in results)
     report(
-        "05 invariant ball, 1e4 samples for lam=+1 and lam=-1",
+        "05 invariant ball, certificate with 1e4 cross-check points and 2e3 oracle samples for lam=+1 and lam=-1",
         ok,
-        ", ".join(f"lam={lam:+.0f} violations={v}" for lam, v in results),
+        ", ".join(f"lam={lam:+.0f} certified={passed} violations={v} oracle_violations={o}"
+                  for lam, passed, v, o in results),
     )
 
 

@@ -823,6 +823,45 @@ def test_count_budget_holds_just_below_and_rejects_just_above(option):
         cli._check_count_budget(option, largest + 1)
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_verify_checks_its_sample_cap_before_any_work(tmp_path, capsys, monkeypatch, extra):
+    # The cross-check's peak memory does not grow with --samples, so the
+    # entry caps the work: the cap passes the check and goes on to prepare
+    # the spec, one more sample exits 2 before that.
+    class Reached(Exception):
+        pass
+
+    def reached(spec):
+        raise Reached
+
+    cap = cli.MAX_GRID_BYTES // cli.BYTES_PER_UNIT["--samples"]
+    monkeypatch.setattr(cli, "prepare", reached)
+    argv = ["verify", write_spec(tmp_path, OPEN), "--samples", str(cap + extra)]
+    if not extra:
+        with pytest.raises(Reached):
+            cli.main(argv)
+        return
+    rc, out, err = run_main(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: --samples {cap + 1} needs about {(cap + 1) * 140} bytes, "
+                   "over the 536870912-byte budget\n")
+
+
+def test_verify_ball_suite_on_a_time_scaled_spec_equals_the_unscaled_report(tmp_path, capsys):
+    # OPEN with time scaled by 2^23: the suite once flowed at absolute times
+    # and exited 2 with "flow is not finite at s = 0.013347480739772054".
+    scaled = {"alpha": 2.0**23, "xi": [0.0, 0.0], "A": {"lambda": 2.0**23, "mu": 2.0**24},
+              "eta1": [2.0**23, 0.0], "omega": [-1.0, 1.0]}
+    outs = []
+    for name, data in (("open.json", OPEN), ("scaled.json", scaled)):
+        argv = ["verify", write_spec(tmp_path, data, name), "--suite", "ball_invariance", "--samples", "200"]
+        rc, out, err = run_main(capsys, argv)
+        assert (rc, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["suites"][0]["status"] == "passed"
+
+
 @pytest.mark.parametrize(
     "samples_args",
     [["--samples", "0", "--suite", "ball_invariance"], ["--samples", "-5"]],

@@ -13,7 +13,9 @@ in `classification.boundary_structure`), and `plan_near` and `plan_far`
 when the plan report lost `diagnostics.origin_error` (a copy of the
 top-level `origin_error`), again when the planner took |theta eta| from
 `ReducedSpec.length`, and again when its forward arcs became closed forms
-(only `plan_far` moved); each of those changes is stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
+(only `plan_far` moved), and `verify_open` and `verify_closed` when
+`ball_invariance` came to report its closed-form certificate in place of a
+Monte Carlo; each of those changes is stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
 which holds the spec and control files and receives the outputs.  A cells
 CSV (the file of `--cells-csv`, up to 75k lines) is held as the sha256 and
 byte count of its bytes; every other output is held verbatim.

@@ -30,9 +30,9 @@ from hypothesis import strategies as st
 
 from conftest import rk4_full
 from reference_charts import flow_product
+from reference_invariance import invariance_by_sample
 
 from se2control import flow as F
-from se2control import geometry as G
 from se2control.flow import (
     DEFAULT_RK4_STEP,
     _exp,
@@ -478,38 +478,7 @@ def test_exp_overflow_raises_naming_s():
         _exp(np.float64(710.0), np.float64(3.0))
 
 
-# -- check_invariance against its one-sample-at-a-time definition --------
-
-
-def _length(w):
-    """|w| for a real pair w, as check_invariance measures it: np.abs of x + iy."""
-    return float(np.abs(complex(*w)))
-
-
-def _invariance_by_sample(rs, n, seed, horizon, margin_tol):
-    """The check's sample draw, with each sample flowed by its own call."""
-    rng = np.random.default_rng(seed)
-    ball = rs.ball
-    c, radius = ball.center, ball.radius
-    u = rng.uniform(*rs.omega, size=2 * n)
-    smag = rng.uniform(1e-3, horizon, size=2 * n)
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=2 * n)
-    rad_in = radius * np.sqrt(rng.uniform(0.0, 1.0, size=n))
-    rad_out = radius * (1.0 + rng.uniform(1e-6, 1.0, size=n))
-    tol = margin_tol * max(radius, 1.0)
-    inward, outward = [], []
-    for i in range(n):
-        w = c + rad_in[i] * np.array([np.cos(ang[i]), np.sin(ang[i])])
-        d = _length(flow_r2(rs, -np.sign(rs.lam) * smag[i], w, u[i]) - c)
-        inward.append(radius - d)
-        j = n + i
-        w = c + rad_out[i] * np.array([np.cos(ang[j]), np.sin(ang[j])])
-        if rs.det_a_of_u(u[j]) != 0.0 and _length(w - equilibrium(rs, u[j])) <= 1e-9 * radius:
-            continue
-        d = _length(flow_r2(rs, np.sign(rs.lam) * smag[j], w, u[j]) - c)
-        outward.append(d - rad_out[i])
-    return (sum(m < tol for m in inward), sum(m < tol for m in outward),
-            min(inward), min(outward))
+# -- the ball's certificate against its Monte Carlo oracle ---------------
 
 
 @pytest.mark.parametrize("lam, mu, eta", [
@@ -519,14 +488,17 @@ def _invariance_by_sample(rs, n, seed, horizon, margin_tol):
     (-1.3, -0.6, (-0.2, 1.1)),
 ])
 @pytest.mark.parametrize("margin_tol", [1e-12, 0.05])
-def test_invariance_counts_equal_sample_by_sample(lam, mu, eta, margin_tol, monkeypatch):
-    monkeypatch.setattr(G, "INVARIANCE_HORIZON", 3.0)
-    monkeypatch.setattr(G, "MARGIN_TOL", margin_tol)
+def test_invariance_counts_equal_sample_by_sample(lam, mu, eta, margin_tol):
+    # The certificate passes with no violation; the oracle, flowing each of
+    # its samples by its own call, finds none either at the strict margin
+    # 1e-12 R, and does find samples within 0.05 R of failing, so its
+    # counts are not empty by construction.
     rs = ReducedSpec(lam, mu, np.array(eta), (-1.0, 1.0))
     rep = check_invariance(rs, n_samples=400, seed=3)
-    v_in, v_out, m_in, m_out = _invariance_by_sample(rs, 400, 3, 3.0, margin_tol)
-    assert (rep.violations_inward, rep.violations_outward) == (v_in, v_out)
-    assert (rep.min_margin_inward, rep.min_margin_outward) == (m_in, m_out)
+    assert rep.passed
+    assert (rep.violations_inward, rep.violations_outward, rep.probe_violations) == (0, 0, 0)
+    v_in, v_out, m_in, m_out = invariance_by_sample(rs, 400, 3, 3.0, margin_tol)
+    assert m_in > 0.0 and m_out > 0.0
     if margin_tol == 1e-12:
         assert v_in == v_out == 0
     else:

@@ -7,11 +7,15 @@ import pytest
 from conftest import chord_ratio_limit
 from reference_charts import perp
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_invariance import invariance_by_sample
+
 from se2control import geometry as G
 from se2control.flow import equilibrium, flow_r2
 from se2control.geometry import check_invariance, chord_excess
 from se2control.reachability import GridConfig, estimate_control_set
-from se2control.system import ReducedSpec
+from se2control.system import Circle, ReducedSpec
 
 
 def make_rs(lam=1.0, mu=0.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
@@ -186,18 +190,113 @@ def test_chord_ratio_rejects_zero_arguments():
 # -- invariance ----------------------------------------------------------
 
 
-def test_invariance_pinned_run(monkeypatch):
-    monkeypatch.setattr(G, "INVARIANCE_HORIZON", 3.0)
-    rep = check_invariance(make_rs(lam=1.0, mu=0.0), n_samples=1000, seed=7)
-    assert rep.violations_inward == 0
-    assert rep.violations_outward == 0
-    assert rep.passed
+def _touching_point(rs):
+    """v(mu) in the ball's frame, (v(mu) - c)/R, through flow.equilibrium."""
+    ball = rs.ball
+    return (equilibrium(rs, rs.mu) - ball.center) / ball.radius
 
 
-def test_invariance_mirror_negative_lam(monkeypatch):
-    monkeypatch.setattr(G, "INVARIANCE_HORIZON", 3.0)
-    rep = check_invariance(make_rs(lam=-1.0, mu=0.4), n_samples=1000, seed=7)
-    assert rep.violations_inward == 0 and rep.violations_outward == 0
+def _assert_certified(rs, touching):
+    rep = check_invariance(rs, n_samples=1000, seed=7)
+    assert rep.passed and rep.n_samples == 1000 and rep.mu_in_omega
+    assert (rep.violations_inward, rep.violations_outward, rep.probe_violations) == (0, 0, 0)
+    assert abs(rep.max_inward_velocity) <= 4 * 2.0**-52
+    assert np.allclose(rep.touching_point, touching, rtol=0.0, atol=1e-15)
+    assert np.allclose(rep.touching_point, _touching_point(rs), rtol=0.0, atol=1e-15)
+
+
+def test_invariance_pinned_run():
+    # v(0) = 0, c = (0, -1), R = 1.
+    _assert_certified(make_rs(lam=1.0, mu=0.0), (0.0, 1.0))
+
+
+def test_invariance_mirror_negative_lam():
+    # v(mu) = (0.4, 0), c = (0, -1), R = sqrt(1.16); lam -> -lam, mu -> -mu,
+    # Omega -> -Omega reverses time and keeps the ball and v(mu).
+    touching = (0.4 / math.sqrt(1.16), 1.0 / math.sqrt(1.16))
+    _assert_certified(make_rs(lam=-1.0, mu=0.4), touching)
+    _assert_certified(make_rs(lam=1.0, mu=-0.4), touching)
+
+
+@pytest.mark.parametrize("factor, violations", [(0.99, (78, 85)), (1.0 - 1e-6, (2, 0)), (1.01, (0, 0))])
+def test_cross_check_fails_a_ball_that_is_too_small(factor, violations):
+    # A concentric ball too small is not invariant: points near v(mu), on
+    # its sphere and outside it, move outward in time direction sigma, by
+    # about |lam| r (R - r') at radius r' = factor R.  One 1 % too large is
+    # invariant.  The counts are those of seed 0.
+    rs = make_rs(lam=-1.0, mu=0.4)
+    true = rs.ball
+    rs.__dict__["ball"] = Circle(true.center, factor * true.radius)
+    rep = check_invariance(rs, n_samples=2000, seed=0)
+    assert (rep.violations_inward, rep.violations_outward) == violations
+    assert rep.passed is (factor > 1.0)
+    assert (rep.max_inward_velocity > rep.tolerance) is (factor < 1.0)
+
+
+def test_flow_probes_catch_a_flow_run_backward(monkeypatch):
+    # Run backward, the probes' inward flows leave the ball and their
+    # outward ones enter it.
+    monkeypatch.setattr(G, "flow_r2", lambda rs, s, v, u: flow_r2(rs, -s, v, u))
+    rep = check_invariance(make_rs(lam=-1.0, mu=0.4), n_samples=10, seed=0)
+    assert rep.probe_violations == 16 and not rep.passed
+
+
+@st.composite
+def ball_specs(draw):
+    """(a reduced spec with lam != 0, whether mu lies in Omega): rates 1e-100 to
+    1e100 times O(1) values, lam of either sign and down to 1e-6 of them, and
+    |eta| from 1e-100 to 1e100."""
+    time = 10.0 ** draw(st.integers(-100, 100))
+    length = 10.0 ** draw(st.integers(-100, 100))
+    lam = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, 0.5))
+    lo, hi = -draw(st.floats(0.01, 3.0)), draw(st.floats(0.01, 3.0))
+    inside = draw(st.booleans())
+    if inside:
+        mu = draw(st.floats(lo, hi))
+    else:
+        mu = draw(st.sampled_from([lo - 1.0, hi + 1.0])) * draw(st.floats(1.0, 3.0))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    eta = length * draw(st.floats(0.1, 10.0)) * np.array([math.cos(angle), math.sin(angle)])
+    return ReducedSpec(lam * time, mu * time, eta, (lo * time, hi * time)), inside
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(ball_specs())
+def test_certificate_maximum_equals_the_largest_radial_velocity_on_10k_sphere_points(case):
+    # Radial velocities formed from f(z, u) = (lam + i(mu - u)) z + u eta in
+    # real arithmetic, in the units of R and T that the module docstring
+    # defines, at 10^4 sphere points spaced evenly from v(mu), each with a
+    # control drawn in Omega.  Their maximum, at v(mu), is the certificate's.
+    rs, inside = case
+    rep = check_invariance(rs, n_samples=200, seed=0)
+    assert rep.passed and rep.mu_in_omega is inside
+    assert np.allclose(rep.touching_point, _touching_point(rs), rtol=0.0, atol=1e-12)
+    lo, hi = rs.omega
+    k_len = 1 - math.frexp(rs.ball.radius)[1]
+    k_time = 1 - math.frexp(max(abs(rs.lam), abs(rs.mu - lo), abs(rs.mu - hi)))[1]
+    lam, mu, lo, hi = (math.ldexp(x, k_time) for x in (rs.lam, rs.mu, lo, hi))
+    radius = math.ldexp(rs.ball.radius, k_len)
+    ex, ey = np.ldexp(rs.eta, k_len)
+    angle = math.atan2(rep.touching_point[1], rep.touching_point[0]) + np.arange(10_000) * (2.0 * math.pi / 10_000)
+    dx, dy = radius * np.cos(angle), radius * np.sin(angle)
+    zx, zy = ey + dx, -ex + dy
+    u = np.random.default_rng(0).uniform(lo, hi, size=angle.size)
+    fx = lam * zx - (mu - u) * zy + u * ex
+    fy = lam * zy + (mu - u) * zx + u * ey
+    inward = -math.copysign(1.0, lam) * (dx * fx + dy * fy)
+    assert abs(np.max(inward) - rep.max_inward_velocity * abs(lam) * radius**2) <= rep.tolerance
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(ball_specs())
+def test_oracle_finds_no_violation_where_the_certificate_passes(case):
+    # The Monte Carlo, flowed sample by sample in units of T, with a margin
+    # that allows rounding (-1e-10 R): strict growth of |lam| T R is below
+    # rounding where |lam| T is small.
+    rs, _ = case
+    assert check_invariance(rs, n_samples=200, seed=1).passed
+    v_in, v_out, m_in, m_out = invariance_by_sample(rs, 200, 1, margin_tol=-1e-10)
+    assert (v_in, v_out) == (0, 0), (m_in, m_out)
 
 
 def test_invariance_outward_growth_explicit(rng):

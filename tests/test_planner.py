@@ -170,6 +170,26 @@ def test_plan_whose_centers_coincide_is_over_the_budget():
         plan_periodic(rs, np.array([1.0, 0.0]))
 
 
+def test_plan_from_the_line_beyond_the_far_center_takes_no_first_arc():
+    # A v0 on the line of equilibria beyond v(-rho) is the first arc's end up
+    # to rounding.  The phase between them, about +-1e-16, once kept a first
+    # segment of about 1e-16 s whose complement on the way back cost almost
+    # a full turn (303 of these 400 starts; at d = 0.1, 6 segments lasting
+    # 21.38 s instead of 4 lasting 9.96 s).
+    rs = ReducedSpec(0.0, 1.0, np.array([0.6, 0.8]), (-0.5, 0.5))
+    rho = 0.45
+    near, far = equilibrium(rs, rho), equilibrium(rs, -rho)
+    out = (far - near) / np.linalg.norm(far - near)
+    for d in 0.1 + 0.05 * np.arange(400):
+        plan = plan_periodic(rs, far + d * out, rho)
+        durations = [dur for dur, _ in plan.control.segments]
+        assert len(plan.radii) == plan.diagnostics["arcs"] - 1
+        # Each later arc and the final one: the arc and its complement.
+        assert len(durations) == 2 * len(plan.radii) + 2 * (plan.u_final is not None)
+        assert min(durations) > 1e-3
+        assert plan.closure_error < 1e-12 and plan.origin_error < 1e-12
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(st.floats(1e-6, 1e6), st.floats(0.0, 2000.0), st.floats(0.0, 1.0), st.booleans())
 def test_arc_count_is_one_past_the_first_radius_within_the_limit(gap, steps, frac, on_a_step):

@@ -1,4 +1,6 @@
 """Verification suites: routing by case, determinism and pass criteria."""
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -120,6 +122,36 @@ def test_bound_sweep_margin_equals_the_per_nu_loop(spec):
     assert repr(suite.metrics["min_margin"]) == repr(_loop_min_margin(spec))
 
 
+@st.composite
+def _scaled_ball_pairs(draw):
+    """An open or closed spec with O(1) data, and the same spec time-scaled by
+    2^k (alpha, xi, A, eta1) and translation-scaled by 2^j (xi, eta1)."""
+    part = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.1, 3.0)).map(lambda p: p[0] * p[1])
+    alpha, lam, mu = draw(part), draw(part), draw(part)
+    xi, eta1 = np.array([draw(part), draw(part)]), np.array([draw(part), draw(part)])
+    omega = (-draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)))
+    k, j = draw(st.integers(-300, 300)), draw(st.integers(-300, 300))
+
+    def spec(k, j):
+        a = np.array([[lam, -mu], [mu, lam]])
+        return SystemSpec(math.ldexp(alpha, k), np.ldexp(xi, k + j), np.ldexp(a, k),
+                          np.ldexp(eta1, k + j), omega)
+
+    return spec(0, 0), spec(k, j)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_scaled_ball_pairs())
+def test_ball_suite_is_bit_identical_under_power_of_two_scalings(pair):
+    # The certificate, cross-check and probes run in units of R and T, each
+    # a power of two, so translation and time scalings leave every metric
+    # as it was: the probes once flowed at absolute times and overflowed.
+    want, got = (run_verification(prepare(s), seed=3, suites=["ball_invariance"], n_samples=300)
+                 for s in pair)
+    assert want.passed and want.suites[0].status == "passed"
+    assert repr(got.to_dict()) == repr(want.to_dict())
+
+
 def test_degenerate_case_routes_to_monotone_suite():
     rep = run_verification(prepare(spec_degenerate()), seed=0, n_samples=200)
     by_name = {s.name: s for s in rep.suites}
@@ -144,12 +176,16 @@ def test_suite_metrics_equal_the_library_checks_at_the_same_seed(seed):
     plant = prepare(spec_open())
     (ball,) = run_verification(plant, seed=seed, suites=["ball_invariance"]).suites
     inv = check_invariance(plant.rs, V.DEFAULT_SAMPLES, seed)
+    assert inv.passed and inv.n_samples == V.DEFAULT_SAMPLES
     assert ball.metrics == {
         "samples": inv.n_samples,
+        "max_inward_velocity": inv.max_inward_velocity,
+        "touching_point": list(inv.touching_point),
+        "mu_in_omega": inv.mu_in_omega,
         "violations_inward": inv.violations_inward,
         "violations_outward": inv.violations_outward,
-        "min_margin_inward": inv.min_margin_inward,
-        "min_margin_outward": inv.min_margin_outward,
+        "probe_violations": inv.probe_violations,
+        "tolerance": inv.tolerance,
     }
     spec = spec_degenerate()
     (mono,) = run_verification(prepare(spec), seed=seed, suites=["monotone_functional"]).suites
