@@ -208,10 +208,14 @@ def plan_periodic(
         else:
             del radii[0]  # a first arc of no sweep is left out
 
-    # Final arc: one control whose circle carries w into the origin.
+    # Final arc: one control whose circle carries w into the origin.  w
+    # carries the rounding of the lengths it is formed from (the first arc
+    # ends at x+ + sigma r0, a cancellation of lengths about |v(rho)|), so
+    # within 64 roundings of the largest of them it is the origin: an arc
+    # there would sweep rounding noise, and its complement almost a period.
     u_final = None
     final_radius = 0.0
-    if abs(w) > 1e-15 * scale:
+    if abs(w) > 2.0**-47 * max(length, *lengths):
         u_final = _final_control(rs, w)
         c_fin = complex(*equilibrium(rs, u_final))
         final_radius = abs(c_fin)

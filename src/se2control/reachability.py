@@ -666,7 +666,7 @@ def estimate_control_set(
 
 @dataclass(frozen=True, eq=False)
 class _Steering:
-    """What a steering leg needs that does not depend on the pair, formed once per system.
+    """What :func:`steer_degenerate` needs of one system, formed once per system.
 
     Every pair's arcs start at angle 0, so the arcs' end angles and
     translation increments, the dwell rates at the two dwell angles and the
@@ -675,8 +675,7 @@ class _Steering:
     whose second pushes along -xi), in order.
     """
 
-    exponent: int  # 2**exponent puts xi's largest component in [1, 2)
-    xi: complex  # the spec's xi times 2**exponent: translations are in these units
+    xi: complex  # the spec's xi times the power of two that puts its largest component in [1, 2)
     n2: float  # |xi|^2, in [1, 8)
     u_max: float  # min(-lo, hi) of the rescaled control range [lo, hi]
     arc1: np.ndarray  # duration of the first and last arc; the middle one lasts twice as long
@@ -690,15 +689,15 @@ class _Steering:
 
 
 def _prepare_steering(spec: SystemSpec) -> _Steering:
-    """The pair-independent steering data of `spec` (see :class:`_Steering`).
+    """The steering data of `spec` (see :class:`_Steering`), in units of xi.
 
     It works in the A = 0 normal-form chart: flow_detA0 with the control
     rescaled to alpha u, over alpha * Omega, in units of xi: xi times the
     power of two that puts its largest component in [1, 2), exactly, as in
-    :func:`system.larc`.  There each dwell drift w is about 2 sin^2(t/2) >=
-    4e-20, far above rounding, so det > 0.  Raises ValueError unless A = 0
-    and the rank condition holds.  A system with no usable epsilon gets
-    empty arrays, and its legs raise.
+    :func:`system.larc`.  That scaling moves no segment, and there each
+    dwell drift w is about 2 sin^2(t/2) >= 4e-20, far above rounding, so
+    det > 0.  Raises ValueError unless A = 0 and the rank condition holds.
+    A system with no usable epsilon gets empty arrays, and steering it raises.
     """
     if not spec.a_is_zero:
         raise ValueError("the A = 0 chart requires A = 0")
@@ -730,7 +729,6 @@ def _prepare_steering(spec: SystemSpec) -> _Steering:
     use = ~((sin1 <= 0.0) | (sin2 >= 0.0))
     sin1, sin2, w1, w2 = sin1[use], sin2[use], w1[use], w2[use]
     return _Steering(
-        exponent=exponent,
         xi=xi,
         n2=n2,
         u_max=u_max,
@@ -752,14 +750,40 @@ def _dwell(xi: complex, z, tau, rate) -> np.ndarray:
     return np.where(tau > 0.0, z + ((tau - tau) * (1j * xi) + tau * rate), z)
 
 
-def _steer_leg(steering: _Steering, v_from, v_to) -> tuple:
-    """:func:`steer_degenerate` on the prepared data of its system, in its units of xi."""
+def steer_degenerate(steering: _Steering, v_from, v_to) -> tuple:
+    """Best-effort steering of the normalized degenerate system, one pair per row, in units of xi.
+
+    Moves (0, v_from) toward (0, v_to) with a drive/dwell/drive/dwell/drive
+    control built from small angle excursions +-eps: dwelling at angle t
+    pushes v at the fixed rate sin(t) xi + (1 - cos t) theta xi, so shrinking
+    eps trades time for precision along +-xi while the unavoidable drift
+    (along +theta xi) vanishes like eps.  Motion along -theta xi is
+    impossible, so targets with a negative theta-xi component keep an
+    irreducible residual.
+
+    `steering` is :func:`_prepare_steering`'s data of one system, and v_from
+    and v_to are in its units of xi.  The dwell durations are solved
+    against the *realized* dwell angles of the arc segments and the dwell
+    rates the flow itself will use, so feasible targets are hit to
+    arithmetic rounding.  Every pair tries each usable epsilon of
+    STEER_EPSILONS, 30 from 0.3 down to 3e-10, and the one of least
+    evaluated residual wins (the first of equals).  The arcs start at angle
+    0 whatever the pair, so each pair adds their prepared increments to its
+    own translation, in flow order, and evaluates its end exactly as the
+    flow of its five segments would.
+
+    v_from and v_to have shape (n, 2) or (2,) and broadcast.  Returns
+    (segments, ends, residuals) of shapes (n, 5, 2), (n, 3) and (n,): the
+    winning (duration, u) segments, the exactly evaluated end state
+    [t, v_x, v_y] and its residual |v_end - v_to| + |t_end|.  Each row
+    equals its one-row call bit for bit.  Raises ValueError when the system
+    has no usable epsilon or a duration is not finite.
+    """
     xi, n2 = steering.xi, steering.n2
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
     v_from, v_to = v_from.reshape(-1, 2), v_to.reshape(-1, 2)
     # conj(xi) w holds <w, xi> and <w, i xi> as its real and imaginary parts.
-    step = to_complex(v_to) - to_complex(v_from)
-    proj = xi.conjugate() * step
+    proj = xi.conjugate() * (to_complex(v_to) - to_complex(v_from))
     a_t = (proj.real / n2)[:, None]
     b_t = (proj.imag / n2)[:, None]
     u_d = 0.9 * steering.u_max
@@ -790,8 +814,7 @@ def _steer_leg(steering: _Steering, v_from, v_to) -> tuple:
     segments = np.empty(tau1.shape + (5, 2))
     segments[..., 0] = np.stack(np.broadcast_arrays(arc1, tau1, 2.0 * arc1, tau2, arc1), -1)
     segments[..., 1] = (u_d, 0.0, -u_d, 0.0, u_d)
-    still = step == 0.0
-    if not np.isfinite(segments[~still]).all():  # as PiecewiseControl rejects them
+    if not np.isfinite(segments).all():  # as PiecewiseControl rejects them
         raise ValueError("segment durations must be finite and >= 0")
     # The five segments in flow order: each arc adds its increment, each
     # dwell its own, and every leg ends at the arcs' end angle.
@@ -800,54 +823,10 @@ def _steer_leg(steering: _Steering, v_from, v_to) -> tuple:
     # The first of equals wins, as min() picks it.
     best = np.array([min(range(len(r)), key=r.__getitem__) for r in residuals.tolist()], dtype=int)
     rows = np.arange(len(best))
-    segments, residuals = segments[rows, best], residuals[rows, best]
     ends = np.empty((len(best), 3))
     ends[:, 0] = steering.end_angle[best]
     ends[:, 1:] = to_pairs(z_end[rows, best])
-    segments[still] = 0.0
-    ends[still] = 0.0
-    ends[still, 1:] = v_from[still]
-    residuals[still] = 0.0
-    return segments, ends, residuals
-
-
-def steer_degenerate(spec: SystemSpec, v_from, v_to) -> tuple:
-    """Best-effort steering of the normalized degenerate system, one pair per row.
-
-    Moves (0, v_from) toward (0, v_to) with a drive/dwell/drive/dwell/drive
-    control built from small angle excursions +-eps: dwelling at angle t
-    pushes v at the fixed rate sin(t) xi + (1 - cos t) theta xi, so shrinking
-    eps trades time for precision along +-xi while the unavoidable drift
-    (along +theta xi) vanishes like eps.  Motion along -theta xi is
-    impossible, so targets with a negative theta-xi component keep an
-    irreducible residual.
-
-    The dwell durations are solved against the *realized* dwell angles of the
-    arc segments and the dwell rates the flow itself will use, so feasible
-    targets are hit to arithmetic rounding.  Every pair tries 30 epsilons
-    from 0.3 down to 3e-10, as rows of (pairs x 30) arrays, and the one of
-    least evaluated residual wins (the first of equals).  The arcs start at
-    angle 0 whatever the pair, so their angles and translation increments,
-    the dwell rates and the solver's coefficients are formed once per call
-    (:func:`_prepare_steering`); each pair adds the increments to its own
-    translation, in flow order, and evaluates its end exactly as the flow
-    of its five segments would.
-
-    v_from and v_to have shape (n, 2) or (2,) and broadcast.  Returns
-    (segments, ends, residuals) of shapes (n, 5, 2), (n, 3) and (n,): the
-    winning (duration, u) segments, the exactly evaluated end state
-    [t, v_x, v_y] and its residual |v_end - v_to| + |t_end|.  A pair with
-    |v_to - v_from| = 0 keeps zero durations, the end (0, v_from) and
-    residual 0.  Each row equals its one-row call bit for bit.  The leg runs
-    in the units of xi of :func:`_prepare_steering`, 2**k times the spec's,
-    which move no segment: v_from and v_to are scaled in, the end
-    translations and residuals (so |t_end| counts 2**-k per radian) back out.
-    """
-    steering = _prepare_steering(spec)
-    k = steering.exponent
-    segments, ends, residuals = _steer_leg(steering, np.ldexp(v_from, k), np.ldexp(v_to, k))
-    ends[:, 1:] = np.ldexp(ends[:, 1:], -k)
-    return segments, ends, np.ldexp(residuals, -k)
+    return segments[rows, best], ends, residuals[rows, best]
 
 
 def _monotone_draws(rng, umin: float, umax: float) -> tuple:
@@ -888,11 +867,9 @@ class DegenerateReport:
 
     n_trajectories: int
     min_functional_increment: float
-    pairs: list
     n_mutual: int
     counterexamples: int
     irreversible_confirmed: int
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -917,13 +894,13 @@ def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateRep
     mutual pair satisfies |<v0 - v1, i xi>| < LINE_TOL.  A pair is mutual
     when both steering residuals are below PAIR_TOL.  Translation
     equivariance makes v0 irrelevant; the check uses v0 = 0.  The pairs run
-    in the steering's units of xi (:func:`_prepare_steering`), |xi| in
-    [1, 2 sqrt 2), with targets 0.3 to 1.5 along xi / |xi| and up to 0.5
-    across it, so a power-of-two scaling of xi leaves the report unchanged.
+    in units of xi (:func:`_prepare_steering`), |xi| in [1, 2 sqrt 2), with
+    targets 0.3 to 1.5 along xi / |xi| and up to 0.5 across it, so a
+    power-of-two scaling of xi leaves the report unchanged.
 
     All random draws come first, in a fixed order, and the pairs are
-    steered in one batched leg forward and one in reverse.  Raises
-    ValueError when a steering value is not finite.
+    steered in one batched :func:`steer_degenerate` leg forward and one in
+    reverse.  Raises ValueError when a steering value is not finite.
     """
     steering = _prepare_steering(spec)
     xi, u_max = steering.xi, steering.u_max
@@ -942,27 +919,20 @@ def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateRep
         d = rng.uniform(0.05, 0.5) * (1.0 if rng.uniform() < 0.5 else -1.0) if off_line else 0.0
         offsets.append((c, d))
     c, d = np.array(offsets, dtype=float).reshape(-1, 2).T
-    _, end_f, res_f = _steer_leg(steering, np.zeros(2), to_pairs(c * xin + d * (1j * xin)))
+    _, end_f, res_f = steer_degenerate(steering, np.zeros(2), to_pairs(c * xin + d * (1j * xin)))
     p = end_f[:, 1:]
-    _, _, res_r = _steer_leg(steering, p, np.zeros(2))
+    _, _, res_r = steer_degenerate(steering, p, np.zeros(2))
     if not (np.isfinite(end_f).all() and np.isfinite(res_f).all() and np.isfinite(res_r).all()):
         raise ValueError("degenerate check: steering values are not finite")
     mutual = (res_f < PAIR_TOL) & (res_r < PAIR_TOL)
     functional = np.abs((xi.conjugate() * to_complex(p)).imag)
-    angle_dev = angle_dist(end_f[:, 0], 0.0)
     off_line = np.arange(len(c)) % 4 >= 2
-    bad = (functional >= LINE_TOL) | (angle_dev >= 1e-9)
-    keys = ("target_along", "target_offset", "forward_residual", "reverse_residual",
-            "mutual", "functional", "angle_deviation")
-    columns = (c, d, res_f, res_r, mutual, functional, angle_dev)
-    pairs = [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
+    bad = (functional >= LINE_TOL) | (angle_dist(end_f[:, 0], 0.0) >= 1e-9)
 
     return DegenerateReport(
         n_trajectories=DEGENERATE_TRAJECTORIES,
         min_functional_increment=min_inc,
-        pairs=pairs,
         n_mutual=int(mutual.sum()),
         counterexamples=int((mutual & bad).sum()),
         irreversible_confirmed=int((~mutual & off_line).sum()),
-        seed=int(seed),
     )

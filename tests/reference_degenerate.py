@@ -9,10 +9,11 @@ samples over |xi|^2, and steers each direction with a full
 
 The library works in units of xi: xi times the power of two that puts its
 largest component in [1, 2) (`unit_spec`).  It forms the growth of H in
-closed form, and forms the steering's pair-independent data once per check.
-Run on `unit_spec(spec)`, the reference's pairs keep every expression and
-operand order of the library's, so the tests hold the two equal bit for
-bit; its growths differ from the closed form by rounding alone.
+closed form, and forms the steering's pair-independent data once per
+system.  Run on `unit_spec(spec)`, the reference's legs keep every
+expression and operand order of the library's `steer_degenerate`, so the
+tests hold the two equal bit for bit; its growths differ from the closed
+form by rounding alone.
 
 Both read the sizes `DEGENERATE_TRAJECTORIES` and `DEGENERATE_PAIRS` and
 the tolerances from `reachability` at call time, so a test that patches
@@ -29,11 +30,11 @@ from se2control.group import angle_dist, to_complex, to_pairs
 from se2control.system import reduced_range
 
 
-def unit_spec(spec) -> tuple:
-    """(spec with xi times 2**k, k), for the k that puts xi's largest component
-    in [1, 2); eta1, which the A = 0 check does not read, stays."""
+def unit_spec(spec):
+    """The spec with xi times the power of two that puts xi's largest component
+    in [1, 2); eta1, which the A = 0 steering does not read, stays."""
     k = 1 - math.frexp(float(np.abs(spec.xi).max()))[1]
-    return dataclasses.replace(spec, xi=np.ldexp(spec.xi, k)), k
+    return dataclasses.replace(spec, xi=np.ldexp(spec.xi, k))
 
 
 def detA0_rows(xi, s, t, z, u) -> tuple:
@@ -60,14 +61,13 @@ def _endpoints(xi, segments, t, z):
 
 
 def reference_steer_batch(spec, v_from, v_to) -> tuple:
-    """(segments, ends, residuals) of `reachability.steer_degenerate` on a spec whose
-    xi is in its own units, every pair flowed in full."""
+    """(segments, ends, residuals) of `reachability.steer_degenerate` on the
+    steering of a spec already in units of xi, every pair flowed in full."""
     xi, u_max = _chart(spec)
     n2 = float(spec.xi @ spec.xi)
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
     v_from, v_to = v_from.reshape(-1, 2), v_to.reshape(-1, 2)
-    step = to_complex(v_to) - to_complex(v_from)
-    proj = xi.conjugate() * step
+    proj = xi.conjugate() * (to_complex(v_to) - to_complex(v_from))
     a_t = (proj.real / n2)[:, None]
     b_t = (proj.imag / n2)[:, None]
     u_d = 0.9 * u_max
@@ -107,22 +107,16 @@ def reference_steer_batch(spec, v_from, v_to) -> tuple:
     segments = np.empty(tau1.shape + (5, 2))
     segments[..., 0] = np.stack(np.broadcast_arrays(arc1, tau1, 2.0 * arc1, tau2, arc1), -1)
     segments[..., 1] = (u_d, 0.0, -u_d, 0.0, u_d)
-    still = step == 0.0
-    if not np.isfinite(segments[~still]).all():
+    if not np.isfinite(segments).all():
         raise ValueError("segment durations must be finite and >= 0")
     t_end, z_end = _endpoints(xi, segments, t0, z0)
     residuals = np.abs(z_end - to_complex(v_to)[:, None]) + angle_dist(t_end, 0.0)
     best = np.array([min(range(len(r)), key=r.__getitem__) for r in residuals.tolist()], dtype=int)
     rows = np.arange(len(best))
-    segments, residuals = segments[rows, best], residuals[rows, best]
     ends = np.empty((len(best), 3))
     ends[:, 0] = t_end[rows, best]
     ends[:, 1:] = to_pairs(z_end[rows, best])
-    segments[still] = 0.0
-    ends[still] = 0.0
-    ends[still, 1:] = v_from[still]
-    residuals[still] = 0.0
-    return segments, ends, residuals
+    return segments[rows, best], ends, residuals[rows, best]
 
 
 def reference_draws(rng, umin, umax) -> tuple:
@@ -137,12 +131,13 @@ def reference_draws(rng, umin, umax) -> tuple:
 
 
 def reference_check(spec, seed: int = 0) -> tuple:
-    """(report, u, dur, growth) of `reachability.degenerate_structure_check`, step by step.
+    """(report, u, dur, growth, legs) of `reachability.degenerate_structure_check`, step by step.
 
     growth[row, k, j] is the growth of H over |xi|^2 from sample j - 1 to j
     of segment k (sample -1 is the segment's start), each sample flowed
     from the segment's start with `detA0_rows`; the report's
-    min_functional_increment is its least value.
+    min_functional_increment is its least value.  legs holds the
+    (segments, ends, residuals) of the forward and the reverse leg.
     """
     xi, u_max = _chart(spec)
     n2 = float(spec.xi @ spec.xi)
@@ -166,28 +161,23 @@ def reference_check(spec, seed: int = 0) -> tuple:
         offsets.append((c, d))
     c, d = np.array(offsets, dtype=float).reshape(-1, 2).T
     v0 = np.zeros(2)
-    _, end_f, res_f = reference_steer_batch(spec, v0, to_pairs(c * xin + d * (1j * xin)))
+    forward = reference_steer_batch(spec, v0, to_pairs(c * xin + d * (1j * xin)))
+    _, end_f, res_f = forward
     p = end_f[:, 1:]
-    _, _, res_r = reference_steer_batch(spec, p, v0)
+    reverse = reference_steer_batch(spec, p, v0)
+    res_r = reverse[2]
     if not (np.isfinite(end_f).all() and np.isfinite(res_f).all() and np.isfinite(res_r).all()):
         raise ValueError("degenerate check: steering values are not finite")
     mutual = (res_f < R.PAIR_TOL) & (res_r < R.PAIR_TOL)
     functional = np.abs((xi.conjugate() * to_complex(p)).imag)
-    angle_dev = angle_dist(end_f[:, 0], 0.0)
     off_line = np.arange(len(c)) % 4 >= 2
-    bad = (functional >= R.LINE_TOL) | (angle_dev >= 1e-9)
-    keys = ("target_along", "target_offset", "forward_residual", "reverse_residual",
-            "mutual", "functional", "angle_deviation")
-    columns = (c, d, res_f, res_r, mutual, functional, angle_dev)
-    pairs = [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
+    bad = (functional >= R.LINE_TOL) | (angle_dist(end_f[:, 0], 0.0) >= 1e-9)
 
     report = R.DegenerateReport(
         n_trajectories=R.DEGENERATE_TRAJECTORIES,
         min_functional_increment=float(growth.min()),
-        pairs=pairs,
         n_mutual=int(mutual.sum()),
         counterexamples=int((mutual & bad).sum()),
         irreversible_confirmed=int((~mutual & off_line).sum()),
-        seed=int(seed),
     )
-    return report, u, dur, growth
+    return report, u, dur, growth, (forward, reverse)

@@ -90,3 +90,19 @@ def test_every_traced_job_reduces_its_system_at_most_once(tmp_path, tracing):
     finally:
         tr.uninstall()
     assert tr.stat("flow.flow_se2", 0) > 0
+
+
+def test_traced_verify_of_the_degenerate_spec_counts_both_steering_legs(tmp_path, tracing):
+    # The A = 0 check steers its pairs there and back through steer_degenerate,
+    # the function behind reachability.steer_calls: one call per leg.
+    spec = tmp_path / "deg.json"
+    spec.write_text(json.dumps(DEGENERATE))
+    tr = tracing.Tracer(cli.main)
+    tr.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert tr.root(["verify", str(spec), "--samples", "200"]) == 0
+    finally:
+        tr.uninstall()
+    assert tr.stat("reachability.steer_degenerate", 0) == 2
+    assert tracing.layer_metrics(tr, 1, 1.0)["reachability.steer_calls"][0] == 2

@@ -190,6 +190,28 @@ def test_plan_from_the_line_beyond_the_far_center_takes_no_first_arc():
         assert plan.closure_error < 1e-12 and plan.origin_error < 1e-12
 
 
+def test_plan_takes_no_final_arc_on_rounding_noise():
+    # From a start of 1e-12 to 1e-9 nearly across the line of equilibria the
+    # first arc ends at x+ + sigma r0, within rounding of |v(rho)| of the
+    # origin.  An absolute 1e-15 max(1, |v0|) once read that rounding as a
+    # waypoint off the origin in 86 of these 400 plans, and took a final arc
+    # of radius under 2^-48 of the largest of |v0| and |v(+-rho)|, whose
+    # complement cost almost a period.
+    rng = np.random.default_rng(34)
+    for _ in range(400):
+        mu = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        eta = 10.0 ** rng.uniform(-3.0, 3.0) * np.array([math.cos(angle), math.sin(angle)])
+        rs = make_rs(mu=mu, eta=eta, omega=(-(10.0 ** rng.uniform(-3.0, 3.0)), 10.0 ** rng.uniform(-3.0, 3.0)))
+        length = 10.0 ** rng.uniform(-12.0, -9.0)
+        phi = angle + rng.uniform(-1e-3, 1e-3)  # theta eta is at angle + pi/2
+        v0 = length * np.array([math.cos(phi), math.sin(phi)])
+        res = plan_periodic(rs, v0)
+        reach = max(length, *(np.linalg.norm(equilibrium(rs, u)) for u in (res.rho, -res.rho)))
+        assert res.u_final is None or res.final_radius > 2.0**-48 * reach
+        assert res.origin_error <= 1e-10 and res.closure_error <= 1e-10
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(st.floats(1e-6, 1e6), st.floats(0.0, 2000.0), st.floats(0.0, 1.0), st.booleans())
 def test_arc_count_is_one_past_the_first_radius_within_the_limit(gap, steps, frac, on_a_step):

@@ -16,7 +16,7 @@ from reference_charts import perp
 from reference_degenerate import detA0_rows, reference_check, reference_draws, reference_steer_batch, unit_spec
 
 from se2control.flow import PiecewiseControl, equilibrium, flow_detA0, flow_r2
-from se2control.group import to_complex, wrap_angle
+from se2control.group import angle_dist, to_complex, wrap_angle
 from se2control import reachability as R
 from se2control.reachability import (
     GridConfig,
@@ -949,16 +949,16 @@ def make_degenerate():
 
 
 def test_steer_degenerate_reaches_online_targets():
-    spec = make_degenerate()
+    steering = R._prepare_steering(make_degenerate())
     for c in (0.5, 1.0, -0.7):
-        segments, _, residuals = steer_degenerate(spec, np.zeros(2), np.array([c, 0.0]))
+        segments, _, residuals = steer_degenerate(steering, np.zeros(2), np.array([c, 0.0]))
         assert residuals[0] < 1e-9
         assert PiecewiseControl(segments[0].tolist()).within((-1.0, 1.0))
 
 
 def test_steer_degenerate_offline_target_keeps_residual():
-    spec = make_degenerate()
-    _, _, residuals = steer_degenerate(spec, np.zeros(2), np.array([0.5, -0.3]))
+    steering = R._prepare_steering(make_degenerate())
+    _, _, residuals = steer_degenerate(steering, np.zeros(2), np.array([0.5, -0.3]))
     assert residuals[0] > 1e-4
 
 
@@ -975,9 +975,6 @@ def test_degenerate_structure_check_passes(monkeypatch):
     assert rep.counterexamples == 0
     assert rep.n_mutual > 0
     assert rep.irreversible_confirmed > 0
-    for pair in rep.pairs:
-        if pair["mutual"]:
-            assert pair["functional"] < 1e-6
 
 
 def test_degenerate_structure_check_passes_where_the_functional_overflowed():
@@ -992,14 +989,14 @@ def test_degenerate_structure_check_passes_where_the_functional_overflowed():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_degenerate_structure_check_rejects_non_finite_steering(monkeypatch, bad):
-    leg = R._steer_leg
+    leg = R.steer_degenerate
 
     def spoiled(steering, v_from, v_to):
         segments, ends, residuals = leg(steering, v_from, v_to)
         residuals[-1] = bad
         return segments, ends, residuals
 
-    monkeypatch.setattr(R, "_steer_leg", spoiled)
+    monkeypatch.setattr(R, "steer_degenerate", spoiled)
     _size_degenerate_check(monkeypatch, 5, 4)
     with pytest.raises(ValueError, match="steering values are not finite"):
         degenerate_structure_check(make_degenerate())
@@ -1015,14 +1012,12 @@ def _degenerate_specs(rng):
 
 
 def _assert_rows_equal_one_row_calls(spec, v_from, v_to):
-    segments, ends, residuals = steer_degenerate(spec, v_from, v_to)
+    steering = R._prepare_steering(spec)
+    segments, ends, residuals = steer_degenerate(steering, v_from, v_to)
     assert segments.shape == (len(v_from), 5, 2) and ends.shape == (len(v_from), 3)
     for i in range(len(v_from)):
-        one = steer_degenerate(spec, v_from[i], v_to[i])
+        one = steer_degenerate(steering, v_from[i], v_to[i])
         assert [a.shape for a in one] == [(1, 5, 2), (1, 3), (1,)]
-        if np.array_equal(v_from[i], v_to[i]):
-            assert not segments[i].any() and residuals[i] == 0.0
-            assert np.array_equal(ends[i], [0.0, *v_from[i]])
         for a, b in zip(one, (segments, ends, residuals)):
             assert np.array_equal(a[0].view(np.int64), b[i].view(np.int64))
 
@@ -1038,8 +1033,9 @@ def test_steer_degenerate_batch_rows_equal_one_row_calls(rng):
         v_to[7] = v_from[7]
         _assert_rows_equal_one_row_calls(spec, v_from, v_to)
         # One start point broadcast against many targets, as the check calls it.
-        _, ends, residuals = steer_degenerate(spec, v_from[0], v_to)
-        one = steer_degenerate(spec, np.tile(v_from[0], (8, 1)), v_to)
+        steering = R._prepare_steering(spec)
+        _, ends, residuals = steer_degenerate(steering, v_from[0], v_to)
+        one = steer_degenerate(steering, np.tile(v_from[0], (8, 1)), v_to)
         assert np.array_equal(ends, one[1]) and np.array_equal(residuals, one[2])
 
 
@@ -1068,14 +1064,41 @@ def test_steer_degenerate_batch_rows_equal_one_row_calls_on_generated_specs(case
 
 def test_degenerate_structure_check_matches_recorded_reports(monkeypatch):
     # Reports recorded before the check was batched; the bytes must not move.
-    # Half the cases were recorded at 100 trajectories and 12 pairs.
+    # Half the cases were recorded at 100 trajectories and 12 pairs.  The
+    # recordings also hold each pair's residuals, line offset and end angle,
+    # which the report no longer carries: they are read off the two legs the
+    # check steers.
     path = pathlib.Path(__file__).with_name("degenerate_reports.json")
+    legs = _spy_on_legs(monkeypatch)
     for case in json.loads(path.read_text()):
         d = case["spec"]
         spec = SystemSpec(d["alpha"], d["xi"], np.zeros((2, 2)), d["eta1"], tuple(d["omega"]))
         _size_degenerate_check(monkeypatch, case["n_samples"], case["n_pairs"])
+        legs.clear()
         rep = degenerate_structure_check(spec, seed=case["seed"])
-        assert json.dumps(_report(rep), sort_keys=True) == json.dumps(case["report"], sort_keys=True)
+        want = case["report"]
+        assert json.dumps(_report(rep), sort_keys=True) == json.dumps(
+            {key: want[key] for key in _report(rep)}, sort_keys=True
+        )
+        (_, end_f, res_f), (_, _, res_r) = legs
+        xi = R._prepare_steering(spec).xi
+        columns = {
+            "forward_residual": res_f,
+            "reverse_residual": res_r,
+            "mutual": (res_f < R.PAIR_TOL) & (res_r < R.PAIR_TOL),
+            "functional": np.abs((xi.conjugate() * to_complex(end_f[:, 1:])).imag),
+            "angle_deviation": angle_dist(end_f[:, 0], 0.0),
+        }
+        got = [dict(zip(columns, row)) for row in zip(*(col.tolist() for col in columns.values()))]
+        recorded = [{key: pair[key] for key in columns} for pair in want["pairs"]]
+        assert json.dumps(got, sort_keys=True) == json.dumps(recorded, sort_keys=True)
+
+
+def _spy_on_legs(monkeypatch) -> list:
+    """The list that every steer_degenerate call of the check appends its result to."""
+    legs, steer = [], R.steer_degenerate
+    monkeypatch.setattr(R, "steer_degenerate", lambda *args: legs.append(steer(*args)) or legs[-1])
+    return legs
 
 
 def _report(rep) -> dict:
@@ -1124,41 +1147,49 @@ def _growth_bound(u, dur, growth):
     return 2.0**-45 * (1.0 + sweep) * (total + np.abs(h_prev) + np.abs(h))
 
 
+def _assert_bits_equal(got, want):
+    """Two (segments, ends, residuals) legs hold the same bits."""
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(_degenerate_check_cases())
 def test_degenerate_structure_check_equals_the_stepwise_reference(case):
-    # The reference runs in the units of xi the library takes: there the
-    # pairs of (b) must equal it bit for bit, and every closed-form growth of
-    # (a) must lie within _growth_bound of the stepwise one.
+    # The reference runs in the units of xi the library takes: there both
+    # legs of (b) and the counts must equal it bit for bit, and every
+    # closed-form growth of (a) must lie within _growth_bound of the stepwise one.
     spec, seed = case
-    unit, k = unit_spec(spec)
+    unit = unit_spec(spec)
     want = _outcome(reference_check, unit, seed)
-    got = _outcome(degenerate_structure_check, spec, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        legs = _spy_on_legs(patch)
+        got = _outcome(degenerate_structure_check, spec, seed)
     if isinstance(want, str):
         assert got == want
         return
-    want, u, dur, growth = want
+    want, u, dur, growth, want_legs = want
     closed = R._functional_increments(u, dur)
     assert got.min_functional_increment == closed.min()
     assert np.all(np.abs(closed - growth) <= _growth_bound(u, dur, growth))
     # The verdict is left out: where u h is tiny, rounding leaves the
     # stepwise growth 0 or below while the closed form stays positive.
-    pairs_only = [{**_report(rep), "min_functional_increment": None, "passed": None} for rep in (got, want)]
-    assert json.dumps(pairs_only[0], sort_keys=True) == json.dumps(pairs_only[1], sort_keys=True)
-    # The legs on their own, with a pair at rest: the library's rows are the
-    # reference's on the unit spec, scaled back by 2**-k.
+    counts = [{**_report(rep), "min_functional_increment": None, "passed": None} for rep in (got, want)]
+    assert json.dumps(counts[0], sort_keys=True) == json.dumps(counts[1], sort_keys=True)
+    assert len(legs) == 2
+    for leg, want_leg in zip(legs, want_legs):
+        _assert_bits_equal(leg, want_leg)
+    # The legs on their own, on points of either size in units of xi: the
+    # library's rows are the reference's on the unit spec.
     rng = np.random.default_rng(seed)
-    v_from = rng.normal(size=(5, 2)) * float(np.abs(spec.xi).max())
-    v_to = v_from + rng.normal(size=(5, 2)) * float(np.abs(spec.xi).max())
-    v_to[0] = v_from[0]
-    want = _outcome(reference_steer_batch, unit, np.ldexp(v_from, k), np.ldexp(v_to, k))
-    got = _outcome(steer_degenerate, spec, v_from, v_to)
+    v_from = rng.normal(size=(5, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (5, 1))
+    v_to = v_from + rng.normal(size=(5, 2))
+    want = _outcome(reference_steer_batch, unit, v_from, v_to)
+    got = _outcome(lambda *a: steer_degenerate(R._prepare_steering(spec), *a), v_from, v_to)
     if isinstance(want, str):
         assert got == want
-        return
-    want[1][:, 1:] = np.ldexp(want[1][:, 1:], -k)
-    for a, b in zip(got, (want[0], want[1], np.ldexp(want[2], -k))):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    else:
+        _assert_bits_equal(got, want)
 
 
 def test_degenerate_structure_check_flows_in_batches(monkeypatch):
@@ -1238,21 +1269,18 @@ def test_steering_determinant_is_positive_at_every_magnitude(spec):
 def test_steer_degenerate_is_finite_and_covariant_at_extreme_xi(rng, xi):
     # In the spec's units the first wrote numpy warnings and raised "segment
     # durations must be finite and >= 0"; the second raised on |xi|^2 = 0.
+    # In units of xi the steering of xi scaled by any power of two is the same.
     spec = SystemSpec(1.0, np.array(xi), np.zeros((2, 2)), np.zeros(2), (-1.0, 1.0))
     unit = spec.xi / np.abs(spec.xi).max()
-    v_from = rng.normal(size=(6, 2)) * np.abs(spec.xi).max()
-    v_to = v_from + rng.uniform(-1.5, 1.5, (6, 1)) * unit + rng.uniform(-0.5, 0.5, (6, 1)) * perp(unit) * np.abs(spec.xi).max()
-    v_to[5] = v_from[5]
+    v_from = rng.normal(size=(6, 2))
+    v_to = v_from + rng.uniform(-1.5, 1.5, (6, 1)) * unit + rng.uniform(-0.5, 0.5, (6, 1)) * perp(unit)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = steer_degenerate(spec, v_from, v_to)
+        rows = steer_degenerate(R._prepare_steering(spec), v_from, v_to)
         assert all(np.isfinite(a).all() for a in rows)
         for j in (-3, 1, 600 if xi[0] < 1.0 else -600):
             scaled = dataclasses.replace(spec, xi=np.ldexp(spec.xi, j))
-            segments, ends, residuals = steer_degenerate(scaled, np.ldexp(v_from, j), np.ldexp(v_to, j))
-            assert np.array_equal(segments, rows[0]) and np.array_equal(ends[:, 0], rows[1][:, 0])
-            assert np.array_equal(np.ldexp(ends[:, 1:], -j), rows[1][:, 1:])
-            assert np.array_equal(np.ldexp(residuals, -j), rows[2])
+            _assert_bits_equal(steer_degenerate(R._prepare_steering(scaled), v_from, v_to), rows)
 
 
 @st.composite
@@ -1314,10 +1342,12 @@ def test_steering_ends_equal_the_flow_of_their_segments(rng):
         v_from = rng.normal(size=(6, 2))
         v_to = v_from + rng.uniform(-1.5, 1.5, size=(6, 1)) * xi + rng.uniform(-0.5, 0.5, size=(6, 1)) * perp(xi)
         v_to[5] = v_from[5]
-        segments, ends, _ = steer_degenerate(spec, v_from, v_to)
+        # The steering runs in units of xi, where the spec is unit_spec's.
+        segments, ends, _ = steer_degenerate(R._prepare_steering(spec), v_from, v_to)
+        unit = unit_spec(spec)
         for i in range(len(v_from)):
             g = np.array([0.0, *v_from[i]])
             for dur, u in segments[i]:
                 if dur > 0.0:
-                    g = flow_detA0(spec, dur, g, u)
+                    g = flow_detA0(unit, dur, g, u)
             assert np.array_equal(g, ends[i])

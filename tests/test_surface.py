@@ -11,9 +11,9 @@ when the ``__init__`` it defines itself (a dataclass's generated one too)
 runs, that is, when a job constructs it.  A class with no ``__init__`` of
 its own, such as an exception subclass, counts as used when its name occurs
 as an ``ast.Name`` or as an ``ast.Attribute``'s attribute in the package.
-Exempt are the functions that the benchmark's tracer wraps by name
-(``perfbench/tracing.py``'s ``TARGETS``, read as
-``test_benchmark_contract.py`` reads them) and the short list below.
+Exempt is only the short list below.  The functions that the benchmark's
+tracer wraps by name get no exemption, so none of its counters can read 0
+on every job.
 
 A public module-level constant is a top-level assignment to a public name.
 It counts as read when its name occurs as an ``ast.Name`` that is loaded, or
@@ -37,7 +37,6 @@ import os
 import pathlib
 import sys
 
-import pytest
 from test_cli_goldens import JOBS, run_job
 
 import se2control
@@ -57,14 +56,6 @@ UNPASSED_ALLOWED = {
     "main.argv": "the entry point: the console script and python -m call main() and "
     "argparse reads sys.argv, while the benchmark and the tests pass their own argv",
 }
-
-
-@pytest.fixture
-def tracing(monkeypatch):
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
-    import tracing
-
-    return tracing
 
 
 def _trees() -> dict:
@@ -146,24 +137,19 @@ def codes_run_by_the_cli_jobs(directory: pathlib.Path) -> dict:
     return seen
 
 
-def exempt_members(tracing) -> set:
-    return {f"{module}.{name}" for module, name, _, _ in tracing.TARGETS} | set(ALLOWED)
-
-
-def test_every_public_definition_has_a_use_in_src(tracing, tmp_path):
+def test_every_public_definition_has_a_use_in_src(tmp_path):
     """Every public member runs in a CLI job, unless it is exempt."""
     members, bare = public_members()
-    exempt = exempt_members(tracing)
     run = codes_run_by_the_cli_jobs(tmp_path)
     used = used_names(_trees())
     unrun = [name for name, code in members.items() if id(code) not in run]
     unused = [name for name in bare if name.rsplit(".", 1)[1] not in used]
-    assert sorted(set(unrun + unused) - exempt) == []
+    assert sorted(set(unrun + unused) - set(ALLOWED)) == []
 
 
-def test_every_exemption_names_a_public_definition(tracing):
+def test_every_exemption_names_a_public_definition():
     members, bare = public_members()
-    assert sorted(exempt_members(tracing) - set(members) - set(bare)) == []
+    assert sorted(set(ALLOWED) - set(members) - set(bare)) == []
 
 
 def public_constants(trees: dict) -> list:
