@@ -157,6 +157,12 @@ def control_grid(omega, n: int) -> np.ndarray:
     return np.unique(np.concatenate([np.linspace(lo, hi, int(n)), [0.0]]))
 
 
+def _rate(rs: ReducedSpec) -> float:
+    """max(|lam|, |mu - u-|, |mu - u+|), the reduced flow's fastest rate over Omega."""
+    lo, hi = rs.omega
+    return max(abs(rs.lam), abs(rs.mu - lo), abs(rs.mu - hi))
+
+
 def default_grid_config(
     rs: ReducedSpec,
     resolution: float | None = None,
@@ -169,10 +175,9 @@ def default_grid_config(
 
     lam != 0: box = invariant-ball center +- 1.5 * radius, cell = radius/200.
     lam == 0: box = +-4 r, cell = r/50, for the test disk's radius r.  Time step
-    0.05 / max(|lam|, |mu - u-|, |mu - u+|, 1), DEFAULT_N_CONTROLS controls and
-    at most DEFAULT_MAX_CELLS cells.
+    0.05 / max(|lam|, |mu - u-|, |mu - u+|) (see :func:`_rate`),
+    DEFAULT_N_CONTROLS controls and at most DEFAULT_MAX_CELLS cells.
     """
-    lo, hi = rs.omega
     scale = rs.length
     if rs.lam != 0.0:
         ball = rs.ball
@@ -190,7 +195,7 @@ def default_grid_config(
         if resolution is None:
             resolution = radius / 50.0
     if time_step is None:
-        time_step = 0.05 / max(abs(rs.lam), abs(rs.mu - lo), abs(rs.mu - hi), 1.0)
+        time_step = 0.05 / _rate(rs)
     return GridConfig(
         bounds=bounds,
         resolution=resolution,
@@ -489,11 +494,11 @@ def reach_backward(rs: ReducedSpec, x0, cfg: GridConfig) -> ReachSet:
 
 
 def default_seed_control(rs: ReducedSpec) -> float:
-    """An interior control away from mu to seed the estimate from."""
+    """An interior control more than 0.05 * :func:`_rate` from mu to seed the estimate from."""
     lo, hi = rs.omega
     candidates = (0.5 * hi, 0.5 * lo, 0.25 * hi, 0.25 * lo, 0.75 * hi, 0.75 * lo)
     for u in candidates:
-        if abs(u - rs.mu) > 0.05 * max(1.0, abs(rs.mu)):
+        if abs(u - rs.mu) > 0.05 * _rate(rs):
             return float(u)
     # 0.75 lo and 0.75 hi have opposite signs: the farthest candidate is not mu.
     return float(max(candidates, key=lambda u: abs(u - rs.mu)))
@@ -670,34 +675,38 @@ class _Steering:
 
     Every pair's arcs start at angle 0, so the arcs' end angles and
     translation increments, the dwell rates at the two dwell angles and the
-    dwell solver's coefficients depend only on the epsilons.  The arrays
-    hold the usable epsilons (those whose first dwell pushes along +xi and
-    whose second pushes along -xi), in order.
+    dwell solver's coefficients depend only on the epsilons: one entry of
+    each array per epsilon of STEER_EPSILONS, in order.
     """
 
     xi: complex  # the spec's xi times the power of two that puts its largest component in [1, 2)
     n2: float  # |xi|^2, in [1, 8)
-    u_max: float  # min(-lo, hi) of the rescaled control range [lo, hi]
+    u_max: float  # min(-lo, hi) of the rescaled control range [lo, hi] in units of time, in [1, 2)
     arc1: np.ndarray  # duration of the first and last arc; the middle one lasts twice as long
     turns: tuple  # translation increments of the three arcs
     rates: tuple  # dwell rates Lambda_t xi at the angles the first and second arcs end at
     # (sin1, sin2, w1, w2, det): <rate, xi> / |xi|^2 and <rate, i xi> / |xi|^2
-    # (negative values cleared) of each dwell, and sin1 w2 - sin2 w1.
+    # of each dwell, and sin1 w2 - sin2 w1.
     solver: tuple
     end_angle: np.ndarray  # the angle every leg ends at
     end_dist: np.ndarray  # its distance to angle 0
 
 
 def _prepare_steering(spec: SystemSpec) -> _Steering:
-    """The steering data of `spec` (see :class:`_Steering`), in units of xi.
+    """The steering data of `spec` (see :class:`_Steering`), in units of xi and of time.
 
     It works in the A = 0 normal-form chart: flow_detA0 with the control
-    rescaled to alpha u, over alpha * Omega, in units of xi: xi times the
+    rescaled to alpha u, over alpha * Omega.  Units of xi: xi times the
     power of two that puts its largest component in [1, 2), exactly, as in
-    :func:`system.larc`.  That scaling moves no segment, and there each
-    dwell drift w is about 2 sin^2(t/2) >= 4e-20, far above rounding, so
-    det > 0.  Raises ValueError unless A = 0 and the rank condition holds.
-    A system with no usable epsilon gets empty arrays, and steering it raises.
+    :func:`system.larc`.  Units of time: the control range times the power
+    of two that puts u_max = min(-lo, hi) in [1, 2).  A time scaling by c
+    maps (u, xi) to (u / c, xi / c), and xi's own power of two absorbs the
+    xi part, so both scalings are exact and move no segment.  There the
+    first arc ends at angle t1 = eps and the second at 2 pi - eps, so the
+    first dwell pushes along +xi and the second along -xi for every
+    epsilon, each dwell drift w is about 2 sin^2(eps/2) >= 4e-20, far above
+    rounding, and det > 0.  Raises ValueError unless A = 0 and the rank
+    condition holds.
     """
     if not spec.a_is_zero:
         raise ValueError("the A = 0 chart requires A = 0")
@@ -708,6 +717,7 @@ def _prepare_steering(spec: SystemSpec) -> _Steering:
     xi, n2 = complex(*xi_pair), float(xi_pair @ xi_pair)
     lo, hi = reduced_range(spec)
     u_max = min(-lo, hi)
+    u_max = math.ldexp(u_max, 1 - math.frexp(u_max)[1])
     u_d = 0.9 * u_max
     arc1 = STEER_EPSILONS / u_d
     t1, turn1 = _detA0_increments(xi, arc1, 0.0, u_d)
@@ -715,29 +725,19 @@ def _prepare_steering(spec: SystemSpec) -> _Steering:
     t3, turn3 = _detA0_increments(xi, arc1, t2, u_d)
     # The dwell rates exactly as the flow applies them at the realized angles.
     rate1, rate2 = dwell_rate(t1, xi), dwell_rate(t2, xi)
-    proj1 = xi.conjugate() * rate1
-    proj2 = xi.conjugate() * rate2
-    sin1 = proj1.real / n2
-    sin2 = proj2.real / n2
-    # The dwell drift cannot point along -i xi; tiny negative values are
-    # rounding noise from the chart arithmetic, and feeding them to the
-    # solver would fabricate huge dwells that ride the noise.
-    w1 = proj1.imag / n2
-    w2 = proj2.imag / n2
-    w1 = np.where(w1 < 0.0, 0.0, w1)
-    w2 = np.where(w2 < 0.0, 0.0, w2)
-    use = ~((sin1 <= 0.0) | (sin2 >= 0.0))
-    sin1, sin2, w1, w2 = sin1[use], sin2[use], w1[use], w2[use]
+    proj1, proj2 = xi.conjugate() * rate1, xi.conjugate() * rate2
+    sin1, w1 = proj1.real / n2, proj1.imag / n2
+    sin2, w2 = proj2.real / n2, proj2.imag / n2
     return _Steering(
         xi=xi,
         n2=n2,
         u_max=u_max,
-        arc1=arc1[use],
-        turns=(turn1[use], turn2[use], turn3[use]),
-        rates=(rate1[use], rate2[use]),
+        arc1=arc1,
+        turns=(turn1, turn2, turn3),
+        rates=(rate1, rate2),
         solver=(sin1, sin2, w1, w2, sin1 * w2 - sin2 * w1),
-        end_angle=t3[use],
-        end_dist=angle_dist(t3[use], 0.0),
+        end_angle=t3,
+        end_dist=angle_dist(t3, 0.0),
     )
 
 
@@ -751,7 +751,7 @@ def _dwell(xi: complex, z, tau, rate) -> np.ndarray:
 
 
 def steer_degenerate(steering: _Steering, v_from, v_to) -> tuple:
-    """Best-effort steering of the normalized degenerate system, one pair per row, in units of xi.
+    """Best-effort steering of the normalized degenerate system, one pair per row, in units of xi and of time.
 
     Moves (0, v_from) toward (0, v_to) with a drive/dwell/drive/dwell/drive
     control built from small angle excursions +-eps: dwelling at angle t
@@ -762,12 +762,12 @@ def steer_degenerate(steering: _Steering, v_from, v_to) -> tuple:
     irreducible residual.
 
     `steering` is :func:`_prepare_steering`'s data of one system, and v_from
-    and v_to are in its units of xi.  The dwell durations are solved
-    against the *realized* dwell angles of the arc segments and the dwell
-    rates the flow itself will use, so feasible targets are hit to
-    arithmetic rounding.  Every pair tries each usable epsilon of
-    STEER_EPSILONS, 30 from 0.3 down to 3e-10, and the one of least
-    evaluated residual wins (the first of equals).  The arcs start at angle
+    and v_to are in its units of xi; the segments are in its units of time.
+    The dwell durations are solved against the *realized* dwell angles of
+    the arc segments and the dwell rates the flow itself will use, so
+    feasible targets are hit to arithmetic rounding.  Every pair tries each
+    epsilon of STEER_EPSILONS, 30 from 0.3 down to 3e-10, and the one of
+    least evaluated residual wins (the first of equals).  The arcs start at angle
     0 whatever the pair, so each pair adds their prepared increments to its
     own translation, in flow order, and evaluates its end exactly as the
     flow of its five segments would.
@@ -776,8 +776,8 @@ def steer_degenerate(steering: _Steering, v_from, v_to) -> tuple:
     (segments, ends, residuals) of shapes (n, 5, 2), (n, 3) and (n,): the
     winning (duration, u) segments, the exactly evaluated end state
     [t, v_x, v_y] and its residual |v_end - v_to| + |t_end|.  Each row
-    equals its one-row call bit for bit.  Raises ValueError when the system
-    has no usable epsilon or a duration is not finite.
+    equals its one-row call bit for bit.  Raises ValueError when a duration
+    is not finite.
     """
     xi, n2 = steering.xi, steering.n2
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
@@ -787,8 +787,6 @@ def steer_degenerate(steering: _Steering, v_from, v_to) -> tuple:
     a_t = (proj.real / n2)[:, None]
     b_t = (proj.imag / n2)[:, None]
     u_d = 0.9 * steering.u_max
-    if not len(steering.arc1):
-        raise ValueError("degenerate steering has no usable dwell angle for this xi")
 
     # The arcs add their prepared increments to each pair's translation;
     # their durations eps / u_d are positive, so every arc moves.
@@ -820,8 +818,8 @@ def steer_degenerate(steering: _Steering, v_from, v_to) -> tuple:
     # dwell its own, and every leg ends at the arcs' end angle.
     z_end = _dwell(xi, _dwell(xi, z1, tau1, rate1) + turn2, tau2, rate2) + turn3
     residuals = np.abs(z_end - to_complex(v_to)[:, None]) + steering.end_dist
-    # The first of equals wins, as min() picks it.
-    best = np.array([min(range(len(r)), key=r.__getitem__) for r in residuals.tolist()], dtype=int)
+    # The first of equals wins.
+    best = np.argmin(residuals, axis=1)
     rows = np.arange(len(best))
     ends = np.empty((len(best), 3))
     ends[:, 0] = steering.end_angle[best]
@@ -881,7 +879,7 @@ class DegenerateReport:
 
 
 def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateReport:
-    """Verify the two structural facts of the A = 0 case numerically, in units of xi.
+    """Verify the two structural facts of the A = 0 case numerically, in units of xi and of time.
 
     (a) The functional H(v) = <v - v0, i xi> strictly increases along
     DEGENERATE_TRAJECTORIES trajectories of 6 segments (which hold every
@@ -895,12 +893,14 @@ def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateRep
     when both steering residuals are below PAIR_TOL.  Translation
     equivariance makes v0 irrelevant; the check uses v0 = 0.  The pairs run
     in units of xi (:func:`_prepare_steering`), |xi| in [1, 2 sqrt 2), with
-    targets 0.3 to 1.5 along xi / |xi| and up to 0.5 across it, so a
-    power-of-two scaling of xi leaves the report unchanged.
+    targets 0.3 to 1.5 along xi / |xi| and up to 0.5 across it.  Both
+    parts run in its units of time, u_max in [1, 2): the draws of (a) take
+    controls of 0.05 u_max to u_max.  So power-of-two time and translation
+    scalings leave the report unchanged bit for bit.
 
     All random draws come first, in a fixed order, and the pairs are
     steered in one batched :func:`steer_degenerate` leg forward and one in
-    reverse.  Raises ValueError when a steering value is not finite.
+    reverse.
     """
     steering = _prepare_steering(spec)
     xi, u_max = steering.xi, steering.u_max
@@ -922,8 +922,6 @@ def degenerate_structure_check(spec: SystemSpec, seed: int = 0) -> DegenerateRep
     _, end_f, res_f = steer_degenerate(steering, np.zeros(2), to_pairs(c * xin + d * (1j * xin)))
     p = end_f[:, 1:]
     _, _, res_r = steer_degenerate(steering, p, np.zeros(2))
-    if not (np.isfinite(end_f).all() and np.isfinite(res_f).all() and np.isfinite(res_r).all()):
-        raise ValueError("degenerate check: steering values are not finite")
     mutual = (res_f < PAIR_TOL) & (res_r < PAIR_TOL)
     functional = np.abs((xi.conjugate() * to_complex(p)).imag)
     off_line = np.arange(len(c)) % 4 >= 2

@@ -1,4 +1,4 @@
-"""The A = 0 structure check and steering, flowed step by step in the spec's own units.
+"""The A = 0 structure check and steering, flowed step by step on the spec they are given.
 
 `reference_steer_batch` flows every pair's three rehearsal arcs, and then
 its five segments one `detA0_rows` pass each.  `reference_check` draws its
@@ -7,10 +7,12 @@ segment with `detA0_rows`, takes the growth of H(v) = <v, i xi> between
 samples over |xi|^2, and steers each direction with a full
 `reference_steer_batch` call.
 
-The library works in units of xi: xi times the power of two that puts its
-largest component in [1, 2) (`unit_spec`).  It forms the growth of H in
-closed form, and forms the steering's pair-independent data once per
-system.  Run on `unit_spec(spec)`, the reference's legs keep every
+The library works in units of xi and of time: xi times the power of two
+that puts its largest component in [1, 2), and alpha times the power of
+two that puts u_max = min(-lo, hi) of alpha * Omega in [1, 2)
+(`unit_spec`).  It forms the growth of H in closed form, and forms the
+steering's pair-independent data once per system.  Run on
+`unit_spec(spec)`, the reference's legs keep every
 expression and operand order of the library's `steer_degenerate`, so the
 tests hold the two equal bit for bit; its growths differ from the closed
 form by rounding alone.
@@ -32,9 +34,12 @@ from se2control.system import reduced_range
 
 def unit_spec(spec):
     """The spec with xi times the power of two that puts xi's largest component
+    in [1, 2), and alpha times the one that puts min(-lo, hi) of alpha * Omega
     in [1, 2); eta1, which the A = 0 steering does not read, stays."""
     k = 1 - math.frexp(float(np.abs(spec.xi).max()))[1]
-    return dataclasses.replace(spec, xi=np.ldexp(spec.xi, k))
+    lo, hi = reduced_range(spec)
+    e = 1 - math.frexp(min(-lo, hi))[1]
+    return dataclasses.replace(spec, alpha=math.ldexp(spec.alpha, e), xi=np.ldexp(spec.xi, k))
 
 
 def detA0_rows(xi, s, t, z, u) -> tuple:
@@ -62,7 +67,7 @@ def _endpoints(xi, segments, t, z):
 
 def reference_steer_batch(spec, v_from, v_to) -> tuple:
     """(segments, ends, residuals) of `reachability.steer_degenerate` on the
-    steering of a spec already in units of xi, every pair flowed in full."""
+    steering of a spec already in units of xi and of time, every pair flowed in full."""
     xi, u_max = _chart(spec)
     n2 = float(spec.xi @ spec.xi)
     v_from, v_to = np.broadcast_arrays(np.asarray(v_from, dtype=float), np.asarray(v_to, dtype=float))
@@ -83,13 +88,7 @@ def reference_steer_batch(spec, v_from, v_to) -> tuple:
     sin2 = rates2.real / n2
     w1 = rates1.imag / n2
     w2 = rates2.imag / n2
-    w1 = np.where(w1 < 0.0, 0.0, w1)
-    w2 = np.where(w2 < 0.0, 0.0, w2)
-    usable = ~((sin1 <= 0.0) | (sin2 >= 0.0))
-    if not usable.any():
-        raise ValueError("degenerate steering has no usable dwell angle for this xi")
-    arc1, sin1, sin2, w1, w2 = arc1[usable], sin1[usable], sin2[usable], w1[usable], w2[usable]
-    arc = xi.conjugate() * (z3[:, usable] - z0)
+    arc = xi.conjugate() * (z3 - z0)
     a_rem = a_t - arc.real / n2
     b_rem = b_t - arc.imag / n2
     det = sin1 * w2 - sin2 * w1
@@ -166,8 +165,6 @@ def reference_check(spec, seed: int = 0) -> tuple:
     p = end_f[:, 1:]
     reverse = reference_steer_batch(spec, p, v0)
     res_r = reverse[2]
-    if not (np.isfinite(end_f).all() and np.isfinite(res_f).all() and np.isfinite(res_r).all()):
-        raise ValueError("degenerate check: steering values are not finite")
     mutual = (res_f < R.PAIR_TOL) & (res_r < R.PAIR_TOL)
     functional = np.abs((xi.conjugate() * to_complex(p)).imag)
     off_line = np.arange(len(c)) % 4 >= 2

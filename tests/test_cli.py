@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -457,6 +458,35 @@ def test_verify_monotone_passes_at_extreme_xi(tmp_path, capsys, change):
     assert suite["metrics"]["mutual_pairs"] > 0 and suite["metrics"]["counterexamples"] == 0
 
 
+def _degenerate_specs_at_every_magnitude(n, seed):
+    """n A = 0 specs with |xi|, alpha and the ends of Omega from 1e-300 to
+    1e300, and alpha times each end of Omega in the same range."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(n):
+        a = rng.uniform(-300.0, 300.0)
+        lo, hi = (rng.uniform(max(-300.0, -300.0 - a), min(300.0, 300.0 - a)) for _ in range(2))
+        size, phi = 10.0 ** rng.uniform(-300.0, 300.0), rng.uniform(-math.pi, math.pi)
+        specs.append({"alpha": rng.choice((1.0, -1.0)) * 10.0**a,
+                      "xi": [size * math.cos(phi), size * math.sin(phi)],
+                      "A": [[0.0, 0.0], [0.0, 0.0]], "eta1": [0.3, 0.2],
+                      "omega": [-(10.0**lo), 10.0**hi]})
+    return specs
+
+
+def test_verify_monotone_passes_at_every_magnitude(tmp_path, capsys):
+    # The check runs in units of xi and of time, so no magnitude of xi,
+    # alpha or Omega reaches a case its units do not hold.  Where alpha
+    # Omega was tiny the steering once found no mutual pair (exit 4).
+    for i, spec in enumerate(_degenerate_specs_at_every_magnitude(40, 35)):
+        path = write_spec(tmp_path, spec, f"deg{i}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_main(capsys, ["verify", path, "--seed", str(i), "--suite", "monotone_functional"])
+        (suite,) = json.loads(out)["suites"]
+        assert (rc, err, suite["status"]) == (0, "", "passed"), (spec, suite)
+
+
 def test_overflowing_spec_classifies_and_verifies_without_warnings(tmp_path, capsys):
     # alpha xi overflows in the rank test, and sqrt(x**2 + y**2) of the
     # flows' deviations would: classify still finds the rank condition, and
@@ -621,6 +651,48 @@ def test_reach_rejects_a_time_step_whose_arcs_overflow(tmp_path, capsys, time_st
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: time_step {float(time_step)!r} is out of range: ")
     assert err.count("\n") == 1
+
+
+def _time_scaled(spec, k):
+    """The spec time-scaled by 2**k: (alpha, xi, A, eta1) times 2**k."""
+    c = 2.0**k
+    return {"alpha": c * spec["alpha"], "xi": [c * x for x in spec["xi"]],
+            "A": {"lambda": c * spec["A"]["lambda"], "mu": c * spec["A"]["mu"]},
+            "eta1": [c * x for x in spec["eta1"]], "omega": spec["omega"]}
+
+
+def _rates_scaled_back(report, k):
+    """A reach report of a spec time-scaled by 2**k with its rates and times
+    scaled back to the spec's: exact, as each is a power-of-two multiple."""
+    cls, reduced, grid = report["classification"], report["classification"]["reduced"], report["grid"]
+    for d, key, power in ((cls, "lambda", -k), (cls, "mu", -k), (cls, "trace", -k), (cls, "det", -2 * k),
+                          (reduced, "lambda", -k), (reduced, "mu", -k), (report, "seed_control", -k),
+                          (grid, "time_step", k)):
+        d[key] = math.ldexp(d[key], power)
+    for d, key in ((reduced, "omega"), (grid, "controls")):
+        d[key] = [math.ldexp(u, -k) for u in d[key]]
+    return report
+
+
+@pytest.mark.parametrize("k", [-30, -4, 10])
+def test_reach_defaults_are_covariant_under_time_scaling(tmp_path, capsys, k):
+    # The default time step is 0.05 / max(|lam|, |mu - u-|, |mu - u+|) and
+    # the seed control's distance from mu is relative to the same rate, so a
+    # power-of-two time scaling leaves every cell and representative as it
+    # is.  The time step once floored at an absolute 1: at k = -30 the
+    # report held 1 cell, and at k = -4 10,156 cells against 10,390.
+    spec = dict(OPEN, xi=[0.3, -0.7], eta1=[1.0, 0.2])
+    outputs = []
+    for scale in (0, k):
+        path = write_spec(tmp_path, _time_scaled(spec, scale), f"spec{scale}.json")
+        out, cells = tmp_path / f"reach{scale}.json", tmp_path / f"cells{scale}.csv"
+        argv = ["reach", path, "--control-grid", "5", "--out", str(out), "--cells-csv", str(cells)]
+        assert run_main(capsys, argv) == (0, "", "")
+        outputs.append((json.loads(out.read_text()), cells.read_bytes()))
+    (want, want_cells), (got, got_cells) = outputs
+    assert got_cells == want_cells
+    assert want["cells"] == 10390
+    assert json.dumps(_rates_scaled_back(got, k), sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_a_reach_job_computes_its_invariant_ball_once(tmp_path, capsys, monkeypatch):

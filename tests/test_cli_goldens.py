@@ -15,7 +15,8 @@ top-level `origin_error`), again when the planner took |theta eta| from
 `ReducedSpec.length`, and again when its forward arcs became closed forms
 (only `plan_far` moved), and `verify_open` and `verify_closed` when
 `ball_invariance` came to report its closed-form certificate in place of a
-Monte Carlo; each of those changes is stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
+Monte Carlo, and `verify_deg` when the A = 0 check came to run in units of
+time (only `min_increment` moved); each of those changes is stated in CHANGES.md.  `@D@` in an argument stands for the job's directory,
 which holds the spec and control files and receives the outputs.  A cells
 CSV (the file of `--cells-csv`, up to 75k lines) is held as the sha256 and
 byte count of its bytes; every other output is held verbatim.

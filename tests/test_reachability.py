@@ -987,21 +987,6 @@ def test_degenerate_structure_check_passes_where_the_functional_overflowed():
     assert rep.passed and 0.0 < rep.min_functional_increment < math.inf
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_degenerate_structure_check_rejects_non_finite_steering(monkeypatch, bad):
-    leg = R.steer_degenerate
-
-    def spoiled(steering, v_from, v_to):
-        segments, ends, residuals = leg(steering, v_from, v_to)
-        residuals[-1] = bad
-        return segments, ends, residuals
-
-    monkeypatch.setattr(R, "steer_degenerate", spoiled)
-    _size_degenerate_check(monkeypatch, 5, 4)
-    with pytest.raises(ValueError, match="steering values are not finite"):
-        degenerate_structure_check(make_degenerate())
-
-
 def _degenerate_specs(rng):
     specs = [make_degenerate()]
     for scale in (1.0, 0.05, 20.0):
@@ -1063,7 +1048,9 @@ def test_steer_degenerate_batch_rows_equal_one_row_calls_on_generated_specs(case
 
 
 def test_degenerate_structure_check_matches_recorded_reports(monkeypatch):
-    # Reports recorded before the check was batched; the bytes must not move.
+    # Reports recorded before the check was batched, and re-recorded with
+    # every count and mutual flag unchanged when the check came to run in
+    # units of time; the bytes must not move.
     # Half the cases were recorded at 100 trajectories and 12 pairs.  The
     # recordings also hold each pair's residuals, line offset and end angle,
     # which the report no longer carries: they are read off the two legs the
@@ -1244,25 +1231,30 @@ def test_functional_increments_stay_positive_where_u_h_is_tiny(rng):
 
 @st.composite
 def _specs_at_every_magnitude(draw):
-    """A = 0 specs with |xi| from 1e-300 to 1e300, alpha and the ends of Omega
-    from 1e-12 to 1e12, and xi along an axis or in any direction."""
+    """A = 0 specs with |xi|, alpha and the ends of Omega from 1e-300 to
+    1e300 (alpha times each end too), and xi along an axis or in any direction."""
     sign = st.sampled_from((1.0, -1.0))
     axes = st.sampled_from(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
     phi = st.floats(-math.pi, math.pi).map(lambda a: (math.cos(a), math.sin(a)))
     direction = draw(st.one_of(axes, phi))
     size = 10.0 ** draw(st.floats(-300.0, 300.0))
     xi = [size * direction[0], size * direction[1]]
-    omega = (-draw(_magnitude), draw(_magnitude))
-    return SystemSpec(draw(sign) * draw(_magnitude), xi, np.zeros((2, 2)), [0.3, 0.2], omega)
+    a = draw(st.floats(-300.0, 300.0))
+    end = st.floats(max(-300.0, -300.0 - a), min(300.0, 300.0 - a)).map(lambda e: 10.0**e)
+    return SystemSpec(draw(sign) * 10.0**a, xi, np.zeros((2, 2)), [0.3, 0.2], (-draw(end), draw(end)))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(_specs_at_every_magnitude())
 def test_steering_determinant_is_positive_at_every_magnitude(spec):
-    # In units of xi each dwell drift is about 2 sin^2(t/2) >= 4e-20, so the
-    # dwell solver never meets det = 0 (at |xi| = 1e-160 it once did).
-    steering = R._prepare_steering(spec)
-    assert steering.arc1.size and np.all(steering.solver[-1] > 0.0)
+    # In units of xi and of time the first arc ends at angle eps and the
+    # second at 2 pi - eps, so for every epsilon the first dwell pushes along
+    # +xi, the second along -xi, each drift is about 2 sin^2(eps/2) >= 4e-20
+    # and the dwell solver never meets det = 0 (at |xi| = 1e-160 it once did).
+    sin1, sin2, w1, w2, det = R._prepare_steering(spec).solver
+    assert len(det) == len(R.STEER_EPSILONS)
+    assert np.all(sin1 > 0.0) and np.all(sin2 < 0.0)
+    assert np.all(w1 > 0.0) and np.all(w2 > 0.0) and np.all(det > 0.0)
 
 
 @pytest.mark.parametrize("xi", [(1e200, 1e199), (1e-200, 0.0)])
@@ -1310,6 +1302,37 @@ def test_degenerate_structure_check_is_covariant_under_translation_scaling(case)
     scaled = _report(degenerate_structure_check(dataclasses.replace(spec, xi=c * spec.xi, eta1=c * spec.eta1), seed))
     for key in ("passed", "n_mutual", "counterexamples", "irreversible_confirmed"):
         assert scaled[key] == report[key], key
+
+
+@st.composite
+def _time_scaled_check_cases(draw):
+    """An A = 0 spec and a seed as in _scaled_check_cases, and powers of two
+    2**k and 2**j with |k|, |j| <= 300."""
+    spec, seed, _, _ = draw(_scaled_check_cases())
+    return spec, seed, draw(st.integers(-300, 300)), draw(st.integers(-300, 300))
+
+
+# The spec on which the check once lost mutual pairs (u_max 1.8e-19; 2 of
+# 4 at seed 0, 4 once time-scaled by 2**30), and the verify_deg golden's
+# spec time-scaled by 2**-200 (0 mutual pairs).
+@example((SystemSpec(-1.83e-9, [1.88, -2.18], np.zeros((2, 2)), [0.3, 0.2], (-1e-10, 571.0)), 0, 30, -125))
+@example((SystemSpec(math.ldexp(0.9, -200), np.ldexp([1.2, -0.3], -200), np.zeros((2, 2)),
+                     np.ldexp([0.3, 0.5], -200), (-1.0, 1.5)), 3, 200, 0))
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_time_scaled_check_cases())
+def test_degenerate_structure_check_is_invariant_under_time_and_translation_scaling(case):
+    # A time scaling by 2**k multiplies (alpha, xi, eta1) by 2**k, and a
+    # translation scaling by 2**j multiplies (xi, eta1) by 2**j.  The check
+    # runs in units of xi and of time, so both leave its report bit for bit
+    # as it is, and it passes.
+    spec, seed, k, j = case
+    scaled = dataclasses.replace(spec, alpha=math.ldexp(spec.alpha, k), xi=np.ldexp(spec.xi, k + j),
+                                 eta1=np.ldexp(spec.eta1, k + j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = _report(degenerate_structure_check(spec, seed))
+        assert json.dumps(_report(degenerate_structure_check(scaled, seed))) == json.dumps(report)
+    assert report["passed"], report
 
 
 def _assert_rows_equal_flow_detA0(spec, s, x, u):
