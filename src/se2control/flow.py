@@ -58,14 +58,20 @@ _CEXP_MAX_ARG = 709.0
 # ---------------------------------------------------------------------------
 
 
-def _equilibrium(rs: ReducedSpec, u, nu, d) -> np.ndarray:
-    # -u A(u)^{-1} eta = -u/(lam^2 + (mu-u)^2) * (lam - i (mu-u)) eta, the real
-    # factor times each part: a complex product adds 0 * the other part.
+def _equilibrium(rs: ReducedSpec, u) -> tuple:
+    """(v(u) as complex numbers, singular mask) for controls u of shape (...); v(u) = +-0 where singular.
+
+    With (d, c) of rs.det_a_of_u, v(u) = -(c u)/d (c lam - i c (mu - u)) eta, the real
+    factor times each part: a complex product adds 0 * the other part."""
+    u = np.asarray(u, dtype=float)[()]
+    d, c = rs.det_a_of_u(u)
+    singular = d == 0.0
     eta = complex(*rs.eta)
-    r, c = -u / d, rs.lam * eta - nu * (1j * eta)
-    out = np.empty(np.broadcast(r, c).shape, dtype=complex)
-    out.real, out.imag = r * c.real, r * c.imag
-    return out
+    r = -(c * u) / (d + singular)  # d + 1 = 1 at the singular control
+    w = (c * rs.lam) * eta - (c * (rs.mu - u)) * (1j * eta)
+    out = np.empty(np.broadcast(r, w).shape, dtype=complex)
+    out.real, out.imag = r * w.real, r * w.imag
+    return out, singular
 
 
 def equilibrium(rs: ReducedSpec, u) -> np.ndarray:
@@ -73,14 +79,13 @@ def equilibrium(rs: ReducedSpec, u) -> np.ndarray:
 
     `u` is a float or an array of shape (...); the result holds real pairs
     and has shape (..., 2).  Undefined at the singular control (lam = 0 and
-    u = mu), where A(u) = 0 and the drift u eta has no rest point: a
-    ValueError is raised if any u is singular.
-    """
-    u = np.asarray(u, dtype=float)
-    d = rs.det_a_of_u(u)
-    if np.any(d == 0.0):
+    u = mu exactly), where A(u) = 0 and the drift u eta has no rest point: a
+    ValueError is raised if any u is singular.  Formed on det_a_of_u's scaled
+    values, it is finite elsewhere wherever v(u) is."""
+    vu, singular = _equilibrium(rs, u)
+    if singular.any():
         raise ValueError("no equilibrium at the singular control u = mu (lam = 0)")
-    return to_pairs(_equilibrium(rs, u, rs.mu - u, d))
+    return to_pairs(vu)
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +132,17 @@ def flow_r2(rs: ReducedSpec, s, v, u) -> np.ndarray:
     finite.
     """
     s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)[()]  # a float as a numpy scalar, cheaper than a 0-d array
     pairs = not np.iscomplexobj(v)
     z = to_complex(v) if pairs else np.asarray(v)
-    nu, d = rs.mu - u, rs.det_a_of_u(u)
-    singular = d == 0.0
-    any_singular = singular.any()
-    vu = _equilibrium(rs, u, nu, np.where(singular, 1.0, d) if any_singular else d)
     with np.errstate(over="ignore", invalid="ignore"):
+        vu, singular = _equilibrium(rs, u)
         grow = _exp(s * rs.lam, s)
         # The point stays the first factor: where numpy's complex product
         # fuses a multiply into each term, this order rounds as the real
         # 2x2 rotation did.
-        out = grow * ((z - vu) * cis(s * nu)) + vu
-        if any_singular:  # A(u) = 0, vdot = u eta
+        out = grow * ((z - vu) * cis(s * (rs.mu - u))) + vu
+        if singular.any():  # A(u) = 0, vdot = u eta
             out = np.where(singular, z + (s * u) * complex(*rs.eta), out)
     at_zero = s == 0.0
     if at_zero.any():

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import flow_r2
-from .group import TWO_PI, cis
+from .group import TWO_PI, cis, unit_exponent
 from .system import ReducedSpec
 
 # Cross-check points per block in check_invariance: each block forms arrays
@@ -148,15 +148,10 @@ def check_invariance(rs: ReducedSpec, n_samples: int, seed: int = 0) -> Invarian
     n = int(n_samples)
     radius = rs.ball.radius
     lo, hi = rs.omega
-    # R / 2**k_len and every rate times 2**k_time lie in [1, 2).
-    k_len = 1 - math.frexp(radius)[1]
-    k_time = 1 - math.frexp(max(abs(rs.lam), abs(rs.mu - lo), abs(rs.mu - hi)))[1]
-    unit = ReducedSpec(
-        math.ldexp(rs.lam, k_time),
-        math.ldexp(rs.mu, k_time),
-        np.ldexp(rs.eta, k_len),
-        (math.ldexp(lo, k_time), math.ldexp(hi, k_time)),
-    )
+    k_len = unit_exponent(radius)
+    k_time = unit_exponent(max(abs(rs.lam), abs(rs.mu - lo), abs(rs.mu - hi)))
+    unit = ReducedSpec(math.ldexp(rs.lam, k_time), math.ldexp(rs.mu, k_time), np.ldexp(rs.eta, k_len),
+                       (math.ldexp(lo, k_time), math.ldexp(hi, k_time)))
     radius = math.ldexp(radius, k_len)
     lam, mu, (lo, hi) = unit.lam, unit.mu, unit.omega
     ex, ey = unit.eta.tolist()

@@ -21,6 +21,8 @@ decouple a linear control system on this group act in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -55,6 +57,20 @@ def cis(t) -> np.ndarray:
     z = np.empty(t.shape, dtype=complex)
     z.real, z.imag = np.cos(t), np.sin(t)
     return z
+
+
+def unit_exponent(x):
+    """The k that puts |x| 2^k in [1, 2) (1 for 0, inf and nan), elementwise; an int for a float."""
+    return 1 - (math.frexp(x)[1] if np.ndim(x) == 0 else np.frexp(x)[1])
+
+
+def scaled_norm(v, axis=None):
+    """np.linalg.norm(v, axis=axis) of v scaled by the unit_exponent of each norm's largest entry.
+
+    The scaling is exact: np.linalg.norm's bits where its squares are in range, inf only where the norm is."""
+    k = unit_exponent(np.max(np.abs(v), axis=axis, keepdims=True))
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(v, k), axis=axis), -np.squeeze(k, axis))
 
 
 def to_complex(v) -> np.ndarray:

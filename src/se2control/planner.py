@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import BYTES_PER_SAMPLE, SAMPLES_PER_SEGMENT, PiecewiseControl, Trajectory, equilibrium, flow_concat
-from .group import TWO_PI, to_pairs
+from .group import TWO_PI, scaled_norm, to_pairs
 from .reachability import MAX_GRID_BYTES
 from .system import ReducedSpec
 
@@ -141,11 +141,7 @@ def plan_periodic(
     if rs.mu == 0.0:
         raise ValueError("planner requires mu != 0")
     v0 = np.asarray(v0, dtype=float).reshape(2).copy()
-    with np.errstate(over="ignore"):
-        length = float(np.linalg.norm(v0))
-    if not math.isfinite(length):
-        # An overflowing length too: inf <= 1e-15 * inf would pass v0 off as the origin.
-        raise ValueError("v0 must be finite, and short enough that its length is finite")
+    length = float(scaled_norm(v0))
     if rho is None:
         rho = select_rho(rs)
     else:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import _detA0_angle, _detA0_increments, _exp, dwell_rate, equilibrium
-from .group import angle_dist, cis, to_complex, to_pairs
+from .flow import _detA0_angle, _detA0_increments, _equilibrium, _exp, dwell_rate, equilibrium
+from .group import angle_dist, cis, scaled_norm, to_complex, to_pairs, unit_exponent
 from .system import ReducedSpec, SystemSpec, larc, reduced_range
 
 DEFAULT_MAX_CELLS = 1_000_000
@@ -355,16 +355,16 @@ def _control_constants(rs: ReducedSpec, cfg: GridConfig, direction: int):
     after k time steps under control m; the closed form makes every arc
     sample exact rather than an iterated approximation.  With s = k dt, a
     column holds e^{s lam} cos(s (mu - u)), e^{s lam} sin(s (mu - u)) and
-    v(u), or, where det A(u) = 0, ecos = 1, esin = 0 and the translation
+    v(u), or, at the singular control (lam = 0, u = mu), ecos = 1, esin = 0 and the translation
     (s u) eta.  e^{s lam} does not depend on u, so it is taken once per step;
     it and e^{i s (mu - u)} come from the flow layer's _exp and cis, whose
     values are libm's exp, cos and sin, as a scalar evaluation gives them.
     Raises ValueError naming time_step where an angle or a translation is not finite.
     """
     us = cfg.controls
-    sing_u = rs.det_a_of_u(us) == 0.0
-    sing = np.repeat(sing_u, cfg.steps_per_arc)
     with np.errstate(over="ignore", invalid="ignore"):
+        vu, sing_u = _equilibrium(rs, us)
+        sing = np.repeat(sing_u, cfg.steps_per_arc)
         s = np.arange(1, cfg.steps_per_arc + 1) * (direction * cfg.time_step)
         angles = s * (rs.mu - us)[:, None]
         su = (s * us[:, None]).ravel()
@@ -373,13 +373,11 @@ def _control_constants(rs: ReducedSpec, cfg: GridConfig, direction: int):
     if not all(np.isfinite(a).all() for a in (angles, linx, liny)):
         raise ValueError(f"time_step {cfg.time_step!r} is out of range: an arc's "
                          "angle s (mu - u) or translation (s u) eta is not finite")
-    vu = np.zeros((us.size, 2))
-    vu[~sing_u] = equilibrium(rs, us[~sing_u])
     efac = np.tile(_exp(s * rs.lam, s), us.size)
     turn = cis(angles).ravel()
     ecos = np.where(sing, 1.0, efac * turn.real)
     esin = np.where(sing, 0.0, efac * turn.imag)
-    vux, vuy = (np.repeat(c, s.size) for c in vu.T)
+    vux, vuy = (np.repeat(c, s.size) for c in to_pairs(np.where(sing_u, 0.0, vu)).T)
     return vux, vuy, ecos, esin, linx, liny
 
 
@@ -535,14 +533,9 @@ def _disk_radius(rs: ReducedSpec) -> float:
 
 
 def _distances(points: np.ndarray, center) -> np.ndarray:
-    """|points - center| by rows, as np.linalg.norm gives it; rows whose
-    squares overflow there take np.hypot, which does not overflow."""
+    """|points - center| by rows, as :func:`group.scaled_norm` forms them."""
     with np.errstate(over="ignore"):
-        diff = points - center
-        dist = np.linalg.norm(diff, axis=1)
-    big = np.isinf(dist)
-    dist[big] = np.hypot(diff[big, 0], diff[big, 1])
-    return dist
+        return scaled_norm(points - center, axis=1)
 
 
 def _disk_cells(cfg: GridConfig, center, radius: float) -> tuple:
@@ -712,12 +705,11 @@ def _prepare_steering(spec: SystemSpec) -> _Steering:
         raise ValueError("the A = 0 chart requires A = 0")
     if not larc(spec):
         raise ValueError("degenerate analysis requires alpha != 0 and alpha xi != 0")
-    exponent = 1 - math.frexp(float(np.abs(spec.xi).max()))[1]
-    xi_pair = np.ldexp(spec.xi, exponent)
+    xi_pair = np.ldexp(spec.xi, unit_exponent(float(np.abs(spec.xi).max())))
     xi, n2 = complex(*xi_pair), float(xi_pair @ xi_pair)
     lo, hi = reduced_range(spec)
     u_max = min(-lo, hi)
-    u_max = math.ldexp(u_max, 1 - math.frexp(u_max)[1])
+    u_max = math.ldexp(u_max, unit_exponent(u_max))
     u_d = 0.9 * u_max
     arc1 = STEER_EPSILONS / u_d
     t1, turn1 = _detA0_increments(xi, arc1, 0.0, u_d)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .group import to_pairs
+from .group import scaled_norm, to_pairs, unit_exponent
 
 # Tolerance of the commuting form, relative to max(|lam|, |mu|).
 COMMUTE_TOL = 1e-12
@@ -152,47 +152,45 @@ class ReducedSpec:
         if lam == 0.0 and mu == 0.0:
             raise ValueError("reduced system requires det A != 0")
         omega = _check_omega(self.omega)
-        # det A(u) = lam^2 + (mu - u)^2 stays finite for u in omega (the
-        # rescaled controls alpha u); a float ** raises OverflowError past it.
-        try:
-            finite = math.isfinite(lam**2 + max(abs(mu - omega[0]), abs(mu - omega[1])) ** 2)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError("lambda^2 + (mu - alpha u)^2 overflows for u in omega")
-        if not np.all(np.isfinite(eta)):
-            raise ValueError("eta must be finite")
+        if not np.all(np.isfinite([lam, mu, *eta])):
+            raise ValueError("lam, mu and eta must be finite")
         for name, value in (("lam", lam), ("mu", mu), ("eta", eta), ("omega", omega)):
             object.__setattr__(self, name, value)
 
-    def det_a_of_u(self, u):
-        """det A(u) = lam^2 + (mu - u)^2 for controls u of shape (...)."""
-        nu = self.mu - np.asarray(u, dtype=float)
-        return self.lam**2 + nu * nu
+    def det_a_of_u(self, u) -> tuple:
+        """det A(u) = lam^2 + (mu - u)^2 = d / c^2 for controls u of shape (...), as (d, c).
+
+        c = 2^k with k the unit_exponent of max(|lam|, |mu - u|, 2^-1022): no square leaves
+        the float range, d < 8, and d = 0 only at the singular control (lam = 0 and u = mu)."""
+        nu = self.mu - np.asarray(u, dtype=float)[()]
+        c = 2.0 ** unit_exponent(np.maximum(max(abs(self.lam), 2.0**-1022), abs(nu)))
+        lam, nu = c * self.lam, c * nu
+        return lam * lam + nu * nu, c
 
     @cached_property
     def length(self) -> float:
-        """|eta| as np.linalg.norm forms it.  Raises ValueError when |eta|^2 overflows."""
-        with np.errstate(over="ignore"):
-            length = float(np.linalg.norm(self.eta))
+        """|eta|, as :func:`group.scaled_norm` forms it.  Raises ValueError when |eta| overflows."""
+        length = float(scaled_norm(self.eta))
         if not math.isfinite(length):
-            raise ValueError("|eta|^2 overflows: the reduced system's geometry is out of range")
+            raise ValueError("|eta| overflows: the reduced system's geometry is out of range")
         return length
 
     @cached_property
     def ball(self) -> Circle:
         """Invariant ball: center -theta eta, radius |eta| sqrt(lam^2+mu^2)/|lam|.
 
-        Raises ValueError when lam = 0, lam^2 underflows, |eta|^2 overflows
-        or the radius is not finite.
-        """
+        sqrt((lam^2 + mu^2) / lam^2) |eta| on lam and mu times 2^k above, lam times
+        2^j below and |eta| times 2^e, each a unit_exponent, so no square leaves the
+        float range.  Raises ValueError when lam = 0 or the radius overflows."""
         if self.lam == 0.0:
             raise ValueError("the invariant ball requires lam != 0")
-        lam2 = self.lam**2
-        # Python floats: a quotient or product that overflows is inf, without a warning.
-        radius = math.sqrt((lam2 + self.mu**2) / lam2) * self.length if lam2 else math.inf
-        if not math.isfinite(radius):
-            raise ValueError("the invariant ball is out of range: lambda^2 underflows or the radius overflows")
+        k, j, e = (unit_exponent(x) for x in (max(abs(self.lam), abs(self.mu)), self.lam, self.length))
+        lk, mk, lj = math.ldexp(self.lam, k), math.ldexp(self.mu, k), math.ldexp(self.lam, j)
+        ratio = math.sqrt((lk * lk + mk * mk) / (lj * lj)) * math.ldexp(self.length, e)
+        try:
+            radius = math.ldexp(ratio, j - k - e)
+        except OverflowError:
+            raise ValueError("the invariant ball's radius overflows") from None
         return Circle(to_pairs(-1j * complex(*self.eta)), radius)
 
     @cached_property
@@ -223,18 +221,17 @@ def larc(spec: SystemSpec) -> bool:
     """Rank condition: alpha != 0 and alpha xi + A eta1 != 0.
 
     When it fails the system is not controllable on any neighborhood and the
-    classification is unreliable.  The sum is formed on the rates (alpha,
-    A) and the lengths (xi, eta1), each group scaled by the power of two
-    that brings its largest magnitude into [0.5, 1), and tested for a
-    nonzero component.  Powers of two scale exactly while neither group
-    spans more than about 2^1000, so the answer is that of the unscaled sum
-    wherever that sum neither underflows nor overflows, and power-of-two
-    time and translation scalings of a system leave it unchanged.
+    classification is unreliable.  The sum is formed on the rates (alpha, A)
+    and the lengths (xi, eta1), each group times 2^k, k the unit_exponent of
+    its largest magnitude, and tested for a nonzero component.  Powers of two
+    scale exactly while neither group spans more than about 2^1000, so the
+    answer is the unscaled sum's wherever that sum is in range, and
+    power-of-two time and translation scalings leave it unchanged.
     """
     if spec.alpha == 0.0:
         return False
-    rates = -math.frexp(max(abs(spec.alpha), abs(spec.lam), abs(spec.mu)))[1]
-    lengths = -math.frexp(max(map(abs, spec.xi.tolist() + spec.eta1.tolist())))[1]
+    rates = unit_exponent(max(abs(spec.alpha), abs(spec.lam), abs(spec.mu)))
+    lengths = unit_exponent(max(map(abs, spec.xi.tolist() + spec.eta1.tolist())))
     xi, eta1 = np.ldexp(spec.xi, lengths), np.ldexp(spec.eta1, lengths)
     return bool((math.ldexp(spec.alpha, rates) * xi + np.ldexp(spec.A, rates) @ eta1).any())
 
@@ -406,6 +403,8 @@ def classify(plant: Plant) -> ClassificationReport:
             "{angle 0} x (v + R xi), all with empty interior"
         )
     else:
+        if not math.isfinite(spec.det()):
+            raise ValueError("det A = lambda^2 + mu^2 overflows")
         rs = plant.rs
         reduced = rs.to_dict()
         if lam == 0.0:

@@ -8,6 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every property test draws the same examples on every run, and its
+# decorator sets only max_examples: no random seed, no example database
+# and no deadline, as a shared host's timings vary.
+settings.register_profile("se2control", derandomize=True, deadline=None, database=None)
+settings.load_profile("se2control")
 
 
 def reduced_field(lam, mu, eta, u):

@@ -61,7 +61,7 @@ def test_01_closed_form_flow_matches_rk4_oracle():
         if lam == 0.0 and mu == 0.0:
             continue
         rs = ReducedSpec(lam, mu, eta, omega)
-        if rs.det_a_of_u(u) < 1e-6 or np.linalg.norm(equilibrium(rs, u)) > 10.0:
+        if lam**2 + (mu - u) ** 2 < 1e-6 or np.linalg.norm(equilibrium(rs, u)) > 10.0:
             continue
         if lam > 0.0:
             horizon = min(horizon, 1.2 / lam)

@@ -505,13 +505,15 @@ def test_overflowing_spec_classifies_and_verifies_without_warnings(tmp_path, cap
 @pytest.mark.parametrize("command", ["classify", "verify", "reach"])
 def test_overflowing_rates_give_one_line(tmp_path, capsys, command):
     # lambda^2 overflows: once a traceback from float ** in SystemSpec.det.
+    # The reduction and its flows take these rates; the det A that classify
+    # reports, and reach and verify read, does not fit a double.
     path = write_spec(tmp_path, dict(OPEN, xi=[0.3, -0.7], A={"lambda": 1e200, "mu": 2.0}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run_main(capsys, [command, path])
     assert rc == 2
     assert out == ""
-    assert err == "error: lambda^2 + (mu - alpha u)^2 overflows for u in omega\n"
+    assert err == "error: det A = lambda^2 + mu^2 overflows\n"
 
 
 @pytest.mark.parametrize("argv_tail, rc, err", [
@@ -519,14 +521,14 @@ def test_overflowing_rates_give_one_line(tmp_path, capsys, command):
     (["reach"], 3, "error: reach applies to the planar reduced cases; this system is NotClassified\n"),
     (["plan", "--v0", "1,0"], 3, "error: plan requires the rotation-only case (trace A = 0, "
                                  "det A != 0); this system is NotClassified\n"),
-    (["verify"], 2, "error: lambda^2 + (mu - alpha u)^2 overflows for u in omega\n"),
-    (["simulate", "--horizon", "1", "--u", "0.5"], 2,
-     "error: lambda^2 + (mu - alpha u)^2 overflows for u in omega\n"),
+    (["verify"], 2, "error: flow is not finite at s = 1.6452134544805177\n"),
+    (["simulate", "--horizon", "1", "--u", "0.5"], 2, "error: flow is not finite at s = 0.015625\n"),
 ])
 def test_an_unreducible_spec_is_classified_before_it_is_reduced(tmp_path, capsys, argv_tail, rc, err):
     # The rank condition fails (xi = eta1 = 0), so classify reports
     # NotClassified without reducing, and reach and plan stop there; the
-    # jobs that flow or verify hit the overflowing reduction.
+    # jobs that flow or verify reduce it, and e^{lambda s} overflows at the
+    # first time they flow.
     path = write_spec(tmp_path, dict(OPEN, A={"lambda": 1e200, "mu": 2.0}, eta1=[0.0, 0.0]))
     got = run_main(capsys, [argv_tail[0], path] + argv_tail[1:])
     assert (got[0], got[2]) == (rc, err)
@@ -538,13 +540,15 @@ def test_an_unreducible_spec_is_classified_before_it_is_reduced(tmp_path, capsys
 def test_plan_with_an_overflowing_theta_eta_gives_one_line(tmp_path, capsys, v0):
     # |theta eta|^2 overflows: both starts once wrote numpy's overflow warning,
     # and "0,1e100" then exited 0 with a plan built on a zero line direction.
+    # |theta eta| = 1e160 itself is past the planner's MAX_LENGTH.
     path = write_spec(tmp_path, dict(TRACE_ZERO, eta1=[1e160, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run_main(capsys, ["plan", path, "--v0", v0])
     assert rc == 2
     assert out == ""
-    assert err == "error: |eta|^2 overflows: the reduced system's geometry is out of range\n"
+    assert err == ("error: plan needs |theta eta| >= 1e-150, and v0, theta eta and the "
+                   "centers v(+-rho) within 1e+150 of the origin\n")
 
 
 def test_plan_over_the_byte_budget_gives_one_line(tmp_path, capsys):
@@ -560,12 +564,13 @@ def test_plan_over_the_byte_budget_gives_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv_tail, rc, err", [
     (["classify"], 0, ""),
-    (["reach"], 2, "error: |eta|^2 overflows: the reduced system's geometry is out of range\n"),
+    (["reach"], 0, ""),
     (["verify"], 2, "error: (mu - alpha u)^2 / lambda^2 overflows for u in omega\n"),
 ])
 def test_rates_whose_squares_underflow_give_a_label_or_one_line(tmp_path, capsys, argv_tail, rc, err):
-    # lambda^2 + mu^2 underflows: the system is open, not A = 0, and its
-    # reduced eta (about 2e169) is too long for the grid and the bound sweep.
+    # lambda^2 + mu^2 underflows: the system is open, not A = 0.  Its reduced
+    # eta (about 3e169) once had a |eta|^2 too large for reach's grid; the
+    # bound sweep's (nu / sigma)^2, which verify reports, is too large still.
     path = write_spec(tmp_path, dict(OPEN, xi=[0.3, -0.7], A={"lambda": 1e-170, "mu": 2e-170},
                                      eta1=[1.0, 0.2]))
     with warnings.catch_warnings():
@@ -573,7 +578,7 @@ def test_rates_whose_squares_underflow_give_a_label_or_one_line(tmp_path, capsys
         got = run_main(capsys, [argv_tail[0], path] + argv_tail[1:])
     assert (got[0], got[2]) == (rc, err)
     if rc == 0:
-        assert json.loads(got[1])["case"] == "OpenControlSet"
+        assert json.loads(got[1])["case"] == {"classify": "OpenControlSet", "reach": "open"}[argv_tail[0]]
 
 
 # e^{s lambda} overflows on part of the bound sweep's s grid.
@@ -627,16 +632,16 @@ def test_reach_rejects_invalid_values_with_one_line_and_no_warning(tmp_path, cap
 
 @pytest.mark.parametrize("grid", [[], ["--bounds=-5,5,-5,5", "--resolution", "0.1"]])
 def test_reach_rejects_an_invariant_ball_of_infinite_radius(tmp_path, capsys, grid):
-    # (lam^2 + mu^2) / lam^2 overflows at lam = 1e-160.  With a grid, reach
-    # once wrote "radius": Infinity, which is not JSON; without one, it
-    # named a --resolution the user never gave.
-    spec = dict(OPEN, xi=[0.3, -0.7], A={"lambda": 1e-160, "mu": 1.5}, eta1=[1.0, 0.2])
+    # |eta| mu / lam is about 1.5e310 at lam = 1e-160 and |eta| = 1e150.  With
+    # a grid, reach once wrote "radius": Infinity, which is not JSON; without
+    # one, it named a --resolution the user never gave.  (With |eta| = 1 the
+    # radius is finite, and reach runs: see the scaling tests.)
+    spec = dict(OPEN, xi=[0.3, -0.7], A={"lambda": 1e-160, "mu": 1.5}, eta1=[1e150, 0.2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run_main(capsys, ["reach", write_spec(tmp_path, spec)] + grid)
     assert (rc, out) == (2, "")
-    assert err == ("error: the invariant ball is out of range: lambda^2 underflows "
-                   "or the radius overflows\n")
+    assert err == "error: the invariant ball's radius overflows\n"
 
 
 @pytest.mark.parametrize("time_step", ["1e308", "3e306"])
@@ -693,6 +698,32 @@ def test_reach_defaults_are_covariant_under_time_scaling(tmp_path, capsys, k):
     assert got_cells == want_cells
     assert want["cells"] == 10390
     assert json.dumps(_rates_scaled_back(got, k), sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e-160, 1e154, 1e160, 1e200])
+def test_open_spec_at_any_translation_scale_reaches_and_verifies_its_ball(tmp_path, capsys, c):
+    # |eta|^2 once vanished at 1e-170 (1 cell, the ball suite skipped as
+    # "eta = 0"), lost its digits at 1e-160 (the suite failed) and overflowed
+    # from 1e160 (exit 2).  |eta| and the ball radius are formed on scaled values now.
+    path = write_spec(tmp_path, dict(OPEN, xi=[0.3 * c, -0.7 * c], eta1=[c, 0.2 * c]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["reach", path, "--control-grid", "5"])
+        assert (rc, err, json.loads(out)["cells"]) == (0, "", 10390)
+        rc, out, err = run_main(capsys, ["verify", path, "--suite", "ball_invariance"])
+    assert (rc, err, json.loads(out)["suites"][0]["status"]) == (0, "", "passed")
+
+
+def test_trace_zero_spec_time_scaled_by_2_to_the_minus_997_covers_its_disk(tmp_path, capsys):
+    # det A(u) = lam^2 + (mu - u)^2 underflowed to 0 at every control, each
+    # counted as singular: 401 cells and coverage 0.012.
+    spec = dict(OPEN, xi=[0.3, -0.7], A={"lambda": 0.0, "mu": 1.0}, eta1=[1.0, 0.2])
+    path = write_spec(tmp_path, _time_scaled(spec, -997))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(capsys, ["reach", path, "--control-grid", "5"])
+    report = json.loads(out)
+    assert (rc, err, report["cells"], report["coverage"]["fraction"]) == (0, "", 23391, 1.0)
 
 
 def test_a_reach_job_computes_its_invariant_ball_once(tmp_path, capsys, monkeypatch):

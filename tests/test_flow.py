@@ -30,6 +30,20 @@ def test_equilibrium_at_zero_control():
     assert np.array_equal(equilibrium(make_rs(), 0.0), np.zeros(2))
 
 
+@pytest.mark.parametrize("mu", [2.225073858507e-311, 2.0**-997])
+def test_the_singular_control_is_u_equal_to_mu_exactly(mu):
+    # det A(0) = mu^2 once underflowed to 0 here: u = 0 counted as singular
+    # and equilibrium raised, and at 2^-997 every control of Omega did.
+    rs = make_rs(lam=0.0, mu=mu, eta=(1.0, 0.2))
+    d, _ = rs.det_a_of_u([-1.0, 0.0, mu, 2.0 * mu, 1.0])
+    assert (d == 0.0).tolist() == [False, False, True, False, False]
+    v = equilibrium(rs, [0.0, 2.0 * mu])
+    # v(u) = x i eta with x = u / (mu - u): 0 and -2 here.
+    assert np.array_equal(v, [[0.0, 0.0], [0.4, -2.0]])
+    with pytest.raises(ValueError, match="singular control"):
+        equilibrium(rs, mu)
+
+
 def test_equilibrium_pinned_values():
     assert np.allclose(equilibrium(make_rs(lam=1.0, mu=0.0), 1.0), [-0.5, -0.5], atol=1e-15)
     assert np.allclose(equilibrium(make_rs(lam=0.0, mu=1.0), 0.5), [0.0, 1.0], atol=1e-15)
@@ -41,7 +55,7 @@ def test_equilibrium_solves_linear_system(rng):
         eta = rng.normal(size=2)
         u = rng.uniform(-2, 2)
         rs = make_rs(lam, mu, eta, (-2.0, 2.0))
-        if rs.det_a_of_u(u) == 0.0:
+        if rs.det_a_of_u(u)[0] == 0.0:
             continue
         v = equilibrium(rs, u)
         nu = mu - u

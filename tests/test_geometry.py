@@ -45,10 +45,19 @@ def test_circle_params_rejects_lam_zero():
 
 @pytest.mark.parametrize("lam", [1e-160, 1e-170])
 def test_circle_out_of_range_raises_what_the_ball_raises(lam):
-    # (mu^2 + lam^2) / lam^2 overflows, or lam^2 underflows to 0: the circle
-    # once had an infinite radius, or raised ZeroDivisionError.
-    with pytest.raises(ValueError, match="^the invariant ball is out of range"):
-        make_rs(lam=lam, mu=1.5).circle
+    # |eta| mu / lam is about 1.5e310 or 1.5e320: the radius itself overflows.
+    # The circle once had an infinite radius, or raised ZeroDivisionError.
+    # With |eta| = 1 both radii are finite (see the next test).
+    with pytest.raises(ValueError, match="^the invariant ball's radius overflows$"):
+        make_rs(lam=lam, mu=1.5, eta=(1e150, 0.0)).circle
+
+
+@pytest.mark.parametrize("lam", [1e-160, 1e-170, 1e-300, 1e-308])
+def test_ball_radius_keeps_its_digits_where_lam_squared_underflows(lam):
+    # lam^2 underflows (to 0 from 1e-170), where the ball once raised; the
+    # radius is |eta| sqrt(1 + (mu/lam)^2), and 1 is below its last digit.
+    radius = make_rs(lam=lam, mu=1.5, eta=(0.6, 0.8)).ball.radius
+    assert radius == pytest.approx(1.5 / lam, rel=4e-16)
 
 
 def test_limit_point_on_circle(rng):
@@ -73,9 +82,10 @@ def test_geometry_is_computed_once_and_eta_is_read_only():
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_an_overflowing_eta_raises_one_error_without_a_warning(lam):
-    # |eta|^2 overflows: numpy once warned "overflow encountered in dot", and
-    # the trace-zero estimate reported a disk radius of Infinity.
-    rs = make_rs(lam=lam, mu=1.0, eta=(1e200, 0.0))
+    # |eta| itself overflows (|eta|^2 from 1.3e154 once did too): numpy once
+    # warned "overflow encountered in dot", and the trace-zero estimate
+    # reported a disk radius of Infinity.
+    rs = make_rs(lam=lam, mu=1.0, eta=(1.5e308, 1.5e308))
     cfg = GridConfig((-1.0, 1.0, -1.0, 1.0), 0.1, [-1.0, 0.0, 1.0], 0.05)
     if lam:
         reads = [lambda: rs.length, lambda: rs.ball, lambda: rs.circle]
@@ -84,7 +94,7 @@ def test_an_overflowing_eta_raises_one_error_without_a_warning(lam):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for read in reads:
-            with pytest.raises(ValueError, match=r"^\|eta\|\^2 overflows"):
+            with pytest.raises(ValueError, match=r"^\|eta\| overflows"):
                 read()
 
 
@@ -260,7 +270,7 @@ def ball_specs(draw):
     return ReducedSpec(lam * time, mu * time, eta, (lo * time, hi * time)), inside
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@settings(max_examples=200)
 @given(ball_specs())
 def test_certificate_maximum_equals_the_largest_radial_velocity_on_10k_sphere_points(case):
     # Radial velocities formed from f(z, u) = (lam + i(mu - u)) z + u eta in
@@ -287,7 +297,7 @@ def test_certificate_maximum_equals_the_largest_radial_velocity_on_10k_sphere_po
     assert abs(np.max(inward) - rep.max_inward_velocity * abs(lam) * radius**2) <= rep.tolerance
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@settings(max_examples=100)
 @given(ball_specs())
 def test_oracle_finds_no_violation_where_the_certificate_passes(case):
     # The Monte Carlo, flowed sample by sample in units of T, with a margin

@@ -212,7 +212,7 @@ def test_plan_takes_no_final_arc_on_rounding_noise():
         assert res.origin_error <= 1e-10 and res.closure_error <= 1e-10
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.floats(1e-6, 1e6), st.floats(0.0, 2000.0), st.floats(0.0, 1.0), st.booleans())
 def test_arc_count_is_one_past_the_first_radius_within_the_limit(gap, steps, frac, on_a_step):
     # r0 lands on limit + steps gap exactly (up to rounding) when on_a_step,
@@ -255,7 +255,7 @@ def trace_zero_starts(draw):
     return mu, tuple(eta), omega, (length * math.cos(phi), length * math.sin(phi))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(trace_zero_starts())
 # Once "no sign change" from the final-control search: a tiny start counted
 # as on the line in any direction.
@@ -302,21 +302,27 @@ def test_plan_is_valid_on_trace_zero_systems(case):
         assert np.all(np.abs(steps - res.center_gap) <= 2.0**-48 * (res.radii[0] + res.center_gap))
 
 
+# The one line of the MAX_LENGTH bound.
+LENGTH_BOUND = r"^plan needs \|theta eta\| >= 1e-150, and v0, theta eta and the centers v\(\+-rho\) within 1e\+150 of the origin$"
+
+
 def test_plan_rejects_a_start_whose_length_overflows():
-    # Once an empty plan with closure error 0, after a numpy overflow warning.
+    # |v0|^2 overflows from 1.3e154: once an empty plan with closure error 0,
+    # after a numpy overflow warning.  |v0| is past MAX_LENGTH, or not finite.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="length is finite"):
-            plan_periodic(make_rs(), np.array([1e155, 0.0]))
+        for v0 in ((1e155, 0.0), (1.5e308, 1.5e308), (math.inf, 0.0), (math.nan, 0.0)):
+            with pytest.raises(ValueError, match=LENGTH_BOUND):
+                plan_periodic(make_rs(), np.array(v0))
 
 
 def test_plan_stops_with_a_value_error_when_theta_eta_overflows():
     # |theta eta|^2 overflows: once a numpy overflow warning and a zero line
-    # direction, now rs.length's ValueError (exit 2) before any length is formed.
+    # direction.  |theta eta| = 1e160 is past MAX_LENGTH, which names it.
     rs = make_rs(eta=(1e160, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^\|eta\|\^2 overflows: the reduced system's geometry is out of range$"):
+        with pytest.raises(ValueError, match=LENGTH_BOUND):
             plan_periodic(rs, np.array([1e100, 0.0]))
 
 

@@ -1,6 +1,7 @@
 """Grid reach sets: determinism, chunking, containment, coverage."""
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -29,7 +30,8 @@ from se2control.reachability import (
     reach_forward,
     steer_degenerate,
 )
-from se2control.system import ReducedSpec, SystemSpec, classify, prepare, reduce_system
+from se2control.system import ReducedSpec, SystemSpec, classify, matrix_from_lambda_mu, prepare, reduce_system
+from se2control.verification import run_verification
 
 def make_rs(lam=1.0, mu=2.0, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
     return ReducedSpec(lam=lam, mu=mu, eta=np.asarray(eta, dtype=float), omega=omega)
@@ -300,7 +302,7 @@ def _small_reach_cases(draw):
     return rs, cfg, x0, draw(st.sampled_from([+1, -1])), draw(st.integers(1, 3)), steps
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(_small_reach_cases())
 def test_reach_matches_scalar_loop_on_generated_grids(case):
     rs, cfg, x0, direction, rows, steps = case
@@ -326,7 +328,7 @@ def _control_constants_by_loop(rs, cfg, direction):
     ecos[:] = 1.0
     c = 0
     for u in cfg.controls:
-        vu = None if rs.det_a_of_u(u) == 0.0 else equilibrium(rs, u)
+        vu = None if rs.det_a_of_u(u)[0] == 0.0 else equilibrium(rs, u)
         for k in range(1, n_steps + 1):
             s = k * dt
             if vu is None:
@@ -348,7 +350,7 @@ def _control_constants_by_math_lists(rs, cfg, direction):
     layer's _exp and cis that the kernel's columns come from."""
     us = cfg.controls
     s = np.arange(1, cfg.steps_per_arc + 1) * (direction * cfg.time_step)
-    sing_u = np.array([rs.det_a_of_u(u) == 0.0 for u in us.tolist()])
+    sing_u = np.array([rs.det_a_of_u(u)[0] == 0.0 for u in us.tolist()])
     sing = np.repeat(sing_u, s.size)
     vu = np.zeros((us.size, 2))
     vu[~sing_u] = equilibrium(rs, us[~sing_u])
@@ -362,11 +364,16 @@ def _control_constants_by_math_lists(rs, cfg, direction):
     return vux, vuy, ecos, esin, linx, liny
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@settings(max_examples=80)
 @given(_small_reach_cases())
 # v(1/6) = (-1e-324, 0.2) rounds to (-0, 0.2): once +0 for a 0-d u and -0 in an array.
 @example((make_rs(lam=0.0, mu=1.0, eta=(1.0, 5e-324)),
           GridConfig((-1.0, 1.0, -1.0, 1.0), 0.1, [-1.0, 1.0 / 6.0, 1.0], 0.05), np.zeros(2), 1, 1, 3))
+# mu = 2.2e-311 is subnormal: det A(0) = mu^2 once underflowed to 0, so u = 0
+# took a singular column while equilibrium raised on it.
+@example((make_rs(lam=0.0, mu=2.225073858507e-311, eta=(1.0, 0.2)),
+          GridConfig((-1.0, 1.0, -1.0, 1.0), 0.1, [-1.0, 0.0, 2.225073858507e-311, 1.0], 0.05),
+          np.zeros(2), 1, 1, 3))
 def test_control_constants_equal_the_scalar_loop_bit_for_bit(case):
     # The trace-zero cases put u = mu in the grid: a singular column.
     rs, cfg, _, direction, _, steps = case
@@ -393,7 +400,7 @@ def _cell_map_cases(draw):
     return consts, x0, y0, res, px, py
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(_cell_map_cases())
 def test_cell_maps_bound_the_distance_to_the_exact_cell_values(case):
     consts, x0, y0, res, px, py = case
@@ -785,7 +792,7 @@ def test_trace_zero_stop_covers_every_point_of_the_closed_disk(rs, kwargs):
     assert all(contains(est.region, p) for p in pts)
     # Equilibria v(u) inside the disk, as the benchmark tests them.
     for u in control_grid(rs.omega, 41):
-        if rs.det_a_of_u(u) != 0.0:
+        if rs.det_a_of_u(u)[0] != 0.0:
             vu = equilibrium(rs, u)
             if np.hypot(*vu) <= radius:
                 assert contains(est.region, vu)
@@ -1041,7 +1048,7 @@ def _steer_cases(draw):
     return spec, v_from, v_to
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@settings(max_examples=25)
 @given(_steer_cases())
 def test_steer_degenerate_batch_rows_equal_one_row_calls_on_generated_specs(case):
     _assert_rows_equal_one_row_calls(*case)
@@ -1140,7 +1147,7 @@ def _assert_bits_equal(got, want):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(_degenerate_check_cases())
 def test_degenerate_structure_check_equals_the_stepwise_reference(case):
     # The reference runs in the units of xi the library takes: there both
@@ -1244,7 +1251,7 @@ def _specs_at_every_magnitude(draw):
     return SystemSpec(draw(sign) * 10.0**a, xi, np.zeros((2, 2)), [0.3, 0.2], (-draw(end), draw(end)))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(_specs_at_every_magnitude())
 def test_steering_determinant_is_positive_at_every_magnitude(spec):
     # In units of xi and of time the first arc ends at angle eps and the
@@ -1289,7 +1296,7 @@ def _scaled_check_cases(draw):
     return spec, draw(st.integers(0, 2**32 - 1)), draw(st.integers(-1000, 1000)), 10.0 ** draw(st.floats(-100.0, 100.0))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@settings(max_examples=40)
 @given(_scaled_check_cases())
 def test_degenerate_structure_check_is_covariant_under_translation_scaling(case):
     # (xi, eta1) -> c (xi, eta1) scales every translation of the flow by c.
@@ -1318,7 +1325,7 @@ def _time_scaled_check_cases(draw):
 @example((SystemSpec(-1.83e-9, [1.88, -2.18], np.zeros((2, 2)), [0.3, 0.2], (-1e-10, 571.0)), 0, 30, -125))
 @example((SystemSpec(math.ldexp(0.9, -200), np.ldexp([1.2, -0.3], -200), np.zeros((2, 2)),
                      np.ldexp([0.3, 0.5], -200), (-1.0, 1.5)), 3, 200, 0))
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@settings(max_examples=40)
 @given(_time_scaled_check_cases())
 def test_degenerate_structure_check_is_invariant_under_time_and_translation_scaling(case):
     # A time scaling by 2**k multiplies (alpha, xi, eta1) by 2**k, and a
@@ -1333,6 +1340,69 @@ def test_degenerate_structure_check_is_invariant_under_time_and_translation_scal
         report = _report(degenerate_structure_check(spec, seed))
         assert json.dumps(_report(degenerate_structure_check(scaled, seed))) == json.dumps(report)
     assert report["passed"], report
+
+
+# (lam, mu) of the open, closed and trace-zero range probes, each with
+# alpha 1, xi (0.3, -0.7), eta1 (1, 0.2) and Omega [-1, 1].
+_PROBE_RATES = {"open": (1.0, 2.0), "closed": (-1.0, 2.0), "trace_zero": (0.0, 1.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_outputs(kind, j, k):
+    """Reach cells and centres (the CLI's --control-grid 5 defaults), disk
+    coverage and ball suite report of a probe spec translation-scaled by 2**j
+    and time-scaled by 2**k."""
+    a = matrix_from_lambda_mu(*_PROBE_RATES[kind])
+    spec = SystemSpec(math.ldexp(1.0, k), np.ldexp([0.3, -0.7], j + k), np.ldexp(a, k),
+                      np.ldexp([1.0, 0.2], j + k))
+    plant = prepare(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_control_set(plant.rs, default_grid_config(plant.rs, n_controls=5))
+        ball = run_verification(plant, seed=0, suites=["ball_invariance"], n_samples=200)
+    region = est.region
+    return region.occupied_cells(), region.cell_centers(), est.coverage.get("fraction"), repr(ball.to_dict())
+
+
+@st.composite
+def _probe_scalings(draw):
+    """A probe kind, and 2**j and 2**k with |j|, |j + k| <= 1000, j + 2k <= 1000 and -1000 <= k <= 500.
+
+    xi and eta1 scale by 2**(j + k), and the reduction's check of A eta =
+    alpha xi + A eta1 forms products of 2**(j + 2k).  det A = lam^2 + mu^2,
+    which classify reports, overflows from k = 511.  The trace-zero test disk
+    floors at MIN_DISK_RADIUS, which is not covariant, below its |eta| (j < 0).
+    """
+    kind = draw(st.sampled_from(sorted(_PROBE_RATES)))
+    k = draw(st.integers(-1000, 500))
+    low = 0 if kind == "trace_zero" else -1000
+    return kind, draw(st.integers(max(low, -1000 - k), min(1000, 1000 - k, 1000 - 2 * k))), k
+
+
+# The open probe translation-scaled by the powers of two nearest 1e-170,
+# 1e-160, 1e154, 1e160 and 1e200, where |eta|^2 once vanished (1 cell, ball
+# skipped as "eta = 0"), lost its digits (ball failed) or overflowed (exit 2);
+# and the trace-zero probe time-scaled by 2**-997, where det A(u) underflowed
+# at every control (401 cells, coverage 0.012).
+@example(("open", -565, 0))
+@example(("open", -532, 0))
+@example(("open", 512, 0))
+@example(("open", 532, 0))
+@example(("open", 664, 0))
+@example(("trace_zero", 0, -997))
+@settings(max_examples=25)
+@given(_probe_scalings())
+def test_reach_and_ball_suite_are_exact_under_power_of_two_scalings(case):
+    # Scaling by a power of two is exact, and every squared magnitude is
+    # formed on scaled values: the same cells, their centres times 2**j, the
+    # same coverage and the same ball suite report, bit for bit.
+    kind, j, k = case
+    cells, centres, fraction, ball = _probe_outputs(kind, 0, 0)
+    got = _probe_outputs(kind, j, k)
+    assert np.array_equal(got[0], cells)
+    assert np.array_equal(got[1], np.ldexp(centres, j))
+    assert got[2:] == (fraction, ball)
+    assert len(cells) == {"open": 10390, "closed": 10385, "trace_zero": 23391}[kind]
 
 
 def _assert_rows_equal_flow_detA0(spec, s, x, u):

@@ -166,7 +166,7 @@ def test_trajectory_csv_rows_crossing_the_fixed_range(kind):
     assert buf.getvalue().splitlines() == ["s,t,v_x,v_y,u"] + _csv_rows(traj)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 @example([1000000000000000.25, 1000000000000000.75, 0.5000000000000001, 2.5e-4])  # ties, half to even
 @example([np.nextafter(1e16, 0.0), np.nextafter(1e16, 2e16), np.nextafter(1e-4, 0.0),

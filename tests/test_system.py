@@ -183,16 +183,29 @@ def test_reduce_time_scaled_open_spec(k):
     assert classify(prepare(spec)).case == CASE_OPEN
 
 
-def test_overflowing_rates_are_rejected_by_the_reduction():
+def test_rates_whose_squares_overflow_reduce_and_only_the_reported_det_is_rejected():
+    # lam^2 + (mu - u)^2 overflows: the reduction once rejected these rates,
+    # and built directly their ball and circle raised OverflowError from a
+    # float **.  Only classify, which reports det A, rejects them now.
     spec = make_spec(alpha=1.0, xi=(0.3, -0.7), lam=1e200, mu=2.0, eta1=(1.0, 0.2))
     assert spec.det() == np.inf
-    with pytest.raises(ValueError, match="overflows"):
-        reduce_system(spec)
-    # The check belongs to the reduced system: built directly, its ball and
-    # circle once raised OverflowError from a float **.
-    for lam, mu in ((1e200, 2.0), (1.0, 1e200)):
-        with pytest.raises(ValueError, match=r"^lambda\^2 \+ \(mu - alpha u\)\^2 overflows"):
-            ReducedSpec(lam, mu, (1.0, 0.0), (-1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = reduce_system(spec)
+        assert rs.ball.radius == pytest.approx(rs.length, rel=1e-15)
+        with pytest.raises(ValueError, match=r"^det A = lambda\^2 \+ mu\^2 overflows$"):
+            classify(prepare(spec))
+        for lam, mu, radius in ((1e200, 2.0, 1.0), (1.0, 1e200, 1e200)):
+            rs = ReducedSpec(lam, mu, (1.0, 0.0), (-1.0, 1.0))
+            assert rs.ball.radius == pytest.approx(radius, rel=1e-15)
+            assert np.all(np.isfinite(equilibrium(rs, [-1.0, 0.5, 1.0])))
+
+
+@pytest.mark.parametrize("lam, mu", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+def test_a_reduced_system_whose_rates_are_not_finite_is_rejected(lam, mu):
+    # The check that lam^2 + (mu - u)^2 is finite on Omega once rejected these too.
+    with pytest.raises(ValueError, match="^lam, mu and eta must be finite$"):
+        ReducedSpec(lam, mu, (1.0, 0.0), (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("lam, mu, case", [
@@ -283,7 +296,7 @@ def _scaled_spec_pairs(draw):
     return base, scaled
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(_scaled_spec_pairs())
 def test_the_case_label_is_invariant_under_power_of_two_scalings(pair):
     # Time scaling multiplies (alpha, A, xi, eta1) by 2^k and translation

@@ -113,7 +113,7 @@ def _sweep_specs(draw):
                       np.array([1.0, 0.2]), omega)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(_sweep_specs())
 def test_bound_sweep_margin_equals_the_per_nu_loop(spec):
     suite = V._suite_bound_sweep(prepare(spec), 0, 1)
@@ -140,7 +140,7 @@ def _scaled_ball_pairs(draw):
     return spec(0, 0), spec(k, j)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(_scaled_ball_pairs())
 def test_ball_suite_is_bit_identical_under_power_of_two_scalings(pair):
     # The certificate, cross-check and probes run in units of R and T, each
